@@ -48,11 +48,12 @@ import time
 
 from conftest import run_once
 
-from repro.dbsim.knobs import postgres_catalog
+from repro.dbsim.knobs import KnobCatalog, postgres_catalog
 from repro.experiments.common import offline_train
 from repro.tuners.base import TrainingSample, TuningRequest
 from repro.tuners.knob_selection import SelectionPolicy
 from repro.tuners.ottertune import OtterTuneTuner
+from repro.tuners.repository import WorkloadRepository
 from repro.tuners.surrogate import SurrogatePolicy
 from repro.workloads.tpcc import TPCCWorkload
 
@@ -87,13 +88,11 @@ def _build_tuner(
         n_configs=40,
         seed=22,
     )
-    tuner = OtterTuneTuner(
+    tuner = _tuner_over(
         catalog,
         repository,
-        memory_limit_mb=6553.6,
-        seed=23,
-        surrogate=SurrogatePolicy() if surrogate else None,
-        selection=SelectionPolicy() if selection else None,
+        SurrogatePolicy() if surrogate else None,
+        SelectionPolicy() if selection else None,
     )
     workload_id = repository.workload_ids()[0]
     sample = repository.samples(workload_id)[0]
@@ -103,8 +102,40 @@ def _build_tuner(
     return tuner, request
 
 
+def _tuner_over(
+    catalog: KnobCatalog,
+    repository: WorkloadRepository,
+    surrogate: SurrogatePolicy | None,
+    selection: SelectionPolicy | None,
+) -> OtterTuneTuner:
+    """The bench's tuner over *repository*, with empty fit caches."""
+    return OtterTuneTuner(
+        catalog,
+        repository,
+        memory_limit_mb=6553.6,
+        seed=23,
+        surrogate=surrogate,
+        selection=selection,
+    )
+
+
+def _best_and_mean(seconds: list[float]) -> dict:
+    return {
+        "best": 1e3 * min(seconds),
+        "mean": 1e3 * sum(seconds) / len(seconds),
+    }
+
+
 def _trajectory(tuner: OtterTuneTuner, request: TuningRequest) -> dict:
-    """Cold then warm best-of/mean timings for one tuner."""
+    """Cold then warm best-of/mean timings for one tuner.
+
+    ``cold_final_ms`` times cold requests at the warm rounds' repository
+    version: each round is a fresh tuner over the same repository, so it
+    refits on a training set exactly as large as the warm one. The cold
+    rounds proper grow the set by one sample each, so their best case
+    lands on a smaller set than any warm request sees; only
+    ``cold_final_ms`` is a like-for-like reference for the warm path.
+    """
     repository = tuner.repository
     sample = repository.samples(request.workload_id)[0]
     cold: list[float] = []
@@ -122,15 +153,23 @@ def _trajectory(tuner: OtterTuneTuner, request: TuningRequest) -> dict:
         start = time.perf_counter()
         tuner.recommend(request)
         warm.append(time.perf_counter() - start)
+    screen = tuner.surrogate_screen
+    selector = tuner.knob_selector
+    cold_final: list[float] = []
+    for _ in range(ROUNDS):
+        fresh = _tuner_over(
+            tuner.catalog,
+            repository,
+            screen.policy if screen is not None else None,
+            selector.policy if selector is not None else None,
+        )
+        start = time.perf_counter()
+        fresh.recommend(request)
+        cold_final.append(time.perf_counter() - start)
     return {
-        "cold_ms": {
-            "best": 1e3 * min(cold),
-            "mean": 1e3 * sum(cold) / len(cold),
-        },
-        "warm_ms": {
-            "best": 1e3 * min(warm),
-            "mean": 1e3 * sum(warm) / len(warm),
-        },
+        "cold_ms": _best_and_mean(cold),
+        "warm_ms": _best_and_mean(warm),
+        "cold_final_ms": _best_and_mean(cold_final),
     }
 
 
@@ -227,9 +266,10 @@ def test_perf_recommend_trajectory(benchmark, emit):
     assert screen["hits"] >= ROUNDS
     assert screen["shortlist_size"] <= 16
 
-    # Warm requests reuse version-keyed fits on both paths.
-    assert off["warm_ms"]["best"] <= off["cold_ms"]["best"]
-    assert on["warm_ms"]["best"] <= on["cold_ms"]["best"]
+    # Warm requests reuse version-keyed fits on both paths: cheaper than
+    # a cold request on the same training set.
+    assert off["warm_ms"]["best"] <= off["cold_final_ms"]["best"]
+    assert on["warm_ms"]["best"] <= on["cold_final_ms"]["best"]
 
     # The headline gate: screening must buy >= 3x on the warm path and
     # must not regress more than 20% against the committed baseline.
@@ -244,7 +284,7 @@ def test_perf_recommend_trajectory(benchmark, emit):
     # The select profile tunes a strictly smaller space and must keep
     # most of the screened path's warm advantage.
     assert 0 < subspace["active"] < subspace["total"]
-    assert select["warm_ms"]["best"] <= select["cold_ms"]["best"]
+    assert select["warm_ms"]["best"] <= select["cold_final_ms"]["best"]
     assert select_speedup >= MIN_SELECT_WARM_SPEEDUP, (
         f"select warm speedup {select_speedup:.2f}x below the "
         f"{MIN_SELECT_WARM_SPEEDUP:.1f}x gate"

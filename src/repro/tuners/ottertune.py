@@ -9,7 +9,8 @@ Pipeline per recommendation:
    the target's own (target last, so its evidence dominates duplicates);
 4. maximise GP-UCB over random candidate configurations plus local
    perturbations of the best seen, honouring the VM memory budget;
-5. rank knob importance with a Lasso path for the recommendation report.
+5. rank knob importance with a Lasso path for the recommendation report
+   (lazily: the path is solved only when ``ranked_knobs`` is read).
 
 The §1 scalability cost is modelled by :meth:`recommendation_cost_s`:
 GPR retraining takes ~100–120 s at production sample volumes, so one
@@ -22,6 +23,8 @@ flat, noisy response surface whose argmax is close to random.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -120,14 +123,12 @@ class OtterTuneTuner(Tuner):
         self._mapper = WorkloadMapper(self.repository)
         self._last_train_size = 0
         self.last_mapping_id: str | None = None
-        # Lasso knob ranking and fitted surrogate per workload, keyed on
-        # the repository version they were computed at: recomputed only
-        # when new samples arrive (amortised past the repository's
-        # exact-refresh scale).
+        # Training set, fitted surrogate and (read) Lasso ranking per
+        # workload, keyed on the repository version they were computed
+        # at: recomputed only when new samples arrive.
+        self._train_cache: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
+        self._gpr_cache: dict[str, tuple[int, GaussianProcessRegressor]] = {}
         self._ranking_cache: dict[str, tuple[int, list[str]]] = {}
-        self._gpr_cache: dict[
-            str, tuple[int, GaussianProcessRegressor, np.ndarray, np.ndarray]
-        ] = {}
         self._screen = SurrogateScreen(surrogate) if surrogate else None
         self._selector = KnobSelector(selection, catalog) if selection else None
         # Projected GPR per workload, keyed on (version, active set) —
@@ -164,7 +165,7 @@ class OtterTuneTuner(Tuner):
 
     def recommend(self, request: TuningRequest) -> Recommendation:
         """GP-UCB recommendation for *request* (see module docstring)."""
-        gpr, x, y = self._fitted_surrogate(request)
+        x, y = self._training_data(request)
         self._last_train_size = len(y)
         if len(y) < 3:
             # Cold start: no usable history; nudge defaults randomly.
@@ -182,6 +183,7 @@ class OtterTuneTuner(Tuner):
             projected = self._recommend_projected(request, x, y)
             if projected is not None:
                 return projected
+        gpr, _, _ = self._fitted_surrogate(request)
         if self._screen is None:
             candidates = self._candidates(x, y)
         else:
@@ -206,7 +208,13 @@ class OtterTuneTuner(Tuner):
             # Posterior-mean difference: the UCB's exploration bonus is a
             # selection criterion, not an improvement estimate.
             expected_improvement=best_mean - current_pred,
-            ranked_knobs=self._cached_ranking(request.workload_id, x, y),
+            ranked_knobs=partial(
+                self._cached_ranking,
+                request.workload_id,
+                self.repository.version,
+                x,
+                y,
+            ),
         )
 
     def recommendation_cost_s(self) -> float:
@@ -230,31 +238,42 @@ class OtterTuneTuner(Tuner):
 
     # -- pipeline pieces -----------------------------------------------------------
 
+    def _training_data(self, request: TuningRequest) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_training_set`, cached per workload and version."""
+        version = self.repository.version
+        cached = self._train_cache.get(request.workload_id)
+        if cached is not None and cached[0] == version:
+            return cached[1], cached[2]
+        x, y = self._training_set(request)
+        self._train_cache[request.workload_id] = (version, x, y)
+        return x, y
+
     def _fitted_surrogate(
         self, request: TuningRequest
     ) -> tuple[GaussianProcessRegressor | None, np.ndarray, np.ndarray]:
-        """Training set plus fitted GPR, cached per workload and version.
+        """Training set plus full-space GPR, cached per workload and version.
 
-        Fitting is deterministic in (x, y), so a cache hit returns exactly
-        what refitting would. Unlike the decile edges or the Lasso ranking,
-        the surrogate is *not* served stale past the exact-refresh scale:
-        recommendation quality directly suppresses future throttles (the
-        Fig. 9 feedback loop), and the capped training window means one
-        window's samples can move the fit materially.
+        Only the full-space path calls this; the projected path fits its
+        own GPR from the training set alone. Fitting is deterministic in
+        (x, y), so a cache hit returns exactly what refitting would. Unlike
+        the decile edges, the surrogate is *not* served stale past the
+        exact-refresh scale: recommendation quality directly suppresses
+        future throttles (the Fig. 9 feedback loop), and the capped
+        training window means one window's samples can move the fit
+        materially.
         """
+        x, y = self._training_data(request)
+        if len(y) < 3:
+            return None, x, y
+        version = self.repository.version
         cached = self._gpr_cache.get(request.workload_id)
-        if cached is not None and cached[0] == self.repository.version:
-            return cached[1], cached[2], cached[3]
-        x, y = self._training_set(request)
-        gpr = None
-        if len(y) >= 3:
+        if cached is None or cached[0] != version:
             gpr = GaussianProcessRegressor(
                 length_scale=0.4, noise_variance=0.05
             ).fit(x, y)
-        self._gpr_cache[request.workload_id] = (
-            self.repository.version, gpr, x, y
-        )
-        return gpr, x, y
+            cached = (version, gpr)
+            self._gpr_cache[request.workload_id] = cached
+        return cached[1], x, y
 
     def _training_set(self, request: TuningRequest) -> tuple[np.ndarray, np.ndarray]:
         """Mapped + target samples, objectives standardised per source.
@@ -569,26 +588,20 @@ class OtterTuneTuner(Tuner):
         )
 
     def _cached_ranking(
-        self, workload_id: str, x: np.ndarray, y: np.ndarray
+        self, workload_id: str, version: int, x: np.ndarray, y: np.ndarray
     ) -> list[str]:
-        """Lasso ranking for *workload_id*, reused until new samples land.
+        """Lasso ranking of *workload_id*'s training set (*x*, *y*) at *version*.
 
-        The training set is a pure function of the repository contents and
-        the workload id, so the ranking computed at one repository version
-        stays valid until the version counter bumps. Past the repository's
-        exact-refresh scale the ranking follows the same amortised refresh
-        cadence (the training window is capped anyway, so one more sample
-        cannot move the path much).
+        The ranker a full-space :class:`Recommendation` resolves on the
+        first read of ``ranked_knobs``; unread rankings cost nothing. The
+        training set is a pure function of the repository contents and
+        the workload id, so one solve serves every read at *version*.
         """
         cached = self._ranking_cache.get(workload_id)
-        if cached is not None and self.repository.fresh_enough(
-            cached[0], self.repository.total_samples()
-        ):
-            return list(cached[1])
-        version = self.repository.version
-        ranking = self.ranked_knobs(x, y)
-        self._ranking_cache[workload_id] = (version, ranking)
-        return list(ranking)
+        if cached is None or cached[0] != version:
+            cached = (version, self.ranked_knobs(x, y))
+            self._ranking_cache[workload_id] = cached
+        return list(cached[1])
 
     def ranked_knobs(self, x: np.ndarray, y: np.ndarray) -> list[str]:
         """Knob names ranked by Lasso-path importance on (*x*, *y*)."""

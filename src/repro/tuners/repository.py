@@ -169,9 +169,9 @@ class WorkloadRepository:
         """Monotonic data version; bumped whenever a sample lands.
 
         Consumers (the workload mapper's decile bin edges, the OtterTune
-        Lasso ranking) key their derived state on this counter so they
-        recompute only when new samples actually arrive instead of on
-        every tuning request.
+        training set, surrogate and Lasso ranking) key their derived state
+        on this counter so they recompute only when new samples actually
+        arrive instead of on every tuning request.
         """
         return self._version
 
@@ -234,8 +234,8 @@ class WorkloadRepository:
         *scale* is the consumer's own size measure (total samples, target
         workload samples, ...). Below :attr:`exact_refresh_limit` the
         answer is exact — only the current version counts. Beyond it, one
-        more sample cannot move quantile edges or a capped Lasso path
-        meaningfully, so entries may be served for up to
+        more sample cannot move quantile edges meaningfully, so entries
+        may be served for up to
         :attr:`stale_refresh_every` bumps; this bounds derived-model
         refreshes at fleet scale, where dozens of instances share the
         repository and bump the version every window.

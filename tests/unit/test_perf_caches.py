@@ -95,7 +95,7 @@ class TestRankingCache:
         assert first == second
 
         repo.add(TrainingSample("tpcc", sample.config, sample.metrics, 99.0))
-        tuner.recommend(request)
+        assert tuner.recommend(request).ranked_knobs
         assert len(calls) == 2
 
     def test_ranking_matches_uncached(self, pg_catalog, repo_and_request):
@@ -106,6 +106,48 @@ class TestRankingCache:
         gpr, x, y = tuner._fitted_surrogate(request)
         assert cached == tuner.ranked_knobs(x, y)
         assert ds.size >= 5  # ranking is non-trivial at this size
+
+
+class TestLazyRanking:
+    """``ranked_knobs`` costs a Lasso solve only when somebody reads it."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        import repro.tuners.ottertune as ottertune
+
+        calls = []
+        inner = ottertune.lasso_path_ranking
+
+        def spy(x, y, *args, **kwargs):
+            calls.append(len(y))
+            return inner(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(ottertune, "lasso_path_ranking", spy)
+        return calls
+
+    def test_unread_ranking_never_solves(
+        self, pg_catalog, repo_and_request, solves
+    ):
+        repo, request, sample = repo_and_request
+        tuner = OtterTuneTuner(pg_catalog, repo, memory_limit_mb=6553.6, seed=1)
+        for step in range(3):
+            tuner.recommend(request)
+            repo.add(TrainingSample("tpcc", sample.config, sample.metrics, step))
+        assert solves == []
+
+    def test_read_after_version_bump_ranks_its_own_training_set(
+        self, pg_catalog, repo_and_request, solves
+    ):
+        """A late read ranks the data the recommendation was fitted on."""
+        repo, request, sample = repo_and_request
+        tuner = OtterTuneTuner(pg_catalog, repo, memory_limit_mb=6553.6, seed=1)
+        stale = tuner.recommend(request)
+        _, x, y = tuner._fitted_surrogate(request)
+        repo.add(TrainingSample("tpcc", sample.config, sample.metrics, 99.0))
+        assert tuner.recommend(request).ranked_knobs
+        assert stale.ranked_knobs == tuner.ranked_knobs(x, y)
+        # The fresh read solved the grown set, the stale read its own.
+        assert solves[:2] == [len(y) + 1, len(y)]
 
 
 class TestMapperEdgeCache:

@@ -1,5 +1,8 @@
 """Unit tests for the BO-style tuner."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,22 @@ class TestTrainedRecommendation:
         tuner = OtterTuneTuner(pg_catalog, trained_repo, seed=5)
         rec = tuner.recommend(_request(pg_catalog))
         assert len(rec.ranked_knobs) == len(pg_catalog)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda rec: pickle.loads(pickle.dumps(rec))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_unresolved_ranking_survives_copies(
+        self, pg_catalog, trained_repo, clone
+    ):
+        tuner = OtterTuneTuner(pg_catalog, trained_repo, seed=5)
+        request = _request(pg_catalog)
+        rec = tuner.recommend(request)
+        cloned = clone(rec)
+        _, x, y = tuner._fitted_surrogate(request)
+        assert cloned.ranked_knobs == rec.ranked_knobs == tuner.ranked_knobs(x, y)
+        assert cloned == rec
 
     def test_mapping_recorded(self, pg_catalog, trained_repo):
         from tests.conftest import make_samples
