@@ -35,14 +35,12 @@ from repro.dbsim.memory import (
 from repro.dbsim.metrics import METRIC_NAMES, OTTERTUNE_METRICS, MetricsDelta
 from repro.dbsim.planner import PlanEstimate, PlannerModel, latent_optimum
 from repro.dbsim.replication import ReplicatedService
-from repro.dbsim.storage import DiskSimulator, DiskTraffic, DiskWindowResult
+from repro.dbsim.storage import DiskWindowResult
 
 __all__ = [
     "ApplyOutcome",
     "CheckpointEvent",
     "DatabaseCrashed",
-    "DiskSimulator",
-    "DiskTraffic",
     "DiskWindowResult",
     "ExecutionResult",
     "KnobCatalog",

@@ -1,20 +1,19 @@
 """Columnar multi-member window stepping for fleet-scale experiments.
 
 :class:`MemberBatch` steps *many* :class:`~repro.dbsim.engine.SimulatedDatabase`
-instances through one window with batched numpy operations instead of a
-Python loop over members. The per-second write-back simulation runs as one
-loop over window seconds updating ``(members,)`` state vectors, and the
-disk model evaluates utilisation/latency on ``(members, seconds)``
-matrices; only the parts that are inherently per-member stay per-member —
-RNG jitter draws (each member owns a keyed substream whose draw order is
-a frozen contract), batch costing through the per-database service-time
-memo, EXPLAIN sampling and metric assembly.
+instances through one window with the engine's columnar window step,
+:func:`~repro.dbsim.engine.step_members`, instead of a Python loop over
+members. The step evaluates traffic and both disks on ``(members,
+seconds)`` matrices; only the parts that are inherently per-member stay
+per-member — RNG jitter draws (each member owns a keyed substream whose
+draw order is a frozen contract), batch costing through the per-database
+service-time memo, EXPLAIN sampling and metric assembly.
 
 Bit-identical output to ``[db.run(batch) for db, batch in ...]`` is the
 hard invariant, kept by three rules:
 
 1. **Same float expressions, same order.** Every vectorized statement
-   mirrors the scalar engine's arithmetic element-for-element: IEEE-754
+   mirrors the per-member arithmetic element-for-element: IEEE-754
    double ops are identical whether issued on scalars or elementwise on
    arrays, and accumulators are updated in the same sequence. Reductions
    (per-member means/sums) run over contiguous rows, where numpy's
@@ -23,44 +22,34 @@ hard invariant, kept by three rules:
    phase-reordering work *across* members (generate all batches, then
    step all members) consumes every stream in exactly the order the
    serial loop would.
-3. **Fallback for exceptional windows.** Members with pending restart
-   stalls, cold caches, injected disk degradation, history retention or a
-   deviating window length take the scalar ``db.run`` path for that
-   window; a crashed member makes the whole window run the serial loop so
-   partial-advance crash semantics stay exact. Faults and chaos therefore
-   never meet the vectorized path.
+3. **One kernel, two write-back lanes.** ``db.run`` is the same step on a
+   chunk of one, and exceptional windows are columns of that step:
+   restart stalls zero a prefix of the traffic rows, cold caches scale
+   the hit-ratio column, disk degradation is a per-member latency factor,
+   members with a deviating window length form their own chunk, and a
+   crashed member ends the step after the members before it. Only the
+   per-second write-back recurrence is forked by chunk width: narrow
+   chunks run ``WriteBackScheduler.run_window`` per member, wide ones the
+   vectorised :func:`~repro.dbsim.bgwriter.run_windows`, and a property
+   suite checks the two lanes against each other.
 
 Scalars that land in result objects are converted to Python floats —
-``repr`` parity with the scalar engine requires no ``np.float64`` leaks.
+``repr`` parity between the lanes requires no ``np.float64`` leaks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
-from repro.dbsim.bgwriter import CheckpointEvent, WriteBackParams, WriteBackResult
-from repro.dbsim.bgwriter import _WAL_AMPLIFICATION
 from repro.dbsim.engine import (
+    ConfigTerms,
     ExecutionResult,
     SimulatedDatabase,
-    _PAGE_KB_BY_FLAVOR,
-    _SEQUENTIAL_BLOCK_KB,
+    step_members,
 )
-from repro.dbsim.executor import run_batch
-from repro.dbsim.memory import buffer_hit_ratio, compute_spills, swap_factor
-from repro.dbsim.planner import PlannerModel
-from repro.dbsim.storage import _MAX_UTILISATION, DiskWindowResult
-from repro.common.timeseries import TimeSeries
 from repro.workloads.generator import WorkloadBatch
 
 __all__ = ["MemberBatch"]
-
-#: Members vectorized per chunk. Bounds transient matrix memory at
-#: ``chunk × window_seconds`` doubles (~5 MB per matrix at 2048 × 300)
-#: while keeping the per-second loop's vector width large.
-_CHUNK_MEMBERS = 2048
 
 
 class MemberBatch:
@@ -70,77 +59,19 @@ class MemberBatch:
     ----------
     databases:
         The member databases in canonical member order. The roster is
-        fixed for the lifetime of the batch; per-config derived columns
-        (write-back parameters, hit ratio, swap factor) are cached per
-        member and refreshed when that member's ``config_epoch`` moves.
+        fixed for the lifetime of the batch; each member's
+        :class:`~repro.dbsim.engine.ConfigTerms` (write-back parameters,
+        hit ratio, swap factor) are cached and refreshed when that
+        member's ``config_epoch`` moves.
     """
 
     def __init__(self, databases: Sequence[SimulatedDatabase]) -> None:
         self._dbs = list(databases)
-        n = len(self._dbs)
-        # Config-derived columns, refreshed per member on epoch change.
-        self._epochs = [-1] * n
-        self._bg_rate = np.zeros(n)
-        self._interval = np.zeros(n)
-        self._wal_limit = np.zeros(n)
-        self._forced = np.full(n, np.inf)
-        self._has_forced = np.zeros(n, dtype=bool)
-        self._dirty_cap = np.zeros(n)
-        self._spread_s: list[float] = [1.0] * n
-        self._hit0: list[float] = [0.0] * n
-        self._swap: list[float] = [1.0] * n
-        # VM/device columns — fixed for a database's lifetime.
-        self._throughput = np.array(
-            [db.vm.disk.throughput_mb_s for db in self._dbs]
-        )
-        self._max_iops = np.array([db.vm.disk.max_iops for db in self._dbs])
-        self._base_latency = np.array(
-            [db.vm.disk.base_latency_ms for db in self._dbs]
-        )
-        self._page_mb = np.array(
-            [_PAGE_KB_BY_FLAVOR[db.flavor] / 1024.0 for db in self._dbs]
-        )
-        self._vac_interval = np.array(
-            [db._scheduler.vacuum_interval_s for db in self._dbs]
-        )
-        self._vac_write = np.array(
-            [db._scheduler.vacuum_write_mb for db in self._dbs]
-        )
+        self._epochs = [-1] * len(self._dbs)
+        self._terms: list[ConfigTerms] = [None] * len(self._dbs)  # type: ignore[list-item]
 
     def __len__(self) -> int:
         return len(self._dbs)
-
-    def _refresh_static(self, m: int) -> None:
-        """Recompute member *m*'s config-derived columns (epoch moved)."""
-        db = self._dbs[m]
-        params = WriteBackParams.from_config(db.config)
-        buffer_mb = db.config.buffer_pool_mb()
-        self._bg_rate[m] = params.bg_flush_mb_s
-        self._interval[m] = params.checkpoint_interval_s
-        self._wal_limit[m] = params.wal_limit_mb
-        forced = params.forced_dirty_limit_mb
-        has_forced = forced is not None and forced > 0.0
-        self._has_forced[m] = has_forced
-        self._forced[m] = forced if has_forced else np.inf  # type: ignore[assignment]
-        self._dirty_cap[m] = 0.9 * buffer_mb
-        self._spread_s[m] = max(
-            1.0, params.checkpoint_interval_s * params.spread_fraction
-        )
-        self._hit0[m] = buffer_hit_ratio(buffer_mb, db.data_size_gb)
-        self._swap[m] = swap_factor(db.config, db.vm, db.active_connections)
-        self._epochs[m] = db.config_epoch
-
-    @staticmethod
-    def _eligible(db: SimulatedDatabase, batch: WorkloadBatch, window_t: int) -> bool:
-        """Whether this member's window can run on the vectorized path."""
-        return (
-            max(1, int(round(batch.duration_s))) == window_t
-            and db._pending_stall_s == 0.0
-            and db._cold_windows == 0
-            and db._data_disk.degradation == 1.0
-            and db._wal_disk.degradation == 1.0
-            and not db.keep_history
-        )
 
     def step_window(
         self, batches: Sequence[WorkloadBatch]
@@ -154,309 +85,8 @@ class MemberBatch:
         dbs = self._dbs
         if len(batches) != len(dbs):
             raise ValueError("one batch per member required")
-        if not dbs:
-            return []
-        if any(db.crashed for db in dbs):
-            # Serial semantics: members before the crashed one advance,
-            # then DatabaseCrashed propagates from the dead member.
-            return [db.run(batch) for db, batch in zip(dbs, batches)]
-        window_t = max(1, int(round(batches[0].duration_s)))
-        results: list[ExecutionResult | None] = [None] * len(dbs)
-        vector_members: list[int] = []
-        for m, (db, batch) in enumerate(zip(dbs, batches)):
-            if self._eligible(db, batch, window_t):
-                vector_members.append(m)
-            else:
-                results[m] = db.run(batch)
-        for lo in range(0, len(vector_members), _CHUNK_MEMBERS):
-            self._step_chunk(
-                vector_members[lo : lo + _CHUNK_MEMBERS],
-                batches,
-                window_t,
-                results,
-            )
-        return results  # type: ignore[return-value]
-
-    # -- the vectorized window -------------------------------------------------
-
-    def _step_chunk(
-        self,
-        idx: list[int],
-        batches: Sequence[WorkloadBatch],
-        window_t: int,
-        results: list[ExecutionResult | None],
-    ) -> None:
-        dbs = self._dbs
-        n = len(idx)
-        t_count = window_t
-
-        # --- scalar prologue: planners, spills, per-batch demand -------------
-        spills = []
-        dirty_list = []
-        for m in idx:
-            db = dbs[m]
-            batch = batches[m]
-            planner = db._planners.get(batch.workload_name)
-            if planner is None:
-                planner = PlannerModel(db.flavor, batch.workload_name, db.vm)
-                db._planners[batch.workload_name] = planner
-            db._planner = planner
+        for m, db in enumerate(dbs):
             if db.config_epoch != self._epochs[m]:
-                self._refresh_static(m)
-            spills.append(compute_spills(batch, db.config))
-            dirty_list.append(
-                sum(
-                    count * batch.families[name].footprint.write_kb / 1024.0
-                    for name, count in batch.counts.items()
-                )
-            )
-
-        sel = np.asarray(idx)
-        bg_rate = self._bg_rate[sel]
-        interval = self._interval[sel]
-        wal_limit = self._wal_limit[sel]
-        forced = self._forced[sel]
-        has_forced = self._has_forced[sel]
-        dirty_cap = self._dirty_cap[sel]
-        throughput = self._throughput[sel][:, None]
-        max_iops = self._max_iops[sel][:, None]
-        base_latency = self._base_latency[sel][:, None]
-        page_mb = self._page_mb[sel]
-        vac_interval = self._vac_interval[sel]
-        vac_write = self._vac_write[sel]
-        clock = np.array([dbs[m].clock_s for m in idx])
-
-        # --- write-back: one loop over seconds, vectors over members ---------
-        schedulers = [dbs[m]._scheduler for m in idx]
-        backlog = np.array([s.dirty_backlog_mb for s in schedulers])
-        wal_since = np.array([s.wal_since_checkpoint_mb for s in schedulers])
-        since_cp = np.array([s.since_checkpoint_s for s in schedulers])
-        since_vac = np.array([s.since_vacuum_s for s in schedulers])
-        act_rate = np.array([s._active_rate_mb_s for s in schedulers])
-        act_rem = np.array([s._active_remaining_s for s in schedulers])
-
-        dirty_rate = np.array(dirty_list) / t_count
-        wal_rate = dirty_rate * _WAL_AMPLIFICATION
-        data_writes_tm = np.zeros((t_count, n))  # (seconds, members)
-        bg_total = np.zeros(n)
-        backend_total = np.zeros(n)
-        ckpt_total = np.zeros(n)
-        vac_total = np.zeros(n)
-        events: list[list[CheckpointEvent]] = [[] for _ in idx]
-        vac_times: list[list[float]] = [[] for _ in idx]
-
-        for i in range(t_count):
-            backlog += dirty_rate
-            wal_since += wal_rate
-            since_cp += 1.0
-            since_vac += 1.0
-            col = data_writes_tm[i]
-
-            # Background writer trickle.
-            bg_flush = np.minimum(backlog, bg_rate)
-            backlog -= bg_flush
-            col += bg_flush
-            bg_total += bg_flush
-
-            # Backends flush whatever overflows the dirty cap. Non-positive
-            # overflow contributes an exact +0.0, matching the skipped
-            # branch of the scalar loop.
-            overflow = np.maximum(backlog - dirty_cap, 0.0)
-            np.minimum(backlog, dirty_cap, out=backlog)
-            col += overflow
-            backend_total += overflow
-
-            # Checkpoint triggers are sparse: handle firing members in
-            # member order with scalar Python floats, same priority chain
-            # as ``WriteBackScheduler._checkpoint_kind``.
-            requested = wal_since >= wal_limit
-            forced_trig = has_forced & (backlog >= forced)
-            timed = since_cp >= interval
-            firing = (act_rem <= 0.0) & (requested | forced_trig | timed)
-            if firing.any():
-                for j in np.nonzero(firing)[0]:
-                    kind = (
-                        "requested"
-                        if requested[j]
-                        else ("forced" if forced_trig[j] else "timed")
-                    )
-                    spread_s = self._spread_s[idx[j]]
-                    write_mb = float(backlog[j])
-                    events[j].append(
-                        CheckpointEvent(
-                            float(clock[j] + i), kind, write_mb, spread_s
-                        )
-                    )
-                    act_rate[j] = write_mb / spread_s
-                    act_rem[j] = spread_s
-                    backlog[j] = 0.0
-                    wal_since[j] = 0.0
-                    since_cp[j] = 0.0
-
-            # Active checkpoint spread (inactive members contribute +0.0).
-            step = np.minimum(1.0, act_rem)
-            burst = act_rate * step
-            col += burst
-            ckpt_total += burst
-            act_rem -= step
-
-            # Vacuum rounds.
-            vac_due = since_vac >= vac_interval
-            if vac_due.any():
-                add = np.where(vac_due, vac_write, 0.0)
-                col += add
-                vac_total += add
-                since_vac[vac_due] = 0.0
-                for j in np.nonzero(vac_due)[0]:
-                    vac_times[j].append(float(clock[j] + i))
-
-        for k, sched in enumerate(schedulers):
-            sched.dirty_backlog_mb = float(backlog[k])
-            sched.wal_since_checkpoint_mb = float(wal_since[k])
-            sched.since_checkpoint_s = float(since_cp[k])
-            sched.since_vacuum_s = float(since_vac[k])
-            sched._active_rate_mb_s = float(act_rate[k])
-            sched._active_remaining_s = float(act_rem[k])
-
-        data_writes = np.ascontiguousarray(data_writes_tm.T)  # (members, seconds)
-        wal_writes = np.empty((n, t_count))
-        wal_writes[:] = wal_rate[:, None]  # constant rows == 0.0 + wal_rate
-
-        # --- traffic + both disks on (members, seconds) matrices -------------
-        hit = [self._hit0[m] for m in idx]
-        swap = [self._swap[m] for m in idx]
-        total_read = np.array(
-            [
-                sum(
-                    count * batches[m].families[name].footprint.read_kb / 1024.0
-                    for name, count in batches[m].counts.items()
-                )
-                for m in idx
-            ]
-        )
-        spill_rw = np.array([s.spill_read_write_mb for s in spills])
-        miss_mb_s = total_read * (1.0 - np.array(hit)) / t_count
-        spill_half = (spill_rw / 2.0) / t_count
-        seq_mb = _SEQUENTIAL_BLOCK_KB / 1024.0
-        read_mb = np.empty((n, t_count))
-        read_mb[:] = (miss_mb_s + spill_half)[:, None]
-        write_mb = data_writes + spill_half[:, None]
-        read_iops = np.empty((n, t_count))
-        read_iops[:] = (miss_mb_s / page_mb + spill_half / seq_mb)[:, None]
-        write_iops = write_mb / seq_mb
-
-        data_iops = read_iops + write_iops
-        data_util = np.minimum(
-            np.maximum(
-                (read_mb + write_mb) / throughput, data_iops / max_iops
-            ),
-            _MAX_UTILISATION,
-        )
-        data_wlat = base_latency * (1.0 + data_util / (1.0 - data_util))
-        scaled = data_util * 0.85
-        data_rlat = base_latency * (1.0 + scaled / (1.0 - scaled))
-
-        wal_iops = wal_writes / seq_mb
-        wal_util = np.minimum(
-            np.maximum(wal_writes / throughput, wal_iops / max_iops),
-            _MAX_UTILISATION,
-        )
-        wal_wlat = base_latency * (1.0 + wal_util / (1.0 - wal_util))
-        scaled = wal_util * 0.85
-        wal_rlat = base_latency * (1.0 + scaled / (1.0 - scaled))
-
-        # Monitoring jitter: four lognormal draws per member, in the exact
-        # order the scalar engine makes them (data write, data read, WAL
-        # write, WAL read) from the member's own stream.
-        for k, m in enumerate(idx):
-            rng = dbs[m]._rng
-            data_wlat[k] *= rng.lognormal(0.0, 0.05, size=t_count)
-            data_rlat[k] *= rng.lognormal(0.0, 0.05, size=t_count)
-            wal_wlat[k] *= rng.lognormal(0.0, 0.05, size=t_count)
-            wal_rlat[k] *= rng.lognormal(0.0, 0.05, size=t_count)
-
-        # --- scalar epilogue: costing, EXPLAIN, metrics, results -------------
-        arange_t = np.arange(t_count, dtype=float)
-        for k, m in enumerate(idx):
-            db = dbs[m]
-            batch = batches[m]
-            times = db.clock_s + arange_t
-            data_result = DiskWindowResult(
-                read_latency=TimeSeries.from_window(
-                    "data.read_latency_ms", "ms", times, data_rlat[k]
-                ),
-                write_latency=TimeSeries.from_window(
-                    "data.write_latency_ms", "ms", times, data_wlat[k]
-                ),
-                iops=TimeSeries.from_window(
-                    "data.iops", "ops/s", times, data_iops[k]
-                ),
-                mean_utilisation=float(np.mean(data_util[k])),
-            )
-            wal_result = DiskWindowResult(
-                read_latency=TimeSeries.from_window(
-                    "wal.read_latency_ms", "ms", times, wal_rlat[k]
-                ),
-                write_latency=TimeSeries.from_window(
-                    "wal.write_latency_ms", "ms", times, wal_wlat[k]
-                ),
-                iops=TimeSeries.from_window(
-                    "wal.iops", "ops/s", times, wal_iops[k]
-                ),
-                mean_utilisation=float(np.mean(wal_util[k])),
-            )
-            writeback = WriteBackResult(
-                data_write_mb_s=data_writes[k].copy(),
-                wal_write_mb_s=wal_writes[k].copy(),
-                events=events[k],
-                bgwriter_write_mb=float(bg_total[k]),
-                checkpoint_write_mb=float(ckpt_total[k]),
-                vacuum_write_mb=float(vac_total[k]),
-                backend_write_mb=float(backend_total[k]),
-                vacuum_times=vac_times[k],
-            )
-            commit_latency = float(np.mean(wal_wlat[k]))
-            data_latency_factor = max(
-                1.0, float(np.mean(data_wlat[k])) / db.vm.disk.base_latency_ms
-            )
-            summary = run_batch(
-                batch,
-                db.config,
-                db.vm,
-                hit[k],
-                db._planner,
-                spills[k],
-                commit_latency,
-                data_latency_factor,
-                swap[k],
-                cache=db._service_cache,
-                config_epoch=db.config_epoch,
-            )
-            plans = db.explain_many(batch.sampled_queries[:32])
-            metrics = db._assemble_metrics(
-                batch,
-                summary,
-                spills[k],
-                writeback,
-                data_result,
-                hit[k],
-                swap[k],
-                plans,
-            )
-            results[m] = ExecutionResult(
-                batch=batch,
-                config=db.config,
-                start_time_s=db.clock_s,
-                duration_s=float(t_count),
-                summary=summary,
-                metrics=metrics,
-                data_disk=data_result,
-                wal_disk=wal_result,
-                writeback=writeback,
-                spill=spills[k],
-                hit_ratio=hit[k],
-                swap=swap[k],
-                plan_estimates=plans,
-            )
-            db.clock_s += t_count
-            db._reloads_this_window = 0
+                self._terms[m] = ConfigTerms.of(db)
+                self._epochs[m] = db.config_epoch
+        return step_members(dbs, batches, self._terms)

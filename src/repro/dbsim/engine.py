@@ -7,28 +7,46 @@ write-back, planner and executor models into a single
 AutoDBaaS needs: EXPLAIN for the TDE, config apply via reload or restart
 (with the §4 crash-on-bad-config behaviour replication relies on), and a
 cumulative clock so multi-window experiments are continuous.
+
+The step itself is :func:`step_members`, which steps any number of
+instances at once; ``run`` is a call with one member, and
+:class:`~repro.dbsim.batch_engine.MemberBatch` calls it for a fleet.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.common.hardware import VMType, vm_type
 from repro.common.rng import make_rng
-from repro.dbsim.bgwriter import WriteBackResult, WriteBackScheduler
+from repro.dbsim.bgwriter import (
+    WriteBackParams,
+    WriteBackResult,
+    WriteBackScheduler,
+    run_windows,
+)
 from repro.dbsim.config import KnobConfiguration, MemoryBudgetError
 from repro.dbsim.executor import ExecutionSummary, ServiceTimeCache, run_batch
 from repro.dbsim.knobs import catalog_for
 from repro.dbsim.memory import SpillReport, buffer_hit_ratio, compute_spills, swap_factor
 from repro.dbsim.metrics import MetricsDelta
 from repro.dbsim.planner import PlanEstimate, PlannerModel
-from repro.dbsim.storage import DiskSimulator, DiskTraffic, DiskWindowResult
+from repro.dbsim.storage import DiskWindowResult, simulate_device
 from repro.workloads.generator import WorkloadBatch
 from repro.workloads.query import Query, QueryType
 
-__all__ = ["ApplyOutcome", "DatabaseCrashed", "ExecutionResult", "SimulatedDatabase"]
+__all__ = [
+    "ApplyOutcome",
+    "ConfigTerms",
+    "DatabaseCrashed",
+    "ExecutionResult",
+    "SimulatedDatabase",
+    "step_members",
+]
 
 #: Page sizes per flavor (PostgreSQL 8 KB, InnoDB 16 KB).
 _PAGE_KB_BY_FLAVOR = {"postgres": 8.0, "mysql": 16.0}
@@ -42,6 +60,20 @@ _COLD_CACHE_FACTORS = (0.3, 0.8)
 #: Socket activation keeps the port open but caches requests; the drain
 #: afterwards causes "a lot of jitter" (§4) — modelled as degraded seconds.
 SOCKET_ACTIVATION_JITTER_S = 6.0
+#: Members stepped per chunk. Bounds transient matrix memory at
+#: ``chunk × window_seconds`` doubles (~5 MB per matrix at 2048 × 300).
+_CHUNK_MEMBERS = 2048
+#: Narrowest chunk whose write-back recurrence runs vectorised
+#: (:func:`~repro.dbsim.bgwriter.run_windows`); narrower chunks call
+#: :meth:`~repro.dbsim.bgwriter.WriteBackScheduler.run_window` per member
+#: on Python floats. The numpy loop pays a fixed cost per window second
+#: that only amortises over enough members. Recurrence cost per member,
+#: 60 s windows, 2-core VM (µs):
+#:
+#:   members            1     4     8    12    16    25    64
+#:   run_window loop   72    63    64    66    65    66    71
+#:   run_windows     1438   245   128    88    66    50    22
+_VECTOR_MIN_MEMBERS = 16
 
 
 class DatabaseCrashed(RuntimeError):
@@ -124,8 +156,8 @@ class SimulatedDatabase:
         self.clock_s = 0.0
         self.crashed = False
         self._scheduler = WriteBackScheduler()
-        self._data_disk = DiskSimulator(self.vm.disk, "data")
-        self._wal_disk = DiskSimulator(self.vm.disk, "wal")
+        #: Service-latency multiplier of both devices (1.0 = healthy).
+        self._disk_degradation = 1.0
         self._planner = PlannerModel(flavor, "generic", self.vm)
         # Planner models are pure functions of (flavor, workload, vm);
         # reuse one per workload so their per-config memos survive
@@ -134,8 +166,6 @@ class SimulatedDatabase:
         self._pending_stall_s = 0.0
         self._reloads_this_window = 0
         self._cold_windows = 0
-        self.history: list[ExecutionResult] = []
-        self.keep_history = False
 
     # -- configuration management ---------------------------------------------
 
@@ -223,8 +253,7 @@ class SimulatedDatabase:
         """
         if factor <= 0:
             raise ValueError("degradation factor must be positive")
-        self._data_disk.degradation = factor
-        self._wal_disk.degradation = factor
+        self._disk_degradation = factor
 
     # -- observation surface ---------------------------------------------------
 
@@ -258,159 +287,17 @@ class SimulatedDatabase:
 
     def run(self, batch: WorkloadBatch) -> ExecutionResult:
         """Execute *batch*, advance the clock, and return the observables."""
-        if self.crashed:
-            raise DatabaseCrashed("instance is down")
-        duration = max(1, int(round(batch.duration_s)))
-        planner = self._planners.get(batch.workload_name)
-        if planner is None:
-            planner = PlannerModel(self.flavor, batch.workload_name, self.vm)
-            self._planners[batch.workload_name] = planner
-        self._planner = planner
-
-        spill = compute_spills(batch, self.config)
-        swap = swap_factor(self.config, self.vm, self.active_connections)
-        hit_ratio = buffer_hit_ratio(self.config.buffer_pool_mb(), self.data_size_gb)
-        if self._cold_windows > 0:
-            factor = _COLD_CACHE_FACTORS[len(_COLD_CACHE_FACTORS) - self._cold_windows]
-            hit_ratio *= factor
-            self._cold_windows -= 1
-
-        dirty_mb = sum(
-            count * batch.families[name].footprint.write_kb / 1024.0
-            for name, count in batch.counts.items()
-        )
-        writeback = self._scheduler.run_window(
-            self.config, dirty_mb, duration, start_time_s=self.clock_s
-        )
-
-        traffic = self._build_traffic(batch, spill, writeback, hit_ratio, duration)
-        stall = min(self._pending_stall_s, float(duration))
-        self._pending_stall_s -= stall
-        if stall > 0.0:
-            self._apply_stall(traffic, stall)
-
-        data_result = self._data_disk.simulate(
-            traffic, start_time_s=self.clock_s, rng=self._rng
-        )
-        wal_traffic = DiskTraffic(
-            read_mb_s=np.zeros(duration),
-            write_mb_s=writeback.wal_write_mb_s,
-            read_iops=np.zeros(duration),
-            # WAL is an append-only sequential stream.
-            write_iops=writeback.wal_write_mb_s / (_SEQUENTIAL_BLOCK_KB / 1024.0),
-        )
-        wal_result = self._wal_disk.simulate(
-            wal_traffic, start_time_s=self.clock_s, rng=self._rng
-        )
-
-        commit_latency = wal_result.write_latency.mean()
-        data_latency_factor = max(
-            1.0, data_result.write_latency.mean() / self.vm.disk.base_latency_ms
-        )
-        summary = run_batch(
-            batch,
-            self.config,
-            self.vm,
-            hit_ratio,
-            self._planner,
-            spill,
-            commit_latency,
-            data_latency_factor,
-            swap,
-            cache=self._service_cache,
-            config_epoch=self.config_epoch,
-        )
-        summary = self._charge_disruption(summary, stall, duration)
-
-        plans = self.explain_many(batch.sampled_queries[:32])
-        metrics = self._assemble_metrics(
-            batch, summary, spill, writeback, data_result, hit_ratio, swap, plans
-        )
-        result = ExecutionResult(
-            batch=batch,
-            config=self.config,
-            start_time_s=self.clock_s,
-            duration_s=float(duration),
-            summary=summary,
-            metrics=metrics,
-            data_disk=data_result,
-            wal_disk=wal_result,
-            writeback=writeback,
-            spill=spill,
-            hit_ratio=hit_ratio,
-            swap=swap,
-            plan_estimates=plans,
-        )
-        self.clock_s += duration
-        self._reloads_this_window = 0
-        if self.keep_history:
-            self.history.append(result)
-        return result
+        return step_members([self], [batch])[0]
 
     # -- internals ---------------------------------------------------------------
 
-    def _build_traffic(
-        self,
-        batch: WorkloadBatch,
-        spill: SpillReport,
-        writeback: WriteBackResult,
-        hit_ratio: float,
-        duration: int,
-    ) -> DiskTraffic:
-        """Per-second data-disk demand.
-
-        Buffer misses are random page reads (8 KB per IO); spill I/O and
-        write-back (bgwriter/checkpoint/backend) are coalesced into large
-        sequential blocks, so they cost bandwidth but few IOPS — the mix
-        real engines produce.
-        """
-        total_read_mb = sum(
-            count * batch.families[name].footprint.read_kb / 1024.0
-            for name, count in batch.counts.items()
-        )
-        miss_mb_s = total_read_mb * (1.0 - hit_ratio) / duration
-        spill_half_mb_s = (spill.spill_read_write_mb / 2.0) / duration
-        read_mb_s = np.full(duration, miss_mb_s + spill_half_mb_s)
-        write_mb_s = writeback.data_write_mb_s + spill_half_mb_s
-        page_mb = _PAGE_KB_BY_FLAVOR[self.flavor] / 1024.0
-        seq_mb = _SEQUENTIAL_BLOCK_KB / 1024.0
-        read_iops = np.full(
-            duration, miss_mb_s / page_mb + spill_half_mb_s / seq_mb
-        )
-        return DiskTraffic(
-            read_mb_s=read_mb_s,
-            write_mb_s=write_mb_s,
-            read_iops=read_iops,
-            write_iops=write_mb_s / seq_mb,
-        )
-
-    @staticmethod
-    def _apply_stall(traffic: DiskTraffic, stall_s: float) -> None:
-        """Zero out query-driven traffic during the stall at window start."""
-        n = min(int(round(stall_s)), traffic.seconds)
-        for array in (
-            traffic.read_mb_s,
-            traffic.write_mb_s,
-            traffic.read_iops,
-            traffic.write_iops,
-        ):
-            array[:n] = 0.0
-
-    @staticmethod
-    def _charge_disruption(
-        summary: ExecutionSummary, stall_s: float, duration: int
-    ) -> ExecutionSummary:
-        if stall_s <= 0.0:
-            return summary
-        available = max(0.0, 1.0 - stall_s / duration)
-        return ExecutionSummary(
-            total_queries=summary.total_queries,
-            offered_tps=summary.offered_tps,
-            achieved_tps=summary.achieved_tps * available,
-            avg_latency_ms=summary.avg_latency_ms * (1.0 + stall_s / duration),
-            cpu_utilisation=summary.cpu_utilisation,
-            demand_cpu_ms=summary.demand_cpu_ms,
-        )
+    def _use_planner(self, workload_name: str) -> None:
+        """Make the planner of *workload_name* the live one."""
+        planner = self._planners.get(workload_name)
+        if planner is None:
+            planner = PlannerModel(self.flavor, workload_name, self.vm)
+            self._planners[workload_name] = planner
+        self._planner = planner
 
     def _assemble_metrics(
         self,
@@ -475,3 +362,214 @@ class SimulatedDatabase:
                 "window_s": batch.duration_s,
             }
         )
+
+
+class ConfigTerms(NamedTuple):
+    """Window-invariant terms of a member's live configuration.
+
+    A pure function of the configuration, VM, data size and connection
+    count, so callers may cache it per ``config_epoch``.
+    """
+
+    writeback: WriteBackParams
+    buffer_mb: float
+    hit_ratio: float
+    swap: float
+
+    @staticmethod
+    def of(db: SimulatedDatabase) -> ConfigTerms:
+        buffer_mb = db.config.buffer_pool_mb()
+        return ConfigTerms(
+            WriteBackParams.from_config(db.config),
+            buffer_mb,
+            buffer_hit_ratio(buffer_mb, db.data_size_gb),
+            swap_factor(db.config, db.vm, db.active_connections),
+        )
+
+
+def step_members(
+    dbs: Sequence[SimulatedDatabase],
+    batches: Sequence[WorkloadBatch],
+    terms: Sequence[ConfigTerms] | None = None,
+) -> list[ExecutionResult]:
+    """Step each database through its batch; results in member order.
+
+    The one window step: :meth:`SimulatedDatabase.run` is a batch of one,
+    :class:`~repro.dbsim.batch_engine.MemberBatch` a fleet. Members are
+    grouped by window length and stepped in chunks over ``(members,
+    seconds)`` matrices; restart stalls, cold caches and disk degradation
+    are per-member columns. A member's result does not depend on which
+    chunk it lands in. Like a serial loop, a crashed member stops the
+    step: the members before it advance, then :class:`DatabaseCrashed` is
+    raised. *terms* are the members' :class:`ConfigTerms` when the caller
+    caches them; they are derived afresh otherwise.
+    """
+    live = next((m for m, db in enumerate(dbs) if db.crashed), len(dbs))
+    by_length: dict[int, list[int]] = {}
+    for m in range(live):
+        seconds = max(1, int(round(batches[m].duration_s)))
+        by_length.setdefault(seconds, []).append(m)
+    results: list[ExecutionResult | None] = [None] * live
+    for seconds, members in by_length.items():
+        for lo in range(0, len(members), _CHUNK_MEMBERS):
+            chunk = members[lo : lo + _CHUNK_MEMBERS]
+            stepped = _step_chunk(
+                [dbs[m] for m in chunk],
+                [batches[m] for m in chunk],
+                [terms[m] if terms is not None else ConfigTerms.of(dbs[m]) for m in chunk],
+                seconds,
+            )
+            for m, result in zip(chunk, stepped):
+                results[m] = result
+    if live < len(dbs):
+        raise DatabaseCrashed("instance is down")
+    return results  # type: ignore[return-value]
+
+
+def _step_chunk(
+    dbs: list[SimulatedDatabase],
+    batches: list[WorkloadBatch],
+    terms: list[ConfigTerms],
+    seconds: int,
+) -> list[ExecutionResult]:
+    """Step one chunk of live members through windows of *seconds*."""
+    spills, dirty_mb, read_mb, hit, stall = [], [], [], [], []
+    for db, batch, term in zip(dbs, batches, terms):
+        db._use_planner(batch.workload_name)
+        spills.append(compute_spills(batch, db.config))
+        hit_ratio = term.hit_ratio
+        if db._cold_windows > 0:
+            hit_ratio *= _COLD_CACHE_FACTORS[len(_COLD_CACHE_FACTORS) - db._cold_windows]
+            db._cold_windows -= 1
+        hit.append(hit_ratio)
+        stall_s = min(db._pending_stall_s, float(seconds))
+        db._pending_stall_s -= stall_s
+        stall.append(stall_s)
+        footprints = [
+            (count, batch.families[name].footprint)
+            for name, count in batch.counts.items()
+        ]
+        dirty_mb.append(sum(c * f.write_kb / 1024.0 for c, f in footprints))
+        read_mb.append(sum(c * f.read_kb / 1024.0 for c, f in footprints))
+
+    clocks = [db.clock_s for db in dbs]
+    writebacks: list[WriteBackResult]
+    if len(dbs) < _VECTOR_MIN_MEMBERS:
+        writebacks = [
+            db._scheduler.run_window(db.config, d, seconds, start_time_s=db.clock_s)
+            for db, d in zip(dbs, dirty_mb)
+        ]
+    else:
+        writebacks = run_windows(
+            [db._scheduler for db in dbs],
+            [t.writeback for t in terms],
+            [t.buffer_mb for t in terms],
+            dirty_mb,
+            seconds,
+            clocks,
+        )
+
+    # Data-disk demand. Buffer misses are random page reads; spill I/O and
+    # write-back are coalesced into large sequential blocks, so they cost
+    # bandwidth but few IOPS — the mix real engines produce.
+    page_mb = np.array([_PAGE_KB_BY_FLAVOR[db.flavor] / 1024.0 for db in dbs])
+    seq_mb = _SEQUENTIAL_BLOCK_KB / 1024.0
+    miss_mb_s = np.array(read_mb) * (1.0 - np.array(hit)) / seconds
+    spill_half = (np.array([s.spill_read_write_mb for s in spills]) / 2.0) / seconds
+    read_mb_s = np.repeat((miss_mb_s + spill_half)[:, None], seconds, axis=1)
+    read_iops = np.repeat(
+        (miss_mb_s / page_mb + spill_half / seq_mb)[:, None], seconds, axis=1
+    )
+    write_mb_s = np.array([w.data_write_mb_s for w in writebacks]) + spill_half[:, None]
+    # A restart stall silences query-driven traffic at the window start.
+    for k, stall_s in enumerate(stall):
+        cut = min(int(round(stall_s)), seconds)
+        read_mb_s[k, :cut] = write_mb_s[k, :cut] = read_iops[k, :cut] = 0.0
+    write_iops = write_mb_s / seq_mb
+
+    disks = [db.vm.disk for db in dbs]
+    degradation = [db._disk_degradation for db in dbs]
+    rngs = [db._rng for db in dbs]
+    data_disk = simulate_device(
+        "data",
+        disks,
+        read_mb_s + write_mb_s,
+        read_iops + write_iops,
+        degradation,
+        clocks,
+        rngs,
+    )
+    # WAL is an append-only sequential stream.
+    wal_mb_s = np.array([w.wal_write_mb_s for w in writebacks])
+    wal_disk = simulate_device(
+        "wal", disks, wal_mb_s, wal_mb_s / seq_mb, degradation, clocks, rngs
+    )
+
+    results = []
+    for k, (db, batch) in enumerate(zip(dbs, batches)):
+        commit_latency = wal_disk[k].write_latency.mean()
+        data_latency_factor = max(
+            1.0, data_disk[k].write_latency.mean() / db.vm.disk.base_latency_ms
+        )
+        summary = run_batch(
+            batch,
+            db.config,
+            db.vm,
+            hit[k],
+            db._planner,
+            spills[k],
+            commit_latency,
+            data_latency_factor,
+            terms[k].swap,
+            cache=db._service_cache,
+            config_epoch=db.config_epoch,
+        )
+        summary = _charge_disruption(summary, stall[k], seconds)
+        plans = db.explain_many(batch.sampled_queries[:32])
+        metrics = db._assemble_metrics(
+            batch,
+            summary,
+            spills[k],
+            writebacks[k],
+            data_disk[k],
+            hit[k],
+            terms[k].swap,
+            plans,
+        )
+        results.append(
+            ExecutionResult(
+                batch=batch,
+                config=db.config,
+                start_time_s=db.clock_s,
+                duration_s=float(seconds),
+                summary=summary,
+                metrics=metrics,
+                data_disk=data_disk[k],
+                wal_disk=wal_disk[k],
+                writeback=writebacks[k],
+                spill=spills[k],
+                hit_ratio=hit[k],
+                swap=terms[k].swap,
+                plan_estimates=plans,
+            )
+        )
+        db.clock_s += seconds
+        db._reloads_this_window = 0
+    return results
+
+
+def _charge_disruption(
+    summary: ExecutionSummary, stall_s: float, duration: int
+) -> ExecutionSummary:
+    """Scale throughput/latency by the share of the window lost to a stall."""
+    if stall_s <= 0.0:
+        return summary
+    available = max(0.0, 1.0 - stall_s / duration)
+    return ExecutionSummary(
+        total_queries=summary.total_queries,
+        offered_tps=summary.offered_tps,
+        achieved_tps=summary.achieved_tps * available,
+        avg_latency_ms=summary.avg_latency_ms * (1.0 + stall_s / duration),
+        cpu_utilisation=summary.cpu_utilisation,
+        demand_cpu_ms=summary.demand_cpu_ms,
+    )

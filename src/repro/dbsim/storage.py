@@ -8,13 +8,14 @@ the spacing of.
 
 Per §3.2 the paper moves WAL/statistics/log writers to a *separate* disk so
 the production-data disk only sees backend reads, background-writer/
-checkpoint flushes and vacuum — :class:`DiskSimulator` therefore exposes a
-``data`` device and a ``wal`` device, and callers route traffic
-accordingly.
+checkpoint flushes and vacuum — the engine therefore runs
+:func:`simulate_device` once for the ``data`` device and once for the
+``wal`` device, routing traffic accordingly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,43 +23,11 @@ import numpy as np
 from repro.common.hardware import DiskKind
 from repro.common.timeseries import TimeSeries
 
-__all__ = ["DiskTraffic", "DiskWindowResult", "DiskSimulator"]
+__all__ = ["DiskWindowResult", "simulate_device"]
 
 _MAX_UTILISATION = 0.97
-
-
-@dataclass
-class DiskTraffic:
-    """Per-second I/O demand over a window (arrays, MB/s and IOPS)."""
-
-    read_mb_s: np.ndarray
-    write_mb_s: np.ndarray
-    read_iops: np.ndarray
-    write_iops: np.ndarray
-
-    def __post_init__(self) -> None:
-        lengths = {
-            len(self.read_mb_s),
-            len(self.write_mb_s),
-            len(self.read_iops),
-            len(self.write_iops),
-        }
-        if len(lengths) != 1:
-            raise ValueError("traffic arrays must share one length")
-
-    @property
-    def seconds(self) -> int:
-        return len(self.read_mb_s)
-
-    @staticmethod
-    def zeros(seconds: int) -> "DiskTraffic":
-        """Zero-demand traffic over *seconds*."""
-        return DiskTraffic(
-            read_mb_s=np.zeros(seconds),
-            write_mb_s=np.zeros(seconds),
-            read_iops=np.zeros(seconds),
-            write_iops=np.zeros(seconds),
-        )
+#: Lognormal sigma of the monitoring agent's latency measurement jitter.
+_JITTER_SIGMA = 0.05
 
 
 @dataclass
@@ -71,71 +40,57 @@ class DiskWindowResult:
     mean_utilisation: float
 
 
-class DiskSimulator:
-    """One storage device with queueing-based latency.
+def simulate_device(
+    name: str,
+    disks: Sequence[DiskKind],
+    mb_s: np.ndarray,
+    iops: np.ndarray,
+    degradation: Sequence[float],
+    start_times: Sequence[float],
+    rngs: Sequence[np.random.Generator] | None = None,
+) -> list[DiskWindowResult]:
+    """Run one device per row of ``(members, seconds)`` demand matrices.
 
-    Parameters
-    ----------
-    kind:
-        Device profile (SSD/HDD) giving base latency, bandwidth, IOPS cap.
-    name:
-        Series-name prefix, e.g. ``"data"`` or ``"wal"``.
+    Row *k* is member *k*'s device: profile ``disks[k]``, total bandwidth
+    demand ``mb_s[k]`` (MB/s) and total IOPS ``iops[k]``, each second.
+    Writes queue behind the full demand; reads see a slightly lower
+    effective utilisation (reads get priority in real devices'
+    schedulers). ``degradation[k]`` scales the member's service latency
+    (1.0 is a healthy device). With *rngs*, each member's own stream adds
+    multiplicative monitoring jitter: one write draw, then one read draw.
+    Series are stamped ``start_times[k] + 0, 1, …`` under the *name*
+    prefix, e.g. ``"data"`` or ``"wal"``.
     """
-
-    def __init__(self, kind: DiskKind, name: str = "data") -> None:
-        self.kind = kind
-        self.name = name
-        #: Multiplier on service latency — 1.0 is a healthy device; fault
-        #: injection raises it to model a degrading VM disk. Multiplied in
-        #: only when != 1.0 so the healthy path stays byte-identical.
-        self.degradation = 1.0
-
-    def _utilisation(self, traffic: DiskTraffic) -> np.ndarray:
-        bandwidth_util = (traffic.read_mb_s + traffic.write_mb_s) / self.kind.throughput_mb_s
-        iops_util = (traffic.read_iops + traffic.write_iops) / self.kind.max_iops
-        util = np.maximum(bandwidth_util, iops_util)
-        return np.minimum(util, _MAX_UTILISATION)
-
-    def latency_ms(self, utilisation: np.ndarray) -> np.ndarray:
-        """Per-second latency from utilisation via M/M/1 waiting factor."""
-        return self.kind.base_latency_ms * (1.0 + utilisation / (1.0 - utilisation))
-
-    def simulate(
-        self,
-        traffic: DiskTraffic,
-        start_time_s: float = 0.0,
-        rng: np.random.Generator | None = None,
-        noise: float = 0.05,
-    ) -> DiskWindowResult:
-        """Run the device over *traffic*, returning latency/IOPS series.
-
-        Writes queue behind the full demand; reads see a slightly lower
-        effective utilisation (reads get priority in real devices'
-        schedulers). Optional multiplicative noise models measurement
-        jitter in the external monitoring agent.
-        """
-        util = self._utilisation(traffic)
-        write_lat = self.latency_ms(util)
-        read_lat = self.latency_ms(util * 0.85)
-        if self.degradation != 1.0:
-            write_lat = write_lat * self.degradation
-            read_lat = read_lat * self.degradation
-        total_iops = traffic.read_iops + traffic.write_iops
-        if rng is not None and noise > 0.0:
-            jitter = rng.lognormal(0.0, noise, size=traffic.seconds)
-            write_lat = write_lat * jitter
-            read_lat = read_lat * rng.lognormal(0.0, noise, size=traffic.seconds)
-
-        read_series = TimeSeries(f"{self.name}.read_latency_ms", "ms")
-        write_series = TimeSeries(f"{self.name}.write_latency_ms", "ms")
-        iops_series = TimeSeries(f"{self.name}.iops", "ops/s")
-        times = start_time_s + np.arange(traffic.seconds, dtype=float)
-        read_series.extend_arrays(times, read_lat)
-        write_series.extend_arrays(times, write_lat)
-        iops_series.extend_arrays(times, total_iops)
-        return DiskWindowResult(
-            read_latency=read_series,
-            write_latency=write_series,
-            iops=iops_series,
-            mean_utilisation=float(np.mean(util)) if traffic.seconds else 0.0,
+    throughput = np.array([d.throughput_mb_s for d in disks])[:, None]
+    max_iops = np.array([d.max_iops for d in disks])[:, None]
+    base = np.array([d.base_latency_ms for d in disks])[:, None]
+    factor = np.array(degradation, dtype=float)[:, None]
+    util = np.minimum(
+        np.maximum(mb_s / throughput, iops / max_iops), _MAX_UTILISATION
+    )
+    # M/M/1 waiting factor, degradation multiplied in before the jitter.
+    write_lat = base * (1.0 + util / (1.0 - util)) * factor
+    scaled = util * 0.85
+    read_lat = base * (1.0 + scaled / (1.0 - scaled)) * factor
+    seconds = util.shape[1]
+    if rngs is not None:
+        for k, rng in enumerate(rngs):
+            write_lat[k] *= rng.lognormal(0.0, _JITTER_SIGMA, size=seconds)
+            read_lat[k] *= rng.lognormal(0.0, _JITTER_SIGMA, size=seconds)
+    offsets = np.arange(seconds, dtype=float)
+    results = []
+    for k, start in enumerate(start_times):
+        times = start + offsets
+        results.append(
+            DiskWindowResult(
+                read_latency=TimeSeries.from_window(
+                    f"{name}.read_latency_ms", "ms", times, read_lat[k]
+                ),
+                write_latency=TimeSeries.from_window(
+                    f"{name}.write_latency_ms", "ms", times, write_lat[k]
+                ),
+                iops=TimeSeries.from_window(f"{name}.iops", "ops/s", times, iops[k]),
+                mean_utilisation=float(np.mean(util[k])),
+            )
         )
+    return results

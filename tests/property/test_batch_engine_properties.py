@@ -1,36 +1,51 @@
-"""Property: columnar `MemberBatch.step_window` ≡ the per-member loop.
+"""Property: the window step's result does not depend on chunk width.
 
-The batched engine's hard invariant is bit-identity with
+``SimulatedDatabase.run`` is the engine's window step on a chunk of one;
+``MemberBatch.step_window`` runs the same step over the whole roster. The
+step forks in one place only: chunks narrower than
+``_VECTOR_MIN_MEMBERS`` run the per-second write-back recurrence per
+member (``WriteBackScheduler.run_window``), wider chunks run it
+vectorised (``run_windows``). The hard invariant is bit-identity with
 ``[db.run(batch) for db, batch in ...]`` — not approximate equality:
 fleet experiments compare rendered bytes across worker counts, so a
-single ULP of drift anywhere would break the parity suite. Hypothesis
-drives both engines over arbitrary seeds, member counts, window plans
-and fault plans (config reloads, restarts with their stall/cold-cache
-fallback windows, disk degradation, crash/heal cycles), comparing
-rendered results, RNG stream positions and write-back scheduler state
-after every window.
+single ULP of drift anywhere would break the parity suite.
+
+Hypothesis drives fleets on both sides of the crossover through
+arbitrary seeds, window plans and fault plans (config reloads, restarts
+with their stall and cold-cache windows, disk degradation, crash/heal
+cycles, off-length windows), comparing results, RNG stream positions and
+write-back scheduler state after every window; a second property pits
+the two write-back lanes against each other directly.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.fleet import FleetSpec, build_member
 from repro.dbsim.batch_engine import MemberBatch
+from repro.dbsim.bgwriter import WriteBackParams, WriteBackScheduler, run_windows
 from repro.dbsim.config import KnobConfiguration
-from repro.dbsim.engine import DatabaseCrashed
+from repro.dbsim.engine import _VECTOR_MIN_MEMBERS, DatabaseCrashed
+from repro.dbsim.knobs import catalog_for
 
 _WINDOW_S = 60.0
 
-#: Per-member, per-window fault operations. Everything except "none"
-#: pushes the member onto the scalar fallback path for at least one
-#: window, so plans exercise vector/fallback mixes.
-_OPS = ("none", "reload", "restart", "degrade", "heal_disk", "crash_heal")
+#: Fleet widths on both sides of the write-back lane crossover.
+_WIDTHS = (1, _VECTOR_MIN_MEMBERS - 1, _VECTOR_MIN_MEMBERS, _VECTOR_MIN_MEMBERS + 3)
 
-_plans = st.lists(
-    st.lists(st.sampled_from(_OPS), min_size=1, max_size=4),
-    min_size=1,
-    max_size=6,
-)
+#: Per-member, per-window operations. Everything except "none" makes
+#: the member's next window exceptional: a stall, a cold cache, a
+#: degraded disk, a fresh write-back state or a window of its own length.
+_OPS = ("none", "reload", "restart", "degrade", "heal_disk", "crash_heal", "short")
+
+
+@st.composite
+def _plans(draw):
+    width = draw(st.sampled_from(_WIDTHS))
+    windows = draw(st.integers(min_value=1, max_value=5))
+    ops = st.lists(st.sampled_from(_OPS), min_size=width, max_size=width)
+    return [draw(ops) for _ in range(windows)]
 
 
 def _build(seed: int, size: int):
@@ -39,8 +54,6 @@ def _build(seed: int, size: int):
 
 
 def _apply_op(db, op: str) -> None:
-    if op == "none":
-        return
     if op == "reload":
         # Tunable knob delta: applies without downtime.
         values = db.config.as_dict()
@@ -72,36 +85,57 @@ def _scheduler_state(db):
     )
 
 
+def _fingerprint(result):
+    """``repr`` plus the exact bytes of every per-second array.
+
+    numpy's array ``repr`` rounds to 8 digits, so the arrays are compared
+    as raw bytes to catch a ULP of drift.
+    """
+    arrays = [
+        result.writeback.data_write_mb_s,
+        result.writeback.wal_write_mb_s,
+    ]
+    for disk in (result.data_disk, result.wal_disk):
+        for series in (disk.read_latency, disk.write_latency, disk.iops):
+            arrays += [series.times, series.values]
+    return repr(result), [a.tobytes() for a in arrays]
+
+
+def _batches(fleet, clock, ops=None):
+    ops = ops or ["none"] * len(fleet)
+    return [
+        m.workload.batch(
+            _WINDOW_S / 2 if op == "short" else _WINDOW_S,
+            start_time_s=clock + m.phase_offset_s,
+        )
+        for m, op in zip(fleet, ops)
+    ]
+
+
+def _serial_and_batched(seed: int, width: int):
+    serial = _build(seed, width)
+    batched = _build(seed, width)
+    engine = MemberBatch([m.deployment.service.master for m in batched])
+    return serial, batched, engine
+
+
 class TestBatchedEqualsLoop:
     @settings(max_examples=12, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1), plan=_plans)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1), plan=_plans())
     def test_bit_identical_across_fault_plans(self, seed, plan):
-        size = len(plan[0])
-        serial = _build(seed, size)
-        batched = _build(seed, size)
-        engine = MemberBatch(
-            [m.deployment.service.master for m in batched]
-        )
+        serial, batched, engine = _serial_and_batched(seed, len(plan[0]))
         clock = 0.0
         for ops in plan:
             for fleet in (serial, batched):
                 for member, op in zip(fleet, ops):
                     _apply_op(member.deployment.service.master, op)
-            serial_batches = [
-                m.workload.batch(_WINDOW_S, start_time_s=clock + m.phase_offset_s)
-                for m in serial
-            ]
-            batched_batches = [
-                m.workload.batch(_WINDOW_S, start_time_s=clock + m.phase_offset_s)
-                for m in batched
-            ]
             serial_results = [
                 m.deployment.service.run(b)
-                for m, b in zip(serial, serial_batches)
+                for m, b in zip(serial, _batches(serial, clock, ops))
             ]
-            batched_results = engine.step_window(batched_batches)
+            batched_results = engine.step_window(_batches(batched, clock, ops))
             for a, b in zip(serial_results, batched_results):
-                assert repr(a) == repr(b)
+                assert _fingerprint(a) == _fingerprint(b)
             for a, b in zip(serial, batched):
                 da = a.deployment.service.master
                 db = b.deployment.service.master
@@ -116,41 +150,35 @@ class TestBatchedEqualsLoop:
                 )
             clock += _WINDOW_S
 
-    def test_crashed_member_raises_like_serial_loop(self):
-        serial = _build(3, 3)
-        batched = _build(3, 3)
-        engine = MemberBatch([m.deployment.service.master for m in batched])
+    @pytest.mark.parametrize("width", [3, _VECTOR_MIN_MEMBERS + 3])
+    def test_crashed_member_raises_like_serial_loop(self, width):
+        serial, batched, engine = _serial_and_batched(3, width)
+        # Everything but the last two members steps before the crash: a
+        # wide roster runs its prefix on the vectorised lane.
+        down = width - 2
         for fleet in (serial, batched):
-            fleet[1].deployment.service.master.crashed = True
-        serial_batches = [
-            m.workload.batch(_WINDOW_S, start_time_s=m.phase_offset_s)
-            for m in serial
-        ]
-        batched_batches = [
-            m.workload.batch(_WINDOW_S, start_time_s=m.phase_offset_s)
-            for m in batched
-        ]
+            fleet[down].deployment.service.master.crashed = True
         serial_exc = None
         try:
-            for m, b in zip(serial, serial_batches):
+            for m, b in zip(serial, _batches(serial, 0.0)):
                 m.deployment.service.run(b)
         except DatabaseCrashed as exc:
             serial_exc = exc
         assert serial_exc is not None
         try:
-            engine.step_window(batched_batches)
+            engine.step_window(_batches(batched, 0.0))
         except DatabaseCrashed as exc:
             assert str(exc) == str(serial_exc)
         else:  # pragma: no cover - failure branch
             raise AssertionError("batched path did not raise")
-        # Members before the crash advanced identically in both engines.
-        assert (
-            serial[0].deployment.service.master.clock_s
-            == batched[0].deployment.service.master.clock_s
-            == _WINDOW_S
-        )
-        # Members after the crash did not advance.
-        assert batched[2].deployment.service.master.clock_s == 0.0
+        for i, (a, b) in enumerate(zip(serial, batched)):
+            da = a.deployment.service.master
+            db = b.deployment.service.master
+            # Members before the crash advanced identically in both
+            # engines; the crashed member and those after it did not.
+            assert da.clock_s == db.clock_s == (_WINDOW_S if i < down else 0.0)
+            assert da._rng.bit_generator.state == db._rng.bit_generator.state
+            assert repr(_scheduler_state(da)) == repr(_scheduler_state(db))
 
     def test_member_count_mismatch_rejected(self):
         fleet = _build(0, 2)
@@ -161,3 +189,108 @@ class TestBatchedEqualsLoop:
             assert "one batch per member" in str(exc)
         else:  # pragma: no cover - failure branch
             raise AssertionError("mismatched batch list accepted")
+
+
+_scheduler_states = st.tuples(
+    st.floats(min_value=0.0, max_value=5000.0),  # dirty backlog MB
+    st.floats(min_value=0.0, max_value=5000.0),  # WAL since checkpoint MB
+    st.floats(min_value=0.0, max_value=2000.0),  # since checkpoint s
+    st.floats(min_value=0.0, max_value=300.0),  # since vacuum s
+    st.floats(min_value=0.0, max_value=200.0),  # active checkpoint rate
+    st.floats(min_value=0.0, max_value=400.0),  # active checkpoint remaining
+    st.floats(min_value=1.0, max_value=300.0),  # vacuum interval s
+    st.floats(min_value=0.0, max_value=64.0),  # vacuum write MB
+)
+
+
+@st.composite
+def _lane_members(draw, flavor):
+    catalog = catalog_for(flavor)
+    fractions = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1.0),
+            min_size=len(catalog),
+            max_size=len(catalog),
+        )
+    )
+    config = KnobConfiguration(
+        catalog,
+        {
+            k.name: k.min_value + f * (k.max_value - k.min_value)
+            for k, f in zip(catalog, fractions)
+        },
+    )
+    state = draw(_scheduler_states)
+    dirty_mb = draw(st.floats(min_value=0.0, max_value=50_000.0))
+    start = float(draw(st.integers(min_value=0, max_value=10**6)))
+    return config, state, dirty_mb, start
+
+
+def _scheduler(state) -> WriteBackScheduler:
+    sched = WriteBackScheduler(vacuum_interval_s=state[6], vacuum_write_mb=state[7])
+    (
+        sched.dirty_backlog_mb,
+        sched.wal_since_checkpoint_mb,
+        sched.since_checkpoint_s,
+        sched.since_vacuum_s,
+        sched._active_rate_mb_s,
+        sched._active_remaining_s,
+    ) = state[:6]
+    return sched
+
+
+def _writeback_fingerprint(result, sched):
+    return (
+        repr(result.events),
+        repr(result.vacuum_times),
+        repr(
+            (
+                result.bgwriter_write_mb,
+                result.checkpoint_write_mb,
+                result.vacuum_write_mb,
+                result.backend_write_mb,
+            )
+        ),
+        result.data_write_mb_s.tobytes(),
+        result.wal_write_mb_s.tobytes(),
+        repr(
+            (
+                sched.dirty_backlog_mb,
+                sched.wal_since_checkpoint_mb,
+                sched.since_checkpoint_s,
+                sched.since_vacuum_s,
+                sched._active_rate_mb_s,
+                sched._active_remaining_s,
+            )
+        ),
+    )
+
+
+class TestWriteBackLanes:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        flavor=st.sampled_from(("postgres", "mysql")),
+        width=st.integers(min_value=1, max_value=5),
+        duration=st.integers(min_value=1, max_value=400),
+    )
+    def test_run_window_equals_vectorised_recurrence(
+        self, data, flavor, width, duration
+    ):
+        members = [data.draw(_lane_members(flavor)) for _ in range(width)]
+        scalar = [_scheduler(state) for _, state, _, _ in members]
+        vector = [_scheduler(state) for _, state, _, _ in members]
+        expected = [
+            sched.run_window(config, dirty, duration, start_time_s=start)
+            for sched, (config, _, dirty, start) in zip(scalar, members)
+        ]
+        got = run_windows(
+            vector,
+            [WriteBackParams.from_config(config) for config, _, _, _ in members],
+            [config.buffer_pool_mb() for config, _, _, _ in members],
+            [dirty for _, _, dirty, _ in members],
+            duration,
+            [start for _, _, _, start in members],
+        )
+        for e, g, es, gs in zip(expected, got, scalar, vector):
+            assert _writeback_fingerprint(e, es) == _writeback_fingerprint(g, gs)
