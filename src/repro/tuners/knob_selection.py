@@ -16,11 +16,12 @@ tier for the reproduction:
    previous fit's path coefficients to
    :func:`~repro.tuners.lasso.lasso_gram_ranking`, which reuses them
    outright whenever the problem bits have not moved (a version bump
-   that added no rows for this workload). Because cold and warm paths
-   run the *same* float-op sequence over the same rows, the warm-started
-   ranking equals a from-scratch ranking bit for bit at every version —
-   the property ``tests/property/test_knob_selection_properties.py``
-   pins.
+   that added no rows for this workload). Cold and warm selectors fold
+   the same rows in the same order, so they derive bit-identical
+   problems, and the exact Lasso path is a pure function of those bits:
+   the warm-started ranking equals a from-scratch ranking bit for bit
+   at every version — the property
+   ``tests/property/test_knob_selection_properties.py`` pins.
 2. **Stable active subspace.** The top-``k`` ranked knobs (minus the
    TDE-automaton-owned ones, see below) form the *candidate* subspace.
    A new candidate set must win ``stability_window`` consecutive
