@@ -21,13 +21,15 @@ written and the decision rule as stated; see DESIGN.md.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterable
 
-from repro.workloads.query import Query
+import numpy as np
+
+from repro.workloads.query import Query, QueryRows
 
 __all__ = [
     "normalized_entropy",
+    "classify_footprints",
     "classify_query",
     "QueryClassHistogram",
     "EntropyFilter",
@@ -42,6 +44,8 @@ QUERY_CLASSES: tuple[str, ...] = (
     "write_heavy",
     "point",
 )
+
+_CLASS_INDEX = {cls: i for i, cls in enumerate(QUERY_CLASSES)}
 
 #: Thresholds (MB / KB) above which a query counts as stressing a class.
 _SORT_MB_THRESHOLD = 1.0
@@ -67,58 +71,63 @@ def normalized_entropy(counts: Iterable[float]) -> float:
     return min(1.0, h / math.log(n))
 
 
-def classify_query(query: Query) -> str:
-    """The query class whose knob this query stresses most.
+def classify_footprints(footprints: np.ndarray) -> np.ndarray:
+    """Each row's query class, as an index into :data:`QUERY_CLASSES`.
 
-    Priority order follows the paper's examples: maintenance operations
-    (index create/drop, bulk deletes) and temp-table work are rarer and
-    more diagnostic than generic sorts, so they win ties.
+    *footprints* has one row per statement and the
+    :data:`~repro.workloads.query.FOOTPRINT_COLUMNS` resources as columns.
+    A row's class is the knob it stresses most. Priority order follows
+    the paper's examples: maintenance operations (index create/drop, bulk
+    deletes) and temp-table work are rarer and more diagnostic than
+    generic sorts, so they win ties.
     """
-    fp = query.footprint
-    if fp.maintenance_mb > 0.0:
-        return "maintenance_memory"
-    if fp.temp_mb > 0.0:
-        return "temp_memory"
-    if fp.sort_mb >= _SORT_MB_THRESHOLD:
-        return "working_memory"
-    if fp.write_kb >= _WRITE_KB_THRESHOLD:
-        return "write_heavy"
-    return "point"
+    sort_mb, maintenance_mb, temp_mb, _read_kb, write_kb = footprints.T
+    classes = np.full(len(footprints), _CLASS_INDEX["point"])
+    # Lowest priority first: each rule overrides the ones before it.
+    classes[write_kb >= _WRITE_KB_THRESHOLD] = _CLASS_INDEX["write_heavy"]
+    classes[sort_mb >= _SORT_MB_THRESHOLD] = _CLASS_INDEX["working_memory"]
+    classes[temp_mb > 0.0] = _CLASS_INDEX["temp_memory"]
+    classes[maintenance_mb > 0.0] = _CLASS_INDEX["maintenance_memory"]
+    return classes
+
+
+def classify_query(query: Query) -> str:
+    """The query class of one query (see :func:`classify_footprints`)."""
+    row = np.array([query.footprint.columns])
+    return QUERY_CLASSES[int(classify_footprints(row)[0])]
 
 
 class QueryClassHistogram:
     """The per-window hash table of query-class frequencies (§3.1)."""
 
     def __init__(self) -> None:
-        self._counts: Counter[str] = Counter()
+        self._counts = np.zeros(len(QUERY_CLASSES), dtype=np.int64)
 
-    def observe(self, query: Query) -> str:
-        """Classify and count one query; returns the class."""
-        cls = classify_query(query)
-        self._counts[cls] += 1
-        return cls
-
-    def observe_many(self, queries: Iterable[Query]) -> None:
-        for query in queries:
-            self.observe(query)
+    def observe_rows(self, rows: QueryRows) -> None:
+        """Classify and count every row of *rows*, from its columns."""
+        if len(rows):
+            self._counts += np.bincount(
+                classify_footprints(rows.footprints), minlength=len(QUERY_CLASSES)
+            )
 
     def counts(self) -> dict[str, int]:
         """Frequencies over all defined classes (zero-filled)."""
-        return {cls: self._counts.get(cls, 0) for cls in QUERY_CLASSES}
+        return dict(zip(QUERY_CLASSES, self._counts.tolist()))
 
     def entropy(self) -> float:
         """Normalized entropy of the class distribution."""
-        return normalized_entropy(self._counts.values())
+        return normalized_entropy(self._counts.tolist())
 
     def frequency(self, cls: str) -> float:
         """Relative frequency of *cls* (0 if nothing observed)."""
-        total = sum(self._counts.values())
-        if total == 0:
+        total = int(self._counts.sum())
+        index = _CLASS_INDEX.get(cls)
+        if total == 0 or index is None:
             return 0.0
-        return self._counts.get(cls, 0) / total
+        return int(self._counts[index]) / total
 
     def reset(self) -> None:
-        self._counts.clear()
+        self._counts[:] = 0
 
 
 class EntropyFilter:

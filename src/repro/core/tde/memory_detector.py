@@ -3,10 +3,14 @@
 Per window the detector:
 
 1. feeds the streaming-log sample through query templating and reservoir
-   sampling to pick a tractable set of query templates;
-2. EXPLAINs each selected template (most-frequent parameters substituted)
-   against the live database; any plan that spills a working area to disk
-   means the corresponding memory knob is too small → throttle;
+   sampling to pick a tractable set of query templates — per-template
+   counts from the sample's per-family counts, reservoir entry in the
+   order templates first appear, query classes from the footprint
+   columns;
+2. EXPLAINs the latest example of each selected template against the
+   live database (the simulator's EXPLAIN reads the statement's
+   footprint, not its parameters); any plan that spills a working area
+   to disk means the corresponding memory knob is too small → throttle;
 3. gauges the working page set against the buffer pool (Curino et al.'s
    approach [5]); an undersized buffer raises a *restart-required*
    throttle that the config director holds for scheduled downtime;
@@ -24,7 +28,7 @@ from repro.core.tde.throttle import PlanUpgradeRequest, Throttle
 from repro.dbsim.engine import ExecutionResult, SimulatedDatabase
 from repro.dbsim.knobs import KnobClass
 from repro.dbsim.memory import HOT_FRACTION, working_area_knobs
-from repro.workloads.query import Query
+from repro.workloads.query import Query, QueryRows
 from repro.workloads.sampling import ReservoirSampler
 from repro.workloads.templating import TemplateCatalog
 
@@ -82,13 +86,12 @@ class MemoryThrottleDetector:
     ) -> MemoryDetectionReport:
         """Run one detection round over an executed window."""
         report = MemoryDetectionReport()
-        for query in result.batch.sampled_queries:
-            self._observe(query)
-            self.histogram.observe(query)
+        batch = result.batch
+        self._observe(batch.sampled_queries)
+        self.histogram.observe_rows(batch.sampled_queries)
         # The full log also contains every family's statements, even those
-        # a uniform sample misses; frequencies stay with sampled_queries.
-        for query in result.batch.family_examples:
-            self._observe(query)
+        # a uniform sample misses; class frequencies stay with the sample.
+        self._observe(batch.family_examples)
 
         selected = self._select_templates()
         report.examined_templates = len(selected)
@@ -147,18 +150,16 @@ class MemoryThrottleDetector:
 
     # -- internals ----------------------------------------------------------------
 
-    def _observe(self, query: Query) -> None:
-        tid = self.templates.observe(query)
-        if tid not in self._seen_templates:
-            self._seen_templates.add(tid)
-            self.reservoir.observe(tid)
+    def _observe(self, rows: QueryRows) -> None:
+        for tid in self.templates.observe_rows(rows):
+            if tid not in self._seen_templates:
+                self._seen_templates.add(tid)
+                self.reservoir.observe(tid)
 
     def _select_templates(self) -> list[Query]:
         """The reservoir's templates, as representative queries.
 
-        Each template is examined via a stored example with the most
-        recently seen concrete parameters (§3.1 substitutes the most
-        frequent parameters before plan evaluation).
+        Each template is examined via its latest example, built on read.
         """
         out: list[Query] = []
         for tid in self.reservoir.sample:

@@ -19,6 +19,7 @@ accuracy curves of Fig. 6.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from repro.core.tde.throttle import Throttle
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.engine import ExecutionResult, SimulatedDatabase
 from repro.dbsim.knobs import KnobClass
-from repro.workloads.query import Query
+from repro.workloads.query import Query, QueryRows
 from repro.workloads.sampling import ReservoirSampler
 
 __all__ = ["EpisodeResult", "PlannerThrottleDetector"]
@@ -151,23 +152,23 @@ class PlannerThrottleDetector:
                 profitable.append((name, profit))
         return profitable
 
-    def observe_queries(self, queries: list[Query]) -> None:
-        """Feed log queries; only first-seen templates enter the reservoir."""
-        from repro.workloads.templating import make_template
+    def observe_rows(self, rows: QueryRows) -> None:
+        """Feed log rows; a template enters the reservoir at its first row.
 
-        for query in queries:
-            # Generator-instantiated queries carry their template.
-            template = query.template or make_template(query.text)
+        Only that row is built into a :class:`Query`.
+        """
+        for family, first, _last in rows.appearances():
+            template = rows.families[family].log_template
             if template not in self._seen_templates:
                 self._seen_templates.add(template)
-                self.reservoir.observe(query)
+                self.reservoir.observe(rows[first])
 
     def inspect(
         self, db: SimulatedDatabase, result: ExecutionResult
     ) -> list[Throttle]:
         """Run one trigger round over the window's query-log sample."""
-        self.observe_queries(result.batch.sampled_queries)
-        self.observe_queries(result.batch.family_examples)
+        self.observe_rows(result.batch.sampled_queries)
+        self.observe_rows(result.batch.family_examples)
         profitable = self.probe(db, self.reservoir.sample)
         if not profitable:
             return []
@@ -190,7 +191,7 @@ class PlannerThrottleDetector:
     def run_episode(
         self,
         db: SimulatedDatabase,
-        queries: list[Query],
+        queries: Sequence[Query],
         steps: int = 375,
     ) -> EpisodeResult:
         """Run one 350–400-step episode against a fixed query sample.
@@ -200,6 +201,7 @@ class PlannerThrottleDetector:
         never modified. Rewards are the per-step profits; the reward
         curve is cumulative, which is what Fig. 6a plots per episode.
         """
+        queries = list(queries)
         if not queries:
             raise ValueError("episode needs a non-empty query sample")
         result = EpisodeResult()

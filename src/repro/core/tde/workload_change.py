@@ -18,8 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.workloads.query import Query
-from repro.workloads.templating import make_template
+from repro.workloads.query import QueryRows
 
 __all__ = ["WorkloadChange", "WorkloadChangeDetector", "hellinger_distance"]
 
@@ -64,23 +63,25 @@ class WorkloadChangeDetector:
         self.changes: list[WorkloadChange] = []
 
     @staticmethod
-    def _distribution(queries: list[Query]) -> dict[str, float]:
-        counts: Counter[str] = Counter(
-            q.template or make_template(q.text) for q in queries
-        )
-        total = sum(counts.values())
-        if total == 0:
+    def _distribution(rows: QueryRows) -> dict[str, float]:
+        """Template frequencies of *rows*, from their per-family counts."""
+        if not len(rows):
             return {}
+        counts: Counter[str] = Counter()
+        for family, n in zip(rows.families, rows.counts.tolist()):
+            if n:
+                counts[family.log_template] += n
+        total = len(rows)
         return {template: n / total for template, n in counts.items()}
 
-    def observe_window(self, queries: list[Query]) -> WorkloadChange | None:
+    def observe_window(self, rows: QueryRows) -> WorkloadChange | None:
         """Feed one window's query sample; returns a change if detected.
 
         An idle (empty) window neither reports a change nor replaces the
         baseline — otherwise one quiet window would both hide a shift and
         make the next busy window look like one.
         """
-        current = self._distribution(queries)
+        current = self._distribution(rows)
         window = self._window
         self._window += 1
         if not current:

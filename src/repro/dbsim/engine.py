@@ -16,7 +16,7 @@ instances at once; ``run`` is a call with one member, and
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +60,9 @@ _COLD_CACHE_FACTORS = (0.3, 0.8)
 #: Socket activation keeps the port open but caches requests; the drain
 #: afterwards causes "a lot of jitter" (§4) — modelled as degraded seconds.
 SOCKET_ACTIVATION_JITTER_S = 6.0
+#: ``planner_cost_mean`` is the mean EXPLAIN cost of the sample's first
+#: rows.
+_PLAN_COST_ROWS = 32
 #: Members stepped per chunk. Bounds transient matrix memory at
 #: ``chunk × window_seconds`` doubles (~5 MB per matrix at 2048 × 300).
 _CHUNK_MEMBERS = 2048
@@ -105,7 +108,6 @@ class ExecutionResult:
     spill: SpillReport
     hit_ratio: float
     swap: float
-    plan_estimates: list[PlanEstimate] = field(default_factory=list)
 
     @property
     def throughput(self) -> float:
@@ -308,7 +310,7 @@ class SimulatedDatabase:
         data_result: DiskWindowResult,
         hit_ratio: float,
         swap: float,
-        plans: list[PlanEstimate],
+        plan_cost: float,
     ) -> MetricsDelta:
         by_type = batch.count_by_type()
 
@@ -325,9 +327,6 @@ class SimulatedDatabase:
                 count * batch.families[name].footprint.rows_returned
                 for name, count in batch.counts.items()
             )
-        )
-        plan_cost = (
-            float(np.mean([p.total_cost for p in plans])) if plans else 0.0
         )
         return MetricsDelta(
             {
@@ -525,7 +524,9 @@ def _step_chunk(
             config_epoch=db.config_epoch,
         )
         summary = _charge_disruption(summary, stall[k], seconds)
-        plans = db.explain_many(batch.sampled_queries[:32])
+        plan_cost = db._planner.mean_cost(
+            batch.sampled_queries[:_PLAN_COST_ROWS], db.config
+        )
         metrics = db._assemble_metrics(
             batch,
             summary,
@@ -534,7 +535,7 @@ def _step_chunk(
             data_disk[k],
             hit[k],
             terms[k].swap,
-            plans,
+            plan_cost,
         )
         results.append(
             ExecutionResult(
@@ -550,7 +551,6 @@ def _step_chunk(
                 spill=spills[k],
                 hit_ratio=hit[k],
                 swap=terms[k].swap,
-                plan_estimates=plans,
             )
         )
         db.clock_s += seconds

@@ -27,7 +27,7 @@ from repro.common.hardware import VMType
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.knobs import KnobClass, KnobDef
 from repro.dbsim.memory import compute_spills, working_area_knobs
-from repro.workloads.query import Query, QueryFootprint
+from repro.workloads.query import FOOTPRINT_COLUMNS, Query, QueryFootprint, QueryRows
 
 __all__ = ["PlanEstimate", "PlannerModel", "latent_optimum"]
 
@@ -38,6 +38,20 @@ _PAGE_KB = 8.0
 _NOMINAL_PAGE_COST = 2.0
 #: Knobs treated as worker-count knobs (Amdahl) rather than cost constants.
 _PARALLEL_KNOBS = {"max_parallel_workers_per_gather", "innodb_thread_concurrency"}
+#: Footprint columns EXPLAIN reads from a query-log sample.
+_SORT_COLUMN = FOOTPRINT_COLUMNS.index("sort_mb")
+_READ_COLUMN = FOOTPRINT_COLUMNS.index("read_kb")
+
+
+def _base_cost(
+    rows_examined: float | np.ndarray,
+    sort_mb: float | np.ndarray,
+    read_kb: float | np.ndarray,
+) -> float | np.ndarray:
+    """EXPLAIN's knob-independent cost: scalars, or arrays over rows."""
+    cpu_cost = rows_examined * _CPU_TUPLE_COST + sort_mb * 2.0
+    io_cost = (read_kb / _PAGE_KB) * _NOMINAL_PAGE_COST
+    return cpu_cost + io_cost
 
 
 def _hash_unit(*parts: str) -> float:
@@ -217,10 +231,8 @@ class PlannerModel:
         like reading "Sort Method: external merge" out of a real plan.
         """
         fp = query.footprint
-        pages = fp.read_kb / _PAGE_KB
-        io_cost = pages * _NOMINAL_PAGE_COST
-        cpu_cost = fp.rows_examined * _CPU_TUPLE_COST + fp.sort_mb * 2.0
-        cost = (cpu_cost + io_cost) * self.time_multiplier(config, fp)
+        cost = _base_cost(fp.rows_examined, fp.sort_mb, fp.read_kb)
+        cost *= self.time_multiplier(config, fp)
         if rng is not None and noise > 0.0:
             cost *= float(rng.lognormal(0.0, noise))
         allowances = self._allowance_cache.get(config)
@@ -243,6 +255,30 @@ class PlannerModel:
                 self.requested_workers(config) if fp.parallel_fraction > 0 else 0
             ),
         )
+
+    def mean_cost(self, rows: QueryRows, config: KnobConfiguration) -> float:
+        """Mean EXPLAIN cost of *rows* under *config* (0.0 for no rows).
+
+        Computed from the rows' columns; equal to the mean of
+        :meth:`explain`'s noiseless ``total_cost`` over the rows.
+        """
+        if not len(rows):
+            return 0.0
+        families = rows.families
+        index = rows.family_index
+        rows_examined = np.array(
+            [fam.footprint.rows_examined for fam in families], dtype=float
+        )
+        multiplier = np.array(
+            [self.time_multiplier(config, fam.footprint) for fam in families]
+        )
+        cost = _base_cost(
+            rows_examined[index],
+            rows.footprints[:, _SORT_COLUMN],
+            rows.footprints[:, _READ_COLUMN],
+        )
+        return float(np.mean(cost * multiplier[index]))
+
 
 def spill_categories_for_batch(batch, config: KnobConfiguration) -> set[str]:
     """Convenience: which working-area categories spill for *batch*."""

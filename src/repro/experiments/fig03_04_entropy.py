@@ -47,10 +47,10 @@ def run(
         start = window * window_s
         hist_plain.reset()
         hist_adulterated.reset()
-        hist_plain.observe_many(
+        hist_plain.observe_rows(
             plain.batch(window_s, start_time_s=start).sampled_queries
         )
-        hist_adulterated.observe_many(
+        hist_adulterated.observe_rows(
             adulterated.batch(window_s, start_time_s=start).sampled_queries
         )
         points.append(

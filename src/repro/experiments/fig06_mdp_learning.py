@@ -72,8 +72,8 @@ def run(
         # of a different stretch of the trace.
         batch = workload.batch(600.0, start_time_s=(8 + episode) * 3600.0)
         db.run(batch)  # bind the planner surface to the production workload
-        detector.observe_queries(batch.sampled_queries)
-        detector.observe_queries(batch.family_examples)
+        detector.observe_rows(batch.sampled_queries)
+        detector.observe_rows(batch.family_examples)
         queries = detector.reservoir.sample[:sample_queries]
         episodes.append(
             detector.run_episode(db, queries, steps=steps_per_episode)

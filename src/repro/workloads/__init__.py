@@ -10,7 +10,7 @@ from repro.workloads.adulterated import AdulteratedTPCCWorkload, adulteration_fa
 from repro.workloads.chbench import CHBenchWorkload
 from repro.workloads.generator import MixWorkload, WorkloadBatch, WorkloadGenerator
 from repro.workloads.production import ProductionWorkload, diurnal_profile
-from repro.workloads.query import Query, QueryFamily, QueryFootprint, QueryType
+from repro.workloads.query import Query, QueryFamily, QueryFootprint, QueryRows, QueryType
 from repro.workloads.sampling import ReservoirSampler
 from repro.workloads.templating import TemplateCatalog, make_template, template_id
 from repro.workloads.tpcc import TPCCWorkload
@@ -27,6 +27,7 @@ __all__ = [
     "Query",
     "QueryFamily",
     "QueryFootprint",
+    "QueryRows",
     "QueryType",
     "ReservoirSampler",
     "TemplateCatalog",

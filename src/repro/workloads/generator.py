@@ -3,10 +3,20 @@
 A workload is a set of :class:`~repro.workloads.query.QueryFamily` entries
 with relative weights, a nominal request rate and a loaded database size.
 Generators produce :class:`WorkloadBatch` values — the realised execution
-counts per family over a time window plus a uniform sample of concrete
-queries standing in for the streaming query log. The DB simulator costs
-batches per-family (``count × footprint``), which keeps the paper's
+counts per family over a time window plus a uniform sample of statements
+standing in for the streaming query log. The DB simulator costs batches
+per-family (``count × footprint``), which keeps the paper's
 10 000-requests-per-second experiments cheap to simulate.
+
+The sample is columnar (:class:`~repro.workloads.query.QueryRows`): per
+row, a family index and the jittered footprint resources; per family, the
+row count. A batch draws the arrival count and the per-family counts
+from the generator's stream, then, from a separate log-sample stream,
+the sample's family picks and one jitter matrix over the sample and
+example rows. It renders no text and draws no parameters. Building a
+:class:`~repro.workloads.query.Query` for a row reads the columns and
+draws nothing, so which rows a consumer builds can never shift a later
+draw.
 """
 
 from __future__ import annotations
@@ -15,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.rng import make_rng
-from repro.workloads.query import Query, QueryFamily, QueryType
+from repro.common.rng import derive_rng, make_rng
+from repro.workloads.query import QueryFamily, QueryRows, QueryType, jitter_columns
 
 __all__ = ["WorkloadBatch", "WorkloadGenerator", "MixWorkload"]
 
@@ -38,13 +48,19 @@ class WorkloadBatch:
     families:
         Family definitions, keyed by name.
     sampled_queries:
-        A uniform sample of concrete queries, standing in for the portion
-        of the streaming query log the TDE would read in this window.
+        A uniform sample of statements, standing in for the portion of
+        the streaming query log the TDE would read in this window. Its
+        ``counts`` are the per-family sample counts, its ``family_index``
+        and ``footprints`` the per-row columns.
     family_examples:
-        One concrete query per family that executed this window. The real
-        streaming log contains *every* statement, so rare-but-heavy
-        templates are visible to a log scanner even when a uniform sample
-        misses them; this field models that coverage.
+        One statement per family that executed this window, in family
+        order. The real streaming log contains *every* statement, so
+        rare-but-heavy templates are visible to a log scanner even when a
+        uniform sample misses them; this field models that coverage.
+
+    Both are :class:`~repro.workloads.query.QueryRows` over read-only
+    columns; ``len()`` is the number of rows, and indexing a row builds
+    its :class:`~repro.workloads.query.Query` without drawing.
     """
 
     workload_name: str
@@ -52,8 +68,8 @@ class WorkloadBatch:
     requested_rps: float
     counts: dict[str, int]
     families: dict[str, QueryFamily]
-    sampled_queries: list[Query] = field(default_factory=list)
-    family_examples: list[Query] = field(default_factory=list)
+    sampled_queries: QueryRows = field(default_factory=QueryRows)
+    family_examples: QueryRows = field(default_factory=QueryRows)
 
     @property
     def total_queries(self) -> int:
@@ -82,7 +98,11 @@ class WorkloadBatch:
         return out
 
     def scaled(self, factor: float) -> "WorkloadBatch":
-        """A copy with all counts scaled by *factor* (rate modulation)."""
+        """A copy with all counts scaled by *factor* (rate modulation).
+
+        The copy shares the (read-only) sample and example rows: they are
+        the same log sample, read at a different rate.
+        """
         if factor < 0:
             raise ValueError("factor must be >= 0")
         return WorkloadBatch(
@@ -91,8 +111,8 @@ class WorkloadBatch:
             requested_rps=self.requested_rps * factor,
             counts={name: int(round(c * factor)) for name, c in self.counts.items()},
             families=dict(self.families),
-            sampled_queries=list(self.sampled_queries),
-            family_examples=list(self.family_examples),
+            sampled_queries=self.sampled_queries,
+            family_examples=self.family_examples,
         )
 
 
@@ -115,8 +135,7 @@ class WorkloadGenerator:
     seed:
         Seed for all randomness in this generator.
     sample_size:
-        Number of concrete queries to materialise per batch as the
-        query-log sample.
+        Number of sample rows per batch in the query-log sample.
     """
 
     def __init__(
@@ -136,11 +155,17 @@ class WorkloadGenerator:
         self.data_size_gb = data_size_gb
         self.sample_size = sample_size
         self._rng = make_rng(seed)
+        # The log sample draws from its own stream, so the arrival process
+        # (and with it every simulated execution) does not depend on how
+        # the sample is drawn or how large it is.
+        self._sample_rng = derive_rng(self._rng, "log-sample")
         self.families: dict[str, QueryFamily] = {
             fam.name: fam for fam in self._build_families()
         }
         if not self.families:
             raise ValueError("generator defines no query families")
+        self._family_list = tuple(self.families.values())
+        self._base = np.array([fam.footprint.columns for fam in self._family_list])
 
     def _build_families(self) -> list[QueryFamily]:
         raise NotImplementedError
@@ -156,45 +181,32 @@ class WorkloadGenerator:
             raise ValueError("duration_s must be positive")
         rate = self.rate_at(start_time_s)
         total = self._rng.poisson(rate * duration_s) if rate > 0 else 0
-        names = list(self.families)
-        weights = np.array([self.families[n].weight for n in names], dtype=float)
+        weights = np.array([fam.weight for fam in self._family_list], dtype=float)
         weight_sum = weights.sum()
         if weight_sum <= 0:
             raise ValueError("family weights sum to zero")
-        probs = weights / weight_sum
-        counts = (
-            self._rng.multinomial(total, probs)
-            if total > 0
-            else np.zeros(len(names), dtype=int)
-        )
-        count_map = {name: int(c) for name, c in zip(names, counts)}
-        sampled = self._sample_queries(count_map)
-        examples = [
-            self.families[name].instantiate(self._rng)
-            for name, count in count_map.items()
-            if count > 0
-        ]
+        families = self._family_list
+        if total > 0:
+            counts = self._rng.multinomial(total, weights / weight_sum)
+            sample = self._sample_rng.choice(
+                len(families), size=min(self.sample_size, total), p=counts / total
+            )
+        else:
+            counts = np.zeros(len(families), dtype=np.int64)
+            sample = np.zeros(0, dtype=np.intp)
+        index = np.concatenate([sample, np.flatnonzero(counts)])
+        footprints = jitter_columns(self._base[index], self._sample_rng)
+        index.flags.writeable = footprints.flags.writeable = False
+        n = len(sample)
         return WorkloadBatch(
             workload_name=self.name,
             duration_s=duration_s,
             requested_rps=rate,
-            counts=count_map,
+            counts=dict(zip(self.families, counts.tolist())),
             families=dict(self.families),
-            sampled_queries=sampled,
-            family_examples=examples,
+            sampled_queries=QueryRows(families, index[:n], footprints[:n]),
+            family_examples=QueryRows(families, index[n:], footprints[n:]),
         )
-
-    def _sample_queries(self, counts: dict[str, int]) -> list[Query]:
-        """Materialise up to ``sample_size`` queries ∝ family counts."""
-        total = sum(counts.values())
-        if total == 0:
-            return []
-        n = min(self.sample_size, total)
-        names = [name for name, c in counts.items() if c > 0]
-        probs = np.array([counts[name] for name in names], dtype=float)
-        probs /= probs.sum()
-        picks = self._rng.choice(len(names), size=n, p=probs)
-        return [self.families[names[i]].instantiate(self._rng) for i in picks]
 
 
 class MixWorkload(WorkloadGenerator):

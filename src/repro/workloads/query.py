@@ -8,6 +8,10 @@ read and written, parallelisable fraction, planner sensitivity). These
 footprints are what drive throttles: a sort whose ``sort_mb`` exceeds
 ``work_mem`` spills to disk exactly like PostgreSQL's executor would.
 
+A window's query-log sample is a :class:`QueryRows`: the rows are held as
+columns (a family index and the jittered footprint resources), and a
+:class:`Query` is built only for a row something indexes.
+
 Footprint magnitudes for the standard benchmarks follow Fig. 2 of the
 paper (e.g. TPC-C uses ~0.5 MB of working memory; the aggregation queries
 added to the adulterated TPC-C need ~350 MB).
@@ -16,17 +20,32 @@ added to the adulterated TPC-C need ~350 MB).
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import overload
 
 import numpy as np
 
-__all__ = ["QueryType", "QueryFootprint", "QueryFamily", "Query"]
+from repro.workloads.templating import make_template
 
-# The jitter band of ``QueryFootprint.jittered(relative=0.15)``, computed
-# with the same expressions so the constants are bit-identical to what the
-# method derives; ``QueryFamily.instantiate`` inlines the jitter.
-_JITTER_LO = 1.0 - 0.15
-_JITTER_SPAN = (1.0 + 0.15) - _JITTER_LO
+__all__ = [
+    "FOOTPRINT_COLUMNS",
+    "QueryType",
+    "QueryFootprint",
+    "QueryFamily",
+    "Query",
+    "QueryRows",
+    "jitter_columns",
+]
+
+#: The footprint resources that vary per statement, in column order.
+FOOTPRINT_COLUMNS = ("sort_mb", "maintenance_mb", "temp_mb", "read_kb", "write_kb")
+#: Each positive resource of a logged statement is its family's value
+#: scaled by a uniform factor in ``1 ± _JITTER``.
+_JITTER = 0.15
+#: A literal per parameter kind, rendered into a family's template before
+#: templating; each normalises to ``?``.
+_PARAM_LITERALS = {"int": "0", "str": "''", "float": "0.0"}
 
 
 class QueryType(enum.Enum):
@@ -117,13 +136,7 @@ class QueryFootprint:
     planner_sensitivity: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "sort_mb",
-            "maintenance_mb",
-            "temp_mb",
-            "read_kb",
-            "write_kb",
-        ):
+        for name in FOOTPRINT_COLUMNS:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.parallel_fraction <= 1.0:
@@ -131,56 +144,40 @@ class QueryFootprint:
         if not 0.0 <= self.planner_sensitivity <= 1.0:
             raise ValueError("planner_sensitivity must be in [0, 1]")
 
-    def jittered(self, rng: np.random.Generator, relative: float = 0.15) -> "QueryFootprint":
-        """A copy with each positive resource scaled by ``1 ± relative``.
-
-        Built without ``dataclasses.replace`` (which re-runs
-        ``__post_init__``): this sits in the per-query generation hot
-        path, and jittering already-validated non-negative values by a
-        positive factor cannot violate the invariants. Uniform draws are
-        made only for strictly positive fields, in declaration order, as
-        one batched ``rng.random(size=k)`` — the Generator fills a batch
-        from the same stream doubles repeated scalar calls would consume,
-        and ``lo + span * u`` transforms each exactly like
-        ``rng.uniform(lo, hi)``, so the values match the validating
-        scalar-draw construction bit-for-bit.
-        """
-        lo = 1.0 - relative
-        span = (1.0 + relative) - lo
-        fields = (
+    @property
+    def columns(self) -> tuple[float, float, float, float, float]:
+        """The per-statement resources, in :data:`FOOTPRINT_COLUMNS` order."""
+        return (
             self.sort_mb,
             self.maintenance_mb,
             self.temp_mb,
             self.read_kb,
             self.write_kb,
         )
-        k = sum(1 for v in fields if v > 0.0)
-        if k:
-            draws = iter(rng.random(size=k).tolist())
-            fields = tuple(
-                v * (lo + span * next(draws)) if v > 0.0 else v for v in fields
-            )
-        clone = object.__new__(QueryFootprint)
-        set_ = object.__setattr__
-        set_(clone, "rows_examined", self.rows_examined)
-        set_(clone, "rows_returned", self.rows_returned)
-        set_(clone, "sort_mb", fields[0])
-        set_(clone, "maintenance_mb", fields[1])
-        set_(clone, "temp_mb", fields[2])
-        set_(clone, "read_kb", fields[3])
-        set_(clone, "write_kb", fields[4])
-        set_(clone, "parallel_fraction", self.parallel_fraction)
-        set_(clone, "planner_sensitivity", self.planner_sensitivity)
-        return clone
+
+
+def jitter_columns(base: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Per-statement footprint columns drawn around the family values *base*.
+
+    *base* has one row per statement and the :data:`FOOTPRINT_COLUMNS`
+    resources as columns. Each entry is scaled by ``1 ± 0.15``, drawn
+    uniformly as one ``rng.random`` matrix of the same shape; a zero
+    resource stays zero.
+    """
+    lo = 1.0 - _JITTER
+    span = (1.0 + _JITTER) - lo
+    return base * (lo + span * rng.random(base.shape))
 
 
 @dataclass(frozen=True, slots=True)
 class QueryFamily:
     """A parameterised query template with a fixed resource profile.
 
-    Generators emit queries by instantiating families; the DB simulator
-    costs whole batches by ``count × footprint`` per family, which keeps
-    10 000-requests-per-second experiments tractable.
+    Generators emit a family's statements as rows of a :class:`QueryRows`;
+    the DB simulator costs whole batches by ``count × footprint`` per
+    family, which keeps 10 000-requests-per-second experiments tractable.
+    ``param_spec`` names the kind (``int``, ``str`` or ``float``) of each
+    ``%s`` placeholder in ``template``.
     """
 
     name: str
@@ -189,148 +186,149 @@ class QueryFamily:
     weight: float
     footprint: QueryFootprint
     param_spec: tuple[str, ...] = field(default_factory=tuple)
-    #: Precomputed templating result (or None when the family's text does
-    #: not canonicalise — see ``family_template_info``). Excluded from
-    #: equality/repr; derived from ``template``/``param_spec``.
-    _template_info: object = field(default=None, compare=False, repr=False)
-    #: ``template.split("%s")`` when the placeholder count matches
-    #: ``param_spec`` (None otherwise): instantiation then builds the text
-    #: with one join instead of repeated ``str.replace`` scans.
-    _parts: object = field(default=None, compare=False, repr=False)
-    #: ``(positive_field_indices, base_values)`` over the footprint's five
-    #: jitterable fields, so per-query jitter skips rediscovering which
-    #: fields draw.
-    _jitter: object = field(default=None, compare=False, repr=False)
+    #: The template a log scanner extracts from every statement of this
+    #: family: ``template`` with its literals and parameters normalised to
+    #: ``?`` (see :func:`~repro.workloads.templating.make_template`).
+    log_template: str = field(default="", init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.weight < 0:
             raise ValueError("weight must be >= 0")
         if not self.name:
             raise ValueError("family name must be non-empty")
-        # Late import: templating imports Query from this module.
-        from repro.workloads.templating import family_template_info
-
-        set_ = object.__setattr__
-        set_(
-            self,
-            "_template_info",
-            family_template_info(self.template, tuple(self.param_spec)),
-        )
-        parts = tuple(self.template.split("%s"))
-        set_(self, "_parts", parts if len(parts) == len(self.param_spec) + 1 else None)
-        fp = self.footprint
-        base = (fp.sort_mb, fp.maintenance_mb, fp.temp_mb, fp.read_kb, fp.write_kb)
-        positives = tuple(i for i, v in enumerate(base) if v > 0.0)
-        set_(self, "_jitter", (positives, base))
-
-    def instantiate(self, rng: np.random.Generator) -> "Query":
-        """Materialise one query with concrete parameters and jitter.
-
-        This is the per-query hot path: parameter dispatch is inlined
-        (matching ``_draw_param`` draw-for-draw), the text comes from one
-        join over the precomputed template segments, the footprint jitter
-        follows the plan computed at construction (bit-identical to
-        ``QueryFootprint.jittered``), and both result objects bypass the
-        dataclass constructors — the values are already validated.
-        """
-        rendered: list[str] = []
+        text = self.template
         for kind in self.param_spec:
-            if kind == "int":
-                piece = str(int(rng.integers(1, 1_000_000)))
-            elif kind == "str":
-                piece = "'v{:06d}'".format(int(rng.integers(0, 999_999)))
-            elif kind == "float":
-                piece = str(round(10_000.0 * rng.random(), 2))
-            else:
-                piece = str(self._draw_param(kind, rng))
-            rendered.append(piece)
-        parts = self._parts
-        if parts is None:
-            text = self.template
-            for piece in rendered:
-                text = text.replace("%s", piece, 1)
-        elif rendered:
-            chunks = [parts[0]]
-            for i, piece in enumerate(rendered):
-                chunks.append(piece)
-                chunks.append(parts[i + 1])
-            text = "".join(chunks)
-        else:
-            text = self.template
+            literal = _PARAM_LITERALS.get(kind)
+            if literal is None:
+                raise ValueError(f"unknown param kind {kind!r}")
+            text = text.replace("%s", literal, 1)
+        object.__setattr__(self, "log_template", make_template(text))
 
-        positives, base = self._jitter
-        vals = list(base)
-        k = len(positives)
-        if k:
-            draws = rng.random(size=k).tolist()
-            for j in range(k):
-                i = positives[j]
-                vals[i] = vals[i] * (_JITTER_LO + _JITTER_SPAN * draws[j])
-        fp = self.footprint
-        set_ = object.__setattr__
-        clone = object.__new__(QueryFootprint)
-        set_(clone, "rows_examined", fp.rows_examined)
-        set_(clone, "rows_returned", fp.rows_returned)
-        set_(clone, "sort_mb", vals[0])
-        set_(clone, "maintenance_mb", vals[1])
-        set_(clone, "temp_mb", vals[2])
-        set_(clone, "read_kb", vals[3])
-        set_(clone, "write_kb", vals[4])
-        set_(clone, "parallel_fraction", fp.parallel_fraction)
-        set_(clone, "planner_sensitivity", fp.planner_sensitivity)
+    def instantiate(self, footprint: QueryFootprint) -> Query:
+        """One statement of this family, as the query log shows it.
 
-        info = self._template_info
-        if info is None:
-            template = ""
-            extracted: tuple[str, ...] = ()
-        elif rendered:
-            template = info.template
-            extracted = tuple(
-                [s if type(s) is str else rendered[s] for s in info.slots]
-            )
-        else:
-            # No parameters: the extraction is the constant static slots.
-            template = info.template
-            extracted = info.slots
-
-        query = object.__new__(Query)
-        set_(query, "family", self.name)
-        set_(query, "query_type", self.query_type)
-        set_(query, "text", text)
-        set_(query, "footprint", clone)
-        set_(query, "template", template)
-        set_(query, "params", extracted)
-        return query
-
-    @staticmethod
-    def _draw_param(kind: str, rng: np.random.Generator) -> object:
-        if kind == "int":
-            return int(rng.integers(1, 1_000_000))
-        if kind == "str":
-            return "'v{:06d}'".format(int(rng.integers(0, 999_999)))
-        if kind == "float":
-            # Same stream double uniform(0, 10_000) would consume.
-            return round(10_000.0 * rng.random(), 2)
-        raise ValueError(f"unknown param kind {kind!r}")
+        The text is :attr:`log_template` and the footprint *footprint*
+        (one log row's jittered resources). Draws nothing.
+        """
+        return Query(self.name, self.query_type, self.log_template, footprint)
 
 
 @dataclass(frozen=True, slots=True)
 class Query:
-    """One concrete query as it would appear in the streaming query log.
-
-    ``template``/``params`` are the precomputed templating results for
-    generator-instantiated queries (empty template = not precomputed);
-    :class:`~repro.workloads.templating.TemplateCatalog` uses them to skip
-    re-deriving the template from the text on every observed query.
-    """
+    """One query as it appears in the streaming query log."""
 
     family: str
     query_type: QueryType
     text: str
     footprint: QueryFootprint
-    template: str = ""
-    params: tuple[str, ...] = ()
 
     @property
     def is_write(self) -> bool:
         return self.query_type.is_write
+
+
+class QueryRows(Sequence[Query]):
+    """Rows of a query-log sample, held as columns.
+
+    Attributes
+    ----------
+    families:
+        The families the rows index into.
+    family_index:
+        Each row's index into :attr:`families`.
+    footprints:
+        Each row's jittered resources, one column per
+        :data:`FOOTPRINT_COLUMNS` entry; the other footprint fields are
+        family constants.
+    counts:
+        Rows per family, aligned with :attr:`families`.
+
+    Indexing a row builds its :class:`Query` from these columns and draws
+    nothing, so which rows get built never changes any later draw. A
+    slice is a view over the same columns.
+    """
+
+    __slots__ = ("families", "family_index", "footprints", "counts")
+
+    def __init__(
+        self,
+        families: tuple[QueryFamily, ...] = (),
+        family_index: np.ndarray | None = None,
+        footprints: np.ndarray | None = None,
+    ) -> None:
+        self.families = families
+        if family_index is None:
+            family_index = np.zeros(0, dtype=np.intp)
+        if footprints is None:
+            footprints = np.zeros((0, len(FOOTPRINT_COLUMNS)))
+        self.family_index = family_index
+        self.footprints = footprints
+        self.counts = np.bincount(family_index, minlength=len(families))
+
+    def __len__(self) -> int:
+        return len(self.family_index)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QueryRows):
+            return NotImplemented
+        return (
+            self.families == other.families
+            and np.array_equal(self.family_index, other.family_index)
+            and np.array_equal(self.footprints, other.footprints)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        # Exact: Python float reprs round-trip, numpy's array repr rounds.
+        return (
+            f"QueryRows(families={[fam.name for fam in self.families]!r}, "
+            f"family_index={self.family_index.tolist()!r}, "
+            f"footprints={self.footprints.tolist()!r})"
+        )
+
+    @overload
+    def __getitem__(self, key: int) -> Query: ...
+
+    @overload
+    def __getitem__(self, key: slice) -> QueryRows: ...
+
+    def __getitem__(self, key: int | slice) -> Query | QueryRows:
+        if isinstance(key, slice):
+            return QueryRows(
+                self.families, self.family_index[key], self.footprints[key]
+            )
+        family = self.families[self.family_index[key]]
+        base = family.footprint
+        sort_mb, maintenance_mb, temp_mb, read_kb, write_kb = (
+            self.footprints[key].tolist()
+        )
+        return family.instantiate(
+            QueryFootprint(
+                rows_examined=base.rows_examined,
+                rows_returned=base.rows_returned,
+                sort_mb=sort_mb,
+                maintenance_mb=maintenance_mb,
+                temp_mb=temp_mb,
+                read_kb=read_kb,
+                write_kb=write_kb,
+                parallel_fraction=base.parallel_fraction,
+                planner_sensitivity=base.planner_sensitivity,
+            )
+        )
+
+    def __iter__(self) -> Iterator[Query]:
+        return (self[row] for row in range(len(self)))
+
+    def appearances(self) -> list[tuple[int, int, int]]:
+        """``(family, first_row, last_row)`` per family present.
+
+        In order of each family's first row, which is the order a reader
+        of the log meets the families in.
+        """
+        first: dict[int, int] = {}
+        last: dict[int, int] = {}
+        for row, family in enumerate(self.family_index.tolist()):
+            first.setdefault(family, row)
+            last[family] = row
+        return [(family, row, last[family]) for family, row in first.items()]

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.tde.entropy import (
@@ -11,11 +12,30 @@ from repro.core.tde.entropy import (
     classify_query,
     normalized_entropy,
 )
-from repro.workloads.query import Query, QueryFootprint, QueryType
+from repro.workloads.query import (
+    Query,
+    QueryFamily,
+    QueryFootprint,
+    QueryRows,
+    QueryType,
+)
 
 
 def _query(**fp_kwargs):
     return Query("f", QueryType.SELECT, "q", QueryFootprint(**fp_kwargs))
+
+
+def _rows(*queries):
+    """Columnar log rows holding *queries*, each its own family."""
+    families = tuple(
+        QueryFamily(f"f{i}", q.query_type, q.text, 1.0, q.footprint)
+        for i, q in enumerate(queries)
+    )
+    return QueryRows(
+        families,
+        np.arange(len(queries)),
+        np.array([q.footprint.columns for q in queries]),
+    )
 
 
 class TestNormalizedEntropy:
@@ -71,22 +91,21 @@ class TestClassifyQuery:
 class TestHistogram:
     def test_counts_zero_filled(self):
         h = QueryClassHistogram()
-        h.observe(_query(sort_mb=10.0))
+        h.observe_rows(_rows(_query(sort_mb=10.0)))
         counts = h.counts()
         assert counts["working_memory"] == 1
         assert set(counts) == set(QUERY_CLASSES)
 
     def test_entropy_uniform_mix(self):
         h = QueryClassHistogram()
-        h.observe(_query(sort_mb=10.0))
-        h.observe(_query(maintenance_mb=10.0))
-        h.observe(_query(temp_mb=10.0))
-        h.observe(_query(write_kb=100.0))
+        h.observe_rows(_rows(_query(sort_mb=10.0)))
+        h.observe_rows(_rows(_query(maintenance_mb=10.0), _query(temp_mb=10.0)))
+        h.observe_rows(_rows(_query(write_kb=100.0)))
         assert h.entropy() == pytest.approx(1.0)
 
     def test_frequency(self):
         h = QueryClassHistogram()
-        h.observe_many([_query(sort_mb=10.0)] * 3 + [_query()])
+        h.observe_rows(_rows(*[_query(sort_mb=10.0)] * 3, _query()))
         assert h.frequency("working_memory") == pytest.approx(0.75)
 
     def test_frequency_empty(self):
@@ -94,7 +113,7 @@ class TestHistogram:
 
     def test_reset(self):
         h = QueryClassHistogram()
-        h.observe(_query())
+        h.observe_rows(_rows(_query()))
         h.reset()
         assert sum(h.counts().values()) == 0
 
@@ -102,19 +121,19 @@ class TestHistogram:
 class TestEntropyFilter:
     def _uniform_histogram(self):
         h = QueryClassHistogram()
-        h.observe_many(
-            [
+        h.observe_rows(
+            _rows(
                 _query(sort_mb=10.0),
                 _query(maintenance_mb=10.0),
                 _query(temp_mb=10.0),
                 _query(write_kb=100.0),
-            ]
+            )
         )
         return h
 
     def _skewed_histogram(self):
         h = QueryClassHistogram()
-        h.observe_many([_query(sort_mb=10.0)] * 50 + [_query()])
+        h.observe_rows(_rows(*[_query(sort_mb=10.0)] * 50, _query()))
         return h
 
     def test_no_escalation_before_trigger_count(self):

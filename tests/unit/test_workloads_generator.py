@@ -39,7 +39,7 @@ class TestBatchGeneration:
     def test_zero_rps_empty_batch(self):
         batch = _workload(rps=0.0).batch(10.0)
         assert batch.total_queries == 0
-        assert batch.sampled_queries == []
+        assert len(batch.sampled_queries) == 0
 
     def test_invalid_duration(self):
         with pytest.raises(ValueError):

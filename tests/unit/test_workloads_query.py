@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.workloads.query import Query, QueryFamily, QueryFootprint, QueryType
+from repro.workloads.query import (
+    Query,
+    QueryFamily,
+    QueryFootprint,
+    QueryType,
+    jitter_columns,
+)
 
 
 class TestQueryType:
@@ -40,16 +46,15 @@ class TestQueryFootprint:
 
     def test_jittered_within_relative_bounds(self):
         fp = QueryFootprint(sort_mb=100.0, read_kb=1000.0)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            j = fp.jittered(rng, relative=0.1)
-            assert 90.0 <= j.sort_mb <= 110.0
-            assert 900.0 <= j.read_kb <= 1100.0
+        rows = jitter_columns(np.array([fp.columns] * 20), np.random.default_rng(0))
+        for sort_mb, _maint, _temp, read_kb, _write in rows.tolist():
+            assert 85.0 <= sort_mb <= 115.0
+            assert 850.0 <= read_kb <= 1150.0
 
     def test_jittered_keeps_zero_at_zero(self):
         fp = QueryFootprint(sort_mb=0.0)
-        j = fp.jittered(np.random.default_rng(0))
-        assert j.sort_mb == 0.0
+        rows = jitter_columns(np.array([fp.columns]), np.random.default_rng(0))
+        assert rows[0, 0] == 0.0
 
 
 class TestQueryFamily:
@@ -64,12 +69,13 @@ class TestQueryFamily:
         )
 
     def test_instantiate_substitutes_params(self):
-        q = self._family().instantiate(np.random.default_rng(0))
+        q = self._family().instantiate(QueryFootprint())
         assert "%s" not in q.text
+        assert q.text == "SELECT * FROM t WHERE id = ?"
         assert q.family == "f"
 
     def test_instantiate_is_query(self):
-        q = self._family().instantiate(np.random.default_rng(0))
+        q = self._family().instantiate(QueryFootprint())
         assert isinstance(q, Query)
         assert not q.is_write
 
@@ -82,8 +88,7 @@ class TestQueryFamily:
             QueryFamily("", QueryType.SELECT, "q", 1.0, QueryFootprint())
 
     def test_unknown_param_kind_rejected(self):
-        fam = QueryFamily(
-            "f", QueryType.SELECT, "q %s", 1.0, QueryFootprint(), ("datetime",)
-        )
         with pytest.raises(ValueError, match="param kind"):
-            fam.instantiate(np.random.default_rng(0))
+            QueryFamily(
+                "f", QueryType.SELECT, "q %s", 1.0, QueryFootprint(), ("datetime",)
+            )

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.workloads.query import QueryFamily, QueryFootprint, QueryType
+from repro.workloads.query import QueryFamily, QueryFootprint, QueryRows, QueryType
 from repro.workloads.templating import TemplateCatalog, make_template, template_id
 
 
@@ -41,48 +41,48 @@ class TestTemplateId:
         assert len(template_id("query")) == 12
 
 
-def _query(text, family="f"):
-    from repro.workloads.query import Query
-
-    return Query(family, QueryType.SELECT, text, QueryFootprint())
+def _rows(*texts):
+    """Log rows with the given statement texts, one family per distinct text."""
+    distinct = list(dict.fromkeys(texts))
+    families = tuple(
+        QueryFamily(f"f{i}", QueryType.SELECT, text, 1.0, QueryFootprint())
+        for i, text in enumerate(distinct)
+    )
+    index = np.array([distinct.index(text) for text in texts], dtype=np.intp)
+    footprints = np.array([QueryFootprint().columns] * len(texts))
+    return QueryRows(families, index, footprints)
 
 
 class TestTemplateCatalog:
     def test_observe_groups_by_template(self):
         cat = TemplateCatalog()
-        t1 = cat.observe(_query("SELECT * FROM t WHERE id = 1"))
-        t2 = cat.observe(_query("SELECT * FROM t WHERE id = 2"))
-        assert t1 == t2
+        tids = cat.observe_rows(
+            _rows("SELECT * FROM t WHERE id = 1", "SELECT * FROM t WHERE id = 2")
+        )
+        assert len(tids) == 1
         assert len(cat) == 1
         assert cat.total_observed == 2
 
     def test_counts_per_template(self):
         cat = TemplateCatalog()
-        tid = cat.observe(_query("SELECT 1"))
-        cat.observe(_query("SELECT 1"))
-        cat.observe(_query("SELECT * FROM other"))
+        tid, other = cat.observe_rows(
+            _rows("SELECT 1", "SELECT 1", "SELECT * FROM other")
+        )
         assert cat.stats(tid).count == 2
-
-    def test_most_frequent_params(self):
-        cat = TemplateCatalog()
-        tid = cat.observe(_query("SELECT * FROM t WHERE id = 7"))
-        cat.observe(_query("SELECT * FROM t WHERE id = 7"))
-        cat.observe(_query("SELECT * FROM t WHERE id = 8"))
-        assert cat.stats(tid).most_frequent_params() == ("7",)
+        assert cat.stats(other).count == 1
 
     def test_top_templates_ordering(self):
         cat = TemplateCatalog()
-        for _ in range(3):
-            cat.observe(_query("SELECT a FROM x"))
-        cat.observe(_query("SELECT b FROM y"))
+        cat.observe_rows(_rows("SELECT a FROM x", "SELECT b FROM y", "SELECT a FROM x"))
+        cat.observe_rows(_rows("SELECT a FROM x"))
         top = cat.top_templates(2)
         assert top[0].count == 3
 
     def test_example_retained(self):
         cat = TemplateCatalog()
-        q = _query("SELECT 1")
-        tid = cat.observe(q)
-        assert cat.stats(tid).example is q
+        rows = _rows("SELECT 1")
+        (tid,) = cat.observe_rows(rows)
+        assert cat.stats(tid).example == rows[0]
 
     def test_generated_families_template_cleanly(self):
         fam = QueryFamily(
@@ -93,10 +93,14 @@ class TestTemplateCatalog:
             QueryFootprint(),
             ("int", "str"),
         )
-        rng = np.random.default_rng(0)
+        rows = QueryRows(
+            (fam,), np.zeros(10, dtype=np.intp), np.array([fam.footprint.columns] * 10)
+        )
         cat = TemplateCatalog()
-        ids = {cat.observe(fam.instantiate(rng)) for _ in range(10)}
-        assert len(ids) == 1
+        (tid,) = cat.observe_rows(rows)
+        assert cat.stats(tid).template == make_template(
+            "SELECT * FROM t WHERE a = 17 AND b = 'v000003'"
+        )
 
 
 class TestIdentifierSuffixes:
