@@ -48,6 +48,7 @@ import time
 
 from conftest import run_once
 
+from repro.core.features import Features
 from repro.dbsim.knobs import KnobCatalog, postgres_catalog
 from repro.experiments.common import offline_train
 from repro.tuners.base import TrainingSample, TuningRequest
@@ -91,8 +92,10 @@ def _build_tuner(
     tuner = _tuner_over(
         catalog,
         repository,
-        SurrogatePolicy() if surrogate else None,
-        SelectionPolicy() if selection else None,
+        Features(
+            surrogate=SurrogatePolicy() if surrogate else None,
+            selection=SelectionPolicy() if selection else None,
+        ),
     )
     workload_id = repository.workload_ids()[0]
     sample = repository.samples(workload_id)[0]
@@ -105,18 +108,12 @@ def _build_tuner(
 def _tuner_over(
     catalog: KnobCatalog,
     repository: WorkloadRepository,
-    surrogate: SurrogatePolicy | None,
-    selection: SelectionPolicy | None,
+    features: Features,
 ) -> OtterTuneTuner:
     """The bench's tuner over *repository*, with empty fit caches."""
-    return OtterTuneTuner(
-        catalog,
-        repository,
-        memory_limit_mb=6553.6,
-        seed=23,
-        surrogate=surrogate,
-        selection=selection,
-    )
+    tuner = OtterTuneTuner(catalog, repository, memory_limit_mb=6553.6, seed=23)
+    tuner.configure(features)
+    return tuner
 
 
 def _best_and_mean(seconds: list[float]) -> dict:
@@ -160,8 +157,10 @@ def _trajectory(tuner: OtterTuneTuner, request: TuningRequest) -> dict:
         fresh = _tuner_over(
             tuner.catalog,
             repository,
-            screen.policy if screen is not None else None,
-            selector.policy if selector is not None else None,
+            Features(
+                surrogate=screen.policy if screen is not None else None,
+                selection=selector.policy if selector is not None else None,
+            ),
         )
         start = time.perf_counter()
         fresh.recommend(request)

@@ -15,6 +15,7 @@ import argparse
 import sys
 from collections.abc import Callable, Sequence
 
+from repro.core.features import FEATURE_NAMES, Features
 from repro.experiments import (
     ablations,
     fig02_memory_table,
@@ -116,8 +117,7 @@ def _run_fig08(args: argparse.Namespace) -> None:
 def _run_fig09(args: argparse.Namespace) -> None:
     run = fig09_requests_per_minute.run(
         fleet_size=args.fleet_size, hours=args.hours, seed=args.seed,
-        workers=args.workers, surrogate=args.surrogate,
-        knob_select=args.knob_select,
+        workers=args.workers, features=args.features,
     )
     print(
         format_table(
@@ -232,7 +232,28 @@ def _positive_int(value: str) -> int:
     return number
 
 
+def _feature_bundle(value: str) -> Features:
+    try:
+        return Features.parse(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    # One declaration of --features, shared by every subcommand that
+    # can arm the opt-in tuner tiers.
+    features = argparse.ArgumentParser(add_help=False)
+    features.add_argument(
+        "--features", type=_feature_bundle, default=Features(),
+        metavar="NAMES",
+        help="comma-separated opt-in tiers to arm on the tuners, from "
+        f"{','.join(FEATURE_NAMES)}: a coreset-GP prefilter shortlists "
+        "candidates before the exact GP scores them, and a Lasso-ranked "
+        "active subspace narrows what each workload tunes (run: fig09 "
+        "only; chaos: standard profile only); deterministic, none by "
+        "default",
+    )
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="AutoDBaaS (EDBT 2021) reproduction toolkit",
@@ -241,7 +262,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list reproducible experiments")
 
-    run = sub.add_parser("run", help="regenerate one experiment")
+    run = sub.add_parser(
+        "run", parents=[features], help="regenerate one experiment"
+    )
     run.add_argument("experiment", choices=sorted(_EXPERIMENTS))
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--fleet-size", type=int, default=16, dest="fleet_size")
@@ -255,24 +278,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="parallel worker processes (fig09/fig10 only; output is "
         "byte-identical for any worker count)",
     )
-    run.add_argument(
-        "--surrogate", action="store_true",
-        help="arm the surrogate screening tier on the tuner (fig09 "
-        "only): a coreset-GP prefilter shortlists candidates before "
-        "the exact GP scores them; deterministic, off by default",
-    )
-    run.add_argument(
-        "--knob-select", action="store_true", dest="knob_select",
-        help="arm dynamic per-workload knob selection on the tuner "
-        "(fig09 only): a Lasso-ranked active subspace narrows what "
-        "each workload tunes; deterministic, off by default",
-    )
 
     demo = sub.add_parser("demo", help="run an example scenario")
     demo.add_argument("name", choices=_DEMOS)
 
     chaos = sub.add_parser(
         "chaos",
+        parents=[features],
         help="run the deterministic fault-injection recovery experiment",
     )
     chaos.add_argument("--seed", type=int, default=0)
@@ -290,17 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "concurrently; the report is byte-identical either way)",
     )
     chaos.add_argument(
-        "--surrogate", action="store_true",
-        help="arm surrogate candidate screening on both landscapes' "
-        "tuners (standard profile only; deterministic, off by default)",
-    )
-    chaos.add_argument(
-        "--knob-select", action="store_true", dest="knob_select",
-        help="arm dynamic per-workload knob selection on both "
-        "landscapes' tuners (standard profile only; deterministic, "
-        "off by default)",
-    )
-    chaos.add_argument(
         "--profile", choices=("standard", "adversarial"), default="standard",
         help="standard: the six-kind fault recovery experiment; "
         "adversarial: a rogue tuner versus the safety governor "
@@ -309,6 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser(
         "trace",
+        parents=[features],
         help="run an experiment under the trace recorder and export it",
     )
     trace.add_argument(
@@ -346,16 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=_positive_int, default=1,
         help="parallel worker processes; the exported trace is "
         "byte-identical for any worker count",
-    )
-    trace.add_argument(
-        "--surrogate", action="store_true",
-        help="arm surrogate candidate screening in the traced "
-        "experiment (deterministic, off by default)",
-    )
-    trace.add_argument(
-        "--knob-select", action="store_true", dest="knob_select",
-        help="arm dynamic per-workload knob selection in the traced "
-        "experiment (deterministic, off by default)",
     )
 
     ablate = sub.add_parser(
@@ -506,8 +498,7 @@ def _run_trace(args: argparse.Namespace) -> int:
         hours=args.hours,
         warmup_hours=args.warmup_hours,
         workers=args.workers,
-        surrogate=args.surrogate,
-        knob_select=args.knob_select,
+        features=args.features,
     )
     jsonl_path = Path(f"{args.out}.jsonl")
     chrome_path = Path(f"{args.out}.chrome.json")
@@ -547,6 +538,9 @@ def _dispatch(argv: Sequence[str] | None) -> int:
             print(f"{name:10s} {description}")
         return 0
     if args.command == "run":
+        if args.features and args.experiment != "fig09":
+            print("error: --features applies to fig09 only", file=sys.stderr)
+            return 2
         try:
             _EXPERIMENTS[args.experiment][1](args)
         except ValueError as exc:
@@ -561,6 +555,12 @@ def _dispatch(argv: Sequence[str] | None) -> int:
         # Imported lazily like the analysis package: the chaos harness
         # pulls in the whole faults layer.
         if args.profile == "adversarial":
+            if args.features:
+                print(
+                    "error: --features applies to the standard profile only",
+                    file=sys.stderr,
+                )
+                return 2
             from repro.experiments import chaos_adversarial
 
             adversarial = chaos_adversarial.run(
@@ -580,8 +580,7 @@ def _dispatch(argv: Sequence[str] | None) -> int:
             seed=args.seed,
             quick=args.quick,
             workers=args.workers,
-            surrogate=args.surrogate,
-            knob_select=args.knob_select,
+            features=args.features,
         )
         print(report.render(), end="")
         return 0

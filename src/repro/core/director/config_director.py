@@ -14,6 +14,7 @@ evidence (Fig. 9 plots requests per minute across the fleet).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.common.recording import NULL_RECORDER, Recorder
 from repro.core.director.breaker import BreakerPolicy, CircuitBreaker
@@ -25,8 +26,9 @@ from repro.core.director.load_balancer import (
 )
 from repro.dbsim.config import KnobConfiguration
 from repro.tuners.base import Recommendation, TunerUnavailable, TuningRequest
-from repro.tuners.knob_selection import SelectionPolicy
-from repro.tuners.surrogate import SurrogatePolicy
+
+if TYPE_CHECKING:
+    from repro.core.features import Features
 
 __all__ = ["SplitRecommendation", "ConfigDirector"]
 
@@ -57,8 +59,7 @@ class ConfigDirector:
         config_repository: ConfigRepository | None = None,
         breaker_policy: BreakerPolicy | None = None,
         recorder: Recorder | None = None,
-        surrogate: SurrogatePolicy | None = None,
-        selection: SelectionPolicy | None = None,
+        features: Features | None = None,
     ) -> None:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.balancer = balancer
@@ -73,26 +74,13 @@ class ConfigDirector:
         self.request_times: list[float] = []
         self._pending_downtime: dict[str, dict[str, float]] = {}
         self._knob_floors: dict[str, dict[str, float]] = {}
-        # Surrogate screening is opt-in per tuner: candidate-set tuners
-        # adopt the policy, others (RL forward-pass) decline. With no
-        # policy (the default) nothing is configured and every output is
-        # byte-identical to builds without the surrogate tier.
-        self.surrogate_policy = surrogate
-        self.surrogate_tuners: list[str] = []
-        if surrogate is not None:
+        # The opt-in tuner tiers (surrogate screen, knob selection) are
+        # offered to every tuner instance, and each adopts what applies
+        # to its recommendation mechanism. An empty bundle (the default)
+        # configures nothing, so every output stays byte-identical.
+        if features:
             for instance in self.balancer.instances:
-                if instance.tuner.configure_surrogate(surrogate):
-                    self.surrogate_tuners.append(instance.instance_id)
-        # Dynamic knob selection follows the same opt-in contract: each
-        # tuner either adopts the policy (and tunes inside a per-workload
-        # active subspace) or declines. ``None`` (the default) configures
-        # nothing and leaves every output byte-identical.
-        self.selection_policy = selection
-        self.selection_tuners: list[str] = []
-        if selection is not None:
-            for instance in self.balancer.instances:
-                if instance.tuner.configure_selection(selection):
-                    self.selection_tuners.append(instance.instance_id)
+                instance.tuner.configure(features)
 
     # -- request handling -----------------------------------------------------
 

@@ -34,6 +34,7 @@ from repro.core.apply.reconciler import Reconciler
 from repro.core.director.config_director import ConfigDirector, SplitRecommendation
 from repro.core.director.load_balancer import LeastLoadedBalancer, TunerInstance
 from repro.core.director.safety import GovernorPolicy, SafetyGovernor
+from repro.core.features import Features
 from repro.core.tde.engine import TDEReport, ThrottlingDetectionEngine
 from repro.dbsim.engine import DatabaseCrashed, ExecutionResult
 from repro.dbsim.memory import HOT_FRACTION
@@ -101,6 +102,9 @@ class AutoDBaaS:
         surrogate: SurrogatePolicy | None = None,
         selection: SelectionPolicy | None = None,
     ) -> None:
+        # Every opt-in tier is off by default; with none armed every
+        # output is byte-identical to the build without them.
+        self.features = Features(governor, surrogate, selection)
         if not tuners:
             raise ValueError("need at least one tuner instance")
         self.repository = repository if repository is not None else WorkloadRepository()
@@ -115,27 +119,19 @@ class AutoDBaaS:
         )
         for tuner in tuners:
             tuner.bind_recorder(self.recorder)
-        # Surrogate screening and dynamic knob selection are opt-in like
-        # the governor: the director offers each policy to every tuner
-        # instance; with None (the default) nothing changes and outputs
-        # stay byte-identical.
         self.director = ConfigDirector(
-            self.balancer,
-            recorder=self.recorder,
-            surrogate=surrogate,
-            selection=selection,
+            self.balancer, recorder=self.recorder, features=self.features
         )
         self.orchestrator = ServiceOrchestrator(
             downtime_period_s, recorder=self.recorder
         )
-        # Safe online tuning is opt-in: with no policy the governor stays
-        # None and every apply/tuning path is byte-identical to the
-        # ungoverned build.
         self.governor = (
             SafetyGovernor(
-                self.director.configs, policy=governor, recorder=self.recorder
+                self.director.configs,
+                policy=self.features.governor,
+                recorder=self.recorder,
             )
-            if governor is not None
+            if self.features.governor is not None
             else None
         )
         self.reconciler = Reconciler(

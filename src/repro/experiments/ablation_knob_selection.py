@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.features import Features
 from repro.dbsim.engine import SimulatedDatabase
 from repro.dbsim.knobs import postgres_catalog
 from repro.experiments.common import format_table, offline_train
@@ -182,8 +183,9 @@ def run(seed: int = 0, iterations: int = 6) -> KnobAblationReport:
                 repository,
                 memory_limit_mb=6553.6,
                 seed=seed + 3,
-                selection=_dynamic_policy() if arm == "dynamic" else None,
             )
+            if arm == "dynamic":
+                tuner.configure(Features(selection=_dynamic_policy()))
             best_tps, mean_tps = _closed_loop(
                 tuner,
                 type(workload)(**_workload_kwargs(workload, seed)),

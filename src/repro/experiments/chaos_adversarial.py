@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.director.safety import GovernorPolicy
+from repro.core.features import Features
 from repro.experiments.chaos_recovery import _LandscapeTask, _run_landscape_task
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.parallel import FleetExecutor
@@ -312,7 +313,7 @@ def run(
             _LandscapeTask(
                 seed, fleet_size, windows, window_s, offline_configs, plan,
                 enabled=True,
-                governor=policy,
+                features=Features(governor=policy),
             ),
         ],
     )

@@ -30,7 +30,7 @@ from repro.core.apply.adapters import adapter_for
 from repro.core.apply.dfa import DataFederationAgent
 from repro.core.apply.reconciler import Reconciler
 from repro.core.director.breaker import BreakerPolicy
-from repro.core.director.safety import GovernorPolicy
+from repro.core.features import Features
 from repro.core.service import AutoDBaaS
 from repro.dbsim.knobs import postgres_catalog
 from repro.experiments.common import offline_train
@@ -43,9 +43,7 @@ from repro.faults.injectors import (
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.obs.trace import TraceRecorder
 from repro.parallel import FleetExecutor
-from repro.tuners.knob_selection import SelectionPolicy
 from repro.tuners.ottertune import OtterTuneTuner
-from repro.tuners.surrogate import SurrogatePolicy
 from repro.workloads.tpcc import TPCCWorkload
 
 __all__ = ["STANDARD_KINDS", "WindowPoint", "ChaosReport", "run"]
@@ -206,9 +204,7 @@ def _build_landscape(
     injector: FaultInjector,
     offline_configs: int,
     recorder: Recorder | None = None,
-    governor: GovernorPolicy | None = None,
-    surrogate: SurrogatePolicy | None = None,
-    selection: SelectionPolicy | None = None,
+    features: Features = Features(),
 ) -> _Landscape:
     """Build one landscape; identical inputs give identical landscapes.
 
@@ -217,11 +213,10 @@ def _build_landscape(
     only where faults are actually delivered. A *recorder* (the trace
     harness) observes this landscape's control plane; with None every
     seam keeps the no-op default and behaviour is byte-identical.
-    A *governor* policy arms safe online tuning (the adversarial
-    profile runs the same landscape with and without one). A
-    *surrogate* policy arms candidate screening on the BO tuners
-    (offered through the :class:`FaultyTuner` shims); a *selection*
-    policy arms dynamic knob selection the same way.
+    *features* arms the opt-in tiers: the governor on the facade (the
+    adversarial profile runs the same landscape with and without one),
+    the surrogate screen and knob selection on the tuners (offered
+    through the :class:`FaultyTuner` shims).
     """
     if recorder is not None:
         injector.recorder = recorder
@@ -265,9 +260,9 @@ def _build_landscape(
         dfa=DataFederationAgent(adapter=adapter),
         monitoring_factory=monitoring_factory,
         recorder=recorder,
-        governor=governor,
-        surrogate=surrogate,
-        selection=selection,
+        governor=features.governor,
+        surrogate=features.surrogate,
+        selection=features.selection,
     )
     # Route the reconciler's restore path through the same (possibly
     # faulty) adapter, with a one-window watcher timeout so drift left by
@@ -345,12 +340,8 @@ class _LandscapeTask:
     enabled: bool
     traced: bool = False
     host_time: bool = False
-    #: Arm the safety governor (adversarial profile's governed arm).
-    governor: GovernorPolicy | None = None
-    #: Arm surrogate candidate screening on the BO tuners.
-    surrogate: SurrogatePolicy | None = None
-    #: Arm dynamic per-workload knob selection on the tuners.
-    selection: SelectionPolicy | None = None
+    #: Opt-in tiers (the adversarial profile's governed arm sets one).
+    features: Features = Features()
 
 
 @dataclass
@@ -380,9 +371,7 @@ def _run_landscape_task(task: _LandscapeTask) -> _LandscapeOutcome:
         FaultInjector(task.plan, enabled=task.enabled),
         task.offline_configs,
         recorder=rec,
-        governor=task.governor,
-        surrogate=task.surrogate,
-        selection=task.selection,
+        features=task.features,
     )
     fleet_tps, degraded = _run_landscape(landscape, task.windows, task.window_s)
     governor = landscape.service.governor
@@ -417,8 +406,7 @@ def run(
     recorder: Recorder | None = None,
     workers: int = 1,
     start_method: str | None = None,
-    surrogate: bool = False,
-    knob_select: bool = False,
+    features: Features = Features(),
 ) -> ChaosReport:
     """Run the chaos experiment; see the module docstring.
 
@@ -429,11 +417,9 @@ def run(
     The two landscapes are fully independent, so ``workers >= 2`` runs
     them concurrently; the faulted landscape records into a fragment
     recorder that is absorbed into *recorder* afterwards, which yields
-    the same trace bytes as recording inline. *surrogate* arms
-    candidate screening on **both** landscapes' tuners (keeping the
-    baseline a fair control); default off, byte-identical output.
-    *knob_select* arms dynamic knob selection on both landscapes the
-    same way (default off, byte-identical output).
+    the same trace bytes as recording inline. *features* arms the
+    opt-in tiers on **both** landscapes (keeping the baseline a fair
+    control); default none, byte-identical output.
     """
     if quick:
         fleet_size = min(fleet_size, 2)
@@ -455,8 +441,6 @@ def run(
     )
 
     traced = isinstance(recorder, TraceRecorder)
-    screen = SurrogatePolicy() if surrogate else None
-    selection = SelectionPolicy() if knob_select else None
     executor = FleetExecutor(workers=workers, start_method=start_method)
     base_out, fault_out = executor.map(
         _run_landscape_task,
@@ -464,16 +448,14 @@ def run(
             _LandscapeTask(
                 seed, fleet_size, windows, window_s, offline_configs, plan,
                 enabled=False,
-                surrogate=screen,
-                selection=selection,
+                features=features,
             ),
             _LandscapeTask(
                 seed, fleet_size, windows, window_s, offline_configs, plan,
                 enabled=True,
                 traced=traced,
                 host_time=traced and recorder.host_time,  # type: ignore[union-attr]
-                surrogate=screen,
-                selection=selection,
+                features=features,
             ),
         ],
     )

@@ -46,6 +46,7 @@ from typing import Any
 from repro.cloud.fleet import FleetSpec, build_member
 from repro.common.recording import NULL_RECORDER, Recorder
 from repro.common.rng import stream_root
+from repro.core.features import Features
 from repro.core.tde.engine import ThrottlingDetectionEngine
 from repro.core.tde.throttle import Throttle
 from repro.dbsim.batch_engine import MemberBatch
@@ -375,8 +376,7 @@ def run(
     workers: int = 1,
     start_method: str | None = None,
     stats: SessionStats | None = None,
-    surrogate: bool = False,
-    knob_select: bool = False,
+    features: Features = Features(),
 ) -> Fig09Run:
     """Simulate the fleet for *hours* and count tuning requests.
 
@@ -390,11 +390,13 @@ def run(
     per shard) — output is byte-identical across worker counts. *stats*,
     if given, collects the executor session's pipe-seam accounting
     (bytes and per-phase times per window) without affecting results.
-    *surrogate* arms the surrogate screening tier on the director's
-    tuner (default off; flag-off output is byte-identical to builds
-    without the tier). *knob_select* arms dynamic per-workload knob
-    selection the same way (default off, flag-off byte-identical).
+    *features* arms the surrogate screen and knob selection on the
+    director's tuner (default none; flag-off output is byte-identical
+    to builds without the tiers). The director runs without the service
+    facade here, so a governor cannot be armed.
     """
+    if features.governor is not None:
+        raise ValueError("fig09 has no service facade to arm a governor on")
     rec = recorder if recorder is not None else NULL_RECORDER
     catalog = postgres_catalog()
     # Bootstrap the tuner with a *stress-rate* offline session: the
@@ -433,15 +435,12 @@ def run(
     )
     from repro.core.director.config_director import ConfigDirector
     from repro.core.director.load_balancer import LeastLoadedBalancer, TunerInstance
-    from repro.tuners.knob_selection import SelectionPolicy
-    from repro.tuners.surrogate import SurrogatePolicy
 
     tuner.bind_recorder(rec)
     director = ConfigDirector(
         LeastLoadedBalancer([TunerInstance("tuner-00", tuner)]),
         recorder=rec,
-        surrogate=SurrogatePolicy() if surrogate else None,
-        selection=SelectionPolicy() if knob_select else None,
+        features=features,
     )
     # The TDE reads a bounded sample of each member's streaming log; at
     # paper scale a smaller per-window sample keeps the day-long 80-member

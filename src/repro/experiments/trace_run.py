@@ -22,9 +22,7 @@ from repro.cloud.metrics_export import (
     describe_counter_families,
     render_registry,
 )
-from repro.core.director.safety import SAFETY_METRIC_FAMILIES
-from repro.tuners.knob_selection import KNOBSELECT_METRIC_FAMILIES
-from repro.tuners.surrogate import SURROGATE_METRIC_FAMILIES
+from repro.core.features import FEATURE_METRIC_FAMILIES, Features
 from repro.experiments import chaos_recovery
 from repro.experiments import fig09_requests_per_minute as fig09
 from repro.obs.export import to_chrome_trace, to_jsonl
@@ -85,8 +83,7 @@ def run(
     hours: float = 1.0,
     warmup_hours: float = 0.5,
     workers: int = 1,
-    surrogate: bool = False,
-    knob_select: bool = False,
+    features: Features = Features(),
 ) -> TraceArtifacts:
     """Trace one experiment run; see the module docstring.
 
@@ -97,27 +94,21 @@ def run(
     host times never reach the JSONL/Chrome exports, which stay
     byte-identical either way. *workers* selects the experiment's
     parallel backend; every artifact is byte-identical across worker
-    counts. *surrogate* arms candidate screening in the traced
-    experiment; with the default off the trace bytes are identical to
-    builds without the surrogate tier. *knob_select* arms dynamic
-    per-workload knob selection the same way (default off, trace bytes
-    unchanged).
+    counts. *features* arms the opt-in tiers in the traced experiment;
+    with the default none the trace bytes are identical to builds
+    without them.
     """
     recorder = TraceRecorder(host_time=host_time)
-    # Declare the safety-governor, surrogate and knob-selection
-    # vocabularies up front: the families show in the Prometheus
-    # rendering (`repro trace --metrics`) even for runs that never arm
-    # them, and described-but-empty families add no JSONL samples, so
-    # golden digests are untouched.
-    describe_counter_families(recorder.metrics, SAFETY_METRIC_FAMILIES)
-    describe_counter_families(recorder.metrics, SURROGATE_METRIC_FAMILIES)
-    describe_counter_families(recorder.metrics, KNOBSELECT_METRIC_FAMILIES)
+    # Declare every feature's metric vocabulary up front: the families
+    # show in the Prometheus rendering (`repro trace --metrics`) even
+    # for runs that never arm them, and described-but-empty families add
+    # no JSONL samples, so golden digests are untouched.
+    describe_counter_families(recorder.metrics, FEATURE_METRIC_FAMILIES)
     session_stats: SessionStats | None = None
     if experiment == "chaos":
         report = chaos_recovery.run(
             seed=seed, quick=True, recorder=recorder, workers=workers,
-            surrogate=surrogate,
-            knob_select=knob_select,
+            features=features,
         )
         recovery = (
             f"window {report.recovery_window:02d}"
@@ -140,8 +131,7 @@ def run(
             recorder=recorder,
             workers=workers,
             stats=session_stats,
-            surrogate=surrogate,
-            knob_select=knob_select,
+            features=features,
         )
         headline = (
             f"fleet: size={fleet_size} hours={hours:g} "

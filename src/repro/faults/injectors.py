@@ -37,8 +37,7 @@ from repro.tuners.base import (
 )
 
 if TYPE_CHECKING:
-    from repro.tuners.knob_selection import SelectionPolicy
-    from repro.tuners.surrogate import SurrogatePolicy
+    from repro.core.features import Features
 
 __all__ = [
     "FaultInjector",
@@ -158,23 +157,14 @@ class FaultyTuner(Tuner):
         event = self.injector.hit(FaultKind.SLOW_RECOMMENDATION, self.tuner_id)
         return cost * event.magnitude if event is not None else cost
 
-    def configure_surrogate(self, policy: "SurrogatePolicy") -> bool:
-        """Forward surrogate screening to the inner tuner.
+    def configure(self, features: "Features") -> None:
+        """Forward the feature bundle to the inner tuner.
 
         The shim only perturbs *delivered* recommendations; whether the
-        inner tuner screens its candidate set is orthogonal to fault
-        delivery, so the offer passes straight through.
+        inner tuner screens candidates or tunes a subspace is orthogonal
+        to fault delivery, so the offer passes straight through.
         """
-        return self.inner.configure_surrogate(policy)
-
-    def configure_selection(self, policy: "SelectionPolicy") -> bool:
-        """Forward dynamic knob selection to the inner tuner.
-
-        Same reasoning as :meth:`configure_surrogate`: which subspace
-        the inner tuner optimises over is orthogonal to whether the
-        delivered recommendation gets perturbed.
-        """
-        return self.inner.configure_selection(policy)
+        self.inner.configure(features)
 
     def _perturbed(
         self, config: KnobConfiguration, magnitude: float

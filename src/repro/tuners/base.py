@@ -19,8 +19,7 @@ import numpy as np
 from repro.common.recording import NULL_RECORDER, Recorder
 
 if TYPE_CHECKING:
-    from repro.tuners.knob_selection import SelectionPolicy
-    from repro.tuners.surrogate import SurrogatePolicy
+    from repro.core.features import Features
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.knobs import KnobCatalog
 from repro.dbsim.metrics import MetricsDelta
@@ -273,26 +272,15 @@ class Tuner(abc.ABC):
         """Attach the landscape's recorder (wrappers forward to inners)."""
         self.recorder = recorder
 
-    def configure_surrogate(self, policy: "SurrogatePolicy") -> bool:
-        """Enable surrogate candidate screening, if this tuner can.
+    def configure(self, features: "Features") -> None:
+        """Adopt the opt-in tiers in *features* that apply to this tuner.
 
-        Returns ``True`` when the tuner adopted *policy* (candidate-set
-        tuners like the BO pipeline), ``False`` when screening does not
-        apply to its recommendation mechanism. The default declines:
-        screening is strictly opt-in per implementation, so new tuner
-        kinds stay byte-identical until they explicitly support it.
+        The config director offers the landscape's feature bundle to
+        every tuner instance; a tier the bundle leaves off is left off.
+        The default ignores the bundle: each tier is opt-in per
+        implementation, so new tuner kinds stay byte-identical until
+        they explicitly support one.
         """
-        return False
-
-    def configure_selection(self, policy: "SelectionPolicy") -> bool:
-        """Enable dynamic per-workload knob selection, if this tuner can.
-
-        Returns ``True`` when the tuner adopted *policy* and will tune
-        inside a dynamic active subspace, ``False`` when selection does
-        not apply. The default declines, same opt-in contract as
-        :meth:`configure_surrogate`.
-        """
-        return False
 
     @abc.abstractmethod
     def observe(self, sample: TrainingSample) -> None:

@@ -35,15 +35,11 @@ from repro.tuners.base import (
     config_to_vector,
     vector_to_config,
 )
-from repro.tuners.knob_selection import (
-    KnobSelector,
-    SelectionPolicy,
-    repair_config_frozen,
-)
+from repro.tuners.knob_selection import KnobSelector, repair_config_frozen
 from repro.tuners.neural import MLP, Adam, soft_update
 
 if TYPE_CHECKING:
-    from repro.tuners.surrogate import SurrogatePolicy
+    from repro.core.features import Features
 
 __all__ = ["CDBTuneTuner", "cdbtune_reward"]
 
@@ -123,7 +119,6 @@ class CDBTuneTuner(Tuner):
         memory_limit_mb: float | None = None,
         active_connections: int = 20,
         seed: int | np.random.Generator | None = 0,
-        selection: SelectionPolicy | None = None,
     ) -> None:
         self.catalog = catalog
         self.metric_names = metric_names
@@ -152,7 +147,8 @@ class CDBTuneTuner(Tuner):
         self._previous_tps: dict[str, float] = {}
         self._pending: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.episode_rewards: list[float] = []
-        self._selector = KnobSelector(selection, catalog) if selection else None
+        # Opt-in knob selection, armed through configure(): off by default.
+        self._selector: KnobSelector | None = None
 
     # -- Tuner interface ---------------------------------------------------------
 
@@ -166,33 +162,27 @@ class CDBTuneTuner(Tuner):
         """Alias of :meth:`learn` — the RL tuner keeps no sample store."""
         self.learn(sample)
 
-    def configure_surrogate(self, policy: "SurrogatePolicy") -> bool:
-        """Decline: DDPG emits one action, there is no candidate set.
-
-        Surrogate screening prefilters a *candidate matrix* before an
-        expensive exact scorer. The RL tuner's recommendation is a single
-        actor forward pass — already near-constant time with nothing to
-        shortlist — so the policy does not apply here and the hybrid
-        tuner routes it to its BO member instead.
-        """
-        return False
-
     @property
     def knob_selector(self) -> KnobSelector | None:
         """The active selector, for stats inspection (``None`` when off)."""
         return self._selector
 
-    def configure_selection(self, policy: SelectionPolicy) -> bool:
-        """Enable dynamic knob selection under *policy*.
+    def configure(self, features: Features) -> None:
+        """Adopt the knob selection *features* arms; ignore the screen.
 
-        Unlike surrogate screening, selection does apply to DDPG: the
-        actor stays full-width, but its action is projected onto the
-        active subspace before it becomes a configuration — inactive
-        coordinates snap back to the incumbent's, shrinking the space
-        the exploration noise actually perturbs.
+        Surrogate screening prefilters a candidate matrix before an
+        expensive exact scorer, but DDPG's recommendation is a single
+        actor forward pass with nothing to shortlist. Selection does
+        apply: the actor stays full-width, but its action is projected
+        onto the active subspace before it becomes a configuration —
+        inactive coordinates snap back to the incumbent's, shrinking the
+        space the exploration noise actually perturbs.
         """
-        self._selector = KnobSelector(policy, self.catalog)
-        return True
+        self._selector = (
+            KnobSelector(features.selection, self.catalog)
+            if features.selection
+            else None
+        )
 
     def learn(self, sample: TrainingSample) -> None:
         """Close the pending transition for the sample's workload and learn."""

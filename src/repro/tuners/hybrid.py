@@ -11,14 +11,16 @@ from the same stream.
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import TYPE_CHECKING
 
 from repro.dbsim.knobs import KnobCatalog
 from repro.tuners.base import Recommendation, TrainingSample, Tuner, TuningRequest
 from repro.tuners.cdbtune import CDBTuneTuner
-from repro.tuners.knob_selection import SelectionPolicy
 from repro.tuners.ottertune import OtterTuneTuner
 from repro.tuners.repository import WorkloadRepository
-from repro.tuners.surrogate import SurrogatePolicy
+
+if TYPE_CHECKING:
+    from repro.core.features import Features
 
 __all__ = ["HybridTuner"]
 
@@ -62,21 +64,16 @@ class HybridTuner(Tuner):
         self._request_counts: dict[str, int] = defaultdict(int)
         self.last_member: str | None = None
 
-    def configure_surrogate(self, policy: SurrogatePolicy) -> bool:
-        """Screen the BO member's candidates (the RL member has none)."""
-        return self.bo.configure_surrogate(policy)
+    def configure(self, features: Features) -> None:
+        """Offer *features* to both members.
 
-    def configure_selection(self, policy: SelectionPolicy) -> bool:
-        """Offer dynamic knob selection to both members.
-
-        Unlike surrogate screening, selection applies to both families —
-        the BO member projects its candidate matrix and the RL member its
-        action vector — and each keeps its own selector (the members see
-        different sample streams, so sharing one would skew the moments).
+        The BO member adopts the screen and selection; the RL member
+        only selection (it has no candidate set). Each keeps its own
+        selector: the members see different sample streams, so sharing
+        one would skew the moments.
         """
-        bo_adopted = self.bo.configure_selection(policy)
-        rl_adopted = self.rl.configure_selection(policy)
-        return bo_adopted or rl_adopted
+        self.bo.configure(features)
+        self.rl.configure(features)
 
     def observe(self, sample: TrainingSample) -> None:
         """Store once (via the BO member's repository) and learn."""

@@ -25,6 +25,7 @@ flat, noisy response surface whose argmax is close to random.
 from __future__ import annotations
 
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -49,14 +50,16 @@ from repro.tuners.base import (
 from repro.tuners.gpr import GaussianProcessRegressor
 from repro.tuners.knob_selection import (
     KnobSelector,
-    SelectionPolicy,
     Subspace,
     repair_config_frozen,
 )
 from repro.tuners.lasso import lasso_path_ranking
 from repro.tuners.repository import WorkloadRepository
-from repro.tuners.surrogate import SurrogatePolicy, SurrogateScreen
+from repro.tuners.surrogate import SurrogateScreen
 from repro.tuners.workload_mapping import WorkloadMapper
+
+if TYPE_CHECKING:
+    from repro.core.features import Features
 
 __all__ = ["OtterTuneTuner"]
 
@@ -79,20 +82,6 @@ class OtterTuneTuner(Tuner):
     memory_limit_mb / active_connections:
         If given, candidate configurations violating the §4 memory budget
         are filtered out before scoring.
-    surrogate:
-        Optional :class:`~repro.tuners.surrogate.SurrogatePolicy`. When
-        set, raw candidates are screened by a coreset-GP surrogate and
-        budget repair plus exact GP-UCB run only on the shortlist. The
-        default (``None``) leaves every output byte-identical to builds
-        without the surrogate tier.
-    selection:
-        Optional :class:`~repro.tuners.knob_selection.SelectionPolicy`.
-        When set, a :class:`~repro.tuners.knob_selection.KnobSelector`
-        derives a per-workload active subspace and candidate
-        generation, budget repair, GP-UCB and the surrogate screen all
-        run inside it, with inactive knobs carried byte-identically
-        from the incumbent configuration. Off (``None``) by default:
-        the flag-off path is the exact pre-selection expression.
     """
 
     name = "ottertune"
@@ -107,8 +96,6 @@ class OtterTuneTuner(Tuner):
         memory_limit_mb: float | None = None,
         active_connections: int = 20,
         seed: int | np.random.Generator | None = 0,
-        surrogate: SurrogatePolicy | None = None,
-        selection: SelectionPolicy | None = None,
     ) -> None:
         if max_train_samples < 3:
             raise ValueError("max_train_samples must be >= 3")
@@ -129,8 +116,9 @@ class OtterTuneTuner(Tuner):
         self._train_cache: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
         self._gpr_cache: dict[str, tuple[int, GaussianProcessRegressor]] = {}
         self._ranking_cache: dict[str, tuple[int, list[str]]] = {}
-        self._screen = SurrogateScreen(surrogate) if surrogate else None
-        self._selector = KnobSelector(selection, catalog) if selection else None
+        # Opt-in tiers, armed through configure(): off by default.
+        self._screen: SurrogateScreen | None = None
+        self._selector: KnobSelector | None = None
         # Projected GPR per workload, keyed on (version, active set) —
         # the flag-on sibling of ``_gpr_cache``.
         self._proj_gpr_cache: dict[
@@ -147,15 +135,24 @@ class OtterTuneTuner(Tuner):
         """The active selector, for stats inspection (``None`` when off)."""
         return self._selector
 
-    def configure_surrogate(self, policy: SurrogatePolicy) -> bool:
-        """Enable surrogate candidate screening under *policy*."""
-        self._screen = SurrogateScreen(policy)
-        return True
+    def configure(self, features: Features) -> None:
+        """Adopt the surrogate screen and knob selection *features* arms.
 
-    def configure_selection(self, policy: SelectionPolicy) -> bool:
-        """Enable dynamic knob selection under *policy*."""
-        self._selector = KnobSelector(policy, self.catalog)
-        return True
+        With the screen, raw candidates are shortlisted by a coreset-GP
+        surrogate and budget repair plus exact GP-UCB run only on the
+        shortlist. With selection, a per-workload active subspace is
+        derived and candidate generation, repair, GP-UCB and the screen
+        all run inside it, inactive knobs carried byte-identically from
+        the incumbent configuration.
+        """
+        self._screen = (
+            SurrogateScreen(features.surrogate) if features.surrogate else None
+        )
+        self._selector = (
+            KnobSelector(features.selection, self.catalog)
+            if features.selection
+            else None
+        )
 
     # -- Tuner interface ---------------------------------------------------------
 

@@ -21,6 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.features import Features
 from repro.dbsim.knobs import postgres_catalog
 from repro.experiments.common import offline_train
 from repro.tuners.base import TuningRequest, config_to_vector
@@ -109,12 +110,9 @@ class TestProjectionRoundTrip:
         """Every inactive knob survives recommend() byte-for-byte."""
         catalog, repository = _live_fixture(seed)
         tuner = OtterTuneTuner(
-            catalog,
-            repository,
-            memory_limit_mb=6553.6,
-            seed=seed + 2,
-            selection=SelectionPolicy(),
+            catalog, repository, memory_limit_mb=6553.6, seed=seed + 2
         )
+        tuner.configure(Features(selection=SelectionPolicy()))
         workload_id = repository.workload_ids()[0]
         sample = repository.samples(workload_id)[0]
         request = TuningRequest(
@@ -134,12 +132,8 @@ class TestProjectionRoundTrip:
     @settings(max_examples=8, deadline=None)
     def test_cdbtune_inactive_knobs_byte_identical(self, seed):
         catalog, repository = _live_fixture(seed)
-        tuner = CDBTuneTuner(
-            catalog,
-            memory_limit_mb=6553.6,
-            seed=seed + 2,
-            selection=SelectionPolicy(),
-        )
+        tuner = CDBTuneTuner(catalog, memory_limit_mb=6553.6, seed=seed + 2)
+        tuner.configure(Features(selection=SelectionPolicy()))
         workload_id = repository.workload_ids()[0]
         samples = repository.samples(workload_id)
         for sample in samples:
@@ -162,9 +156,8 @@ class TestProjectionRoundTrip:
     def test_pending_action_matches_projected_vector(self, seed):
         """The RL pending action snaps inactive coords to the incumbent."""
         catalog, repository = _live_fixture(seed)
-        tuner = CDBTuneTuner(
-            catalog, seed=seed + 2, selection=SelectionPolicy()
-        )
+        tuner = CDBTuneTuner(catalog, seed=seed + 2)
+        tuner.configure(Features(selection=SelectionPolicy()))
         workload_id = repository.workload_ids()[0]
         samples = repository.samples(workload_id)
         for sample in samples:

@@ -120,3 +120,34 @@ class TestCLI:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig08", "--features", "surrogate,knob-select"],
+            ["run", "fig02", "--features", "surrogate"],
+            ["chaos", "--profile", "adversarial", "--quick",
+             "--features", "knob-select"],
+        ],
+        ids=["run-fig08", "run-fig02", "chaos-adversarial"],
+    )
+    def test_features_rejected_where_not_honoured(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --features applies to")
+
+    @pytest.mark.parametrize("value", ["governor", "surrogate,bogus"])
+    def test_unknown_feature_name_rejected_by_argparse(self, capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig09", "--features", value])
+        assert excinfo.value.code == 2
+        assert "unknown feature" in capsys.readouterr().err
+
+    def test_features_declared_once_across_subcommands(self, capsys):
+        for command in ("run", "chaos", "trace"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            out = capsys.readouterr().out
+            assert "--features NAMES" in out
+            assert "--surrogate" not in out and "--knob-select" not in out

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.features import Features
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.knobs import KnobClass, postgres_catalog
 from repro.experiments import ablation_knob_selection
@@ -211,9 +212,8 @@ class TestFlagOnDeterminism:
         recs = []
         for _ in range(2):
             catalog, repository = _fixture_repository(3)
-            tuner = OtterTuneTuner(
-                catalog, repository, seed=5, selection=SelectionPolicy()
-            )
+            tuner = OtterTuneTuner(catalog, repository, seed=5)
+            tuner.configure(Features(selection=SelectionPolicy()))
             workload_id = repository.workload_ids()[0]
             sample = repository.samples(workload_id)[0]
             recs.append(
@@ -234,7 +234,7 @@ class TestFlagOnDeterminism:
         catalog, repository = _fixture_repository(2)
         tuner = OtterTuneTuner(catalog, repository, seed=9)
         assert tuner.knob_selector is None
-        assert tuner.configure_selection(SelectionPolicy()) is True
+        tuner.configure(Features(selection=SelectionPolicy()))
         assert tuner.knob_selector is not None
         workload_id = repository.workload_ids()[0]
         sample = repository.samples(workload_id)[0]
@@ -255,7 +255,8 @@ class TestFlagOnDeterminism:
 
     def test_cdbtune_projects_action_onto_subspace(self):
         catalog, repository = _fixture_repository(4)
-        tuner = CDBTuneTuner(catalog, seed=7, selection=SelectionPolicy())
+        tuner = CDBTuneTuner(catalog, seed=7)
+        tuner.configure(Features(selection=SelectionPolicy()))
         workload_id = repository.workload_ids()[0]
         samples = repository.samples(workload_id)
         for sample in samples:
@@ -309,7 +310,7 @@ class TestFlagOffGoldenParity:
         """Flag-off output is byte-identical to the pre-PR capture.
 
         ``tests/golden/fig09_quick.txt`` predates both the surrogate and
-        the selection tiers; the default (no ``--knob-select``) path
+        the selection tiers; the default (no ``--features``) path
         must keep reproducing it exactly.
         """
         assert (

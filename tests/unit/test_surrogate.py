@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.features import Features
 from repro.dbsim.knobs import postgres_catalog
 from repro.experiments.common import offline_train
 from repro.tuners.base import TuningRequest
@@ -224,9 +225,8 @@ class TestArgmaxRetention:
         recs = []
         for _ in range(2):
             catalog, repository = _fixture_repository(3)
-            tuner = OtterTuneTuner(
-                catalog, repository, seed=5, surrogate=SurrogatePolicy()
-            )
+            tuner = OtterTuneTuner(catalog, repository, seed=5)
+            tuner.configure(Features(surrogate=SurrogatePolicy()))
             workload_id = repository.workload_ids()[0]
             sample = repository.samples(workload_id)[0]
             recs.append(
@@ -247,7 +247,7 @@ class TestArgmaxRetention:
         catalog, repository = _fixture_repository(2)
         tuner = OtterTuneTuner(catalog, repository, seed=9)
         assert tuner.surrogate_screen is None
-        assert tuner.configure_surrogate(SurrogatePolicy()) is True
+        tuner.configure(Features(surrogate=SurrogatePolicy()))
         assert tuner.surrogate_screen is not None
         workload_id = repository.workload_ids()[0]
         sample = repository.samples(workload_id)[0]
@@ -267,7 +267,7 @@ class TestFlagOffGoldenParity:
 
         ``tests/golden/fig09_quick.txt`` was rendered by the commit
         before the surrogate tier existed; the default (no
-        ``--surrogate``) path must reproduce it exactly.
+        ``--features``) path must reproduce it exactly.
         """
         assert (
             main(["run", "fig09", "--fleet-size", "4", "--hours", "1",
