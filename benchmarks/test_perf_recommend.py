@@ -22,19 +22,27 @@ shared CI boxes. The mean is recorded alongside for context.
 
 Gates:
 
-- warm speedup (flag-off / flag-on) >= 3x, and within 20% of the
+- warm speedup (flag-off / flag-on) >= 2x, and within 20% of the
   committed baseline (``benchmarks/baselines/BENCH_recommend_baseline.json``);
 - the flag-on path hands exact scoring a shortlist no larger than the
   policy's ``shortlist_size`` (<= 16);
-- warm flag-on recommend stays under 1.5 ms (full profile only —
-  absolute times are skipped on the quick CI profile, ratios are not).
-  Typical quiet-box best-of is 0.65–0.95 ms — the sub-millisecond
+- cold recommends, the version-bump-per-request pattern the closed loop
+  runs, stay under 4 ms flag-off and 3 ms flag-on, on both profiles.
+  Best-of on a 2-core VM is 1.7–2.9 ms off and 1.1–2.0 ms on (the
+  range is the host's speed changing between runs). LU solves on the
+  Cholesky factor in place of its inverse cost ~0.8 ms more per cold
+  flag-off request;
+- warm flag-on recommend stays under 1.5 ms (full profile only).
+  Typical quiet-box best-of is 0.45–0.85 ms — the sub-millisecond
   number the JSON artifact records — but contended boxes show tails to
-  ~1.1 ms, so the hard gate leaves headroom; a real warm-path
-  regression (say an accidental per-call LAPACK solve) lands at 3 ms+;
+  ~1.1 ms, so the hard gate leaves headroom;
 - the select profile's warm speedup over flag-off must hold its own
   (lenient) floor and stay within 20% of its committed baseline, and
   its recorded subspace must be strictly smaller than the catalog.
+
+The speedup floors measure flag-on against flag-off, so they fall
+whenever the flag-off path gets faster; the absolute ceilings are what
+keep both paths fast.
 
 Set ``PERF_QUICK=1`` (CI) to reduce the number of timed rounds.
 """
@@ -67,15 +75,18 @@ BASELINE_PATH = (
 JSON_OUT = pathlib.Path(__file__).parent / "out" / "BENCH_recommend.json"
 
 #: Warm flag-on must beat warm flag-off by at least this factor.
-MIN_WARM_SPEEDUP = 3.0
+MIN_WARM_SPEEDUP = 2.0
 #: And stay within 20% of the committed baseline's measured speedup.
 REGRESSION_FRACTION = 0.8
 #: Absolute warm flag-on ceiling (full profile); see the module docstring.
 WARM_ON_MS_CEILING = 1.5
+#: Absolute cold ceilings, flag-off and flag-on (both profiles).
+COLD_OFF_MS_CEILING = 4.0
+COLD_ON_MS_CEILING = 3.0
 #: Warm select-profile speedup over flag-off must hold this floor. More
 #: lenient than the screen's: selection trades a little warm latency
 #: headroom (selector bookkeeping) for the smaller optimisation space.
-MIN_SELECT_WARM_SPEEDUP = 2.0
+MIN_SELECT_WARM_SPEEDUP = 1.5
 
 
 def _build_tuner(
@@ -132,6 +143,8 @@ def _trajectory(tuner: OtterTuneTuner, request: TuningRequest) -> dict:
     rounds proper grow the set by one sample each, so their best case
     lands on a smaller set than any warm request sees; only
     ``cold_final_ms`` is a like-for-like reference for the warm path.
+    Its rounds alternate with the warm ones, so a change in the host's
+    speed falls on both sides of that comparison.
     """
     repository = tuner.repository
     sample = repository.samples(request.workload_id)[0]
@@ -145,15 +158,14 @@ def _trajectory(tuner: OtterTuneTuner, request: TuningRequest) -> dict:
         start = time.perf_counter()
         tuner.recommend(request)
         cold.append(time.perf_counter() - start)
+    screen = tuner.surrogate_screen
+    selector = tuner.knob_selector
     warm: list[float] = []
+    cold_final: list[float] = []
     for _ in range(ROUNDS):
         start = time.perf_counter()
         tuner.recommend(request)
         warm.append(time.perf_counter() - start)
-    screen = tuner.surrogate_screen
-    selector = tuner.knob_selector
-    cold_final: list[float] = []
-    for _ in range(ROUNDS):
         fresh = _tuner_over(
             tuner.catalog,
             repository,
@@ -229,6 +241,8 @@ def test_perf_recommend_trajectory(benchmark, emit):
         "baseline_select_warm_speedup": baseline_select,
         "select_regression_floor": REGRESSION_FRACTION * baseline_select,
         "warm_on_ms_ceiling_asserted": (WARM_ON_MS_CEILING if not QUICK else None),
+        "cold_off_ms_ceiling": COLD_OFF_MS_CEILING,
+        "cold_on_ms_ceiling": COLD_ON_MS_CEILING,
     }
 
     JSON_OUT.parent.mkdir(exist_ok=True)
@@ -253,6 +267,8 @@ def test_perf_recommend_trajectory(benchmark, emit):
         f"{baseline_speedup:.2f}x); select {select_speedup:.2f}x "
         f"(gate >= {MIN_SELECT_WARM_SPEEDUP:.1f}x, baseline "
         f"{baseline_select:.2f}x)\n"
+        f"cold ceilings: off < {COLD_OFF_MS_CEILING:.1f} ms, "
+        f"on < {COLD_ON_MS_CEILING:.1f} ms\n"
         f"screen counters: shortlists={screen['shortlists']} "
         f"retrains={screen['retrains']} hits={screen['hits']}; "
         f"selector: reranks={subspace['reranks']} "
@@ -270,7 +286,17 @@ def test_perf_recommend_trajectory(benchmark, emit):
     assert off["warm_ms"]["best"] <= off["cold_final_ms"]["best"]
     assert on["warm_ms"]["best"] <= on["cold_final_ms"]["best"]
 
-    # The headline gate: screening must buy >= 3x on the warm path and
+    # The loop's own pattern: every request follows a version bump.
+    assert off["cold_ms"]["best"] < COLD_OFF_MS_CEILING, (
+        f"cold flag-off {off['cold_ms']['best']:.2f} ms over the "
+        f"{COLD_OFF_MS_CEILING:.1f} ms ceiling"
+    )
+    assert on["cold_ms"]["best"] < COLD_ON_MS_CEILING, (
+        f"cold flag-on {on['cold_ms']['best']:.2f} ms over the "
+        f"{COLD_ON_MS_CEILING:.1f} ms ceiling"
+    )
+
+    # The headline gate: screening must buy >= 2x on the warm path and
     # must not regress more than 20% against the committed baseline.
     assert speedup >= MIN_WARM_SPEEDUP, (
         f"warm speedup {speedup:.2f}x below the {MIN_WARM_SPEEDUP:.1f}x gate"

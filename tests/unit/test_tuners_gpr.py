@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tuners.gpr import GaussianProcessRegressor
+from repro.tuners.gpr import GaussianProcessRegressor, _lower_inverse
 
 
 def _wave(n=40, seed=0):
@@ -77,3 +77,59 @@ class TestUncertainty:
         assert gpr.n_train == 0
         gpr.fit(x, y)
         assert gpr.n_train == 13
+
+
+def _reference_predict(gpr, x, y, x_new):
+    """Reference mean and std: LU solves on the Cholesky factor."""
+    y_mean = float(np.mean(y))
+    y_scale = float(np.std(y)) or 1.0
+    k = gpr._kernel(x, x) + gpr.noise_variance * np.eye(len(x))
+    chol = np.linalg.cholesky(k)
+    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, (y - y_mean) / y_scale))
+    k_star = gpr._kernel(x_new, x)
+    v = np.linalg.solve(chol, k_star.T)
+    var = np.maximum(gpr.signal_variance - np.sum(v**2, axis=0), 1e-12)
+    return k_star @ alpha * y_scale + y_mean, np.sqrt(var) * y_scale
+
+
+class TestInverseFactor:
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 150, 300])
+    def test_blocked_inverse_inverts_the_factor(self, n):
+        x = np.random.default_rng(n).uniform(0, 1, size=(n, 8))
+        gpr = GaussianProcessRegressor(length_scale=0.4)
+        chol = np.linalg.cholesky(gpr._kernel(x, x) + 0.05 * np.eye(n))
+        residual = _lower_inverse(chol) @ chol - np.eye(n)
+        assert np.max(np.abs(residual)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [5, 40, 150])
+    def test_matches_lu_solve_reference(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0, 1, size=(n, 14))
+        # Near-duplicate training points, as the loop's repeated configs give.
+        x[1::2] = x[::2][: n // 2] + 1e-9 * rng.standard_normal((n // 2, 14))
+        y = rng.normal(100.0, 15.0, size=n)
+        x_new = np.vstack([x[:3], rng.uniform(0, 1, size=(50, 14))])
+        gpr = GaussianProcessRegressor(length_scale=0.4).fit(x, y)
+        mean, std = gpr.predict(x_new, return_std=True)
+        ref_mean, ref_std = _reference_predict(gpr, x, y, x_new)
+        np.testing.assert_allclose(mean, ref_mean, rtol=1e-10)
+        np.testing.assert_allclose(std, ref_std, rtol=1e-10)
+
+    @pytest.mark.parametrize("step", ["cholesky", "inv"])
+    def test_failed_refit_keeps_previous_fit(self, monkeypatch, step):
+        x, y = _wave()
+        gpr = GaussianProcessRegressor().fit(x, y)
+        grid = np.random.default_rng(1).uniform(0, 1, size=(10, 2))
+        before = gpr.predict(grid, return_std=True)
+
+        def fail(_):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, step, fail)
+        with pytest.raises(np.linalg.LinAlgError):
+            gpr.fit(x[:7], y[:7] + 1.0)
+        monkeypatch.undo()
+        assert gpr.n_train == len(x)
+        after = gpr.predict(grid, return_std=True)
+        assert np.array_equal(before[0], after[0])
+        assert np.array_equal(before[1], after[1])
