@@ -244,11 +244,12 @@ class KnobSelector:
     """Per-workload dynamic active subspaces over a knob catalog.
 
     One selector lives inside one tuner. :meth:`subspace` serves the
-    repository-backed (BO) path, version-keyed exactly like the tuner's
-    ranking/GPR caches; :meth:`ingest`/:meth:`subspace_for` serve the RL
-    path, which has no repository — there the version is the selector's
-    own row counter. Both return ``None`` (abstain: tune the full
-    space) below ``policy.min_rank_samples``.
+    repository-backed (BO) path, keyed on the repository version so a
+    workload re-ranks at most once per version; :meth:`ingest` and
+    :meth:`subspace_for` serve the RL path, which has no repository —
+    there the version is the selector's own row counter. Both return
+    ``None`` (abstain: tune the full space) below
+    ``policy.min_rank_samples``.
     """
 
     def __init__(self, policy: SelectionPolicy, catalog: KnobCatalog) -> None:
@@ -351,8 +352,8 @@ class KnobSelector:
 
         *configs*/*objective* are the workload's full (append-only)
         sample matrices; only rows past the high-water mark are folded
-        into the running moments. The result is cached per version —
-        the same freshness rule the exact GPR cache applies.
+        into the running moments. The result is cached per version, so a
+        workload re-ranks at most once per version.
         """
         state = self._state(workload_id)
         if state.subspace is not None and state.version == version:

@@ -12,6 +12,10 @@ Pipeline per recommendation:
 5. rank knob importance with a Lasso path for the recommendation report
    (lazily: the path is solved only when ``ranked_knobs`` is read).
 
+Every request rebuilds its training set and refits its GPR: in the
+tuning loop a sample upload precedes each request, so fits keyed on the
+repository version would never be reused.
+
 The §1 scalability cost is modelled by :meth:`recommendation_cost_s`:
 GPR retraining takes ~100–120 s at production sample volumes, so one
 deployment saturates at 3–4 serviced instances under 5-minute periodic
@@ -110,20 +114,9 @@ class OtterTuneTuner(Tuner):
         self._mapper = WorkloadMapper(self.repository)
         self._last_train_size = 0
         self.last_mapping_id: str | None = None
-        # Training set, fitted surrogate and (read) Lasso ranking per
-        # workload, keyed on the repository version they were computed
-        # at: recomputed only when new samples arrive.
-        self._train_cache: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
-        self._gpr_cache: dict[str, tuple[int, GaussianProcessRegressor]] = {}
-        self._ranking_cache: dict[str, tuple[int, list[str]]] = {}
         # Opt-in tiers, armed through configure(): off by default.
         self._screen: SurrogateScreen | None = None
         self._selector: KnobSelector | None = None
-        # Projected GPR per workload, keyed on (version, active set) —
-        # the flag-on sibling of ``_gpr_cache``.
-        self._proj_gpr_cache: dict[
-            str, tuple[int, tuple[int, ...], GaussianProcessRegressor]
-        ] = {}
 
     @property
     def surrogate_screen(self) -> SurrogateScreen | None:
@@ -162,7 +155,7 @@ class OtterTuneTuner(Tuner):
 
     def recommend(self, request: TuningRequest) -> Recommendation:
         """GP-UCB recommendation for *request* (see module docstring)."""
-        x, y = self._training_data(request)
+        x, y = self._training_set(request)
         self._last_train_size = len(y)
         if len(y) < 3:
             # Cold start: no usable history; nudge defaults randomly.
@@ -176,15 +169,20 @@ class OtterTuneTuner(Tuner):
             return Recommendation(
                 request.instance_id, config, self.name, expected_improvement=0.0
             )
-        if self._selector is not None:
-            projected = self._recommend_projected(request, x, y)
-            if projected is not None:
-                return projected
-        gpr, _, _ = self._fitted_surrogate(request)
-        if self._screen is None:
-            candidates = self._candidates(x, y)
-        else:
-            candidates = self._screened_candidates(request, gpr, x, y)
+        sub = None if self._selector is None else self._subspace(request)
+        # One fit per request, over the knobs this request tunes.
+        gpr = GaussianProcessRegressor(length_scale=0.4, noise_variance=0.05).fit(
+            x if sub is None else x[:, list(sub.active)], y
+        )
+        if sub is not None:
+            return self._recommend_projected(request, sub, gpr, x, y)
+        # Repair happens *before* GP-UCB scoring so the surrogate is asked
+        # about configurations that can actually be deployed; otherwise a
+        # budget filter would reject nearly all of the uniform samples
+        # (working areas multiply per session).
+        candidates = self._repair_candidates(
+            self._shortlisted(request, gpr, x, y, self._raw_candidates(x, y))
+        )
         scores = gpr.ucb(candidates, kappa=self.kappa)
         self.recorder.event(
             "tuner.surrogate",
@@ -205,13 +203,7 @@ class OtterTuneTuner(Tuner):
             # Posterior-mean difference: the UCB's exploration bonus is a
             # selection criterion, not an improvement estimate.
             expected_improvement=best_mean - current_pred,
-            ranked_knobs=partial(
-                self._cached_ranking,
-                request.workload_id,
-                self.repository.version,
-                x,
-                y,
-            ),
+            ranked_knobs=partial(self.ranked_knobs, x, y),
         )
 
     def recommendation_cost_s(self) -> float:
@@ -226,7 +218,7 @@ class OtterTuneTuner(Tuner):
         if self._screen is not None:
             # The screen hands exact scoring only the shortlist; model the
             # scoring term shrinking by the same fraction (training cost
-            # is unchanged — the GPR still refits on every version bump).
+            # is unchanged — the GPR still refits on every request).
             total = self.n_candidates + self.n_candidates // 5
             scoring_s *= min(
                 1.0, self._screen.policy.shortlist_size / max(total, 1)
@@ -234,43 +226,6 @@ class OtterTuneTuner(Tuner):
         return 2.0 + train_s + scoring_s
 
     # -- pipeline pieces -----------------------------------------------------------
-
-    def _training_data(self, request: TuningRequest) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_training_set`, cached per workload and version."""
-        version = self.repository.version
-        cached = self._train_cache.get(request.workload_id)
-        if cached is not None and cached[0] == version:
-            return cached[1], cached[2]
-        x, y = self._training_set(request)
-        self._train_cache[request.workload_id] = (version, x, y)
-        return x, y
-
-    def _fitted_surrogate(
-        self, request: TuningRequest
-    ) -> tuple[GaussianProcessRegressor | None, np.ndarray, np.ndarray]:
-        """Training set plus full-space GPR, cached per workload and version.
-
-        Only the full-space path calls this; the projected path fits its
-        own GPR from the training set alone. Fitting is deterministic in
-        (x, y), so a cache hit returns exactly what refitting would. Unlike
-        the decile edges, the surrogate is *not* served stale past the
-        exact-refresh scale: recommendation quality directly suppresses
-        future throttles (the Fig. 9 feedback loop), and the capped
-        training window means one window's samples can move the fit
-        materially.
-        """
-        x, y = self._training_data(request)
-        if len(y) < 3:
-            return None, x, y
-        version = self.repository.version
-        cached = self._gpr_cache.get(request.workload_id)
-        if cached is None or cached[0] != version:
-            gpr = GaussianProcessRegressor(
-                length_scale=0.4, noise_variance=0.05
-            ).fit(x, y)
-            cached = (version, gpr)
-            self._gpr_cache[request.workload_id] = cached
-        return cached[1], x, y
 
     def _training_set(self, request: TuningRequest) -> tuple[np.ndarray, np.ndarray]:
         """Mapped + target samples, objectives standardised per source.
@@ -311,17 +266,6 @@ class OtterTuneTuner(Tuner):
             y = y[-self.max_train_samples :]
         return x, y
 
-    def _candidates(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Random + locally-perturbed candidates, repaired to the budget.
-
-        Repair happens *before* GP-UCB scoring so the surrogate is asked
-        about configurations that can actually be deployed — otherwise a
-        budget filter would reject nearly all of the uniform samples
-        (working areas multiply per session) and the fallback would score
-        swap-inducing configs.
-        """
-        return self._repair_candidates(self._raw_candidates(x, y))
-
     def _raw_candidates(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Unrepaired candidate matrix in normalised [0, 1]^d space."""
         d = len(self.catalog)
@@ -351,60 +295,47 @@ class OtterTuneTuner(Tuner):
         )
         return values_to_vectors(repaired, self.catalog)
 
-    def _screened_candidates(
+    def _shortlisted(
         self,
         request: TuningRequest,
-        gpr: GaussianProcessRegressor | None,
+        gpr: GaussianProcessRegressor,
         x: np.ndarray,
         y: np.ndarray,
+        raw: np.ndarray,
+        active: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Flag-on candidate path: raw → surrogate shortlist → repair.
+        """The rows of *raw* the surrogate screen keeps; all when off or abstaining.
 
-        The screen scores the *unrepaired* matrix — budget repair is the
-        expensive half of candidate generation, and repairing 16
-        survivors instead of 720 candidates is most of the warm-path win.
-        The screen draws only from its own keyed substreams, so
-        ``self._rng`` advances exactly as on the flag-off path.
+        The screen scores the *unrepaired* matrix (on the *active*
+        columns, if given): repairing 16 survivors instead of 720
+        candidates is most of its win. It draws no randomness, so
+        ``self._rng`` advances exactly as with the screen off.
         """
-        assert self._screen is not None
-        raw = self._raw_candidates(x, y)
-        retrains_before = self._screen.retrains
-        keep = self._screen.shortlist(
-            request.workload_id,
-            raw,
-            gpr,
-            x,
-            y,
-            self.kappa,
-            self.repository.version,
+        if self._screen is None:
+            return raw
+        cols = slice(None) if active is None else active
+        keep = self._screen.shortlist(raw[:, cols], gpr, x[:, cols], y, self.kappa)
+        if keep is None:
+            return raw
+        self.recorder.inc("repro_surrogate_shortlists_total")
+        self.recorder.event(
+            "tuner.shortlist",
+            instance=request.instance_id,
+            source=self.name,
+            candidates=len(raw),
+            shortlist=len(keep),
         )
-        if keep is not None:
-            if self._screen.retrains > retrains_before:
-                self.recorder.inc("repro_surrogate_retrains_total")
-            else:
-                self.recorder.inc("repro_surrogate_hits_total")
-            self.recorder.inc("repro_surrogate_shortlists_total")
-            self.recorder.event(
-                "tuner.shortlist",
-                instance=request.instance_id,
-                source=self.name,
-                candidates=len(raw),
-                shortlist=len(keep),
-            )
-            raw = raw[keep]
-        return self._repair_candidates(raw)
+        return raw[keep]
 
     # -- projected (dynamic knob selection) path ---------------------------------
 
-    def _recommend_projected(
-        self, request: TuningRequest, x: np.ndarray, y: np.ndarray
-    ) -> Recommendation | None:
-        """Flag-on recommendation inside the workload's active subspace.
+    def _subspace(self, request: TuningRequest) -> Subspace | None:
+        """The workload's active subspace, or ``None`` to tune all knobs.
 
-        Returns ``None`` when the selector abstains (young workload) —
-        the caller then runs the exact full-space path. No RNG is drawn
-        before the abstain check, so an abstaining selector leaves the
-        stream exactly where the full-space expressions expect it.
+        ``None`` means the selector abstains (young workload) and the
+        exact full-space path runs. No RNG is drawn here, so an
+        abstaining selector leaves the stream exactly where the
+        full-space expressions expect it.
         """
         selector = self._selector
         assert selector is not None
@@ -414,45 +345,41 @@ class OtterTuneTuner(Tuner):
             for knob_name in request.throttle_knobs:
                 selector.note_automaton_signal(knob_name)
         dataset = self.repository.dataset(request.workload_id)
-        version = self.repository.version
         before = selector.counters()
+        version = self.repository.version
         sub = selector.subspace(
             request.workload_id, dataset.configs, dataset.objective, version
         )
-        if sub is None:
-            return None
-        selector.record_deltas(self.recorder, before)
+        if sub is not None:
+            selector.record_deltas(self.recorder, before)
+        return sub
 
+    def _recommend_projected(
+        self,
+        request: TuningRequest,
+        sub: Subspace,
+        gpr: GaussianProcessRegressor,
+        x: np.ndarray,
+        y: np.ndarray,
+    ) -> Recommendation:
+        """Recommendation inside the workload's active subspace *sub*.
+
+        *gpr* is fitted on the active columns of *x*; inactive knobs are
+        carried from the incumbent configuration.
+        """
+        selector = self._selector
+        assert selector is not None
         active = np.fromiter(sub.active, dtype=np.intp)
         names = self.catalog.names()
         incumbent = config_to_vector(request.config)
-        gpr = self._projected_gpr(request.workload_id, sub, x, y, version)
-        raw = self._raw_candidates_projected(x, y, incumbent, active)
-        if self._screen is not None:
-            retrains_before = self._screen.retrains
-            keep = self._screen.shortlist(
-                request.workload_id,
-                raw[:, active],
-                gpr,
-                x[:, active],
-                y,
-                self.kappa,
-                version,
-            )
-            if keep is not None:
-                if self._screen.retrains > retrains_before:
-                    self.recorder.inc("repro_surrogate_retrains_total")
-                else:
-                    self.recorder.inc("repro_surrogate_hits_total")
-                self.recorder.inc("repro_surrogate_shortlists_total")
-                self.recorder.event(
-                    "tuner.shortlist",
-                    instance=request.instance_id,
-                    source=self.name,
-                    candidates=len(raw),
-                    shortlist=len(keep),
-                )
-                raw = raw[keep]
+        raw = self._shortlisted(
+            request,
+            gpr,
+            x,
+            y,
+            self._raw_candidates_projected(x, y, incumbent, active),
+            active,
+        )
         candidates = self._repair_candidates_frozen(raw, active)
         scores = gpr.ucb(candidates[:, active], kappa=self.kappa)
         self.recorder.event(
@@ -499,35 +426,6 @@ class OtterTuneTuner(Tuner):
             expected_improvement=best_mean - current_pred,
             ranked_knobs=list(ranking),
         )
-
-    def _projected_gpr(
-        self,
-        workload_id: str,
-        sub: Subspace,
-        x: np.ndarray,
-        y: np.ndarray,
-        version: int,
-    ) -> GaussianProcessRegressor:
-        """GPR over the active columns, keyed on (version, active set).
-
-        The active set is itself a pure function of the version (the
-        selector re-ranks at most once per version), so version keying
-        is as safe here as on the full-space ``_gpr_cache``; the set is
-        kept in the key anyway as a guard.
-        """
-        cached = self._proj_gpr_cache.get(workload_id)
-        if (
-            cached is not None
-            and cached[0] == version
-            and cached[1] == sub.active
-        ):
-            return cached[2]
-        active = np.fromiter(sub.active, dtype=np.intp)
-        gpr = GaussianProcessRegressor(
-            length_scale=0.4, noise_variance=0.05
-        ).fit(x[:, active], y)
-        self._proj_gpr_cache[workload_id] = (version, sub.active, gpr)
-        return gpr
 
     def _raw_candidates_projected(
         self,
@@ -583,22 +481,6 @@ class OtterTuneTuner(Tuner):
         return config.fitted_to_budget(
             self.memory_limit_mb, self.active_connections
         )
-
-    def _cached_ranking(
-        self, workload_id: str, version: int, x: np.ndarray, y: np.ndarray
-    ) -> list[str]:
-        """Lasso ranking of *workload_id*'s training set (*x*, *y*) at *version*.
-
-        The ranker a full-space :class:`Recommendation` resolves on the
-        first read of ``ranked_knobs``; unread rankings cost nothing. The
-        training set is a pure function of the repository contents and
-        the workload id, so one solve serves every read at *version*.
-        """
-        cached = self._ranking_cache.get(workload_id)
-        if cached is None or cached[0] != version:
-            cached = (version, self.ranked_knobs(x, y))
-            self._ranking_cache[workload_id] = cached
-        return list(cached[1])
 
     def ranked_knobs(self, x: np.ndarray, y: np.ndarray) -> list[str]:
         """Knob names ranked by Lasso-path importance on (*x*, *y*)."""

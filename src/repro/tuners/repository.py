@@ -168,9 +168,9 @@ class WorkloadRepository:
     def version(self) -> int:
         """Monotonic data version; bumped whenever a sample lands.
 
-        Consumers (the workload mapper's decile bin edges, the OtterTune
-        training set, surrogate and Lasso ranking) key their derived state
-        on this counter so they recompute only when new samples actually
+        Consumers (the workload mapper's decile bin edges and mapping
+        results, the knob selector's subspaces) key their derived state on
+        this counter so they recompute only when new samples actually
         arrive instead of on every tuning request.
         """
         return self._version

@@ -1,6 +1,6 @@
 """Surrogate-assisted candidate screening for the BO-style tuner.
 
-Exact GP-UCB scoring is what makes a warm ``recommend()`` cost
+Exact GP-UCB scoring is what makes ``recommend()`` cost
 milliseconds: the posterior std needs a LAPACK solve against every
 candidate's kernel column, and the §4 budget repair round-trips the
 whole candidate matrix through knob space first. Related work (E2ETune's
@@ -8,12 +8,12 @@ whole candidate matrix through knob space first. Related work (E2ETune's
 cheap learned surrogate before touching the expensive optimizer; this
 module does the same for the OtterTune pipeline:
 
-1. On every repository version bump the screen trains a
-   :class:`CoresetGPR` per workload cluster: a GP with the *same* kernel
-   hyperparameters as the exact scorer, fitted on a small k-center
-   coreset of the cluster's (knob vector → objective) training samples,
-   with the posterior-variance solve replaced by a precomputed inverse
-   so batch scoring is two small matmuls and no per-call LAPACK.
+1. On every shortlist request the screen fits a :class:`CoresetGPR`: a
+   GP with the *same* kernel hyperparameters as the exact scorer,
+   fitted on a small k-center coreset of the request's (knob vector →
+   objective) training set, with the posterior-variance solve replaced
+   by a precomputed inverse so batch scoring is two small matmuls and
+   no per-call LAPACK.
 2. At recommendation time the surrogate UCB-scores the *raw* candidate
    set (before budget repair — the expensive half of candidate
    generation) and keeps only the top ``shortlist_size``. Budget repair
@@ -32,10 +32,10 @@ version every window.
 Everything is deterministic, with *no* randomness at all: the k-center
 selection starts at the best-objective sample and breaks ties by lowest
 index, so the fitted surrogate — and therefore every prediction and
-shortlist — is a pure function of (policy, training set). Models are
-version-keyed on the repository row counter exactly like the Lasso/GPR
-caches: a stale model retrains on the next shortlist request, never
-mid-version.
+shortlist — is a pure function of (policy, training set). No model is
+kept between requests: in the tuning loop a sample upload precedes
+every request, so a model keyed on the repository version would never
+be reused.
 
 The screen is **off by default** everywhere. With no
 :class:`SurrogatePolicy` wired the tuner never trains a model, draws no
@@ -63,13 +63,6 @@ __all__ = [
 #: registries (like the safety governor's families) so
 #: ``repro trace --metrics`` surfaces them even before a sample lands.
 SURROGATE_METRIC_FAMILIES: dict[str, str] = {
-    "repro_surrogate_hits_total": (
-        "Shortlist requests served by a cached (current-version) "
-        "surrogate model."
-    ),
-    "repro_surrogate_retrains_total": (
-        "Surrogate models refitted after a repository version bump."
-    ),
     "repro_surrogate_shortlists_total": (
         "Candidate sets prefiltered to a surrogate shortlist before "
         "exact GP-UCB scoring."
@@ -87,7 +80,7 @@ class SurrogatePolicy:
         Candidates surviving the screen; §4 budget repair and exact
         GP-UCB run only on these. 16 retains the exact argmax ≥ 90% of
         the time on seeded fixtures (``tests/unit/test_surrogate.py``)
-        while cutting warm recommend well past 3x
+        while cutting recommend latency 1.3-1.7x
         (``benchmarks/test_perf_recommend.py``).
     max_coreset:
         Upper bound on the surrogate's k-center training subset. The
@@ -277,47 +270,33 @@ class CoresetGPR:
 
 
 class SurrogateScreen:
-    """Per-workload surrogate models, version-keyed on the repository.
+    """Coreset-GP prefilter for one BO-style tuner's candidate sets.
 
-    One screen lives inside one BO-style tuner. :meth:`shortlist` either
-    returns indices into the candidate matrix (top
-    ``policy.shortlist_size`` by surrogate UCB, descending, ties by
-    candidate index) or ``None`` when it abstains — too little training
-    data, or no fitted exact GPR to mirror. The caller keeps the full
-    candidate set in that case, so enabling the screen can never *lose*
-    candidates on thin repositories.
+    :meth:`shortlist` either returns indices into the candidate matrix
+    (top ``policy.shortlist_size`` by surrogate UCB, descending, ties by
+    candidate index) or ``None`` when it abstains — no fitted exact GPR
+    to mirror, no candidates, or too little training data. The caller
+    keeps the full candidate set in that case, so enabling the screen
+    can never *lose* candidates on thin repositories.
     """
 
     def __init__(self, policy: SurrogatePolicy) -> None:
         self.policy = policy
-        #: workload id -> (repository version, fitted surrogate).
-        self._models: dict[str, tuple[int, CoresetGPR]] = {}
-        self.hits = 0
-        self.retrains = 0
         self.shortlists = 0
-
-    def model_version(self, workload_id: str) -> int | None:
-        """Repository version the cached model was fitted at."""
-        cached = self._models.get(workload_id)
-        return cached[0] if cached is not None else None
 
     def shortlist(
         self,
-        workload_id: str,
         candidates: np.ndarray,
         gpr: GaussianProcessRegressor | None,
         x: np.ndarray,
         y: np.ndarray,
         kappa: float,
-        version: int,
     ) -> np.ndarray | None:
         """Indices of the surviving candidates, or ``None`` to abstain.
 
-        *version* is the repository row counter the (x, y) training set
-        was materialised at; the cached model is reused iff it was
-        fitted at exactly that version — the same freshness rule the
-        exact GPR cache applies, so screen and scorer always agree on
-        what they were trained from.
+        The surrogate is fitted on (*x*, *y*), the training set *gpr*
+        was fitted on, with *gpr*'s kernel hyperparameters, so screen
+        and scorer always agree on what they were trained from.
         """
         if (
             gpr is None
@@ -325,7 +304,7 @@ class SurrogateScreen:
             or len(y) < self.policy.min_train_samples
         ):
             return None
-        model = self._model_for(workload_id, gpr, x, y, version)
+        model = CoresetGPR.matching(gpr, self.policy.max_coreset).fit(x, y)
         scores = model.ucb(candidates, kappa=kappa)
         k = min(self.policy.shortlist_size, len(candidates))
         keep = np.argpartition(-scores, k - 1)[:k]
@@ -334,20 +313,3 @@ class SurrogateScreen:
         keep = keep[np.lexsort((keep, -scores[keep]))]
         self.shortlists += 1
         return keep
-
-    def _model_for(
-        self,
-        workload_id: str,
-        gpr: GaussianProcessRegressor,
-        x: np.ndarray,
-        y: np.ndarray,
-        version: int,
-    ) -> CoresetGPR:
-        cached = self._models.get(workload_id)
-        if cached is not None and cached[0] == version:
-            self.hits += 1
-            return cached[1]
-        model = CoresetGPR.matching(gpr, self.policy.max_coreset).fit(x, y)
-        self._models[workload_id] = (version, model)
-        self.retrains += 1
-        return model

@@ -5,8 +5,8 @@ Invariants the screen must hold for *any* seeded training set:
 - **determinism** — two independently constructed screens given the same
   training set and candidates produce byte-identical predictions and the
   same shortlist order; there is no hidden RNG state;
-- **version-keyed retraining** — a retrain fires exactly when the
-  repository version moves, never on a repeat of the same version;
+- **abstention** — with no exact GPR to mirror, or no candidates, the
+  screen answers ``None`` and counts no shortlist;
 - **shortlist sanity** — the shortlist is always a duplicate-free subset
   of the candidate indices and is never empty when candidates exist and
   the screen does not abstain.
@@ -63,12 +63,8 @@ class TestDeterminism:
         candidates = _candidates(seed, n_candidates)
         gpr = GaussianProcessRegressor().fit(x, y)
         policy = SurrogatePolicy(shortlist_size=size, min_train_samples=4)
-        keep_a = SurrogateScreen(policy).shortlist(
-            "w", candidates, gpr, x, y, 0.5, version=1
-        )
-        keep_b = SurrogateScreen(policy).shortlist(
-            "w", candidates, gpr, x, y, 0.5, version=1
-        )
+        keep_a = SurrogateScreen(policy).shortlist(candidates, gpr, x, y, 0.5)
+        keep_b = SurrogateScreen(policy).shortlist(candidates, gpr, x, y, 0.5)
         assert keep_a is not None and keep_b is not None
         assert keep_a.tolist() == keep_b.tolist()
 
@@ -83,40 +79,20 @@ class TestDeterminism:
 
 
 class TestVersionKeyedRetrain:
-    @given(seeds, st.integers(min_value=2, max_value=6))
-    @settings(max_examples=30, deadline=None)
-    def test_retrain_fires_exactly_on_version_bump(self, seed, repeats):
-        x, y = _training_set(seed, 30)
-        candidates = _candidates(seed, 40)
-        gpr = GaussianProcessRegressor().fit(x, y)
-        screen = SurrogateScreen(SurrogatePolicy(min_train_samples=4))
-        for _ in range(repeats):
-            screen.shortlist("w", candidates, gpr, x, y, 0.5, version=10)
-        assert screen.retrains == 1
-        assert screen.hits == repeats - 1
-        # The version moves: exactly one more retrain, however often the
-        # new version repeats afterwards.
-        for _ in range(repeats):
-            screen.shortlist("w", candidates, gpr, x, y, 0.5, version=11)
-        assert screen.retrains == 2
-        assert screen.hits == 2 * (repeats - 1)
-        assert screen.model_version("w") == 11
-
     @given(seeds)
     @settings(max_examples=30, deadline=None)
     def test_abstentions_never_touch_the_cache(self, seed):
         x, y = _training_set(seed, 30)
         candidates = _candidates(seed, 20)
         screen = SurrogateScreen(SurrogatePolicy(min_train_samples=4))
-        assert screen.shortlist("w", candidates, None, x, y, 0.5, 1) is None
+        assert screen.shortlist(candidates, None, x, y, 0.5) is None
         assert (
-            screen.shortlist("w", candidates[:0],
-                             GaussianProcessRegressor().fit(x, y),
-                             x, y, 0.5, 1)
+            screen.shortlist(
+                candidates[:0], GaussianProcessRegressor().fit(x, y), x, y, 0.5
+            )
             is None
         )
-        assert screen.retrains == 0
-        assert screen.model_version("w") is None
+        assert screen.shortlists == 0
 
 
 class TestShortlistSanity:
@@ -127,9 +103,7 @@ class TestShortlistSanity:
         candidates = _candidates(seed, n_candidates)
         gpr = GaussianProcessRegressor().fit(x, y)
         policy = SurrogatePolicy(shortlist_size=size, min_train_samples=4)
-        keep = SurrogateScreen(policy).shortlist(
-            "w", candidates, gpr, x, y, 0.5, version=1
-        )
+        keep = SurrogateScreen(policy).shortlist(candidates, gpr, x, y, 0.5)
         # Candidates exist and the screen has enough data: it must answer.
         assert keep is not None and len(keep) > 0
         assert len(keep) == min(size, n_candidates)
@@ -146,10 +120,10 @@ class TestShortlistSanity:
         candidates = _candidates(seed, n_candidates)
         gpr = GaussianProcessRegressor().fit(x, y)
         policy = SurrogatePolicy(shortlist_size=size, min_train_samples=4)
-        screen = SurrogateScreen(policy)
-        keep = screen.shortlist("w", candidates, gpr, x, y, 0.5, version=1)
+        keep = SurrogateScreen(policy).shortlist(candidates, gpr, x, y, 0.5)
         assert keep is not None
-        model = screen._models["w"][1]
+        # The screen's model is a pure function of (policy, training set).
+        model = CoresetGPR.matching(gpr, policy.max_coreset).fit(x, y)
         scores = model.ucb(candidates, kappa=0.5)[keep]
         assert all(
             scores[i] >= scores[i + 1] for i in range(len(scores) - 1)

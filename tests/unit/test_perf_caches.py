@@ -1,7 +1,7 @@
 """Version-keyed cache invalidation and vectorised-path parity tests.
 
-The perf work caches derived tuning state (Lasso rankings, decile bin
-edges, GPR fits, per-family service times) behind the repository version
+The perf work caches derived tuning state (decile bin edges, mapping
+results, per-family service times) behind the repository version
 counter / the database config epoch, and replaces scalar hot paths with
 batched equivalents. These tests pin down the two properties that make
 that safe: caches refresh exactly when their inputs change, and the
@@ -77,28 +77,13 @@ def repo_and_request(pg_catalog):
 
 
 class TestRankingCache:
-    def test_recomputed_only_on_version_bump(self, pg_catalog, repo_and_request):
-        repo, request, sample = repo_and_request
-        tuner = OtterTuneTuner(pg_catalog, repo, memory_limit_mb=6553.6, seed=1)
-        calls = []
-        inner = tuner.ranked_knobs
-        tuner.ranked_knobs = lambda x, y: calls.append(1) or inner(x, y)
-
-        first = tuner.recommend(request).ranked_knobs
-        second = tuner.recommend(request).ranked_knobs
-        assert len(calls) == 1
-        assert first == second
-
-        repo.add(TrainingSample("tpcc", sample.config, sample.metrics, 99.0))
-        assert tuner.recommend(request).ranked_knobs
-        assert len(calls) == 2
-
     def test_ranking_matches_uncached(self, pg_catalog, repo_and_request):
+        """The memoised ``ranked_knobs`` equals a direct solve."""
         repo, request, _ = repo_and_request
         tuner = OtterTuneTuner(pg_catalog, repo, memory_limit_mb=6553.6, seed=1)
         cached = tuner.recommend(request).ranked_knobs
         ds = repo.dataset("tpcc")
-        gpr, x, y = tuner._fitted_surrogate(request)
+        x, y = tuner._training_set(request)
         assert cached == tuner.ranked_knobs(x, y)
         assert ds.size >= 5  # ranking is non-trivial at this size
 
@@ -137,7 +122,7 @@ class TestLazyRanking:
         repo, request, sample = repo_and_request
         tuner = OtterTuneTuner(pg_catalog, repo, memory_limit_mb=6553.6, seed=1)
         stale = tuner.recommend(request)
-        _, x, y = tuner._fitted_surrogate(request)
+        x, y = tuner._training_set(request)
         repo.add(TrainingSample("tpcc", sample.config, sample.metrics, 99.0))
         assert tuner.recommend(request).ranked_knobs
         assert stale.ranked_knobs == tuner.ranked_knobs(x, y)
@@ -167,28 +152,6 @@ class TestMapperEdgeCache:
         assert mapper.map_workload("tpcc") is result
         repo.add(TrainingSample("ycsb", sample.config, sample.metrics, 99.0))
         assert mapper.map_workload("tpcc") is not result
-
-
-class TestGPRFitCache:
-    def test_fit_reused_at_same_version(self, pg_catalog, repo_and_request):
-        repo, request, sample = repo_and_request
-        tuner = OtterTuneTuner(pg_catalog, repo, memory_limit_mb=6553.6, seed=1)
-        gpr1, _, _ = tuner._fitted_surrogate(request)
-        gpr2, _, _ = tuner._fitted_surrogate(request)
-        assert gpr1 is gpr2
-        repo.add(TrainingSample("tpcc", sample.config, sample.metrics, 99.0))
-        gpr3, _, _ = tuner._fitted_surrogate(request)
-        assert gpr3 is not gpr1
-
-    def test_fit_is_exact_even_at_scale(self, pg_catalog, repo_and_request):
-        """The surrogate never amortises: one version bump = one refit."""
-        repo, request, sample = repo_and_request
-        repo.exact_refresh_limit = 0  # rankings/edges would now amortise
-        tuner = OtterTuneTuner(pg_catalog, repo, memory_limit_mb=6553.6, seed=1)
-        gpr1, _, _ = tuner._fitted_surrogate(request)
-        repo.add(TrainingSample("tpcc", sample.config, sample.metrics, 99.0))
-        gpr2, _, _ = tuner._fitted_surrogate(request)
-        assert gpr2 is not gpr1
 
 
 # -- executor service-time memo ------------------------------------------------

@@ -3,11 +3,12 @@
 Three concerns:
 
 - mechanics: policy validation, k-center coreset selection, the
-  coreset GP's posterior, the screen's cache/abstain behaviour;
+  coreset GP's posterior, the screen's abstain behaviour, and the one
+  shortlist counter and event per screened recommendation;
 - **parity/regret**: across seeded fixture repositories built by the
   real offline-training pipeline, the surrogate's shortlist must retain
   the exact GP-UCB argmax at least 90% of the time — the guarantee the
-  warm-path speedup is allowed to cost;
+  screen's speedup is allowed to cost;
 - **flag-off byte parity**: with no policy wired, a quick fig09 window
   must render byte-identically to the pre-surrogate golden capture
   (``tests/golden/fig09_quick.txt``).
@@ -22,10 +23,13 @@ from repro.cli import main
 from repro.core.features import Features
 from repro.dbsim.knobs import postgres_catalog
 from repro.experiments.common import offline_train
+from repro.obs.trace import TraceRecorder
 from repro.tuners.base import TuningRequest
 from repro.tuners.gpr import GaussianProcessRegressor
+from repro.tuners.knob_selection import SelectionPolicy
 from repro.tuners.ottertune import OtterTuneTuner
 from repro.tuners.surrogate import (
+    SURROGATE_METRIC_FAMILIES,
     CoresetGPR,
     SurrogatePolicy,
     SurrogateScreen,
@@ -139,45 +143,19 @@ class TestScreenCache:
         screen = SurrogateScreen(SurrogatePolicy(min_train_samples=4))
         gpr, x, y = self._fitted()
         candidates = np.random.default_rng(2).uniform(0, 1, size=(30, x.shape[1]))
-        assert screen.shortlist("w", candidates, None, x, y, 0.5, 1) is None
-        assert (
-            screen.shortlist("w", candidates[:0], gpr, x, y, 0.5, 1) is None
-        )
-        assert (
-            screen.shortlist("w", candidates, gpr, x[:3], y[:3], 0.5, 1) is None
-        )
+        assert screen.shortlist(candidates, None, x, y, 0.5) is None
+        assert screen.shortlist(candidates[:0], gpr, x, y, 0.5) is None
+        assert screen.shortlist(candidates, gpr, x[:3], y[:3], 0.5) is None
         assert screen.shortlists == 0
 
     def test_shortlist_is_subset_and_sized(self):
         screen = SurrogateScreen(SurrogatePolicy(shortlist_size=8))
         gpr, x, y = self._fitted()
         candidates = np.random.default_rng(3).uniform(0, 1, size=(40, x.shape[1]))
-        keep = screen.shortlist("w", candidates, gpr, x, y, 0.5, 1)
+        keep = screen.shortlist(candidates, gpr, x, y, 0.5)
         assert keep is not None and len(keep) == 8
         assert len(set(keep.tolist())) == 8
         assert all(0 <= i < 40 for i in keep)
-
-    def test_cache_hit_until_version_bump(self):
-        screen = SurrogateScreen(SurrogatePolicy())
-        gpr, x, y = self._fitted()
-        candidates = np.random.default_rng(4).uniform(0, 1, size=(50, x.shape[1]))
-        screen.shortlist("w", candidates, gpr, x, y, 0.5, version=7)
-        screen.shortlist("w", candidates, gpr, x, y, 0.5, version=7)
-        assert (screen.retrains, screen.hits) == (1, 1)
-        assert screen.model_version("w") == 7
-        screen.shortlist("w", candidates, gpr, x, y, 0.5, version=8)
-        assert (screen.retrains, screen.hits) == (2, 1)
-        assert screen.model_version("w") == 8
-
-    def test_models_keyed_per_workload(self):
-        screen = SurrogateScreen(SurrogatePolicy())
-        gpr, x, y = self._fitted()
-        candidates = np.random.default_rng(5).uniform(0, 1, size=(30, x.shape[1]))
-        screen.shortlist("a", candidates, gpr, x, y, 0.5, 1)
-        screen.shortlist("b", candidates, gpr, x, y, 0.5, 1)
-        assert screen.retrains == 2
-        assert screen.model_version("a") == 1
-        assert screen.model_version("b") == 1
 
 
 def _fixture_repository(seed: int):
@@ -205,12 +183,14 @@ class TestArgmaxRetention:
             request = TuningRequest(
                 "db0", workload_id, sample.config, sample.metrics, timestamp_s=0.0
             )
-            gpr, x, y = tuner._fitted_surrogate(request)
-            assert gpr is not None
+            x, y = tuner._training_set(request)
+            gpr = GaussianProcessRegressor(
+                length_scale=0.4, noise_variance=0.05
+            ).fit(x, y)
             raw = tuner._raw_candidates(x, y)
             exact_best = int(np.argmax(gpr.ucb(raw, kappa=tuner.kappa)))
             keep = SurrogateScreen(policy).shortlist(
-                workload_id, raw, gpr, x, y, tuner.kappa, repository.version
+                raw, gpr, x, y, tuner.kappa
             )
             assert keep is not None and len(keep) <= policy.shortlist_size
             if exact_best in keep:
@@ -256,9 +236,67 @@ class TestArgmaxRetention:
         )
         tuner.recommend(request)
         tuner.recommend(request)
-        screen = tuner.surrogate_screen
-        assert screen.shortlists == 2
-        assert (screen.retrains, screen.hits) == (1, 1)
+        assert tuner.surrogate_screen.shortlists == 2
+
+
+class TestShortlistTelemetry:
+    """One ``tuner.shortlist`` event and one counter tick per screened request.
+
+    The full-space and projected (knob-selection) paths share the
+    shortlist step, so both must report it the same way.
+    """
+
+    REQUESTS = 2
+
+    def _trace(self, features: Features) -> tuple[list[str], dict[str, float]]:
+        catalog, repository = _fixture_repository(2)
+        tuner = OtterTuneTuner(catalog, repository, seed=9)
+        tuner.configure(features)
+        recorder = TraceRecorder()
+        tuner.bind_recorder(recorder)
+        workload_id = repository.workload_ids()[0]
+        sample = repository.samples(workload_id)[0]
+        request = TuningRequest(
+            "db0", workload_id, sample.config, sample.metrics, timestamp_s=0.0
+        )
+        for _ in range(self.REQUESTS):
+            tuner.recommend(request)
+        names = [event.name for event in recorder.events]
+        counts = {
+            metric.name: metric.value for metric in recorder.metrics.samples()
+        }
+        return names, counts
+
+    @pytest.mark.parametrize(
+        "selection", [None, SelectionPolicy()], ids=["full-space", "projected"]
+    )
+    def test_one_event_and_increment_per_screened_request(self, selection):
+        names, counts = self._trace(
+            Features(surrogate=SurrogatePolicy(), selection=selection)
+        )
+        assert names.count("tuner.surrogate") == self.REQUESTS
+        assert names.count("tuner.shortlist") == self.REQUESTS
+        assert counts["repro_surrogate_shortlists_total"] == self.REQUESTS
+        # The projected path really ran when selection was armed.
+        projected = 0 if selection is None else self.REQUESTS
+        assert names.count("tuner.subspace") == projected
+
+    @pytest.mark.parametrize(
+        "selection", [None, SelectionPolicy()], ids=["full-space", "projected"]
+    )
+    def test_abstaining_screen_emits_neither(self, selection):
+        abstaining = SurrogatePolicy(min_train_samples=10_000)
+        names, counts = self._trace(
+            Features(surrogate=abstaining, selection=selection)
+        )
+        assert names.count("tuner.surrogate") == self.REQUESTS
+        assert "tuner.shortlist" not in names
+        assert "repro_surrogate_shortlists_total" not in counts
+
+    def test_metric_families_cover_all_counters(self):
+        assert set(SURROGATE_METRIC_FAMILIES) == {
+            "repro_surrogate_shortlists_total"
+        }
 
 
 class TestFlagOffGoldenParity:

@@ -85,7 +85,7 @@ class TestTrainedRecommendation:
         request = _request(pg_catalog)
         rec = tuner.recommend(request)
         cloned = clone(rec)
-        _, x, y = tuner._fitted_surrogate(request)
+        x, y = tuner._training_set(request)
         assert cloned.ranked_knobs == rec.ranked_knobs == tuner.ranked_knobs(x, y)
         assert cloned == rec
 
