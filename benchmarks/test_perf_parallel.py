@@ -2,11 +2,12 @@
 
 Two measurements, one JSON artifact (``benchmarks/out/BENCH_parallel.json``):
 
-1. **Engine trajectory** — steps a :class:`LiveFleet` serially at 80, 1k
-   (and 10k in the full profile) members, splitting each window into its
-   three phases (workload generation, columnar ``step_window``, monitoring
-   ingest) and reporting members/s for the engine phases and the full
-   step. The serial 1k-member engine rate is the regression-gated number:
+1. **Engine trajectory** — builds 80, 1k (and 10k in the full profile)
+   fleet members with :func:`~repro.cloud.fleet.build_member` and steps
+   them serially through one :class:`~repro.dbsim.batch_engine.MemberBatch`,
+   the engine a fig09 shard worker runs. Each window splits into its three
+   phases (workload generation, columnar ``step_window``, monitoring
+   ingest), reporting members/s for the engine phases and the full step. The serial 1k-member engine rate is the regression-gated number:
    it must stay within 20% of the committed baseline
    (``benchmarks/baselines/BENCH_parallel_baseline.json``) and at least 3x
    above the recorded PR-5 per-object-loop engine.
@@ -33,7 +34,9 @@ import time
 
 from conftest import run_once
 
-from repro.cloud.fleet import LiveFleet
+from repro.cloud.fleet import FleetSpec, build_member
+from repro.common.rng import stream_root
+from repro.dbsim.batch_engine import MemberBatch
 from repro.experiments import fig09_requests_per_minute as fig09
 from repro.parallel import SessionStats
 
@@ -62,22 +65,24 @@ def _usable_cores() -> int:
 
 def _engine_point(members: int, windows: int) -> dict:
     """Serial phase-split trajectory point: gen / engine step / ingest."""
-    fleet = LiveFleet(size=members, seed=0)
-    gen_s = run_s = ingest_s = 0.0
+    spec = FleetSpec(size=members, root=stream_root(0))
+    fleet = [build_member(spec, i) for i in range(members)]
+    engine = MemberBatch([member.deployment.service.master for member in fleet])
+    clock_s = gen_s = run_s = ingest_s = 0.0
     for _ in range(windows):
         t0 = time.perf_counter()
         batches = [
             member.workload.batch(
-                WINDOW_S, start_time_s=fleet.clock_s + member.phase_offset_s
+                WINDOW_S, start_time_s=clock_s + member.phase_offset_s
             )
-            for member in fleet.members
+            for member in fleet
         ]
         t1 = time.perf_counter()
-        results = fleet._engine.step_window(batches)
+        results = engine.step_window(batches)
         t2 = time.perf_counter()
-        for member, result in zip(fleet.members, results):
+        for member, result in zip(fleet, results):
             member.monitoring.ingest(result)
-        fleet.clock_s += WINDOW_S
+        clock_s += WINDOW_S
         t3 = time.perf_counter()
         gen_s += t1 - t0
         run_s += t2 - t1

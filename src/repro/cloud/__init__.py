@@ -1,10 +1,9 @@
-"""Cloud substrate: VM types, provisioner, monitoring agent, live fleet."""
+"""Cloud substrate: VM types, provisioner, monitoring agent, fleet members."""
 
 from repro.cloud.fleet import (
     PAPER_PLAN_MIX,
     FleetMember,
     FleetSpec,
-    LiveFleet,
     build_member,
 )
 from repro.cloud.metrics_export import render_agent_metrics, render_counters
@@ -19,7 +18,6 @@ __all__ = [
     "FleetSpec",
     "build_member",
     "HDD",
-    "LiveFleet",
     "MonitoringAgent",
     "PAPER_PLAN_MIX",
     "Provisioner",

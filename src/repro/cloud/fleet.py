@@ -3,32 +3,28 @@
 Provisions *n* database services across the paper's VM plan mix
 (t2.small, t2.medium, m4.large, t2.large, m4.xlarge), assigns each a
 production-style diurnal workload with per-instance scale and phase
-jitter, and steps simulated time one monitoring window at a time across
-the whole fleet. Figs. 9, 12 and 13 run on top of this.
+jitter. Fig. 9's shard workers build their members here and step them
+through one :class:`~repro.dbsim.batch_engine.MemberBatch` per shard.
 
 Every member derives its randomness from a **keyed substream** of the
 fleet's entropy root (:func:`~repro.common.rng.substream` keyed by the
 member's fleet index), never from draws shared across members. That is
 what lets the sharded executor (:mod:`repro.parallel`) rebuild member
 *i* in any worker process — via :func:`build_member` — with exactly the
-state a serial :class:`LiveFleet` would have given it, making fleet
-results invariant to shard and worker count.
+state a serial build would have given it, making fleet results
+invariant to shard and worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cloud.monitoring import MonitoringAgent
 from repro.cloud.provisioner import Provisioner, ServiceDeployment
-from repro.common.rng import stream_root, substream
-from repro.dbsim.batch_engine import MemberBatch
-from repro.dbsim.engine import ExecutionResult
+from repro.common.rng import substream
 from repro.workloads.production import ProductionWorkload
 
-__all__ = ["FleetMember", "FleetSpec", "LiveFleet", "PAPER_PLAN_MIX", "build_member"]
+__all__ = ["FleetMember", "FleetSpec", "PAPER_PLAN_MIX", "build_member"]
 
 #: The §5 deployment plans, cycled over when provisioning the fleet.
 PAPER_PLAN_MIX: tuple[str, ...] = (
@@ -112,88 +108,3 @@ def build_member(spec: FleetSpec, index: int) -> FleetMember:
         ),
         phase_offset_s=phase_offset_s,
     )
-
-
-class LiveFleet:
-    """*n* production databases stepped in lockstep windows.
-
-    Parameters
-    ----------
-    size:
-        Number of databases (the paper connects 80).
-    flavor:
-        DBMS flavor for every member.
-    mean_rps_range:
-        Per-member daily-average rate is drawn uniformly from this range —
-        production tenants differ in size.
-    seed:
-        Master seed; members derive keyed substreams from it (see
-        :func:`build_member`).
-    sample_size:
-        Per-window query-log sample size of every member's workload (the
-        number of concrete queries materialised for the TDE to read).
-    monitoring_retention_s:
-        Retention window of every member's monitoring agent (see
-        :class:`~repro.cloud.monitoring.MonitoringAgent`); ``None``
-        retains everything.
-    """
-
-    def __init__(
-        self,
-        size: int = 80,
-        flavor: str = "postgres",
-        mean_rps_range: tuple[float, float] = (80.0, 600.0),
-        seed: int | np.random.Generator | None = 0,
-        sample_size: int = 200,
-        monitoring_retention_s: float | None = None,
-    ) -> None:
-        self.spec = FleetSpec(
-            size=size,
-            flavor=flavor,
-            mean_rps_range=mean_rps_range,
-            root=stream_root(seed),
-            sample_size=sample_size,
-            monitoring_retention_s=monitoring_retention_s,
-        )
-        self.members: list[FleetMember] = [
-            build_member(self.spec, i) for i in range(size)
-        ]
-        self._engine = MemberBatch(
-            [m.deployment.service.master for m in self.members]
-        )
-        self.clock_s = 0.0
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def step(self, window_s: float) -> list[tuple[FleetMember, ExecutionResult]]:
-        """Run one window on every member and advance the fleet clock."""
-        out: list[tuple[FleetMember, ExecutionResult]] = []
-        if any(m.deployment.service.master.crashed for m in self.members):
-            # Serial semantics for a downed member: earlier members step
-            # and ingest, then the dead member raises — generators and
-            # monitoring past it must not advance.
-            for member in self.members:
-                batch = member.workload.batch(
-                    window_s, start_time_s=self.clock_s + member.phase_offset_s
-                )
-                result = member.deployment.service.run(batch)
-                member.monitoring.ingest(result)
-                out.append((member, result))
-            self.clock_s += window_s
-            return out
-        # Columnar hot path: every member draws only from its own keyed
-        # substream, so generating all batches before stepping all members
-        # consumes the streams exactly as the interleaved loop would.
-        batches = [
-            member.workload.batch(
-                window_s, start_time_s=self.clock_s + member.phase_offset_s
-            )
-            for member in self.members
-        ]
-        results = self._engine.step_window(batches)
-        for member, result in zip(self.members, results):
-            member.monitoring.ingest(result)
-            out.append((member, result))
-        self.clock_s += window_s
-        return out

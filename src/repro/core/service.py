@@ -373,15 +373,9 @@ class AutoDBaaS:
             metrics=result.metrics,
             timestamp_s=self.clock_s,
         )
-        throttle_knobs: tuple[str, ...] = ()
-        throttle_class: str | None = None
-        if report is not None and report.throttles:
-            actionable = [t for t in report.throttles if not t.requires_restart]
-            if actionable:
-                throttle_class = actionable[0].knob_class.value
-                throttle_knobs = tuple(
-                    sorted({name for t in actionable for name in t.knobs})
-                )
+        throttle_class, throttle_knobs = (
+            report.focus() if report is not None else (None, ())
+        )
         request = TuningRequest(
             instance_id=managed.instance_id,
             workload_id=result.batch.workload_name,

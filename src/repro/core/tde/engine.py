@@ -56,6 +56,20 @@ class TDEReport:
         """Knob classes implicated this round."""
         return {t.knob_class for t in self.throttles}
 
+    def focus(self) -> tuple[str | None, tuple[str, ...]]:
+        """How this round labels a tuning request: ``(class, knobs)``.
+
+        The class is the first actionable throttle's; the knobs are the
+        sorted union over every actionable throttle. Restart-required
+        throttles never label a request, so with none actionable this
+        is ``(None, ())``.
+        """
+        actionable = [t for t in self.throttles if not t.requires_restart]
+        if not actionable:
+            return None, ()
+        knobs = tuple(sorted({name for t in actionable for name in t.knobs}))
+        return actionable[0].knob_class.value, knobs
+
 
 class ThrottlingDetectionEngine:
     """Per-instance TDE plugin composing the three §3 detectors.

@@ -28,10 +28,13 @@ why ``--workers N`` is output-invariant.
 Wire discipline: the repository snapshot crosses to each shard exactly
 once, at session setup. After window 0 the broadcast carries only
 deltas — fitted knob values and new training samples, both encoded as
-plain float tuples — and the per-member bulk state (each member's knob
-values and delta-metric vector) travels through a shared-memory
-:class:`~repro.parallel.shm.MemberBank` instead of the result pipe;
-steady-state replies name only the members that need tuning. Encoding
+plain float tuples. Every window each member writes its knob values and
+delta-metric vector into a shared-memory
+:class:`~repro.parallel.shm.MemberBank`, never to the result pipe. The
+pipe carries one reply type, :class:`MemberOut`, and only for members
+that need tuning (their throttle focus), carry a trace fragment, or
+report their static facts in window 0. Traced runs step the same
+columnar path; each member's TDE just records into a fragment. Encoding
 is value-exact (python floats in catalog/metric-name order), so every
 decoded object equals what a direct object transfer would have carried
 and outputs stay byte-identical across worker counts.
@@ -41,14 +44,12 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.cloud.fleet import FleetSpec, build_member
 from repro.common.recording import NULL_RECORDER, Recorder
 from repro.common.rng import stream_root
 from repro.core.features import Features
 from repro.core.tde.engine import ThrottlingDetectionEngine
-from repro.core.tde.throttle import Throttle
 from repro.dbsim.batch_engine import MemberBatch
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.knobs import KnobCatalog, postgres_catalog
@@ -151,12 +152,12 @@ class _ShardSpec:
     fleet: FleetSpec
     repository: WorkloadRepository
     tde_seed: int
-    window_s: float
+    #: Shared member-state bank: each window every member writes its knob
+    #: values and delta-metric vector here, never to the pipe.
+    bank: MemberBankHandle
+    #: Record each member's TDE round into a trace fragment.
     traced: bool = False
     host_time: bool = False
-    #: Shared member-state bank; ``None`` falls back to shipping full
-    #: :class:`MemberWindowOut` objects every window (tests).
-    bank: MemberBankHandle | None = None
 
 
 @dataclass(frozen=True)
@@ -178,37 +179,27 @@ class WindowCommand:
     new_samples: tuple[_WireSample, ...] = ()
 
 
-@dataclass
-class MemberWindowOut:
-    """One member's full window outcome (window 0 and traced runs).
-
-    Window 0 seeds the coordinator's cache of static member facts
-    (instance id, workload name, memory budget); traced runs keep the
-    full form every window because they also carry trace fragments.
-    """
-
-    index: int
-    instance_id: str
-    workload_name: str
-    config: Any
-    metrics: Any
-    throttles: list[Throttle]
-    needs_tuning: bool
-    memory_limit_mb: float
-    active_connections: int
-    fragment: TraceRecorder | None = None
+#: A member's static facts: instance id, workload name, memory budget
+#: (MB) and active connections.
+_Facts = tuple[str, str, float, int]
 
 
 @dataclass(frozen=True)
-class MemberTuningOut:
-    """Steady-state reply for one member that needs tuning.
+class MemberOut:
+    """One member's reply for one window.
 
-    Members that don't need tuning send nothing — their bulk state (knob
-    values, metric vector) is already in the member bank.
+    A member replies only when it needs tuning, carries a trace
+    fragment, or is in window 0 and reports its static facts. Its knob
+    values and metric vector are always in the member bank.
     """
 
     index: int
-    throttles: tuple[Throttle, ...]
+    #: :meth:`TDEReport.focus` when the member needs tuning, else None.
+    focus: tuple[str | None, tuple[str, ...]] | None = None
+    #: Window 0 only; the coordinator caches them for the whole run.
+    facts: _Facts | None = None
+    #: Traced runs only: the member's TDE round.
+    fragment: TraceRecorder | None = None
 
 
 class Fig09ShardWorker:
@@ -237,20 +228,17 @@ class Fig09ShardWorker:
             [self.members[i].deployment.service.master for i in self.indices]
         )
         self._catalog = self.members[self.indices[0]].deployment.service.master.catalog
-        self._bank = spec.bank.attach() if spec.bank is not None else None
+        self._bank = spec.bank.attach()
         self._windows = 0
         self.clock_s = 0.0
 
-    def step(self, command: WindowCommand) -> list[tuple[int, Any]]:
+    def step(self, command: WindowCommand) -> list[tuple[int, MemberOut]]:
         for wire in command.new_samples:
             self.repository.add(_decode_sample(self._catalog, wire))
-        if self.spec.traced:
-            return self._step_traced(command)
-        # Columnar hot path (untraced): apply pending configs in member
-        # order, generate every member's batch, then step the whole shard
-        # through the vectorized engine. Members draw only from their own
-        # keyed substreams, so the phase reordering is draw-exact against
-        # the serial per-member loop.
+        # Apply pending configs in member order, generate every member's
+        # batch, then step the whole shard through the vectorized engine.
+        # Members draw only from their own keyed substreams, so the phase
+        # reordering is draw-exact against a serial per-member loop.
         for i in self.indices:
             fitted = command.apply.get(i)
             if fitted is not None:
@@ -266,96 +254,35 @@ class Fig09ShardWorker:
             for i in self.indices
         ]
         results = self._engine.step_window(batches)
-        # Window 0 ships full outs (the coordinator caches the static
-        # member facts); afterwards the bank carries the bulk vectors and
-        # the pipe names only the members that need tuning.
-        compact = self._bank is not None and self._windows > 0
-        outs: list[tuple[int, Any]] = []
+        outs: list[tuple[int, MemberOut]] = []
         for i, result in zip(self.indices, results):
             member = self.members[i]
-            master = member.deployment.service.master
             member.monitoring.ingest(result)
+            fragment = None
+            if self.spec.traced:
+                fragment = TraceRecorder(host_time=self.spec.host_time)
+                fragment.advance(self.clock_s)
             tde = self.tdes[i]
-            tde.recorder = NULL_RECORDER
+            tde.recorder = fragment if fragment is not None else NULL_RECORDER
             report = tde.inspect(result)
-            if self._bank is not None:
-                self._bank.write(
-                    i,
-                    list(_config_values(result.config)),
-                    list(_metric_values(result.metrics)),
-                )
-            if compact:
-                if report.needs_tuning:
-                    outs.append(
-                        (i, MemberTuningOut(i, tuple(report.throttles)))
-                    )
-                continue
-            outs.append(
-                (
-                    i,
-                    MemberWindowOut(
-                        index=i,
-                        instance_id=member.instance_id,
-                        workload_name=result.batch.workload_name,
-                        config=result.config,
-                        metrics=result.metrics,
-                        throttles=list(report.throttles),
-                        needs_tuning=report.needs_tuning,
-                        memory_limit_mb=master.vm.db_memory_limit_mb,
-                        active_connections=master.active_connections,
-                        fragment=None,
-                    ),
-                )
+            self._bank.write(
+                i,
+                list(_config_values(result.config)),
+                list(_metric_values(result.metrics)),
             )
+            facts = None
+            if self._windows == 0:
+                master = member.deployment.service.master
+                facts = (
+                    member.instance_id,
+                    result.batch.workload_name,
+                    master.vm.db_memory_limit_mb,
+                    master.active_connections,
+                )
+            focus = report.focus() if report.needs_tuning else None
+            if focus is not None or facts is not None or fragment is not None:
+                outs.append((i, MemberOut(i, focus, facts, fragment)))
         self._windows += 1
-        self.clock_s += command.window_s
-        return outs
-
-    def _step_traced(
-        self, command: WindowCommand
-    ) -> list[tuple[int, MemberWindowOut]]:
-        """Serial per-member loop for traced runs.
-
-        Trace fragments interleave member spans with sim-time advances;
-        the golden-trace digests pin that exact ordering, so traced
-        windows keep the reference loop.
-        """
-        outs: list[tuple[int, MemberWindowOut]] = []
-        for i in self.indices:
-            member = self.members[i]
-            master = member.deployment.service.master
-            fitted = command.apply.get(i)
-            if fitted is not None:
-                master.apply_config(
-                    _decode_config(master.catalog, fitted), mode="reload"
-                )
-            tde = self.tdes[i]
-            fragment = TraceRecorder(host_time=self.spec.host_time)
-            fragment.advance(self.clock_s)
-            tde.recorder = fragment
-            batch = member.workload.batch(
-                command.window_s, start_time_s=self.clock_s + member.phase_offset_s
-            )
-            result = member.deployment.service.run(batch)
-            member.monitoring.ingest(result)
-            report = tde.inspect(result)
-            outs.append(
-                (
-                    i,
-                    MemberWindowOut(
-                        index=i,
-                        instance_id=member.instance_id,
-                        workload_name=result.batch.workload_name,
-                        config=result.config,
-                        metrics=result.metrics,
-                        throttles=list(report.throttles),
-                        needs_tuning=report.needs_tuning,
-                        memory_limit_mb=master.vm.db_memory_limit_mb,
-                        active_connections=master.active_connections,
-                        fragment=fragment,
-                    ),
-                )
-            )
         self.clock_s += command.window_s
         return outs
 
@@ -463,7 +390,6 @@ def run(
         ),
         repository=repository,
         tde_seed=seed,
-        window_s=window_s,
         traced=traced,
         host_time=traced and rec.host_time,  # type: ignore[union-attr]
         bank=bank.handle(),
@@ -480,8 +406,8 @@ def run(
     clock_s = 0.0
     pending: dict[int, tuple[float, ...]] = {}
     delta: list[_WireSample] = []
-    #: Static member facts cached from the window-0 full outs.
-    static: dict[int, tuple[str, str, float, int]] = {}
+    #: Static member facts, cached from the window-0 replies.
+    static: dict[int, _Facts] = {}
     session = executor.fleet_session(_shard_factory, spec, fleet_size, stats=stats)
     try:
         with session:
@@ -499,39 +425,24 @@ def run(
                         )
                     )
                     pending, delta = {}, []
-                    for _, out in outs:
-                        if isinstance(out, MemberWindowOut):
-                            static[out.index] = (
-                                out.instance_id,
-                                out.workload_name,
-                                out.memory_limit_mb,
-                                out.active_connections,
-                            )
-                            if out.fragment is not None:
-                                assert isinstance(rec, TraceRecorder)
-                                rec.absorb(out.fragment)
                     for idx, out in outs:
-                        if isinstance(out, MemberWindowOut):
-                            if not out.needs_tuning:
-                                continue
-                            throttles: list[Throttle] = list(out.throttles)
-                            config, metrics = out.config, out.metrics
-                            instance_id = out.instance_id
-                            workload_name = out.workload_name
-                            memory_limit_mb = out.memory_limit_mb
-                            active_connections = out.active_connections
-                        else:
-                            # Steady state: the pipe named the member, the
-                            # bank holds its vectors, the cache its facts.
-                            throttles = list(out.throttles)
-                            (
-                                instance_id,
-                                workload_name,
-                                memory_limit_mb,
-                                active_connections,
-                            ) = static[idx]
-                            config = _decode_config(catalog, bank.config_row(idx))
-                            metrics = _decode_metrics(bank.metrics_row(idx))
+                        if out.facts is not None:
+                            static[idx] = out.facts
+                        if out.fragment is not None:
+                            assert isinstance(rec, TraceRecorder)
+                            rec.absorb(out.fragment)
+                    for idx, out in outs:
+                        if out.focus is None:
+                            continue
+                        throttle_class, throttle_knobs = out.focus
+                        (
+                            instance_id,
+                            workload_name,
+                            memory_limit_mb,
+                            active_connections,
+                        ) = static[idx]
+                        config = _decode_config(catalog, bank.config_row(idx))
+                        metrics = _decode_metrics(bank.metrics_row(idx))
                         if now >= 0.0:
                             # The fleet converges during warm-up (floors
                             # settle, caps get filtered); counting starts
@@ -541,19 +452,14 @@ def run(
                         sample = TrainingSample(workload_name, config, metrics, now)
                         repository.add(sample)
                         delta.append(_encode_sample(sample))
-                        actionable = [
-                            t for t in throttles if not t.requires_restart
-                        ]
                         split = director.handle_tuning_request(
                             TuningRequest(
                                 instance_id,
                                 workload_name,
                                 config,
                                 metrics,
-                                throttle_class=actionable[0].knob_class.value,
-                                throttle_knobs=tuple(
-                                    sorted({n for t in actionable for n in t.knobs})
-                                ),
+                                throttle_class=throttle_class,
+                                throttle_knobs=throttle_knobs,
                                 timestamp_s=now,
                             )
                         )
@@ -562,7 +468,7 @@ def run(
                                 memory_limit_mb, active_connections
                             )
                         )
-                        director.balancer.drain(window_s)
+                    director.balancer.drain(window_s)
                 clock_s += window_s
     finally:
         bank.close()

@@ -6,15 +6,18 @@ backend and once per process-backend worker count, and the *rendered
 artifacts* — result dataclasses, report text, trace JSONL/Chrome
 exports, Prometheus metrics text — are compared for equality, for more
 than one seed. The golden-trace digests pin the same bytes across
-commits; this suite pins them across backends within one commit.
+commits; this suite pins them across backends within one commit, and
+pins fig09's traced run to its untraced one.
 """
 
 from pathlib import Path
 
 import pytest
 
+from repro.core.director.load_balancer import LeastLoadedBalancer
 from repro.experiments import chaos_recovery, trace_run
 from repro.experiments import fig09_requests_per_minute as fig09
+from repro.obs.trace import TraceRecorder
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 
@@ -33,6 +36,28 @@ class TestFig09Parity:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_workers_match_serial(self, seed, workers):
         assert _fig09_bytes(seed, workers) == _fig09_bytes(seed, 1)
+
+
+class TestFig09Window:
+    def test_traced_run_matches_untraced(self):
+        # Traced shards step the same columnar path; the recorder only
+        # observes it.
+        kwargs = dict(fleet_size=3, hours=1.0, warmup_hours=0.5)
+        traced = fig09.run(recorder=TraceRecorder(), **kwargs)
+        assert traced == fig09.run(**kwargs)
+
+    def test_balancer_drains_once_per_window(self, monkeypatch):
+        drains: list[float] = []
+        drain = LeastLoadedBalancer.drain
+
+        def counted(balancer, elapsed_s):
+            drains.append(elapsed_s)
+            drain(balancer, elapsed_s)
+
+        monkeypatch.setattr(LeastLoadedBalancer, "drain", counted)
+        run = fig09.run(fleet_size=3, hours=1.0, warmup_hours=0.5)
+        assert run.tde_total > 0
+        assert drains == [300.0] * 18  # (1 h + 0.5 h) / 300 s windows
 
 
 class TestChaosParity:

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.cloud import LiveFleet, MonitoringAgent, PAPER_PLAN_MIX, Provisioner
+from repro.cloud import (
+    PAPER_PLAN_MIX,
+    FleetSpec,
+    MonitoringAgent,
+    Provisioner,
+    build_member,
+)
+from repro.common.rng import stream_root
 
 
 class TestMonitoringAgent:
@@ -65,30 +72,20 @@ class TestProvisioner:
             Provisioner().deprovision("nope")
 
 
-class TestLiveFleet:
+class TestBuildMember:
     def test_plan_mix_cycles(self):
-        fleet = LiveFleet(size=7, seed=0)
-        plans = [m.deployment.plan for m in fleet.members]
+        spec = FleetSpec(size=7, root=stream_root(0))
+        plans = [build_member(spec, i).deployment.plan for i in range(7)]
         assert plans[:5] == list(PAPER_PLAN_MIX)
         assert plans[5] == PAPER_PLAN_MIX[0]
 
-    def test_step_runs_every_member(self):
-        fleet = LiveFleet(size=4, seed=1)
-        results = fleet.step(30.0)
-        assert len(results) == 4
-        assert fleet.clock_s == 30.0
-        assert all(r.throughput >= 0 for _, r in results)
-
     def test_members_have_distinct_rates(self):
-        fleet = LiveFleet(size=6, seed=2)
-        rates = {m.workload.rps for m in fleet.members}
+        spec = FleetSpec(size=6, root=stream_root(2))
+        rates = {build_member(spec, i).workload.rps for i in range(6)}
         assert len(rates) == 6
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
-            LiveFleet(size=0)
-
-    def test_monitoring_filled_by_step(self):
-        fleet = LiveFleet(size=2, seed=3)
-        fleet.step(20.0)
-        assert all(len(m.monitoring.iops) == 20 for m in fleet.members)
+            FleetSpec(size=0)
+        with pytest.raises(ValueError):
+            build_member(FleetSpec(size=2), 2)

@@ -5,7 +5,8 @@ setup. These tests pin the steady-state invariant at the payload level:
 pickle whatever actually crosses the pipe after window 0 and prove it
 contains no repository snapshot (nor any heavyweight object at all), is
 an order of magnitude smaller than re-broadcasting the snapshot, and
-decodes back to value-identical objects.
+decodes back to value-identical objects. Traced shards step the same
+path and add only a trace fragment per member.
 """
 
 import pickle
@@ -17,8 +18,7 @@ from repro.dbsim.metrics import METRIC_NAMES
 from repro.experiments.common import offline_train
 from repro.experiments.fig09_requests_per_minute import (
     Fig09ShardWorker,
-    MemberTuningOut,
-    MemberWindowOut,
+    MemberOut,
     WindowCommand,
     _config_values,
     _decode_config,
@@ -43,7 +43,7 @@ _HEAVY_MARKERS = (
 )
 
 
-def _make_worker(size: int = 2):
+def _make_worker(size: int = 2, traced: bool = False):
     catalog = postgres_catalog()
     repository = offline_train(
         catalog,
@@ -61,27 +61,37 @@ def _make_worker(size: int = 2):
         fleet=FleetSpec(size=size, root=stream_root(0), sample_size=64),
         repository=repository,
         tde_seed=0,
-        window_s=300.0,
         bank=bank.handle(),
+        traced=traced,
     )
     return Fig09ShardWorker(spec, tuple(range(size))), bank, catalog, repository
+
+
+def _bank_sample(bank, catalog, out: MemberOut, timestamp_s: float):
+    """The training sample the coordinator builds for *out*'s member."""
+    _, workload_name, _, _ = out.facts
+    return TrainingSample(
+        workload_name,
+        _decode_config(catalog, bank.config_row(out.index)),
+        _decode_metrics(bank.metrics_row(out.index)),
+        timestamp_s,
+    )
 
 
 class TestDeltaOnlyBroadcast:
     def test_steady_state_payload_has_no_repository_snapshot(self):
         worker, bank, catalog, repository = _make_worker()
         outs0 = worker.step(WindowCommand(window_s=300.0))
-        assert all(isinstance(out, MemberWindowOut) for _, out in outs0)
+        # Window 0: every member reports its static facts.
+        assert [i for i, _ in outs0] == [0, 1]
+        assert all(out.facts is not None for _, out in outs0)
 
         # The coordinator's steady-state broadcast: one fitted config and
         # one fresh sample, both wire-encoded.
-        first = outs0[0][1]
-        sample = TrainingSample(
-            first.workload_name, first.config, first.metrics, 0.0
-        )
+        sample = _bank_sample(bank, catalog, outs0[0][1], 0.0)
         command = WindowCommand(
             window_s=300.0,
-            apply={0: _config_values(first.config)},
+            apply={0: _config_values(sample.config)},
             new_samples=(_encode_sample(sample),),
         )
         payload = pickle.dumps(("step", command))
@@ -98,7 +108,23 @@ class TestDeltaOnlyBroadcast:
         reply = pickle.dumps(outs1)
         for marker in _HEAVY_MARKERS:
             assert marker not in reply, marker
-        assert all(isinstance(out, MemberTuningOut) for _, out in outs1)
+        # Untraced steady state: only members that need tuning reply.
+        assert outs1
+        for _, out in outs1:
+            assert out.focus is not None
+            assert out.facts is None and out.fragment is None
+
+    def test_traced_steady_state_reply_adds_only_fragments(self):
+        worker, _, _, _ = _make_worker(traced=True)
+        worker.step(WindowCommand(window_s=300.0))
+        outs1 = worker.step(WindowCommand(window_s=300.0))
+        assert [i for i, _ in outs1] == [0, 1]
+        assert all(
+            out.fragment is not None and out.facts is None for _, out in outs1
+        )
+        reply = pickle.dumps(outs1)
+        for marker in _HEAVY_MARKERS:
+            assert marker not in reply, marker
 
     def test_bank_rows_decode_to_live_member_state(self):
         worker, bank, catalog, _ = _make_worker()
@@ -113,10 +139,10 @@ class TestDeltaOnlyBroadcast:
 
     def test_sample_codec_round_trips_exactly(self):
         worker, _, catalog, _ = _make_worker()
-        outs0 = worker.step(WindowCommand(window_s=300.0))
-        first = outs0[0][1]
+        member = worker.members[0]
+        result = member.deployment.service.run(member.workload.batch(300.0))
         sample = TrainingSample(
-            first.workload_name, first.config, first.metrics, 42.0
+            result.batch.workload_name, result.config, result.metrics, 42.0
         )
         decoded = _decode_sample(catalog, _encode_sample(sample))
         assert decoded.workload_id == sample.workload_id
@@ -125,6 +151,22 @@ class TestDeltaOnlyBroadcast:
         assert decoded.timestamp_s == sample.timestamp_s
         # Value-exact means repr-exact: downstream maths sees the same bits.
         assert repr(decoded.metrics) == repr(sample.metrics)
+
+
+class TestFig09ShardWorker:
+    def test_step_runs_every_member(self):
+        worker, _, _, _ = _make_worker(size=4)
+        outs = worker.step(WindowCommand(window_s=30.0))
+        assert [i for i, _ in outs] == [0, 1, 2, 3]
+        assert worker.clock_s == 30.0
+        for member in worker.members.values():
+            assert len(member.monitoring.throughput) == 1
+            assert member.monitoring.throughput.values[0] >= 0
+
+    def test_monitoring_filled_by_step(self):
+        worker, _, _, _ = _make_worker(size=2)
+        worker.step(WindowCommand(window_s=20.0))
+        assert all(len(m.monitoring.iops) == 20 for m in worker.members.values())
 
 
 class TestMemberBank:

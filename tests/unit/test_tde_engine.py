@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.tde import ThrottlingDetectionEngine
+from repro.core.tde import TDEReport, Throttle, ThrottlingDetectionEngine
 from repro.dbsim import KnobClass, SimulatedDatabase
 from repro.tuners import WorkloadRepository
 from repro.workloads import AdulteratedTPCCWorkload, TPCCWorkload
@@ -96,3 +96,36 @@ class TestNeedsTuning:
         workload = AdulteratedTPCCWorkload(0.8, seed=2)
         report = tde.inspect(tde_db.run(workload.batch(30.0)))
         assert report.needs_tuning
+
+
+def _throttle(knob_class, knobs, requires_restart=False):
+    return Throttle(
+        "svc", "w", knob_class, knobs, "evidence", 0.0, requires_restart
+    )
+
+
+class TestFocus:
+    def test_mixed_classes_take_first_actionable_class_and_knob_union(self):
+        report = TDEReport(
+            throttles=[
+                _throttle(KnobClass.MEMORY, ("shared_buffers",), True),
+                _throttle(
+                    KnobClass.BGWRITER, ("bgwriter_delay", "checkpoint_timeout")
+                ),
+                _throttle(KnobClass.MEMORY, ("work_mem", "bgwriter_delay")),
+            ]
+        )
+        assert report.focus() == (
+            "background_writer",
+            ("bgwriter_delay", "checkpoint_timeout", "work_mem"),
+        )
+
+    def test_restart_only_throttles_label_nothing(self):
+        report = TDEReport(
+            throttles=[_throttle(KnobClass.MEMORY, ("shared_buffers",), True)]
+        )
+        assert not report.needs_tuning
+        assert report.focus() == (None, ())
+
+    def test_no_throttles(self):
+        assert TDEReport().focus() == (None, ())
