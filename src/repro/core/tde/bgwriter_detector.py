@@ -94,12 +94,10 @@ class BgwriterThrottleDetector:
         self,
         instance_id: str,
         repository: WorkloadRepository,
-        window_s: float = 300.0,
         ratio_tolerance: float = _RATIO_TOLERANCE,
     ) -> None:
         self.instance_id = instance_id
         self.repository = repository
-        self.window_s = window_s
         self.ratio_tolerance = ratio_tolerance
         self._mapper = WorkloadMapper(repository)
         self.last_baseline: _Baseline | None = None

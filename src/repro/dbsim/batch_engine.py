@@ -28,10 +28,11 @@ hard invariant, kept by three rules:
    the hit-ratio column, disk degradation is a per-member latency factor,
    members with a deviating window length form their own chunk, and a
    crashed member ends the step after the members before it. Only the
-   per-second write-back recurrence is forked by chunk width: narrow
-   chunks run ``WriteBackScheduler.run_window`` per member, wide ones the
-   vectorised :func:`~repro.dbsim.bgwriter.run_windows`, and a property
-   suite checks the two lanes against each other.
+   write-back recurrence is forked by chunk width: narrow chunks run the
+   event-driven kernel ``WriteBackScheduler.run_window`` per member, wide
+   ones the vectorised per-second :func:`~repro.dbsim.bgwriter.run_windows`.
+   Property suites check the kernel against the per-second definition
+   and the two lanes against each other.
 
 Scalars that land in result objects are converted to Python floats —
 ``repr`` parity between the lanes requires no ``np.float64`` leaks.

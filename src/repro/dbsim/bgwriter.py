@@ -15,8 +15,10 @@ like one continuous database.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,6 +174,16 @@ class WriteBackScheduler:
         absorb is flushed synchronously by the backends themselves
         (``backend_write_mb``) — deferring write-back has bounded benefit,
         exactly as in a real engine.
+
+        The model is a per-second recurrence: the backlog grows by the
+        dirty rate, the writer flushes its trickle, the backends flush any
+        excess over the cap, a checkpoint may trigger (WAL full, dirty
+        limit or timeout, once the running spread is over) and writes
+        its share, and vacuum runs on its own clock. This method does not
+        step every second. It jumps from event to event — a checkpoint
+        trigger, the end of a spread, the backlog reaching zero or the
+        cap, a vacuum round — and fills the seconds in between with
+        sequential accumulates, reproducing the recurrence bit for bit.
         """
         if duration_s <= 0:
             raise ValueError("duration_s must be positive")
@@ -179,81 +191,246 @@ class WriteBackScheduler:
             raise ValueError("dirty_mb_total must be >= 0")
         if buffer_mb is None:
             buffer_mb = config.buffer_pool_mb()
-        dirty_cap_mb = 0.9 * buffer_mb
         params = WriteBackParams.from_config(config)
+        n = duration_s
         dirty_rate = dirty_mb_total / duration_s
         wal_rate = dirty_rate * _WAL_AMPLIFICATION
-
-        data_writes = np.zeros(duration_s)
-        wal_writes = np.zeros(duration_s)
-        result = WriteBackResult(data_write_mb_s=data_writes, wal_write_mb_s=wal_writes)
-
-        for i in range(duration_s):
-            now = start_time_s + i
-            self.dirty_backlog_mb += dirty_rate
-            self.wal_since_checkpoint_mb += wal_rate
-            wal_writes[i] += wal_rate
-            self.since_checkpoint_s += 1.0
-            self.since_vacuum_s += 1.0
-
-            # Background writer trickle.
-            bg_flush = min(self.dirty_backlog_mb, params.bg_flush_mb_s)
-            self.dirty_backlog_mb -= bg_flush
-            data_writes[i] += bg_flush
-            result.bgwriter_write_mb += bg_flush
-
-            # Buffer pool full of dirty pages: backends flush the excess.
-            overflow = self.dirty_backlog_mb - dirty_cap_mb
-            if overflow > 0.0:
-                self.dirty_backlog_mb = dirty_cap_mb
-                data_writes[i] += overflow
-                result.backend_write_mb += overflow
-
-            # Checkpoint trigger checks.
-            kind = self._checkpoint_kind(params)
-            if kind is not None and self._active_remaining_s <= 0.0:
-                spread_s = max(
-                    1.0, params.checkpoint_interval_s * params.spread_fraction
-                )
-                write_mb = self.dirty_backlog_mb
-                result.events.append(
-                    CheckpointEvent(now, kind, write_mb, spread_s)
-                )
-                self._active_rate_mb_s = write_mb / spread_s
-                self._active_remaining_s = spread_s
+        spread_s = max(1.0, params.checkpoint_interval_s * params.spread_fraction)
+        forced = params.forced_dirty_limit_mb
+        regime = _Regime(
+            dirty_rate,
+            wal_rate,
+            params.bg_flush_mb_s,
+            0.9 * buffer_mb,
+            params.wal_limit_mb,
+            forced if forced is not None and forced > 0.0 else None,
+            params.checkpoint_interval_s,
+        )
+        # Rows: writer flush, backend overflow (+0.0: none), checkpoint
+        # burst, vacuum. Each second's demand adds them in that order.
+        writes = np.zeros((4, n))
+        events: list[CheckpointEvent] = []
+        rate = self._active_rate_mb_s
+        left = self._active_remaining_s
+        s = 0
+        seg = _segment(
+            regime,
+            self.dirty_backlog_mb,
+            self.wal_since_checkpoint_mb,
+            self.since_checkpoint_s,
+            left,
+            n,
+        )
+        after_checkpoint: _Segment | None = None
+        while True:
+            m = n - s
+            fires = seg.fire < m
+            end = seg.fire + 1 if fires else m
+            writes[0, s : s + end] = seg.flush[:end]
+            writes[1, s : s + end] = seg.overflow[:end]
+            active = min(seg.active, m)
+            if active:
+                writes[2, s : s + active] = rate * np.minimum(1.0, seg.left[:active])
+            if not fires:
+                self.dirty_backlog_mb = float(seg.backlog[m - 1])
+                self.wal_since_checkpoint_mb = float(seg.wal[m - 1])
+                self.since_checkpoint_s = float(seg.clock[m - 1])
+                if left > 0.0:
+                    left = max(float(seg.left[m]), 0.0) if active == m else 0.0
+                break
+            i = s + seg.fire
+            write_mb = float(seg.backlog[seg.fire])
+            events.append(CheckpointEvent(start_time_s + i, seg.kind, write_mb, spread_s))
+            # The spread lasts at least a second: its first step is whole.
+            rate = write_mb / spread_s
+            writes[2, i] = rate
+            left = spread_s - 1.0
+            s = i + 1
+            if s == n:
                 self.dirty_backlog_mb = 0.0
                 self.wal_since_checkpoint_mb = 0.0
                 self.since_checkpoint_s = 0.0
+                break
+            # Every segment after a checkpoint starts from the same state,
+            # so its paths are computed once and sliced.
+            if after_checkpoint is None:
+                after_checkpoint = _segment(regime, 0.0, 0.0, 0.0, left, n - s)
+            seg = after_checkpoint
+        self._active_rate_mb_s = rate
+        self._active_remaining_s = left
 
-            # Active checkpoint spread writes.
-            if self._active_remaining_s > 0.0:
-                step = min(1.0, self._active_remaining_s)
-                burst = self._active_rate_mb_s * step
-                data_writes[i] += burst
-                result.checkpoint_write_mb += burst
-                self._active_remaining_s -= step
+        rounds, self.since_vacuum_s = _vacuum_rounds(
+            self.since_vacuum_s, self.vacuum_interval_s, n
+        )
+        writes[3, rounds] = self.vacuum_write_mb
+        data_writes = writes[0] + writes[1]
+        data_writes += writes[2]
+        data_writes += writes[3]
+        # Running totals in the recurrence's order; np.sum adds pairwise
+        # and the builtin sum compensates (Python 3.12+).
+        totals = np.add.accumulate(writes, axis=1)[:, -1].tolist()
+        return WriteBackResult(
+            data_write_mb_s=data_writes,
+            wal_write_mb_s=np.full(n, wal_rate),
+            events=events,
+            bgwriter_write_mb=totals[0],
+            checkpoint_write_mb=totals[2],
+            vacuum_write_mb=totals[3],
+            backend_write_mb=totals[1],
+            vacuum_times=[start_time_s + i for i in range(n)[rounds]],
+        )
 
-            # Vacuum / garbage-collector rounds.
-            if self.since_vacuum_s >= self.vacuum_interval_s:
-                data_writes[i] += self.vacuum_write_mb
-                result.vacuum_write_mb += self.vacuum_write_mb
-                result.vacuum_times.append(now)
-                self.since_vacuum_s = 0.0
 
-        return result
+class _Regime(NamedTuple):
+    """What stays fixed over one window of the write-back recurrence."""
 
-    def _checkpoint_kind(self, params: WriteBackParams) -> str | None:
-        if self.wal_since_checkpoint_mb >= params.wal_limit_mb:
-            return "requested"
-        if (
-            params.forced_dirty_limit_mb is not None
-            and params.forced_dirty_limit_mb > 0.0
-            and self.dirty_backlog_mb >= params.forced_dirty_limit_mb
-        ):
-            return "forced"
-        if self.since_checkpoint_s >= params.checkpoint_interval_s:
-            return "timed"
-        return None
+    dirty_rate: float
+    wal_rate: float
+    flush_rate: float
+    dirty_cap_mb: float
+    wal_limit_mb: float
+    forced_dirty_limit_mb: float | None
+    checkpoint_interval_s: float
+
+
+class _Segment(NamedTuple):
+    """Per-second paths from one state, as if no checkpoint fired.
+
+    Index *j* is the segment's *j*-th second; each value is what the
+    per-second recurrence holds at that second's trigger check.
+    """
+
+    flush: np.ndarray  # background-writer flush
+    overflow: np.ndarray  # backends' flush of the excess over the cap (+0.0: none)
+    backlog: np.ndarray  # dirty backlog after both flushes
+    wal: np.ndarray  # WAL written since the last checkpoint
+    clock: np.ndarray  # seconds since the last checkpoint
+    left: np.ndarray  # spread left of the running checkpoint, plus one entry
+    active: int  # leading seconds that running checkpoint still writes
+    fire: int  # first second a checkpoint triggers (the length if none)
+    kind: str | None
+
+
+def _segment(
+    regime: _Regime, backlog: float, wal: float, clock: float, left: float, length: int
+) -> _Segment:
+    flush, overflow, after = _backlog_path(regime, backlog, length)
+    # WAL volume and the checkpoint clock: ``wal + w + w + …`` and
+    # ``clock + 1 + 1 + …``, one addition at a time.
+    row = np.empty((2, length + 1))
+    row[:, 0] = wal, clock
+    row[0, 1:] = regime.wal_rate
+    row[1, 1:] = 1.0
+    wal_path, clock_path = np.add.accumulate(row, axis=1)[:, 1:]
+    if left > 0.0:
+        row = np.ones(length + 1)
+        row[0] = left
+        # ``left − 1 − 1 − …``; where the recurrence's last, fractional
+        # step stops at exactly zero this goes negative.
+        spread_left = np.subtract.accumulate(row)
+        # The positive entries are a prefix: the spread only shrinks.
+        active = int(np.count_nonzero(spread_left[:length] > 0.0))
+    else:
+        spread_left, active = _NO_SPREAD, 0
+    # A checkpoint triggers only once the running one has finished. WAL
+    # volume and the clock never fall, so each trigger is a search.
+    requested = active + int(wal_path[active:].searchsorted(regime.wal_limit_mb))
+    timed = active + int(clock_path[active:].searchsorted(regime.checkpoint_interval_s))
+    forced = length
+    if regime.forced_dirty_limit_mb is not None and active < length:
+        due = after[active:] >= regime.forced_dirty_limit_mb
+        first = int(due.argmax())
+        if due[first]:
+            forced = active + first
+    fire = min(requested, forced, timed)
+    kind = None
+    if fire < length:
+        kind = "requested" if fire == requested else "forced" if fire == forced else "timed"
+    return _Segment(
+        flush, overflow, after, wal_path, clock_path, spread_left, active, fire, kind
+    )
+
+
+_NO_SPREAD = np.zeros(0)
+
+
+def _backlog_path(
+    regime: _Regime, backlog: float, length: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flush, overflow and backlog per second while no checkpoint fires.
+
+    Each second the backlog becomes ``x = b + d``; the writer flushes
+    ``min(x, r)`` and the backends flush ``(x − r) − cap`` when that is
+    positive, so ``b ← min(max(x − r, 0), cap)``. While neither clamp
+    binds, the path is one sequential accumulate over ``[b, d, −r, d,
+    −r, …]`` (IEEE defines ``x + (−r)`` as ``x − r``). A clamp to zero
+    with ``d ≤ r``, or to the cap with ``(cap + d) − r > cap``, is steady
+    for the rest of the segment; any other clamp restarts the accumulate
+    from the clamped value. The map is monotone, so the backlog moves one
+    way and clamps at most a few times.
+    """
+    d, r, cap = regime.dirty_rate, regime.flush_rate, regime.dirty_cap_mb
+    flush = np.empty(length)
+    overflow = np.zeros(length)
+    after = np.empty(length)
+    j = 0
+    while j < length:
+        rest = length - j
+        row = np.empty(2 * rest + 1)
+        row[0] = backlog
+        row[1::2] = d
+        row[2::2] = -r
+        path = np.add.accumulate(row)
+        pending = path[1::2]
+        kept = path[2::2]
+        clamped = (pending < r) | (kept > cap)
+        linear = int(clamped.argmax())
+        if not clamped[linear]:
+            linear = rest
+        flush[j : j + linear] = r
+        after[j : j + linear] = kept[:linear]
+        j += linear
+        if j == length:
+            break
+        x = float(pending[linear])
+        if x < r:
+            # The writer takes everything; the recurrence's x − x is +0.0.
+            flush[j] = x
+            after[j] = backlog = 0.0
+            j += 1
+            if d <= r:
+                flush[j:] = d
+                after[j:] = 0.0
+                break
+        else:
+            flush[j] = r
+            overflow[j] = float(kept[linear]) - cap
+            after[j] = backlog = cap
+            j += 1
+            full = (cap + d) - r
+            if full > cap:
+                flush[j:] = r
+                overflow[j:] = full - cap
+                after[j:] = cap
+                break
+    return flush, overflow, after
+
+
+def _vacuum_rounds(since: float, interval: float, length: int) -> tuple[slice, float]:
+    """The window's vacuum seconds, and the vacuum clock after the window.
+
+    The clock counts ``since + 1 + 1 + …`` up to the first round and whole
+    seconds from zero after it, so rounds recur every ``ceil(interval)``.
+    """
+    row = np.ones(length + 1)
+    row[0] = since
+    clock = np.add.accumulate(row)[1:]
+    first = int(clock.searchsorted(interval))
+    if first == length:
+        return slice(0, 0), float(clock[-1])
+    period = max(1, math.ceil(interval))
+    last = first + (length - 1 - first) // period * period
+    return slice(first, None, period), float(length - 1 - last)
 
 
 def run_windows(
@@ -269,11 +446,10 @@ def run_windows(
     Scheduler *k* runs under ``params[k]`` with a ``buffer_mb[k]`` buffer
     pool, producing ``dirty_mb[k]`` over a window starting at
     ``start_times[k]``. One loop over the window's seconds updates
-    ``(schedulers,)`` state vectors with the same float expressions, in
-    the same order, as ``run_window``; results and end states are
-    bit-identical to one ``run_window`` call per scheduler. Checkpoint
-    triggers are sparse, so firing schedulers are handled one by one on
-    Python floats.
+    ``(schedulers,)`` state vectors with the per-second recurrence's float
+    expressions, in its order; results and end states are bit-identical
+    to one ``run_window`` call per scheduler. Checkpoint triggers are
+    sparse, so firing schedulers are handled one by one on Python floats.
     """
     n = len(schedulers)
     bg_rate = np.array([p.bg_flush_mb_s for p in params])
@@ -328,7 +504,7 @@ def run_windows(
         col += overflow
         backend_total += overflow
 
-        # Same priority chain as ``WriteBackScheduler._checkpoint_kind``.
+        # Trigger priority: requested, then forced, then timed.
         requested = wal_since >= wal_limit
         forced_trig = backlog >= forced
         firing = (act_rem <= 0.0) & (requested | forced_trig | (since_cp >= interval))

@@ -67,16 +67,30 @@ _PLAN_COST_ROWS = 32
 #: ``chunk × window_seconds`` doubles (~5 MB per matrix at 2048 × 300).
 _CHUNK_MEMBERS = 2048
 #: Narrowest chunk whose write-back recurrence runs vectorised
-#: (:func:`~repro.dbsim.bgwriter.run_windows`); narrower chunks call
-#: :meth:`~repro.dbsim.bgwriter.WriteBackScheduler.run_window` per member
-#: on Python floats. The numpy loop pays a fixed cost per window second
-#: that only amortises over enough members. Recurrence cost per member,
-#: 60 s windows, 2-core VM (µs):
+#: (:func:`~repro.dbsim.bgwriter.run_windows`, one numpy step per window
+#: second); narrower chunks call the event-driven kernel
+#: :meth:`~repro.dbsim.bgwriter.WriteBackScheduler.run_window` per member.
+#: The numpy loop pays a fixed cost per window second that only amortises
+#: over enough members; the kernel runs each member on its own, so its
+#: cost per member does not fall with width. Cost per member-window,
+#: best of 5 rounds, 2-core VM (µs;
+#: ``benchmarks/test_perf_writeback.py``). Set from the 300 s row, the
+#: window every experiment steps. Lanes timed apart swing by ~10% near
+#: the crossover, so it was located with a same-run vector/kernel time
+#: ratio (median of 9 interleaved rounds): 1.21 at 64 members, 1.04 at
+#: 80, 0.87 at 96, 0.64 at 128.
 #:
-#:   members            1     4     8    12    16    25    64
-#:   run_window loop   72    63    64    66    65    66    71
-#:   run_windows     1438   245   128    88    66    50    22
-_VECTOR_MIN_MEMBERS = 16
+#: 60 s windows
+#:   members             1     8    25    80    96   128  1000
+#:   per-second loop    73   100   108   119   117   115   112
+#:   run_window         47    65    49    72    71    70    74
+#:   run_windows      2174   152    53    34    30    26    14
+#: 300 s windows
+#:   members             1     8    25    80    96   128  1000
+#:   per-second loop   440   521   673   638   558   518   572
+#:   run_window         71   114   145   132   131   120   108
+#:   run_windows     10614  1026   386   123   114    72    30
+_VECTOR_MIN_MEMBERS = 96
 
 
 class DatabaseCrashed(RuntimeError):

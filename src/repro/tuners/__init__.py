@@ -11,7 +11,7 @@ from repro.tuners.base import (
 from repro.tuners.cdbtune import CDBTuneTuner, cdbtune_reward
 from repro.tuners.gpr import GaussianProcessRegressor
 from repro.tuners.hybrid import HybridTuner
-from repro.tuners.lasso import lasso_coordinate_descent, lasso_path_ranking
+from repro.tuners.lasso import lasso_path_ranking
 from repro.tuners.metrics_prep import factor_embedding, kmeans, prune_metrics
 from repro.tuners.neural import MLP, Adam, soft_update
 from repro.tuners.ottertune import OtterTuneTuner
@@ -43,7 +43,6 @@ __all__ = [
     "config_to_vector",
     "factor_embedding",
     "kmeans",
-    "lasso_coordinate_descent",
     "lasso_path_ranking",
     "load_config_history",
     "load_repository",

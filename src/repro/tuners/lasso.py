@@ -19,9 +19,9 @@ has no iteration cap and no convergence tolerance, so the tail of a
 ranking is the path's and not an artefact of a sweep budget; for the
 catalogs here (d ≈ 14) a whole path costs a few dozen events.
 
-:func:`lasso_coordinate_descent` (cyclic coordinate descent on the same
-Gram form) stays as the independent reference the tests check the path
-against.
+Cyclic coordinate descent on the same Gram form lives with the tests
+(``tests/reference.py``), as the independent reference they check the
+path against.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "lasso_coordinate_descent",
     "lasso_gram_ranking",
     "lasso_path_ranking",
 ]
@@ -67,42 +66,6 @@ def _standardised_problem(
     ys = y - y.mean()
     y_std = ys.std() or 1.0
     return xs, ys / y_std
-
-
-def _cd_gram(
-    gram: np.ndarray,
-    corr: np.ndarray,
-    alpha: float,
-    w: np.ndarray,
-    max_iter: int,
-    tol: float,
-) -> np.ndarray:
-    """Cyclic coordinate descent on the Gram formulation (in-place on *w*).
-
-    Minimises ``(1/2n)·||y − Xw||² + alpha·||w||₁`` given ``gram = XᵀX/n``
-    and ``corr = Xᵀy/n``. The per-coordinate residual correlation is
-    ``corr_j − G_j·w + G_jj·w_j`` — identical to the classic residual
-    update, but O(d) per coordinate instead of O(n).
-    """
-    d = len(corr)
-    diag = gram.diagonal()
-    active = [j for j in range(d) if diag[j] > _DEGENERATE]
-    # ``q`` tracks gram @ w so each coordinate update is one O(d) axpy.
-    q = gram @ w
-    for _ in range(max_iter):
-        max_delta = 0.0
-        for j in active:
-            dj = diag[j]
-            w_old = w[j]
-            rho = corr[j] - q[j] + dj * w_old
-            w_new = np.sign(rho) * max(abs(rho) - alpha, 0.0) / dj
-            if w_new != w_old:
-                w[j] = w_new
-                q += gram[:, j] * (w_new - w_old)
-                max_delta = max(max_delta, abs(w_new - w_old))
-        if max_delta < tol:
-            break
-    return w
 
 
 def _lasso_path(
@@ -218,28 +181,6 @@ def _rank_from_path(
         range(d),
         key=lambda j: (entry_step[j], -abs(final_w[j]), -tie_corr[j]),
     )
-
-
-def lasso_coordinate_descent(
-    x: np.ndarray,
-    y: np.ndarray,
-    alpha: float,
-    max_iter: int = 500,
-    tol: float = 1e-6,
-) -> np.ndarray:
-    """Lasso coefficients for standardised inputs.
-
-    Minimises ``(1/2n)·||y − Xw||² + alpha·||w||₁`` by cyclic coordinate
-    descent with soft-thresholding. *x* and *y* are standardised
-    internally; returned coefficients are in standardised space (their
-    magnitudes are comparable across features, which is all the ranking
-    needs).
-    """
-    xs, ys = _standardised_problem(x, y)
-    n, d = xs.shape
-    gram = (xs.T @ xs) / n
-    corr = (xs.T @ ys) / n
-    return _cd_gram(gram, corr, float(alpha), np.zeros(d), max_iter, tol)
 
 
 def lasso_gram_ranking(

@@ -3,9 +3,9 @@
 ``SimulatedDatabase.run`` is the engine's window step on a chunk of one;
 ``MemberBatch.step_window`` runs the same step over the whole roster. The
 step forks in one place only: chunks narrower than
-``_VECTOR_MIN_MEMBERS`` run the per-second write-back recurrence per
-member (``WriteBackScheduler.run_window``), wider chunks run it
-vectorised (``run_windows``). The hard invariant is bit-identity with
+``_VECTOR_MIN_MEMBERS`` run the event-driven write-back kernel per
+member (``WriteBackScheduler.run_window``), wider chunks run the
+per-second recurrence vectorised (``run_windows``). The hard invariant is bit-identity with
 ``[db.run(batch) for db, batch in ...]`` — not approximate equality:
 fleet experiments compare rendered bytes across worker counts, so a
 single ULP of drift anywhere would break the parity suite.

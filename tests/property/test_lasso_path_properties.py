@@ -26,13 +26,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.tuners.lasso import (
-    _cd_gram,
     _rank_from_path,
     _standardised_problem,
-    lasso_coordinate_descent,
     lasso_gram_ranking,
     lasso_path_ranking,
 )
+from tests.reference import cd_gram, lasso_coordinate_descent
 
 #: KKT residual allowed, as a fraction of the largest |corr|. The exact
 #: path lands near 1e-12; 500-sweep descent misses by up to 1e-2.
@@ -136,7 +135,7 @@ class TestKKT:
         alphas = _grid(corr)
         capped = np.array(
             [
-                _cd_gram(gram, corr, float(a), np.zeros(len(corr)), 500, 1e-6)
+                cd_gram(gram, corr, float(a), np.zeros(len(corr)), 500, 1e-6)
                 for a in alphas
             ]
         )

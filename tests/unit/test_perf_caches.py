@@ -24,12 +24,12 @@ from repro.tuners.base import (
     vector_to_config,
     vectors_to_values,
 )
-from repro.tuners.lasso import lasso_coordinate_descent
 from repro.tuners.ottertune import OtterTuneTuner
 from repro.tuners.workload_mapping import WorkloadMapper
 from repro.workloads.query import QueryFamily, QueryFootprint, QueryType
 
 from tests.conftest import make_samples
+from tests.reference import lasso_coordinate_descent
 
 
 # -- refresh policy ------------------------------------------------------------

@@ -139,7 +139,7 @@ class TestBgwriterDetector:
         db.config = db.config.with_values(
             {"checkpoint_timeout": 30, "max_wal_size": 64}
         )
-        detector = BgwriterThrottleDetector("svc", repo, window_s=60.0)
+        detector = BgwriterThrottleDetector("svc", repo)
         result = db.run(TPCCWorkload(seed=5).batch(60.0))
         throttles = detector.inspect(result)
         assert throttles
@@ -154,7 +154,7 @@ class TestBgwriterDetector:
              "shared_buffers": 4096, "bgwriter_lru_maxpages": 1000,
              "bgwriter_delay": 50}
         )
-        detector = BgwriterThrottleDetector("svc", repo, window_s=60.0)
+        detector = BgwriterThrottleDetector("svc", repo)
         result = db.run(TPCCWorkload(rps=300.0, seed=5).batch(60.0))
         assert detector.inspect(result) == []
 

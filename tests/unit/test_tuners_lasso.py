@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.tuners.lasso import lasso_coordinate_descent, lasso_path_ranking
+from repro.tuners.lasso import lasso_path_ranking
+from tests.reference import lasso_coordinate_descent
 
 
 def _design(n=120, d=6, seed=0):
