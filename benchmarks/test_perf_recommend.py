@@ -1,6 +1,6 @@
 """Bench: recommend() in the loop's pattern — screen and knob selection.
 
-Three timed profiles, one JSON artifact
+Three timed profiles and a Lasso lane, one JSON artifact
 (``benchmarks/out/BENCH_recommend.json``). Every request lands right
 after a fresh repository sample, the Fig. 9 pattern: in the closed loop
 each TDE tuning request follows a sample upload, so every request
@@ -16,6 +16,13 @@ armed, the coreset surrogate). The profiles:
   the GP all run inside the per-workload active subspace (8 of 14
   catalog dims), with inactive knobs carried from the incumbent.
 
+The **Lasso lane** times the exact path the knob selector re-ranks
+with, :func:`repro.tuners.lasso._lasso_path`, against the per-event
+reference it must match bit for bit
+(:func:`tests.reference.lasso_path_per_event`), at d = 14 over 30
+alphas: seeded designs with correlated column pairs plus the captured
+governed problem in ``tests/fixtures/lasso_governed_problem.json``.
+
 Timing is **best-of-rounds** (the minimum over timed rounds): the
 steady-state cost of the code path with scheduler and allocator noise
 removed, which is what the speedup ratio gate needs to be stable on
@@ -27,18 +34,23 @@ best case tends to land on the smallest set.
 Gates:
 
 - off stays under 4 ms and on under 3 ms. Best-of on a 2-core VM is
-  1.7–2.9 ms off and 1.2–2.1 ms on over 24 runs (the range is the
-  host's speed changing between runs);
+  1.8–2.7 ms off and 1.1–1.9 ms on over 12 runs, six quick and six
+  full (the range is the host's speed changing between runs);
 - the screen's speedup (off / on) stays within 20% of the committed
   baseline (``benchmarks/baselines/BENCH_recommend_baseline.json``);
-  it read 1.30–1.71x over the same runs;
+  it read 1.40–1.73x over the same runs;
 - the on profile hands exact scoring a shortlist no larger than the
   policy's ``shortlist_size`` (<= 16), on every request;
 - select stays under its own ceiling, and its recorded subspace must be
   strictly smaller than the catalog. Selection re-ranks its subspace on
-  every version bump, which costs more than the smaller space saves:
-  select is *slower* than off (best-of 2.7–4.5 ms on the same VM), and
-  its 7 ms ceiling keeps the same ~1.5x headroom as the others.
+  every version bump, one exact Lasso path per request: select costs
+  0.95–1.23x off in the same run (best-of 1.9–3.3 ms over the same
+  runs), and its 5 ms ceiling keeps the same ~1.5x headroom as the
+  others;
+- the Lasso lane's lean path is at least 1.5x faster than the
+  per-event reference, a ratio taken within one run so the host's speed
+  cancels (it read 1.83–2.62x over the same runs); every problem's two
+  coefficient matrices must be equal bit for bit.
 
 The speedup floor measures on against off, so it falls whenever the off
 path gets faster; the absolute ceilings are what keep every path fast.
@@ -51,8 +63,10 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
 import time
 
+import numpy as np
 from conftest import run_once
 
 from repro.core.features import Features
@@ -60,9 +74,16 @@ from repro.dbsim.knobs import postgres_catalog
 from repro.experiments.common import offline_train
 from repro.tuners.base import TrainingSample, TuningRequest
 from repro.tuners.knob_selection import SelectionPolicy
+from repro.tuners.lasso import _lasso_path, _standardised_problem
 from repro.tuners.ottertune import OtterTuneTuner
 from repro.tuners.surrogate import SurrogatePolicy
 from repro.workloads.tpcc import TPCCWorkload
+
+# The reference path lives with the tests; ``pytest`` run as a command
+# (not ``python -m pytest``) does not put the repository root on the path.
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))
+from tests.reference import lasso_path_per_event  # noqa: E402
 
 QUICK = os.environ.get("PERF_QUICK") == "1"
 ROUNDS = 15 if QUICK else 50
@@ -71,13 +92,18 @@ BASELINE_PATH = (
     pathlib.Path(__file__).parent / "baselines" / "BENCH_recommend_baseline.json"
 )
 JSON_OUT = pathlib.Path(__file__).parent / "out" / "BENCH_recommend.json"
+LASSO_FIXTURE = REPO_ROOT / "tests" / "fixtures" / "lasso_governed_problem.json"
 
 #: The screen's speedup must stay within 20% of the committed baseline.
 REGRESSION_FRACTION = 0.8
 #: Absolute ceilings per profile; see the module docstring.
 OFF_MS_CEILING = 4.0
 ON_MS_CEILING = 3.0
-SELECT_MS_CEILING = 7.0
+SELECT_MS_CEILING = 5.0
+#: The lean Lasso path's same-run speedup over the per-event reference.
+MIN_LASSO_SPEEDUP = 1.5
+#: Seeded Lasso problems per lane round (plus the captured one).
+LASSO_PROBLEMS = 40
 
 
 def _build_tuner(
@@ -129,6 +155,54 @@ def _timings(profiles: dict[str, tuple[OtterTuneTuner, TuningRequest]]) -> dict:
     }
 
 
+def _lasso_problems() -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(gram, corr, alphas) at d = 14 over 30 alphas, as the selector ranks.
+
+    Seeded 150-row designs whose odd columns lean on their even
+    neighbours, with a sparse response, plus the captured governed
+    problem.
+    """
+    rng = np.random.default_rng(14)
+    pairs = []
+    for _ in range(LASSO_PROBLEMS):
+        z = rng.normal(size=(150, 14))
+        x = z.copy()
+        x[:, 1::2] = z[:, 0::2] + 0.5 * z[:, 1::2]
+        beta = rng.normal(size=14) * (rng.random(14) < 0.6)
+        xs, ys = _standardised_problem(x, x @ beta + rng.normal(size=150))
+        pairs.append(((xs.T @ xs) / 150, (xs.T @ ys) / 150))
+    captured = json.loads(LASSO_FIXTURE.read_text())
+    pairs.append((np.array(captured["gram"]), np.array(captured["corr"])))
+    return [
+        (gram, corr, float(np.max(np.abs(corr))) * np.geomspace(1.0, 1e-3, 30))
+        for gram, corr in pairs
+    ]
+
+
+def _lasso_lane() -> dict:
+    """Best-of ms per path, lean and reference timed in alternating rounds."""
+    problems = _lasso_problems()
+    for problem in problems:
+        lean = _lasso_path(*problem)
+        assert lean.tobytes() == lasso_path_per_event(*problem).tobytes()
+    best = {"reference": float("inf"), "lean": float("inf")}
+    for _ in range(ROUNDS):
+        for lane, path in (("reference", lasso_path_per_event), ("lean", _lasso_path)):
+            start = time.perf_counter()
+            for problem in problems:
+                path(*problem)
+            ms = 1e3 * (time.perf_counter() - start) / len(problems)
+            best[lane] = min(best[lane], ms)
+    return {
+        "problems": len(problems),
+        "d": 14,
+        "n_alphas": 30,
+        "reference_ms": best["reference"],
+        "lean_ms": best["lean"],
+        "speedup": best["reference"] / best["lean"],
+    }
+
+
 def test_perf_recommend_loop_pattern(benchmark, emit):
     # Quick and full time different round counts on differently loaded
     # boxes; each gates against its own committed measurement.
@@ -160,6 +234,7 @@ def test_perf_recommend_loop_pattern(benchmark, emit):
             "total": selector.dimension,
             "reranks": selector.reranks,
         }
+        report["lasso"] = _lasso_lane()
         return report
 
     report = run_once(benchmark, work)
@@ -173,6 +248,7 @@ def test_perf_recommend_loop_pattern(benchmark, emit):
         "off_ms_ceiling": OFF_MS_CEILING,
         "on_ms_ceiling": ON_MS_CEILING,
         "select_ms_ceiling": SELECT_MS_CEILING,
+        "min_lasso_speedup": MIN_LASSO_SPEEDUP,
     }
 
     JSON_OUT.parent.mkdir(exist_ok=True)
@@ -180,6 +256,7 @@ def test_perf_recommend_loop_pattern(benchmark, emit):
 
     screen = report["screen"]
     subspace = report["subspace"]
+    lasso = report["lasso"]
     emit(
         "perf_recommend",
         f"rounds: {ROUNDS} (quick={QUICK}; best-of timing, a new sample "
@@ -194,7 +271,11 @@ def test_perf_recommend_loop_pattern(benchmark, emit):
         f"{REGRESSION_FRACTION * baseline_speedup:.2f}x, baseline "
         f"{baseline_speedup:.2f}x)\n"
         f"screen: shortlists={screen['shortlists']}; "
-        f"selector: reranks={subspace['reranks']}",
+        f"selector: reranks={subspace['reranks']}\n"
+        f"lasso path (d={lasso['d']}, {lasso['n_alphas']} alphas, "
+        f"{lasso['problems']} problems): reference {lasso['reference_ms']:.3f} ms, "
+        f"lean {lasso['lean_ms']:.3f} ms, {lasso['speedup']:.2f}x "
+        f"(floor {MIN_LASSO_SPEEDUP:.1f}x)",
     )
 
     # The screen served every request, each with a policy-sized shortlist.
@@ -218,4 +299,10 @@ def test_perf_recommend_loop_pattern(benchmark, emit):
     assert select["best"] < SELECT_MS_CEILING, (
         f"select {select['best']:.2f} ms over the "
         f"{SELECT_MS_CEILING:.1f} ms ceiling"
+    )
+
+    # The lean path beats its per-event reference in the same run.
+    assert lasso["speedup"] >= MIN_LASSO_SPEEDUP, (
+        f"lean Lasso path only {lasso['speedup']:.2f}x faster than the "
+        f"per-event reference (floor {MIN_LASSO_SPEEDUP:.1f}x)"
     )

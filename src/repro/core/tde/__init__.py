@@ -12,7 +12,6 @@ from repro.core.tde.entropy import (
     classify_query,
     normalized_entropy,
 )
-from repro.core.tde.learned_detector import LabelledWindow, LearnedThrottleDetector
 from repro.core.tde.mdp import AutomatonStep, LearningAutomaton
 from repro.core.tde.memory_detector import MemoryDetectionReport, MemoryThrottleDetector
 from repro.core.tde.planner_detector import EpisodeResult, PlannerThrottleDetector
@@ -28,8 +27,6 @@ __all__ = [
     "BgwriterThrottleDetector",
     "EntropyFilter",
     "EpisodeResult",
-    "LabelledWindow",
-    "LearnedThrottleDetector",
     "LearningAutomaton",
     "MemoryDetectionReport",
     "MemoryThrottleDetector",

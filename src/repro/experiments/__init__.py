@@ -7,7 +7,6 @@ checks. See DESIGN.md's experiment index for the full mapping.
 
 from repro.experiments import (
     ablation_hybrid,
-    ablation_learned_tde,
     ablations,
     chaos_recovery,
     fig02_memory_table,
@@ -26,7 +25,6 @@ from repro.experiments.common import format_table, offline_session, offline_trai
 
 __all__ = [
     "ablation_hybrid",
-    "ablation_learned_tde",
     "ablations",
     "chaos_recovery",
     "fig02_memory_table",

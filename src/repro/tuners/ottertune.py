@@ -4,9 +4,13 @@ Pipeline per recommendation:
 
 1. pull the target workload's samples plus the repository;
 2. map the target onto its most similar historical workload
-   (:mod:`repro.tuners.workload_mapping`);
+   (:mod:`repro.tuners.workload_mapping`), unless the target alone has at
+   least ``max_train_samples`` rows: step 3 keeps only that many of the
+   most recent rows, so no mapped row would survive (fig09 at paper
+   scale stops mapping once its live workload outgrows the cap);
 3. fit a GPR surrogate on the mapped workload's samples concatenated with
-   the target's own (target last, so its evidence dominates duplicates);
+   the target's own (target last, so its evidence dominates duplicates),
+   capped at the ``max_train_samples`` most recent rows;
 4. maximise GP-UCB over random candidate configurations plus local
    perturbations of the best seen, honouring the VM memory budget;
 5. rank knob importance with a Lasso path for the recommendation report
@@ -86,6 +90,11 @@ class OtterTuneTuner(Tuner):
     memory_limit_mb / active_connections:
         If given, candidate configurations violating the §4 memory budget
         are filtered out before scoring.
+
+    After each :meth:`recommend`, :attr:`last_mapping_id` names the
+    workload the target was mapped onto, or is ``None`` when nothing was
+    mapped — including when the mapping was not consulted because the
+    target filled the training window alone.
     """
 
     name = "ottertune"
@@ -235,15 +244,27 @@ class OtterTuneTuner(Tuner):
         throughputs are not comparable across sources; each source's
         objective is z-scored independently — what matters for the
         surrogate is each source's *ranking* of configurations.
+
+        Exact GPR is cubic in the sample count, so the set is capped at
+        the most recent :attr:`max_train_samples` rows, as a deployed
+        tuner must. Target rows come last and survive the cap first: a
+        target with at least that many rows fills the window alone, so
+        the mapping is not consulted and :attr:`last_mapping_id` is
+        ``None``. Either way the rows are the ones mapping first would
+        give (``tests/reference.py`` keeps that form).
         """
         target = self.repository.dataset(request.workload_id)
-        mapping = self._mapper.map_workload(request.workload_id)
-        self.last_mapping_id = mapping.best_workload_id
+        cap = self.max_train_samples
 
         def standardise(y: np.ndarray) -> np.ndarray:
             std = float(np.std(y))
             return (y - float(np.mean(y))) / std if std > 1e-12 else y - float(np.mean(y))
 
+        if target.size >= cap:
+            self.last_mapping_id = None
+            return target.configs[-cap:], standardise(target.objective)[-cap:]
+        mapping = self._mapper.map_workload(request.workload_id)
+        self.last_mapping_id = mapping.best_workload_id
         parts_x: list[np.ndarray] = []
         parts_y: list[np.ndarray] = []
         if mapping.mapped:
@@ -258,12 +279,9 @@ class OtterTuneTuner(Tuner):
             return np.empty((0, len(self.catalog))), np.empty(0)
         x = np.vstack(parts_x)
         y = np.concatenate(parts_y)
-        # Exact GPR is cubic in the sample count; cap the training set at
-        # the most recent rows (target samples come last and survive
-        # preferentially), as a deployed tuner must.
-        if len(y) > self.max_train_samples:
-            x = x[-self.max_train_samples :]
-            y = y[-self.max_train_samples :]
+        if len(y) > cap:
+            x = x[-cap:]
+            y = y[-cap:]
         return x, y
 
     def _raw_candidates(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -11,9 +11,17 @@ Each function here is the plain definition of a computation that
 - :func:`lasso_coordinate_descent` solves the Lasso by cyclic coordinate
   descent on the Gram form (:func:`cd_gram`), the independent check of
   the exact path in :mod:`repro.tuners.lasso`.
+- :func:`lasso_path_per_event` is that exact path with one masked numpy
+  pass per event; the lean ``_lasso_path`` must match it bit for bit.
+- :func:`training_set_always_mapped` builds the OtterTune training set
+  by always consulting the workload mapping, then capping; the tuner's
+  ``_training_set``, which skips the mapping when the target alone fills
+  the cap, must return the same arrays bit for bit.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,7 +33,16 @@ from repro.dbsim.bgwriter import (
     WriteBackScheduler,
 )
 from repro.dbsim.config import KnobConfiguration
-from repro.tuners.lasso import _DEGENERATE, _standardised_problem
+from repro.tuners.lasso import (
+    _DEGENERATE,
+    _RATE,
+    _SPANNED,
+    _standardised_problem,
+)
+
+if TYPE_CHECKING:
+    from repro.tuners.base import TuningRequest
+    from repro.tuners.ottertune import OtterTuneTuner
 
 
 def run_window_per_second(
@@ -173,3 +190,118 @@ def lasso_coordinate_descent(
     gram = (xs.T @ xs) / n
     corr = (xs.T @ ys) / n
     return cd_gram(gram, corr, float(alpha), np.zeros(d), max_iter, tol)
+
+
+def lasso_path_per_event(
+    gram: np.ndarray, corr: np.ndarray, alphas: np.ndarray
+) -> np.ndarray:
+    """``_lasso_path(gram, corr, alphas)``, one numpy pass per event.
+
+    The homotopy as first written: every event's join and drop search
+    runs as masked array expressions (``np.where`` fills ineligible
+    slots with 0.0 and ``argmax`` takes the first maximum), and each
+    grid row is filled on its own. The lean path in
+    :mod:`repro.tuners.lasso` must return the same matrix bit for bit.
+    """
+    d = len(corr)
+    path = np.zeros((len(alphas), d))
+    diag = gram.diagonal()
+    eligible = diag > _DEGENERATE
+    strength = np.where(eligible, np.abs(corr), 0.0)
+    lam = float(strength.max())
+    if lam <= 0.0:
+        return path
+    first = int(strength.argmax())
+    active = [first]
+    signs = [float(np.sign(corr[first]))]
+    inactive_mask = eligible.copy()
+    inactive_mask[first] = False
+    i = int(np.searchsorted(-alphas, -lam, side="right"))
+    max_events = 4 * d + 16
+    for event in range(max_events + 1):
+        idx = np.array(active)
+        s_a = np.array(signs)
+        inactive = np.flatnonzero(inactive_mask)
+        g_ai = gram[np.ix_(idx, inactive)]
+        sol = np.linalg.solve(
+            gram[np.ix_(idx, idx)],
+            np.column_stack([corr[idx], s_a, g_ai]),
+        )
+        u, v = sol[:, 0], sol[:, 1]
+        # Next event: the largest alpha below ``lam`` where a column
+        # joins (``join`` = (column, sign)) or an active one drops
+        # (``drop`` = its position in ``active``). None ends the path.
+        lam_next = 0.0
+        join: tuple[int, float] | None = None
+        drop: int | None = None
+        if event < max_events:
+            p = corr[inactive] - g_ai.T @ u
+            a = g_ai.T @ v
+            schur = diag[inactive] - np.einsum("ij,ij->j", g_ai, sol[:, 2:])
+            free = schur > _SPANNED * diag[inactive]
+            for sign in (1.0, -1.0):
+                rate = 1.0 - sign * a
+                ok = free & (rate > _RATE)
+                if ok.any():
+                    at = np.where(ok, sign * p / np.where(ok, rate, 1.0), 0.0)
+                    k = int(at.argmax())
+                    if at[k] > lam_next:
+                        lam_next, join = float(at[k]), (int(inactive[k]), sign)
+            shrinking = s_a * v < -_RATE
+            if len(active) > 1 and shrinking.any():
+                at = np.where(shrinking, u / np.where(shrinking, v, 1.0), 0.0)
+                k = int(at.argmax())
+                if at[k] > lam_next:
+                    lam_next, join, drop = float(at[k]), None, k
+            lam_next = min(lam_next, lam)
+        while i < len(alphas) and alphas[i] > lam_next:
+            path[i, idx] = u - alphas[i] * v
+            i += 1
+        if i == len(alphas):
+            break
+        if join is not None:
+            active.append(join[0])
+            signs.append(join[1])
+            inactive_mask[join[0]] = False
+        elif drop is not None:
+            inactive_mask[active.pop(drop)] = True
+            signs.pop(drop)
+        lam = lam_next
+    return path
+
+
+def training_set_always_mapped(
+    tuner: OtterTuneTuner, request: TuningRequest
+) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """``tuner._training_set(request)`` that always maps, plus the mapping.
+
+    Mapped workload rows first, target rows last, each source's objective
+    z-scored on its own, then the most recent ``max_train_samples`` rows.
+    Returns ``(x, y, mapped workload id)``.
+    """
+    repository = tuner.repository
+    target = repository.dataset(request.workload_id)
+    mapping = tuner._mapper.map_workload(request.workload_id)
+
+    def standardise(y: np.ndarray) -> np.ndarray:
+        std = float(np.std(y))
+        return (y - float(np.mean(y))) / std if std > 1e-12 else y - float(np.mean(y))
+
+    parts_x: list[np.ndarray] = []
+    parts_y: list[np.ndarray] = []
+    if mapping.mapped:
+        mapped = repository.dataset(mapping.best_workload_id)
+        if mapped.size:
+            parts_x.append(mapped.configs)
+            parts_y.append(standardise(mapped.objective))
+    if target.size:
+        parts_x.append(target.configs)
+        parts_y.append(standardise(target.objective))
+    if not parts_x:
+        return np.empty((0, len(tuner.catalog))), np.empty(0), mapping.best_workload_id
+    x = np.vstack(parts_x)
+    y = np.concatenate(parts_y)
+    if len(y) > tuner.max_train_samples:
+        x = x[-tuner.max_train_samples :]
+        y = y[-tuner.max_train_samples :]
+    return x, y, mapping.best_workload_id
