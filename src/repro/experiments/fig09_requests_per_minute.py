@@ -28,16 +28,16 @@ why ``--workers N`` is output-invariant.
 Wire discipline: the repository snapshot crosses to each shard exactly
 once, at session setup. After window 0 the broadcast carries only
 deltas — fitted knob values and new training samples, both encoded as
-plain float tuples. Every window each member writes its knob values and
-delta-metric vector into a shared-memory
-:class:`~repro.parallel.shm.MemberBank`, never to the result pipe. The
-pipe carries one reply type, :class:`MemberOut`, and only for members
-that need tuning (their throttle focus), carry a trace fragment, or
-report their static facts in window 0. Traced runs step the same
-columnar path; each member's TDE just records into a fragment. Encoding
-is value-exact (python floats in catalog/metric-name order), so every
-decoded object equals what a direct object transfer would have carried
-and outputs stay byte-identical across worker counts.
+plain float tuples. The pipe carries one reply type, :class:`MemberOut`,
+and only for members that need tuning or carry a trace fragment. A
+member that needs tuning sends its tuning request upstream in that one
+reply, as the paper's service instances do (§2, Fig. 1): instance id,
+workload name, memory budget, connection count, and its knob and metric
+values. Traced runs step the same columnar path; each member's TDE just
+records into a fragment. Encoding is value-exact (python floats in
+catalog/metric-name order), so every decoded object equals what a
+direct object transfer would have carried and outputs stay
+byte-identical across worker counts.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from repro.dbsim.metrics import METRIC_NAMES, MetricsDelta
 from repro.experiments.common import offline_train
 from repro.obs.trace import TraceRecorder
 from repro.parallel import FleetExecutor
-from repro.parallel.shm import MemberBank, MemberBankHandle
 from repro.parallel.stats import SessionStats
 from repro.tuners.base import TrainingSample, TuningRequest
 from repro.tuners.ottertune import OtterTuneTuner
@@ -86,27 +85,18 @@ def _metric_values(metrics: MetricsDelta) -> tuple[float, ...]:
 
 
 def _decode_config(
-    catalog: KnobCatalog, values: tuple[float, ...] | list[float]
+    catalog: KnobCatalog, values: tuple[float, ...]
 ) -> KnobConfiguration:
     return KnobConfiguration(catalog, dict(zip(catalog.names(), values)))
 
 
-def _decode_metrics(values: tuple[float, ...] | list[float]) -> MetricsDelta:
+def _decode_metrics(values: tuple[float, ...]) -> MetricsDelta:
     return MetricsDelta(dict(zip(METRIC_NAMES, values)))
 
 
 #: Wire form of one training sample: (workload_id, knob values, metric
 #: values, timestamp).
 _WireSample = tuple[str, tuple[float, ...], tuple[float, ...], float]
-
-
-def _encode_sample(sample: TrainingSample) -> _WireSample:
-    return (
-        sample.workload_id,
-        _config_values(sample.config),
-        _metric_values(sample.metrics),
-        sample.timestamp_s,
-    )
 
 
 def _decode_sample(catalog: KnobCatalog, wire: _WireSample) -> TrainingSample:
@@ -152,9 +142,6 @@ class _ShardSpec:
     fleet: FleetSpec
     repository: WorkloadRepository
     tde_seed: int
-    #: Shared member-state bank: each window every member writes its knob
-    #: values and delta-metric vector here, never to the pipe.
-    bank: MemberBankHandle
     #: Record each member's TDE round into a trace fragment.
     traced: bool = False
     host_time: bool = False
@@ -179,25 +166,49 @@ class WindowCommand:
     new_samples: tuple[_WireSample, ...] = ()
 
 
-#: A member's static facts: instance id, workload name, memory budget
-#: (MB) and active connections.
-_Facts = tuple[str, str, float, int]
+@dataclass(frozen=True)
+class MemberRequest:
+    """A member's tuning request, wire-encoded.
+
+    Carries everything the coordinator reads to serve it: who asks, the
+    budget its fitted config must respect, and the window's knob and
+    metric values as python floats.
+    """
+
+    instance_id: str
+    workload_name: str
+    #: Memory granted to the database process (MB).
+    memory_limit_mb: float
+    active_connections: int
+    #: Knob values in canonical catalog order.
+    config_values: tuple[float, ...]
+    #: Delta-metric values in ``METRIC_NAMES`` order.
+    metric_values: tuple[float, ...]
+    #: :meth:`TDEReport.focus`: the throttle class and knobs.
+    throttle_class: str | None
+    throttle_knobs: tuple[str, ...]
+
+    def wire_sample(self, timestamp_s: float) -> _WireSample:
+        """The training sample this request adds, in wire form."""
+        return (
+            self.workload_name,
+            self.config_values,
+            self.metric_values,
+            timestamp_s,
+        )
 
 
 @dataclass(frozen=True)
 class MemberOut:
     """One member's reply for one window.
 
-    A member replies only when it needs tuning, carries a trace
-    fragment, or is in window 0 and reports its static facts. Its knob
-    values and metric vector are always in the member bank.
+    A member replies only when it needs tuning or carries a trace
+    fragment.
     """
 
     index: int
-    #: :meth:`TDEReport.focus` when the member needs tuning, else None.
-    focus: tuple[str | None, tuple[str, ...]] | None = None
-    #: Window 0 only; the coordinator caches them for the whole run.
-    facts: _Facts | None = None
+    #: The member's tuning request when it needs tuning, else None.
+    request: MemberRequest | None = None
     #: Traced runs only: the member's TDE round.
     fragment: TraceRecorder | None = None
 
@@ -228,8 +239,6 @@ class Fig09ShardWorker:
             [self.members[i].deployment.service.master for i in self.indices]
         )
         self._catalog = self.members[self.indices[0]].deployment.service.master.catalog
-        self._bank = spec.bank.attach()
-        self._windows = 0
         self.clock_s = 0.0
 
     def step(self, command: WindowCommand) -> list[tuple[int, MemberOut]]:
@@ -265,24 +274,25 @@ class Fig09ShardWorker:
             tde = self.tdes[i]
             tde.recorder = fragment if fragment is not None else NULL_RECORDER
             report = tde.inspect(result)
-            self._bank.write(
-                i,
-                list(_config_values(result.config)),
-                list(_metric_values(result.metrics)),
-            )
-            facts = None
-            if self._windows == 0:
+            request = None
+            if report.needs_tuning:
                 master = member.deployment.service.master
-                facts = (
+                throttle_class, throttle_knobs = report.focus()
+                # Knobs at their catalog default are python ints; float()
+                # gives the values a decoded KnobConfiguration holds, so
+                # wire_sample() equals an encoded TrainingSample.
+                request = MemberRequest(
                     member.instance_id,
                     result.batch.workload_name,
                     master.vm.db_memory_limit_mb,
                     master.active_connections,
+                    tuple(map(float, _config_values(result.config))),
+                    tuple(map(float, _metric_values(result.metrics))),
+                    throttle_class,
+                    throttle_knobs,
                 )
-            focus = report.focus() if report.needs_tuning else None
-            if focus is not None or facts is not None or fragment is not None:
-                outs.append((i, MemberOut(i, focus, facts, fragment)))
-        self._windows += 1
+            if request is not None or fragment is not None:
+                outs.append((i, MemberOut(i, request, fragment)))
         self.clock_s += command.window_s
         return outs
 
@@ -374,9 +384,6 @@ def run(
     # simulation tractable while the template/class statistics it feeds
     # stay well-populated (64 queries per 5-minute window per member).
     traced = isinstance(rec, TraceRecorder)
-    bank = MemberBank.create(
-        fleet_size, len(catalog), len(METRIC_NAMES), shared=workers > 1
-    )
     spec = _ShardSpec(
         fleet=FleetSpec(
             size=fleet_size,
@@ -392,7 +399,6 @@ def run(
         tde_seed=seed,
         traced=traced,
         host_time=traced and rec.host_time,  # type: ignore[union-attr]
-        bank=bank.handle(),
     )
     executor = FleetExecutor(workers=workers, start_method=start_method)
     if stats is not None:
@@ -406,72 +412,61 @@ def run(
     clock_s = 0.0
     pending: dict[int, tuple[float, ...]] = {}
     delta: list[_WireSample] = []
-    #: Static member facts, cached from the window-0 replies.
-    static: dict[int, _Facts] = {}
-    session = executor.fleet_session(_shard_factory, spec, fleet_size, stats=stats)
-    try:
-        with session:
-            for _ in range(windows):
-                now = clock_s - warmup_end
-                rec.advance(clock_s)
-                with rec.span(
-                    "landscape.window", duration_s=window_s, fleet=fleet_size
-                ):
-                    outs = session.step(
-                        WindowCommand(
-                            window_s=window_s,
-                            apply=pending,
-                            new_samples=tuple(delta),
+    with executor.fleet_session(
+        _shard_factory, spec, fleet_size, stats=stats
+    ) as session:
+        for _ in range(windows):
+            now = clock_s - warmup_end
+            rec.advance(clock_s)
+            with rec.span(
+                "landscape.window", duration_s=window_s, fleet=fleet_size
+            ):
+                outs = session.step(
+                    WindowCommand(
+                        window_s=window_s,
+                        apply=pending,
+                        new_samples=tuple(delta),
+                    )
+                )
+                pending, delta = {}, []
+                for _, out in outs:
+                    if out.fragment is not None:
+                        assert isinstance(rec, TraceRecorder)
+                        rec.absorb(out.fragment)
+                for idx, out in outs:
+                    ask = out.request
+                    if ask is None:
+                        continue
+                    config = _decode_config(catalog, ask.config_values)
+                    metrics = _decode_metrics(ask.metric_values)
+                    if now >= 0.0:
+                        # The fleet converges during warm-up (floors
+                        # settle, caps get filtered); counting starts
+                        # afterwards, like the paper's long-connected
+                        # deployments.
+                        request_times.append(now)
+                    repository.add(
+                        TrainingSample(ask.workload_name, config, metrics, now)
+                    )
+                    delta.append(ask.wire_sample(now))
+                    split = director.handle_tuning_request(
+                        TuningRequest(
+                            ask.instance_id,
+                            ask.workload_name,
+                            config,
+                            metrics,
+                            throttle_class=ask.throttle_class,
+                            throttle_knobs=ask.throttle_knobs,
+                            timestamp_s=now,
                         )
                     )
-                    pending, delta = {}, []
-                    for idx, out in outs:
-                        if out.facts is not None:
-                            static[idx] = out.facts
-                        if out.fragment is not None:
-                            assert isinstance(rec, TraceRecorder)
-                            rec.absorb(out.fragment)
-                    for idx, out in outs:
-                        if out.focus is None:
-                            continue
-                        throttle_class, throttle_knobs = out.focus
-                        (
-                            instance_id,
-                            workload_name,
-                            memory_limit_mb,
-                            active_connections,
-                        ) = static[idx]
-                        config = _decode_config(catalog, bank.config_row(idx))
-                        metrics = _decode_metrics(bank.metrics_row(idx))
-                        if now >= 0.0:
-                            # The fleet converges during warm-up (floors
-                            # settle, caps get filtered); counting starts
-                            # afterwards, like the paper's long-connected
-                            # deployments.
-                            request_times.append(now)
-                        sample = TrainingSample(workload_name, config, metrics, now)
-                        repository.add(sample)
-                        delta.append(_encode_sample(sample))
-                        split = director.handle_tuning_request(
-                            TuningRequest(
-                                instance_id,
-                                workload_name,
-                                config,
-                                metrics,
-                                throttle_class=throttle_class,
-                                throttle_knobs=throttle_knobs,
-                                timestamp_s=now,
-                            )
+                    pending[idx] = _config_values(
+                        split.reloadable.fitted_to_budget(
+                            ask.memory_limit_mb, ask.active_connections
                         )
-                        pending[idx] = _config_values(
-                            split.reloadable.fitted_to_budget(
-                                memory_limit_mb, active_connections
-                            )
-                        )
-                    director.balancer.drain(window_s)
-                clock_s += window_s
-    finally:
-        bank.close()
+                    )
+                director.balancer.drain(window_s)
+            clock_s += window_s
     if stats is not None:
         # What the pre-delta protocol would have pickled at the last
         # window: the repository with every ingested sample. The honest

@@ -17,6 +17,13 @@ byte-identical seeded outputs. The pieces:
   in canonical member order, metrics registries folded with
   :meth:`~repro.obs.metrics.MetricsRegistry.merge`, trace fragments
   spliced with :meth:`~repro.obs.trace.TraceRecorder.absorb`.
+- :mod:`~repro.parallel.stats` — bytes and per-phase times of every
+  step, weighed at the pipe seam.
+
+The pipe is the only channel between coordinator and shards: one
+command broadcast per step, and from each shard the replies of the
+members with something to send (in fig09, a tuning request or a trace
+fragment).
 
 See ``docs/parallelism.md`` for the determinism contract and backend
 selection, and ``tests/integration/test_parallel_parity.py`` for the
@@ -30,14 +37,11 @@ from repro.parallel.executor import (
     partition_members,
 )
 from repro.parallel.reduce import merge_member_outputs, merge_registries
-from repro.parallel.shm import MemberBank, MemberBankHandle
 from repro.parallel.stats import SessionStats, StepStats, render_session_stats
 
 __all__ = [
     "FleetExecutor",
     "FleetSession",
-    "MemberBank",
-    "MemberBankHandle",
     "SessionStats",
     "StepStats",
     "WorkerCrashed",

@@ -59,13 +59,11 @@ class _GrowingMatrix:
     views stay valid snapshots either way.
     """
 
-    __slots__ = ("_buf", "n", "_trim_cache", "_trim_cache_n")
+    __slots__ = ("_buf", "n")
 
     def __init__(self, width: int) -> None:
         self._buf = np.empty((16, width))
         self.n = 0
-        self._trim_cache: np.ndarray | None = None
-        self._trim_cache_n = -1
 
     def append(self, row: np.ndarray) -> None:
         if self.n == len(self._buf):
@@ -82,21 +80,10 @@ class _GrowingMatrix:
         # Pickle only the filled rows: the spare capacity is np.empty
         # garbage, and shipping it would make snapshot bytes (shard
         # worker setup, parity digests) depend on allocation history.
-        # Rows are append-only, so the trimmed copy stays valid until the
-        # row count moves — repeated pickles of an unchanged matrix (the
-        # repository is snapshotted per shard at session setup) reuse it.
-        if self._trim_cache_n != self.n:
-            self._trim_cache = self._buf[: self.n].copy()
-            self._trim_cache_n = self.n
-        assert self._trim_cache is not None
-        return (self._trim_cache, self.n)
+        return (self._buf[: self.n].copy(), self.n)
 
     def __setstate__(self, state: tuple[np.ndarray, int]) -> None:
         self._buf, self.n = state
-        # The unpickled buffer has no spare rows, so it doubles as its
-        # own trimmed snapshot; the first append reallocates anyway.
-        self._trim_cache = self._buf
-        self._trim_cache_n = self.n
 
 
 class _WorkloadArrays:

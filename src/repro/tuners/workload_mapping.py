@@ -55,7 +55,15 @@ class WorkloadMapper:
         # R009-safe despite being a mutation of a received repository:
         # inside a shard the repository is that worker's pickled copy,
         # and entries are version-keyed pure functions of repository
-        # contents — cache state can never change an output.
+        # contents. Below ``exact_refresh_limit`` every version bump
+        # recomputes, so cache state cannot change an output. Past it an
+        # entry is served up to ``stale_refresh_every`` versions stale,
+        # so a mapping depends on the version at which some consumer of
+        # the shared "edges" and "map" entries last refreshed them.
+        # fig09 stays worker-invariant at paper scale anyway: every
+        # member's bgwriter detector maps the same "production" key every
+        # window, so every shard's copy refreshes at the same versions
+        # whichever members it holds.
         cache = repository.derived_cache.setdefault(  # repro: noqa[R009]
             ("mapper", n_bins), {}
         )

@@ -5,29 +5,28 @@ setup. These tests pin the steady-state invariant at the payload level:
 pickle whatever actually crosses the pipe after window 0 and prove it
 contains no repository snapshot (nor any heavyweight object at all), is
 an order of magnitude smaller than re-broadcasting the snapshot, and
-decodes back to value-identical objects. Traced shards step the same
-path and add only a trace fragment per member.
+decodes back to value-identical objects. A member that needs tuning
+sends its request upstream with its knob and metric values; traced
+shards step the same path and add only a trace fragment per member.
 """
 
 import pickle
 
 from repro.cloud.fleet import FleetSpec
 from repro.common.rng import stream_root
+from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.knobs import postgres_catalog
-from repro.dbsim.metrics import METRIC_NAMES
 from repro.experiments.common import offline_train
 from repro.experiments.fig09_requests_per_minute import (
     Fig09ShardWorker,
-    MemberOut,
     WindowCommand,
     _config_values,
     _decode_config,
     _decode_metrics,
     _decode_sample,
-    _encode_sample,
+    _metric_values,
     _ShardSpec,
 )
-from repro.parallel.shm import MemberBank
 from repro.parallel.stats import SessionStats, StepStats, render_session_stats
 from repro.tuners.base import TrainingSample
 from repro.workloads.production import ProductionWorkload
@@ -43,6 +42,28 @@ _HEAVY_MARKERS = (
 )
 
 
+def _encode_sample(sample: TrainingSample):
+    """Wire form of a decoded sample, encoded from the objects themselves.
+
+    The coordinator appends ``request.wire_sample(now)`` instead; the two
+    must agree element for element, types included, or command bytes
+    move.
+    """
+    return (
+        sample.workload_id,
+        _config_values(sample.config),
+        _metric_values(sample.metrics),
+        sample.timestamp_s,
+    )
+
+
+def _typed(value):
+    """*value* with every leaf paired with its exact type."""
+    if isinstance(value, tuple):
+        return tuple(_typed(v) for v in value)
+    return (type(value), value)
+
+
 def _make_worker(size: int = 2, traced: bool = False):
     catalog = postgres_catalog()
     repository = offline_train(
@@ -56,43 +77,50 @@ def _make_worker(size: int = 2, traced: bool = False):
         n_configs=14,
         seed=91,
     )
-    bank = MemberBank.create(size, len(catalog), len(METRIC_NAMES), shared=False)
     spec = _ShardSpec(
         fleet=FleetSpec(size=size, root=stream_root(0), sample_size=64),
         repository=repository,
         tde_seed=0,
-        bank=bank.handle(),
         traced=traced,
     )
-    return Fig09ShardWorker(spec, tuple(range(size))), bank, catalog, repository
+    return Fig09ShardWorker(spec, tuple(range(size))), catalog, repository
 
 
-def _bank_sample(bank, catalog, out: MemberOut, timestamp_s: float):
-    """The training sample the coordinator builds for *out*'s member."""
-    _, workload_name, _, _ = out.facts
-    return TrainingSample(
-        workload_name,
-        _decode_config(catalog, bank.config_row(out.index)),
-        _decode_metrics(bank.metrics_row(out.index)),
-        timestamp_s,
-    )
+def _capture_results(worker) -> list:
+    """Record every window's live execution results, per shard member."""
+    windows: list = []
+    step_window = worker._engine.step_window
+
+    def recording(batches):
+        results = step_window(batches)
+        windows.append(dict(zip(worker.indices, results)))
+        return results
+
+    worker._engine.step_window = recording
+    return windows
+
+
+def _reload_work_mem(catalog, value: float) -> tuple[float, ...]:
+    """A fitted-config wire tuple that changes one reloadable knob."""
+    return _config_values(KnobConfiguration(catalog).with_values({"work_mem": value}))
 
 
 class TestDeltaOnlyBroadcast:
     def test_steady_state_payload_has_no_repository_snapshot(self):
-        worker, bank, catalog, repository = _make_worker()
+        worker, catalog, repository = _make_worker()
         outs0 = worker.step(WindowCommand(window_s=300.0))
-        # Window 0: every member reports its static facts.
-        assert [i for i, _ in outs0] == [0, 1]
-        assert all(out.facts is not None for _, out in outs0)
+        # Window 0 steps every member through the clock and monitoring.
+        assert worker.clock_s == 300.0
+        for member in worker.members.values():
+            assert len(member.monitoring.iops) == 300
 
         # The coordinator's steady-state broadcast: one fitted config and
         # one fresh sample, both wire-encoded.
-        sample = _bank_sample(bank, catalog, outs0[0][1], 0.0)
+        request = outs0[0][1].request
         command = WindowCommand(
             window_s=300.0,
-            apply={0: _config_values(sample.config)},
-            new_samples=(_encode_sample(sample),),
+            apply={0: request.config_values},
+            new_samples=(request.wire_sample(0.0),),
         )
         payload = pickle.dumps(("step", command))
         for marker in _HEAVY_MARKERS:
@@ -111,34 +139,70 @@ class TestDeltaOnlyBroadcast:
         # Untraced steady state: only members that need tuning reply.
         assert outs1
         for _, out in outs1:
-            assert out.focus is not None
-            assert out.facts is None and out.fragment is None
+            assert out.request is not None
+            assert out.fragment is None
 
     def test_traced_steady_state_reply_adds_only_fragments(self):
-        worker, _, _, _ = _make_worker(traced=True)
+        worker, _, _ = _make_worker(traced=True)
         worker.step(WindowCommand(window_s=300.0))
         outs1 = worker.step(WindowCommand(window_s=300.0))
         assert [i for i, _ in outs1] == [0, 1]
-        assert all(
-            out.fragment is not None and out.facts is None for _, out in outs1
-        )
+        assert all(out.fragment is not None for _, out in outs1)
         reply = pickle.dumps(outs1)
         for marker in _HEAVY_MARKERS:
             assert marker not in reply, marker
 
-    def test_bank_rows_decode_to_live_member_state(self):
-        worker, bank, catalog, _ = _make_worker()
+    def test_request_decodes_to_live_member_state(self):
+        worker, catalog, _ = _make_worker()
+        live = _capture_results(worker)
         worker.step(WindowCommand(window_s=300.0))
-        worker.step(WindowCommand(window_s=300.0))
-        for i in (0, 1):
-            master = worker.members[i].deployment.service.master
-            decoded = _decode_config(catalog, bank.config_row(i))
-            assert decoded == master.config
-            metrics = _decode_metrics(bank.metrics_row(i))
-            assert set(metrics.values) == set(METRIC_NAMES)
+        outs = worker.step(
+            WindowCommand(window_s=300.0, apply={0: _reload_work_mem(catalog, 16.0)})
+        )
+        assert [i for i, _ in outs] == [0, 1]
+        for i, out in outs:
+            request = out.request
+            result = live[-1][i]
+            config = _decode_config(catalog, request.config_values)
+            metrics = _decode_metrics(request.metric_values)
+            assert config == result.config
+            assert repr(config) == repr(result.config)
+            assert metrics == result.metrics
+            assert repr(metrics) == repr(result.metrics)
+            member = worker.members[i]
+            master = member.deployment.service.master
+            assert request.instance_id == member.instance_id
+            assert request.workload_name == result.batch.workload_name
+            assert request.memory_limit_mb == master.vm.db_memory_limit_mb
+            assert request.active_connections == master.active_connections
+            values = request.config_values + request.metric_values
+            assert all(type(v) is float for v in values)
+        assert repr(live[-1][0].config) != repr(live[-1][1].config)
+
+    def test_wire_sample_equals_encoded_training_sample(self):
+        worker, catalog, _ = _make_worker()
+        windows = (
+            WindowCommand(window_s=300.0),
+            WindowCommand(window_s=300.0, apply={1: _reload_work_mem(catalog, 32.0)}),
+        )
+        for now, command in zip((-300.0, 0.0), windows):
+            outs = worker.step(command)
+            assert outs
+            for _, out in outs:
+                request = out.request
+                sample = TrainingSample(
+                    request.workload_name,
+                    _decode_config(catalog, request.config_values),
+                    _decode_metrics(request.metric_values),
+                    now,
+                )
+                wire = request.wire_sample(now)
+                expected = _encode_sample(sample)
+                assert _typed(wire) == _typed(expected)
+                assert pickle.dumps(wire) == pickle.dumps(expected)
 
     def test_sample_codec_round_trips_exactly(self):
-        worker, _, catalog, _ = _make_worker()
+        worker, catalog, _ = _make_worker()
         member = worker.members[0]
         result = member.deployment.service.run(member.workload.batch(300.0))
         sample = TrainingSample(
@@ -155,48 +219,22 @@ class TestDeltaOnlyBroadcast:
 
 class TestFig09ShardWorker:
     def test_step_runs_every_member(self):
-        worker, _, _, _ = _make_worker(size=4)
-        outs = worker.step(WindowCommand(window_s=30.0))
-        assert [i for i, _ in outs] == [0, 1, 2, 3]
+        worker, _, _ = _make_worker(size=4)
+        worker.step(WindowCommand(window_s=30.0))
         assert worker.clock_s == 30.0
         for member in worker.members.values():
+            assert len(member.monitoring.iops) == 30
             assert len(member.monitoring.throughput) == 1
             assert member.monitoring.throughput.values[0] >= 0
+        worker.step(WindowCommand(window_s=30.0))
+        assert worker.clock_s == 60.0
+        for member in worker.members.values():
+            assert len(member.monitoring.throughput) == 2
 
     def test_monitoring_filled_by_step(self):
-        worker, _, _, _ = _make_worker(size=2)
+        worker, _, _ = _make_worker(size=2)
         worker.step(WindowCommand(window_s=20.0))
         assert all(len(m.monitoring.iops) == 20 for m in worker.members.values())
-
-
-class TestMemberBank:
-    def test_shared_block_round_trips_through_handle(self):
-        bank = MemberBank.create(3, 4, 5, shared=True)
-        try:
-            handle = pickle.loads(pickle.dumps(bank.handle()))
-            attached = handle.attach()
-            try:
-                attached.write(1, [1.0, 2.0, 3.0, 4.0], [0.5] * 5)
-                assert bank.config_row(1) == [1.0, 2.0, 3.0, 4.0]
-                assert bank.metrics_row(1) == [0.5] * 5
-                assert bank.config_row(0) == [0.0] * 4
-            finally:
-                attached.close()
-        finally:
-            bank.close()
-
-    def test_plain_bank_handle_is_direct(self):
-        bank = MemberBank.create(2, 3, 3, shared=False)
-        assert bank.handle().attach() is bank
-        bank.close()  # no-op for plain arrays
-
-    def test_dimensions_validated(self):
-        try:
-            MemberBank(0, 1, 1)
-        except ValueError as exc:
-            assert "positive" in str(exc)
-        else:  # pragma: no cover - failure branch
-            raise AssertionError("zero-member bank accepted")
 
 
 class TestSessionStatsRendering:
