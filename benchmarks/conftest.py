@@ -8,9 +8,19 @@ absolute numbers belong to the simulator, not the authors' testbed.
 
 from __future__ import annotations
 
-import pathlib
+import os
 
-import pytest
+#: Numerical-library thread pools, pinned to one thread before anything
+#: imports numpy: a threaded BLAS makes small solves 5-10x slower and
+#: their timing depends on what else the host runs (loopbench pins the
+#: same). An explicit setting in the environment wins.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
+import pathlib  # noqa: E402
+
+import pytest  # noqa: E402
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
@@ -25,6 +35,11 @@ def emit():
         print(f"\n===== {name} =====\n{text}")
 
     return _emit
+
+
+def thread_env() -> dict[str, str | None]:
+    """The numerical-library thread settings the bench ran under."""
+    return {var: os.environ.get(var) for var in THREAD_VARS}
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -67,7 +67,7 @@ import sys
 import time
 
 import numpy as np
-from conftest import run_once
+from conftest import run_once, thread_env
 
 from repro.core.features import Features
 from repro.dbsim.knobs import postgres_catalog
@@ -216,7 +216,12 @@ def test_perf_recommend_loop_pattern(benchmark, emit):
             "on": _build_tuner(surrogate=True),
             "select": _build_tuner(surrogate=True, selection=True),
         }
-        report: dict = {"quick": QUICK, "rounds": ROUNDS, **_timings(profiles)}
+        report: dict = {
+            "quick": QUICK,
+            "rounds": ROUNDS,
+            "thread_env": thread_env(),
+            **_timings(profiles),
+        }
         screen = profiles["on"][0].surrogate_screen
         assert screen is not None
         report["screen"] = {
@@ -260,7 +265,8 @@ def test_perf_recommend_loop_pattern(benchmark, emit):
     emit(
         "perf_recommend",
         f"rounds: {ROUNDS} (quick={QUICK}; best-of timing, a new sample "
-        "before every request)\n"
+        "before every request; BLAS threads: "
+        f"{report['thread_env']['OPENBLAS_NUM_THREADS']})\n"
         f"off:    {off['best']:.2f} ms (ceiling {OFF_MS_CEILING:.1f} ms)\n"
         f"on:     {on['best']:.2f} ms (ceiling {ON_MS_CEILING:.1f} ms; "
         f"shortlist<={screen['shortlist_size']}, "

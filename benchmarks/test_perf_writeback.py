@@ -1,25 +1,22 @@
-"""Bench: the write-back recurrence's two lanes against the per-second loop.
+"""Bench: the event-driven write-back kernel against the per-second loop.
 
-The engine runs §3.2's checkpointer/background-writer recurrence in one
-of two lanes (``_VECTOR_MIN_MEMBERS`` in ``repro/dbsim/engine.py`` picks
-by chunk width):
+The engine runs §3.2's checkpointer/background-writer recurrence
+through one kernel, :meth:`~repro.dbsim.bgwriter.WriteBackScheduler.run_window`,
+once per member: it jumps from one checkpoint, spread end or clamp to
+the next instead of stepping every second.
 
-- **kernel**: :meth:`~repro.dbsim.bgwriter.WriteBackScheduler.run_window`
-  per member, the event-driven kernel that jumps from one checkpoint,
-  spread end or clamp to the next;
-- **vector**: :func:`~repro.dbsim.bgwriter.run_windows`, one numpy step
-  per window second over the whole chunk.
-
-Both are timed against **reference**, the per-second loop that defines
-the recurrence (``tests/reference.py``), at chunk widths 1/8/25/80/96/128/1000
-and at 60 s and 300 s windows. Members are synthetic and seeded: each
-draws a PostgreSQL or MySQL configuration uniformly over the knob
-ranges and a dirty rate between a tenth of and ten times its writer's
-flush rate, so both backlog regimes and every checkpoint trigger occur.
-Every lane runs the same chain of windows from fresh schedulers, and
-their final scheduler states must agree bit for bit. Timings are the
-best of the rounds, in µs per member-window, in
-``benchmarks/out/BENCH_writeback.json`` with the run's usable cores.
+The kernel is timed against **reference**, the per-second loop that
+defines the recurrence (``tests/reference.py``), at chunk widths 1 (one
+landscape instance), 25 (one fleet-tde shard) and 1000 (the engine
+point of ``test_perf_parallel.py``), and at 60 s and 300 s windows.
+Members are synthetic and seeded: each draws a PostgreSQL or MySQL
+configuration uniformly over the knob ranges and a dirty rate between a
+tenth of and ten times its writer's flush rate, so both backlog regimes
+and every checkpoint trigger occur. Both lanes run the same chain of
+windows from fresh schedulers, and their final scheduler states must
+agree bit for bit. Timings are the best of the rounds, in µs per
+member-window, in ``benchmarks/out/BENCH_writeback.json`` with the
+run's usable cores and numerical-library thread settings.
 
 Gate: at width 1 and 300 s windows the kernel is at least
 :data:`MIN_SPEEDUP` times faster than the reference, a ratio measured
@@ -37,9 +34,9 @@ import sys
 import time
 
 import numpy as np
-from conftest import run_once
+from conftest import run_once, thread_env
 
-from repro.dbsim.bgwriter import WriteBackParams, WriteBackScheduler, run_windows
+from repro.dbsim.bgwriter import WriteBackParams, WriteBackScheduler
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.knobs import catalog_for
 
@@ -50,8 +47,10 @@ from tests.reference import run_window_per_second  # noqa: E402
 
 QUICK = os.environ.get("PERF_QUICK") == "1"
 ROUNDS = 2 if QUICK else 5
-WIDTHS = (1, 8, 25, 80, 96, 128, 1000)
+WIDTHS = (1, 25, 1000)
 WINDOWS_S = (60, 300)
+#: The timed lanes, in table order.
+LANES = ("reference", "kernel")
 #: Member-windows timed per lane and width, at least: narrow chunks run
 #: more windows so their per-member time is not one window's noise.
 MIN_MEMBER_WINDOWS = 120 if QUICK else 240
@@ -102,14 +101,10 @@ def _time_lane(lane: str, members, window_s: int, windows: int):
     scheds = [WriteBackScheduler() for _ in members]
     configs = [config for config, _ in members]
     dirty = [rate * window_s for _, rate in members]
-    params = [WriteBackParams.from_config(c) for c in configs]
-    buffers = [c.buffer_pool_mb() for c in configs]
     start = time.perf_counter()
     for w in range(windows):
         clock = float(w * window_s)
-        if lane == "vector":
-            run_windows(scheds, params, buffers, dirty, window_s, [clock] * len(scheds))
-        elif lane == "kernel":
+        if lane == "kernel":
             for sched, config, d in zip(scheds, configs, dirty):
                 sched.run_window(config, d, window_s, start_time_s=clock)
         else:
@@ -128,12 +123,11 @@ def _lane_table() -> dict:
             best: dict[str, float] = {}
             for _ in range(ROUNDS):
                 states = {}
-                for lane in ("reference", "kernel", "vector"):
+                for lane in LANES:
                     seconds, states[lane] = _time_lane(lane, members, window_s, windows)
                     us = 1e6 * seconds / (width * windows)
                     best[lane] = min(best.get(lane, us), us)
                 assert repr(states["kernel"]) == repr(states["reference"])
-                assert repr(states["vector"]) == repr(states["reference"])
             rows[str(width)] = {
                 "windows": windows,
                 **{f"{lane}_us": round(us, 1) for lane, us in best.items()},
@@ -148,6 +142,7 @@ def test_perf_writeback_lanes(benchmark, emit):
             "quick": QUICK,
             "rounds": ROUNDS,
             "usable_cores": _usable_cores(),
+            "thread_env": thread_env(),
             "unit": "us per member-window, best of rounds",
             "lanes": _lane_table(),
         }
@@ -162,12 +157,13 @@ def test_perf_writeback_lanes(benchmark, emit):
 
     lines = [
         f"rounds: {ROUNDS} (quick={QUICK}); usable cores: {report['usable_cores']}; "
+        f"BLAS threads: {report['thread_env']['OPENBLAS_NUM_THREADS']}; "
         "us per member-window, best of rounds"
     ]
     for window_s, rows in report["lanes"].items():
         lines.append(f"{window_s} s windows")
         lines.append("  members    " + "".join(f"{w:>8}" for w in rows))
-        for lane in ("reference", "kernel", "vector"):
+        for lane in LANES:
             lines.append(
                 f"  {lane:<11}" + "".join(f"{r[lane + '_us']:>8.0f}" for r in rows.values())
             )

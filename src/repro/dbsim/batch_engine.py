@@ -22,20 +22,18 @@ hard invariant, kept by three rules:
    phase-reordering work *across* members (generate all batches, then
    step all members) consumes every stream in exactly the order the
    serial loop would.
-3. **One kernel, two write-back lanes.** ``db.run`` is the same step on a
-   chunk of one, and exceptional windows are columns of that step:
+3. **One step, one write-back kernel.** ``db.run`` is the same step on
+   a chunk of one, and exceptional windows are columns of that step:
    restart stalls zero a prefix of the traffic rows, cold caches scale
    the hit-ratio column, disk degradation is a per-member latency factor,
    members with a deviating window length form their own chunk, and a
-   crashed member ends the step after the members before it. Only the
-   write-back recurrence is forked by chunk width: narrow chunks run the
-   event-driven kernel ``WriteBackScheduler.run_window`` per member, wide
-   ones the vectorised per-second :func:`~repro.dbsim.bgwriter.run_windows`.
-   Property suites check the kernel against the per-second definition
-   and the two lanes against each other.
+   crashed member ends the step after the members before it. The
+   write-back recurrence runs per member through the event-driven kernel
+   ``WriteBackScheduler.run_window`` at every chunk width; a property
+   suite checks it against the per-second definition.
 
 Scalars that land in result objects are converted to Python floats —
-``repr`` parity between the lanes requires no ``np.float64`` leaks.
+``repr`` parity with the serial loop requires no ``np.float64`` leaks.
 """
 
 from __future__ import annotations
@@ -61,9 +59,9 @@ class MemberBatch:
     databases:
         The member databases in canonical member order. The roster is
         fixed for the lifetime of the batch; each member's
-        :class:`~repro.dbsim.engine.ConfigTerms` (write-back parameters,
-        hit ratio, swap factor) are cached and refreshed when that
-        member's ``config_epoch`` moves.
+        :class:`~repro.dbsim.engine.ConfigTerms` (hit ratio and swap
+        factor) are cached and refreshed when that member's
+        ``config_epoch`` moves.
     """
 
     def __init__(self, databases: Sequence[SimulatedDatabase]) -> None:

@@ -16,7 +16,6 @@ like one continuous database.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -29,7 +28,6 @@ __all__ = [
     "WriteBackParams",
     "WriteBackResult",
     "WriteBackScheduler",
-    "run_windows",
 ]
 
 _PG_PAGE_MB = 8.0 / 1024.0
@@ -432,128 +430,3 @@ def _vacuum_rounds(since: float, interval: float, length: int) -> tuple[slice, f
     last = first + (length - 1 - first) // period * period
     return slice(first, None, period), float(length - 1 - last)
 
-
-def run_windows(
-    schedulers: Sequence[WriteBackScheduler],
-    params: Sequence[WriteBackParams],
-    buffer_mb: Sequence[float],
-    dirty_mb: Sequence[float],
-    duration_s: int,
-    start_times: Sequence[float],
-) -> list[WriteBackResult]:
-    """:meth:`WriteBackScheduler.run_window` for many schedulers at once.
-
-    Scheduler *k* runs under ``params[k]`` with a ``buffer_mb[k]`` buffer
-    pool, producing ``dirty_mb[k]`` over a window starting at
-    ``start_times[k]``. One loop over the window's seconds updates
-    ``(schedulers,)`` state vectors with the per-second recurrence's float
-    expressions, in its order; results and end states are bit-identical
-    to one ``run_window`` call per scheduler. Checkpoint triggers are
-    sparse, so firing schedulers are handled one by one on Python floats.
-    """
-    n = len(schedulers)
-    bg_rate = np.array([p.bg_flush_mb_s for p in params])
-    interval = np.array([p.checkpoint_interval_s for p in params])
-    wal_limit = np.array([p.wal_limit_mb for p in params])
-    # No forced-checkpoint limit is an infinite one: the trigger never fires.
-    forced = np.array(
-        [
-            p.forced_dirty_limit_mb
-            if p.forced_dirty_limit_mb is not None and p.forced_dirty_limit_mb > 0.0
-            else np.inf
-            for p in params
-        ]
-    )
-    spread = [max(1.0, p.checkpoint_interval_s * p.spread_fraction) for p in params]
-    dirty_cap = 0.9 * np.array(buffer_mb, dtype=float)
-    vac_interval = np.array([s.vacuum_interval_s for s in schedulers], dtype=float)
-    vac_write = np.array([s.vacuum_write_mb for s in schedulers], dtype=float)
-    backlog = np.array([s.dirty_backlog_mb for s in schedulers])
-    wal_since = np.array([s.wal_since_checkpoint_mb for s in schedulers])
-    since_cp = np.array([s.since_checkpoint_s for s in schedulers])
-    since_vac = np.array([s.since_vacuum_s for s in schedulers])
-    act_rate = np.array([s._active_rate_mb_s for s in schedulers])
-    act_rem = np.array([s._active_remaining_s for s in schedulers])
-
-    dirty_rate = np.array(dirty_mb, dtype=float) / duration_s
-    wal_rate = dirty_rate * _WAL_AMPLIFICATION
-    data_writes = np.zeros((duration_s, n))  # (seconds, schedulers)
-    bg_total = np.zeros(n)
-    backend_total = np.zeros(n)
-    ckpt_total = np.zeros(n)
-    vac_total = np.zeros(n)
-    events: list[list[CheckpointEvent]] = [[] for _ in range(n)]
-    vac_times: list[list[float]] = [[] for _ in range(n)]
-
-    for i in range(duration_s):
-        backlog += dirty_rate
-        wal_since += wal_rate
-        since_cp += 1.0
-        since_vac += 1.0
-        col = data_writes[i]
-
-        bg_flush = np.minimum(backlog, bg_rate)
-        backlog -= bg_flush
-        col += bg_flush
-        bg_total += bg_flush
-
-        # Non-positive overflow adds an exact +0.0, matching the skipped
-        # branch of the scalar loop.
-        overflow = np.maximum(backlog - dirty_cap, 0.0)
-        np.minimum(backlog, dirty_cap, out=backlog)
-        col += overflow
-        backend_total += overflow
-
-        # Trigger priority: requested, then forced, then timed.
-        requested = wal_since >= wal_limit
-        forced_trig = backlog >= forced
-        firing = (act_rem <= 0.0) & (requested | forced_trig | (since_cp >= interval))
-        for j in np.nonzero(firing)[0]:
-            kind = "requested" if requested[j] else ("forced" if forced_trig[j] else "timed")
-            write_mb = float(backlog[j])
-            events[j].append(
-                CheckpointEvent(float(start_times[j] + i), kind, write_mb, spread[j])
-            )
-            act_rate[j] = write_mb / spread[j]
-            act_rem[j] = spread[j]
-            backlog[j] = 0.0
-            wal_since[j] = 0.0
-            since_cp[j] = 0.0
-
-        # Active checkpoint spread (inactive schedulers add +0.0).
-        step = np.minimum(1.0, act_rem)
-        burst = act_rate * step
-        col += burst
-        ckpt_total += burst
-        act_rem -= step
-
-        vac_due = since_vac >= vac_interval
-        if vac_due.any():
-            add = np.where(vac_due, vac_write, 0.0)
-            col += add
-            vac_total += add
-            since_vac[vac_due] = 0.0
-            for j in np.nonzero(vac_due)[0]:
-                vac_times[j].append(float(start_times[j] + i))
-
-    results = []
-    for k, sched in enumerate(schedulers):
-        sched.dirty_backlog_mb = float(backlog[k])
-        sched.wal_since_checkpoint_mb = float(wal_since[k])
-        sched.since_checkpoint_s = float(since_cp[k])
-        sched.since_vacuum_s = float(since_vac[k])
-        sched._active_rate_mb_s = float(act_rate[k])
-        sched._active_remaining_s = float(act_rem[k])
-        results.append(
-            WriteBackResult(
-                data_write_mb_s=data_writes[:, k].copy(),
-                wal_write_mb_s=np.full(duration_s, wal_rate[k]),
-                events=events[k],
-                bgwriter_write_mb=float(bg_total[k]),
-                checkpoint_write_mb=float(ckpt_total[k]),
-                vacuum_write_mb=float(vac_total[k]),
-                backend_write_mb=float(backend_total[k]),
-                vacuum_times=vac_times[k],
-            )
-        )
-    return results

@@ -86,6 +86,13 @@ class KnobConfiguration:
             )
         return self._hash
 
+    def __getstate__(self) -> dict[str, object]:
+        # The memoised hash comes from this process's string-hash seed;
+        # an unpickled copy (a spawned worker's, say) computes its own.
+        state = dict(self.__dict__)
+        state["_hash"] = None
+        return state
+
     def as_dict(self) -> dict[str, float]:
         """Copy of all knob values."""
         return dict(self._values)

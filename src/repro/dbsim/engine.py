@@ -23,12 +23,7 @@ import numpy as np
 
 from repro.common.hardware import VMType, vm_type
 from repro.common.rng import make_rng
-from repro.dbsim.bgwriter import (
-    WriteBackParams,
-    WriteBackResult,
-    WriteBackScheduler,
-    run_windows,
-)
+from repro.dbsim.bgwriter import WriteBackResult, WriteBackScheduler
 from repro.dbsim.config import KnobConfiguration, MemoryBudgetError
 from repro.dbsim.executor import ExecutionSummary, ServiceTimeCache, run_batch
 from repro.dbsim.knobs import catalog_for
@@ -66,31 +61,6 @@ _PLAN_COST_ROWS = 32
 #: Members stepped per chunk. Bounds transient matrix memory at
 #: ``chunk × window_seconds`` doubles (~5 MB per matrix at 2048 × 300).
 _CHUNK_MEMBERS = 2048
-#: Narrowest chunk whose write-back recurrence runs vectorised
-#: (:func:`~repro.dbsim.bgwriter.run_windows`, one numpy step per window
-#: second); narrower chunks call the event-driven kernel
-#: :meth:`~repro.dbsim.bgwriter.WriteBackScheduler.run_window` per member.
-#: The numpy loop pays a fixed cost per window second that only amortises
-#: over enough members; the kernel runs each member on its own, so its
-#: cost per member does not fall with width. Cost per member-window,
-#: best of 5 rounds, 2-core VM (µs;
-#: ``benchmarks/test_perf_writeback.py``). Set from the 300 s row, the
-#: window every experiment steps. Lanes timed apart swing by ~10% near
-#: the crossover, so it was located with a same-run vector/kernel time
-#: ratio (median of 9 interleaved rounds): 1.21 at 64 members, 1.04 at
-#: 80, 0.87 at 96, 0.64 at 128.
-#:
-#: 60 s windows
-#:   members             1     8    25    80    96   128  1000
-#:   per-second loop    73   100   108   119   117   115   112
-#:   run_window         47    65    49    72    71    70    74
-#:   run_windows      2174   152    53    34    30    26    14
-#: 300 s windows
-#:   members             1     8    25    80    96   128  1000
-#:   per-second loop   440   521   673   638   558   518   572
-#:   run_window         71   114   145   132   131   120   108
-#:   run_windows     10614  1026   386   123   114    72    30
-_VECTOR_MIN_MEMBERS = 96
 
 
 class DatabaseCrashed(RuntimeError):
@@ -380,22 +350,18 @@ class SimulatedDatabase:
 class ConfigTerms(NamedTuple):
     """Window-invariant terms of a member's live configuration.
 
-    A pure function of the configuration, VM, data size and connection
-    count, so callers may cache it per ``config_epoch``.
+    The buffer hit ratio and the swap factor: a pure function of the
+    configuration, VM, data size and connection count, so callers may
+    cache it per ``config_epoch``.
     """
 
-    writeback: WriteBackParams
-    buffer_mb: float
     hit_ratio: float
     swap: float
 
     @staticmethod
     def of(db: SimulatedDatabase) -> ConfigTerms:
-        buffer_mb = db.config.buffer_pool_mb()
         return ConfigTerms(
-            WriteBackParams.from_config(db.config),
-            buffer_mb,
-            buffer_hit_ratio(buffer_mb, db.data_size_gb),
+            buffer_hit_ratio(db.config.buffer_pool_mb(), db.data_size_gb),
             swap_factor(db.config, db.vm, db.active_connections),
         )
 
@@ -411,7 +377,10 @@ def step_members(
     :class:`~repro.dbsim.batch_engine.MemberBatch` a fleet. Members are
     grouped by window length and stepped in chunks over ``(members,
     seconds)`` matrices; restart stalls, cold caches and disk degradation
-    are per-member columns. A member's result does not depend on which
+    are per-member columns. Each member's write-back recurrence runs on
+    its own, through the event-driven kernel
+    :meth:`~repro.dbsim.bgwriter.WriteBackScheduler.run_window`; chunking
+    only bounds the matrices. A member's result does not depend on which
     chunk it lands in. Like a serial loop, a crashed member stops the
     step: the members before it advance, then :class:`DatabaseCrashed` is
     raised. *terms* are the members' :class:`ConfigTerms` when the caller
@@ -466,21 +435,10 @@ def _step_chunk(
         read_mb.append(sum(c * f.read_kb / 1024.0 for c, f in footprints))
 
     clocks = [db.clock_s for db in dbs]
-    writebacks: list[WriteBackResult]
-    if len(dbs) < _VECTOR_MIN_MEMBERS:
-        writebacks = [
-            db._scheduler.run_window(db.config, d, seconds, start_time_s=db.clock_s)
-            for db, d in zip(dbs, dirty_mb)
-        ]
-    else:
-        writebacks = run_windows(
-            [db._scheduler for db in dbs],
-            [t.writeback for t in terms],
-            [t.buffer_mb for t in terms],
-            dirty_mb,
-            seconds,
-            clocks,
-        )
+    writebacks = [
+        db._scheduler.run_window(db.config, d, seconds, start_time_s=db.clock_s)
+        for db, d in zip(dbs, dirty_mb)
+    ]
 
     # Data-disk demand. Buffer misses are random page reads; spill I/O and
     # write-back are coalesced into large sequential blocks, so they cost

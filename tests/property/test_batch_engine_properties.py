@@ -1,21 +1,21 @@
 """Property: the window step's result does not depend on chunk width.
 
 ``SimulatedDatabase.run`` is the engine's window step on a chunk of one;
-``MemberBatch.step_window`` runs the same step over the whole roster. The
-step forks in one place only: chunks narrower than
-``_VECTOR_MIN_MEMBERS`` run the event-driven write-back kernel per
-member (``WriteBackScheduler.run_window``), wider chunks run the
-per-second recurrence vectorised (``run_windows``). The hard invariant is bit-identity with
+``MemberBatch.step_window`` runs the same step over the whole roster,
+with traffic and both disks on ``(members, seconds)`` matrices and the
+event-driven write-back kernel (``WriteBackScheduler.run_window``) per
+member. The hard invariant is bit-identity with
 ``[db.run(batch) for db, batch in ...]`` — not approximate equality:
 fleet experiments compare rendered bytes across worker counts, so a
 single ULP of drift anywhere would break the parity suite.
 
-Hypothesis drives fleets on both sides of the crossover through
-arbitrary seeds, window plans and fault plans (config reloads, restarts
-with their stall and cold-cache windows, disk degradation, crash/heal
-cycles, off-length windows), comparing results, RNG stream positions and
-write-back scheduler state after every window; a second property pits
-the two write-back lanes against each other directly.
+Hypothesis drives fleets of one member, a few, a fleet-tde shard (25)
+and a wide roster through arbitrary seeds, window plans and fault plans
+(config reloads, restarts with their stall and cold-cache windows, disk
+degradation, crash/heal cycles, off-length windows), comparing results,
+RNG stream positions and write-back scheduler state after every window.
+The kernel itself is checked against the per-second recurrence in
+``test_writeback_kernel_properties.py``.
 """
 
 import pytest
@@ -24,15 +24,13 @@ from hypothesis import strategies as st
 
 from repro.cloud.fleet import FleetSpec, build_member
 from repro.dbsim.batch_engine import MemberBatch
-from repro.dbsim.bgwriter import WriteBackParams, WriteBackScheduler, run_windows
 from repro.dbsim.config import KnobConfiguration
-from repro.dbsim.engine import _VECTOR_MIN_MEMBERS, DatabaseCrashed
-from repro.dbsim.knobs import catalog_for
+from repro.dbsim.engine import DatabaseCrashed
 
 _WINDOW_S = 60.0
 
-#: Fleet widths on both sides of the write-back lane crossover.
-_WIDTHS = (1, _VECTOR_MIN_MEMBERS - 1, _VECTOR_MIN_MEMBERS, _VECTOR_MIN_MEMBERS + 3)
+#: Fleet widths: one member, a few, a fleet-tde shard and a wide roster.
+_WIDTHS = (1, 3, 25, 99)
 
 #: Per-member, per-window operations. Everything except "none" makes
 #: the member's next window exceptional: a stall, a cold cache, a
@@ -150,11 +148,10 @@ class TestBatchedEqualsLoop:
                 )
             clock += _WINDOW_S
 
-    @pytest.mark.parametrize("width", [3, _VECTOR_MIN_MEMBERS + 3])
+    @pytest.mark.parametrize("width", [3, 99])
     def test_crashed_member_raises_like_serial_loop(self, width):
         serial, batched, engine = _serial_and_batched(3, width)
-        # Everything but the last two members steps before the crash: a
-        # wide roster runs its prefix on the vectorised lane.
+        # Everything but the last two members steps before the crash.
         down = width - 2
         for fleet in (serial, batched):
             fleet[down].deployment.service.master.crashed = True
@@ -190,107 +187,3 @@ class TestBatchedEqualsLoop:
         else:  # pragma: no cover - failure branch
             raise AssertionError("mismatched batch list accepted")
 
-
-_scheduler_states = st.tuples(
-    st.floats(min_value=0.0, max_value=5000.0),  # dirty backlog MB
-    st.floats(min_value=0.0, max_value=5000.0),  # WAL since checkpoint MB
-    st.floats(min_value=0.0, max_value=2000.0),  # since checkpoint s
-    st.floats(min_value=0.0, max_value=300.0),  # since vacuum s
-    st.floats(min_value=0.0, max_value=200.0),  # active checkpoint rate
-    st.floats(min_value=0.0, max_value=400.0),  # active checkpoint remaining
-    st.floats(min_value=1.0, max_value=300.0),  # vacuum interval s
-    st.floats(min_value=0.0, max_value=64.0),  # vacuum write MB
-)
-
-
-@st.composite
-def _lane_members(draw, flavor):
-    catalog = catalog_for(flavor)
-    fractions = draw(
-        st.lists(
-            st.floats(min_value=0.0, max_value=1.0),
-            min_size=len(catalog),
-            max_size=len(catalog),
-        )
-    )
-    config = KnobConfiguration(
-        catalog,
-        {
-            k.name: k.min_value + f * (k.max_value - k.min_value)
-            for k, f in zip(catalog, fractions)
-        },
-    )
-    state = draw(_scheduler_states)
-    dirty_mb = draw(st.floats(min_value=0.0, max_value=50_000.0))
-    start = float(draw(st.integers(min_value=0, max_value=10**6)))
-    return config, state, dirty_mb, start
-
-
-def _scheduler(state) -> WriteBackScheduler:
-    sched = WriteBackScheduler(vacuum_interval_s=state[6], vacuum_write_mb=state[7])
-    (
-        sched.dirty_backlog_mb,
-        sched.wal_since_checkpoint_mb,
-        sched.since_checkpoint_s,
-        sched.since_vacuum_s,
-        sched._active_rate_mb_s,
-        sched._active_remaining_s,
-    ) = state[:6]
-    return sched
-
-
-def _writeback_fingerprint(result, sched):
-    return (
-        repr(result.events),
-        repr(result.vacuum_times),
-        repr(
-            (
-                result.bgwriter_write_mb,
-                result.checkpoint_write_mb,
-                result.vacuum_write_mb,
-                result.backend_write_mb,
-            )
-        ),
-        result.data_write_mb_s.tobytes(),
-        result.wal_write_mb_s.tobytes(),
-        repr(
-            (
-                sched.dirty_backlog_mb,
-                sched.wal_since_checkpoint_mb,
-                sched.since_checkpoint_s,
-                sched.since_vacuum_s,
-                sched._active_rate_mb_s,
-                sched._active_remaining_s,
-            )
-        ),
-    )
-
-
-class TestWriteBackLanes:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        data=st.data(),
-        flavor=st.sampled_from(("postgres", "mysql")),
-        width=st.integers(min_value=1, max_value=5),
-        duration=st.integers(min_value=1, max_value=400),
-    )
-    def test_run_window_equals_vectorised_recurrence(
-        self, data, flavor, width, duration
-    ):
-        members = [data.draw(_lane_members(flavor)) for _ in range(width)]
-        scalar = [_scheduler(state) for _, state, _, _ in members]
-        vector = [_scheduler(state) for _, state, _, _ in members]
-        expected = [
-            sched.run_window(config, dirty, duration, start_time_s=start)
-            for sched, (config, _, dirty, start) in zip(scalar, members)
-        ]
-        got = run_windows(
-            vector,
-            [WriteBackParams.from_config(config) for config, _, _, _ in members],
-            [config.buffer_pool_mb() for config, _, _, _ in members],
-            [dirty for _, _, dirty, _ in members],
-            duration,
-            [start for _, _, _, start in members],
-        )
-        for e, g, es, gs in zip(expected, got, scalar, vector):
-            assert _writeback_fingerprint(e, es) == _writeback_fingerprint(g, gs)

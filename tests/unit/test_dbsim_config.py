@@ -1,7 +1,14 @@
 """Unit tests for KnobConfiguration (validation, budget, repair)."""
 
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.dbsim.config import (
     KnobConfiguration,
     MemoryBudgetError,
@@ -33,6 +40,33 @@ class TestConstruction:
         assert a == b
         assert hash(a) == hash(b)
         assert a != c
+
+    def test_pickle_drops_memoised_hash(self, pg_catalog):
+        cfg = KnobConfiguration(pg_catalog, {"work_mem": 8})
+        before = pickle.dumps(cfg)
+        hash(cfg)
+        assert pickle.dumps(cfg) == before
+
+    def test_copy_hashed_under_another_seed_keys_like_fresh(self, pg_catalog):
+        # Pickle a hashed configuration in a process with its own string
+        # hash seed, as a spawned worker or coordinator would.
+        script = (
+            "import pickle, sys\n"
+            "from repro.dbsim.config import KnobConfiguration\n"
+            "from repro.dbsim.knobs import catalog_for\n"
+            "cfg = KnobConfiguration(catalog_for('postgres'), {'work_mem': 8})\n"
+            "hash(cfg)\n"
+            "sys.stdout.buffer.write(pickle.dumps(cfg))\n"
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": src}
+        payload = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, check=True
+        ).stdout
+        copy = pickle.loads(payload)
+        fresh = KnobConfiguration(pg_catalog, {"work_mem": 8})
+        assert copy == fresh
+        assert {fresh: 1}[copy] == 1
 
 
 class TestDerivation:
