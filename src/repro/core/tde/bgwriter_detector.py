@@ -141,7 +141,7 @@ class BgwriterThrottleDetector:
     def live_ratio(self, result: ExecutionResult) -> float:
         """The live window's pressure, vacuum slots excluded."""
         latency = self._latency_excluding_vacuum(result)
-        wal_mb = float(np.sum(result.writeback.wal_write_mb_s))
+        wal_mb = float(np.add.reduce(result.writeback.wal_write_mb_s))
         return checkpoint_latency_ratio(
             result.writeback.checkpoint_write_mb
             + result.writeback.backend_write_mb,
@@ -191,10 +191,13 @@ class BgwriterThrottleDetector:
         if not vacuum_times:
             return series.mean()
         times = series.times
-        values = series.values
-        keep = np.ones(len(times), dtype=bool)
-        for v in vacuum_times:
+        first, *rest = vacuum_times
+        keep = np.abs(times - first) > _VACUUM_EXCLUSION_S
+        for v in rest:
             keep &= np.abs(times - v) > _VACUUM_EXCLUSION_S
-        if not keep.any():
+        kept = series.values[keep]
+        if not len(kept):
             return series.mean()
-        return float(np.mean(values[keep]))
+        # np.mean's own arithmetic (the pairwise sum, then one division)
+        # without its per-call overhead.
+        return float(np.add.reduce(kept)) / len(kept)

@@ -80,10 +80,15 @@ class LearningAutomaton:
         return dict(self._p)
 
     def choose_action(self) -> str:
-        """Sample an action from the current distribution (the H mapping)."""
-        return str(
-            self._rng.choice(_ACTIONS, p=[self._p[a] for a in _ACTIONS])
-        )
+        """Sample an action from the current distribution (the H mapping).
+
+        One uniform draw against the normalised cdf: what
+        ``rng.choice(_ACTIONS, p=...)`` does (``searchsorted`` with
+        ``side="right"``), drawing the same from the stream.
+        """
+        p_increase = self._p["increase"]
+        threshold = p_increase / (p_increase + self._p["decrease"])
+        return "increase" if self._rng.random() < threshold else "decrease"
 
     def next_value(self, current: float, action: str) -> float:
         """The N mapping: apply *action*'s unit step, clamped to range."""

@@ -7,10 +7,12 @@ Per window the detector:
    counts from the sample's per-family counts, reservoir entry in the
    order templates first appear, query classes from the footprint
    columns;
-2. EXPLAINs the latest example of each selected template against the
-   live database (the simulator's EXPLAIN reads the statement's
-   footprint, not its parameters); any plan that spills a working area
-   to disk means the corresponding memory knob is too small → throttle;
+2. checks the latest example of each selected template against the
+   live database's working-area allowances, as EXPLAIN's disk flags do
+   (the simulator's EXPLAIN reads the statement's footprint, not its
+   parameters), straight from the example row's footprint columns; any
+   template that spills a working area to disk means the corresponding
+   memory knob is too small → throttle;
 3. gauges the working page set against the buffer pool (Curino et al.'s
    approach [5]); an undersized buffer raises a *restart-required*
    throttle that the config director holds for scheduled downtime;
@@ -28,7 +30,7 @@ from repro.core.tde.throttle import PlanUpgradeRequest, Throttle
 from repro.dbsim.engine import ExecutionResult, SimulatedDatabase
 from repro.dbsim.knobs import KnobClass
 from repro.dbsim.memory import HOT_FRACTION, working_area_knobs
-from repro.workloads.query import Query, QueryRows
+from repro.workloads.query import QueryRows
 from repro.workloads.sampling import ReservoirSampler
 from repro.workloads.templating import TemplateCatalog
 
@@ -93,16 +95,11 @@ class MemoryThrottleDetector:
         # a uniform sample misses; class frequencies stay with the sample.
         self._observe(batch.family_examples)
 
-        selected = self._select_templates()
-        report.examined_templates = len(selected)
-        spilled: set[str] = set()
-        implicated: set[str] = set()
-        for query in selected:
-            plan = db.explain(query)
-            for category in plan.spilled_categories():
-                spilled.add(category)
-                implicated.update(self._knobs_for(db, category))
+        report.examined_templates, spilled = self._spills(db)
         report.spilled_categories = spilled
+        implicated: set[str] = set()
+        for category in spilled:
+            implicated.update(self._knobs_for(db, category))
 
         if implicated:
             throttle = Throttle(
@@ -156,17 +153,34 @@ class MemoryThrottleDetector:
                 self._seen_templates.add(tid)
                 self.reservoir.observe(tid)
 
-    def _select_templates(self) -> list[Query]:
-        """The reservoir's templates, as representative queries.
-
-        Each template is examined via its latest example, built on read.
-        """
-        out: list[Query] = []
+    def _select_templates(self) -> list[tuple[QueryRows, int]]:
+        """The reservoir's templates, as their latest example rows."""
+        out: list[tuple[QueryRows, int]] = []
         for tid in self.reservoir.sample:
-            example = self.templates.stats(tid).example
-            if example is not None:
-                out.append(example)
+            example_at = self.templates.stats(tid).example_at
+            if example_at is not None:
+                out.append(example_at)
         return out
+
+    def _spills(self, db: SimulatedDatabase) -> tuple[int, set[str]]:
+        """``(templates examined, categories spilled)`` under the live config.
+
+        A template spills in a category when its example row's demand
+        there exceeds the knobs' allowance: the comparison EXPLAIN's disk
+        flags make, read straight from the row's footprint columns.
+        """
+        sort_allowance, maint_allowance, temp_allowance = db.working_area_allowances()
+        selected = self._select_templates()
+        spilled: set[str] = set()
+        for rows, row in selected:
+            sort_mb, maintenance_mb, temp_mb, _, _ = rows.footprints[row].tolist()
+            if sort_mb > sort_allowance:
+                spilled.add("sort")
+            if maintenance_mb > maint_allowance:
+                spilled.add("maintenance")
+            if temp_mb > temp_allowance:
+                spilled.add("temp")
+        return len(selected), spilled
 
     @staticmethod
     def _knobs_for(db: SimulatedDatabase, category: str) -> tuple[str, ...]:

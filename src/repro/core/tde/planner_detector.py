@@ -6,7 +6,10 @@ Every trigger interval (2–4 minutes in the paper) the detector:
 2. for each async/planner knob, lets that knob's automaton pick an
    increase/decrease action and evaluates the planner's cost/benefit for
    the hypothetical knob value (EXPLAIN under a what-if config — the live
-   knobs are not touched);
+   knobs are not touched). The sample's knob-independent base costs are
+   computed once per reservoir state (:class:`~repro.dbsim.planner.PlanColumns`);
+   each configuration then costs one multiplier per distinct
+   (sensitivity, parallel fraction) pair;
 3. a profit beyond the threshold rewards the action **and raises a
    throttle** (the tuner should be consulted — the optimum shifts with the
    workload and the tuner has cross-system experience, §3.3's closing
@@ -27,9 +30,9 @@ import numpy as np
 from repro.common.rng import derive_rng, make_rng
 from repro.core.tde.mdp import LearningAutomaton
 from repro.core.tde.throttle import Throttle
-from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.engine import ExecutionResult, SimulatedDatabase
 from repro.dbsim.knobs import KnobClass
+from repro.dbsim.planner import PlanColumns
 from repro.workloads.query import Query, QueryRows
 from repro.workloads.sampling import ReservoirSampler
 
@@ -91,6 +94,9 @@ class PlannerThrottleDetector:
             reservoir_capacity, seed=derive_rng(rng, "reservoir")
         )
         self._seen_templates: set[str] = set()
+        # The reservoir changes only when a new template is offered to it.
+        self._columns = PlanColumns.of_queries([])
+        self._columns_seen = 0
 
     @staticmethod
     def for_database(
@@ -112,25 +118,20 @@ class PlannerThrottleDetector:
             seed=seed,
         )
 
-    def _mean_cost(
-        self, db: SimulatedDatabase, queries: list[Query], config: KnobConfiguration
-    ) -> float:
-        plans = db.explain_many(queries, config)
-        return float(np.mean([p.total_cost for p in plans])) if plans else 0.0
-
     def probe(
-        self, db: SimulatedDatabase, queries: list[Query]
+        self, db: SimulatedDatabase, columns: PlanColumns
     ) -> list[tuple[str, float]]:
         """One automaton step per knob; returns ``(knob, profit)`` pairs.
 
-        Profit is the relative planner-cost reduction of the automaton's
-        chosen perturbation; only entries above the threshold are
-        returned (they are what triggers a throttle).
+        *columns* are the sampled statements' plan columns. Profit is the
+        relative planner-cost reduction of the automaton's chosen
+        perturbation; only entries above the threshold are returned (they
+        are what triggers a throttle).
         """
-        if not queries:
+        if not len(columns):
             return []
         profitable: list[tuple[str, float]] = []
-        base_cost = self._mean_cost(db, queries, db.config)
+        base_cost = db.plan_cost(columns)
         if base_cost <= 0:
             return []
         for name, automaton in self.automata.items():
@@ -143,7 +144,7 @@ class PlannerThrottleDetector:
                 automaton.record(action, old_value, new_value, 0.0, False)
                 continue
             candidate = db.config.with_values({name: new_value})
-            new_cost = self._mean_cost(db, queries, candidate)
+            new_cost = db.plan_cost(columns, candidate)
             profit = (base_cost - new_cost) / base_cost
             rewarded = profit > self.profit_threshold
             automaton.update(action, rewarded)
@@ -151,6 +152,13 @@ class PlannerThrottleDetector:
             if rewarded:
                 profitable.append((name, profit))
         return profitable
+
+    def reservoir_columns(self) -> PlanColumns:
+        """The reservoir's plan columns, built once per reservoir state."""
+        if self._columns_seen != self.reservoir.seen:
+            self._columns = PlanColumns.of_queries(self.reservoir.sample)
+            self._columns_seen = self.reservoir.seen
+        return self._columns
 
     def observe_rows(self, rows: QueryRows) -> None:
         """Feed log rows; a template enters the reservoir at its first row.
@@ -169,7 +177,7 @@ class PlannerThrottleDetector:
         """Run one trigger round over the window's query-log sample."""
         self.observe_rows(result.batch.sampled_queries)
         self.observe_rows(result.batch.family_examples)
-        profitable = self.probe(db, self.reservoir.sample)
+        profitable = self.probe(db, self.reservoir_columns())
         if not profitable:
             return []
         knobs = tuple(sorted(name for name, _ in profitable))
@@ -201,13 +209,13 @@ class PlannerThrottleDetector:
         never modified. Rewards are the per-step profits; the reward
         curve is cumulative, which is what Fig. 6a plots per episode.
         """
-        queries = list(queries)
-        if not queries:
+        columns = PlanColumns.of_queries(queries)
+        if not len(columns):
             raise ValueError("episode needs a non-empty query sample")
         result = EpisodeResult()
         config = db.config
         names = list(self.automata)
-        cost = self._mean_cost(db, queries, config)
+        cost = db.plan_cost(columns, config)
         best_cost = cost
         # A knob whose probes fail this many times in a row is parked for
         # the rest of the episode: the automaton stops paying penalties on
@@ -228,7 +236,7 @@ class PlannerThrottleDetector:
             action = automaton.choose_action()
             new_value = automaton.next_value(config[name], action)
             candidate = config.with_values({name: new_value})
-            new_cost = self._mean_cost(db, queries, candidate)
+            new_cost = db.plan_cost(columns, candidate)
             profit = (cost - new_cost) / cost if cost > 0 else 0.0
             # Hysteresis: only a strict improvement over the episode's
             # best cost counts — oscillating around the optimum (lose a

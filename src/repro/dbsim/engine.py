@@ -29,7 +29,7 @@ from repro.dbsim.executor import ExecutionSummary, ServiceTimeCache, run_batch
 from repro.dbsim.knobs import catalog_for
 from repro.dbsim.memory import SpillReport, buffer_hit_ratio, compute_spills, swap_factor
 from repro.dbsim.metrics import MetricsDelta
-from repro.dbsim.planner import PlanEstimate, PlannerModel
+from repro.dbsim.planner import PlanColumns, PlanEstimate, PlannerModel
 from repro.dbsim.storage import DiskWindowResult, simulate_device
 from repro.workloads.generator import WorkloadBatch
 from repro.workloads.query import Query, QueryType
@@ -260,14 +260,23 @@ class SimulatedDatabase:
         rng = self._rng if noisy else None
         return self._planner.explain(query, config or self.config, rng=rng)
 
-    def explain_many(
-        self,
-        queries: list[Query],
-        config: KnobConfiguration | None = None,
-        noisy: bool = False,
-    ) -> list[PlanEstimate]:
-        """EXPLAIN each query in *queries* under *config* (default live)."""
-        return [self.explain(q, config, noisy) for q in queries]
+    def plan_cost(
+        self, columns: PlanColumns, config: KnobConfiguration | None = None
+    ) -> float:
+        """Mean EXPLAIN cost of *columns* under *config* (default: live).
+
+        Like :meth:`explain`, a hypothetical configuration leaves the live
+        knobs untouched; the estimate is noiseless.
+        """
+        return self._planner.mean_cost(columns, config or self.config)
+
+    def working_area_allowances(self) -> tuple[float, float, float]:
+        """The live sort, maintenance and temp allowances (MB).
+
+        A statement whose demand in a category exceeds its allowance
+        spills there: what :meth:`explain` flags as disk use.
+        """
+        return self._planner.allowances(self.config)
 
     # -- execution ---------------------------------------------------------------
 
@@ -497,7 +506,7 @@ def _step_chunk(
         )
         summary = _charge_disruption(summary, stall[k], seconds)
         plan_cost = db._planner.mean_cost(
-            batch.sampled_queries[:_PLAN_COST_ROWS], db.config
+            PlanColumns.of_rows(batch.sampled_queries[:_PLAN_COST_ROWS]), db.config
         )
         metrics = db._assemble_metrics(
             batch,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from repro.dbsim.knobs import KnobClass, KnobDef
 from repro.dbsim.memory import compute_spills, working_area_knobs
 from repro.workloads.query import FOOTPRINT_COLUMNS, Query, QueryFootprint, QueryRows
 
-__all__ = ["PlanEstimate", "PlannerModel", "latent_optimum"]
+__all__ = ["PlanColumns", "PlanEstimate", "PlannerModel", "latent_optimum"]
 
 _CPU_TUPLE_COST = 0.01
 _PAGE_KB = 8.0
@@ -118,6 +119,71 @@ class PlanEstimate:
         return out
 
 
+class PlanColumns:
+    """EXPLAIN's knob-independent half over a set of statements.
+
+    ``base`` holds each statement's base cost (from ``rows_examined``,
+    ``sort_mb`` and ``read_kb``), ``keys`` the distinct
+    ``(planner_sensitivity, parallel_fraction)`` pairs in first-seen
+    order and ``slot`` each statement's index into ``keys``. A
+    configuration's mean cost is then ``mean(base * multiplier[slot])``
+    with one multiplier per key (:meth:`PlannerModel.mean_cost`): per
+    statement, the float operations :meth:`PlannerModel.explain` makes.
+    """
+
+    __slots__ = ("base", "keys", "slot")
+
+    def __init__(
+        self, base: np.ndarray, keys: tuple[tuple[float, float], ...], slot: np.ndarray
+    ) -> None:
+        self.base = base
+        self.keys = keys
+        self.slot = slot
+
+    def __len__(self) -> int:
+        return len(self.base)
+
+    @staticmethod
+    def of_rows(rows: QueryRows) -> PlanColumns:
+        """Columns of a query-log sample, in row order."""
+        families = rows.families
+        keys: dict[tuple[float, float], int] = {}
+        family_slot = [
+            keys.setdefault(
+                (fam.footprint.planner_sensitivity, fam.footprint.parallel_fraction),
+                len(keys),
+            )
+            for fam in families
+        ]
+        rows_examined = np.array(
+            [fam.footprint.rows_examined for fam in families], dtype=float
+        )
+        index = rows.family_index
+        base = _base_cost(
+            rows_examined[index],
+            rows.footprints[:, _SORT_COLUMN],
+            rows.footprints[:, _READ_COLUMN],
+        )
+        slot = np.array(family_slot, dtype=np.intp)[index]
+        return PlanColumns(base, tuple(keys), slot)
+
+    @staticmethod
+    def of_queries(queries: Sequence[Query]) -> PlanColumns:
+        """Columns of *queries*, in order."""
+        footprints = [q.footprint for q in queries]
+        keys: dict[tuple[float, float], int] = {}
+        slot = [
+            keys.setdefault((fp.planner_sensitivity, fp.parallel_fraction), len(keys))
+            for fp in footprints
+        ]
+        base = _base_cost(
+            np.array([fp.rows_examined for fp in footprints], dtype=float),
+            np.array([fp.sort_mb for fp in footprints], dtype=float),
+            np.array([fp.read_kb for fp in footprints], dtype=float),
+        )
+        return PlanColumns(base, tuple(keys), np.array(slot, dtype=np.intp))
+
+
 class PlannerModel:
     """Planner response surface for one (flavor, workload) pair."""
 
@@ -125,14 +191,26 @@ class PlannerModel:
         self.flavor = flavor
         self.workload_name = workload_name
         self.vm = vm
-        # Per-config memos: configurations are immutable and change only
-        # on apply, while these quantities are read per query at fleet
-        # scale. Keys are the configurations themselves (cached hash).
+        # Memos of one configuration's terms: configurations are
+        # immutable and change only on apply, while these terms are read
+        # per query at fleet scale. A miss on another configuration
+        # empties them first, so they hold the live configuration's
+        # terms and nothing else. :meth:`mean_cost` stores nothing: the
+        # TDE's what-if probes score a fresh configuration per call.
+        self._memo_config: KnobConfiguration | None = None
         self._distance_cache: dict[KnobConfiguration, float] = {}
         self._multiplier_cache: dict[tuple, float] = {}
         self._allowance_cache: dict[
             KnobConfiguration, tuple[float, float, float]
         ] = {}
+
+    def _memoise(self, config: KnobConfiguration) -> None:
+        """Empty the memos unless they hold *config*'s terms."""
+        if config != self._memo_config:
+            self._distance_cache.clear()
+            self._multiplier_cache.clear()
+            self._allowance_cache.clear()
+        self._memo_config = config
 
     def cost_knobs(self, config: KnobConfiguration) -> list[KnobDef]:
         """The planner-estimate knobs (excluding worker-count knobs)."""
@@ -142,11 +220,8 @@ class PlannerModel:
             if k.name not in _PARALLEL_KNOBS
         ]
 
-    def distance(self, config: KnobConfiguration) -> float:
-        """Mean normalised distance of the planner knobs from the optimum."""
-        cached = self._distance_cache.get(config)
-        if cached is not None:
-            return cached
+    def _distance_of(self, config: KnobConfiguration) -> float:
+        """:meth:`distance`, computed."""
         knobs = self.cost_knobs(config)
         if not knobs:
             return 0.0
@@ -155,9 +230,20 @@ class PlannerModel:
             optimum = latent_optimum(self.flavor, self.workload_name, knob)
             span = knob.max_value - knob.min_value
             total += abs(config[knob.name] - optimum) / span
-        result = total / len(knobs)
-        self._distance_cache[config] = result
-        return result
+        return total / len(knobs)
+
+    def distance(self, config: KnobConfiguration) -> float:
+        """Mean normalised distance of the planner knobs from the optimum."""
+        cached = self._distance_cache.get(config)
+        if cached is None:
+            cached = self._distance_of(config)
+            self._memoise(config)
+            self._distance_cache[config] = cached
+        return cached
+
+    @staticmethod
+    def _penalty(distance: float, sensitivity: float) -> float:
+        return 1.0 + sensitivity * (1.2 * distance + 2.8 * distance * distance)
 
     def penalty(self, config: KnobConfiguration, sensitivity: float) -> float:
         """Execution-time multiplier (≥ 1) from planner misestimates.
@@ -168,8 +254,7 @@ class PlannerModel:
         (scale calibrated so a fully-sensitive query at maximum distance
         runs ~4× slower).
         """
-        d = self.distance(config)
-        return 1.0 + sensitivity * (1.2 * d + 2.8 * d * d)
+        return self._penalty(self.distance(config), sensitivity)
 
     def requested_workers(self, config: KnobConfiguration) -> int:
         """Parallel workers the configuration asks for per query."""
@@ -203,13 +288,27 @@ class PlannerModel:
         # touches them), so this key stays tiny per configuration.
         key = (config, footprint.planner_sensitivity, footprint.parallel_fraction)
         cached = self._multiplier_cache.get(key)
-        if cached is not None:
-            return cached
-        penalty = self.penalty(config, footprint.planner_sensitivity)
-        speedup = self.parallel_speedup(config, footprint.parallel_fraction)
-        result = penalty / speedup
-        self._multiplier_cache[key] = result
-        return result
+        if cached is None:
+            penalty = self.penalty(config, footprint.planner_sensitivity)
+            speedup = self.parallel_speedup(config, footprint.parallel_fraction)
+            cached = penalty / speedup
+            self._memoise(config)
+            self._multiplier_cache[key] = cached
+        return cached
+
+    def allowances(self, config: KnobConfiguration) -> tuple[float, float, float]:
+        """The sort, maintenance and temp allowances of *config* (MB)."""
+        cached = self._allowance_cache.get(config)
+        if cached is None:
+            knobs = working_area_knobs(self.flavor)
+            cached = (
+                sum(config[n] for n in knobs.sort),
+                sum(config[n] for n in knobs.maintenance),
+                sum(config[n] for n in knobs.temp),
+            )
+            self._memoise(config)
+            self._allowance_cache[config] = cached
+        return cached
 
     def explain(
         self,
@@ -235,16 +334,7 @@ class PlannerModel:
         cost *= self.time_multiplier(config, fp)
         if rng is not None and noise > 0.0:
             cost *= float(rng.lognormal(0.0, noise))
-        allowances = self._allowance_cache.get(config)
-        if allowances is None:
-            knobs = working_area_knobs(self.flavor)
-            allowances = (
-                sum(config[n] for n in knobs.sort),
-                sum(config[n] for n in knobs.maintenance),
-                sum(config[n] for n in knobs.temp),
-            )
-            self._allowance_cache[config] = allowances
-        sort_allowance, maint_allowance, temp_allowance = allowances
+        sort_allowance, maint_allowance, temp_allowance = self.allowances(config)
         return PlanEstimate(
             query_family=query.family,
             total_cost=float(cost),
@@ -256,28 +346,28 @@ class PlannerModel:
             ),
         )
 
-    def mean_cost(self, rows: QueryRows, config: KnobConfiguration) -> float:
-        """Mean EXPLAIN cost of *rows* under *config* (0.0 for no rows).
+    def mean_cost(self, columns: PlanColumns, config: KnobConfiguration) -> float:
+        """Mean EXPLAIN cost of *columns* under *config* (0.0 for none).
 
-        Computed from the rows' columns; equal to the mean of
-        :meth:`explain`'s noiseless ``total_cost`` over the rows.
+        Equal to the mean of :meth:`explain`'s noiseless ``total_cost``
+        over the statements, in their order. The memoised configuration
+        reads its distance from the memo; any other is scored without
+        entering the memos.
         """
-        if not len(rows):
+        if not len(columns):
             return 0.0
-        families = rows.families
-        index = rows.family_index
-        rows_examined = np.array(
-            [fam.footprint.rows_examined for fam in families], dtype=float
-        )
-        multiplier = np.array(
-            [self.time_multiplier(config, fam.footprint) for fam in families]
-        )
-        cost = _base_cost(
-            rows_examined[index],
-            rows.footprints[:, _SORT_COLUMN],
-            rows.footprints[:, _READ_COLUMN],
-        )
-        return float(np.mean(cost * multiplier[index]))
+        if config is self._memo_config:
+            distance = self.distance(config)
+        else:
+            distance = self._distance_of(config)
+        multipliers = [
+            self._penalty(distance, s) / self.parallel_speedup(config, p)
+            for s, p in columns.keys
+        ]
+        costs = columns.base * np.array(multipliers)[columns.slot]
+        # np.mean's own arithmetic (the pairwise sum, then one division)
+        # without its per-call overhead, which is most of a probe's.
+        return float(np.add.reduce(costs)) / len(costs)
 
 
 def spill_categories_for_batch(batch, config: KnobConfiguration) -> set[str]:

@@ -248,7 +248,7 @@ class QueryRows(Sequence[Query]):
     slice is a view over the same columns.
     """
 
-    __slots__ = ("families", "family_index", "footprints", "counts")
+    __slots__ = ("families", "family_index", "footprints", "counts", "_appearances")
 
     def __init__(
         self,
@@ -264,6 +264,7 @@ class QueryRows(Sequence[Query]):
         self.family_index = family_index
         self.footprints = footprints
         self.counts = np.bincount(family_index, minlength=len(families))
+        self._appearances: list[tuple[int, int, int]] | None = None
 
     def __len__(self) -> int:
         return len(self.family_index)
@@ -324,11 +325,14 @@ class QueryRows(Sequence[Query]):
         """``(family, first_row, last_row)`` per family present.
 
         In order of each family's first row, which is the order a reader
-        of the log meets the families in.
+        of the log meets the families in. Computed once per row set.
         """
-        first: dict[int, int] = {}
-        last: dict[int, int] = {}
-        for row, family in enumerate(self.family_index.tolist()):
-            first.setdefault(family, row)
-            last[family] = row
-        return [(family, row, last[family]) for family, row in first.items()]
+        if self._appearances is None:
+            index = self.family_index.tolist()
+            backwards = index[::-1]
+            end = len(index) - 1
+            self._appearances = [
+                (family, index.index(family), end - backwards.index(family))
+                for family in dict.fromkeys(index)
+            ]
+        return self._appearances

@@ -29,7 +29,7 @@ from repro.core.tde.planner_detector import PlannerThrottleDetector
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.engine import SimulatedDatabase
 from repro.dbsim.knobs import catalog_for
-from repro.dbsim.planner import PlannerModel
+from repro.dbsim.planner import PlanColumns, PlannerModel
 from repro.workloads import (
     AdulteratedTPCCWorkload,
     CHBenchWorkload,
@@ -160,7 +160,7 @@ class TestMemoryObserveMatchesPerQuery:
             assert {t: s.count for t, s in catalog.items()} == reference.counts
             assert detector.templates.total_observed == sum(reference.counts.values())
             assert detector.reservoir.sample == reference.reservoir.sample
-            assert detector._select_templates() == [
+            assert [rows[row] for rows, row in detector._select_templates()] == [
                 reference.examples[tid] for tid in reference.reservoir.sample
             ]
             if not report.spilled_categories:
@@ -264,7 +264,7 @@ class TestPlanCostMatchesExplain:
         rows = workload.batch(60.0).sampled_queries[:32]
         costs = [planner.explain(q, config).total_cost for q in rows]
         expected = float(np.mean(costs)) if costs else 0.0
-        assert planner.mean_cost(rows, config) == expected
+        assert planner.mean_cost(PlanColumns.of_rows(rows), config) == expected
 
 
 class TestBuildingRowsDrawsNothing:

@@ -17,6 +17,20 @@ Each function here is the plain definition of a computation that
   by always consulting the workload mapping, then capping; the tuner's
   ``_training_set``, which skips the mapping when the target alone fills
   the cap, must return the same arrays bit for bit.
+- :func:`explain_many` and :func:`mean_cost_per_query` EXPLAIN one
+  :class:`~repro.workloads.query.Query` at a time and average the
+  costs; :func:`probe_per_query` is the planner detector's probe scored
+  that way and :func:`spills_per_query` the memory detector's spill
+  check, one plan per template. The columnar plan cost
+  (:class:`~repro.dbsim.planner.PlanColumns`) and the spill check from
+  footprint columns must give the same floats and categories.
+- :func:`latency_excluding_vacuum_by_mask` is the bgwriter detector's
+  vacuum-slot exclusion as first written (``np.mean`` over a mask built
+  one vacuum round at a time); the detector must give the same float.
+- :func:`choose_action_by_choice` draws an automaton's action with
+  ``rng.choice``; the lean draw in
+  :meth:`~repro.core.tde.mdp.LearningAutomaton.choose_action` must pick
+  the same actions and leave the generator in the same state.
 """
 
 from __future__ import annotations
@@ -41,8 +55,14 @@ from repro.tuners.lasso import (
 )
 
 if TYPE_CHECKING:
+    from repro.core.tde.mdp import LearningAutomaton
+    from repro.core.tde.memory_detector import MemoryThrottleDetector
+    from repro.core.tde.planner_detector import PlannerThrottleDetector
+    from repro.dbsim.engine import SimulatedDatabase
+    from repro.dbsim.planner import PlanEstimate
     from repro.tuners.base import TuningRequest
     from repro.tuners.ottertune import OtterTuneTuner
+    from repro.workloads.query import Query
 
 
 def run_window_per_second(
@@ -305,3 +325,83 @@ def training_set_always_mapped(
         x = x[-tuner.max_train_samples :]
         y = y[-tuner.max_train_samples :]
     return x, y, mapping.best_workload_id
+
+
+def explain_many(
+    db: SimulatedDatabase,
+    queries: list[Query],
+    config: KnobConfiguration | None = None,
+) -> list[PlanEstimate]:
+    """EXPLAIN each query in *queries* under *config* (default live)."""
+    return [db.explain(q, config) for q in queries]
+
+
+def mean_cost_per_query(
+    db: SimulatedDatabase, queries: list[Query], config: KnobConfiguration
+) -> float:
+    """Mean ``total_cost`` of one EXPLAIN per query (0.0 for none)."""
+    plans = explain_many(db, queries, config)
+    return float(np.mean([p.total_cost for p in plans])) if plans else 0.0
+
+
+def probe_per_query(
+    detector: PlannerThrottleDetector, db: SimulatedDatabase, queries: list[Query]
+) -> list[tuple[str, float]]:
+    """``detector.probe``, each configuration scored one EXPLAIN per query."""
+    if not queries:
+        return []
+    profitable: list[tuple[str, float]] = []
+    base_cost = mean_cost_per_query(db, queries, db.config)
+    if base_cost <= 0:
+        return []
+    for name, automaton in detector.automata.items():
+        action = choose_action_by_choice(automaton)
+        old_value = db.config[name]
+        new_value = automaton.next_value(old_value, action)
+        if new_value == old_value:
+            automaton.update(action, rewarded=False)
+            automaton.record(action, old_value, new_value, 0.0, False)
+            continue
+        candidate = db.config.with_values({name: new_value})
+        new_cost = mean_cost_per_query(db, queries, candidate)
+        profit = (base_cost - new_cost) / base_cost
+        rewarded = profit > detector.profit_threshold
+        automaton.update(action, rewarded)
+        automaton.record(action, old_value, new_value, profit, rewarded)
+        if rewarded:
+            profitable.append((name, profit))
+    return profitable
+
+
+def spills_per_query(
+    detector: MemoryThrottleDetector, db: SimulatedDatabase
+) -> tuple[int, set[str]]:
+    """``detector._spills(db)``: EXPLAIN each template's example query."""
+    selected = [rows[row] for rows, row in detector._select_templates()]
+    spilled: set[str] = set()
+    for query in selected:
+        spilled.update(db.explain(query).spilled_categories())
+    return len(selected), spilled
+
+
+def choose_action_by_choice(automaton: LearningAutomaton) -> str:
+    """``automaton.choose_action()`` as ``rng.choice`` over the actions."""
+    actions = ("increase", "decrease")
+    p = [automaton.probabilities[a] for a in actions]
+    return str(automaton._rng.choice(actions, p=p))
+
+
+def latency_excluding_vacuum_by_mask(result, exclusion_s: float) -> float:
+    """Mean write latency more than *exclusion_s* from every vacuum round."""
+    series = result.data_disk.write_latency
+    vacuum_times = result.writeback.vacuum_times
+    if not vacuum_times:
+        return series.mean()
+    times = series.times
+    values = series.values
+    keep = np.ones(len(times), dtype=bool)
+    for v in vacuum_times:
+        keep &= np.abs(times - v) > exclusion_s
+    if not keep.any():
+        return series.mean()
+    return float(np.mean(values[keep]))

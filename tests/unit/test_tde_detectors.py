@@ -9,6 +9,7 @@ from repro.core.tde import (
     checkpoint_latency_ratio,
 )
 from repro.dbsim import KnobClass, SimulatedDatabase
+from repro.dbsim.planner import PlanColumns
 from repro.tuners import TrainingSample, WorkloadRepository
 from repro.workloads import AdulteratedTPCCWorkload, TPCCWorkload, YCSBWorkload
 
@@ -174,7 +175,24 @@ class TestPlannerDetector:
     def test_no_queries_no_probe(self):
         db = SimulatedDatabase("postgres", "m4.large", 20.0, seed=6)
         detector = PlannerThrottleDetector.for_database("svc", db, seed=7)
-        assert detector.probe(db, []) == []
+        assert detector.probe(db, PlanColumns.of_queries([])) == []
+
+    def test_probes_leave_only_the_live_config_in_the_planner_memos(self):
+        db = SimulatedDatabase("postgres", "m4.large", 20.0, seed=6)
+        detector = PlannerThrottleDetector.for_database("svc", db, seed=7)
+        result = db.run(TPCCWorkload(seed=8).batch(30.0))
+        planner = db._planner
+        for _ in range(50):  # each round probes every async/planner knob
+            detector.inspect(db, result)
+        live = {db.config}
+        assert set(planner._distance_cache) <= live
+        assert set(planner._allowance_cache) <= live
+        assert {key[0] for key in planner._multiplier_cache} <= live
+        keys = {
+            (f.footprint.planner_sensitivity, f.footprint.parallel_fraction)
+            for f in result.batch.sampled_queries.families
+        }
+        assert len(planner._multiplier_cache) <= len(keys)
 
     def test_episode_shape(self):
         db = SimulatedDatabase("postgres", "m4.large", 20.0, seed=6)

@@ -74,6 +74,23 @@ class TestLearning:
             assert probs["increase"] + probs["decrease"] == pytest.approx(1.0)
             assert 0.0 <= probs["increase"] <= 1.0
 
+    @pytest.mark.parametrize(
+        "lr_reward, lr_penalty", [(0.2, 0.06), (0.04, 0.01), (0.9, 0.9), (1.0, 1.0)]
+    )
+    def test_update_keeps_a_distribution(self, lr_reward, lr_penalty):
+        import numpy as np
+
+        a = LearningAutomaton(
+            _knob(), lr_reward=lr_reward, lr_penalty=lr_penalty, seed=4
+        )
+        rng = np.random.default_rng(3)
+        for _ in range(1000):
+            a.update(a.choose_action(), rewarded=bool(rng.integers(0, 2)))
+            p_increase, p_decrease = a.probabilities.values()
+            assert 0.0 <= p_increase <= 1.0
+            assert 0.0 <= p_decrease <= 1.0
+            assert abs(p_increase + p_decrease - 1.0) <= 1e-12
+
     def test_record_history(self):
         a = LearningAutomaton(_knob(), seed=0)
         step = a.record("increase", 5.0, 6.0, 0.1, True)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tuners.lasso import lasso_path_ranking
+from repro.tuners.lasso import _RATE, lasso_gram_ranking, lasso_path_ranking
 from tests.reference import lasso_coordinate_descent
 
 
@@ -67,3 +67,26 @@ class TestPathRanking:
     def test_deterministic(self):
         x, y = _design()
         assert lasso_path_ranking(x, y) == lasso_path_ranking(x, y)
+
+
+class TestJoinGuard:
+    """A column joins only if its correlation leaves the box faster than ``_RATE``.
+
+    Column 0 (unit variance, correlation 1) enters first. Column 1 has
+    variance 2 and correlation ``1 − δ`` with it, so along the first
+    segment its correlation moves with α at rate ``1 − a = δ`` while its
+    Schur complement (about 1) keeps it off the active span. Its own
+    correlation ``1 − δ/2`` puts the join at α = 1/2 — if the guard
+    admits the rate.
+    """
+
+    @pytest.mark.parametrize(
+        "delta, joins", [(0.5 * _RATE, False), (5.0 * _RATE, True)]
+    )
+    def test_rate_threshold(self, delta, joins):
+        g = 1.0 - delta
+        gram = np.array([[1.0, g], [g, 2.0]])
+        corr = np.array([1.0, 1.0 - delta / 2.0])
+        _order, path = lasso_gram_ranking(gram, corr)
+        assert path[-1, 0] > 0.0
+        assert (np.count_nonzero(path[:, 1]) > 0) == joins
