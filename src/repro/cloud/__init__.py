@@ -6,7 +6,6 @@ from repro.cloud.fleet import (
     FleetSpec,
     build_member,
 )
-from repro.cloud.metrics_export import render_agent_metrics, render_counters
 from repro.cloud.monitoring import MonitoringAgent
 from repro.cloud.provisioner import Credentials, Provisioner, ServiceDeployment
 from repro.cloud.vm import HDD, SSD, VM_TYPES, DiskKind, VMType, vm_type
@@ -21,8 +20,6 @@ __all__ = [
     "MonitoringAgent",
     "PAPER_PLAN_MIX",
     "Provisioner",
-    "render_agent_metrics",
-    "render_counters",
     "SSD",
     "ServiceDeployment",
     "VMType",

@@ -2,25 +2,20 @@
 
 The paper's landscape feeds an external monitoring system (Dynatrace);
 an open-source deployment would scrape Prometheus. This module renders a
-:class:`~repro.cloud.monitoring.MonitoringAgent`'s latest readings, a
-landscape's throttle/request counters, and — since the observability
-layer landed — a whole :class:`~repro.obs.metrics.MetricsRegistry`
-(counters, gauges and bucketed histograms) in the Prometheus text
-exposition format (v0.0.4), so the simulator can stand in for a real
-scrape target in integration environments.
+whole :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges and
+bucketed histograms) in the Prometheus text exposition format (v0.0.4),
+so the simulator can stand in for a real scrape target in integration
+environments.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.cloud.monitoring import MonitoringAgent
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "describe_counter_families",
-    "render_agent_metrics",
-    "render_counters",
     "render_registry",
 ]
 
@@ -81,57 +76,3 @@ def render_registry(registry: MetricsRegistry) -> str:
             )
     return "\n".join(lines) + "\n"
 
-
-def render_agent_metrics(agent: MonitoringAgent) -> str:
-    """One agent's latest gauges in Prometheus text format."""
-    instance = _sanitise_label(agent.instance_id)
-    lines = [
-        "# HELP repro_disk_write_latency_ms Data-disk write latency.",
-        "# TYPE repro_disk_write_latency_ms gauge",
-        "# HELP repro_disk_read_latency_ms Data-disk read latency.",
-        "# TYPE repro_disk_read_latency_ms gauge",
-        "# HELP repro_disk_iops Data-disk IO operations per second.",
-        "# TYPE repro_disk_iops gauge",
-        "# HELP repro_throughput_tps Achieved transactions per second.",
-        "# TYPE repro_throughput_tps gauge",
-    ]
-
-    def last(series) -> float | None:
-        return series.values[-1] if len(series) else None
-
-    samples = (
-        ("repro_disk_write_latency_ms", last(agent.write_latency)),
-        ("repro_disk_read_latency_ms", last(agent.read_latency)),
-        ("repro_disk_iops", last(agent.iops)),
-        ("repro_throughput_tps", last(agent.throughput)),
-    )
-    for name, value in samples:
-        if value is not None:
-            lines.append(f'{name}{{instance="{instance}"}} {value:.6g}')
-    return "\n".join(lines) + "\n"
-
-
-def render_counters(
-    throttle_counts: dict[str, dict[str, int]],
-    tuning_requests_total: int,
-) -> str:
-    """Landscape-level counters (throttles by class, tuning requests)."""
-    lines = [
-        "# HELP repro_throttles_total Throttles detected, by knob class.",
-        "# TYPE repro_throttles_total counter",
-    ]
-    for instance_id, by_class in sorted(throttle_counts.items()):
-        instance = _sanitise_label(instance_id)
-        for knob_class, count in sorted(by_class.items()):
-            lines.append(
-                f'repro_throttles_total{{instance="{instance}",'
-                f'knob_class="{_sanitise_label(knob_class)}"}} {count}'
-            )
-    lines.extend(
-        (
-            "# HELP repro_tuning_requests_total Tuning requests routed.",
-            "# TYPE repro_tuning_requests_total counter",
-            f"repro_tuning_requests_total {tuning_requests_total}",
-        )
-    )
-    return "\n".join(lines) + "\n"

@@ -1,11 +1,9 @@
 """External monitoring agent — the paper's Dynatrace stand-in.
 
 §3.2 monitors disk latency "from external monitoring agents such as
-Dynatrace": the background-writer detector asks the agent for latency
-readings around given timestamps, finds latency peaks, and measures the
-spacing between them. :class:`MonitoringAgent` accumulates the disk
-latency / IOPS series emitted by one database's execution windows and
-serves exactly those queries.
+Dynatrace". :class:`MonitoringAgent` accumulates the disk latency / IOPS
+series emitted by one database's execution windows, and the TDE reads
+each window through it (:meth:`MonitoringAgent.filter_result`).
 """
 
 from __future__ import annotations
@@ -65,28 +63,3 @@ class MonitoringAgent:
         into degraded mode.
         """
         return result
-
-    def write_latency_between(self, start_s: float, end_s: float) -> TimeSeries:
-        """Write-latency readings in ``[start_s, end_s)``."""
-        return self.write_latency.window(start_s, end_s)
-
-    def latency_peaks(
-        self, start_s: float, end_s: float, threshold_ms: float
-    ) -> list[float]:
-        """Timestamps of write-latency peaks above *threshold_ms*."""
-        return self.write_latency_between(start_s, end_s).peaks(threshold_ms)
-
-    def mean_peak_spacing_s(
-        self, start_s: float, end_s: float, threshold_ms: float
-    ) -> float | None:
-        """Average seconds between consecutive latency peaks, or ``None``.
-
-        This is §3.2's measurement: "the time difference between peaks in
-        disk-latency is observed and averaged out for consecutive peaks".
-        ``None`` means fewer than two peaks were found in the range.
-        """
-        peaks = self.latency_peaks(start_s, end_s, threshold_ms)
-        if len(peaks) < 2:
-            return None
-        gaps = [b - a for a, b in zip(peaks, peaks[1:])]
-        return sum(gaps) / len(gaps)

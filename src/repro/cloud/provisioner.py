@@ -4,8 +4,8 @@
 instances, 5 config-director instances and 80 live database deployments
 across five VM plans, plus bare service replicas per plan for validating
 recommendations. :class:`Provisioner` is the registry that spawns and
-tracks those deployments in the simulation, and hands out the credentials
-the Service Orchestrator layer manages.
+tracks those deployments in the simulation, and gives each its access
+credentials.
 """
 
 from __future__ import annotations
@@ -91,12 +91,6 @@ class Provisioner:
         )
         self._deployments[instance_id] = deployment
         return deployment
-
-    def deprovision(self, instance_id: str) -> None:
-        """Tear a deployment down."""
-        if instance_id not in self._deployments:
-            raise KeyError(f"unknown deployment {instance_id!r}")
-        del self._deployments[instance_id]
 
     def get(self, instance_id: str) -> ServiceDeployment:
         """Deployment by id."""

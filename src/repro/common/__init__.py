@@ -7,7 +7,7 @@ in the benchmark suite is reproducible bit-for-bit.
 
 from repro.common.recording import NULL_RECORDER, NullRecorder, Recorder, Span
 from repro.common.rng import derive_rng, make_rng, stream_root, substream
-from repro.common.stats import exponential_moving_average, percentile
+from repro.common.stats import percentile
 from repro.common.timeseries import TimeSeries
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "Span",
     "TimeSeries",
     "derive_rng",
-    "exponential_moving_average",
     "make_rng",
     "percentile",
     "stream_root",

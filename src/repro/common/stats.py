@@ -6,7 +6,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-__all__ = ["percentile", "exponential_moving_average"]
+__all__ = ["percentile"]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -21,15 +21,3 @@ def percentile(values: Sequence[float], q: float) -> float:
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile q={q} outside [0, 100]")
     return float(np.percentile(np.asarray(values, dtype=float), q))
-
-
-def exponential_moving_average(values: Sequence[float], alpha: float) -> list[float]:
-    """EMA of *values* with smoothing factor ``alpha`` in (0, 1]."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha={alpha} outside (0, 1]")
-    out: list[float] = []
-    ema: float | None = None
-    for value in values:
-        ema = value if ema is None else alpha * value + (1.0 - alpha) * ema
-        out.append(ema)
-    return out

@@ -11,8 +11,8 @@ model emitting hundreds of per-second samples per window, a monitoring
 agent copying whole windows and trimming retention — are array copies and
 pointer moves instead of per-element list traffic. Every reduction reads
 the same float64 values the previous list-backed implementation produced,
-so all derived numbers (means that feed metric vectors, peak timestamps,
-golden-trace bytes) are bit-identical.
+so all derived numbers (means that feed metric vectors, golden-trace
+bytes) are bit-identical.
 """
 
 from __future__ import annotations
@@ -119,32 +119,6 @@ class TimeSeries:
         for time, value in samples:
             self.append(time, value)
 
-    def extend_arrays(self, times: np.ndarray, values: np.ndarray) -> None:
-        """Bulk-append aligned *times*/*values* arrays.
-
-        Equivalent to appending element by element, with the monotonicity
-        check done once over the whole block — the per-second simulator
-        loops emit hundreds of samples per window, and per-call overhead
-        dominates ``append`` at fleet scale.
-        """
-        times = np.asarray(times, dtype=float)
-        if times.size == 0:
-            return
-        if len(times) != len(values):
-            raise ValueError("times and values must have the same length")
-        if self._end > self._start and times[0] < self._buf_t[self._end - 1]:
-            raise ValueError(
-                f"non-monotonic timestamp {times[0]} < "
-                f"{self._buf_t[self._end - 1]} in {self.name}"
-            )
-        if times.size > 1 and np.any(np.diff(times) < 0):
-            raise ValueError(f"non-monotonic timestamps in {self.name}")
-        k = len(times)
-        self._reserve(k)
-        self._buf_t[self._end : self._end + k] = times
-        self._buf_v[self._end : self._end + k] = np.asarray(values, dtype=float)
-        self._end += k
-
     def extend_series(self, other: "TimeSeries") -> None:
         """Bulk-append every sample of *other*.
 
@@ -198,18 +172,6 @@ class TimeSeries:
         """Values as a float array (a copy; callers may mutate it)."""
         return self._values_view().copy()
 
-    def window(self, start: float, end: float) -> "TimeSeries":
-        """Return the sub-series with ``start <= time < end``."""
-        times = self._times_view()
-        lo = int(np.searchsorted(times, start, side="left"))
-        hi = int(np.searchsorted(times, end, side="left"))
-        out = TimeSeries(self.name, self.unit)
-        if hi > lo:
-            out._buf_t = times[lo:hi].copy()
-            out._buf_v = self._values_view()[lo:hi].copy()
-            out._end = hi - lo
-        return out
-
     def mean(self) -> float:
         """Arithmetic mean of the values (0.0 for an empty series)."""
         return float(np.mean(self._values_view())) if len(self) else 0.0
@@ -217,27 +179,6 @@ class TimeSeries:
     def max(self) -> float:
         """Maximum value (0.0 for an empty series)."""
         return float(np.max(self._values_view())) if len(self) else 0.0
-
-    def std(self) -> float:
-        """Population standard deviation (0.0 for fewer than 2 samples)."""
-        if len(self) < 2:
-            return 0.0
-        return float(np.std(self._values_view()))
-
-    def peaks(self, threshold: float) -> list[float]:
-        """Timestamps of local maxima whose value exceeds *threshold*.
-
-        Used by the background-writer detector to find checkpoint-induced
-        latency peaks and measure the time between them.
-        """
-        found: list[float] = []
-        values = self._values_view().tolist()
-        times = self._times_view().tolist()
-        for i in range(1, len(values) - 1):
-            is_local_max = values[i] >= values[i - 1] and values[i] >= values[i + 1]
-            if is_local_max and values[i] > threshold:
-                found.append(times[i])
-        return found
 
     def resample_mean(self, bucket_seconds: float) -> "TimeSeries":
         """Bucket the series by *bucket_seconds* and average each bucket."""

@@ -66,11 +66,7 @@ class NonTunableKnobPolicy:
         last_downtime_s: float,
     ) -> DowntimeDecision:
         """Choose the buffer value to restart with at this downtime."""
-        buffer_name = (
-            "shared_buffers"
-            if current.catalog.flavor == "postgres"
-            else "innodb_buffer_pool_size"
-        )
+        buffer_name = current.catalog.buffer_pool_name
         knob = current.catalog.get(buffer_name)
         old = current[buffer_name]
         max_limit = self.buffer_share * memory_limit_mb

@@ -1,21 +1,20 @@
-"""Service Orchestrator: lifecycle, credentials, persisted configs (§2, §4).
+"""Service Orchestrator: lifecycle, persisted configs (§2, §4).
 
 The orchestrator "is responsible for performing all life-cycle operations
-of service instances and maintains credentials"; on any re-deployment it
-"must re-deploy the system with the updated config of the database"
-retrieved from its persistence storage. It also owns the scheduled
-maintenance downtime windows during which restart-required (non-tunable)
-knobs may change.
+of service instances"; it keeps the persisted config the reconciler
+restores drifted nodes to. It also owns the scheduled maintenance
+downtime windows during which restart-required (non-tunable) knobs may
+change. The paper's re-deploy path (update/patch restarts every node on
+the persisted config) is not modelled: no experiment re-deploys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cloud.provisioner import Credentials, ServiceDeployment
+from repro.cloud.provisioner import ServiceDeployment
 from repro.common.recording import NULL_RECORDER, Recorder
 from repro.dbsim.config import KnobConfiguration
-from repro.dbsim.engine import DatabaseCrashed
 
 __all__ = ["AlreadyRegistered", "DowntimeWindow", "ServiceOrchestrator"]
 
@@ -26,7 +25,7 @@ class AlreadyRegistered(ValueError):
     Registering resets the persisted configuration to whatever the
     deployment's master currently runs — for an instance the orchestrator
     already manages that silently discards the persisted (tuned) config
-    the reconciler and redeploy path depend on. Use :meth:`adopt` when
+    the reconciler depends on. Use :meth:`adopt` when
     re-adoption is genuinely intended.
     """
 
@@ -98,47 +97,21 @@ class ServiceOrchestrator:
         except KeyError:
             raise KeyError(f"unknown instance {instance_id!r}") from None
 
-    def credentials(self, instance_id: str) -> Credentials:
-        """Credentials the DFA fetches before hitting TDE APIs (§2)."""
-        return self.deployment(instance_id).credentials
-
     # -- persisted configuration -------------------------------------------------
 
     def persist_config(
         self, instance_id: str, config: KnobConfiguration
     ) -> None:
-        """Store the config future re-deployments must come up with."""
+        """Store the config the reconciler restores nodes to."""
         self.deployment(instance_id)  # validate the id
         self._persisted[instance_id] = config
 
     def persisted_config(self, instance_id: str) -> KnobConfiguration:
-        """The config a re-deployment would apply."""
+        """The config the reconciler restores nodes to."""
         try:
             return self._persisted[instance_id]
         except KeyError:
             raise KeyError(f"no persisted config for {instance_id!r}") from None
-
-    def redeploy(self, instance_id: str) -> None:
-        """Restart every node with the persisted config (update/patch path).
-
-        A crash during redeploy (config no longer fits the VM) heals the
-        node back up on its previous config rather than leaving it down.
-        """
-        deployment = self.deployment(instance_id)
-        config = self.persisted_config(instance_id)
-        healed = 0
-        for node in deployment.service.nodes:
-            try:
-                node.apply_config(config, mode="restart")
-            except DatabaseCrashed:
-                node.heal()
-                healed += 1
-        self.recorder.event(
-            "orchestrator.redeploy",
-            instance=instance_id,
-            nodes=len(deployment.service.nodes),
-            healed=healed,
-        )
 
     # -- downtime windows -----------------------------------------------------------
 

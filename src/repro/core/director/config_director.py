@@ -7,7 +7,7 @@ splits recommendations into a reload-able part (forwarded immediately to
 the apply pipeline) and a restart-required part (held for the instance's
 next scheduled maintenance downtime, per §4's non-tunable-knob handling).
 
-It also keeps the tuning-request counters that are the paper's scalability
+It also counts the tuning requests it receives, the paper's scalability
 evidence (Fig. 9 plots requests per minute across the fleet).
 """
 
@@ -45,10 +45,6 @@ class SplitRecommendation:
     reloadable: KnobConfiguration
     deferred_knobs: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def has_deferred(self) -> bool:
-        return bool(self.deferred_knobs)
-
 
 class ConfigDirector:
     """Routes tuning requests and manages configuration state."""
@@ -71,7 +67,8 @@ class ConfigDirector:
         )
         self.breakers: dict[str, CircuitBreaker] = {}
         self.fallbacks_served = 0
-        self.request_times: list[float] = []
+        #: Tuning requests received.
+        self.total_requests = 0
         self._pending_downtime: dict[str, dict[str, float]] = {}
         self._knob_floors: dict[str, dict[str, float]] = {}
         # The opt-in tuner tiers (surrogate screen, knob selection) are
@@ -102,7 +99,7 @@ class ConfigDirector:
         repository's last-known-good version instead of failing the
         service instance.
         """
-        self.request_times.append(request.timestamp_s)
+        self.total_requests += 1
         self.recorder.inc(
             "repro_tuning_requests_total", instance=request.instance_id
         )
@@ -122,9 +119,9 @@ class ConfigDirector:
                     instance = self.balancer.pick(exclude=tried)
                 except NoHealthyTuners:
                     break
-                # Charge the queue before recommending (assign() semantics —
-                # the cost model may shift once the surrogate refits) and
-                # refund if the instance turns out to be unreachable.
+                # Charge the queue before recommending (the cost model may
+                # shift once the surrogate refits) and refund if the
+                # instance turns out to be unreachable.
                 cost = instance.tuner.recommendation_cost_s()
                 instance.outstanding_s += cost
                 instance.requests_served += 1
@@ -278,27 +275,6 @@ class ConfigDirector:
 
     # -- downtime management -----------------------------------------------------
 
-    def pending_downtime_changes(self, instance_id: str) -> dict[str, float]:
-        """Restart-required knob values waiting for the next downtime."""
-        return dict(self._pending_downtime.get(instance_id, {}))
-
     def consume_downtime_changes(self, instance_id: str) -> dict[str, float]:
         """Pop (and return) the pending downtime changes for an instance."""
         return self._pending_downtime.pop(instance_id, {})
-
-    # -- Fig. 9 accounting -----------------------------------------------------------
-
-    def requests_per_minute(
-        self, window_start_s: float, window_end_s: float
-    ) -> float:
-        """Mean tuning requests per minute inside a time window."""
-        if window_end_s <= window_start_s:
-            raise ValueError("window_end_s must exceed window_start_s")
-        count = sum(
-            1 for t in self.request_times if window_start_s <= t < window_end_s
-        )
-        return count / ((window_end_s - window_start_s) / 60.0)
-
-    @property
-    def total_requests(self) -> int:
-        return len(self.request_times)

@@ -40,12 +40,6 @@ class TunerInstance:
     #: deployment keeps failing and restores it after the cooldown.
     healthy: bool = True
 
-    def busy_fraction(self, capacity_s: float) -> float:
-        """Outstanding work relative to *capacity_s* of queue budget."""
-        if capacity_s <= 0:
-            raise ValueError("capacity_s must be positive")
-        return self.outstanding_s / capacity_s
-
 
 class LeastLoadedBalancer:
     """Routes each request to the tuner instance with least queued work."""
@@ -80,13 +74,6 @@ class LeastLoadedBalancer:
             )
         return min(candidates, key=lambda inst: inst.outstanding_s)
 
-    def assign(self) -> TunerInstance:
-        """Pick an instance and charge it its recommendation cost."""
-        instance = self.pick()
-        instance.outstanding_s += instance.tuner.recommendation_cost_s()
-        instance.requests_served += 1
-        return instance
-
     def drain(self, elapsed_s: float) -> None:
         """Let *elapsed_s* of queued work complete on every instance."""
         if elapsed_s < 0:
@@ -110,15 +97,3 @@ class LeastLoadedBalancer:
     def set_health(self, instance_id: str, healthy: bool) -> None:
         """Move an instance in or out of rotation."""
         self.get(instance_id).healthy = healthy
-
-    # -- aggregate accounting ---------------------------------------------------
-
-    def total_outstanding_s(self) -> float:
-        """Queued work across all instances."""
-        return sum(inst.outstanding_s for inst in self.instances)
-
-    def saturated(self, capacity_s: float) -> bool:
-        """Whether every instance has more than *capacity_s* queued."""
-        return all(
-            inst.outstanding_s > capacity_s for inst in self.instances
-        )

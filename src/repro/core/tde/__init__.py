@@ -16,11 +16,6 @@ from repro.core.tde.mdp import AutomatonStep, LearningAutomaton
 from repro.core.tde.memory_detector import MemoryDetectionReport, MemoryThrottleDetector
 from repro.core.tde.planner_detector import EpisodeResult, PlannerThrottleDetector
 from repro.core.tde.throttle import PlanUpgradeRequest, Throttle, ThrottleLog
-from repro.core.tde.workload_change import (
-    WorkloadChange,
-    WorkloadChangeDetector,
-    hellinger_distance,
-)
 
 __all__ = [
     "AutomatonStep",
@@ -38,10 +33,7 @@ __all__ = [
     "Throttle",
     "ThrottleLog",
     "ThrottlingDetectionEngine",
-    "WorkloadChange",
-    "WorkloadChangeDetector",
     "checkpoint_latency_ratio",
     "classify_query",
-    "hellinger_distance",
     "normalized_entropy",
 ]

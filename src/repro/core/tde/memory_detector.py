@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.core.tde.entropy import EntropyFilter, QueryClassHistogram
 from repro.core.tde.throttle import PlanUpgradeRequest, Throttle
+from repro.dbsim.config import effective_sessions
 from repro.dbsim.engine import ExecutionResult, SimulatedDatabase
 from repro.dbsim.knobs import KnobClass
 from repro.dbsim.memory import HOT_FRACTION, working_area_knobs
@@ -202,8 +203,6 @@ class MemoryThrottleDetector:
         ... decreasing other knobs (to make room)" has run its course and
         "the underlying instance configuration limit is in-sufficient".
         """
-        from repro.dbsim.config import effective_sessions
-
         config = db.config
         at_catalog_max = all(
             config[name] >= _CAP_FRACTION * db.catalog.get(name).max_value
@@ -238,14 +237,11 @@ class MemoryThrottleDetector:
         read_pressure = result.batch.write_fraction <= _GAUGE_WRITE_FRACTION_MAX
         if not (undersized and read_pressure and result.hit_ratio < _BUFFER_HIT_THRESHOLD):
             return None
-        buffer_name = (
-            "shared_buffers" if db.flavor == "postgres" else "innodb_buffer_pool_size"
-        )
         return Throttle(
             instance_id=self.instance_id,
             workload_id=result.batch.workload_name,
             knob_class=KnobClass.MEMORY,
-            knobs=(buffer_name,),
+            knobs=(db.config.catalog.buffer_pool_name,),
             reason=(
                 f"working set ~{working_set_mb:.0f} MB vs buffer pool "
                 f"{buffer_mb:.0f} MB (hit ratio {result.hit_ratio:.2f})"

@@ -8,7 +8,6 @@ paper's production-safe performance metric (§1, §5).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from repro.dbsim.knobs import KnobClass

@@ -12,7 +12,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from repro.dbsim.knobs import KnobCatalog, KnobClass
+from repro.dbsim.knobs import KnobCatalog
 
 __all__ = [
     "KnobConfiguration",
@@ -123,12 +123,7 @@ class KnobConfiguration:
 
     def buffer_pool_mb(self) -> float:
         """The non-tunable buffer-pool knob's value (A in the §4 equation)."""
-        name = (
-            "shared_buffers"
-            if self.catalog.flavor == "postgres"
-            else "innodb_buffer_pool_size"
-        )
-        return self._values[name]
+        return self._values[self.catalog.buffer_pool_name]
 
     def working_area_mb(self) -> float:
         """Sum of the tunable memory knobs (B + C + D …)."""
@@ -156,14 +151,7 @@ class KnobConfiguration:
         return sum(
             self._values[k.name]
             for k in self.catalog.memory_budget_knobs()
-            if k.restart_required and k.name != self._buffer_name()
-        )
-
-    def _buffer_name(self) -> str:
-        return (
-            "shared_buffers"
-            if self.catalog.flavor == "postgres"
-            else "innodb_buffer_pool_size"
+            if k.restart_required and k.name != self.catalog.buffer_pool_name
         )
 
     def check_memory_budget(
@@ -199,7 +187,7 @@ class KnobConfiguration:
         sessions = effective_sessions(active_connections)
         updates: dict[str, float] = {}
 
-        buffer_name = self._buffer_name()
+        buffer_name = self.catalog.buffer_pool_name
         buffer_knob = self.catalog.get(buffer_name)
         buffer_mb = min(self.buffer_pool_mb(), buffer_share * budget)
         buffer_mb = buffer_knob.clamp(buffer_mb)
@@ -243,12 +231,6 @@ class KnobConfiguration:
             return self
         return self.with_values(updates)
 
-    def values_for_class(self, knob_class: KnobClass) -> dict[str, float]:
-        """Values of the knobs belonging to *knob_class*."""
-        return {
-            k.name: self._values[k.name] for k in self.catalog.by_class(knob_class)
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         changed = {
             n: v for n, v in self._values.items()
@@ -270,11 +252,7 @@ def _budget_fit_arrays(
     arrays = getattr(catalog, "_budget_fit_cache", None)
     if arrays is None:
         names = catalog.names()
-        buffer_name = (
-            "shared_buffers"
-            if catalog.flavor == "postgres"
-            else "innodb_buffer_pool_size"
-        )
+        buffer_name = catalog.buffer_pool_name
         buffer_knob = catalog.get(buffer_name)
         shrinkable = [
             k for k in catalog.memory_budget_knobs() if k.name != buffer_name

@@ -102,6 +102,10 @@ class KnobCatalog:
 
     def __init__(self, flavor: str, knobs: list[KnobDef]) -> None:
         self.flavor = flavor
+        #: The non-tunable buffer-pool knob (A in §4's memory equation).
+        self.buffer_pool_name = (
+            "shared_buffers" if flavor == "postgres" else "innodb_buffer_pool_size"
+        )
         self._knobs: dict[str, KnobDef] = {}
         self._transform_arrays: (
             tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None

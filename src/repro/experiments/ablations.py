@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.common.rng import make_rng
 from repro.core.tde.engine import ThrottlingDetectionEngine
 from repro.core.tde.entropy import EntropyFilter

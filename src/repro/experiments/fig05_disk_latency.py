@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from repro.cloud.monitoring import MonitoringAgent
 from repro.common.timeseries import TimeSeries
 from repro.dbsim.engine import SimulatedDatabase
-from repro.dbsim.knobs import postgres_catalog
 from repro.workloads.tpcc import TPCCWorkload
 
 __all__ = ["DiskLatencyRun", "run", "tuned_config_values"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.core.tde.engine import ThrottlingDetectionEngine
 from repro.dbsim.engine import SimulatedDatabase
-from repro.dbsim.knobs import KnobClass, postgres_catalog
+from repro.dbsim.knobs import postgres_catalog
 from repro.experiments.common import offline_train
 from repro.tuners.ottertune import OtterTuneTuner
 from repro.workloads.generator import WorkloadGenerator

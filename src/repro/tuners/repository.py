@@ -285,10 +285,6 @@ class WorkloadRepository:
         self._dataset_cache[workload_id] = (len(rows), dataset)
         return dataset
 
-    def datasets(self) -> dict[str, WorkloadDataset]:
-        """All workloads' matrices."""
-        return {wid: self.dataset(wid) for wid in self._samples}
-
     def all_metric_rows(self) -> np.ndarray:
         """Every sample's metric vector stacked, for global binning.
 
@@ -310,23 +306,6 @@ class WorkloadRepository:
         stacked = np.vstack(parts)
         self._metric_rows_cache = (self._version, stacked)
         return stacked
-
-    def quality_score(self, workload_id: str) -> float:
-        """Mean per-metric coefficient of variation across the samples.
-
-        §1's sample-quality notion made concrete: a workload whose
-        captured metrics barely vary across configurations (idle
-        production windows) scores near 0; benchmark executions that
-        sweep configurations score high.
-        """
-        dataset = self.dataset(workload_id)
-        if dataset.size < 2:
-            return 0.0
-        means = np.abs(dataset.metrics.mean(axis=0))
-        stds = dataset.metrics.std(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cv = np.where(means > 1e-12, stds / means, 0.0)
-        return float(np.mean(cv))
 
     def sync_from(self, other: "WorkloadRepository") -> int:
         """Pull samples present in *other* but not here; return count.

@@ -97,24 +97,6 @@ class WorkloadBatch:
             out[qtype] = out.get(qtype, 0) + count
         return out
 
-    def scaled(self, factor: float) -> "WorkloadBatch":
-        """A copy with all counts scaled by *factor* (rate modulation).
-
-        The copy shares the (read-only) sample and example rows: they are
-        the same log sample, read at a different rate.
-        """
-        if factor < 0:
-            raise ValueError("factor must be >= 0")
-        return WorkloadBatch(
-            workload_name=self.workload_name,
-            duration_s=self.duration_s,
-            requested_rps=self.requested_rps * factor,
-            counts={name: int(round(c * factor)) for name, c in self.counts.items()},
-            families=dict(self.families),
-            sampled_queries=self.sampled_queries,
-            family_examples=self.family_examples,
-        )
-
 
 class WorkloadGenerator:
     """Base generator: weighted families + rate → batches.

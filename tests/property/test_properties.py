@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.stats import exponential_moving_average, percentile
+from repro.common.stats import percentile
 from repro.common.timeseries import TimeSeries
 from repro.core.tde.entropy import normalized_entropy
 from repro.dbsim.config import KnobConfiguration
@@ -141,13 +141,6 @@ class TestStatsProperties:
     def test_percentile_within_range(self, values, q):
         p = percentile(values, q)
         assert min(values) - 1e-6 <= p <= max(values) + 1e-6
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=60),
-           st.floats(min_value=0.01, max_value=1.0))
-    def test_ema_bounded_by_input_range(self, values, alpha):
-        out = exponential_moving_average(values, alpha)
-        assert len(out) == len(values)
-        assert all(min(values) - 1e-9 <= v <= max(values) + 1e-9 for v in out)
 
 
 class TestTemplatingProperties:

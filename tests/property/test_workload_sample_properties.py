@@ -32,7 +32,6 @@ from repro.dbsim.knobs import catalog_for
 from repro.dbsim.planner import PlanColumns, PlannerModel
 from repro.workloads import (
     AdulteratedTPCCWorkload,
-    CHBenchWorkload,
     MixWorkload,
     ProductionWorkload,
     TPCHWorkload,
@@ -84,7 +83,6 @@ _WORKLOADS = {
         0.5, rps=300.0, seed=seed, sample_size=n
     ),
     "tpch": lambda seed, n: TPCHWorkload(rps=4.0, seed=seed, sample_size=n),
-    "chbench": lambda seed, n: CHBenchWorkload(rps=200.0, seed=seed, sample_size=n),
     "production": lambda seed, n: ProductionWorkload(seed=seed, sample_size=n),
     "shared": _shared_template_mix,
 }
@@ -303,17 +301,13 @@ class TestBuildingRowsDrawsNothing:
             assert one.batch(60.0, start).counts == other.batch(60.0, start).counts
 
 
-class TestScaledKeepsColumns:
+class TestBatchKeepsColumns:
     @settings(max_examples=40, deadline=None)
-    @given(case=_workload_cases, factor=st.floats(min_value=0.0, max_value=3.0))
-    def test_scaled_rows_stay_consistent(self, case, factor):
+    @given(case=_workload_cases)
+    def test_rows_stay_consistent(self, case):
         batch = _workload(case).batch(60.0)
-        scaled = batch.scaled(factor)
-        assert scaled.sampled_queries == batch.sampled_queries
-        assert scaled.family_examples == batch.family_examples
-        assert list(scaled.sampled_queries) == list(batch.sampled_queries)
-        families = tuple(scaled.families.values())
-        for rows in (scaled.sampled_queries, scaled.family_examples):
+        families = tuple(batch.families.values())
+        for rows in (batch.sampled_queries, batch.family_examples):
             assert rows.families == families
             assert rows.footprints.shape == (len(rows), len(FOOTPRINT_COLUMNS))
             assert not rows.family_index.flags.writeable
@@ -324,5 +318,5 @@ class TestScaledKeepsColumns:
         # Every logged statement's family executed in the batch, and each
         # executed family has exactly one example.
         executed = [i for i, c in enumerate(batch.counts.values()) if c > 0]
-        assert scaled.family_examples.family_index.tolist() == executed
-        assert set(scaled.sampled_queries.family_index.tolist()) <= set(executed)
+        assert batch.family_examples.family_index.tolist() == executed
+        assert set(batch.sampled_queries.family_index.tolist()) <= set(executed)

@@ -102,21 +102,10 @@ class TestOrchestrator:
         orch, d = self._registered()
         assert orch.persisted_config(d.instance_id) == d.service.master.config
 
-    def test_credentials_served(self):
-        orch, d = self._registered()
-        assert orch.credentials(d.instance_id) == d.credentials
-
     def test_unknown_instance(self):
         orch = ServiceOrchestrator()
         with pytest.raises(KeyError):
             orch.deployment("nope")
-
-    def test_redeploy_applies_persisted_config(self):
-        orch, d = self._registered()
-        new = d.service.master.config.with_values({"shared_buffers": 2048})
-        orch.persist_config(d.instance_id, new)
-        orch.redeploy(d.instance_id)
-        assert all(n.config["shared_buffers"] == 2048 for n in d.service.nodes)
 
     def test_downtime_scheduling(self):
         orch, d = self._registered()

@@ -20,26 +20,6 @@ class TestMonitoringAgent:
         assert len(agent.write_latency) == 20
         assert len(agent.throughput) == 2
 
-    def test_window_query(self, pg_db, tpcc):
-        agent = MonitoringAgent("db0")
-        agent.ingest(pg_db.run(tpcc.batch(10.0)))
-        agent.ingest(pg_db.run(tpcc.batch(10.0)))
-        win = agent.write_latency_between(10.0, 20.0)
-        assert len(win) == 10
-        assert win.times[0] == 10.0
-
-    def test_peak_spacing_none_without_peaks(self):
-        agent = MonitoringAgent("db0")
-        assert agent.mean_peak_spacing_s(0, 100, threshold_ms=10.0) is None
-
-    def test_peak_spacing_mean(self):
-        agent = MonitoringAgent("db0")
-        # Hand-build latency with peaks at t=10 and t=30.
-        for t in range(41):
-            value = 50.0 if t in (10, 30) else 1.0
-            agent.write_latency.append(float(t), value)
-        assert agent.mean_peak_spacing_s(0, 41, threshold_ms=10.0) == 20.0
-
 
 class TestProvisioner:
     def test_provision_and_get(self):
@@ -58,18 +38,6 @@ class TestProvisioner:
         d = Provisioner(seed=1).provision()
         assert d.credentials.instance_id == d.instance_id
         assert len(d.credentials.password) == 16
-
-    def test_deprovision(self):
-        prov = Provisioner(seed=0)
-        d = prov.provision()
-        prov.deprovision(d.instance_id)
-        assert len(prov) == 0
-        with pytest.raises(KeyError):
-            prov.get(d.instance_id)
-
-    def test_unknown_deprovision(self):
-        with pytest.raises(KeyError):
-            Provisioner().deprovision("nope")
 
 
 class TestBuildMember:

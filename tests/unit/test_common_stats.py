@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.stats import exponential_moving_average, percentile
+from repro.common.stats import percentile
 
 
 class TestPercentile:
@@ -20,19 +20,3 @@ class TestPercentile:
     def test_out_of_range_q_raises(self):
         with pytest.raises(ValueError):
             percentile([1.0], 101)
-
-
-class TestEMA:
-    def test_alpha_one_is_identity(self):
-        assert exponential_moving_average([1.0, 5.0, 2.0], 1.0) == [1.0, 5.0, 2.0]
-
-    def test_smoothing(self):
-        out = exponential_moving_average([0.0, 10.0], 0.5)
-        assert out == [0.0, 5.0]
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            exponential_moving_average([1.0], 0.0)
-
-    def test_empty_input(self):
-        assert exponential_moving_average([], 0.5) == []

@@ -1,6 +1,5 @@
 """Unit tests for repro.common.timeseries."""
 
-import numpy as np
 import pytest
 
 from repro.common.timeseries import TimeSeries
@@ -41,40 +40,6 @@ class TestReductions:
 
     def test_max(self):
         assert series([(0, 2.0), (1, 9.0), (2, 4.0)]).max() == 9.0
-
-    def test_std_single_sample_is_zero(self):
-        assert series([(0, 2.0)]).std() == 0.0
-
-    def test_std_matches_numpy(self):
-        values = [1.0, 5.0, 3.0, 8.0]
-        ts = series(list(enumerate(values)))
-        assert ts.std() == pytest.approx(float(np.std(values)))
-
-
-class TestWindow:
-    def test_window_half_open(self):
-        ts = series([(0, 1.0), (5, 2.0), (10, 3.0)])
-        win = ts.window(0, 10)
-        assert len(win) == 2
-        assert win.values.tolist() == [1.0, 2.0]
-
-    def test_window_empty(self):
-        ts = series([(0, 1.0)])
-        assert len(ts.window(5, 10)) == 0
-
-
-class TestPeaks:
-    def test_finds_local_maximum(self):
-        ts = series([(0, 1.0), (1, 5.0), (2, 1.0), (3, 7.0), (4, 1.0)])
-        assert ts.peaks(threshold=2.0) == [1.0, 3.0]
-
-    def test_threshold_filters(self):
-        ts = series([(0, 1.0), (1, 3.0), (2, 1.0)])
-        assert ts.peaks(threshold=5.0) == []
-
-    def test_endpoints_not_peaks(self):
-        ts = series([(0, 10.0), (1, 1.0), (2, 10.0)])
-        assert ts.peaks(threshold=0.0) == []
 
 
 class TestResample:

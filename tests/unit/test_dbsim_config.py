@@ -157,14 +157,8 @@ class TestFittedToBudget:
 
 
 class TestClassValues:
-    def test_values_for_class(self, pg_catalog):
-        from repro.dbsim.knobs import KnobClass
-
-        cfg = KnobConfiguration(pg_catalog)
-        bg = cfg.values_for_class(KnobClass.BGWRITER)
-        assert "checkpoint_timeout" in bg
-        assert "work_mem" not in bg
-
     def test_buffer_pool_mb_per_flavor(self, pg_catalog, my_catalog):
         assert KnobConfiguration(pg_catalog).buffer_pool_mb() == 128
         assert KnobConfiguration(my_catalog).buffer_pool_mb() == 128
+        assert pg_catalog.buffer_pool_name == "shared_buffers"
+        assert my_catalog.buffer_pool_name == "innodb_buffer_pool_size"

@@ -60,25 +60,25 @@ class TestBalancer:
         cheap = TunerInstance("cheap", _StubTuner(pg_catalog, cost_s=1.0))
         pricey = TunerInstance("pricey", _StubTuner(pg_catalog, cost_s=100.0))
         balancer = LeastLoadedBalancer([cheap, pricey])
-        picks = [balancer.assign().instance_id for _ in range(5)]
+        director = ConfigDirector(balancer)
+        picks = []
+        for _ in range(5):
+            picks.append(balancer.pick().instance_id)
+            director.handle_tuning_request(_request(pg_catalog))
         # After pricey serves once (100 s queued) everything goes to cheap.
         assert picks.count("cheap") >= 4
+        assert (cheap.requests_served, pricey.requests_served) == (4, 1)
+        assert pricey.outstanding_s == 100.0
 
     def test_drain_releases_work(self, pg_catalog):
         inst = TunerInstance("a", _StubTuner(pg_catalog, cost_s=30.0))
         balancer = LeastLoadedBalancer([inst])
-        balancer.assign()
+        ConfigDirector(balancer).handle_tuning_request(_request(pg_catalog))
+        assert inst.outstanding_s == 30.0
         balancer.drain(10.0)
         assert inst.outstanding_s == 20.0
         balancer.drain(100.0)
         assert inst.outstanding_s == 0.0
-
-    def test_saturated(self, pg_catalog):
-        inst = TunerInstance("a", _StubTuner(pg_catalog, cost_s=500.0))
-        balancer = LeastLoadedBalancer([inst])
-        assert not balancer.saturated(100.0)
-        balancer.assign()
-        assert balancer.saturated(100.0)
 
     def test_drain_negative_rejected(self, pg_catalog):
         balancer = LeastLoadedBalancer([TunerInstance("a", _StubTuner(pg_catalog))])
@@ -131,7 +131,7 @@ class TestConfigDirector:
         director = self._director(pg_catalog)
         split = director.handle_tuning_request(_request(pg_catalog, t=5.0))
         assert split.reloadable["work_mem"] == 64
-        assert not split.has_deferred
+        assert not split.deferred_knobs
         assert director.configs.latest("svc-1") is not None
         assert director.total_requests == 1
 
@@ -151,7 +151,7 @@ class TestConfigDirector:
         assert split.deferred_knobs == {"shared_buffers": 4096.0}
         assert split.reloadable["shared_buffers"] == 128  # unchanged now
         assert split.reloadable["work_mem"] == 64  # applied now
-        assert director.pending_downtime_changes("svc-1") == {
+        assert director.consume_downtime_changes("svc-1") == {
             "shared_buffers": 4096.0
         }
 
@@ -167,13 +167,3 @@ class TestConfigDirector:
         director.handle_tuning_request(_request(pg_catalog))
         assert director.consume_downtime_changes("svc-1")
         assert director.consume_downtime_changes("svc-1") == {}
-
-    def test_requests_per_minute(self, pg_catalog):
-        director = self._director(pg_catalog)
-        for t in (0.0, 30.0, 90.0, 119.0):
-            director.handle_tuning_request(_request(pg_catalog, t=t))
-        assert director.requests_per_minute(0.0, 120.0) == pytest.approx(2.0)
-
-    def test_requests_per_minute_invalid_window(self, pg_catalog):
-        with pytest.raises(ValueError):
-            self._director(pg_catalog).requests_per_minute(10.0, 10.0)

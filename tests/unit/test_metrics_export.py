@@ -10,7 +10,6 @@ import pytest
 
 from repro.cloud.metrics_export import (
     _sanitise_label,
-    render_counters,
     render_registry,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -171,22 +170,6 @@ class TestRoundTrip:
             (s.name, s.labels, s.value) for s in registry.samples()
         )
         assert parsed == expected
-
-    def test_render_counters_parses_cleanly(self):
-        text = render_counters(
-            {"svc-0000": {"memory": 3, "io": 1}}, tuning_requests_total=7
-        )
-        parsed = dict(
-            ((name, labels), value)
-            for name, labels, value in _parse_exposition(text)
-        )
-        assert parsed[
-            (
-                "repro_throttles_total",
-                (("instance", "svc-0000"), ("knob_class", "io")),
-            )
-        ] == 1.0
-        assert parsed[("repro_tuning_requests_total", ())] == 7.0
 
 
 class TestDeterminism:

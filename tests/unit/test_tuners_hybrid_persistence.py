@@ -1,8 +1,7 @@
-"""Unit tests for the hybrid tuner and JSON persistence."""
+"""Unit tests for the hybrid tuner."""
 
 import pytest
 
-from repro.core.director import ConfigRepository
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.metrics import MetricsDelta
 from repro.tuners import (
@@ -10,10 +9,6 @@ from repro.tuners import (
     TrainingSample,
     TuningRequest,
     WorkloadRepository,
-    load_config_history,
-    load_repository,
-    save_config_history,
-    save_repository,
 )
 
 
@@ -59,40 +54,3 @@ class TestHybridTuner:
         with pytest.raises(ValueError):
             HybridTuner(pg_catalog, bo_every=0)
 
-
-class TestRepositoryPersistence:
-    def test_roundtrip(self, pg_catalog, trained_repo, tmp_path):
-        path = tmp_path / "repo.json"
-        count = save_repository(trained_repo, path)
-        assert count == trained_repo.total_samples()
-        loaded = load_repository(path)
-        assert loaded.total_samples() == trained_repo.total_samples()
-        assert loaded.workload_ids() == trained_repo.workload_ids()
-        original = trained_repo.dataset("tpcc")
-        restored = loaded.dataset("tpcc")
-        assert restored.objective.tolist() == original.objective.tolist()
-        assert restored.configs.tolist() == original.configs.tolist()
-
-    def test_version_check(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format_version": 99, "samples": []}')
-        with pytest.raises(ValueError, match="version"):
-            load_repository(path)
-
-
-class TestConfigHistoryPersistence:
-    def test_roundtrip(self, pg_catalog, tmp_path):
-        configs = ConfigRepository()
-        for i, value in enumerate((100, 200, 300)):
-            configs.store(
-                "svc-1",
-                KnobConfiguration(pg_catalog, {"shared_buffers": value}),
-                "ottertune",
-                float(i),
-            )
-        path = tmp_path / "configs.json"
-        assert save_config_history(configs, ["svc-1"], path) == 3
-        loaded = load_config_history(path)
-        history = loaded.history("svc-1")
-        assert [v.config["shared_buffers"] for v in history] == [100, 200, 300]
-        assert history[-1].source == "ottertune"

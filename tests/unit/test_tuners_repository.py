@@ -44,20 +44,6 @@ class TestStorage:
         assert repo.all_metric_rows().shape[0] == 2
 
 
-class TestQuality:
-    def test_varied_samples_score_higher_than_flat(self, pg_catalog):
-        repo = WorkloadRepository()
-        for i in range(6):
-            repo.add(_sample(pg_catalog, "varied", tps=10.0 * (i + 1)))
-            repo.add(_sample(pg_catalog, "flat", tps=10.0))
-        assert repo.quality_score("varied") > repo.quality_score("flat")
-
-    def test_single_sample_scores_zero(self, pg_catalog):
-        repo = WorkloadRepository()
-        repo.add(_sample(pg_catalog))
-        assert repo.quality_score("w0") == 0.0
-
-
 class TestDerivedCache:
     def test_derived_entry_computes_once_per_version(self, pg_catalog):
         repo = WorkloadRepository()

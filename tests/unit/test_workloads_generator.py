@@ -76,19 +76,6 @@ class TestWorkloadBatch:
         assert by_type[QueryType.SELECT] == 7
         assert by_type[QueryType.INSERT] == 3
 
-    def test_scaled(self):
-        fams = {f.name: f for f in _families()}
-        batch = WorkloadBatch("w", 10.0, 10.0, {"read": 100, "write": 10}, fams)
-        half = batch.scaled(0.5)
-        assert half.counts == {"read": 50, "write": 5}
-        assert half.requested_rps == 5.0
-
-    def test_scaled_negative_rejected(self):
-        fams = {f.name: f for f in _families()}
-        batch = WorkloadBatch("w", 10.0, 10.0, {"read": 1, "write": 1}, fams)
-        with pytest.raises(ValueError):
-            batch.scaled(-1.0)
-
 
 class TestValidation:
     def test_no_families_rejected(self):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Measure line coverage of ``src/repro`` without coverage.py.
+"""Measure line coverage of ``src/repro`` without coverage.py, or its reach.
 
 CI runs the real coverage gate via pytest-cov; this tool exists so the
 ``--cov-fail-under`` baseline can be (re)measured in environments where
@@ -10,24 +10,128 @@ the tier-1 pytest suite in-process.
 Usage::
 
     PYTHONPATH=src python tools/coverage_baseline.py [pytest args...]
+    PYTHONPATH=src python tools/coverage_baseline.py --entry-points
 
-Prints per-module and total line coverage. The numbers are close to,
-but not identical with, coverage.py's (no branch analysis, and
+Default mode prints per-module and total line coverage. The numbers are
+close to, but not identical with, coverage.py's (no branch analysis, and
 ``co_lines`` denominators differ slightly from coverage.py's arc
 parser) — treat the total as a floor-setting estimate, then keep the CI
 gate a few points below it for slack.
+
+``--entry-points`` answers a different question: which code does only
+the test suite reach? It runs every product entry point in
+:data:`ENTRY_POINTS` in-process under :func:`sys.setprofile` and prints
+each module's outermost functions (methods count; nested functions and
+lambdas are part of their parent) that no entry point called, keyed on
+the first line of the definition (its first decorator, which is
+``co_firstlineno``). Definitions matching :data:`KNOWN_UNREACHED` are
+printed under their own heading with the reason they stay.
 """
 
 from __future__ import annotations
 
+import ast
+import contextlib
+import fnmatch
+import os
 import sys
+import tempfile
+import threading
 from collections import defaultdict
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+#: The product's entry points: ``repro`` CLI argument lists and
+#: ``loopbench/run.py`` argument lists. ``repro trace`` gets an ``--out``
+#: under a temporary directory; everything runs with one worker, in this
+#: process.
+ENTRY_POINTS: tuple[tuple[str, tuple[str, ...]], ...] = (
+    *(
+        ("repro", ("run", target))
+        for target in (
+            "ablations", "fig02", "fig03", "fig05", "fig06", "fig07",
+            "fig08", "fig09", "fig10", "fig12", "fig14", "fig15",
+        )
+    ),
+    ("repro", ("run", "fig09", "--fleet-size", "6", "--hours", "2")),
+    ("repro", ("run", "fig09", "--fleet-size", "6", "--hours", "2",
+               "--features", "surrogate,knob-select")),
+    ("repro", ("run", "fig10", "--flavor", "mysql")),
+    ("repro", ("run", "fig12", "--tuner", "cdbtune")),
+    ("repro", ("chaos", "--quick")),
+    ("repro", ("chaos", "--quick", "--features", "surrogate,knob-select")),
+    ("repro", ("chaos", "--quick", "--profile", "adversarial")),
+    ("repro", ("trace", "chaos")),
+    ("repro", ("trace", "fleet")),
+    *(
+        ("repro", ("demo", name))
+        for name in (
+            "quickstart", "paas_fleet", "workload_shift",
+            "downtime_maintenance", "tuner_comparison",
+        )
+    ),
+    ("repro", ("ablate", "knobs")),
+    ("repro", ("lint",)),
+    ("repro", ("lint", "--deep")),
+    *(
+        ("loopbench", ("--workload", name, "--seed", "1", "--seconds", "20",
+                       "--trace", "1"))
+        for name in ("fleet-tde", "landscape-periodic", "landscape-governed")
+    ),
+)
+
+#: Definitions no entry point calls that stay on purpose:
+#: ``(module glob, qualname globs, reason)``, matched against the path
+#: under ``src/`` and the definition's qualified name; the qualname
+#: globs are separated by spaces.
+_PROCESS = "process backend: --workers > 1 children are not traced"
+_REFERENCE = "per-query reference the columnar path is tested against"
+KNOWN_UNREACHED: tuple[tuple[str, str, str], ...] = (
+    ("repro/parallel/executor.py",
+     "WorkerCrashed.* _map_main _session_main _receive FleetExecutor._context",
+     _PROCESS),
+    ("repro/parallel/reduce.py", "merge_registries", _PROCESS),
+    ("repro/common/timeseries.py", "TimeSeries.__[gs]etstate__", _PROCESS),
+    ("repro/tuners/base.py", "Recommendation.__reduce__", _PROCESS),
+    ("repro/tuners/hybrid.py", "*", "reached by the ablation_hybrid bench"),
+    ("repro/experiments/ablation_hybrid.py", "*",
+     "reached by the ablation_hybrid bench"),
+    ("repro/dbsim/planner.py", "PlannerModel.explain PlanEstimate.*", _REFERENCE),
+    ("repro/dbsim/engine.py", "SimulatedDatabase.explain", _REFERENCE),
+    ("repro/dbsim/executor.py", "family_service_time_ms", _REFERENCE),
+    ("repro/core/director/config_director.py", "ConfigDirector._serve_fallback",
+     "fault path: every tuner instance tripped or unreachable"),
+    ("repro/core/director/breaker.py",
+     "CircuitBreaker.allows_requests CircuitBreaker._trip",
+     "fault path: circuit-breaker trip"),
+    ("repro/core/director/load_balancer.py", "LeastLoadedBalancer.set_health",
+     "fault path: circuit-breaker trip"),
+    ("repro/core/director/safety.py", "SafetyGovernor.revert_failed",
+     "fault path: a revert that itself fails"),
+    ("repro/common/timeseries.py", "TimeSeries.resample_mean",
+     "read by the fig05 bench"),
+    ("repro/tuners/base.py", "Tuner.*", "abstract tuner interface"),
+    ("repro/cli.py", "_changed_python_files", "repro lint --changed-only"),
+    ("repro/cli.py", "_positive_int", "CLI option check on invalid input"),
+    ("repro/analysis/*",
+     "CallGraph.callees CallGraph.callers Linter.lint_file lint_paths "
+     "Finding.* ImportMap.imports Rule.* DeepRule.* get_rule render_json "
+     "_called_methods _order_desc _has_escape _mentions_repository",
+     "lint-rule helper: repro lint reaches it on the mutant corpus, "
+     "--select or --format json"),
+    ("repro/*", "*.__repr__", "debugging aid"),
+)
 
 
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["--entry-points"]:
+        if argv[1:]:
+            print("--entry-points takes no further arguments", file=sys.stderr)
+            return 2
+        return _report_reach()
+
     import pytest
 
     executed: dict[str, set[int]] = defaultdict(set)
@@ -100,6 +204,124 @@ def _run_traced(pytest, argv, executed, prefix) -> int:
         return int(pytest.main(["-x", "-q", *(argv or ["tests"])]))
     finally:
         sys.settrace(None)
+
+
+def _report_reach() -> int:
+    """Run :data:`ENTRY_POINTS` and print the never-called definitions."""
+    called = _run_entry_points()
+    if called is None:
+        return 1
+    unreached: list[tuple[str, int, int, str]] = []
+    known: list[tuple[str, int, int, str, str]] = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = str(path.relative_to(SRC))
+        for first, last, qualname in _outermost_functions(path):
+            if (str(path), first) in called:
+                continue
+            reason = _known_reason(module, qualname)
+            if reason is None:
+                unreached.append((module, first, last, qualname))
+            else:
+                known.append((module, first, last, qualname, reason))
+
+    print("Never called by an entry point (module, first line, lines, name):")
+    for module, first, last, qualname in unreached:
+        print(f"  {module}:{first}  {last - first + 1:>4}  {qualname}")
+    print(
+        f"  {len(unreached)} definitions, "
+        f"{sum(last - first + 1 for _, first, last, _ in unreached)} lines"
+    )
+    print()
+    print("Known false positives, kept on purpose:")
+    for module, first, last, qualname, reason in known:
+        print(f"  {module}:{first}  {last - first + 1:>4}  {qualname}  -- {reason}")
+    print(
+        f"  {len(known)} definitions, "
+        f"{sum(last - first + 1 for _, first, last, _, _ in known)} lines"
+    )
+    return 0
+
+
+def _run_entry_points() -> set[tuple[str, int]] | None:
+    """``(filename, co_firstlineno)`` of every ``src/repro`` code run."""
+    sys.path[:0] = [str(SRC), str(ROOT)]
+    from loopbench import run as loopbench_run
+    from repro import cli
+
+    prefix = str(SRC / "repro")
+    # Keyed on id() with the code object kept alive: hashing a code
+    # object walks its bytecode and constants on every call event.
+    seen: dict[int, object] = {}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if id(code) not in seen:
+                seen[id(code)] = code
+
+    os.chdir(ROOT)
+    failed = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for index, (program, args) in enumerate(ENTRY_POINTS):
+            argv = list(args)
+            if program == "repro" and argv[0] == "trace":
+                argv += ["--out", str(Path(scratch) / f"trace{index}")]
+            entry = cli.main if program == "repro" else loopbench_run.main
+            print(f"[{index + 1}/{len(ENTRY_POINTS)}] {program} {' '.join(args)}",
+                  file=sys.stderr, flush=True)
+            threading.setprofile(profile)
+            sys.setprofile(profile)
+            try:
+                with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                    status = entry(argv)
+            finally:
+                sys.setprofile(None)
+                threading.setprofile(None)
+            if status:
+                failed.append((program, args, status))
+    for program, args, status in failed:
+        print(f"{program} {' '.join(args)} exited {status}", file=sys.stderr)
+    if failed:
+        return None
+    return {
+        (code.co_filename, code.co_firstlineno)
+        for code in seen.values()
+        if code.co_filename.startswith(prefix)
+    }
+
+
+def _outermost_functions(path: Path) -> list[tuple[int, int, str]]:
+    """``(first line, last line, qualname)`` of each outermost function.
+
+    Functions nested in classes count; functions nested in functions are
+    part of their parent. The first line is the first decorator's, as in
+    ``co_firstlineno``.
+    """
+    found: list[tuple[int, int, str]] = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min(
+                    [child.lineno] + [d.lineno for d in child.decorator_list]
+                )
+                found.append((first, child.end_lineno, scope + child.name))
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{scope}{child.name}.")
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def _known_reason(module: str, qualname: str) -> str | None:
+    for module_glob, name_globs, reason in KNOWN_UNREACHED:
+        if fnmatch.fnmatch(module, module_glob) and any(
+            fnmatch.fnmatch(qualname, glob) for glob in name_globs.split()
+        ):
+            return reason
+    return None
 
 
 def _measurable_lines(path: Path) -> set[int]:
