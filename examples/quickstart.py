@@ -42,8 +42,6 @@ def main() -> None:
 
     for window in range(16):
         outcome = service.step()[0]
-        if outcome.result is None:
-            continue
         throttles = (
             len(outcome.tde_report.throttles) if outcome.tde_report else 0
         )

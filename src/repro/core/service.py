@@ -16,7 +16,8 @@ a workload and a tuning policy:
 - ``"monitor"`` — run and observe only (no tuning), for measuring raw
   throttle behaviour (Figs. 10–11).
 
-:meth:`step` advances the whole landscape one monitoring window.
+:meth:`step` advances the whole landscape one monitoring window: one
+engine call steps every master, then each instance is served in order.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.core.director.load_balancer import LeastLoadedBalancer, TunerInstance
 from repro.core.director.safety import GovernorPolicy, SafetyGovernor
 from repro.core.features import Features
 from repro.core.tde.engine import TDEReport, ThrottlingDetectionEngine
-from repro.dbsim.engine import DatabaseCrashed, ExecutionResult
+from repro.dbsim.engine import ExecutionResult, step_members
 from repro.dbsim.memory import HOT_FRACTION
 from repro.tuners.base import TrainingSample, Tuner, TuningRequest
 from repro.tuners.knob_selection import SelectionPolicy
@@ -75,7 +76,7 @@ class StepOutcome:
     """What happened to one instance during one window."""
 
     instance_id: str
-    result: ExecutionResult | None
+    result: ExecutionResult
     tde_report: TDEReport | None = None
     tuning_requested: bool = False
     split: SplitRecommendation | None = None
@@ -209,15 +210,33 @@ class AutoDBaaS:
     # -- the main loop ----------------------------------------------------------------
 
     def step(self, window_s: float | None = None) -> list[StepOutcome]:
-        """Advance every managed instance one monitoring window."""
+        """Advance every managed instance one monitoring window.
+
+        Phase 1 heals crashed masters, draws every batch and steps all
+        masters in one :func:`step_members` call. Phase 2 serves each
+        instance in attach order. Masters and workloads own their RNG
+        streams and phase 2 touches only its own instance, so this gives
+        the bits of stepping the instances one by one.
+        """
         window = window_s if window_s is not None else self.window_s
         self.recorder.advance(self.clock_s)
         with self.recorder.span(
             "landscape.window", duration_s=window, fleet=len(self.instances)
         ):
+            managed_all = list(self.instances.values())
+            masters, batches = [], []
+            for managed in managed_all:
+                master = managed.deployment.service.master
+                if master.crashed:
+                    master.heal()
+                masters.append(master)
+                batches.append(
+                    managed.workload.batch(window, start_time_s=self.clock_s)
+                )
+            results = step_members(masters, batches)
             outcomes = [
-                self._step_instance(managed, window)
-                for managed in self.instances.values()
+                self._step_instance(managed, window, result)
+                for managed, result in zip(managed_all, results)
             ]
             self.balancer.drain(window)
         self.clock_s += window
@@ -231,7 +250,7 @@ class AutoDBaaS:
         return outcomes
 
     def _step_instance(
-        self, managed: ManagedInstance, window: float
+        self, managed: ManagedInstance, window: float, result: ExecutionResult
     ) -> StepOutcome:
         with self.recorder.span(
             "instance.window",
@@ -239,36 +258,25 @@ class AutoDBaaS:
             duration_s=window,
             policy=managed.policy,
         ) as span:
-            outcome = self._step_instance_inner(managed, window)
+            outcome = self._step_instance_inner(managed, window, result)
+            # Masters are healed before the step, so no window is lost
+            # to a crash; the attribute keeps the trace format.
             span.set(
-                crashed=outcome.result is None,
+                crashed=False,
                 tuning_requested=outcome.tuning_requested,
                 downtime_taken=outcome.downtime_taken,
             )
-        if outcome.result is not None:
-            self.recorder.set_gauge(
-                "repro_throughput_tps",
-                outcome.result.throughput,
-                instance=managed.instance_id,
-            )
+        self.recorder.set_gauge(
+            "repro_throughput_tps", result.throughput, instance=managed.instance_id
+        )
         return outcome
 
     def _step_instance_inner(
-        self, managed: ManagedInstance, window: float
+        self, managed: ManagedInstance, window: float, result: ExecutionResult
     ) -> StepOutcome:
         instance_id = managed.instance_id
         service = managed.deployment.service
-        outcome = StepOutcome(instance_id=instance_id, result=None)
-        if service.master.crashed:
-            service.master.heal()
-
-        batch = managed.workload.batch(window, start_time_s=self.clock_s)
-        try:
-            result = service.run(batch)
-        except DatabaseCrashed:
-            service.master.heal()
-            return outcome
-        outcome.result = result
+        outcome = StepOutcome(instance_id=instance_id, result=result)
         managed.monitoring.ingest(result)
         managed.throughput_history.append(result.throughput)
 
@@ -333,7 +341,7 @@ class AutoDBaaS:
                         move.config,
                         instance_id=instance_id,
                         canary=CanaryContext(
-                            batch=batch,
+                            batch=result.batch,
                             monitor=managed.canary_monitor,
                             threshold=self.governor.policy.canary_threshold,
                         ),

@@ -50,9 +50,7 @@ class KnobConfiguration:
     def __init__(
         self, catalog: KnobCatalog, values: Mapping[str, float] | None = None
     ) -> None:
-        self.catalog = catalog
-        self._values = catalog.defaults()
-        self._hash: int | None = None
+        merged = catalog.defaults()
         if values:
             for name, value in values.items():
                 knob = catalog.get(name)
@@ -60,7 +58,22 @@ class KnobConfiguration:
                     raise ValueError(
                         f"{name}={value} outside [{knob.min_value}, {knob.max_value}]"
                     )
-                self._values[name] = float(value)
+                merged[name] = float(value)
+        self._bind(catalog, merged)
+
+    def _bind(self, catalog: KnobCatalog, values: dict[str, float]) -> None:
+        self.catalog = catalog
+        self._values = values
+        self._hash: int | None = None
+
+    @classmethod
+    def _from_valid(
+        cls, catalog: KnobCatalog, values: dict[str, float]
+    ) -> "KnobConfiguration":
+        """A configuration owning *values*, already checked and float."""
+        config = cls.__new__(cls)
+        config._bind(catalog, values)
+        return config
 
     def __getitem__(self, name: str) -> float:
         self.catalog.get(name)  # raise a flavour-aware KeyError if unknown
@@ -98,17 +111,28 @@ class KnobConfiguration:
         return dict(self._values)
 
     def with_values(self, updates: Mapping[str, float]) -> "KnobConfiguration":
-        """A new configuration with *updates* applied (and validated)."""
-        merged = dict(self._values)
-        merged.update(updates)
-        return KnobConfiguration(self.catalog, merged)
+        """A new configuration with *updates* applied (and validated).
+
+        Held values are valid, so only updates are checked; a bad one goes
+        through the constructor, which raises as for the merged values.
+        Held int defaults become floats, as the constructor makes them.
+        """
+        get = self.catalog.get
+        values = {name: float(value) for name, value in self._values.items()}
+        try:
+            for name, value in updates.items():
+                knob = get(name)
+                if not knob.min_value <= value <= knob.max_value:
+                    raise ValueError(name)
+                values[name] = float(value)
+        except (KeyError, TypeError, ValueError):
+            return KnobConfiguration(self.catalog, {**self._values, **updates})
+        return KnobConfiguration._from_valid(self.catalog, values)
 
     def clamped(self, updates: Mapping[str, float]) -> "KnobConfiguration":
         """Like :meth:`with_values` but clamping out-of-range values."""
-        merged = dict(self._values)
-        for name, value in updates.items():
-            merged[name] = self.catalog.get(name).clamp(value)
-        return KnobConfiguration(self.catalog, merged)
+        get = self.catalog.get
+        return self.with_values({n: get(n).clamp(v) for n, v in updates.items()})
 
     def diff(self, other: "KnobConfiguration") -> dict[str, tuple[float, float]]:
         """Knobs whose values differ, as ``{name: (self_value, other_value)}``."""

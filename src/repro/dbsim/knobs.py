@@ -114,6 +114,11 @@ class KnobCatalog:
             if knob.name in self._knobs:
                 raise ValueError(f"duplicate knob {knob.name}")
             self._knobs[knob.name] = knob
+        self._memory_budget_knobs = tuple(
+            k
+            for k in self._knobs.values()
+            if k.knob_class is KnobClass.MEMORY and k.unit is KnobUnit.MEGABYTES
+        )
 
     def __contains__(self, name: str) -> bool:
         return name in self._knobs
@@ -143,13 +148,9 @@ class KnobCatalog:
         """Mapping of every knob to its default value."""
         return {k.name: k.default for k in self._knobs.values()}
 
-    def memory_budget_knobs(self) -> list[KnobDef]:
-        """Knobs whose values are MB charged to the process memory budget."""
-        return [
-            k
-            for k in self._knobs.values()
-            if k.knob_class is KnobClass.MEMORY and k.unit is KnobUnit.MEGABYTES
-        ]
+    def memory_budget_knobs(self) -> tuple[KnobDef, ...]:
+        """Knobs whose MB values count against the memory budget (built once)."""
+        return self._memory_budget_knobs
 
     def restart_required_knobs(self) -> list[KnobDef]:
         """The paper's non-tunable knobs."""

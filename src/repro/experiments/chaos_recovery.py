@@ -316,9 +316,7 @@ def _run_landscape(
             for node in managed.deployment.service.nodes:
                 node.set_disk_degradation(factor)
         outcomes = service.step()
-        fleet_tps.append(
-            sum(o.result.throughput for o in outcomes if o.result is not None)
-        )
+        fleet_tps.append(sum(o.result.throughput for o in outcomes))
         degraded += sum(
             1
             for o in outcomes

@@ -140,11 +140,8 @@ def _run(features: Features) -> tuple[AutoDBaaS, TraceRecorder, str, list[float]
                 moves.append(
                     float(np.max(np.abs(after - before[outcome.instance_id])))
                 )
-            throughput = (
-                outcome.result.throughput if outcome.result is not None else None
-            )
             lines.append(
-                f"{outcome.instance_id} tps={throughput!r} "
+                f"{outcome.instance_id} tps={outcome.result.throughput!r} "
                 f"requested={outcome.tuning_requested} landed={landed} "
                 f"reverted={outcome.reverted} config={after.tolist()!r}"
             )

@@ -31,6 +31,17 @@ Each function here is the plain definition of a computation that
   ``rng.choice``; the lean draw in
   :meth:`~repro.core.tde.mdp.LearningAutomaton.choose_action` must pick
   the same actions and leave the generator in the same state.
+- :func:`with_values_by_constructor` and :func:`clamped_by_constructor`
+  derive a configuration by re-validating every knob through the
+  :class:`~repro.dbsim.config.KnobConfiguration` constructor;
+  ``with_values`` and ``clamped``, which check only the updates, must
+  give equal values, key order, hash and pickle, and raise the same
+  errors.
+- :func:`step_landscape_serial` advances an
+  :class:`~repro.core.service.AutoDBaaS` landscape one window by stepping
+  each master just before serving its instance; the two-phase
+  :meth:`~repro.core.service.AutoDBaaS.step`, which steps every master in
+  one engine call first, must give the same outcomes, trace and nodes.
 """
 
 from __future__ import annotations
@@ -55,6 +66,9 @@ from repro.tuners.lasso import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Mapping
+
+    from repro.core.service import AutoDBaaS, StepOutcome
     from repro.core.tde.mdp import LearningAutomaton
     from repro.core.tde.memory_detector import MemoryThrottleDetector
     from repro.core.tde.planner_detector import PlannerThrottleDetector
@@ -405,3 +419,57 @@ def latency_excluding_vacuum_by_mask(result, exclusion_s: float) -> float:
     if not keep.any():
         return series.mean()
     return float(np.mean(values[keep]))
+
+
+def with_values_by_constructor(
+    config: KnobConfiguration, updates: Mapping[str, float]
+) -> KnobConfiguration:
+    """``config.with_values(updates)`` validating every merged knob."""
+    merged = dict(config._values)
+    merged.update(updates)
+    return KnobConfiguration(config.catalog, merged)
+
+
+def clamped_by_constructor(
+    config: KnobConfiguration, updates: Mapping[str, float]
+) -> KnobConfiguration:
+    """``config.clamped(updates)`` validating every merged knob."""
+    merged = dict(config._values)
+    for name, value in updates.items():
+        merged[name] = config.catalog.get(name).clamp(value)
+    return KnobConfiguration(config.catalog, merged)
+
+
+def step_landscape_serial(
+    service: AutoDBaaS, window_s: float | None = None
+) -> list[StepOutcome]:
+    """``service.step(window_s)`` with each master stepped on its own.
+
+    The per-instance loop: heal the master, draw its batch and run it
+    through ``ReplicatedService.run``, then serve that instance before
+    the next one's master steps.
+    """
+    window = window_s if window_s is not None else service.window_s
+    recorder = service.recorder
+    recorder.advance(service.clock_s)
+    outcomes = []
+    with recorder.span(
+        "landscape.window", duration_s=window, fleet=len(service.instances)
+    ):
+        for managed in service.instances.values():
+            replicated = managed.deployment.service
+            if replicated.master.crashed:
+                replicated.master.heal()
+            batch = managed.workload.batch(window, start_time_s=service.clock_s)
+            result = replicated.run(batch)
+            outcomes.append(service._step_instance(managed, window, result))
+        service.balancer.drain(window)
+    service.clock_s += window
+    recorder.inc("repro_windows_total")
+    for instance in service.balancer.instances:
+        recorder.set_gauge(
+            "repro_tuner_outstanding_seconds",
+            instance.outstanding_s,
+            tuner=instance.instance_id,
+        )
+    return outcomes

@@ -467,11 +467,7 @@ class TestGovernedFacade:
             svc.attach(deployment, TPCCWorkload(seed=3), policy="tde")
             tps = []
             for _ in range(6):
-                tps.extend(
-                    outcome.result.throughput
-                    for outcome in svc.step()
-                    if outcome.result is not None
-                )
+                tps.extend(outcome.result.throughput for outcome in svc.step())
             governor = svc.governor
             counters = (
                 governor.clamps,

@@ -73,7 +73,7 @@ class TestThrottleContext:
         svc.attach(d, TPCCWorkload(rps=50.0, seed=3), policy="monitor")
         d.service.master.crashed = True
         outcome = svc.step()[0]
-        assert outcome.result is not None
+        assert outcome.result.throughput > 0
         assert not d.service.master.crashed
 
 
