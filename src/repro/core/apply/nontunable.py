@@ -21,12 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.director.config_repository import ConfigRepository
-from repro.dbsim.config import KnobConfiguration
+from repro.dbsim.config import BUFFER_SHARE, KnobConfiguration
 
 __all__ = ["DowntimeDecision", "NonTunableKnobPolicy"]
-
-#: Upper share of the DB memory limit the buffer pool may occupy.
-_BUFFER_SHARE = 0.7
 
 
 @dataclass(frozen=True)
@@ -46,15 +43,8 @@ class DowntimeDecision:
 class NonTunableKnobPolicy:
     """§4's scheduled-downtime buffer-pool resizing policy."""
 
-    def __init__(
-        self,
-        config_repository: ConfigRepository,
-        buffer_share: float = _BUFFER_SHARE,
-    ) -> None:
-        if not 0.0 < buffer_share <= 1.0:
-            raise ValueError("buffer_share must be in (0, 1]")
+    def __init__(self, config_repository: ConfigRepository) -> None:
         self.configs = config_repository
-        self.buffer_share = buffer_share
 
     def decide(
         self,
@@ -69,7 +59,7 @@ class NonTunableKnobPolicy:
         buffer_name = current.catalog.buffer_pool_name
         knob = current.catalog.get(buffer_name)
         old = current[buffer_name]
-        max_limit = self.buffer_share * memory_limit_mb
+        max_limit = BUFFER_SHARE * memory_limit_mb
 
         if working_set_mb <= max_limit:
             new = knob.clamp(min(working_set_mb, max_limit))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.core.tde.entropy import EntropyFilter, QueryClassHistogram
 from repro.core.tde.throttle import PlanUpgradeRequest, Throttle
-from repro.dbsim.config import effective_sessions
+from repro.dbsim.config import BUDGET_HEADROOM, effective_sessions
 from repro.dbsim.engine import ExecutionResult, SimulatedDatabase
 from repro.dbsim.knobs import KnobClass
 from repro.dbsim.memory import HOT_FRACTION, working_area_knobs
@@ -211,9 +211,9 @@ class MemoryThrottleDetector:
         if at_catalog_max:
             return True
         # Compare against the budget actually reachable by reload-time
-        # repair (the same 5% headroom fitted_to_budget keeps).
+        # repair (the same headroom fitted_to_budget keeps).
         budget_left = (
-            0.95 * db.vm.db_memory_limit_mb
+            BUDGET_HEADROOM * db.vm.db_memory_limit_mb
             - config.buffer_pool_mb()
             - config._restart_memory_mb()
         )

@@ -15,11 +15,12 @@ import numpy as np
 from repro.dbsim.knobs import KnobCatalog
 
 __all__ = [
+    "BUDGET_HEADROOM",
+    "BUFFER_SHARE",
     "KnobConfiguration",
     "MemoryBudgetError",
     "effective_sessions",
     "fit_values_to_budget",
-    "fit_values_to_budget_frozen",
 ]
 
 #: Fraction of active connections assumed to run memory-hungry operations
@@ -27,6 +28,13 @@ __all__ = [
 #: working area would make almost the whole knob space infeasible; real
 #: capacity planning uses a concurrency discount like this.
 _CONCURRENCY_FACTOR = 0.25
+
+#: Share of the memory limit a repaired configuration may fill: budget
+#: repair keeps 5% of the limit free.
+BUDGET_HEADROOM = 0.95
+
+#: Largest share of the memory budget the buffer pool may take.
+BUFFER_SHARE = 0.7
 
 
 def effective_sessions(active_connections: int) -> float:
@@ -115,10 +123,9 @@ class KnobConfiguration:
 
         Held values are valid, so only updates are checked; a bad one goes
         through the constructor, which raises as for the merged values.
-        Held int defaults become floats, as the constructor makes them.
         """
         get = self.catalog.get
-        values = {name: float(value) for name, value in self._values.items()}
+        values = dict(self._values)
         try:
             for name, value in updates.items():
                 knob = get(name)
@@ -192,28 +199,25 @@ class KnobConfiguration:
             )
 
     def fitted_to_budget(
-        self,
-        memory_limit_mb: float,
-        active_connections: int = 1,
-        headroom: float = 0.95,
-        buffer_share: float = 0.7,
+        self, memory_limit_mb: float, active_connections: int = 1
     ) -> "KnobConfiguration":
         """A copy repaired to fit the §4 memory budget.
 
-        Policy: the buffer pool may take at most ``buffer_share`` of the
-        budget (shrunk if above); the tunable working-area knobs are then
+        Policy: the budget is :data:`BUDGET_HEADROOM` of the limit; the
+        buffer pool may take at most :data:`BUFFER_SHARE` of it (shrunk
+        if above); the tunable working-area knobs are then
         scaled down uniformly until the per-session charge fits in the
         remainder. Knob minimums are always respected, so an impossibly
         small budget yields the closest legal configuration rather than an
         exception.
         """
-        budget = memory_limit_mb * headroom
+        budget = memory_limit_mb * BUDGET_HEADROOM
         sessions = effective_sessions(active_connections)
         updates: dict[str, float] = {}
 
         buffer_name = self.catalog.buffer_pool_name
         buffer_knob = self.catalog.get(buffer_name)
-        buffer_mb = min(self.buffer_pool_mb(), buffer_share * budget)
+        buffer_mb = min(self.buffer_pool_mb(), BUFFER_SHARE * budget)
         buffer_mb = buffer_knob.clamp(buffer_mb)
         if buffer_mb != self.buffer_pool_mb():
             updates[buffer_name] = buffer_mb
@@ -263,55 +267,28 @@ class KnobConfiguration:
         return f"KnobConfiguration({self.catalog.flavor}, changed={changed})"
 
 
-def _budget_fit_arrays(
-    catalog: KnobCatalog,
-) -> tuple[int, float, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Catalog indices/bounds used by :func:`fit_values_to_budget`.
-
-    Returns ``(buffer_idx, buffer_min, buffer_max, shrink_idx, shrink_min,
-    shrink_max, restart_mask)`` where the shrink arrays cover the
-    memory-budget knobs except the buffer pool, in catalog order (the
-    order the scalar repair iterates them in). Cached on the catalog.
-    """
-    arrays = getattr(catalog, "_budget_fit_cache", None)
-    if arrays is None:
-        names = catalog.names()
-        buffer_name = catalog.buffer_pool_name
-        buffer_knob = catalog.get(buffer_name)
-        shrinkable = [
-            k for k in catalog.memory_budget_knobs() if k.name != buffer_name
-        ]
-        arrays = (
-            names.index(buffer_name),
-            buffer_knob.min_value,
-            buffer_knob.max_value,
-            np.array([names.index(k.name) for k in shrinkable], dtype=int),
-            np.array([k.min_value for k in shrinkable], dtype=float),
-            np.array([k.max_value for k in shrinkable], dtype=float),
-            np.array([k.restart_required for k in shrinkable], dtype=bool),
-        )
-        catalog._budget_fit_cache = arrays
-    return arrays
-
-
 def fit_values_to_budget(
     values: np.ndarray,
     catalog: KnobCatalog,
     memory_limit_mb: float,
     active_connections: int = 1,
-    headroom: float = 0.95,
-    buffer_share: float = 0.7,
+    frozen: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched :meth:`KnobConfiguration.fitted_to_budget` over value rows.
 
     *values* is an (n, d) matrix of knob values in catalog order; the
     result applies the exact same repair policy row by row — buffer pool
-    capped at ``buffer_share`` of the budget, then the working-area knobs
-    scaled down iteratively (respecting their floors) until the
+    capped at :data:`BUFFER_SHARE` of the budget, then the working-area
+    knobs scaled down iteratively (respecting their floors) until the
     per-session charge fits — without materialising a single
     :class:`KnobConfiguration`. The per-row arithmetic mirrors the scalar
     method operation for operation, including the knob iteration order of
     the charge sums, so a repaired row matches the scalar repair bitwise.
+
+    *frozen*, a ``(d,)`` boolean mask in catalog order, names columns the
+    repair never moves: the dynamic knob selector carries inactive knobs
+    byte-identically from the incumbent, so they still count against the
+    budget but only the unfrozen working-area knobs absorb the shrink.
     """
     (
         buffer_idx,
@@ -321,95 +298,34 @@ def fit_values_to_budget(
         shrink_min,
         shrink_max,
         restart_mask,
-    ) = _budget_fit_arrays(catalog)
+    ) = catalog.budget_fit_arrays()
     out = np.array(values, dtype=float, copy=True)
     if out.ndim != 2 or out.shape[1] != len(catalog):
         raise ValueError("values must be (n, d) in catalog order")
-    budget = memory_limit_mb * headroom
-    sessions = effective_sessions(active_connections)
-    weights = np.where(restart_mask, 1.0, sessions)
-
-    buffer_mb = np.minimum(out[:, buffer_idx], buffer_share * budget)
-    buffer_mb = np.clip(buffer_mb, buffer_min, buffer_max)
-    out[:, buffer_idx] = buffer_mb
-    allowed = np.maximum(0.0, budget - buffer_mb)
-
-    work = out[:, shrink_idx]  # (n, k) copy via fancy indexing
-    active = np.ones(len(out), dtype=bool)
-    for _ in range(6):
-        # Accumulate in knob order so the float sums match the scalar
-        # method's sequential sums exactly.
-        charge = np.zeros(len(out))
-        reducible = np.zeros(len(out))
-        for k in range(work.shape[1]):
-            charge += work[:, k] * weights[k]
-            reducible += (work[:, k] - shrink_min[k]) * weights[k]
-        active &= charge > allowed
-        active &= reducible > 1e-12
-        if not active.any():
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shrink = np.minimum(1.0, (charge - allowed) / reducible)
-        rows = np.where(active)[0]
-        excess = work[rows] - shrink_min
-        work[rows] = np.clip(
-            work[rows] - excess * shrink[rows, None], shrink_min, shrink_max
-        )
-    out[:, shrink_idx] = work
-    return out
-
-
-def fit_values_to_budget_frozen(
-    values: np.ndarray,
-    catalog: KnobCatalog,
-    memory_limit_mb: float,
-    frozen: np.ndarray,
-    active_connections: int = 1,
-    headroom: float = 0.95,
-    buffer_share: float = 0.7,
-) -> np.ndarray:
-    """Budget repair that never moves the *frozen* catalog columns.
-
-    The dynamic knob selector projects repair onto its active subspace:
-    inactive knobs are carried byte-identically from the incumbent (which
-    already runs inside the budget), so they contribute their memory
-    charge here but are held fixed while only the unfrozen working-area
-    knobs absorb the shrink. *frozen* is a ``(d,)`` boolean mask in
-    catalog order. Same iterative policy as
-    :func:`fit_values_to_budget`; with an all-``False`` mask the two
-    agree bitwise.
-    """
-    (
-        buffer_idx,
-        buffer_min,
-        buffer_max,
-        shrink_idx,
-        shrink_min,
-        shrink_max,
-        restart_mask,
-    ) = _budget_fit_arrays(catalog)
-    frozen = np.asarray(frozen, dtype=bool)
+    frozen = (
+        np.zeros(len(catalog), dtype=bool)
+        if frozen is None
+        else np.asarray(frozen, dtype=bool)
+    )
     if frozen.shape != (len(catalog),):
         raise ValueError("frozen must be a (d,) mask in catalog order")
-    out = np.array(values, dtype=float, copy=True)
-    if out.ndim != 2 or out.shape[1] != len(catalog):
-        raise ValueError("values must be (n, d) in catalog order")
-    budget = memory_limit_mb * headroom
+    budget = memory_limit_mb * BUDGET_HEADROOM
     sessions = effective_sessions(active_connections)
     weights = np.where(restart_mask, 1.0, sessions)
 
+    buffer_mb = out[:, buffer_idx]
     if not frozen[buffer_idx]:
-        buffer_mb = np.minimum(out[:, buffer_idx], buffer_share * budget)
+        buffer_mb = np.minimum(buffer_mb, BUFFER_SHARE * budget)
         buffer_mb = np.clip(buffer_mb, buffer_min, buffer_max)
         out[:, buffer_idx] = buffer_mb
-    else:
-        buffer_mb = out[:, buffer_idx]
     allowed = np.maximum(0.0, budget - buffer_mb)
 
     work = out[:, shrink_idx]  # (n, k) copy via fancy indexing
     movable = ~frozen[shrink_idx]
     active = np.ones(len(out), dtype=bool)
     for _ in range(6):
+        # Accumulate in knob order so the float sums match the scalar
+        # method's sequential sums exactly.
         charge = np.zeros(len(out))
         reducible = np.zeros(len(out))
         for k in range(work.shape[1]):
@@ -428,6 +344,6 @@ def fit_values_to_budget_frozen(
             work[rows] - excess * shrink[rows, None], shrink_min, shrink_max
         )
         # Frozen columns bypass even the clip so their bytes never move.
-        work[rows] = np.where(movable[None, :], repaired, work[rows])
+        work[rows] = np.where(movable, repaired, work[rows])
     out[:, shrink_idx] = work
     return out

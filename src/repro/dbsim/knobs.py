@@ -107,9 +107,6 @@ class KnobCatalog:
             "shared_buffers" if flavor == "postgres" else "innodb_buffer_pool_size"
         )
         self._knobs: dict[str, KnobDef] = {}
-        self._transform_arrays: (
-            tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
-        ) = None
         for knob in knobs:
             if knob.name in self._knobs:
                 raise ValueError(f"duplicate knob {knob.name}")
@@ -118,6 +115,26 @@ class KnobCatalog:
             k
             for k in self._knobs.values()
             if k.knob_class is KnobClass.MEMORY and k.unit is KnobUnit.MEGABYTES
+        )
+        # Array views for the batched transforms and budget repair, built
+        # once so every catalog (and every pickle of one) is the same.
+        mins = np.array([k.min_value for k in knobs], dtype=float)
+        maxs = np.array([k.max_value for k in knobs], dtype=float)
+        log_mask = np.array([k.log_scale for k in knobs], dtype=bool)
+        self._transform_arrays = (mins, maxs, log_mask, maxs - mins)
+        names = self.names()
+        buffer_knob = self.get(self.buffer_pool_name)
+        shrinkable = [
+            k for k in self._memory_budget_knobs if k is not buffer_knob
+        ]
+        self._budget_fit_arrays = (
+            names.index(buffer_knob.name),
+            buffer_knob.min_value,
+            buffer_knob.max_value,
+            np.array([names.index(k.name) for k in shrinkable], dtype=int),
+            np.array([k.min_value for k in shrinkable], dtype=float),
+            np.array([k.max_value for k in shrinkable], dtype=float),
+            np.array([k.restart_required for k in shrinkable], dtype=bool),
         )
 
     def __contains__(self, name: str) -> bool:
@@ -145,8 +162,8 @@ class KnobCatalog:
         return [k for k in self._knobs.values() if k.knob_class == knob_class]
 
     def defaults(self) -> dict[str, float]:
-        """Mapping of every knob to its default value."""
-        return {k.name: k.default for k in self._knobs.values()}
+        """Mapping of every knob to its default value, as floats."""
+        return {k.name: float(k.default) for k in self._knobs.values()}
 
     def memory_budget_knobs(self) -> tuple[KnobDef, ...]:
         """Knobs whose MB values count against the memory budget (built once)."""
@@ -159,23 +176,26 @@ class KnobCatalog:
     def vector_transform_arrays(
         self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-catalog ``(mins, maxs, log_mask, spans)`` arrays, cached.
+        """Per-catalog ``(mins, maxs, log_mask, spans)`` arrays (built once).
 
         The batched vector<->value transforms in :mod:`repro.tuners.base`
         are called with thousands of candidate rows per recommendation;
         rebuilding these little arrays from the knob definitions on every
-        call would dominate the transform. Catalogs are immutable after
-        construction, so the cache never invalidates.
+        call would dominate the transform.
         """
-        arrays = self._transform_arrays
-        if arrays is None:
-            knobs = list(self._knobs.values())
-            mins = np.array([k.min_value for k in knobs], dtype=float)
-            maxs = np.array([k.max_value for k in knobs], dtype=float)
-            log_mask = np.array([k.log_scale for k in knobs], dtype=bool)
-            arrays = (mins, maxs, log_mask, maxs - mins)
-            self._transform_arrays = arrays
-        return arrays
+        return self._transform_arrays
+
+    def budget_fit_arrays(
+        self,
+    ) -> tuple[int, float, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Indices and bounds for :func:`~repro.dbsim.config.fit_values_to_budget`.
+
+        Returns ``(buffer_idx, buffer_min, buffer_max, shrink_idx,
+        shrink_min, shrink_max, restart_mask)`` where the shrink arrays
+        cover the memory-budget knobs except the buffer pool, in catalog
+        order (the order the scalar repair iterates them in). Built once.
+        """
+        return self._budget_fit_arrays
 
 
 def postgres_catalog() -> KnobCatalog:

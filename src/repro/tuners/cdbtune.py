@@ -19,12 +19,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.common.rng import make_rng
-from repro.dbsim.knobs import KnobCatalog, KnobClass
+from repro.dbsim.knobs import KnobCatalog
 from repro.dbsim.metrics import OTTERTUNE_METRICS, MetricsDelta
 from repro.tuners.base import (
     Recommendation,
@@ -35,11 +33,7 @@ from repro.tuners.base import (
     config_to_vector,
     vector_to_config,
 )
-from repro.tuners.knob_selection import KnobSelector, repair_config_frozen
 from repro.tuners.neural import MLP, Adam, soft_update
-
-if TYPE_CHECKING:
-    from repro.core.features import Features
 
 __all__ = ["CDBTuneTuner", "cdbtune_reward"]
 
@@ -147,8 +141,6 @@ class CDBTuneTuner(Tuner):
         self._previous_tps: dict[str, float] = {}
         self._pending: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.episode_rewards: list[float] = []
-        # Opt-in knob selection, armed through configure(): off by default.
-        self._selector: KnobSelector | None = None
 
     # -- Tuner interface ---------------------------------------------------------
 
@@ -162,37 +154,9 @@ class CDBTuneTuner(Tuner):
         """Alias of :meth:`learn` — the RL tuner keeps no sample store."""
         self.learn(sample)
 
-    @property
-    def knob_selector(self) -> KnobSelector | None:
-        """The active selector, for stats inspection (``None`` when off)."""
-        return self._selector
-
-    def configure(self, features: Features) -> None:
-        """Adopt the knob selection *features* arms; ignore the screen.
-
-        Surrogate screening prefilters a candidate matrix before an
-        expensive exact scorer, but DDPG's recommendation is a single
-        actor forward pass with nothing to shortlist. Selection does
-        apply: the actor stays full-width, but its action is projected
-        onto the active subspace before it becomes a configuration —
-        inactive coordinates snap back to the incumbent's, shrinking the
-        space the exploration noise actually perturbs.
-        """
-        self._selector = (
-            KnobSelector(features.selection, self.catalog)
-            if features.selection
-            else None
-        )
-
     def learn(self, sample: TrainingSample) -> None:
         """Close the pending transition for the sample's workload and learn."""
         wid = sample.workload_id
-        if self._selector is not None:
-            # The RL tuner has no shared repository; the selector keeps
-            # its own arrival-ordered moments off the sample stream.
-            self._selector.ingest(
-                wid, config_to_vector(sample.config), sample.objective
-            )
         state = self.state_from_metrics(sample.metrics)
         tps = sample.objective
         if wid not in self._initial_tps:
@@ -217,63 +181,13 @@ class CDBTuneTuner(Tuner):
         noise = self._rng.normal(0.0, self.exploration_sigma, size=action.shape)
         self.exploration_sigma *= self.exploration_decay
         action = np.clip(action + noise, 0.0, 1.0)
-        sub = None
-        if self._selector is not None:
-            if request.throttle_class == KnobClass.ASYNC_PLANNER.value:
-                # Automaton-owned knobs: record the throttle as an
-                # importance signal, never tune them from here.
-                for knob_name in request.throttle_knobs:
-                    self._selector.note_automaton_signal(knob_name)
-            before = self._selector.counters()
-            sub = self._selector.subspace_for(request.workload_id)
-            if sub is not None:
-                self._selector.record_deltas(self.recorder, before)
-        if sub is None:
-            self._pending[request.workload_id] = (state, action)
-            config = boost_throttled_knobs(
-                vector_to_config(action, self.catalog), request
-            )
-            if self.memory_limit_mb is not None:
-                config = config.fitted_to_budget(
-                    self.memory_limit_mb, self.active_connections
-                )
-        else:
-            assert self._selector is not None
-            # Project the action onto the active subspace: inactive
-            # coordinates snap back to the incumbent's, and the
-            # configuration carries the incumbent's float values for
-            # them bit-for-bit (no unit-vector round trip).
-            action = np.where(
-                self._selector.mask(sub),
-                action,
-                config_to_vector(request.config),
-            )
-            self._pending[request.workload_id] = (state, action)
-            full = vector_to_config(action, self.catalog)
-            names = self.catalog.names()
-            config = request.config.with_values(
-                {names[i]: full[names[i]] for i in sub.active}
-            )
-            config = boost_throttled_knobs(config, request)
-            if self.memory_limit_mb is not None:
-                config = repair_config_frozen(
-                    config,
-                    request.config,
-                    self.memory_limit_mb,
-                    self.active_connections,
-                )
-            self.recorder.event(
-                "tuner.subspace",
-                instance=request.instance_id,
-                source=self.name,
-                workload=request.workload_id,
-                active=len(sub.active),
-                total=len(self.catalog),
-                version=sub.version,
-                updated=sub.updated,
-                automaton_signals=sum(
-                    self._selector.automaton_signals.values()
-                ),
+        self._pending[request.workload_id] = (state, action)
+        config = boost_throttled_knobs(
+            vector_to_config(action, self.catalog), request
+        )
+        if self.memory_limit_mb is not None:
+            config = config.fitted_to_budget(
+                self.memory_limit_mb, self.active_connections
             )
         current = config_to_vector(request.config)
         names = self.catalog.names()

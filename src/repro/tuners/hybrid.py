@@ -65,15 +65,13 @@ class HybridTuner(Tuner):
         self.last_member: str | None = None
 
     def configure(self, features: Features) -> None:
-        """Offer *features* to both members.
+        """Offer *features* to the BO member.
 
-        The BO member adopts the screen and selection; the RL member
-        only selection (it has no candidate set). Each keeps its own
-        selector: the members see different sample streams, so sharing
-        one would skew the moments.
+        The BO member adopts the screen and selection. The RL member
+        adopts neither: DDPG's recommendation is one actor forward pass,
+        with no candidate set to screen or project.
         """
         self.bo.configure(features)
-        self.rl.configure(features)
 
     def observe(self, sample: TrainingSample) -> None:
         """Store once (via the BO member's repository) and learn."""

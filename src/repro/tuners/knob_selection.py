@@ -28,11 +28,12 @@ tier for the reproduction:
    re-ranks before it replaces the active set, so the subspace cannot
    thrash between windows: over ``R`` re-ranks of one workload at most
    ``1 + R // stability_window`` replacements can happen.
-3. **Projection.** The BO/RL tuners project candidate generation,
-   budget repair, GP-UCB and the surrogate screen onto the active
-   subspace; inactive knobs are carried byte-identically from the
-   incumbent configuration (see ``OtterTuneTuner._recommend_projected``
-   and :func:`~repro.dbsim.config.fit_values_to_budget_frozen`).
+3. **Projection.** The active subspace is a column index on the BO
+   tuner's one pipeline: candidate generation, budget repair, GP-UCB and
+   the surrogate screen run on the active columns, and inactive knobs
+   are carried byte-identically from the incumbent configuration (see
+   ``OtterTuneTuner.recommend`` and the ``frozen`` mask of
+   :func:`~repro.dbsim.config.fit_values_to_budget`).
 
 **Automaton ownership.** The TDE's learning automata already tune the
 async/planner knobs online (``PlannerThrottleDetector``); those knobs
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.recording import Recorder
-from repro.dbsim.config import KnobConfiguration, fit_values_to_budget_frozen
+from repro.dbsim.config import KnobConfiguration, fit_values_to_budget
 from repro.dbsim.knobs import KnobCatalog, KnobClass
 from repro.tuners.lasso import lasso_gram_ranking
 
@@ -243,12 +244,9 @@ class _WorkloadState:
 class KnobSelector:
     """Per-workload dynamic active subspaces over a knob catalog.
 
-    One selector lives inside one tuner. :meth:`subspace` serves the
-    repository-backed (BO) path, keyed on the repository version so a
-    workload re-ranks at most once per version; :meth:`ingest` and
-    :meth:`subspace_for` serve the RL path, which has no repository —
-    there the version is the selector's own row counter. Both return
-    ``None`` (abstain: tune the full space) below
+    One selector lives inside one BO tuner. :meth:`subspace` is keyed
+    on the repository version, so a workload re-ranks at most once per
+    version; it returns ``None`` (abstain: tune the full space) below
     ``policy.min_rank_samples``.
     """
 
@@ -309,12 +307,6 @@ class KnobSelector:
             return None
         return tuple(self._names[i] for i in state.subspace.ranking)
 
-    def mask(self, subspace: Subspace) -> np.ndarray:
-        """Boolean ``(d,)`` mask, ``True`` on the active columns."""
-        out = np.zeros(self.dimension, dtype=bool)
-        out[list(subspace.active)] = True
-        return out
-
     def counters(self) -> tuple[int, int, int, int, int]:
         """Snapshot of (reranks, reuses, hits, updates, holds)."""
         return (
@@ -355,7 +347,9 @@ class KnobSelector:
         into the running moments. The result is cached per version, so a
         workload re-ranks at most once per version.
         """
-        state = self._state(workload_id)
+        state = self._states.get(workload_id)
+        if state is None:
+            state = self._states[workload_id] = _WorkloadState(self.dimension)
         if state.subspace is not None and state.version == version:
             self.hits += 1
             return state.subspace
@@ -368,44 +362,6 @@ class KnobSelector:
         state.stats.absorb(configs, objective, state.rows_seen)
         state.rows_seen = len(objective)
         return self._refresh(workload_id, state, version)
-
-    def ingest(
-        self, workload_id: str, config_vector: np.ndarray, objective: float
-    ) -> None:
-        """Fold one (normalised vector, objective) sample in.
-
-        The RL tuner's feed: it has no shared repository, so the
-        selector keeps its own arrival-ordered moments and uses the row
-        count as the version.
-        """
-        state = self._state(workload_id)
-        state.stats.absorb(
-            np.asarray(config_vector, dtype=float)[None, :],
-            np.array([objective]),
-            0,
-        )
-        state.rows_seen += 1
-
-    def subspace_for(self, workload_id: str) -> Subspace | None:
-        """Active subspace over previously :meth:`ingest`-ed samples."""
-        state = self._states.get(workload_id)
-        if state is None:
-            return None
-        if (
-            state.subspace is not None
-            and state.version == state.rows_seen
-        ):
-            self.hits += 1
-            return state.subspace
-        return self._refresh(workload_id, state, state.rows_seen)
-
-    def _state(self, workload_id: str) -> _WorkloadState:
-        state = self._states.get(workload_id)
-        if state is None:
-            state = self._states[workload_id] = _WorkloadState(
-                self.dimension
-            )
-        return state
 
     def _refresh(
         self, workload_id: str, state: _WorkloadState, version: int
@@ -485,18 +441,18 @@ def repair_config_frozen(
 ) -> KnobConfiguration:
     """Scalar §4 repair that holds unmoved knobs byte-untouched.
 
-    The projected tuners' repair step: knobs still at *incumbent*'s
-    value (the inactive subspace, minus any throttle boosts) are frozen
-    — the incumbent already runs inside the budget, so only the knobs
-    this recommendation actually moved absorb the shrink. See
-    :func:`~repro.dbsim.config.fit_values_to_budget_frozen`.
+    The subspace recommendation's repair step: knobs still at
+    *incumbent*'s value (the inactive subspace, minus any throttle
+    boosts) are frozen — the incumbent already runs inside the budget,
+    so only the knobs this recommendation actually moved absorb the
+    shrink. See :func:`~repro.dbsim.config.fit_values_to_budget`.
     """
     catalog = config.catalog
     names = catalog.names()
     values = np.array([[config[name] for name in names]])
     frozen = np.array([config[name] == incumbent[name] for name in names])
-    repaired = fit_values_to_budget_frozen(
-        values, catalog, memory_limit_mb, frozen, active_connections
+    repaired = fit_values_to_budget(
+        values, catalog, memory_limit_mb, active_connections, frozen
     )
     updates = {
         name: float(repaired[0, i])

@@ -38,11 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.common.rng import make_rng
-from repro.dbsim.config import (
-    KnobConfiguration,
-    fit_values_to_budget,
-    fit_values_to_budget_frozen,
-)
+from repro.dbsim.config import KnobConfiguration, fit_values_to_budget
 from repro.dbsim.knobs import KnobCatalog, KnobClass
 from repro.tuners.base import (
     Recommendation,
@@ -67,6 +63,8 @@ from repro.tuners.surrogate import SurrogateScreen
 from repro.tuners.workload_mapping import WorkloadMapper
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from repro.core.features import Features
 
 __all__ = ["OtterTuneTuner"]
@@ -179,20 +177,24 @@ class OtterTuneTuner(Tuner):
                 request.instance_id, config, self.name, expected_improvement=0.0
             )
         sub = None if self._selector is None else self._subspace(request)
-        # One fit per request, over the knobs this request tunes.
-        gpr = GaussianProcessRegressor(length_scale=0.4, noise_variance=0.05).fit(
-            x if sub is None else x[:, list(sub.active)], y
+        # The knobs this request tunes: a view of every column, or the
+        # selector's active subspace.
+        cols: slice | np.ndarray = (
+            slice(None) if sub is None else np.fromiter(sub.active, np.intp)
         )
-        if sub is not None:
-            return self._recommend_projected(request, sub, gpr, x, y)
+        gpr = GaussianProcessRegressor(length_scale=0.4, noise_variance=0.05).fit(
+            x[:, cols], y
+        )
+        incumbent = config_to_vector(request.config)
         # Repair happens *before* GP-UCB scoring so the surrogate is asked
         # about configurations that can actually be deployed; otherwise a
         # budget filter would reject nearly all of the uniform samples
         # (working areas multiply per session).
+        raw = self._raw_candidates(x, y, incumbent, cols)
         candidates = self._repair_candidates(
-            self._shortlisted(request, gpr, x, y, self._raw_candidates(x, y))
+            self._shortlisted(request, gpr, x, y, raw, cols), cols
         )
-        scores = gpr.ucb(candidates, kappa=self.kappa)
+        scores = gpr.ucb(candidates[:, cols], kappa=self.kappa)
         self.recorder.event(
             "tuner.surrogate",
             instance=request.instance_id,
@@ -201,10 +203,15 @@ class OtterTuneTuner(Tuner):
             candidates=len(candidates),
         )
         best = int(np.argmax(scores))
-        config = vector_to_config(candidates[best], self.catalog)
-        config = self._repair(boost_throttled_knobs(config, request))
-        best_mean = float(gpr.predict(candidates[best][None, :])[0])
-        current_pred = float(gpr.predict(config_to_vector(request.config)[None, :])[0])
+        winner = vector_to_config(candidates[best], self.catalog)
+        ranked_knobs: list[str] | Callable[[], list[str]]
+        if sub is None:
+            config = self._repair(boost_throttled_knobs(winner, request))
+            ranked_knobs = partial(self.ranked_knobs, x, y)
+        else:
+            config, ranked_knobs = self._subspace_tail(request, sub, winner)
+        best_mean = float(gpr.predict(candidates[best, cols][None, :])[0])
+        current_pred = float(gpr.predict(incumbent[cols][None, :])[0])
         return Recommendation(
             instance_id=request.instance_id,
             config=config,
@@ -212,7 +219,7 @@ class OtterTuneTuner(Tuner):
             # Posterior-mean difference: the UCB's exploration bonus is a
             # selection criterion, not an improvement estimate.
             expected_improvement=best_mean - current_pred,
-            ranked_knobs=partial(self.ranked_knobs, x, y),
+            ranked_knobs=ranked_knobs,
         )
 
     def recommendation_cost_s(self) -> float:
@@ -284,23 +291,48 @@ class OtterTuneTuner(Tuner):
             y = y[-cap:]
         return x, y
 
-    def _raw_candidates(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Unrepaired candidate matrix in normalised [0, 1]^d space."""
-        d = len(self.catalog)
+    def _raw_candidates(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        incumbent: np.ndarray,
+        cols: slice | np.ndarray,
+    ) -> np.ndarray:
+        """Unrepaired candidate matrix in normalised [0, 1]^d space.
+
+        Random draws plus local perturbations of the best seen row, varied
+        on the tuned columns *cols* only. The draws are sized by those
+        columns (``(n, k)``), so with knob selection armed a run is a pure
+        function of (seed, policy), though deliberately not
+        stream-compatible with the full-space path. When *cols* is an
+        index array, the other columns are the *incumbent*'s coordinates.
+        """
+        best_seen = x[int(np.argmax(y))][cols]
+        k = len(best_seen)
         n_random = self.n_candidates
-        random_part = self._rng.uniform(0.0, 1.0, size=(n_random, d))
-        best_seen = x[int(np.argmax(y))]
+        random_part = self._rng.uniform(0.0, 1.0, size=(n_random, k))
         local_part = np.clip(
-            best_seen + self._rng.normal(0.0, 0.08, size=(n_random // 5, d)),
+            best_seen + self._rng.normal(0.0, 0.08, size=(n_random // 5, k)),
             0.0,
             1.0,
         )
-        return np.vstack([random_part, local_part])
+        raw = np.vstack([random_part, local_part])
+        if isinstance(cols, slice):
+            return raw
+        full = np.tile(incumbent, (len(raw), 1))
+        full[:, cols] = raw
+        return full
 
-    def _repair_candidates(self, candidates: np.ndarray) -> np.ndarray:
-        """Batched §4 budget repair of a normalised candidate matrix."""
+    def _repair_candidates(
+        self, candidates: np.ndarray, cols: slice | np.ndarray
+    ) -> np.ndarray:
+        """Batched §4 budget repair that moves only the tuned columns *cols*."""
         if self.memory_limit_mb is None:
             return candidates
+        frozen = None
+        if not isinstance(cols, slice):
+            frozen = np.ones(len(self.catalog), dtype=bool)
+            frozen[cols] = False
         # One batched unit->value->repair->unit round trip over the whole
         # candidate matrix; KnobConfiguration objects are materialised only
         # for the winning candidate back in :meth:`recommend`.
@@ -310,6 +342,7 @@ class OtterTuneTuner(Tuner):
             self.catalog,
             self.memory_limit_mb,
             self.active_connections,
+            frozen,
         )
         return values_to_vectors(repaired, self.catalog)
 
@@ -320,18 +353,17 @@ class OtterTuneTuner(Tuner):
         x: np.ndarray,
         y: np.ndarray,
         raw: np.ndarray,
-        active: np.ndarray | None = None,
+        cols: slice | np.ndarray,
     ) -> np.ndarray:
         """The rows of *raw* the surrogate screen keeps; all when off or abstaining.
 
-        The screen scores the *unrepaired* matrix (on the *active*
-        columns, if given): repairing 16 survivors instead of 720
-        candidates is most of its win. It draws no randomness, so
-        ``self._rng`` advances exactly as with the screen off.
+        The screen scores the *unrepaired* matrix on the tuned columns
+        *cols*: repairing 16 survivors instead of 720 candidates is most
+        of its win. It draws no randomness, so ``self._rng`` advances
+        exactly as with the screen off.
         """
         if self._screen is None:
             return raw
-        cols = slice(None) if active is None else active
         keep = self._screen.shortlist(raw[:, cols], gpr, x[:, cols], y, self.kappa)
         if keep is None:
             return raw
@@ -345,7 +377,7 @@ class OtterTuneTuner(Tuner):
         )
         return raw[keep]
 
-    # -- projected (dynamic knob selection) path ---------------------------------
+    # -- dynamic knob selection ------------------------------------------------
 
     def _subspace(self, request: TuningRequest) -> Subspace | None:
         """The workload's active subspace, or ``None`` to tune all knobs.
@@ -372,41 +404,18 @@ class OtterTuneTuner(Tuner):
             selector.record_deltas(self.recorder, before)
         return sub
 
-    def _recommend_projected(
-        self,
-        request: TuningRequest,
-        sub: Subspace,
-        gpr: GaussianProcessRegressor,
-        x: np.ndarray,
-        y: np.ndarray,
-    ) -> Recommendation:
-        """Recommendation inside the workload's active subspace *sub*.
+    def _subspace_tail(
+        self, request: TuningRequest, sub: Subspace, winner: KnobConfiguration
+    ) -> tuple[KnobConfiguration, list[str]]:
+        """The recommended config and knob ranking inside subspace *sub*.
 
-        *gpr* is fitted on the active columns of *x*; inactive knobs are
-        carried from the incumbent configuration.
+        Only the active knobs move; inactive knobs keep the incumbent's
+        float values bit-for-bit (they are never run through the
+        unit-vector round trip), and budget repair holds them frozen.
         """
         selector = self._selector
         assert selector is not None
-        active = np.fromiter(sub.active, dtype=np.intp)
         names = self.catalog.names()
-        incumbent = config_to_vector(request.config)
-        raw = self._shortlisted(
-            request,
-            gpr,
-            x,
-            y,
-            self._raw_candidates_projected(x, y, incumbent, active),
-            active,
-        )
-        candidates = self._repair_candidates_frozen(raw, active)
-        scores = gpr.ucb(candidates[:, active], kappa=self.kappa)
-        self.recorder.event(
-            "tuner.surrogate",
-            instance=request.instance_id,
-            source=self.name,
-            train_samples=len(y),
-            candidates=len(candidates),
-        )
         self.recorder.event(
             "tuner.subspace",
             instance=request.instance_id,
@@ -418,11 +427,6 @@ class OtterTuneTuner(Tuner):
             updated=sub.updated,
             automaton_signals=sum(selector.automaton_signals.values()),
         )
-        best = int(np.argmax(scores))
-        winner = vector_to_config(candidates[best], self.catalog)
-        # Only the active knobs move; inactive knobs keep the incumbent's
-        # float values bit-for-bit (they are never run through the
-        # unit-vector round trip).
         config = request.config.with_values(
             {names[i]: winner[names[i]] for i in sub.active}
         )
@@ -434,64 +438,7 @@ class OtterTuneTuner(Tuner):
                 self.memory_limit_mb,
                 self.active_connections,
             )
-        best_mean = float(gpr.predict(candidates[best, active][None, :])[0])
-        current_pred = float(gpr.predict(incumbent[active][None, :])[0])
-        ranking = selector.importance(request.workload_id) or ()
-        return Recommendation(
-            instance_id=request.instance_id,
-            config=config,
-            source=self.name,
-            expected_improvement=best_mean - current_pred,
-            ranked_knobs=list(ranking),
-        )
-
-    def _raw_candidates_projected(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        incumbent: np.ndarray,
-        active: np.ndarray,
-    ) -> np.ndarray:
-        """Full-width candidates that vary only on the active columns.
-
-        RNG draws are sized by the subspace (``(n, k)`` instead of
-        ``(n, d)``), so flag-on runs are a pure function of (seed,
-        policy) — byte-reproducible across runs, though deliberately not
-        stream-compatible with the full-space path. Inactive columns are
-        the incumbent's coordinates.
-        """
-        k = len(active)
-        n_random = self.n_candidates
-        random_part = self._rng.uniform(0.0, 1.0, size=(n_random, k))
-        best_seen = x[int(np.argmax(y))]
-        local_part = np.clip(
-            best_seen[active]
-            + self._rng.normal(0.0, 0.08, size=(n_random // 5, k)),
-            0.0,
-            1.0,
-        )
-        raw_k = np.vstack([random_part, local_part])
-        raw = np.tile(incumbent, (len(raw_k), 1))
-        raw[:, active] = raw_k
-        return raw
-
-    def _repair_candidates_frozen(
-        self, candidates: np.ndarray, active: np.ndarray
-    ) -> np.ndarray:
-        """§4 budget repair that moves only the active columns."""
-        if self.memory_limit_mb is None:
-            return candidates
-        frozen = np.ones(len(self.catalog), dtype=bool)
-        frozen[active] = False
-        values = vectors_to_values(candidates, self.catalog)
-        repaired = fit_values_to_budget_frozen(
-            values,
-            self.catalog,
-            self.memory_limit_mb,
-            frozen,
-            self.active_connections,
-        )
-        return values_to_vectors(repaired, self.catalog)
+        return config, list(selector.importance(request.workload_id) or ())
 
     def _repair(self, config: KnobConfiguration) -> KnobConfiguration:
         if self.memory_limit_mb is None:

@@ -24,8 +24,7 @@ from hypothesis import strategies as st
 from repro.core.features import Features
 from repro.dbsim.knobs import postgres_catalog
 from repro.experiments.common import offline_train
-from repro.tuners.base import TuningRequest, config_to_vector
-from repro.tuners.cdbtune import CDBTuneTuner
+from repro.tuners.base import TuningRequest
 from repro.tuners.knob_selection import KnobSelector, SelectionPolicy
 from repro.tuners.ottertune import OtterTuneTuner
 from repro.workloads.tpcc import TPCCWorkload
@@ -127,56 +126,6 @@ class TestProjectionRoundTrip:
         assert inactive, "projection test needs a non-trivial subspace"
         for name in inactive:
             assert recommendation.config[name] == request.config[name]
-
-    @given(seed=st.integers(min_value=0, max_value=7))
-    @settings(max_examples=8, deadline=None)
-    def test_cdbtune_inactive_knobs_byte_identical(self, seed):
-        catalog, repository = _live_fixture(seed)
-        tuner = CDBTuneTuner(catalog, memory_limit_mb=6553.6, seed=seed + 2)
-        tuner.configure(Features(selection=SelectionPolicy()))
-        workload_id = repository.workload_ids()[0]
-        samples = repository.samples(workload_id)
-        for sample in samples:
-            tuner.learn(sample)
-        probe = samples[0]
-        request = TuningRequest(
-            "db0", workload_id, probe.config, probe.metrics, timestamp_s=0.0
-        )
-        recommendation = tuner.recommend(request)
-        selector = tuner.knob_selector
-        assert selector is not None
-        active = selector.active_knobs(workload_id)
-        assert active is not None
-        inactive = [n for n in catalog.names() if n not in active]
-        for name in inactive:
-            assert recommendation.config[name] == request.config[name]
-
-    @given(seed=st.integers(min_value=0, max_value=7))
-    @settings(max_examples=8, deadline=None)
-    def test_pending_action_matches_projected_vector(self, seed):
-        """The RL pending action snaps inactive coords to the incumbent."""
-        catalog, repository = _live_fixture(seed)
-        tuner = CDBTuneTuner(catalog, seed=seed + 2)
-        tuner.configure(Features(selection=SelectionPolicy()))
-        workload_id = repository.workload_ids()[0]
-        samples = repository.samples(workload_id)
-        for sample in samples:
-            tuner.learn(sample)
-        probe = samples[0]
-        request = TuningRequest(
-            "db0", workload_id, probe.config, probe.metrics, timestamp_s=0.0
-        )
-        tuner.recommend(request)
-        selector = tuner.knob_selector
-        assert selector is not None
-        sub = selector._states[workload_id].subspace
-        assert sub is not None
-        _, action = tuner._pending[workload_id]
-        incumbent = config_to_vector(request.config)
-        inactive_mask = ~selector.mask(sub)
-        assert np.array_equal(
-            action[inactive_mask], incumbent[inactive_mask]
-        )
 
 
 class TestChurnBound:

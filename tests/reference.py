@@ -37,6 +37,14 @@ Each function here is the plain definition of a computation that
   ``with_values`` and ``clamped``, which check only the updates, must
   give equal values, key order, hash and pickle, and raise the same
   errors.
+- :func:`recommend_projected` is OtterTune's recommendation with knob
+  selection armed, as the separate projected pipeline it was first
+  written as: its own candidate draw (:func:`raw_candidates_projected`),
+  its own frozen budget repair (:func:`fit_values_to_budget_frozen`,
+  :func:`repair_config_frozen_reference`) and its own tail. The one
+  ``OtterTuneTuner.recommend`` path, which treats the subspace as a
+  column index, must give the same configuration, expected improvement,
+  knob ranking, trace events and generator state.
 - :func:`step_landscape_serial` advances an
   :class:`~repro.core.service.AutoDBaaS` landscape one window by stepping
   each master just before serving its instance; the two-phase
@@ -57,7 +65,16 @@ from repro.dbsim.bgwriter import (
     WriteBackResult,
     WriteBackScheduler,
 )
-from repro.dbsim.config import KnobConfiguration
+from repro.dbsim.config import KnobConfiguration, effective_sessions
+from repro.tuners.base import (
+    Recommendation,
+    boost_throttled_knobs,
+    config_to_vector,
+    values_to_vectors,
+    vector_to_config,
+    vectors_to_values,
+)
+from repro.tuners.gpr import GaussianProcessRegressor
 from repro.tuners.lasso import (
     _DEGENERATE,
     _RATE,
@@ -73,8 +90,10 @@ if TYPE_CHECKING:
     from repro.core.tde.memory_detector import MemoryThrottleDetector
     from repro.core.tde.planner_detector import PlannerThrottleDetector
     from repro.dbsim.engine import SimulatedDatabase
+    from repro.dbsim.knobs import KnobCatalog
     from repro.dbsim.planner import PlanEstimate
     from repro.tuners.base import TuningRequest
+    from repro.tuners.knob_selection import Subspace
     from repro.tuners.ottertune import OtterTuneTuner
     from repro.workloads.query import Query
 
@@ -473,3 +492,178 @@ def step_landscape_serial(
             tuner=instance.instance_id,
         )
     return outcomes
+
+
+def fit_values_to_budget_frozen(
+    values: np.ndarray,
+    catalog: KnobCatalog,
+    memory_limit_mb: float,
+    frozen: np.ndarray,
+    active_connections: int = 1,
+) -> np.ndarray:
+    """Batched §4 budget repair that never moves the *frozen* columns."""
+    (
+        buffer_idx,
+        buffer_min,
+        buffer_max,
+        shrink_idx,
+        shrink_min,
+        shrink_max,
+        restart_mask,
+    ) = catalog.budget_fit_arrays()
+    out = np.array(values, dtype=float, copy=True)
+    budget = memory_limit_mb * 0.95
+    weights = np.where(restart_mask, 1.0, effective_sessions(active_connections))
+    if not frozen[buffer_idx]:
+        buffer_mb = np.minimum(out[:, buffer_idx], 0.7 * budget)
+        buffer_mb = np.clip(buffer_mb, buffer_min, buffer_max)
+        out[:, buffer_idx] = buffer_mb
+    else:
+        buffer_mb = out[:, buffer_idx]
+    allowed = np.maximum(0.0, budget - buffer_mb)
+    work = out[:, shrink_idx]
+    movable = ~frozen[shrink_idx]
+    active = np.ones(len(out), dtype=bool)
+    for _ in range(6):
+        charge = np.zeros(len(out))
+        reducible = np.zeros(len(out))
+        for k in range(work.shape[1]):
+            charge += work[:, k] * weights[k]
+            if movable[k]:
+                reducible += (work[:, k] - shrink_min[k]) * weights[k]
+        active &= charge > allowed
+        active &= reducible > 1e-12
+        if not active.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shrink = np.minimum(1.0, (charge - allowed) / reducible)
+        rows = np.where(active)[0]
+        excess = work[rows] - shrink_min
+        repaired = np.clip(
+            work[rows] - excess * shrink[rows, None], shrink_min, shrink_max
+        )
+        work[rows] = np.where(movable[None, :], repaired, work[rows])
+    out[:, shrink_idx] = work
+    return out
+
+
+def repair_config_frozen_reference(
+    config: KnobConfiguration,
+    incumbent: KnobConfiguration,
+    memory_limit_mb: float,
+    active_connections: int,
+) -> KnobConfiguration:
+    """Scalar repair holding every knob still at *incumbent*'s value."""
+    names = config.catalog.names()
+    values = np.array([[config[name] for name in names]])
+    frozen = np.array([config[name] == incumbent[name] for name in names])
+    repaired = fit_values_to_budget_frozen(
+        values, config.catalog, memory_limit_mb, frozen, active_connections
+    )
+    updates = {
+        name: float(repaired[0, i])
+        for i, name in enumerate(names)
+        if repaired[0, i] != values[0, i]
+    }
+    return config.with_values(updates) if updates else config
+
+
+def raw_candidates_projected(
+    tuner: OtterTuneTuner,
+    x: np.ndarray,
+    y: np.ndarray,
+    incumbent: np.ndarray,
+    active: np.ndarray,
+) -> np.ndarray:
+    """Full-width candidates drawn ``(n, k)`` on the *active* columns only."""
+    k = len(active)
+    n_random = tuner.n_candidates
+    random_part = tuner._rng.uniform(0.0, 1.0, size=(n_random, k))
+    best_seen = x[int(np.argmax(y))]
+    local_part = np.clip(
+        best_seen[active] + tuner._rng.normal(0.0, 0.08, size=(n_random // 5, k)),
+        0.0,
+        1.0,
+    )
+    raw_k = np.vstack([random_part, local_part])
+    raw = np.tile(incumbent, (len(raw_k), 1))
+    raw[:, active] = raw_k
+    return raw
+
+
+def recommend_projected(
+    tuner: OtterTuneTuner, request: TuningRequest
+) -> Recommendation:
+    """``tuner.recommend(request)`` for a workload the selector ranks.
+
+    The selector must not abstain: this is the projected pipeline only.
+    """
+    x, y = tuner._training_set(request)
+    tuner._last_train_size = len(y)
+    assert len(y) >= 3, "cold start runs the shared path"
+    sub: Subspace | None = tuner._subspace(request)
+    assert sub is not None, "an abstaining selector runs the full-space path"
+    selector = tuner.knob_selector
+    assert selector is not None
+    active = np.fromiter(sub.active, dtype=np.intp)
+    gpr = GaussianProcessRegressor(length_scale=0.4, noise_variance=0.05).fit(
+        x[:, list(sub.active)], y
+    )
+    catalog = tuner.catalog
+    names = catalog.names()
+    incumbent = config_to_vector(request.config)
+    raw = tuner._shortlisted(
+        request, gpr, x, y, raw_candidates_projected(tuner, x, y, incumbent, active),
+        active,
+    )
+    candidates = raw
+    if tuner.memory_limit_mb is not None:
+        frozen = np.ones(len(catalog), dtype=bool)
+        frozen[active] = False
+        repaired = fit_values_to_budget_frozen(
+            vectors_to_values(raw, catalog),
+            catalog,
+            tuner.memory_limit_mb,
+            frozen,
+            tuner.active_connections,
+        )
+        candidates = values_to_vectors(repaired, catalog)
+    scores = gpr.ucb(candidates[:, active], kappa=tuner.kappa)
+    tuner.recorder.event(
+        "tuner.surrogate",
+        instance=request.instance_id,
+        source=tuner.name,
+        train_samples=len(y),
+        candidates=len(candidates),
+    )
+    tuner.recorder.event(
+        "tuner.subspace",
+        instance=request.instance_id,
+        source=tuner.name,
+        workload=request.workload_id,
+        active=len(sub.active),
+        total=len(names),
+        version=sub.version,
+        updated=sub.updated,
+        automaton_signals=sum(selector.automaton_signals.values()),
+    )
+    best = int(np.argmax(scores))
+    winner = vector_to_config(candidates[best], catalog)
+    config = request.config.with_values(
+        {names[i]: winner[names[i]] for i in sub.active}
+    )
+    config = boost_throttled_knobs(config, request)
+    if tuner.memory_limit_mb is not None:
+        config = repair_config_frozen_reference(
+            config, request.config, tuner.memory_limit_mb, tuner.active_connections
+        )
+    best_mean = float(gpr.predict(candidates[best, active][None, :])[0])
+    current_pred = float(gpr.predict(incumbent[active][None, :])[0])
+    ranking = selector.importance(request.workload_id) or ()
+    return Recommendation(
+        instance_id=request.instance_id,
+        config=config,
+        source=tuner.name,
+        expected_improvement=best_mean - current_pred,
+        ranked_knobs=list(ranking),
+    )

@@ -261,7 +261,3 @@ class TestNonTunablePolicy:
         )
         assert decision.rule == "no_history"
         assert decision.new_value_mb == 1024
-
-    def test_buffer_share_validation(self):
-        with pytest.raises(ValueError):
-            NonTunableKnobPolicy(ConfigRepository(), buffer_share=0.0)

@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import repro
@@ -13,7 +14,9 @@ from repro.dbsim.config import (
     KnobConfiguration,
     MemoryBudgetError,
     effective_sessions,
+    fit_values_to_budget,
 )
+from repro.dbsim.knobs import postgres_catalog
 
 
 class TestConstruction:
@@ -46,6 +49,25 @@ class TestConstruction:
         before = pickle.dumps(cfg)
         hash(cfg)
         assert pickle.dumps(cfg) == before
+
+    def test_pickle_independent_of_catalog_use(self):
+        """Using the catalog's array views leaves a config's pickle alone."""
+        catalog = postgres_catalog()
+        cfg = KnobConfiguration(catalog)
+        before = len(pickle.dumps(cfg))
+        catalog.vector_transform_arrays()
+        assert len(pickle.dumps(cfg)) == before
+        values = np.array([[cfg[name] for name in catalog.names()]])
+        fit_values_to_budget(values, catalog, 512.0, 20)
+        assert len(pickle.dumps(cfg)) == before
+
+    def test_values_are_floats_from_construction(self, pg_catalog):
+        cfg = KnobConfiguration(pg_catalog)
+        derived = cfg.with_values({"work_mem": 8}).with_values({"work_mem": 4})
+        for config in (cfg, derived):
+            assert all(type(v) is float for v in config.as_dict().values())
+        assert derived == cfg
+        assert pickle.dumps(derived) == pickle.dumps(cfg)
 
     def test_copy_hashed_under_another_seed_keys_like_fresh(self, pg_catalog):
         # Pickle a hashed configuration in a process with its own string
@@ -124,7 +146,7 @@ class TestFittedToBudget:
 
     def test_buffer_capped_to_share(self, pg_catalog):
         cfg = KnobConfiguration(pg_catalog, {"shared_buffers": 60_000})
-        fitted = cfg.fitted_to_budget(8000.0, 10, buffer_share=0.7)
+        fitted = cfg.fitted_to_budget(8000.0, 10)
         assert fitted["shared_buffers"] <= 0.7 * 0.95 * 8000.0 + 1e-6
 
     def test_working_areas_scaled(self, pg_catalog):

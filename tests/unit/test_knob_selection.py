@@ -26,8 +26,9 @@ from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.knobs import KnobClass, postgres_catalog
 from repro.experiments import ablation_knob_selection
 from repro.experiments.common import offline_train
-from repro.tuners.base import TuningRequest, config_to_vector
-from repro.tuners.cdbtune import CDBTuneTuner
+from repro.obs.export import to_jsonl
+from repro.obs.trace import TraceRecorder
+from repro.tuners.base import TrainingSample, TuningRequest
 from repro.tuners.knob_selection import (
     KNOBSELECT_METRIC_FAMILIES,
     KnobSelector,
@@ -35,7 +36,9 @@ from repro.tuners.knob_selection import (
     repair_config_frozen,
 )
 from repro.tuners.ottertune import OtterTuneTuner
+from repro.tuners.surrogate import SurrogatePolicy
 from repro.workloads.tpcc import TPCCWorkload
+from tests.reference import recommend_projected
 
 GOLDEN = pathlib.Path(__file__).parents[1] / "golden" / "fig09_quick.txt"
 
@@ -253,31 +256,81 @@ class TestFlagOnDeterminism:
         for name in inactive:
             assert first.config[name] == request.config[name]
 
-    def test_cdbtune_projects_action_onto_subspace(self):
-        catalog, repository = _fixture_repository(4)
-        tuner = CDBTuneTuner(catalog, seed=7)
-        tuner.configure(Features(selection=SelectionPolicy()))
-        workload_id = repository.workload_ids()[0]
-        samples = repository.samples(workload_id)
-        for sample in samples:
-            tuner.learn(sample)
-        probe = samples[0]
-        request = TuningRequest(
-            "db0", workload_id, probe.config, probe.metrics, timestamp_s=0.0
-        )
-        recommendation = tuner.recommend(request)
-        selector = tuner.knob_selector
+
+class TestOnePipelineMatchesProjectedReference:
+    """The subspace as a column index reproduces the projected pipeline.
+
+    Twin tuners with selection armed answer the same request sequence:
+    one through ``OtterTuneTuner.recommend``, one through the separate
+    projected pipeline kept in ``tests/reference.py``. Each request's
+    result and the generator state after it must be bit-equal.
+    """
+
+    THROTTLES = (
+        (None, ()),
+        (KnobClass.MEMORY.value, ("work_mem", "temp_buffers")),
+        (KnobClass.ASYNC_PLANNER.value, ("random_page_cost", "effective_io_concurrency")),
+        (KnobClass.MEMORY.value, ("work_mem",)),
+        (KnobClass.ASYNC_PLANNER.value, ("random_page_cost",)),
+        (KnobClass.BGWRITER.value, ("checkpoint_timeout",)),
+    )
+
+    @pytest.mark.parametrize("memory_limit_mb", [None, 6553.6])
+    @pytest.mark.parametrize("surrogate", [False, True], ids=["plain", "screen"])
+    # top_k=4 leaves working-area knobs outside the subspace, so the
+    # budget repair has frozen columns to hold.
+    @pytest.mark.parametrize("top_k", [8, 4])
+    def test_bit_equal_to_reference(self, memory_limit_mb, surrogate, top_k):
+        twins = []
+        for _ in range(2):
+            catalog, repository = _fixture_repository(6)
+            tuner = OtterTuneTuner(
+                catalog, repository, memory_limit_mb=memory_limit_mb, seed=11
+            )
+            tuner.configure(
+                Features(
+                    surrogate=SurrogatePolicy() if surrogate else None,
+                    selection=SelectionPolicy(top_k=top_k),
+                )
+            )
+            tuner.bind_recorder(TraceRecorder())
+            twins.append(tuner)
+        merged, reference = twins
+        workload_id = merged.repository.workload_ids()[0]
+        samples = merged.repository.samples(workload_id)
+        config = samples[0].config
+        for step, (throttle_class, knobs) in enumerate(self.THROTTLES):
+            request = TuningRequest(
+                "db0",
+                workload_id,
+                config,
+                samples[step].metrics,
+                throttle_class=throttle_class,
+                throttle_knobs=knobs,
+                timestamp_s=float(step),
+            )
+            got = merged.recommend(request)
+            want = recommend_projected(reference, request)
+            assert got.config.as_dict() == want.config.as_dict(), step
+            assert got.expected_improvement == want.expected_improvement
+            assert got.ranked_knobs == want.ranked_knobs
+            assert (
+                merged._rng.bit_generator.state
+                == reference._rng.bit_generator.state
+            )
+            config = got.config
+            # A new row bumps the repository version: the next request
+            # re-ranks from updated moments.
+            for tuner in twins:
+                tuner.observe(
+                    TrainingSample(workload_id, config, samples[step + 1].metrics)
+                )
+        selector = merged.knob_selector
         assert selector is not None
         active = selector.active_knobs(workload_id)
-        assert active is not None
-        inactive = [n for n in catalog.names() if n not in active]
-        for name in inactive:
-            assert recommendation.config[name] == request.config[name]
-        _, action = tuner._pending[workload_id]
-        incumbent = config_to_vector(request.config)
-        sub = selector._states[workload_id].subspace
-        mask = selector.mask(sub)
-        assert np.array_equal(action[~mask], incumbent[~mask])
+        assert active is not None and len(active) < len(merged.catalog)
+        assert selector.automaton_signals["random_page_cost"] == 2
+        assert to_jsonl(merged.recorder, {}) == to_jsonl(reference.recorder, {})
 
 
 class TestAblation:

@@ -247,20 +247,31 @@ class TestLassoBatchParity:
 class TestBatchedRepairParity:
     @pytest.mark.parametrize("limit,conns", [(6553.6, 40), (2048.0, 80), (512.0, 10)])
     def test_repair_matches_scalar_bitwise(self, pg_catalog, limit, conns):
-        """Same knob values in → bit-identical repaired values out."""
+        """Same knob values in → bit-identical repaired values out.
+
+        An omitted ``frozen``, ``frozen=None`` and an all-False mask are
+        the same unfrozen repair.
+        """
         from repro.dbsim.config import KnobConfiguration
 
         rng = np.random.default_rng(3)
         vectors = rng.uniform(0.0, 1.0, size=(25, len(pg_catalog)))
         values = vectors_to_values(vectors, pg_catalog)
-        fitted = fit_values_to_budget(values, pg_catalog, limit, conns)
         names = pg_catalog.names()
-        for i in range(len(values)):
-            config = KnobConfiguration(
-                pg_catalog, dict(zip(names, values[i]))
-            ).fitted_to_budget(limit, conns)
-            scalar = np.array([config[n] for n in names])
-            assert np.array_equal(scalar, fitted[i]), i
+        scalar = np.array(
+            [
+                [config[n] for n in names]
+                for config in (
+                    KnobConfiguration(
+                        pg_catalog, dict(zip(names, row))
+                    ).fitted_to_budget(limit, conns)
+                    for row in values
+                )
+            ]
+        )
+        for frozen in ({}, {"frozen": None}, {"frozen": np.zeros(len(names), bool)}):
+            fitted = fit_values_to_budget(values, pg_catalog, limit, conns, **frozen)
+            assert np.array_equal(scalar, fitted), frozen
 
     def test_vector_round_trip_matches_scalar(self, pg_catalog):
         """Full batched pipeline vs config round trip.

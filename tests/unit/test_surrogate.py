@@ -24,7 +24,7 @@ from repro.core.features import Features
 from repro.dbsim.knobs import postgres_catalog
 from repro.experiments.common import offline_train
 from repro.obs.trace import TraceRecorder
-from repro.tuners.base import TuningRequest
+from repro.tuners.base import TuningRequest, config_to_vector
 from repro.tuners.gpr import GaussianProcessRegressor
 from repro.tuners.knob_selection import SelectionPolicy
 from repro.tuners.ottertune import OtterTuneTuner
@@ -187,7 +187,9 @@ class TestArgmaxRetention:
             gpr = GaussianProcessRegressor(
                 length_scale=0.4, noise_variance=0.05
             ).fit(x, y)
-            raw = tuner._raw_candidates(x, y)
+            raw = tuner._raw_candidates(
+                x, y, config_to_vector(sample.config), slice(None)
+            )
             exact_best = int(np.argmax(gpr.ucb(raw, kappa=tuner.kappa)))
             keep = SurrogateScreen(policy).shortlist(
                 raw, gpr, x, y, tuner.kappa
