@@ -6,8 +6,8 @@ instances through one window with the engine's columnar window step,
 members. The step evaluates traffic and both disks on ``(members,
 seconds)`` matrices; only the parts that are inherently per-member stay
 per-member — RNG jitter draws (each member owns a keyed substream whose
-draw order is a frozen contract), batch costing through the per-database
-service-time memo, EXPLAIN sampling and metric assembly.
+draw order is a frozen contract), batch costing from the window's spill
+report, EXPLAIN sampling and metric assembly.
 
 Bit-identical output to ``[db.run(batch) for db, batch in ...]`` is the
 hard invariant, kept by three rules:
@@ -40,12 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.dbsim.engine import (
-    ConfigTerms,
-    ExecutionResult,
-    SimulatedDatabase,
-    step_members,
-)
+from repro.dbsim.engine import ExecutionResult, SimulatedDatabase, step_members
 from repro.workloads.generator import WorkloadBatch
 
 __all__ = ["MemberBatch"]
@@ -58,16 +53,11 @@ class MemberBatch:
     ----------
     databases:
         The member databases in canonical member order. The roster is
-        fixed for the lifetime of the batch; each member's
-        :class:`~repro.dbsim.engine.ConfigTerms` (hit ratio and swap
-        factor) are cached and refreshed when that member's
-        ``config_epoch`` moves.
+        fixed for the lifetime of the batch.
     """
 
     def __init__(self, databases: Sequence[SimulatedDatabase]) -> None:
         self._dbs = list(databases)
-        self._epochs = [-1] * len(self._dbs)
-        self._terms: list[ConfigTerms] = [None] * len(self._dbs)  # type: ignore[list-item]
 
     def __len__(self) -> int:
         return len(self._dbs)
@@ -81,11 +71,6 @@ class MemberBatch:
         bit-for-bit, including which exception is raised when a member is
         down.
         """
-        dbs = self._dbs
-        if len(batches) != len(dbs):
+        if len(batches) != len(self._dbs):
             raise ValueError("one batch per member required")
-        for m, db in enumerate(dbs):
-            if db.config_epoch != self._epochs[m]:
-                self._terms[m] = ConfigTerms.of(db)
-                self._epochs[m] = db.config_epoch
-        return step_members(dbs, batches, self._terms)
+        return step_members(self._dbs, batches)

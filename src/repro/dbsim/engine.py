@@ -10,14 +10,17 @@ cumulative clock so multi-window experiments are continuous.
 
 The step itself is :func:`step_members`, which steps any number of
 instances at once; ``run`` is a call with one member, and
-:class:`~repro.dbsim.batch_engine.MemberBatch` calls it for a fleet.
+:class:`~repro.dbsim.batch_engine.MemberBatch` calls it for a fleet. A
+window computes its working-area spill once
+(:func:`~repro.dbsim.memory.compute_spills`); the executor costs every
+family from that report, and no configuration-derived term is memoised
+across windows, so a window always runs under the live ``config``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +28,7 @@ from repro.common.hardware import VMType, vm_type
 from repro.common.rng import make_rng
 from repro.dbsim.bgwriter import WriteBackResult, WriteBackScheduler
 from repro.dbsim.config import KnobConfiguration, MemoryBudgetError
-from repro.dbsim.executor import ExecutionSummary, ServiceTimeCache, run_batch
+from repro.dbsim.executor import ExecutionSummary, run_batch
 from repro.dbsim.knobs import catalog_for
 from repro.dbsim.memory import SpillReport, buffer_hit_ratio, compute_spills, swap_factor
 from repro.dbsim.metrics import MetricsDelta
@@ -36,7 +39,6 @@ from repro.workloads.query import Query, QueryType
 
 __all__ = [
     "ApplyOutcome",
-    "ConfigTerms",
     "DatabaseCrashed",
     "ExecutionResult",
     "SimulatedDatabase",
@@ -134,11 +136,6 @@ class SimulatedDatabase:
         self.active_connections = active_connections
         self._rng = make_rng(seed)
         self.config = KnobConfiguration(self.catalog)
-        #: Bumped on every config apply (reload/restart/socket) and heal;
-        #: derived per-config state (the executor's service-time memo) is
-        #: keyed on it and recomputes only when it moves.
-        self.config_epoch = 0
-        self._service_cache = ServiceTimeCache()
         self.clock_s = 0.0
         self.crashed = False
         self._scheduler = WriteBackScheduler()
@@ -184,7 +181,6 @@ class SimulatedDatabase:
             for name in skipped:
                 merged[name] = self.config[name]
             self.config = KnobConfiguration(self.catalog, merged)
-            self.config_epoch += 1
             self._reloads_this_window += 1
             return ApplyOutcome(
                 applied={
@@ -202,7 +198,6 @@ class SimulatedDatabase:
                 self.crashed = True
                 raise DatabaseCrashed(str(exc)) from exc
             self.config = new_config
-            self.config_epoch += 1
             # The shutdown checkpoint writes the dirty backlog out before
             # the process exits — a dirty database takes longer to stop.
             shutdown_s = self._scheduler.dirty_backlog_mb / (
@@ -225,7 +220,6 @@ class SimulatedDatabase:
     def heal(self) -> None:
         """Bring a crashed instance back up (operator intervention)."""
         self.crashed = False
-        self.config_epoch += 1
         self._scheduler.reset()
         self._pending_stall_s += RESTART_DOWNTIME_S
         self._cold_windows = len(_COLD_CACHE_FACTORS)
@@ -356,29 +350,9 @@ class SimulatedDatabase:
         )
 
 
-class ConfigTerms(NamedTuple):
-    """Window-invariant terms of a member's live configuration.
-
-    The buffer hit ratio and the swap factor: a pure function of the
-    configuration, VM, data size and connection count, so callers may
-    cache it per ``config_epoch``.
-    """
-
-    hit_ratio: float
-    swap: float
-
-    @staticmethod
-    def of(db: SimulatedDatabase) -> ConfigTerms:
-        return ConfigTerms(
-            buffer_hit_ratio(db.config.buffer_pool_mb(), db.data_size_gb),
-            swap_factor(db.config, db.vm, db.active_connections),
-        )
-
-
 def step_members(
     dbs: Sequence[SimulatedDatabase],
     batches: Sequence[WorkloadBatch],
-    terms: Sequence[ConfigTerms] | None = None,
 ) -> list[ExecutionResult]:
     """Step each database through its batch; results in member order.
 
@@ -392,8 +366,7 @@ def step_members(
     only bounds the matrices. A member's result does not depend on which
     chunk it lands in. Like a serial loop, a crashed member stops the
     step: the members before it advance, then :class:`DatabaseCrashed` is
-    raised. *terms* are the members' :class:`ConfigTerms` when the caller
-    caches them; they are derived afresh otherwise.
+    raised.
     """
     live = next((m for m, db in enumerate(dbs) if db.crashed), len(dbs))
     by_length: dict[int, list[int]] = {}
@@ -407,7 +380,6 @@ def step_members(
             stepped = _step_chunk(
                 [dbs[m] for m in chunk],
                 [batches[m] for m in chunk],
-                [terms[m] if terms is not None else ConfigTerms.of(dbs[m]) for m in chunk],
                 seconds,
             )
             for m, result in zip(chunk, stepped):
@@ -420,15 +392,15 @@ def step_members(
 def _step_chunk(
     dbs: list[SimulatedDatabase],
     batches: list[WorkloadBatch],
-    terms: list[ConfigTerms],
     seconds: int,
 ) -> list[ExecutionResult]:
     """Step one chunk of live members through windows of *seconds*."""
-    spills, dirty_mb, read_mb, hit, stall = [], [], [], [], []
-    for db, batch, term in zip(dbs, batches, terms):
+    spills, dirty_mb, read_mb, hit, swaps, stall = [], [], [], [], [], []
+    for db, batch in zip(dbs, batches):
         db._use_planner(batch.workload_name)
         spills.append(compute_spills(batch, db.config))
-        hit_ratio = term.hit_ratio
+        swaps.append(swap_factor(db.config, db.vm, db.active_connections))
+        hit_ratio = buffer_hit_ratio(db.config.buffer_pool_mb(), db.data_size_gb)
         if db._cold_windows > 0:
             hit_ratio *= _COLD_CACHE_FACTORS[len(_COLD_CACHE_FACTORS) - db._cold_windows]
             db._cold_windows -= 1
@@ -500,9 +472,7 @@ def _step_chunk(
             spills[k],
             commit_latency,
             data_latency_factor,
-            terms[k].swap,
-            cache=db._service_cache,
-            config_epoch=db.config_epoch,
+            swaps[k],
         )
         summary = _charge_disruption(summary, stall[k], seconds)
         plan_cost = db._planner.mean_cost(
@@ -515,7 +485,7 @@ def _step_chunk(
             writebacks[k],
             data_disk[k],
             hit[k],
-            terms[k].swap,
+            swaps[k],
             plan_cost,
         )
         results.append(
@@ -531,7 +501,7 @@ def _step_chunk(
                 writeback=writebacks[k],
                 spill=spills[k],
                 hit_ratio=hit[k],
-                swap=terms[k].swap,
+                swap=swaps[k],
             )
         )
         db.clock_s += seconds

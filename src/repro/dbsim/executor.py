@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 from repro.common.hardware import VMType
 from repro.dbsim.config import KnobConfiguration
-from repro.dbsim.memory import SpillReport, working_area_knobs
+from repro.dbsim.memory import SpillReport
 from repro.dbsim.planner import PlannerModel
 from repro.workloads.generator import WorkloadBatch
 from repro.workloads.query import QueryFootprint
 
 __all__ = [
     "ExecutionSummary",
-    "ServiceTimeCache",
     "family_service_time_ms",
     "run_batch",
 ]
@@ -49,37 +48,22 @@ class ExecutionSummary:
     demand_cpu_ms: float
 
 
-def _spill_mb_per_exec(
-    footprint: QueryFootprint, config: KnobConfiguration
-) -> float:
-    """Disk MB (write + read-back) one execution spills."""
-    knobs = working_area_knobs(config.catalog.flavor)
-    allowance = {
-        "sort": sum(config[n] for n in knobs.sort),
-        "maintenance": sum(config[n] for n in knobs.maintenance),
-        "temp": sum(config[n] for n in knobs.temp),
-    }
-    demand = {
-        "sort": footprint.sort_mb,
-        "maintenance": footprint.maintenance_mb,
-        "temp": footprint.temp_mb,
-    }
-    spill = sum(max(0.0, demand[c] - allowance[c]) for c in demand)
-    return 2.0 * spill
-
-
 def family_service_time_ms(
     footprint: QueryFootprint,
     config: KnobConfiguration,
     vm: VMType,
     hit_ratio: float,
     planner: PlannerModel,
+    spill_mb: float,
     commit_latency_ms: float,
     data_latency_factor: float = 1.0,
     swap: float = 1.0,
 ) -> float:
     """Service time (ms) of one execution of a family.
 
+    ``spill_mb`` is the disk traffic (write + read-back) one execution's
+    working-area overflow costs, ``2 ×`` the family's entry in the
+    window's :class:`~repro.dbsim.memory.SpillReport`.
     ``commit_latency_ms`` is the WAL device's write latency (commits fsync
     the log, which §3.2 keeps on its own disk); ``data_latency_factor``
     (≥ 1) is the data device's queueing inflation — checkpoint bursts and
@@ -92,86 +76,12 @@ def family_service_time_ms(
     )
     miss_mb = (footprint.read_kb / 1024.0) * (1.0 - hit_ratio)
     read_ms = miss_mb / vm.disk.throughput_mb_s * 1000.0 * data_latency_factor
-    spill_ms = (
-        _spill_mb_per_exec(footprint, config)
-        / vm.disk.throughput_mb_s
-        * 1000.0
-        * data_latency_factor
-    )
+    spill_ms = spill_mb / vm.disk.throughput_mb_s * 1000.0 * data_latency_factor
     commit_ms = 0.0
     if footprint.write_kb > 0.0:
         commit_ms = _COMMIT_WAIT_FACTOR * commit_latency_ms
     multiplier = planner.time_multiplier(config, footprint)
     return ((cpu_ms + read_ms + spill_ms) * multiplier + commit_ms) * swap
-
-
-class ServiceTimeCache:
-    """Cross-window memo for the static parts of a family's service time.
-
-    A family's service time splits into *static* terms — CPU cost, the
-    page-miss volume per unit of miss ratio, the spill volume (a walk over
-    the working-area knobs) and the planner distance multiplier — which
-    depend only on the footprint and the live configuration, and *dynamic*
-    terms (buffer hit ratio, commit latency, data-disk latency inflation,
-    swap factor) that move every window. The memo stores the static terms
-    per ``(workload, family)`` and replays the dynamic arithmetic on every
-    call with the exact expressions of :func:`family_service_time_ms`, so
-    a hit is bit-identical to the uncached computation.
-
-    The key assumes what :func:`run_batch` guarantees: within one config
-    epoch a family's footprint, configuration, VM and planner are fixed.
-    The owning database bumps ``config_epoch`` on every apply/restart/
-    heal, which flushes the memo.
-    """
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self._epoch: int | None = None
-        self._store: dict[tuple[str, str], tuple[float, float, float, bool, float]] = {}
-
-    def service_time_ms(
-        self,
-        epoch: int,
-        workload_name: str,
-        family_name: str,
-        footprint: QueryFootprint,
-        config: KnobConfiguration,
-        vm: VMType,
-        hit_ratio: float,
-        planner: PlannerModel,
-        commit_latency_ms: float,
-        data_latency_factor: float,
-        swap: float,
-    ) -> float:
-        """Memoised :func:`family_service_time_ms` (see class docstring)."""
-        if epoch != self._epoch:
-            self._store.clear()
-            self._epoch = epoch
-        key = (workload_name, family_name)
-        parts = self._store.get(key)
-        if parts is None:
-            self.misses += 1
-            parts = (
-                _CPU_MS_BASE
-                + footprint.rows_examined * _CPU_MS_PER_ROW
-                + footprint.sort_mb * _CPU_MS_PER_SORT_MB,
-                footprint.read_kb / 1024.0,
-                _spill_mb_per_exec(footprint, config),
-                footprint.write_kb > 0.0,
-                planner.time_multiplier(config, footprint),
-            )
-            self._store[key] = parts
-        else:
-            self.hits += 1
-        cpu_ms, read_mb, spill_mb, has_commit, multiplier = parts
-        miss_mb = read_mb * (1.0 - hit_ratio)
-        read_ms = miss_mb / vm.disk.throughput_mb_s * 1000.0 * data_latency_factor
-        spill_ms = spill_mb / vm.disk.throughput_mb_s * 1000.0 * data_latency_factor
-        commit_ms = 0.0
-        if has_commit:
-            commit_ms = _COMMIT_WAIT_FACTOR * commit_latency_ms
-        return ((cpu_ms + read_ms + spill_ms) * multiplier + commit_ms) * swap
 
 
 def run_batch(
@@ -184,52 +94,36 @@ def run_batch(
     commit_latency_ms: float,
     data_latency_factor: float = 1.0,
     swap: float = 1.0,
-    cache: ServiceTimeCache | None = None,
-    config_epoch: int = 0,
 ) -> ExecutionSummary:
     """Throughput and mean latency of *batch* under *config*.
 
-    Demand is summed per family; achieved throughput is capped by the
-    VM's CPU-seconds. Latency inflates as utilisation approaches 1
-    (queueing) — mild below 70% utilisation, steep beyond. Passing a
-    :class:`ServiceTimeCache` (with the owning database's
-    ``config_epoch``) memoises the per-family service times across
-    windows.
+    Demand is summed per family, each family's spill I/O read from
+    *spill*, the window's working-area accounting
+    (:func:`~repro.dbsim.memory.compute_spills` of *batch* under
+    *config*). Achieved throughput is capped by the VM's CPU-seconds.
+    Latency inflates as utilisation approaches 1 (queueing) — mild below
+    70% utilisation, steep beyond.
     """
-    del spill  # spill effects enter via family service times
     total_queries = batch.total_queries
     if total_queries == 0:
         return ExecutionSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
+    spilled = spill.spilled_families
     demand_ms = 0.0
     for name, count in batch.counts.items():
         if count == 0:
             continue
-        if cache is not None:
-            service = cache.service_time_ms(
-                config_epoch,
-                batch.workload_name,
-                name,
-                batch.families[name].footprint,
-                config,
-                vm,
-                hit_ratio,
-                planner,
-                commit_latency_ms,
-                data_latency_factor,
-                swap,
-            )
-        else:
-            service = family_service_time_ms(
-                batch.families[name].footprint,
-                config,
-                vm,
-                hit_ratio,
-                planner,
-                commit_latency_ms,
-                data_latency_factor,
-                swap,
-            )
+        service = family_service_time_ms(
+            batch.families[name].footprint,
+            config,
+            vm,
+            hit_ratio,
+            planner,
+            2.0 * spilled.get(name, 0.0),
+            commit_latency_ms,
+            data_latency_factor,
+            swap,
+        )
         demand_ms += service * count
 
     capacity_ms = vm.vcpus * batch.duration_s * 1000.0 * _SCHEDULER_EFFICIENCY

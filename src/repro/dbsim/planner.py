@@ -27,7 +27,7 @@ import numpy as np
 from repro.common.hardware import VMType
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.knobs import KnobClass, KnobDef
-from repro.dbsim.memory import compute_spills, working_area_knobs
+from repro.dbsim.memory import working_area_knobs
 from repro.workloads.query import FOOTPRINT_COLUMNS, Query, QueryFootprint, QueryRows
 
 __all__ = ["PlanColumns", "PlanEstimate", "PlannerModel", "latent_optimum"]
@@ -368,8 +368,3 @@ class PlannerModel:
         # np.mean's own arithmetic (the pairwise sum, then one division)
         # without its per-call overhead, which is most of a probe's.
         return float(np.add.reduce(costs)) / len(costs)
-
-
-def spill_categories_for_batch(batch, config: KnobConfiguration) -> set[str]:
-    """Convenience: which working-area categories spill for *batch*."""
-    return compute_spills(batch, config).spilled_categories

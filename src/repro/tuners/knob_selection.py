@@ -12,15 +12,12 @@ tier for the reproduction:
    accumulated *row-sequentially in arrival order*. On a repository
    version bump it derives the standardised Lasso-path problem straight
    from those moments — an O(Δn·d²) update instead of the O(n·d²) Gram
-   rebuild ``lasso_path_ranking`` pays on raw rows — and hands the
-   previous fit's path coefficients to
-   :func:`~repro.tuners.lasso.lasso_gram_ranking`, which reuses them
-   outright whenever the problem bits have not moved (a version bump
-   that added no rows for this workload). Cold and warm selectors fold
-   the same rows in the same order, so they derive bit-identical
-   problems, and the exact Lasso path is a pure function of those bits:
-   the warm-started ranking equals a from-scratch ranking bit for bit
-   at every version — the property
+   rebuild ``lasso_path_ranking`` pays on raw rows — and solves it with
+   :func:`~repro.tuners.lasso.lasso_gram_ranking`. Cold and warm
+   selectors fold the same rows in the same order, so they derive
+   bit-identical problems, and the exact Lasso path is a pure function
+   of those bits: the incrementally maintained ranking equals a
+   from-scratch ranking bit for bit at every version — the property
    ``tests/property/test_knob_selection_properties.py`` pins.
 2. **Stable active subspace.** The top-``k`` ranked knobs (minus the
    TDE-automaton-owned ones, see below) form the *candidate* subspace.
@@ -77,10 +74,6 @@ KNOBSELECT_METRIC_FAMILIES: dict[str, str] = {
     "repro_knobselect_reranks_total": (
         "Incremental importance re-ranks run after a repository "
         "version bump."
-    ),
-    "repro_knobselect_reuses_total": (
-        "Re-ranks served by the previous fit's path coefficients "
-        "(standardised problem unchanged bit-for-bit)."
     ),
     "repro_knobselect_hits_total": (
         "Subspace requests served from the version-keyed cache."
@@ -225,8 +218,6 @@ class _WorkloadState:
         "active",
         "pending",
         "pending_count",
-        "path",
-        "problem",
     )
 
     def __init__(self, d: int) -> None:
@@ -237,8 +228,6 @@ class _WorkloadState:
         self.active: tuple[int, ...] | None = None
         self.pending: tuple[int, ...] | None = None
         self.pending_count = 0
-        self.path: np.ndarray | None = None
-        self.problem: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class KnobSelector:
@@ -267,7 +256,6 @@ class KnobSelector:
         #: flowing in from the TDE tier; see ``note_automaton_signal``).
         self.automaton_signals: dict[str, int] = {}
         self.reranks = 0
-        self.reuses = 0
         self.hits = 0
         self.updates = 0
         self.holds = 0
@@ -307,27 +295,19 @@ class KnobSelector:
             return None
         return tuple(self._names[i] for i in state.subspace.ranking)
 
-    def counters(self) -> tuple[int, int, int, int, int]:
-        """Snapshot of (reranks, reuses, hits, updates, holds)."""
-        return (
-            self.reranks,
-            self.reuses,
-            self.hits,
-            self.updates,
-            self.holds,
-        )
+    def counters(self) -> tuple[int, int, int, int]:
+        """Snapshot of (reranks, hits, updates, holds)."""
+        return (self.reranks, self.hits, self.updates, self.holds)
 
     def record_deltas(
-        self, recorder: Recorder, before: tuple[int, int, int, int, int]
+        self, recorder: Recorder, before: tuple[int, int, int, int]
     ) -> None:
         """Mirror counter movement since *before* onto a trace recorder."""
-        reranks, reuses, hits, updates, holds = before
+        reranks, hits, updates, holds = before
         if self.reranks > reranks:
             recorder.inc("repro_knobselect_reranks_total")
         elif self.hits > hits:
             recorder.inc("repro_knobselect_hits_total")
-        if self.reuses > reuses:
-            recorder.inc("repro_knobselect_reuses_total")
         if self.updates > updates:
             recorder.inc("repro_knobselect_updates_total")
         if self.holds > holds:
@@ -369,17 +349,7 @@ class KnobSelector:
         if state.stats.n < self.policy.min_rank_samples:
             return None
         gram, corr = state.stats.standardised_problem()
-        order, path = lasso_gram_ranking(
-            gram,
-            corr,
-            n_alphas=self.policy.n_alphas,
-            warm_path=state.path,
-            warm_problem=state.problem,
-        )
-        if path is state.path:
-            self.reuses += 1
-        state.path = path
-        state.problem = (gram, corr)
+        order, _ = lasso_gram_ranking(gram, corr, n_alphas=self.policy.n_alphas)
         self.reranks += 1
         candidate = tuple(
             sorted(

@@ -209,8 +209,6 @@ def lasso_gram_ranking(
     gram: np.ndarray,
     corr: np.ndarray,
     n_alphas: int = 30,
-    warm_path: np.ndarray | None = None,
-    warm_problem: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[list[int], np.ndarray]:
     """Path ranking over a precomputed standardised Gram problem.
 
@@ -219,33 +217,19 @@ def lasso_gram_ranking(
     moments (see :mod:`repro.tuners.knob_selection`), so a re-rank never
     rebuilds the O(n·d²) Gram from raw rows; this function takes that
     problem directly. The path is evaluated at
-    ``max|corr| · geomspace(1, 1e-3, n_alphas)``. *warm_path*/*warm_problem*
-    carry the previous fit's coefficients and inputs: the path is a pure
-    function of ``(gram, corr, n_alphas)``, so when the problem bits
-    have not moved — a repository version bump that added no rows for
-    this workload — the previous coefficients are returned without
-    solving at all. Either way the result is exactly what a
-    from-scratch solve of the same problem bits produces.
+    ``max|corr| · geomspace(1, 1e-3, n_alphas)``; the result is a pure
+    function of ``(gram, corr, n_alphas)``.
 
     Returns ``(order, path)``: *order* ranks features by path entry
     (:func:`_rank_from_path`), *path* is the ``(n_alphas, d)``
-    coefficient matrix to hand back as the next call's *warm_path*.
+    coefficient matrix it is read from.
     """
     d = len(corr)
     if d == 0 or gram.shape != (d, d):
         raise ValueError("gram must be (d, d) with matching corr")
-    if (
-        warm_path is not None
-        and warm_problem is not None
-        and warm_path.shape == (n_alphas, d)
-        and np.array_equal(warm_problem[0], gram)
-        and np.array_equal(warm_problem[1], corr)
-    ):
-        path = warm_path
-    else:
-        alpha_max = float(np.max(np.abs(corr))) or 1.0
-        alphas = alpha_max * np.geomspace(1.0, 1e-3, n_alphas)
-        path = _lasso_path(gram, corr, alphas)
+    alpha_max = float(np.max(np.abs(corr))) or 1.0
+    alphas = alpha_max * np.geomspace(1.0, 1e-3, n_alphas)
+    path = _lasso_path(gram, corr, alphas)
     return _rank_from_path(path, gram, corr), path
 
 

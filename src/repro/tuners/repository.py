@@ -142,10 +142,9 @@ class WorkloadRepository:
         self._arrays: dict[str, _WorkloadArrays] = {}
         self._version = 0
         self._total = 0
-        # Materialised-matrix caches, each tagged with the sample count it
-        # was built from so a bumped version invalidates lazily.
+        # Materialised per-workload matrices, each tagged with the sample
+        # count it was built from so a bumped version invalidates lazily.
         self._dataset_cache: dict[str, tuple[int, WorkloadDataset]] = {}
-        self._metric_rows_cache: tuple[int, np.ndarray] | None = None
         # Scratch space for derived state shared *across* consumers (e.g.
         # every TDE's workload mapper): consumers namespace their keys and
         # tag entries with the version they were computed at.
@@ -288,14 +287,9 @@ class WorkloadRepository:
     def all_metric_rows(self) -> np.ndarray:
         """Every sample's metric vector stacked, for global binning.
 
-        Cached until the next :attr:`version` bump; treat as read-only.
         The stack reuses the per-workload dataset caches, so a single new
         sample re-vectorises only its own workload's rows.
         """
-        if self._metric_rows_cache is not None and (
-            self._metric_rows_cache[0] == self._version
-        ):
-            return self._metric_rows_cache[1]
         parts = [
             self.dataset(wid).metrics
             for wid, samples in self._samples.items()
@@ -303,9 +297,7 @@ class WorkloadRepository:
         ]
         if not parts:
             return np.empty((0, len(self.metric_names)))
-        stacked = np.vstack(parts)
-        self._metric_rows_cache = (self._version, stacked)
-        return stacked
+        return np.vstack(parts)
 
     def sync_from(self, other: "WorkloadRepository") -> int:
         """Pull samples present in *other* but not here; return count.

@@ -3,10 +3,10 @@
 Invariants the selection tier must hold for *any* seeded sample stream:
 
 - **warm == cold, bit for bit** — a selector whose running moments grew
-  incrementally (one repository version at a time) produces the exact
-  ranking and path coefficients a fresh selector fed the same prefix in
-  one shot does, at *every* version. This is the license for the
-  incremental re-rank: warm-starting can never drift from a from-scratch
+  incrementally (one repository version at a time) derives the exact
+  standardised problem and ranking a fresh selector fed the same prefix
+  in one shot does, at *every* version. This is the license for the
+  incremental re-rank: it can never drift from a from-scratch
   Lasso-path fit;
 - **projection round-trips** — a projected recommendation carries every
   inactive knob byte-identically from the incumbent configuration,
@@ -69,26 +69,10 @@ class TestWarmEqualsCold:
             cold_sub = cold.subspace("w", x[:version], y[:version], version)
             assert warm_sub is not None and cold_sub is not None
             assert warm_sub.ranking == cold_sub.ranking
-            warm_path = warm._states["w"].path
-            cold_path = cold._states["w"].path
-            assert np.array_equal(warm_path, cold_path)
-
-    @given(seed=seeds)
-    @settings(max_examples=15, deadline=None)
-    def test_version_bump_without_rows_reuses_coefficients(self, seed):
-        """No new rows → the previous path is reused, rank unchanged."""
-        policy = SelectionPolicy()
-        x, y = _stream(seed, 20)
-        selector = KnobSelector(policy, _CATALOG)
-        first = selector.subspace("w", x, y, version=1)
-        assert first is not None
-        before = selector.reuses
-        # A repository version bump caused by *another* workload's
-        # samples: same rows, new version.
-        again = selector.subspace("w", x, y, version=2)
-        assert again is not None
-        assert selector.reuses == before + 1
-        assert again.ranking == first.ranking
+            warm_problem = warm._states["w"].stats.standardised_problem()
+            cold_problem = cold._states["w"].stats.standardised_problem()
+            for warm_part, cold_part in zip(warm_problem, cold_problem):
+                assert np.array_equal(warm_part, cold_part)
 
 
 def _live_fixture(seed: int):

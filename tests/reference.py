@@ -24,6 +24,14 @@ Each function here is the plain definition of a computation that
   check, one plan per template. The columnar plan cost
   (:class:`~repro.dbsim.planner.PlanColumns`) and the spill check from
   footprint columns must give the same floats and categories.
+- :func:`spill_mb_per_exec` walks the working-area knobs to find one
+  execution's spill volume, and :func:`run_batch_memoised` costs a
+  batch from it through :class:`ServiceTimeMemo`, the cross-window memo
+  of each family's static service-time terms keyed on a configuration
+  epoch. :func:`~repro.dbsim.executor.run_batch`, which reads every
+  family's spill from the window's
+  :class:`~repro.dbsim.memory.SpillReport` and memoises nothing, must
+  give the same summary bit for bit.
 - :func:`latency_excluding_vacuum_by_mask` is the bgwriter detector's
   vacuum-slot exclusion as first written (``np.mean`` over a mask built
   one vacuum round at a time); the detector must give the same float.
@@ -66,6 +74,15 @@ from repro.dbsim.bgwriter import (
     WriteBackScheduler,
 )
 from repro.dbsim.config import KnobConfiguration, effective_sessions
+from repro.dbsim.executor import (
+    _COMMIT_WAIT_FACTOR,
+    _CPU_MS_BASE,
+    _CPU_MS_PER_ROW,
+    _CPU_MS_PER_SORT_MB,
+    _SCHEDULER_EFFICIENCY,
+    ExecutionSummary,
+)
+from repro.dbsim.memory import working_area_knobs
 from repro.tuners.base import (
     Recommendation,
     boost_throttled_knobs,
@@ -88,14 +105,16 @@ if TYPE_CHECKING:
     from repro.core.service import AutoDBaaS, StepOutcome
     from repro.core.tde.mdp import LearningAutomaton
     from repro.core.tde.memory_detector import MemoryThrottleDetector
+    from repro.common.hardware import VMType
     from repro.core.tde.planner_detector import PlannerThrottleDetector
     from repro.dbsim.engine import SimulatedDatabase
     from repro.dbsim.knobs import KnobCatalog
-    from repro.dbsim.planner import PlanEstimate
+    from repro.dbsim.planner import PlanEstimate, PlannerModel
     from repro.tuners.base import TuningRequest
     from repro.tuners.knob_selection import Subspace
     from repro.tuners.ottertune import OtterTuneTuner
-    from repro.workloads.query import Query
+    from repro.workloads.generator import WorkloadBatch
+    from repro.workloads.query import Query, QueryFootprint
 
 
 def run_window_per_second(
@@ -415,6 +434,130 @@ def spills_per_query(
     for query in selected:
         spilled.update(db.explain(query).spilled_categories())
     return len(selected), spilled
+
+
+def spill_mb_per_exec(footprint: QueryFootprint, config: KnobConfiguration) -> float:
+    """Disk MB (write + read-back) one execution spills."""
+    knobs = working_area_knobs(config.catalog.flavor)
+    allowance = {
+        "sort": sum(config[n] for n in knobs.sort),
+        "maintenance": sum(config[n] for n in knobs.maintenance),
+        "temp": sum(config[n] for n in knobs.temp),
+    }
+    demand = {
+        "sort": footprint.sort_mb,
+        "maintenance": footprint.maintenance_mb,
+        "temp": footprint.temp_mb,
+    }
+    spill = sum(max(0.0, demand[c] - allowance[c]) for c in demand)
+    return 2.0 * spill
+
+
+class ServiceTimeMemo:
+    """Cross-window memo for the static parts of a family's service time.
+
+    The static terms — CPU cost, the page-miss volume per unit of miss
+    ratio, the spill volume and the planner multiplier — are stored per
+    ``(workload, family)`` and flushed when the epoch moves; the dynamic
+    terms (hit ratio, commit latency, data-disk inflation, swap) are
+    replayed on every call.
+    """
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self._epoch: int | None = None
+        self._store: dict[tuple[str, str], tuple[float, float, float, bool, float]] = {}
+
+    def service_time_ms(
+        self,
+        epoch: int,
+        workload_name: str,
+        family_name: str,
+        footprint: QueryFootprint,
+        config: KnobConfiguration,
+        vm: VMType,
+        hit_ratio: float,
+        planner: PlannerModel,
+        commit_latency_ms: float,
+        data_latency_factor: float,
+        swap: float,
+    ) -> float:
+        if epoch != self._epoch:
+            self._store.clear()
+            self._epoch = epoch
+        key = (workload_name, family_name)
+        parts = self._store.get(key)
+        if parts is None:
+            self.misses += 1
+            parts = (
+                _CPU_MS_BASE
+                + footprint.rows_examined * _CPU_MS_PER_ROW
+                + footprint.sort_mb * _CPU_MS_PER_SORT_MB,
+                footprint.read_kb / 1024.0,
+                spill_mb_per_exec(footprint, config),
+                footprint.write_kb > 0.0,
+                planner.time_multiplier(config, footprint),
+            )
+            self._store[key] = parts
+        else:
+            self.hits += 1
+        cpu_ms, read_mb, spill_mb, has_commit, multiplier = parts
+        miss_mb = read_mb * (1.0 - hit_ratio)
+        read_ms = miss_mb / vm.disk.throughput_mb_s * 1000.0 * data_latency_factor
+        spill_ms = spill_mb / vm.disk.throughput_mb_s * 1000.0 * data_latency_factor
+        commit_ms = 0.0
+        if has_commit:
+            commit_ms = _COMMIT_WAIT_FACTOR * commit_latency_ms
+        return ((cpu_ms + read_ms + spill_ms) * multiplier + commit_ms) * swap
+
+
+def run_batch_memoised(
+    batch: WorkloadBatch,
+    config: KnobConfiguration,
+    vm: VMType,
+    hit_ratio: float,
+    planner: PlannerModel,
+    commit_latency_ms: float,
+    data_latency_factor: float,
+    swap: float,
+    memo: ServiceTimeMemo,
+    epoch: int = 0,
+) -> ExecutionSummary:
+    """``run_batch`` with every family's spill recomputed through *memo*."""
+    total_queries = batch.total_queries
+    if total_queries == 0:
+        return ExecutionSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    demand_ms = 0.0
+    for name, count in batch.counts.items():
+        if count == 0:
+            continue
+        service = memo.service_time_ms(
+            epoch,
+            batch.workload_name,
+            name,
+            batch.families[name].footprint,
+            config,
+            vm,
+            hit_ratio,
+            planner,
+            commit_latency_ms,
+            data_latency_factor,
+            swap,
+        )
+        demand_ms += service * count
+    capacity_ms = vm.vcpus * batch.duration_s * 1000.0 * _SCHEDULER_EFFICIENCY
+    utilisation = min(1.0, demand_ms / capacity_ms) if capacity_ms > 0 else 1.0
+    achieved_fraction = min(1.0, capacity_ms / demand_ms) if demand_ms > 0 else 1.0
+    base_latency = demand_ms / total_queries
+    return ExecutionSummary(
+        total_queries=total_queries,
+        offered_tps=batch.requested_rps,
+        achieved_tps=total_queries * achieved_fraction / batch.duration_s,
+        avg_latency_ms=base_latency * (1.0 + 3.0 * utilisation**4),
+        cpu_utilisation=utilisation,
+        demand_cpu_ms=demand_ms,
+    )
 
 
 def choose_action_by_choice(automaton: LearningAutomaton) -> str:

@@ -1,6 +1,5 @@
 """Unit tests for the executor service-time model and metric vectors."""
 
-import numpy as np
 import pytest
 
 from repro.common.hardware import vm_type
@@ -12,6 +11,8 @@ from repro.dbsim.planner import PlannerModel
 from repro.workloads.generator import WorkloadBatch
 from repro.workloads.query import QueryFamily, QueryFootprint, QueryType
 
+from tests.reference import spill_mb_per_exec
+
 
 @pytest.fixture
 def planner():
@@ -20,7 +21,15 @@ def planner():
 
 def _service(fp, cfg, planner, hit=0.9, wlat=1.0, data_factor=1.0, swap=1.0):
     return family_service_time_ms(
-        fp, cfg, vm_type("m4.large"), hit, planner, wlat, data_factor, swap
+        fp,
+        cfg,
+        vm_type("m4.large"),
+        hit,
+        planner,
+        spill_mb_per_exec(fp, cfg),
+        wlat,
+        data_factor,
+        swap,
     )
 
 

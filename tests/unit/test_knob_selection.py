@@ -81,7 +81,7 @@ class TestSelectorCache:
         selector = KnobSelector(SelectionPolicy(), CATALOG)
         x, y = _stream(n=8)
         assert selector.subspace("w", x, y, version=1) is None
-        assert selector.counters() == (0, 0, 0, 0, 0)
+        assert selector.counters() == (0, 0, 0, 0)
 
     def test_version_keyed_hits_and_reranks(self):
         selector = KnobSelector(SelectionPolicy(), CATALOG)
@@ -92,11 +92,10 @@ class TestSelectorCache:
         # Same version: served from cache, no new rank work.
         assert selector.subspace("w", x, y, version=3) is first
         assert (selector.reranks, selector.hits) == (1, 1)
-        # New version, same rows: re-rank runs but the solved problem is
-        # bit-identical, so the previous coefficients are reused.
+        # New version, same rows: the re-rank solves the same problem.
         again = selector.subspace("w", x, y, version=4)
         assert again is not None
-        assert (selector.reranks, selector.reuses, selector.hits) == (2, 1, 1)
+        assert (selector.reranks, selector.hits) == (2, 1)
         assert again.ranking == first.ranking
 
     def test_states_keyed_per_workload(self):
@@ -139,7 +138,6 @@ class TestSelectorCache:
     def test_metric_families_cover_all_counters(self):
         assert set(KNOBSELECT_METRIC_FAMILIES) == {
             "repro_knobselect_reranks_total",
-            "repro_knobselect_reuses_total",
             "repro_knobselect_hits_total",
             "repro_knobselect_updates_total",
             "repro_knobselect_holds_total",

@@ -1,11 +1,12 @@
 """Version-keyed cache invalidation and vectorised-path parity tests.
 
 The perf work caches derived tuning state (decile bin edges, mapping
-results, per-family service times) behind the repository version
-counter / the database config epoch, and replaces scalar hot paths with
-batched equivalents. These tests pin down the two properties that make
-that safe: caches refresh exactly when their inputs change, and the
-vectorised paths match their scalar references bit for bit.
+results) behind the repository version counter, and replaces scalar hot
+paths with batched equivalents. These tests pin down the two properties
+that make that safe: caches refresh exactly when their inputs change,
+and the vectorised paths match their scalar references bit for bit. The
+engine memoises no configuration-derived term across windows, so a
+window always runs under the live configuration however it was set.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import pytest
 from repro.common.timeseries import TimeSeries
 from repro.dbsim import SimulatedDatabase
 from repro.dbsim.config import fit_values_to_budget
-from repro.dbsim.executor import ServiceTimeCache, family_service_time_ms
 from repro.tuners import TrainingSample, TuningRequest, WorkloadRepository
 from repro.tuners.base import (
     config_to_vector,
@@ -26,10 +26,14 @@ from repro.tuners.base import (
 )
 from repro.tuners.ottertune import OtterTuneTuner
 from repro.tuners.workload_mapping import WorkloadMapper
-from repro.workloads.query import QueryFamily, QueryFootprint, QueryType
+from repro.workloads.tpch import TPCHWorkload
 
 from tests.conftest import make_samples
-from tests.reference import lasso_coordinate_descent
+from tests.reference import (
+    ServiceTimeMemo,
+    lasso_coordinate_descent,
+    run_batch_memoised,
+)
 
 
 # -- refresh policy ------------------------------------------------------------
@@ -154,75 +158,46 @@ class TestMapperEdgeCache:
         assert mapper.map_workload("tpcc") is not result
 
 
-# -- executor service-time memo ------------------------------------------------
+# -- service times follow the live configuration ------------------------------
 
 
 class TestServiceTimeCache:
-    def _family(self):
-        return QueryFamily(
-            name="f",
-            query_type=QueryType.SELECT,
-            template="SELECT 1",
-            weight=1.0,
-            footprint=QueryFootprint(sort_mb=2.0, read_kb=64.0),
-        )
-
-    def test_hit_returns_exact_value(self, pg_db):
-        cache = ServiceTimeCache()
-        fam = self._family()
-        args = (
-            fam.footprint,
-            pg_db.config,
-            pg_db.vm,
-            0.9,
-            pg_db._planner,
-            1.5,
-            1.0,
-            1.0,
-        )
-        direct = family_service_time_ms(*args)
-        first = cache.service_time_ms(0, "w", "f", *args)
-        second = cache.service_time_ms(0, "w", "f", *args)
-        assert first == direct == second
-        assert cache.misses == 1 and cache.hits == 1
-
-    def test_epoch_bump_flushes(self, pg_db):
-        cache = ServiceTimeCache()
-        fam = self._family()
-        args = (
-            fam.footprint,
-            pg_db.config,
-            pg_db.vm,
-            0.9,
-            pg_db._planner,
-            1.5,
-            1.0,
-            1.0,
-        )
-        cache.service_time_ms(0, "w", "f", *args)
-        cache.service_time_ms(1, "w", "f", *args)
-        assert cache.misses == 2 and cache.hits == 0
-
-    def test_database_bumps_epoch_on_apply(self, pg_db):
-        epoch = pg_db.config_epoch
-        bigger = pg_db.config.with_values({"work_mem": 64.0})
-        pg_db.apply_config(bigger, mode="reload")
-        assert pg_db.config_epoch == epoch + 1
-        restart = pg_db.config.with_values({"shared_buffers": 2048})
-        pg_db.apply_config(restart, mode="restart")
-        assert pg_db.config_epoch == epoch + 2
-
     def test_reconfigured_run_uses_fresh_service_times(self, pg_db, tpcc):
-        """End to end: a reload must change results despite the memo."""
+        """End to end: a restart with a new config changes results."""
         pg_db.run(tpcc.batch(20.0))
         baseline = pg_db.run(tpcc.batch(20.0)).throughput
-        assert pg_db._service_cache.hits > 0
         boosted = pg_db.config.with_values(
             {"shared_buffers": 4096, "work_mem": 256.0}
         )
         pg_db.apply_config(boosted, mode="restart")
         pg_db.run(tpcc.batch(20.0))
         assert pg_db.run(tpcc.batch(20.0)).throughput != baseline
+
+    def test_direct_config_assignment_reprices_next_window(self):
+        """A window after ``db.config = ...`` is costed under the new config.
+
+        Figures and tests set ``config`` directly, outside ``apply_config``;
+        the second window's service times must come from the new
+        ``work_mem``, not the first window's configuration.
+        """
+        db = SimulatedDatabase("postgres", "m4.large", data_size_gb=24.0, seed=7)
+        workload = TPCHWorkload(rps=4.0, data_size_gb=24.0, seed=11)
+        first = db.run(workload.batch(300.0))
+        db.config = db.config.with_values({"work_mem": 1024.0})
+        second = db.run(workload.batch(300.0))
+        assert second.spill.spill_read_write_mb < first.spill.spill_read_write_mb
+        expected = run_batch_memoised(
+            second.batch,
+            db.config,
+            db.vm,
+            second.hit_ratio,
+            db._planner,
+            second.wal_disk.write_latency.mean(),
+            max(1.0, second.data_disk.write_latency.mean() / db.vm.disk.base_latency_ms),
+            second.swap,
+            ServiceTimeMemo(),
+        )
+        assert second.summary == expected
 
 
 # -- vectorised-path parity ----------------------------------------------------

@@ -100,7 +100,6 @@ KNOWN_UNREACHED: tuple[tuple[str, str, str], ...] = (
      "reached by the ablation_hybrid bench"),
     ("repro/dbsim/planner.py", "PlannerModel.explain PlanEstimate.*", _REFERENCE),
     ("repro/dbsim/engine.py", "SimulatedDatabase.explain", _REFERENCE),
-    ("repro/dbsim/executor.py", "family_service_time_ms", _REFERENCE),
     ("repro/core/director/config_director.py", "ConfigDirector._serve_fallback",
      "fault path: every tuner instance tripped or unreachable"),
     ("repro/core/director/breaker.py",
