@@ -50,7 +50,7 @@ import ast
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
-from repro.analysis.project import ClassInfo, FunctionInfo, ProjectIndex
+from repro.analysis.project import FunctionInfo, ProjectIndex
 
 __all__ = [
     "Tag",

@@ -386,12 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "whole-program index, dataflow pass and call graph once, then "
         "checks shard-divergence invariants across function boundaries",
     )
-    lint.add_argument(
-        "--changed-only", action="store_true", dest="changed_only",
-        help="lint only files changed vs the git merge-base with the "
-        "default branch (plus untracked files); falls back to the "
-        "given paths when git is unavailable",
-    )
     return parser
 
 
@@ -424,64 +418,9 @@ def _run_lint(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    if args.changed_only:
-        changed = _changed_python_files(paths)
-        if changed is not None:
-            paths = changed
     findings = linter.lint_paths(paths)
     print(render(findings, args.fmt))
     return 1 if findings else 0
-
-
-def _changed_python_files(paths: "list[Path]") -> "list[Path] | None":
-    """Python files under *paths* changed vs the default-branch merge-base.
-
-    The fast pre-commit path: the working tree's diff against the
-    merge-base with ``origin/main`` (first of origin/main, origin/master,
-    main, master that resolves), plus untracked files. Returns ``None``
-    — lint everything — when git is unavailable or errors, so
-    ``--changed-only`` can never *hide* findings by failing silently.
-    """
-    import subprocess
-    from pathlib import Path
-
-    def git(*argv: str) -> str:
-        result = subprocess.run(
-            ["git", *argv], capture_output=True, text=True, check=False
-        )
-        if result.returncode != 0:
-            raise OSError(result.stderr.strip())
-        return result.stdout
-
-    try:
-        base = ""
-        for ref in ("origin/main", "origin/master", "main", "master"):
-            try:
-                base = git("merge-base", "HEAD", ref).strip()
-                break
-            except OSError:
-                continue
-        names = set(
-            git("diff", "--name-only", base or "HEAD").splitlines()
-        )
-        names.update(
-            git("ls-files", "--others", "--exclude-standard").splitlines()
-        )
-        toplevel = Path(git("rev-parse", "--show-toplevel").strip())
-    except OSError:
-        return None
-    roots = [p.resolve() for p in paths]
-    changed: list[Path] = []
-    for name in sorted(names):
-        candidate = toplevel / name
-        if candidate.suffix != ".py" or not candidate.is_file():
-            continue
-        resolved = candidate.resolve()
-        if any(
-            resolved == root or root in resolved.parents for root in roots
-        ):
-            changed.append(candidate)
-    return changed
 
 
 def _run_trace(args: argparse.Namespace) -> int:

@@ -3,9 +3,8 @@
 §5 provisions everything through cloud-foundry managed by Bosh: 12 tuner
 instances, 5 config-director instances and 80 live database deployments
 across five VM plans, plus bare service replicas per plan for validating
-recommendations. :class:`Provisioner` is the registry that spawns and
-tracks those deployments in the simulation, and gives each its access
-credentials.
+recommendations. :class:`Provisioner` spawns those deployments in the
+simulation and gives each its access credentials.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class ServiceDeployment:
 
 
 class Provisioner:
-    """Spawns and tracks service deployments on VM plans."""
+    """Spawns service deployments on VM plans."""
 
     def __init__(
         self,
@@ -57,7 +56,6 @@ class Provisioner:
             raise ValueError("start_index must be >= 0")
         self._rng = make_rng(seed)
         self._counter = itertools.count(start_index)
-        self._deployments: dict[str, ServiceDeployment] = {}
 
     def provision(
         self,
@@ -89,19 +87,4 @@ class Provisioner:
             credentials=Credentials(instance_id, f"admin_{index}", password),
             labels=dict(labels or {}),
         )
-        self._deployments[instance_id] = deployment
         return deployment
-
-    def get(self, instance_id: str) -> ServiceDeployment:
-        """Deployment by id."""
-        try:
-            return self._deployments[instance_id]
-        except KeyError:
-            raise KeyError(f"unknown deployment {instance_id!r}") from None
-
-    def deployments(self) -> list[ServiceDeployment]:
-        """All live deployments, provision order."""
-        return list(self._deployments.values())
-
-    def __len__(self) -> int:
-        return len(self._deployments)

@@ -21,7 +21,6 @@ from repro.core.apply.reconciler import (
 )
 from repro.core.apply.restart import (
     ApplyStrategy,
-    FullRestartStrategy,
     PeriodicReloadDriver,
     ReloadSignalStrategy,
     SocketActivationStrategy,
@@ -37,7 +36,6 @@ __all__ = [
     "DatabaseAdapter",
     "DowntimeDecision",
     "DowntimeWindow",
-    "FullRestartStrategy",
     "MySQLAdapter",
     "NodeApplyResult",
     "NonTunableKnobPolicy",

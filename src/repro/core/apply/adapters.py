@@ -56,10 +56,6 @@ class DatabaseAdapter(abc.ABC):
             skipped_restart_required=tuple(outcome.skipped_restart_required),
         )
 
-    def read_config(self, node: SimulatedDatabase) -> KnobConfiguration:
-        """Current configuration of *node* (the reconciler's watch input)."""
-        return node.config
-
 
 class PostgresAdapter(DatabaseAdapter):
     """Adapter for PostgreSQL-flavoured nodes (SIGHUP reload semantics)."""

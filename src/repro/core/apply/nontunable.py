@@ -35,10 +35,6 @@ class DowntimeDecision:
     new_value_mb: float
     rule: str
 
-    @property
-    def changed(self) -> bool:
-        return self.new_value_mb != self.old_value_mb
-
 
 class NonTunableKnobPolicy:
     """§4's scheduled-downtime buffer-pool resizing policy."""

@@ -37,9 +37,6 @@ class DowntimeWindow:
     start_s: float
     duration_s: float
 
-    def contains(self, time_s: float) -> bool:
-        return self.start_s <= time_s < self.start_s + self.duration_s
-
 
 class ServiceOrchestrator:
     """Per-landscape orchestrator over provisioned deployments."""

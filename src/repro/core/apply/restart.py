@@ -30,7 +30,6 @@ __all__ = [
     "ApplyStrategy",
     "ReloadSignalStrategy",
     "SocketActivationStrategy",
-    "FullRestartStrategy",
     "PeriodicReloadDriver",
 ]
 
@@ -61,15 +60,6 @@ class SocketActivationStrategy(ApplyStrategy):
 
     def apply(self, node: SimulatedDatabase, config: KnobConfiguration) -> None:
         node.apply_config(config, mode="socket")
-
-
-class FullRestartStrategy(ApplyStrategy):
-    """Plain restart: all knobs, full downtime (scheduled windows only)."""
-
-    name = "full_restart"
-
-    def apply(self, node: SimulatedDatabase, config: KnobConfiguration) -> None:
-        node.apply_config(config, mode="restart")
 
 
 @dataclass

@@ -212,8 +212,8 @@ class ConfigDirector:
         self.fallbacks_served += 1
         self.recorder.event("director.fallback", instance=request.instance_id)
         self.recorder.inc("repro_fallbacks_served_total")
-        latest = self.configs.latest(request.instance_id)
-        config = latest.config if latest is not None else request.config
+        history = self.configs.history(request.instance_id)
+        config = history[-1].config if history else request.config
         recommendation = Recommendation(
             instance_id=request.instance_id,
             config=self._apply_floors(request.instance_id, config),

@@ -53,11 +53,6 @@ class ConfigRepository:
         versions.append(entry)
         return entry
 
-    def latest(self, instance_id: str) -> ConfigVersion | None:
-        """Most recent version, or ``None`` if nothing stored."""
-        versions = self._history.get(instance_id)
-        return versions[-1] if versions else None
-
     def history(self, instance_id: str) -> list[ConfigVersion]:
         """Full version history (oldest first)."""
         return list(self._history.get(instance_id, []))
@@ -83,6 +78,3 @@ class ConfigRepository:
         if not values:
             return None
         return percentile(values, q)
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._history.values())

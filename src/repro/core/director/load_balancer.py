@@ -69,7 +69,7 @@ class LeastLoadedBalancer:
             raise NoHealthyTuners(
                 "no tuner instance in rotation "
                 f"({len(self.instances)} registered, "
-                f"{len(self.healthy_instances())} healthy, "
+                f"{sum(inst.healthy for inst in self.instances)} healthy, "
                 f"{len(tuple(exclude))} excluded)"
             )
         return min(candidates, key=lambda inst: inst.outstanding_s)
@@ -83,17 +83,6 @@ class LeastLoadedBalancer:
 
     # -- rotation management ---------------------------------------------------
 
-    def get(self, instance_id: str) -> TunerInstance:
-        """Instance by id (KeyError on unknown ids)."""
-        try:
-            return self._by_id[instance_id]
-        except KeyError:
-            raise KeyError(f"unknown tuner instance {instance_id!r}") from None
-
-    def healthy_instances(self) -> list[TunerInstance]:
-        """Instances currently in rotation."""
-        return [inst for inst in self.instances if inst.healthy]
-
     def set_health(self, instance_id: str, healthy: bool) -> None:
         """Move an instance in or out of rotation."""
-        self.get(instance_id).healthy = healthy
+        self._by_id[instance_id].healthy = healthy

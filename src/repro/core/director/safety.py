@@ -369,11 +369,6 @@ class SafetyGovernor:
                 return incident.restored_config
         return None
 
-    def watching(self, instance_id: str) -> bool:
-        """Whether *instance_id* has a promotion under watch."""
-        state = self._states.get(instance_id)
-        return state.watching if state is not None else False
-
     def _state(self, instance_id: str) -> _InstanceState:
         state = self._states.get(instance_id)
         if state is None:

@@ -9,7 +9,6 @@ from repro.core.tde.entropy import (
     QUERY_CLASSES,
     EntropyFilter,
     QueryClassHistogram,
-    classify_query,
     normalized_entropy,
 )
 from repro.core.tde.mdp import AutomatonStep, LearningAutomaton
@@ -34,6 +33,5 @@ __all__ = [
     "ThrottleLog",
     "ThrottlingDetectionEngine",
     "checkpoint_latency_ratio",
-    "classify_query",
     "normalized_entropy",
 ]

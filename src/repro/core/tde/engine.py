@@ -47,15 +47,6 @@ class TDEReport:
         """
         return any(not t.requires_restart for t in self.throttles)
 
-    @property
-    def restart_required_throttles(self) -> list[Throttle]:
-        """Throttles that can only be acted on at scheduled downtime."""
-        return [t for t in self.throttles if t.requires_restart]
-
-    def classes(self) -> set[KnobClass]:
-        """Knob classes implicated this round."""
-        return {t.knob_class for t in self.throttles}
-
     def focus(self) -> tuple[str | None, tuple[str, ...]]:
         """How this round labels a tuning request: ``(class, knobs)``.
 

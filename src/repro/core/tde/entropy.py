@@ -25,12 +25,11 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.workloads.query import Query, QueryRows
+from repro.workloads.query import QueryRows
 
 __all__ = [
     "normalized_entropy",
     "classify_footprints",
-    "classify_query",
     "QueryClassHistogram",
     "EntropyFilter",
     "QUERY_CLASSES",
@@ -91,12 +90,6 @@ def classify_footprints(footprints: np.ndarray) -> np.ndarray:
     return classes
 
 
-def classify_query(query: Query) -> str:
-    """The query class of one query (see :func:`classify_footprints`)."""
-    row = np.array([query.footprint.columns])
-    return QUERY_CLASSES[int(classify_footprints(row)[0])]
-
-
 class QueryClassHistogram:
     """The per-window hash table of query-class frequencies (§3.1)."""
 
@@ -110,21 +103,9 @@ class QueryClassHistogram:
                 classify_footprints(rows.footprints), minlength=len(QUERY_CLASSES)
             )
 
-    def counts(self) -> dict[str, int]:
-        """Frequencies over all defined classes (zero-filled)."""
-        return dict(zip(QUERY_CLASSES, self._counts.tolist()))
-
     def entropy(self) -> float:
         """Normalized entropy of the class distribution."""
         return normalized_entropy(self._counts.tolist())
-
-    def frequency(self, cls: str) -> float:
-        """Relative frequency of *cls* (0 if nothing observed)."""
-        total = int(self._counts.sum())
-        index = _CLASS_INDEX.get(cls)
-        if total == 0 or index is None:
-            return 0.0
-        return int(self._counts[index]) / total
 
     def reset(self) -> None:
         self._counts[:] = 0
@@ -155,11 +136,6 @@ class EntropyFilter:
         self._consecutive = 0
         self.last_entropy: float | None = None
         self.entropy_hits = 0
-
-    @property
-    def consecutive(self) -> int:
-        """Current consecutive-throttle count."""
-        return self._consecutive
 
     def record_quiet_window(self) -> None:
         """A window without memory throttles breaks the streak."""

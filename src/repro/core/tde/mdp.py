@@ -74,11 +74,6 @@ class LearningAutomaton:
         self._p = {action: 0.5 for action in _ACTIONS}
         self.history: list[AutomatonStep] = []
 
-    @property
-    def probabilities(self) -> dict[str, float]:
-        """Current action probabilities."""
-        return dict(self._p)
-
     def choose_action(self) -> str:
         """Sample an action from the current distribution (the H mapping).
 

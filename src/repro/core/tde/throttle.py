@@ -76,6 +76,3 @@ class ThrottleLog:
         for throttle in self.throttles:
             out[throttle.knob_class] += 1
         return out
-
-    def __len__(self) -> int:
-        return len(self.throttles)

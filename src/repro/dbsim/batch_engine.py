@@ -59,9 +59,6 @@ class MemberBatch:
     def __init__(self, databases: Sequence[SimulatedDatabase]) -> None:
         self._dbs = list(databases)
 
-    def __len__(self) -> int:
-        return len(self._dbs)
-
     def step_window(
         self, batches: Sequence[WorkloadBatch]
     ) -> list[ExecutionResult]:

@@ -87,9 +87,6 @@ class KnobConfiguration:
         self.catalog.get(name)  # raise a flavour-aware KeyError if unknown
         return self._values[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnobConfiguration):
             return NotImplemented

@@ -99,10 +99,6 @@ class ExecutionResult:
     def throughput(self) -> float:
         return self.summary.achieved_tps
 
-    @property
-    def latency_ms(self) -> float:
-        return self.summary.avg_latency_ms
-
 
 class SimulatedDatabase:
     """One database service instance on one VM.

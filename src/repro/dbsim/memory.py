@@ -85,11 +85,6 @@ class SpillReport:
     spilled_categories: set[str] = field(default_factory=set)
     temp_files: int = 0
 
-    @property
-    def any_spill(self) -> bool:
-        """Whether any family spilled to disk in this batch."""
-        return bool(self.spilled_families)
-
 
 def buffer_hit_ratio(buffer_mb: float, data_size_gb: float) -> float:
     """Buffer-pool hit ratio given the pool size and loaded data volume.

@@ -89,12 +89,3 @@ class MetricsDelta:
     def throughput(self) -> float:
         """Achieved transactions per second."""
         return self.values["throughput_tps"]
-
-    @property
-    def latency_ms(self) -> float:
-        """Mean query latency in milliseconds."""
-        return self.values["avg_latency_ms"]
-
-    def scaled_copy(self, factor: float) -> "MetricsDelta":
-        """All values scaled by *factor* (test helper for synthetic data)."""
-        return MetricsDelta({k: v * factor for k, v in self.values.items()})

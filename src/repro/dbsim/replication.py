@@ -80,7 +80,3 @@ class ReplicatedService:
     def configs_consistent(self) -> bool:
         """Whether every node runs the same configuration."""
         return all(node.config == self.master.config for node in self.slaves)
-
-    def any_crashed(self) -> bool:
-        """Whether any node is down."""
-        return any(node.crashed for node in self.nodes)

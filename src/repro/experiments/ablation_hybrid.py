@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.dbsim.engine import SimulatedDatabase
 from repro.dbsim.knobs import postgres_catalog
 from repro.experiments.common import offline_train
-from repro.tuners.base import TrainingSample, Tuner, TuningRequest
+from repro.tuners.base import TrainingSample, TuningRequest
 from repro.tuners.cdbtune import CDBTuneTuner
 from repro.tuners.hybrid import HybridTuner
 from repro.tuners.ottertune import OtterTuneTuner
@@ -41,7 +41,9 @@ class TunerProfile:
         return _PERIOD_S / max(self.recommendation_cost_s, 1e-9)
 
 
-def _closed_loop(tuner: Tuner, iterations: int, seed: int) -> tuple[float, float]:
+def _closed_loop(
+    tuner: OtterTuneTuner | CDBTuneTuner | HybridTuner, iterations: int, seed: int
+) -> tuple[float, float]:
     db = SimulatedDatabase("postgres", "m4.large", 26.0, seed=seed)
     workload = TPCCWorkload(rps=12_000.0, seed=seed + 1)
     measured: list[float] = []
@@ -78,7 +80,7 @@ def run(iterations: int = 6, seed: int = 0) -> list[TunerProfile]:
         )
         # Model the paper's production repository scale for the cost side.
         if name == "ottertune":
-            tuner: Tuner = OtterTuneTuner(
+            tuner: OtterTuneTuner | CDBTuneTuner | HybridTuner = OtterTuneTuner(
                 catalog, repository, memory_limit_mb=6553.6, seed=seed + 3
             )
         elif name == "cdbtune":

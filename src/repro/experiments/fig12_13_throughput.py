@@ -48,12 +48,6 @@ class ThroughputSeries:
     gated_requests: int = 0
     ungated_requests: int = 0
 
-    def mean_gated(self) -> float:
-        return sum(self.gated_tps) / len(self.gated_tps)
-
-    def mean_ungated(self) -> float:
-        return sum(self.ungated_tps) / len(self.ungated_tps)
-
     def daytime_mean(self, series: list[float]) -> float:
         """Mean over the loaded 8 AM – 10 PM hours."""
         day = [v for h, v in zip(self.hours, series) if 8 <= h <= 22]

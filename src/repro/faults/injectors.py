@@ -129,9 +129,6 @@ class FaultyTuner(Tuner):
         self.name = inner.name
         self._adversarial_rng: np.random.Generator | None = None
 
-    def observe(self, sample: TrainingSample) -> None:
-        self.inner.observe(sample)
-
     def learn(self, sample: TrainingSample) -> None:
         self.inner.learn(sample)
 
@@ -254,9 +251,6 @@ class FaultyAdapter(DatabaseAdapter):
                 error=f"injected crash mid-apply on {target}",
             )
         return self.inner.apply(node, config, mode=mode)
-
-    def read_config(self, node: SimulatedDatabase) -> KnobConfiguration:
-        return self.inner.read_config(node)
 
 
 def strip_telemetry(result: ExecutionResult) -> ExecutionResult:

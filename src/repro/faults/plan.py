@@ -105,9 +105,6 @@ class FaultPlan:
         )
         object.__setattr__(self, "events", ordered)
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def active(
         self, kind: FaultKind, target: str, now_s: float
     ) -> FaultEvent | None:
@@ -116,10 +113,6 @@ class FaultPlan:
             if event.kind is kind and event.active(target, now_s):
                 return event
         return None
-
-    def by_kind(self, kind: FaultKind) -> tuple[FaultEvent, ...]:
-        """All scheduled events of one kind."""
-        return tuple(e for e in self.events if e.kind is kind)
 
     def last_fault_end_s(self) -> float:
         """When the final scheduled fault clears (0.0 for an empty plan)."""

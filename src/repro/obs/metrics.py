@@ -249,13 +249,6 @@ class MetricsRegistry:
 
     # -- inspection --------------------------------------------------------------
 
-    def value(self, name: str, **labels: str) -> float:
-        """Current counter/gauge value (0.0 for a never-touched label set)."""
-        family = self.families.get(name)
-        if family is None or family.kind == "histogram":
-            return 0.0
-        return family.series.get(_label_key(labels), 0.0)
-
     def samples(self) -> Iterator[MetricSample]:
         """Every flattened sample, families in name order."""
         for name in sorted(self.families):

@@ -10,8 +10,7 @@ Both the BO-style (:mod:`repro.tuners.ottertune`) and RL-style
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -191,61 +190,14 @@ def boost_throttled_knobs(
     return config.with_values(updates) if updates else config
 
 
-@dataclass(slots=True, init=False)
+@dataclass(slots=True)
 class Recommendation:
-    """A recommended configuration for one service instance.
-
-    ``ranked_knobs`` (most important knob first) is a report derived from
-    the tuner's training set, and computing it can cost more than the
-    recommendation itself. A tuner may therefore pass a zero-argument
-    callable instead of the list: it is called on the first read of
-    :attr:`ranked_knobs` and its result kept. Equality and ``repr`` cover
-    the recommendation, not the report, so neither forces a solve;
-    pickling or copying resolves it first, so the callable never travels
-    with the copy.
-    """
+    """A recommended configuration for one service instance."""
 
     instance_id: str
     config: KnobConfiguration
     source: str
-    expected_improvement: float
-    _ranked: list[str] | Callable[[], list[str]] = field(repr=False, compare=False)
-
-    def __init__(
-        self,
-        instance_id: str,
-        config: KnobConfiguration,
-        source: str,
-        expected_improvement: float = 0.0,
-        ranked_knobs: list[str] | Callable[[], list[str]] | None = None,
-    ) -> None:
-        self.instance_id = instance_id
-        self.config = config
-        self.source = source
-        self.expected_improvement = expected_improvement
-        self._ranked = [] if ranked_knobs is None else ranked_knobs
-
-    @property
-    def ranked_knobs(self) -> list[str]:
-        """Knob names by importance, resolved on first read."""
-        if callable(self._ranked):
-            self._ranked = self._ranked()
-        return self._ranked
-
-    def __reduce__(
-        self,
-    ) -> tuple[type[Recommendation], tuple[str, KnobConfiguration, str, float, list[str]]]:
-        """Pickle and copy by value, with the ranking resolved."""
-        return (
-            Recommendation,
-            (
-                self.instance_id,
-                self.config,
-                self.source,
-                self.expected_improvement,
-                self.ranked_knobs,
-            ),
-        )
+    expected_improvement: float = 0.0
 
     def restart_required_changes(
         self, current: KnobConfiguration
@@ -281,10 +233,6 @@ class Tuner(abc.ABC):
         implementation, so new tuner kinds stay byte-identical until
         they explicitly support one.
         """
-
-    @abc.abstractmethod
-    def observe(self, sample: TrainingSample) -> None:
-        """Absorb one training sample (store it and learn from it)."""
 
     def learn(self, sample: TrainingSample) -> None:
         """Learn from a sample *without* storing it anywhere.

@@ -30,7 +30,6 @@ from repro.tuners.base import (
     Tuner,
     TuningRequest,
     boost_throttled_knobs,
-    config_to_vector,
     vector_to_config,
 )
 from repro.tuners.neural import MLP, Adam, soft_update
@@ -189,15 +188,8 @@ class CDBTuneTuner(Tuner):
             config = config.fitted_to_budget(
                 self.memory_limit_mb, self.active_connections
             )
-        current = config_to_vector(request.config)
-        names = self.catalog.names()
-        moved = np.argsort(-np.abs(action - current))
         return Recommendation(
-            instance_id=request.instance_id,
-            config=config,
-            source=self.name,
-            expected_improvement=0.0,
-            ranked_knobs=[names[i] for i in moved],
+            instance_id=request.instance_id, config=config, source=self.name
         )
 
     def recommendation_cost_s(self) -> float:

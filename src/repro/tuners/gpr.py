@@ -74,15 +74,6 @@ class GaussianProcessRegressor:
         self._y_mean = 0.0
         self._y_std = 1.0
 
-    @property
-    def is_fitted(self) -> bool:
-        return self._x is not None
-
-    @property
-    def n_train(self) -> int:
-        """Number of training points."""
-        return 0 if self._x is None else len(self._x)
-
     def _kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         sq = (
             np.sum(a**2, axis=1)[:, None]

@@ -265,10 +265,6 @@ class KnobSelector:
         """Full catalog width d."""
         return len(self._names)
 
-    def excluded_knobs(self) -> tuple[str, ...]:
-        """Automaton-owned knob names barred from every subspace."""
-        return tuple(sorted(self._names[i] for i in self._excluded))
-
     def note_automaton_signal(self, knob_name: str) -> None:
         """Record a TDE-automaton throttle on *knob_name*.
 
@@ -287,13 +283,6 @@ class KnobSelector:
         if state is None or state.active is None:
             return None
         return tuple(self._names[i] for i in state.active)
-
-    def importance(self, workload_id: str) -> tuple[str, ...] | None:
-        """Full knob importance order from the latest re-rank (names)."""
-        state = self._states.get(workload_id)
-        if state is None or state.subspace is None:
-            return None
-        return tuple(self._names[i] for i in state.subspace.ranking)
 
     def counters(self) -> tuple[int, int, int, int]:
         """Snapshot of (reranks, hits, updates, holds)."""

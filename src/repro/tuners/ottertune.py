@@ -12,9 +12,7 @@ Pipeline per recommendation:
    the target's own (target last, so its evidence dominates duplicates),
    capped at the ``max_train_samples`` most recent rows;
 4. maximise GP-UCB over random candidate configurations plus local
-   perturbations of the best seen, honouring the VM memory budget;
-5. rank knob importance with a Lasso path for the recommendation report
-   (lazily: the path is solved only when ``ranked_knobs`` is read).
+   perturbations of the best seen, honouring the VM memory budget.
 
 Every request rebuilds its training set and refits its GPR: in the
 tuning loop a sample upload precedes each request, so fits keyed on the
@@ -32,7 +30,6 @@ flat, noisy response surface whose argmax is close to random.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -63,8 +60,6 @@ from repro.tuners.surrogate import SurrogateScreen
 from repro.tuners.workload_mapping import WorkloadMapper
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
-
     from repro.core.features import Features
 
 __all__ = ["OtterTuneTuner"]
@@ -204,12 +199,10 @@ class OtterTuneTuner(Tuner):
         )
         best = int(np.argmax(scores))
         winner = vector_to_config(candidates[best], self.catalog)
-        ranked_knobs: list[str] | Callable[[], list[str]]
         if sub is None:
             config = self._repair(boost_throttled_knobs(winner, request))
-            ranked_knobs = partial(self.ranked_knobs, x, y)
         else:
-            config, ranked_knobs = self._subspace_tail(request, sub, winner)
+            config = self._subspace_tail(request, sub, winner)
         best_mean = float(gpr.predict(candidates[best, cols][None, :])[0])
         current_pred = float(gpr.predict(incumbent[cols][None, :])[0])
         return Recommendation(
@@ -219,7 +212,6 @@ class OtterTuneTuner(Tuner):
             # Posterior-mean difference: the UCB's exploration bonus is a
             # selection criterion, not an improvement estimate.
             expected_improvement=best_mean - current_pred,
-            ranked_knobs=ranked_knobs,
         )
 
     def recommendation_cost_s(self) -> float:
@@ -406,8 +398,8 @@ class OtterTuneTuner(Tuner):
 
     def _subspace_tail(
         self, request: TuningRequest, sub: Subspace, winner: KnobConfiguration
-    ) -> tuple[KnobConfiguration, list[str]]:
-        """The recommended config and knob ranking inside subspace *sub*.
+    ) -> KnobConfiguration:
+        """The recommended config inside subspace *sub*.
 
         Only the active knobs move; inactive knobs keep the incumbent's
         float values bit-for-bit (they are never run through the
@@ -438,7 +430,7 @@ class OtterTuneTuner(Tuner):
                 self.memory_limit_mb,
                 self.active_connections,
             )
-        return config, list(selector.importance(request.workload_id) or ())
+        return config
 
     def _repair(self, config: KnobConfiguration) -> KnobConfiguration:
         if self.memory_limit_mb is None:

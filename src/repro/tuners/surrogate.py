@@ -171,15 +171,6 @@ class CoresetGPR:
         self._y_mean = 0.0
         self._y_std = 1.0
 
-    @property
-    def is_fitted(self) -> bool:
-        return self._x is not None
-
-    @property
-    def coreset_size(self) -> int:
-        """Rows the fitted model actually retains."""
-        return 0 if self._x is None else len(self._x)
-
     def _kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         sq = (
             np.sum(a**2, axis=1)[:, None]
@@ -237,7 +228,7 @@ class CoresetGPR:
             or self._alpha is None
             or self._k_inv is None
         ):
-            raise RuntimeError("predict() before fit()")
+            raise RuntimeError("ucb() before fit()")
         x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
         # Inlined kernel block against the precomputed training pieces.
         sq = x_new @ self._xt
@@ -255,13 +246,6 @@ class CoresetGPR:
         )
         np.maximum(var, 1e-12, out=var)
         return mean, np.sqrt(var) * self._y_std
-
-    def predict(
-        self, x_new: np.ndarray, return_std: bool = False
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """Posterior mean (and optionally std) at *x_new* (n, d)."""
-        mean, std = self._mean_std(x_new)
-        return (mean, std) if return_std else mean
 
     def ucb(self, x_new: np.ndarray, kappa: float) -> np.ndarray:
         """Upper confidence bound ``mean + kappa * std`` at *x_new*."""

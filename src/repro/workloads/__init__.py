@@ -7,7 +7,7 @@ proprietary 33-day production trace.
 """
 
 from repro.workloads.adulterated import AdulteratedTPCCWorkload, adulteration_families
-from repro.workloads.generator import MixWorkload, WorkloadBatch, WorkloadGenerator
+from repro.workloads.generator import WorkloadBatch, WorkloadGenerator
 from repro.workloads.production import ProductionWorkload, diurnal_profile
 from repro.workloads.query import Query, QueryFamily, QueryFootprint, QueryRows, QueryType
 from repro.workloads.sampling import ReservoirSampler
@@ -20,7 +20,6 @@ from repro.workloads.ycsb import YCSBWorkload
 
 __all__ = [
     "AdulteratedTPCCWorkload",
-    "MixWorkload",
     "ProductionWorkload",
     "Query",
     "QueryFamily",

@@ -28,7 +28,7 @@ import numpy as np
 from repro.common.rng import derive_rng, make_rng
 from repro.workloads.query import QueryFamily, QueryRows, QueryType, jitter_columns
 
-__all__ = ["WorkloadBatch", "WorkloadGenerator", "MixWorkload"]
+__all__ = ["WorkloadBatch", "WorkloadGenerator"]
 
 
 @dataclass
@@ -149,9 +149,6 @@ class WorkloadGenerator:
         self._family_list = tuple(self.families.values())
         self._base = np.array([fam.footprint.columns for fam in self._family_list])
 
-    def _build_families(self) -> list[QueryFamily]:
-        raise NotImplementedError
-
     def rate_at(self, time_s: float) -> float:
         """Offered rate at simulated time *time_s*; constant by default."""
         del time_s
@@ -189,26 +186,3 @@ class WorkloadGenerator:
             sampled_queries=QueryRows(families, index[:n], footprints[:n]),
             family_examples=QueryRows(families, index[n:], footprints[n:]),
         )
-
-
-class MixWorkload(WorkloadGenerator):
-    """A workload assembled from an explicit family list.
-
-    Useful in tests and for ad-hoc scenarios; the standard benchmarks
-    subclass :class:`WorkloadGenerator` directly.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        families: list[QueryFamily],
-        rps: float,
-        data_size_gb: float,
-        seed: int | np.random.Generator | None = 0,
-        sample_size: int = 200,
-    ) -> None:
-        self._families_spec = list(families)
-        super().__init__(name, rps, data_size_gb, seed=seed, sample_size=sample_size)
-
-    def _build_families(self) -> list[QueryFamily]:
-        return list(self._families_spec)

@@ -20,7 +20,7 @@ added to the adulterated TPC-C need ~350 MB).
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import overload
 
@@ -68,11 +68,6 @@ class QueryType(enum.Enum):
         """Whether the statement dirties pages / produces WAL."""
         return self in _WRITE_TYPES
 
-    @property
-    def is_maintenance(self) -> bool:
-        """DDL-style statements charged to maintenance working memory."""
-        return self in _MAINTENANCE_TYPES
-
 
 _WRITE_TYPES = frozenset(
     {
@@ -82,15 +77,6 @@ _WRITE_TYPES = frozenset(
         QueryType.INDEX_CREATE,
         QueryType.INDEX_DROP,
         QueryType.TEMP_TABLE,
-        QueryType.ALTER_TABLE,
-    }
-)
-
-_MAINTENANCE_TYPES = frozenset(
-    {
-        QueryType.INDEX_CREATE,
-        QueryType.INDEX_DROP,
-        QueryType.DELETE,
         QueryType.ALTER_TABLE,
     }
 )
@@ -222,10 +208,6 @@ class Query:
     text: str
     footprint: QueryFootprint
 
-    @property
-    def is_write(self) -> bool:
-        return self.query_type.is_write
-
 
 class QueryRows(Sequence[Query]):
     """Rows of a query-log sample, held as columns.
@@ -269,17 +251,6 @@ class QueryRows(Sequence[Query]):
     def __len__(self) -> int:
         return len(self.family_index)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QueryRows):
-            return NotImplemented
-        return (
-            self.families == other.families
-            and np.array_equal(self.family_index, other.family_index)
-            and np.array_equal(self.footprints, other.footprints)
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:
         # Exact: Python float reprs round-trip, numpy's array repr rounds.
         return (
@@ -317,9 +288,6 @@ class QueryRows(Sequence[Query]):
                 planner_sensitivity=base.planner_sensitivity,
             )
         )
-
-    def __iter__(self) -> Iterator[Query]:
-        return (self[row] for row in range(len(self)))
 
     def appearances(self) -> list[tuple[int, int, int]]:
         """``(family, first_row, last_row)`` per family present.

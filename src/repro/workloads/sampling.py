@@ -10,7 +10,6 @@ form, which is exact.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from typing import Generic, TypeVar
 
 import numpy as np
@@ -53,11 +52,6 @@ class ReservoirSampler(Generic[T]):
         if slot < self.capacity:
             self._reservoir[slot] = item
 
-    def observe_many(self, items: Iterable[T]) -> None:
-        """Offer every item of *items* in order."""
-        for item in items:
-            self.observe(item)
-
     @property
     def sample(self) -> list[T]:
         """Copy of the current reservoir contents."""
@@ -67,11 +61,3 @@ class ReservoirSampler(Generic[T]):
     def seen(self) -> int:
         """Total number of items observed."""
         return self._seen
-
-    def __len__(self) -> int:
-        return len(self._reservoir)
-
-    def reset(self) -> None:
-        """Empty the reservoir and the seen counter (new sampling window)."""
-        self._reservoir.clear()
-        self._seen = 0

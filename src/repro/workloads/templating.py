@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.workloads.query import Query, QueryRows
+    from repro.workloads.query import QueryRows
 
 __all__ = [
     "make_template",
@@ -68,25 +68,16 @@ class TemplateStats:
     #: The latest row seen with this template: ``(rows, row)``.
     example_at: tuple[QueryRows, int] | None = None
 
-    @property
-    def example(self) -> Query | None:
-        """The latest statement seen with this template (built on read)."""
-        if self.example_at is None:
-            return None
-        rows, row = self.example_at
-        return rows[row]
-
 
 class TemplateCatalog:
     """Streaming template extractor with per-template frequencies.
 
-    Feed it the log's rows with :meth:`observe_rows`; read back the known
-    templates, their counts and a representative query per template.
+    Feed it the log's rows with :meth:`observe_rows`; read back a
+    template's count and latest row with :meth:`stats`.
     """
 
     def __init__(self) -> None:
         self._stats: dict[str, TemplateStats] = {}
-        self._total = 0
         # template text -> id: the sha1 is paid once per distinct template.
         self._tid_cache: dict[str, str] = {}
 
@@ -115,25 +106,8 @@ class TemplateCatalog:
             latest[tid] = max(latest.get(tid, last), last)
         for tid, row in latest.items():
             self._stats[tid].example_at = (rows, row)
-        self._total += len(rows)
         return first_seen
-
-    def __len__(self) -> int:
-        return len(self._stats)
-
-    @property
-    def total_observed(self) -> int:
-        """Total queries observed (not distinct templates)."""
-        return self._total
 
     def stats(self, tid: str) -> TemplateStats:
         """Stats for template id *tid* (KeyError if unknown)."""
         return self._stats[tid]
-
-    def templates(self) -> dict[str, TemplateStats]:
-        """Mapping of template id to stats, insertion-ordered."""
-        return dict(self._stats)
-
-    def top_templates(self, n: int) -> list[TemplateStats]:
-        """The *n* most frequent templates."""
-        return sorted(self._stats.values(), key=lambda s: -s.count)[:n]

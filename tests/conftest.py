@@ -5,14 +5,29 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dbsim import (
-    KnobConfiguration,
-    SimulatedDatabase,
-    mysql_catalog,
-    postgres_catalog,
-)
+from repro.dbsim import SimulatedDatabase, mysql_catalog, postgres_catalog
 from repro.tuners import TrainingSample, WorkloadRepository, vector_to_config
-from repro.workloads import TPCCWorkload, YCSBWorkload
+from repro.workloads import TPCCWorkload, WorkloadGenerator, YCSBWorkload
+from repro.workloads.query import QueryFamily
+
+
+class MixWorkload(WorkloadGenerator):
+    """A workload assembled from an explicit family list."""
+
+    def __init__(
+        self,
+        name: str,
+        families: list[QueryFamily],
+        rps: float,
+        data_size_gb: float,
+        seed: int = 0,
+        sample_size: int = 200,
+    ) -> None:
+        self._families_spec = list(families)
+        super().__init__(name, rps, data_size_gb, seed=seed, sample_size=sample_size)
+
+    def _build_families(self) -> list[QueryFamily]:
+        return list(self._families_spec)
 
 
 @pytest.fixture

@@ -38,35 +38,6 @@ class TestShippedTreeIsClean:
             assert rule_id in out
 
 
-class TestChangedOnly:
-    def test_changed_only_lints_new_violating_file(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        # An untracked rule-violating file inside src/ must be caught by
-        # the fast path; it is deleted again before the test returns.
-        bad = REPO_ROOT / "src" / "repro" / "dbsim" / "_lintprobe_tmp.py"
-        monkeypatch.chdir(REPO_ROOT)
-        try:
-            bad.write_text("import time\n\n\ndef leak():\n    return time.time()\n")
-            assert main(["lint", "--changed-only", "src"]) == 1
-            out = capsys.readouterr().out
-            assert "_lintprobe_tmp.py" in out and "R002" in out
-        finally:
-            bad.unlink(missing_ok=True)
-
-    def test_changed_only_ignores_changes_outside_paths(
-        self, capsys, monkeypatch
-    ):
-        probe = REPO_ROOT / "_lintprobe_outside_tmp.py"
-        monkeypatch.chdir(REPO_ROOT)
-        try:
-            probe.write_text("import time\nt = time.time()\n")
-            # Restricted to src/: the repo-root probe is out of scope.
-            assert main(["lint", "--changed-only", "src"]) == 0
-        finally:
-            probe.unlink(missing_ok=True)
-
-
 class TestViolationsFlipTheExitCode:
     def test_bad_fixture_fails_with_file_and_line(
         self, tmp_path, capsys, monkeypatch

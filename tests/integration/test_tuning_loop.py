@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.dbsim import SimulatedDatabase, postgres_catalog
+from repro.dbsim import SimulatedDatabase
 from repro.tuners import (
     CDBTuneTuner,
     OtterTuneTuner,

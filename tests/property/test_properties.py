@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.common.stats import percentile
 from repro.common.timeseries import TimeSeries
 from repro.core.tde.entropy import normalized_entropy
-from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.knobs import postgres_catalog
 from repro.tuners.base import config_to_vector, vector_to_config
 from repro.tuners.gpr import GaussianProcessRegressor
@@ -59,20 +58,23 @@ class TestReservoirProperties:
     @given(st.integers(1, 30), st.integers(0, 200), st.integers(0, 2**31 - 1))
     def test_size_invariant(self, capacity, n, seed):
         r = ReservoirSampler(capacity, seed=seed)
-        r.observe_many(range(n))
-        assert len(r) == min(capacity, n)
+        for item in range(n):
+            r.observe(item)
+        assert len(r.sample) == min(capacity, n)
         assert r.seen == n
 
     @given(st.integers(1, 30), st.integers(0, 200), st.integers(0, 2**31 - 1))
     def test_sample_subset_of_stream(self, capacity, n, seed):
         r = ReservoirSampler(capacity, seed=seed)
-        r.observe_many(range(n))
+        for item in range(n):
+            r.observe(item)
         assert set(r.sample) <= set(range(n))
 
     @given(st.integers(1, 30), st.integers(0, 200), st.integers(0, 2**31 - 1))
     def test_no_duplicates_for_distinct_stream(self, capacity, n, seed):
         r = ReservoirSampler(capacity, seed=seed)
-        r.observe_many(range(n))
+        for item in range(n):
+            r.observe(item)
         assert len(r.sample) == len(set(r.sample))
 
 

@@ -49,8 +49,8 @@ class TestDeterminism:
         query = _candidates(seed, 32)
         a = CoresetGPR(max_coreset=8).fit(x.copy(), y.copy())
         b = CoresetGPR(max_coreset=8).fit(x.copy(), y.copy())
-        mean_a, std_a = a.predict(query, return_std=True)
-        mean_b, std_b = b.predict(query, return_std=True)
+        mean_a, std_a = a._mean_std(query)
+        mean_b, std_b = b._mean_std(query)
         assert mean_a.tobytes() == mean_b.tobytes()
         assert std_a.tobytes() == std_b.tobytes()
 

@@ -183,7 +183,7 @@ class TestProbeMatchesPerQuery:
         for name, automaton in detector.automata.items():
             other = twin.automata[name]
             assert automaton.history == other.history
-            assert automaton.probabilities == other.probabilities
+            assert automaton._p == other._p
             assert automaton._rng.bit_generator.state == other._rng.bit_generator.state
 
 
@@ -231,7 +231,7 @@ class TestAutomatonDrawMatchesChoice:
             assert action == choose_action_by_choice(reference)
             lean.update(action, rewarded)
             reference.update(action, rewarded)
-        assert lean.probabilities == reference.probabilities
+        assert lean._p == reference._p
         assert lean._rng.bit_generator.state == reference._rng.bit_generator.state
 
 

@@ -563,7 +563,7 @@ def run_batch_memoised(
 def choose_action_by_choice(automaton: LearningAutomaton) -> str:
     """``automaton.choose_action()`` as ``rng.choice`` over the actions."""
     actions = ("increase", "decrease")
-    p = [automaton.probabilities[a] for a in actions]
+    p = [automaton._p[a] for a in actions]
     return str(automaton._rng.choice(actions, p=p))
 
 
@@ -802,11 +802,9 @@ def recommend_projected(
         )
     best_mean = float(gpr.predict(candidates[best, active][None, :])[0])
     current_pred = float(gpr.predict(incumbent[active][None, :])[0])
-    ranking = selector.importance(request.workload_id) or ()
     return Recommendation(
         instance_id=request.instance_id,
         config=config,
         source=tuner.name,
         expected_improvement=best_mean - current_pred,
-        ranked_knobs=list(ranking),
     )

@@ -5,7 +5,6 @@ from pathlib import Path, PurePosixPath
 
 import pytest
 
-from repro.analysis.callgraph import CallGraph
 from repro.analysis.dataflow import ProjectAnalysis, Root, Tag
 from repro.analysis.engine import Linter, ParsedModule
 from repro.analysis.project import (

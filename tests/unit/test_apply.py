@@ -6,7 +6,6 @@ import pytest
 from repro.cloud import Provisioner
 from repro.core.apply import (
     DataFederationAgent,
-    FullRestartStrategy,
     NonTunableKnobPolicy,
     PeriodicReloadDriver,
     Reconciler,
@@ -46,9 +45,6 @@ class TestAdapters:
     def test_wrong_flavor_rejected(self, my_db):
         with pytest.raises(ValueError):
             adapter_for("postgres").apply(my_db, my_db.config)
-
-    def test_read_config(self, pg_db):
-        assert adapter_for("postgres").read_config(pg_db) == pg_db.config
 
 
 class TestDFA:
@@ -190,17 +186,6 @@ class TestRestartStrategies:
             db_socket, TPCCWorkload(rps=400.0, seed=4), SocketActivationStrategy(), 20.0
         ).run(200.0)
         assert socket_run.mean_tps < reload_run.mean_tps * 0.9
-
-    def test_full_restart_worst(self):
-        db_socket = SimulatedDatabase("mysql", "m4.large", 26.0, seed=3)
-        db_restart = SimulatedDatabase("mysql", "m4.large", 26.0, seed=3)
-        socket_run = PeriodicReloadDriver(
-            db_socket, TPCCWorkload(rps=400.0, seed=4), SocketActivationStrategy(), 20.0
-        ).run(200.0)
-        restart_run = PeriodicReloadDriver(
-            db_restart, TPCCWorkload(rps=400.0, seed=4), FullRestartStrategy(), 20.0
-        ).run(200.0)
-        assert restart_run.mean_tps < socket_run.mean_tps
 
     def test_invalid_period(self, pg_db, tpcc):
         with pytest.raises(ValueError):

@@ -138,7 +138,3 @@ class TestMetricsDelta:
         assert "planner_cost_mean" not in OTTERTUNE_METRICS
         assert "planner_distance" not in OTTERTUNE_METRICS
         assert "throughput_tps" in OTTERTUNE_METRICS
-
-    def test_scaled_copy(self):
-        m = MetricsDelta({"wal_mb": 2.0}).scaled_copy(3.0)
-        assert m["wal_mb"] == 6.0

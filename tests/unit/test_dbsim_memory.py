@@ -63,14 +63,14 @@ class TestComputeSpills:
     def test_no_spill_when_fits(self, pg_catalog):
         cfg = KnobConfiguration(pg_catalog, {"work_mem": 100})
         report = compute_spills(_batch(sort_mb=50.0), cfg)
-        assert not report.any_spill
+        assert not report.spilled_families
         assert report.memory_used_mb == pytest.approx(50.0)
         assert report.disk_used_mb == 0.0
 
     def test_spill_when_exceeds(self, pg_catalog):
         cfg = KnobConfiguration(pg_catalog, {"work_mem": 4})
         report = compute_spills(_batch(sort_mb=350.0, count=2), cfg)
-        assert report.any_spill
+        assert report.spilled_families
         assert "sort" in report.spilled_categories
         assert report.disk_used_mb == pytest.approx(346.0)
         # write + read-back of the excess, per execution
@@ -98,7 +98,7 @@ class TestComputeSpills:
     def test_zero_count_families_ignored(self, pg_catalog):
         cfg = KnobConfiguration(pg_catalog)
         report = compute_spills(_batch(sort_mb=500.0, count=0), cfg)
-        assert not report.any_spill
+        assert not report.spilled_families
 
     def test_fig2_tpcc_fits_in_default_work_mem(self, pg_catalog, tpcc):
         """Fig. 2: TPC-C's ~0.5 MB sorts never spill at the 4 MB default."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dbsim import DatabaseCrashed, ReplicatedService
+from repro.dbsim import ReplicatedService
 
 
 @pytest.fixture
@@ -36,15 +36,6 @@ class TestConsistency:
     def test_drift_detected(self, service):
         service.master.config = service.master.config.with_values({"work_mem": 99})
         assert not service.configs_consistent()
-
-    def test_any_crashed(self, service):
-        assert not service.any_crashed()
-        bad = service.slaves[0].config.with_values(
-            {"shared_buffers": 60_000, "work_mem": 4000}
-        )
-        with pytest.raises(DatabaseCrashed):
-            service.slaves[0].apply_config(bad, mode="restart")
-        assert service.any_crashed()
 
     def test_run_executes_on_master(self, service, tpcc):
         result = service.run(tpcc.batch(10.0))

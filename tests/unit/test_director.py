@@ -93,11 +93,7 @@ class TestConfigRepository:
         v1 = repo.store("svc", cfg, "t", 0.0)
         v2 = repo.store("svc", cfg.with_values({"work_mem": 9}), "t", 1.0)
         assert (v1.version, v2.version) == (1, 2)
-        assert repo.latest("svc").version == 2
-        assert len(repo.history("svc")) == 2
-
-    def test_latest_none_when_empty(self):
-        assert ConfigRepository().latest("svc") is None
+        assert [v.version for v in repo.history("svc")] == [1, 2]
 
     def test_knob_percentile(self, pg_catalog):
         repo = ConfigRepository()
@@ -132,7 +128,7 @@ class TestConfigDirector:
         split = director.handle_tuning_request(_request(pg_catalog, t=5.0))
         assert split.reloadable["work_mem"] == 64
         assert not split.deferred_knobs
-        assert director.configs.latest("svc-1") is not None
+        assert director.configs.history("svc-1")
         assert director.total_requests == 1
 
     def test_restart_knobs_deferred(self, pg_catalog):

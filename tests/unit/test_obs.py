@@ -6,9 +6,14 @@ import pytest
 
 from repro.common.recording import NULL_RECORDER, NullRecorder, Recorder
 from repro.obs.export import jsonl_lines, to_chrome_trace, to_jsonl
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
+from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry, _label_key
 from repro.obs.profile import profile, render_profile
 from repro.obs.trace import TraceRecorder
+
+
+def _value(registry, name, **labels):
+    """A counter or gauge value; 0.0 for a never-touched label set."""
+    return registry.families[name].series.get(_label_key(labels), 0.0)
 
 
 class TestNullRecorder:
@@ -75,8 +80,8 @@ class TestTraceRecorder:
         recorder.inc("repro_things_total", instance="svc")
         recorder.set_gauge("repro_level", 3.5)
         recorder.observe("repro_cost_seconds", 42.0)
-        assert registry.value("repro_things_total", instance="svc") == 1.0
-        assert registry.value("repro_level") == 3.5
+        assert _value(registry, "repro_things_total", instance="svc") == 1.0
+        assert _value(registry, "repro_level") == 3.5
         assert registry.families["repro_cost_seconds"].kind == "histogram"
 
     def test_host_time_only_with_profiling_enabled(self):
@@ -97,9 +102,9 @@ class TestMetricsRegistry:
         registry.inc("c", instance="a")
         registry.inc("c", 2.0, instance="a")
         registry.inc("c", instance="b")
-        assert registry.value("c", instance="a") == 3.0
-        assert registry.value("c", instance="b") == 1.0
-        assert registry.value("c", instance="never") == 0.0
+        assert _value(registry, "c", instance="a") == 3.0
+        assert _value(registry, "c", instance="b") == 1.0
+        assert _value(registry, "c", instance="never") == 0.0
 
     def test_counters_only_go_up(self):
         registry = MetricsRegistry()

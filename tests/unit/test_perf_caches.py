@@ -80,20 +80,8 @@ def repo_and_request(pg_catalog):
     return repo, request, sample
 
 
-class TestRankingCache:
-    def test_ranking_matches_uncached(self, pg_catalog, repo_and_request):
-        """The memoised ``ranked_knobs`` equals a direct solve."""
-        repo, request, _ = repo_and_request
-        tuner = OtterTuneTuner(pg_catalog, repo, memory_limit_mb=6553.6, seed=1)
-        cached = tuner.recommend(request).ranked_knobs
-        ds = repo.dataset("tpcc")
-        x, y = tuner._training_set(request)
-        assert cached == tuner.ranked_knobs(x, y)
-        assert ds.size >= 5  # ranking is non-trivial at this size
-
-
 class TestLazyRanking:
-    """``ranked_knobs`` costs a Lasso solve only when somebody reads it."""
+    """``recommend()`` solves no Lasso path: nothing reads a ranking."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -118,20 +106,6 @@ class TestLazyRanking:
             tuner.recommend(request)
             repo.add(TrainingSample("tpcc", sample.config, sample.metrics, step))
         assert solves == []
-
-    def test_read_after_version_bump_ranks_its_own_training_set(
-        self, pg_catalog, repo_and_request, solves
-    ):
-        """A late read ranks the data the recommendation was fitted on."""
-        repo, request, sample = repo_and_request
-        tuner = OtterTuneTuner(pg_catalog, repo, memory_limit_mb=6553.6, seed=1)
-        stale = tuner.recommend(request)
-        x, y = tuner._training_set(request)
-        repo.add(TrainingSample("tpcc", sample.config, sample.metrics, 99.0))
-        assert tuner.recommend(request).ranked_knobs
-        assert stale.ranked_knobs == tuner.ranked_knobs(x, y)
-        # The fresh read solved the grown set, the stale read its own.
-        assert solves[:2] == [len(y) + 1, len(y)]
 
 
 class TestMapperEdgeCache:

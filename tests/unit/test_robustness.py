@@ -87,9 +87,6 @@ class _FlakyAdapter(DatabaseAdapter):
             )
         return self.inner.apply(node, config, mode=mode)
 
-    def read_config(self, node):
-        return self.inner.read_config(node)
-
 
 # -- fault plans -----------------------------------------------------------
 
@@ -99,7 +96,7 @@ class TestFaultPlan:
         a = FaultPlan.compile(3, ["t0", "t1"], ["s0", "s1"])
         b = FaultPlan.compile(3, ["t0", "t1"], ["s0", "s1"])
         assert a.events == b.events
-        assert len(a) == len(FaultKind)
+        assert len(a.events) == len(FaultKind)
 
     def test_different_seeds_differ(self):
         a = FaultPlan.compile(3, ["t0", "t1"], ["s0", "s1"])
@@ -120,10 +117,11 @@ class TestFaultPlan:
 
     def test_compile_default_includes_bad_recommendation(self):
         plan = FaultPlan.compile(3, ["t0", "t1"], ["s0", "s1"])
-        assert FaultPlan.compile(3, ["t0"], ["s0"]).by_kind(
-            FaultKind.BAD_RECOMMENDATION
+        assert any(
+            e.kind is FaultKind.BAD_RECOMMENDATION
+            for e in FaultPlan.compile(3, ["t0"], ["s0"]).events
         )
-        assert len(plan) == len(FaultKind)
+        assert len(plan.events) == len(FaultKind)
 
     def test_events_sorted_by_start(self):
         plan = FaultPlan.compile(9, ["t0"], ["s0"], events_per_kind=2)
@@ -424,7 +422,7 @@ class TestDirectorFailover:
         assert split.recommendation.source == FALLBACK_SOURCE
         assert split.recommendation.config == request.config
         # Fallbacks are not stored as new versions (they add no information).
-        assert director.configs.latest("svc-1") is None
+        assert director.configs.history("svc-1") == []
 
 
 # -- DFA retries and deadlines ---------------------------------------------

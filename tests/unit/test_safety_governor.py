@@ -12,7 +12,6 @@ from repro.core.apply import (
     DataFederationAgent,
     Reconciler,
     ServiceOrchestrator,
-    adapter_for,
 )
 from repro.core.director import (
     REVERT_SOURCE,
@@ -36,6 +35,12 @@ from repro.workloads import TPCCWorkload
 
 def _governor(policy=None):
     return SafetyGovernor(ConfigRepository(), policy=policy)
+
+
+def _watching(governor, instance_id):
+    """Whether *instance_id* has a promotion under watch."""
+    state = governor._states.get(instance_id)
+    return state is not None and state.watching
 
 
 def _service(replicas=2, seed=1):
@@ -150,13 +155,12 @@ class TestWatchAndRevert:
         assert decision is not None
         assert decision.config == good
         assert governor.reverts == 1
-        assert not governor.watching("svc")
+        assert not _watching(governor, "svc")
         incident = decision.incident
         assert incident.reverted_config == bad
         assert incident.restored_config == good
         assert incident.observed_tps == 50.0
-        latest = governor.configs.latest("svc")
-        assert latest is not None
+        latest = governor.configs.history("svc")[-1]
         assert latest.source == REVERT_SOURCE
         assert latest.config == good
 
@@ -165,9 +169,9 @@ class TestWatchAndRevert:
             pg_catalog, GovernorPolicy(watch_windows=2)
         )
         assert governor.observe_window("svc", bad, 99.0, 600.0) is None
-        assert governor.watching("svc")
+        assert _watching(governor, "svc")
         assert governor.observe_window("svc", bad, 99.0, 900.0) is None
-        assert not governor.watching("svc")
+        assert not _watching(governor, "svc")
         assert governor.reverts == 0
 
     def test_no_revert_without_watch(self, pg_catalog):
@@ -181,9 +185,9 @@ class TestWatchAndRevert:
     def test_revert_failed_rearms_watch(self, pg_catalog):
         governor, good, bad = self._promoted(pg_catalog)
         decision = governor.observe_window("svc", bad, 50.0, 600.0)
-        assert decision is not None and not governor.watching("svc")
+        assert decision is not None and not _watching(governor, "svc")
         governor.revert_failed("svc")
-        assert governor.watching("svc")
+        assert _watching(governor, "svc")
         # The next regressed window orders the revert again.
         assert governor.observe_window("svc", bad, 40.0, 900.0) is not None
         assert governor.reverts == 2

@@ -107,13 +107,12 @@ class TestCoresetGPR:
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
-            CoresetGPR().predict(np.zeros((1, 3)))
+            CoresetGPR().ucb(np.zeros((1, 3)), kappa=1.0)
 
     def test_coreset_capped(self):
         x, y = _toy_data(n=50)
         model = CoresetGPR(max_coreset=10).fit(x, y)
-        assert model.is_fitted
-        assert model.coreset_size == 10
+        assert model._x.shape[0] == 10
 
     def test_interpolates_near_training_points(self):
         # With every sample in the coreset the model is an exact GP on
@@ -121,14 +120,14 @@ class TestCoresetGPR:
         # near the observations (noise keeps it from matching exactly).
         x, y = _toy_data(n=12)
         model = CoresetGPR(max_coreset=16).fit(x, y)
-        mean = model.predict(x)
+        mean, _ = model._mean_std(x)
         assert float(np.mean(np.abs(mean - y))) < 0.2
 
     def test_ucb_is_mean_plus_kappa_std(self):
         x, y = _toy_data()
         model = CoresetGPR().fit(x, y)
         query = np.random.default_rng(1).uniform(0.0, 1.0, size=(7, x.shape[1]))
-        mean, std = model.predict(query, return_std=True)
+        mean, std = model._mean_std(query)
         np.testing.assert_allclose(
             model.ucb(query, kappa=1.7), mean + 1.7 * std, rtol=1e-12
         )

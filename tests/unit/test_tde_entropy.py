@@ -9,7 +9,7 @@ from repro.core.tde.entropy import (
     QUERY_CLASSES,
     EntropyFilter,
     QueryClassHistogram,
-    classify_query,
+    classify_footprints,
     normalized_entropy,
 )
 from repro.workloads.query import (
@@ -23,6 +23,15 @@ from repro.workloads.query import (
 
 def _query(**fp_kwargs):
     return Query("f", QueryType.SELECT, "q", QueryFootprint(**fp_kwargs))
+
+
+def _classify(query):
+    """The query class of one query, by the columnar classifier."""
+    return QUERY_CLASSES[int(classify_footprints(np.array([query.footprint.columns]))[0])]
+
+
+def _counts(histogram):
+    return dict(zip(QUERY_CLASSES, histogram._counts.tolist()))
 
 
 def _rows(*queries):
@@ -70,29 +79,29 @@ class TestNormalizedEntropy:
 class TestClassifyQuery:
     def test_maintenance_wins(self):
         q = _query(maintenance_mb=10.0, sort_mb=50.0)
-        assert classify_query(q) == "maintenance_memory"
+        assert _classify(q) == "maintenance_memory"
 
     def test_temp(self):
-        assert classify_query(_query(temp_mb=5.0)) == "temp_memory"
+        assert _classify(_query(temp_mb=5.0)) == "temp_memory"
 
     def test_sort(self):
-        assert classify_query(_query(sort_mb=10.0)) == "working_memory"
+        assert _classify(_query(sort_mb=10.0)) == "working_memory"
 
     def test_small_sort_is_point(self):
-        assert classify_query(_query(sort_mb=0.2)) == "point"
+        assert _classify(_query(sort_mb=0.2)) == "point"
 
     def test_write_heavy(self):
-        assert classify_query(_query(write_kb=100.0)) == "write_heavy"
+        assert _classify(_query(write_kb=100.0)) == "write_heavy"
 
     def test_point(self):
-        assert classify_query(_query()) == "point"
+        assert _classify(_query()) == "point"
 
 
 class TestHistogram:
     def test_counts_zero_filled(self):
         h = QueryClassHistogram()
         h.observe_rows(_rows(_query(sort_mb=10.0)))
-        counts = h.counts()
+        counts = _counts(h)
         assert counts["working_memory"] == 1
         assert set(counts) == set(QUERY_CLASSES)
 
@@ -103,19 +112,11 @@ class TestHistogram:
         h.observe_rows(_rows(_query(write_kb=100.0)))
         assert h.entropy() == pytest.approx(1.0)
 
-    def test_frequency(self):
-        h = QueryClassHistogram()
-        h.observe_rows(_rows(*[_query(sort_mb=10.0)] * 3, _query()))
-        assert h.frequency("working_memory") == pytest.approx(0.75)
-
-    def test_frequency_empty(self):
-        assert QueryClassHistogram().frequency("point") == 0.0
-
     def test_reset(self):
         h = QueryClassHistogram()
         h.observe_rows(_rows(_query()))
         h.reset()
-        assert sum(h.counts().values()) == 0
+        assert sum(_counts(h).values()) == 0
 
 
 class TestEntropyFilter:
@@ -168,7 +169,7 @@ class TestEntropyFilter:
             f.should_escalate(h, knobs_at_cap=True)
         f.record_quiet_window()
         assert not f.should_escalate(h, knobs_at_cap=True)
-        assert f.consecutive == 1
+        assert f._consecutive == 1
 
     def test_counter_resets_after_evaluation(self):
         """§3.1: 'the same job waits for next 8 throttles'."""
@@ -176,7 +177,7 @@ class TestEntropyFilter:
         h = self._skewed_histogram()
         for _ in range(4):
             f.should_escalate(h, knobs_at_cap=True)
-        assert f.consecutive == 0
+        assert f._consecutive == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ def _knob():
 class TestActions:
     def test_starts_uniform(self):
         a = LearningAutomaton(_knob(), seed=0)
-        assert a.probabilities == {"increase": 0.5, "decrease": 0.5}
+        assert a._p == {"increase": 0.5, "decrease": 0.5}
 
     def test_next_value_steps(self):
         a = LearningAutomaton(_knob(), step_fraction=0.1, seed=0)
@@ -40,20 +40,20 @@ class TestLearning:
     def test_reward_raises_action_probability(self):
         a = LearningAutomaton(_knob(), seed=0)
         a.update("increase", rewarded=True)
-        probs = a.probabilities
+        probs = a._p
         assert probs["increase"] > 0.5
         assert probs["increase"] + probs["decrease"] == pytest.approx(1.0)
 
     def test_penalty_lowers_action_probability(self):
         a = LearningAutomaton(_knob(), seed=0)
         a.update("increase", rewarded=False)
-        assert a.probabilities["increase"] < 0.5
+        assert a._p["increase"] < 0.5
 
     def test_repeated_rewards_converge(self):
         a = LearningAutomaton(_knob(), seed=0)
         for _ in range(50):
             a.update("increase", rewarded=True)
-        assert a.probabilities["increase"] > 0.95
+        assert a._p["increase"] > 0.95
 
     def test_choose_action_follows_distribution(self):
         a = LearningAutomaton(_knob(), seed=1)
@@ -70,7 +70,7 @@ class TestLearning:
         for _ in range(200):
             action = a.choose_action()
             a.update(action, rewarded=bool(rng.integers(0, 2)))
-            probs = a.probabilities
+            probs = a._p
             assert probs["increase"] + probs["decrease"] == pytest.approx(1.0)
             assert 0.0 <= probs["increase"] <= 1.0
 
@@ -86,7 +86,7 @@ class TestLearning:
         rng = np.random.default_rng(3)
         for _ in range(1000):
             a.update(a.choose_action(), rewarded=bool(rng.integers(0, 2)))
-            p_increase, p_decrease = a.probabilities.values()
+            p_increase, p_decrease = a._p.values()
             assert 0.0 <= p_increase <= 1.0
             assert 0.0 <= p_decrease <= 1.0
             assert abs(p_increase + p_decrease - 1.0) <= 1e-12

@@ -65,11 +65,6 @@ class TestRecommend:
         tuner = CDBTuneTuner(pg_catalog, seed=0)
         assert tuner.recommendation_cost_s() == 1.0
 
-    def test_ranked_knobs_cover_catalog(self, pg_catalog):
-        tuner = CDBTuneTuner(pg_catalog, seed=0)
-        rec = tuner.recommend(_request(pg_catalog))
-        assert sorted(rec.ranked_knobs) == sorted(pg_catalog.names())
-
 
 class TestLearningLoop:
     def test_observe_then_recommend_builds_transitions(self, pg_catalog):

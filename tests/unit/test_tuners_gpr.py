@@ -71,13 +71,6 @@ class TestUncertainty:
         grid = np.random.default_rng(1).uniform(0, 1, size=(5, 2))
         assert np.allclose(gpr.ucb(grid, kappa=0.0), gpr.predict(grid))
 
-    def test_n_train(self):
-        x, y = _wave(n=13)
-        gpr = GaussianProcessRegressor()
-        assert gpr.n_train == 0
-        gpr.fit(x, y)
-        assert gpr.n_train == 13
-
 
 def _reference_predict(gpr, x, y, x_new):
     """Reference mean and std: LU solves on the Cholesky factor."""
@@ -129,7 +122,7 @@ class TestInverseFactor:
         with pytest.raises(np.linalg.LinAlgError):
             gpr.fit(x[:7], y[:7] + 1.0)
         monkeypatch.undo()
-        assert gpr.n_train == len(x)
+        assert gpr._x.shape[0] == len(x)
         after = gpr.predict(grid, return_std=True)
         assert np.array_equal(before[0], after[0])
         assert np.array_equal(before[1], after[1])

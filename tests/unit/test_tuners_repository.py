@@ -1,8 +1,5 @@
 """Unit tests for the central workload repository."""
 
-import numpy as np
-import pytest
-
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.metrics import MetricsDelta
 from repro.tuners import TrainingSample, WorkloadRepository

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.workloads.generator import MixWorkload, WorkloadBatch
+from repro.workloads.generator import WorkloadBatch
 from repro.workloads.query import QueryFamily, QueryFootprint, QueryType
+from tests.conftest import MixWorkload
 
 
 def _families():

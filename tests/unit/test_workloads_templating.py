@@ -60,8 +60,8 @@ class TestTemplateCatalog:
             _rows("SELECT * FROM t WHERE id = 1", "SELECT * FROM t WHERE id = 2")
         )
         assert len(tids) == 1
-        assert len(cat) == 1
-        assert cat.total_observed == 2
+        assert len(cat._stats) == 1
+        assert cat.stats(tids[0]).count == 2
 
     def test_counts_per_template(self):
         cat = TemplateCatalog()
@@ -71,18 +71,12 @@ class TestTemplateCatalog:
         assert cat.stats(tid).count == 2
         assert cat.stats(other).count == 1
 
-    def test_top_templates_ordering(self):
-        cat = TemplateCatalog()
-        cat.observe_rows(_rows("SELECT a FROM x", "SELECT b FROM y", "SELECT a FROM x"))
-        cat.observe_rows(_rows("SELECT a FROM x"))
-        top = cat.top_templates(2)
-        assert top[0].count == 3
-
     def test_example_retained(self):
         cat = TemplateCatalog()
         rows = _rows("SELECT 1")
         (tid,) = cat.observe_rows(rows)
-        assert cat.stats(tid).example == rows[0]
+        example_rows, row = cat.stats(tid).example_at
+        assert example_rows is rows and row == 0
 
     def test_generated_families_template_cleanly(self):
         fam = QueryFamily(

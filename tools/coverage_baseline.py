@@ -22,10 +22,18 @@ gate a few points below it for slack.
 the test suite reach? It runs every product entry point in
 :data:`ENTRY_POINTS` in-process under :func:`sys.setprofile` and prints
 each module's outermost functions (methods count; nested functions and
-lambdas are part of their parent) that no entry point called, keyed on
-the first line of the definition (its first decorator, which is
-``co_firstlineno``). Definitions matching :data:`KNOWN_UNREACHED` are
-printed under their own heading with the reason they stay.
+lambdas are part of their parent; ``@overload`` stubs,
+``@abstractmethod`` bodies and ``Protocol`` members never run, so they
+are not listed) that no entry point called, keyed on the first line of
+the definition (its first decorator, which is ``co_firstlineno``).
+Definitions matching :data:`KNOWN_UNREACHED` are printed under their
+own heading with the reason they stay.
+
+It is a gate: it exits 1 when an entry point fails, when a definition
+outside :data:`KNOWN_UNREACHED` is never called, or when a
+:data:`KNOWN_UNREACHED` qualname glob matches no never-called
+definition (its code was deleted or is now reached), so the allow-list
+cannot go stale. :func:`reach_verdict` makes that decision.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ import sys
 import tempfile
 import threading
 from collections import defaultdict
+from collections.abc import Sequence
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,7 +103,6 @@ KNOWN_UNREACHED: tuple[tuple[str, str, str], ...] = (
      _PROCESS),
     ("repro/parallel/reduce.py", "merge_registries", _PROCESS),
     ("repro/common/timeseries.py", "TimeSeries.__[gs]etstate__", _PROCESS),
-    ("repro/tuners/base.py", "Recommendation.__reduce__", _PROCESS),
     ("repro/tuners/hybrid.py", "*", "reached by the ablation_hybrid bench"),
     ("repro/experiments/ablation_hybrid.py", "*",
      "reached by the ablation_hybrid bench"),
@@ -111,8 +119,19 @@ KNOWN_UNREACHED: tuple[tuple[str, str, str], ...] = (
      "fault path: a revert that itself fails"),
     ("repro/common/timeseries.py", "TimeSeries.resample_mean",
      "read by the fig05 bench"),
-    ("repro/tuners/base.py", "Tuner.*", "abstract tuner interface"),
-    ("repro/cli.py", "_changed_python_files", "repro lint --changed-only"),
+    ("repro/experiments/fig03_04_entropy.py", "mean_separation",
+     "read by the fig03 and fig04 benches"),
+    ("repro/experiments/fig06_mdp_learning.py",
+     "MDPLearningRun.cumulative_mean_accuracy", "read by the fig06 bench"),
+    ("repro/experiments/fig09_requests_per_minute.py", "Fig09Run.tde_peak_hour",
+     "read by the fig09 bench"),
+    ("repro/experiments/fig10_11_throttles.py", "ThrottlePanel.dominant_class",
+     "read by the fig10 bench"),
+    ("repro/tuners/ottertune.py", "OtterTuneTuner.surrogate_screen",
+     "read by the perf_recommend bench"),
+    ("repro/dbsim/replication.py", "ReplicatedService.run",
+     "wrapped by loopbench: its ledger patches it as dbsim.run"),
+    ("repro/tuners/base.py", "Tuner.configure", "abstract tuner interface"),
     ("repro/cli.py", "_positive_int", "CLI option check on invalid input"),
     ("repro/analysis/*",
      "CallGraph.callees CallGraph.callers Linter.lint_file lint_paths "
@@ -206,7 +225,7 @@ def _run_traced(pytest, argv, executed, prefix) -> int:
 
 
 def _report_reach() -> int:
-    """Run :data:`ENTRY_POINTS` and print the never-called definitions."""
+    """Run :data:`ENTRY_POINTS`, print the never-called definitions, gate."""
     called = _run_entry_points()
     if called is None:
         return 1
@@ -238,7 +257,43 @@ def _report_reach() -> int:
         f"  {len(known)} definitions, "
         f"{sum(last - first + 1 for _, first, last, _, _ in known)} lines"
     )
-    return 0
+    print()
+    problems = reach_verdict(unreached, known, KNOWN_UNREACHED)
+    for problem in problems:
+        print(f"FAIL: {problem}")
+    print("Reach gate: " + ("FAIL" if problems else "pass"))
+    return 1 if problems else 0
+
+
+def reach_verdict(
+    unreached: Sequence[tuple[str, int, int, str]],
+    known: Sequence[tuple[str, int, int, str, str]],
+    globs: Sequence[tuple[str, str, str]],
+) -> list[str]:
+    """Why the reach gate fails; empty when it passes.
+
+    *unreached* are the never-called definitions no glob covers
+    ``(module, first, last, qualname)``, *known* the ones a glob covers
+    (the same plus the reason), *globs* the allow-list in the shape of
+    :data:`KNOWN_UNREACHED`. Every unreached definition fails the gate,
+    and so does every qualname glob that matches none of *known*.
+    """
+    problems = [
+        f"{module}:{first} {qualname} is never called by an entry point"
+        for module, first, _, qualname in unreached
+    ]
+    for module_glob, name_globs, _ in globs:
+        for glob in name_globs.split():
+            if not any(
+                fnmatch.fnmatch(module, module_glob)
+                and fnmatch.fnmatch(qualname, glob)
+                for module, _, _, qualname, _ in known
+            ):
+                problems.append(
+                    f"KNOWN_UNREACHED glob {module_glob} {glob} matches no "
+                    "never-called definition"
+                )
+    return problems
 
 
 def _run_entry_points() -> set[tuple[str, int]] | None:
@@ -293,20 +348,32 @@ def _outermost_functions(path: Path) -> list[tuple[int, int, str]]:
     """``(first line, last line, qualname)`` of each outermost function.
 
     Functions nested in classes count; functions nested in functions are
-    part of their parent. The first line is the first decorator's, as in
-    ``co_firstlineno``.
+    part of their parent. ``@overload`` stubs, ``@abstractmethod`` bodies
+    and ``Protocol`` members never run and are left out. The first line
+    is the first decorator's, as in ``co_firstlineno``.
     """
     found: list[tuple[int, int, str]] = []
+
+    def name(node: ast.expr) -> str:
+        """Bare name: ``typing.overload`` gives ``overload``, ``Protocol[T]`` ``Protocol``."""
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        if isinstance(node, ast.Attribute):
+            return node.attr
+        return node.id if isinstance(node, ast.Name) else ""
 
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if {name(d) for d in child.decorator_list} & {"overload", "abstractmethod"}:
+                    continue
                 first = min(
                     [child.lineno] + [d.lineno for d in child.decorator_list]
                 )
                 found.append((first, child.end_lineno, scope + child.name))
             elif isinstance(child, ast.ClassDef):
-                visit(child, f"{scope}{child.name}.")
+                if "Protocol" not in {name(base) for base in child.bases}:
+                    visit(child, f"{scope}{child.name}.")
             else:
                 visit(child, scope)
 
