@@ -138,7 +138,6 @@ class CallEvent:
     arg_tags: tuple[TagSet, ...]
     kw_names: tuple[str | None, ...]
     kw_roots: tuple[RootSet, ...]
-    kw_tags: tuple[TagSet, ...]
     receiver_roots: RootSet = NO_ROOTS
     desc: str = ""
 
@@ -258,8 +257,6 @@ _UNORDERED_METHODS = {"keys", "values", "items"}
 _MERGE_SINKS = {
     "repro.parallel.reduce.merge_member_outputs",
     "repro.parallel.merge_member_outputs",
-    "repro.parallel.reduce.merge_registries",
-    "repro.parallel.merge_registries",
     "repro.obs.metrics.MetricsRegistry.merge",
     "repro.obs.trace.TraceRecorder.absorb",
 }
@@ -644,9 +641,8 @@ class _FunctionAnalyzer:
         arg_tags = tuple(v[1] for v in arg_values)
         kw_names = tuple(kw.arg for kw in node.keywords)
         kw_roots = tuple(v[0] for v in kw_values)
-        kw_tags = tuple(v[1] for v in kw_values)
         all_tags: TagSet = NO_TAGS
-        for t in (*arg_tags, *kw_tags):
+        for t in (*arg_tags, *(v[1] for v in kw_values)):
             all_tags = all_tags | t
 
         is_constructor = qname in self.index.classes if qname else False
@@ -664,7 +660,6 @@ class _FunctionAnalyzer:
                     arg_tags=arg_tags,
                     kw_names=kw_names,
                     kw_roots=kw_roots,
-                    kw_tags=kw_tags,
                     receiver_roots=receiver[0],
                     desc=_render(node.func),
                 )

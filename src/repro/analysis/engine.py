@@ -147,7 +147,6 @@ class Linter:
         )
         if not self.deep:
             instances = [r for r in instances if not r.requires_project]
-        self.rules: list[Rule] = instances
         self.shallow_rules = [r for r in instances if not r.requires_project]
         self.deep_rules = [r for r in instances if r.requires_project]
 

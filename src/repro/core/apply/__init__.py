@@ -19,17 +19,11 @@ from repro.core.apply.reconciler import (
     ReconcileAction,
     Reconciler,
 )
-from repro.core.apply.restart import (
-    ApplyStrategy,
-    PeriodicReloadDriver,
-    ReloadSignalStrategy,
-    SocketActivationStrategy,
-)
+from repro.core.apply.restart import PeriodicReloadDriver
 
 __all__ = [
     "AlreadyRegistered",
     "ApplyReport",
-    "ApplyStrategy",
     "CanaryContext",
     "ConfigIncidentLog",
     "DataFederationAgent",
@@ -43,8 +37,6 @@ __all__ = [
     "PostgresAdapter",
     "ReconcileAction",
     "Reconciler",
-    "ReloadSignalStrategy",
     "ServiceOrchestrator",
-    "SocketActivationStrategy",
     "adapter_for",
 ]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.cloud.monitoring import MonitoringAgent
 from repro.common.recording import NULL_RECORDER, Recorder
-from repro.core.apply.adapters import DatabaseAdapter, NodeApplyResult, adapter_for
+from repro.core.apply.adapters import DatabaseAdapter, adapter_for
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.engine import DatabaseCrashed, SimulatedDatabase
 from repro.dbsim.replication import ReplicatedService
@@ -133,10 +133,19 @@ class DataFederationAgent:
         config: KnobConfiguration,
         mode: str,
         report: ApplyReport,
-        node_name: str,
+        slave: int | None,
         instance_id: str,
-    ) -> NodeApplyResult:
-        """One node's apply with bounded retry on transient failures."""
+    ) -> bool:
+        """One node's apply with bounded retry on transient failures.
+
+        *slave* is the node's slave index, ``None`` for the master.
+        Returns False after recording the rejection on *report*. A
+        crashed node is healed: a healed slave is listed in
+        ``report.healed_slaves``, and after a master crash the reconciler
+        restores the slave configs from persistence. Failing without a
+        crash means the node ran out of attempts or deadline.
+        """
+        name = "master" if slave is None else f"slave{slave}"
         result = adapter.apply(node, config, mode=mode)
         report.attempts += 1
         attempt = 1
@@ -150,14 +159,24 @@ class DataFederationAgent:
             self.recorder.event(
                 "dfa.retry",
                 instance=instance_id,
-                node=node_name,
+                node=name,
                 attempt=attempt,
                 error=result.error,
             )
             result = adapter.apply(node, config, mode=mode)
             report.attempts += 1
             attempt += 1
-        return result
+        if result.crashed or not result.ok:
+            if result.crashed:
+                node.heal()
+                if slave is not None:
+                    report.healed_slaves.append(slave)
+            report.rejected_at = name
+            report.error = result.error
+            report.deadline_exceeded = not result.crashed
+            return False
+        report.skipped_restart_required = result.skipped_restart_required
+        return True
 
     def apply(
         self,
@@ -261,18 +280,10 @@ class DataFederationAgent:
             return False
         report.canary_baseline_tps = baseline_tps
 
-        result = self._apply_node(
-            adapter, node, config, mode, report, "slave0", instance_id
-        )
-        if result.crashed or not result.ok:
-            if result.crashed:
-                node.heal()
-                report.healed_slaves.append(0)
-            report.rejected_at = "slave0"
-            report.error = result.error
-            report.deadline_exceeded = not result.crashed
+        if not self._apply_node(
+            adapter, node, config, mode, report, 0, instance_id
+        ):
             return False
-        report.skipped_restart_required = result.skipped_restart_required
 
         candidate_tps = replay()
         if candidate_tps is None:
@@ -322,16 +333,9 @@ class DataFederationAgent:
         for index, slave in enumerate(service.slaves):
             if canaried and index == 0:
                 continue  # the canary slave already carries the candidate
-            result = self._apply_node(
-                adapter, slave, config, mode, report, f"slave{index}", instance_id
-            )
-            if result.crashed or not result.ok:
-                if result.crashed:
-                    slave.heal()
-                    report.healed_slaves.append(index)
-                report.rejected_at = f"slave{index}"
-                report.error = result.error
-                report.deadline_exceeded = not result.crashed
+            if not self._apply_node(
+                adapter, slave, config, mode, report, index, instance_id
+            ):
                 # Roll earlier slaves back so rejection leaves the whole
                 # service on its pre-apply configuration (the reconciler
                 # would converge them eventually; do it now).
@@ -339,21 +343,11 @@ class DataFederationAgent:
                     adapter.apply(updated, previous, mode="reload")
                 return report
             report.nodes_updated += 1
-            report.skipped_restart_required = result.skipped_restart_required
 
-        result = self._apply_node(
-            adapter, service.master, config, mode, report, "master", instance_id
-        )
-        if result.crashed or not result.ok:
-            if result.crashed:
-                # Master down: heal it and report; the reconciler will
-                # restore slave configs from persistence.
-                service.master.heal()
-            report.rejected_at = "master"
-            report.error = result.error
-            report.deadline_exceeded = not result.crashed
+        if not self._apply_node(
+            adapter, service.master, config, mode, report, None, instance_id
+        ):
             return report
         report.nodes_updated += 1
-        report.skipped_restart_required = result.skipped_restart_required
         report.applied = True
         return report

@@ -53,11 +53,6 @@ class ReconcileAction:
     instance_id: str
     drift_detected: bool
     reconciled: bool
-    drift_age_s: float
-    #: Nodes whose config the tick restored from persistence.
-    nodes_restored: int = 0
-    #: Node indices (slaves-first order) still failing after all attempts.
-    failed_nodes: tuple[int, ...] = ()
 
 
 class Reconciler:
@@ -127,12 +122,12 @@ class Reconciler:
         drifted = service.master.config != persisted or not service.configs_consistent()
         if not drifted:
             self._drift_since.pop(instance_id, None)
-            return ReconcileAction(instance_id, False, False, 0.0)
+            return ReconcileAction(instance_id, False, False)
 
         since = self._drift_since.setdefault(instance_id, now_s)
         age = now_s - since
         if age < self.watcher_timeout_s:
-            return ReconcileAction(instance_id, True, False, age)
+            return ReconcileAction(instance_id, True, False)
 
         # Timeout hit: restore persistence to every node (reload is enough
         # for the tunable knobs; restart-required drift waits for downtime).
@@ -141,9 +136,8 @@ class Reconciler:
             if self._adapter is not None
             else adapter_for(service.flavor)
         )
-        restored = 0
-        failed: list[int] = []
-        for index, node in enumerate(service.nodes):
+        restored = failed = 0
+        for node in service.nodes:
             ok = False
             for _ in range(self.max_attempts_per_node):
                 if node.crashed:
@@ -157,13 +151,13 @@ class Reconciler:
             if ok:
                 restored += 1
             else:
-                failed.append(index)
+                failed += 1
         self.recorder.event(
             "reconcile.restore",
             instance=instance_id,
             drift_age_s=age,
             restored=restored,
-            failed=len(failed),
+            failed=failed,
         )
         self.recorder.inc("repro_reconciliations_total", instance=instance_id)
         if failed:
@@ -172,10 +166,8 @@ class Reconciler:
             self.recorder.inc(
                 "repro_reconcile_failed_nodes_total",
                 instance=instance_id,
-                value=float(len(failed)),
+                value=float(failed),
             )
-            return ReconcileAction(
-                instance_id, True, False, age, restored, tuple(failed)
-            )
+            return ReconcileAction(instance_id, True, False)
         self._drift_since.pop(instance_id, None)
-        return ReconcileAction(instance_id, True, True, age, restored)
+        return ReconcileAction(instance_id, True, True)

@@ -1,65 +1,30 @@
-"""Apply strategies: reload signals vs socket activation (§4, Fig. 7).
+"""Apply modes: reload signals vs socket activation (§4, Fig. 7).
 
 Two ways to make a running database pick up new knob values without a
-visible outage:
+visible outage, each an ``apply_config`` mode of the simulated node:
 
-- **Socket activation** (systemd): restart the process while systemd holds
-  the listening socket; requests are cached, not refused — "however this
-  method only caches the requests but causes a lot of jitter and
-  performance degradation".
-- **Reload signals** (SIGHUP / SET GLOBAL): apply tunable knobs in place —
-  "we observe very minimal jitter in the performance of the database",
-  even at a reload every 20 seconds (Fig. 7).
+- ``"socket"`` — **socket activation** (systemd): restart the process
+  while systemd holds the listening socket; requests are cached, not
+  refused — "however this method only caches the requests but causes a
+  lot of jitter and performance degradation".
+- ``"reload"`` — **reload signals** (SIGHUP / SET GLOBAL): apply tunable
+  knobs in place — "we observe very minimal jitter in the performance of
+  the database", even at a reload every 20 seconds (Fig. 7).
 
 :class:`PeriodicReloadDriver` reproduces the Fig. 7 protocol: run a
-workload while firing the chosen strategy at a fixed frequency and
-collect the IOPS series for comparison.
+workload while re-applying the config in the chosen mode at a fixed
+frequency and collect the IOPS series for comparison.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 
 from repro.common.timeseries import TimeSeries
-from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.engine import ExecutionResult, SimulatedDatabase
 from repro.workloads.generator import WorkloadGenerator
 
-__all__ = [
-    "ApplyStrategy",
-    "ReloadSignalStrategy",
-    "SocketActivationStrategy",
-    "PeriodicReloadDriver",
-]
-
-
-class ApplyStrategy(abc.ABC):
-    """How configuration changes reach a running node."""
-
-    name: str
-
-    @abc.abstractmethod
-    def apply(self, node: SimulatedDatabase, config: KnobConfiguration) -> None:
-        """Push *config* to *node*."""
-
-
-class ReloadSignalStrategy(ApplyStrategy):
-    """SIGHUP-style reload: tunable knobs only, minimal jitter."""
-
-    name = "reload_signal"
-
-    def apply(self, node: SimulatedDatabase, config: KnobConfiguration) -> None:
-        node.apply_config(config, mode="reload")
-
-
-class SocketActivationStrategy(ApplyStrategy):
-    """Restart behind a systemd socket: all knobs, cached-request jitter."""
-
-    name = "socket_activation"
-
-    def apply(self, node: SimulatedDatabase, config: KnobConfiguration) -> None:
-        node.apply_config(config, mode="socket")
+__all__ = ["PeriodicReloadDriver"]
 
 
 @dataclass
@@ -81,23 +46,26 @@ class PeriodicReloadDriver:
     """Fig. 7 harness: workload + periodic config re-apply.
 
     Runs *workload* on *db* in windows of ``reload_period_s`` seconds,
-    re-applying the node's own current configuration through *strategy*
-    at every window boundary (a no-op change — the point is the apply
-    mechanism's QoS cost, not new knob values).
+    re-applying the node's own current configuration in *mode*
+    (``"reload"`` or ``"socket"``; ``None`` never re-applies) at every
+    window boundary (a no-op change — the point is the apply mechanism's
+    QoS cost, not new knob values).
     """
 
     def __init__(
         self,
         db: SimulatedDatabase,
         workload: WorkloadGenerator,
-        strategy: ApplyStrategy | None,
+        mode: str | None,
         reload_period_s: float = 20.0,
     ) -> None:
+        if mode not in (None, "reload", "socket"):
+            raise ValueError(f"unknown apply mode {mode!r}")
         if reload_period_s <= 0:
             raise ValueError("reload_period_s must be positive")
         self.db = db
         self.workload = workload
-        self.strategy = strategy
+        self.mode = mode
         self.reload_period_s = reload_period_s
 
     def run(self, total_duration_s: float) -> ReloadRunReport:
@@ -114,7 +82,7 @@ class PeriodicReloadDriver:
             report.iops.extend(iter(result.data_disk.iops))
             report.throughput_tps.append(result.throughput)
             elapsed += window
-            if self.strategy is not None and elapsed < total_duration_s:
-                self.strategy.apply(self.db, self.db.config)
+            if self.mode is not None and elapsed < total_duration_s:
+                self.db.apply_config(self.db.config, mode=self.mode)
                 report.reloads_fired += 1
         return report

@@ -124,7 +124,6 @@ class ConfigDirector:
                 # instance turns out to be unreachable.
                 cost = instance.tuner.recommendation_cost_s()
                 instance.outstanding_s += cost
-                instance.requests_served += 1
                 try:
                     with self.recorder.span(
                         "tuner.recommend",
@@ -138,7 +137,6 @@ class ConfigDirector:
                     instance.outstanding_s = max(
                         0.0, instance.outstanding_s - cost
                     )
-                    instance.requests_served -= 1
                     tried.add(instance.instance_id)
                     self.recorder.event(
                         "director.failover",

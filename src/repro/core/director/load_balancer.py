@@ -35,7 +35,6 @@ class TunerInstance:
     instance_id: str
     tuner: Tuner
     outstanding_s: float = 0.0
-    requests_served: int = 0
     #: In-rotation flag: the circuit breaker clears it when the instance's
     #: deployment keeps failing and restores it after the cooldown.
     healthy: bool = True

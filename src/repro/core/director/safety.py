@@ -138,20 +138,16 @@ class BoundedMove:
     clamped: bool
     #: The candidate's original L-inf distance from the incumbent.
     distance: float
-    #: Budget-sized moves the full candidate would decompose into.
-    stages: int
 
 
 @dataclass(frozen=True)
 class SafetyIncident:
-    """One auto-revert: what was reverted, what was restored, and why."""
+    """One auto-revert: what was reverted and what was restored, when."""
 
     instance_id: str
     time_s: float
     reverted_config: KnobConfiguration
     restored_config: KnobConfiguration
-    observed_tps: float
-    anchor_tps: float
 
 
 @dataclass(frozen=True)
@@ -159,7 +155,6 @@ class RevertDecision:
     """The governor's instruction to restore a last-known-good config."""
 
     config: KnobConfiguration
-    incident: SafetyIncident
 
 
 @dataclass
@@ -170,7 +165,6 @@ class _InstanceState:
     anchor_config: KnobConfiguration | None = None
     watching: bool = False
     watched_windows: int = 0
-    promoted_config: KnobConfiguration | None = None
 
 
 class SafetyGovernor:
@@ -226,12 +220,7 @@ class SafetyGovernor:
         delta = config_to_vector(candidate) - incumbent_vec
         distance = float(np.max(np.abs(delta))) if delta.size else 0.0
         if distance <= budget + _EPSILON:
-            return BoundedMove(
-                candidate,
-                clamped=False,
-                distance=distance,
-                stages=1 if distance > _EPSILON else 0,
-            )
+            return BoundedMove(candidate, clamped=False, distance=distance)
         scale = budget / distance
         raw = vector_to_config(incumbent_vec + delta * scale, incumbent.catalog)
         updates = {
@@ -240,29 +229,26 @@ class SafetyGovernor:
             if abs(delta[i]) > _EPSILON
         }
         bounded = incumbent.with_values(updates)
-        stages = int(math.ceil(distance / budget))
         self.clamps += 1
         self.recorder.event(
             "governor.clamp",
             instance=instance_id,
             distance=distance,
-            stages=stages,
+            # Budget-sized moves the full candidate decomposes into.
+            stages=int(math.ceil(distance / budget)),
         )
         self.recorder.inc(
             "repro_safety_violations_total", instance=instance_id
         )
-        return BoundedMove(bounded, clamped=True, distance=distance, stages=stages)
+        return BoundedMove(bounded, clamped=True, distance=distance)
 
     # -- promotion watch + auto-revert -------------------------------------------
 
-    def note_promotion(
-        self, instance_id: str, config: KnobConfiguration, now_s: float
-    ) -> None:
+    def note_promotion(self, instance_id: str) -> None:
         """A candidate landed on the master: watch the next windows."""
         state = self._state(instance_id)
         state.watching = True
         state.watched_windows = 0
-        state.promoted_config = config
 
     def note_canary_rejection(self, instance_id: str) -> None:
         """Bookkeeping hook: the DFA's canary rejected a candidate."""
@@ -299,15 +285,14 @@ class SafetyGovernor:
                 and throughput
                 < self.policy.revert_threshold * state.anchor_tps
             ):
-                incident = SafetyIncident(
-                    instance_id=instance_id,
-                    time_s=now_s,
-                    reverted_config=master_config,
-                    restored_config=anchor_config,
-                    observed_tps=throughput,
-                    anchor_tps=state.anchor_tps,
+                self.incidents.append(
+                    SafetyIncident(
+                        instance_id=instance_id,
+                        time_s=now_s,
+                        reverted_config=master_config,
+                        restored_config=anchor_config,
+                    )
                 )
-                self.incidents.append(incident)
                 self.reverts += 1
                 self.configs.store(
                     instance_id, anchor_config, REVERT_SOURCE, now_s
@@ -323,10 +308,7 @@ class SafetyGovernor:
                 )
                 state.watching = False
                 state.watched_windows = 0
-                state.promoted_config = None
-                decision = RevertDecision(
-                    config=anchor_config, incident=incident
-                )
+                decision = RevertDecision(config=anchor_config)
             else:
                 state.watched_windows += 1
                 if state.watched_windows >= self.policy.watch_windows:
@@ -335,7 +317,6 @@ class SafetyGovernor:
                     )
                     state.watching = False
                     state.watched_windows = 0
-                    state.promoted_config = None
         # Rolling anchor: the best recently observed throughput, decayed
         # per window; the config that set the watermark is the empirical
         # last-known-good a revert restores.

@@ -82,8 +82,6 @@ class StepOutcome:
     split: SplitRecommendation | None = None
     apply_report: ApplyReport | None = None
     downtime_taken: bool = False
-    #: True when the safety governor reverted this instance's config.
-    reverted: bool = False
 
 
 class AutoDBaaS:
@@ -291,7 +289,6 @@ class AutoDBaaS:
                 self.clock_s,
             )
             if decision is not None:
-                outcome.reverted = True
                 revert_report = self.dfa.apply(
                     service, decision.config, instance_id=instance_id
                 )
@@ -349,9 +346,7 @@ class AutoDBaaS:
                     if outcome.apply_report.canary_rejected:
                         self.governor.note_canary_rejection(instance_id)
                     if outcome.apply_report.applied:
-                        self.governor.note_promotion(
-                            instance_id, service.master.config, self.clock_s
-                        )
+                        self.governor.note_promotion(instance_id)
                 else:
                     outcome.apply_report = self.dfa.apply(
                         service, target, instance_id=instance_id

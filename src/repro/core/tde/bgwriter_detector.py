@@ -100,8 +100,6 @@ class BgwriterThrottleDetector:
         self.repository = repository
         self.ratio_tolerance = ratio_tolerance
         self._mapper = WorkloadMapper(repository)
-        self.last_baseline: _Baseline | None = None
-        self.last_live_ratio: float | None = None
 
     def baseline_for(self, workload_id: str) -> _Baseline | None:
         """Baseline ratio from the mapped workload's best sample.
@@ -159,11 +157,9 @@ class BgwriterThrottleDetector:
         if len(result.data_disk.write_latency) == 0:
             return []
         baseline = self.baseline_for(result.batch.workload_name)
-        self.last_baseline = baseline
         if baseline is None or baseline.ratio <= 0:
             return []
         live = self.live_ratio(result)
-        self.last_live_ratio = live
         if live <= baseline.ratio * self.ratio_tolerance:
             return []
         knob_names = tuple(

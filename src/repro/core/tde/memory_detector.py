@@ -3,10 +3,9 @@
 Per window the detector:
 
 1. feeds the streaming-log sample through query templating and reservoir
-   sampling to pick a tractable set of query templates — per-template
-   counts from the sample's per-family counts, reservoir entry in the
-   order templates first appear, query classes from the footprint
-   columns;
+   sampling to pick a tractable set of query templates — reservoir entry
+   in the order templates first appear, each template's latest row kept
+   as its example, query classes from the footprint columns;
 2. checks the latest example of each selected template against the
    live database's working-area allowances, as EXPLAIN's disk flags do
    (the simulator's EXPLAIN reads the statement's footprint, not its
@@ -33,7 +32,6 @@ from repro.dbsim.knobs import KnobClass
 from repro.dbsim.memory import HOT_FRACTION, working_area_knobs
 from repro.workloads.query import QueryRows
 from repro.workloads.sampling import ReservoirSampler
-from repro.workloads.templating import TemplateCatalog
 
 __all__ = ["MemoryDetectionReport", "MemoryThrottleDetector"]
 
@@ -54,9 +52,6 @@ class MemoryDetectionReport:
 
     throttles: list[Throttle] = field(default_factory=list)
     escalations: list[PlanUpgradeRequest] = field(default_factory=list)
-    examined_templates: int = 0
-    spilled_categories: set[str] = field(default_factory=set)
-    filtered_at_cap: int = 0
 
 
 class MemoryThrottleDetector:
@@ -72,7 +67,6 @@ class MemoryThrottleDetector:
     ) -> None:
         self.instance_id = instance_id
         self.cap_filter_enabled = cap_filter_enabled
-        self.templates = TemplateCatalog()
         # §3.1 reservoir-samples *templates* from the pool extracted from
         # the streaming log: a template enters the reservoir once, when
         # first seen, so rare-but-heavy statements are examined with the
@@ -80,7 +74,9 @@ class MemoryThrottleDetector:
         self.reservoir: ReservoirSampler[str] = ReservoirSampler(
             reservoir_capacity, seed=seed
         )
-        self._seen_templates: set[str] = set()
+        # Template text -> its latest log row ``(rows, row)``, the
+        # example EXPLAIN reads; a template not in it is unseen.
+        self._examples: dict[str, tuple[QueryRows, int]] = {}
         self.histogram = QueryClassHistogram()
         self.filter = entropy_filter if entropy_filter is not None else EntropyFilter()
 
@@ -96,8 +92,7 @@ class MemoryThrottleDetector:
         # a uniform sample misses; class frequencies stay with the sample.
         self._observe(batch.family_examples)
 
-        report.examined_templates, spilled = self._spills(db)
-        report.spilled_categories = spilled
+        spilled = self._spills(db)
         implicated: set[str] = set()
         for category in spilled:
             implicated.update(self._knobs_for(db, category))
@@ -127,13 +122,12 @@ class MemoryThrottleDetector:
                         entropy=self.filter.last_entropy or 0.0,
                     )
                 )
-            elif at_cap:
+            elif not at_cap:
                 # §3.1's first bullet: repeated throttles from knobs that
                 # already sit at their cap "can easily be captured by
                 # rule-based engine and throttles can be filtered" — a
-                # tuning request cannot raise a capped knob any further.
-                report.filtered_at_cap += 1
-            else:
+                # tuning request cannot raise a capped knob any further,
+                # so only knobs with room left throttle.
                 report.throttles.append(throttle)
         else:
             self.filter.record_quiet_window()
@@ -149,31 +143,32 @@ class MemoryThrottleDetector:
     # -- internals ----------------------------------------------------------------
 
     def _observe(self, rows: QueryRows) -> None:
-        for tid in self.templates.observe_rows(rows):
-            if tid not in self._seen_templates:
-                self._seen_templates.add(tid)
-                self.reservoir.observe(tid)
+        """Keep each template's last row of *rows* as its example; offer
+        templates never seen before to the reservoir, in the order they
+        first appear among the rows."""
+        latest: dict[str, int] = {}
+        for family, _first, last in rows.appearances():
+            template = rows.families[family].log_template
+            latest[template] = max(latest.get(template, last), last)
+        for template, row in latest.items():
+            if template not in self._examples:
+                self.reservoir.observe(template)
+            self._examples[template] = (rows, row)
 
     def _select_templates(self) -> list[tuple[QueryRows, int]]:
         """The reservoir's templates, as their latest example rows."""
-        out: list[tuple[QueryRows, int]] = []
-        for tid in self.reservoir.sample:
-            example_at = self.templates.stats(tid).example_at
-            if example_at is not None:
-                out.append(example_at)
-        return out
+        return [self._examples[template] for template in self.reservoir.sample]
 
-    def _spills(self, db: SimulatedDatabase) -> tuple[int, set[str]]:
-        """``(templates examined, categories spilled)`` under the live config.
+    def _spills(self, db: SimulatedDatabase) -> set[str]:
+        """The categories spilled under the live config.
 
         A template spills in a category when its example row's demand
         there exceeds the knobs' allowance: the comparison EXPLAIN's disk
         flags make, read straight from the row's footprint columns.
         """
         sort_allowance, maint_allowance, temp_allowance = db.working_area_allowances()
-        selected = self._select_templates()
         spilled: set[str] = set()
-        for rows, row in selected:
+        for rows, row in self._select_templates():
             sort_mb, maintenance_mb, temp_mb, _, _ = rows.footprints[row].tolist()
             if sort_mb > sort_allowance:
                 spilled.add("sort")
@@ -181,7 +176,7 @@ class MemoryThrottleDetector:
                 spilled.add("maintenance")
             if temp_mb > temp_allowance:
                 spilled.add("temp")
-        return len(selected), spilled
+        return spilled
 
     @staticmethod
     def _knobs_for(db: SimulatedDatabase, category: str) -> tuple[str, ...]:

@@ -23,7 +23,7 @@ accuracy curves of Fig. 6.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class EpisodeResult:
     total_reward: float = 0.0
     steps: int = 0
     rewarded_steps: int = 0
-    reward_curve: list[float] = field(default_factory=list)
 
     @property
     def accuracy(self) -> float:
@@ -206,8 +205,8 @@ class PlannerThrottleDetector:
 
         The hypothetical configuration *trajectory* starts at the live
         config and follows the automata's actions; the live database is
-        never modified. Rewards are the per-step profits; the reward
-        curve is cumulative, which is what Fig. 6a plots per episode.
+        never modified. Rewards are the per-step profits; their sum is
+        what Fig. 6a plots per episode.
         """
         columns = PlanColumns.of_queries(queries)
         if not len(columns):
@@ -227,9 +226,6 @@ class PlannerThrottleDetector:
         for step in range(steps):
             active = [n for n in names if consecutive_fails[n] < park_after]
             if not active:
-                result.reward_curve.extend(
-                    [result.total_reward] * (steps - step)
-                )
                 break
             name = active[step % len(active)]
             automaton = self.automata[name]
@@ -265,5 +261,4 @@ class PlannerThrottleDetector:
                 # episodes reward policies that probe the right direction.
                 result.total_reward -= abs(min(profit, 0.0))
                 consecutive_fails[name] += 1
-            result.reward_curve.append(result.total_reward)
         return result

@@ -45,8 +45,6 @@ class CheckpointEvent:
 
     time_s: float
     kind: str  # "timed" or "requested" (WAL-full) or "forced" (dirty pct)
-    write_mb: float
-    spread_s: float
 
 
 @dataclass(frozen=True)
@@ -237,10 +235,9 @@ class WriteBackScheduler:
                     left = max(float(seg.left[m]), 0.0) if active == m else 0.0
                 break
             i = s + seg.fire
-            write_mb = float(seg.backlog[seg.fire])
-            events.append(CheckpointEvent(start_time_s + i, seg.kind, write_mb, spread_s))
+            events.append(CheckpointEvent(start_time_s + i, seg.kind))
             # The spread lasts at least a second: its first step is whole.
-            rate = write_mb / spread_s
+            rate = float(seg.backlog[seg.fire]) / spread_s
             writes[2, i] = rate
             left = spread_s - 1.0
             s = i + 1

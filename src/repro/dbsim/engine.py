@@ -75,7 +75,6 @@ class ApplyOutcome:
 
     applied: dict[str, float]
     skipped_restart_required: list[str]
-    restarted: bool
 
 
 @dataclass
@@ -89,11 +88,9 @@ class ExecutionResult:
     summary: ExecutionSummary
     metrics: MetricsDelta
     data_disk: DiskWindowResult
-    wal_disk: DiskWindowResult
     writeback: WriteBackResult
     spill: SpillReport
     hit_ratio: float
-    swap: float
 
     @property
     def throughput(self) -> float:
@@ -143,7 +140,6 @@ class SimulatedDatabase:
         # across windows instead of dying with a fresh model every run.
         self._planners: dict[str, PlannerModel] = {"generic": self._planner}
         self._pending_stall_s = 0.0
-        self._reloads_this_window = 0
         self._cold_windows = 0
 
     # -- configuration management ---------------------------------------------
@@ -177,13 +173,11 @@ class SimulatedDatabase:
             for name in skipped:
                 merged[name] = self.config[name]
             self.config = KnobConfiguration(self.catalog, merged)
-            self._reloads_this_window += 1
             return ApplyOutcome(
                 applied={
                     n: v for n, v in merged.items() if n not in skipped
                 },
                 skipped_restart_required=skipped,
-                restarted=False,
             )
         if mode in ("restart", "socket"):
             try:
@@ -209,7 +203,6 @@ class SimulatedDatabase:
             return ApplyOutcome(
                 applied=new_config.as_dict(),
                 skipped_restart_required=[],
-                restarted=True,
             )
         raise ValueError(f"unknown apply mode {mode!r}")
 
@@ -493,15 +486,12 @@ def _step_chunk(
                 summary=summary,
                 metrics=metrics,
                 data_disk=data_disk[k],
-                wal_disk=wal_disk[k],
                 writeback=writebacks[k],
                 spill=spills[k],
                 hit_ratio=hit[k],
-                swap=swaps[k],
             )
         )
         db.clock_s += seconds
-        db._reloads_this_window = 0
     return results
 
 

@@ -67,7 +67,6 @@ class KnobDef:
     min_value: float
     max_value: float
     restart_required: bool = False
-    description: str = ""
 
     def __post_init__(self) -> None:
         if not self.min_value <= self.default <= self.max_value:
@@ -205,73 +204,65 @@ def postgres_catalog() -> KnobCatalog:
         "postgres",
         [
             # -- memory class -------------------------------------------------
+            # Buffer pool; the paper's canonical non-tunable knob.
             KnobDef(
                 "shared_buffers", KnobClass.MEMORY, mb, 128, 16, 65_536,
                 restart_required=True,
-                description="Buffer pool; the paper's canonical non-tunable knob.",
             ),
-            KnobDef(
-                "work_mem", KnobClass.MEMORY, mb, 4, 1, 4_096,
-                description="Per-operation working area for sorts/hashes/joins.",
-            ),
-            KnobDef(
-                "maintenance_work_mem", KnobClass.MEMORY, mb, 64, 8, 8_192,
-                description="Working area for index builds, VACUUM, bulk deletes.",
-            ),
-            KnobDef(
-                "temp_buffers", KnobClass.MEMORY, mb, 8, 1, 2_048,
-                description="Per-session temporary-table buffers.",
-            ),
+            # Per-operation working area for sorts/hashes/joins.
+            KnobDef("work_mem", KnobClass.MEMORY, mb, 4, 1, 4_096),
+            # Working area for index builds, VACUUM, bulk deletes.
+            KnobDef("maintenance_work_mem", KnobClass.MEMORY, mb, 64, 8, 8_192),
+            # Per-session temporary-table buffers.
+            KnobDef("temp_buffers", KnobClass.MEMORY, mb, 8, 1, 2_048),
+            # WAL staging buffers.
             KnobDef(
                 "wal_buffers", KnobClass.MEMORY, mb, 16, 1, 1_024,
                 restart_required=True,
-                description="WAL staging buffers.",
             ),
             # -- background-writer class --------------------------------------
+            # Maximum time between automatic checkpoints.
             KnobDef(
                 "checkpoint_timeout", KnobClass.BGWRITER, KnobUnit.SECONDS,
                 300, 30, 3_600,
-                description="Maximum time between automatic checkpoints.",
             ),
-            KnobDef(
-                "max_wal_size", KnobClass.BGWRITER, mb, 1_024, 64, 16_384,
-                description="WAL volume that forces a requested checkpoint.",
-            ),
+            # WAL volume that forces a requested checkpoint.
+            KnobDef("max_wal_size", KnobClass.BGWRITER, mb, 1_024, 64, 16_384),
+            # Fraction of the interval to spread checkpoint I/O over.
             KnobDef(
                 "checkpoint_completion_target", KnobClass.BGWRITER,
                 KnobUnit.RATIO, 0.5, 0.1, 0.9,
-                description="Fraction of the interval to spread checkpoint I/O over.",
             ),
+            # Sleep between background-writer rounds.
             KnobDef(
                 "bgwriter_delay", KnobClass.BGWRITER, KnobUnit.MILLISECONDS,
                 200, 10, 10_000,
-                description="Sleep between background-writer rounds.",
             ),
+            # Dirty pages written per background-writer round.
             KnobDef(
                 "bgwriter_lru_maxpages", KnobClass.BGWRITER, KnobUnit.PAGES,
                 100, 0, 1_000,
-                description="Dirty pages written per background-writer round.",
             ),
             # -- async / planner-estimate class -------------------------------
+            # Planner's belief about OS+DB cache size.
             KnobDef(
                 "effective_cache_size", KnobClass.ASYNC_PLANNER, mb,
                 4_096, 128, 131_072,
-                description="Planner's belief about OS+DB cache size.",
             ),
+            # Planner cost of a non-sequential page fetch.
             KnobDef(
                 "random_page_cost", KnobClass.ASYNC_PLANNER, KnobUnit.COST,
                 4.0, 0.5, 10.0,
-                description="Planner cost of a non-sequential page fetch.",
             ),
+            # Concurrent async I/O requests the planner assumes.
             KnobDef(
                 "effective_io_concurrency", KnobClass.ASYNC_PLANNER,
                 KnobUnit.COUNT, 1, 0, 64,
-                description="Concurrent async I/O requests the planner assumes.",
             ),
+            # Parallel workers one query may use.
             KnobDef(
                 "max_parallel_workers_per_gather", KnobClass.ASYNC_PLANNER,
                 KnobUnit.COUNT, 2, 0, 16,
-                description="Parallel workers one query may use.",
             ),
         ],
     )
@@ -284,74 +275,66 @@ def mysql_catalog() -> KnobCatalog:
         "mysql",
         [
             # -- memory class -------------------------------------------------
+            # InnoDB buffer pool; non-tunable in 5.6.
             KnobDef(
                 "innodb_buffer_pool_size", KnobClass.MEMORY, mb,
                 128, 16, 65_536,
                 restart_required=True,
-                description="InnoDB buffer pool; non-tunable in 5.6.",
             ),
-            KnobDef(
-                "sort_buffer_size", KnobClass.MEMORY, mb, 0.25, 0.03, 1_024,
-                description="Per-session sort buffer (paper: TPCC's hot knob).",
-            ),
-            KnobDef(
-                "join_buffer_size", KnobClass.MEMORY, mb, 0.25, 0.125, 1_024,
-                description="Per-join buffer for unindexed joins.",
-            ),
-            KnobDef(
-                "key_buffer_size", KnobClass.MEMORY, mb, 8, 1, 8_192,
-                description="MyISAM key cache; index-build working memory.",
-            ),
-            KnobDef(
-                "tmp_table_size", KnobClass.MEMORY, mb, 16, 1, 4_096,
-                description="In-memory temporary table ceiling.",
-            ),
+            # Per-session sort buffer (paper: TPCC's hot knob).
+            KnobDef("sort_buffer_size", KnobClass.MEMORY, mb, 0.25, 0.03, 1_024),
+            # Per-join buffer for unindexed joins.
+            KnobDef("join_buffer_size", KnobClass.MEMORY, mb, 0.25, 0.125, 1_024),
+            # MyISAM key cache; index-build working memory.
+            KnobDef("key_buffer_size", KnobClass.MEMORY, mb, 8, 1, 8_192),
+            # In-memory temporary table ceiling.
+            KnobDef("tmp_table_size", KnobClass.MEMORY, mb, 16, 1, 4_096),
             # -- background-writer class --------------------------------------
+            # Redo log size; bounds checkpoint age.
             KnobDef(
                 "innodb_log_file_size", KnobClass.BGWRITER, mb, 48, 4, 4_096,
                 restart_required=True,
-                description="Redo log size; bounds checkpoint age.",
             ),
+            # Background flushing IOPS budget.
             KnobDef(
                 "innodb_io_capacity", KnobClass.BGWRITER, KnobUnit.COUNT,
                 200, 100, 20_000,
-                description="Background flushing IOPS budget.",
             ),
+            # Pages the page cleaner scans per second.
             KnobDef(
                 "innodb_lru_scan_depth", KnobClass.BGWRITER, KnobUnit.PAGES,
                 1_024, 100, 16_384,
-                description="Pages the page cleaner scans per second.",
             ),
+            # Flush contiguous dirty neighbours (HDD era).
             KnobDef(
                 "innodb_flush_neighbors", KnobClass.BGWRITER, KnobUnit.COUNT,
                 1, 0, 2,
-                description="Flush contiguous dirty neighbours (HDD era).",
             ),
+            # Dirty-page fraction that forces aggressive flushing.
             KnobDef(
                 "innodb_max_dirty_pages_pct", KnobClass.BGWRITER,
                 KnobUnit.RATIO, 0.75, 0.0, 0.99,
-                description="Dirty-page fraction that forces aggressive flushing.",
             ),
             # -- async / planner-estimate class -------------------------------
+            # Join-order search depth.
             KnobDef(
                 "optimizer_search_depth", KnobClass.ASYNC_PLANNER,
                 KnobUnit.COUNT, 62, 0, 62,
-                description="Join-order search depth.",
             ),
+            # Equality ranges estimated by index dives.
             KnobDef(
                 "eq_range_index_dive_limit", KnobClass.ASYNC_PLANNER,
                 KnobUnit.COUNT, 10, 0, 1_000,
-                description="Equality ranges estimated by index dives.",
             ),
+            # Concurrent threads inside InnoDB (0 = unlimited).
             KnobDef(
                 "innodb_thread_concurrency", KnobClass.ASYNC_PLANNER,
                 KnobUnit.COUNT, 0, 0, 64,
-                description="Concurrent threads inside InnoDB (0 = unlimited).",
             ),
+            # Sequential accesses that trigger read-ahead.
             KnobDef(
                 "innodb_read_ahead_threshold", KnobClass.ASYNC_PLANNER,
                 KnobUnit.PAGES, 56, 0, 64,
-                description="Sequential accesses that trigger read-ahead.",
             ),
         ],
     )

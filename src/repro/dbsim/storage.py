@@ -37,7 +37,6 @@ class DiskWindowResult:
     read_latency: TimeSeries
     write_latency: TimeSeries
     iops: TimeSeries
-    mean_utilisation: float
 
 
 def simulate_device(
@@ -90,7 +89,6 @@ def simulate_device(
                     f"{name}.write_latency_ms", "ms", times, write_lat[k]
                 ),
                 iops=TimeSeries.from_window(f"{name}.iops", "ops/s", times, iops[k]),
-                mean_utilisation=float(np.mean(util[k])),
             )
         )
     return results

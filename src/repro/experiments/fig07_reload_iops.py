@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.apply.restart import (
-    ApplyStrategy,
-    PeriodicReloadDriver,
-    ReloadRunReport,
-    ReloadSignalStrategy,
-    SocketActivationStrategy,
-)
+from repro.core.apply.restart import PeriodicReloadDriver, ReloadRunReport
 from repro.dbsim.engine import SimulatedDatabase
 from repro.workloads.tpcc import TPCCWorkload
 
@@ -46,7 +40,7 @@ class ReloadComparison:
 
 
 def _one_run(
-    strategy: ApplyStrategy | None,
+    mode: str | None,
     duration_s: float,
     reload_period_s: float,
     rps: float,
@@ -56,7 +50,7 @@ def _one_run(
     db.apply_config(db.config.with_values(_TUNED_MYSQL), mode="restart")
     db._pending_stall_s = 0.0  # the experiment starts after the tuned restart
     workload = TPCCWorkload(rps=rps, seed=seed + 1)
-    return PeriodicReloadDriver(db, workload, strategy, reload_period_s).run(
+    return PeriodicReloadDriver(db, workload, mode, reload_period_s).run(
         duration_s
     )
 
@@ -70,10 +64,6 @@ def run(
     """Run the three variants under identical load."""
     return ReloadComparison(
         no_reload=_one_run(None, duration_s, reload_period_s, rps, seed),
-        reload_signal=_one_run(
-            ReloadSignalStrategy(), duration_s, reload_period_s, rps, seed
-        ),
-        socket_activation=_one_run(
-            SocketActivationStrategy(), duration_s, reload_period_s, rps, seed
-        ),
+        reload_signal=_one_run("reload", duration_s, reload_period_s, rps, seed),
+        socket_activation=_one_run("socket", duration_s, reload_period_s, rps, seed),
     )

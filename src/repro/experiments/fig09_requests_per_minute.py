@@ -278,15 +278,12 @@ class Fig09ShardWorker:
             if report.needs_tuning:
                 master = member.deployment.service.master
                 throttle_class, throttle_knobs = report.focus()
-                # Knobs at their catalog default are python ints; float()
-                # gives the values a decoded KnobConfiguration holds, so
-                # wire_sample() equals an encoded TrainingSample.
                 request = MemberRequest(
                     member.instance_id,
                     result.batch.workload_name,
                     master.vm.db_memory_limit_mb,
                     master.active_connections,
-                    tuple(map(float, _config_values(result.config))),
+                    _config_values(result.config),
                     tuple(map(float, _metric_values(result.metrics))),
                     throttle_class,
                     throttle_knobs,

@@ -265,15 +265,8 @@ def strip_telemetry(result: ExecutionResult) -> ExecutionResult:
         read_latency=TimeSeries("data.read_latency_ms", "ms"),
         write_latency=TimeSeries("data.write_latency_ms", "ms"),
         iops=TimeSeries("data.iops", "ops/s"),
-        mean_utilisation=0.0,
     )
-    empty_wal = DiskWindowResult(
-        read_latency=TimeSeries("wal.read_latency_ms", "ms"),
-        write_latency=TimeSeries("wal.write_latency_ms", "ms"),
-        iops=TimeSeries("wal.iops", "ops/s"),
-        mean_utilisation=0.0,
-    )
-    return dataclasses.replace(result, data_disk=empty, wal_disk=empty_wal)
+    return dataclasses.replace(result, data_disk=empty)
 
 
 class FaultyMonitoringAgent(MonitoringAgent):

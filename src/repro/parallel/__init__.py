@@ -36,7 +36,7 @@ from repro.parallel.executor import (
     WorkerCrashed,
     partition_members,
 )
-from repro.parallel.reduce import merge_member_outputs, merge_registries
+from repro.parallel.reduce import merge_member_outputs
 from repro.parallel.stats import SessionStats, StepStats, render_session_stats
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "StepStats",
     "WorkerCrashed",
     "merge_member_outputs",
-    "merge_registries",
     "partition_members",
     "render_session_stats",
 ]

@@ -219,7 +219,7 @@ class FleetExecutor:
         results: list[Any] = [None] * len(items)
         try:
             for (shard, proc, conn), chunk in zip(procs, chunks):
-                payload = _receive(conn, proc, shard)[0][1]
+                payload = _receive(conn, proc, shard)[1]
                 for index, value in zip(chunk, payload):
                     results[index] = _isolate(value)
         finally:
@@ -263,13 +263,13 @@ class FleetExecutor:
         return FleetSession(self, factory, spec, shards, stats=stats)
 
 
-def _receive(conn: Connection, proc: Any, shard: int) -> tuple[Any, int]:
-    """One worker message and its wire size, or a typed
-    :class:`WorkerCrashed` — never a hang."""
+def _receive(conn: Connection, proc: Any, shard: int) -> Any:
+    """One worker message, or a typed :class:`WorkerCrashed` — never a
+    hang."""
     while True:
         try:
             if conn.poll(_POLL_INTERVAL_S):
-                payload = conn.recv_bytes()
+                message = conn.recv()
                 break
         except (EOFError, OSError):
             proc.join(timeout=5.0)
@@ -279,18 +279,14 @@ def _receive(conn: Connection, proc: Any, shard: int) -> tuple[Any, int]:
         if not proc.is_alive():
             # Raced against a final message already in the pipe?
             if conn.poll(0):
-                payload = conn.recv_bytes()
+                message = conn.recv()
                 break
             raise WorkerCrashed(shard, "worker died", proc.exitcode)
-    # ``Connection.send`` is ``send_bytes(pickle.dumps(obj))``; reading
-    # the raw frame keeps workers on plain ``send`` while letting the
-    # coordinator weigh every reply.
-    message = pickle.loads(payload)
     if message[0] == "error":
         raise WorkerCrashed(
             shard, message[1], proc.exitcode, remote_traceback=message[2]
         )
-    return message, len(payload)
+    return message
 
 
 class FleetSession:
@@ -358,23 +354,19 @@ class FleetSession:
             start = clock()
             outputs = [list(worker.step(command)) for worker in self._local_workers]
             step_s = clock() - start
-            bytes_sent = bytes_received = 0
             send_s = recv_s = 0.0
         else:
             start = clock()
             for _, conn in self._procs:
                 conn.send_bytes(payload)
             send_s = clock() - start
-            bytes_sent = len(payload) * len(self._procs)
             start = clock()
             outputs = []
-            bytes_received = 0
             step_s = 0.0
             for shard, (proc, conn) in enumerate(self._procs):
-                message, nbytes = _receive(conn, proc, shard)
+                message = _receive(conn, proc, shard)
                 outputs.append(message[1])
                 step_s = max(step_s, message[2])
-                bytes_received += nbytes
             recv_s = clock() - start
         from repro.parallel.reduce import merge_member_outputs
 
@@ -384,8 +376,6 @@ class FleetSession:
         self.stats.record(
             StepStats(
                 command_bytes=len(payload),
-                bytes_sent=bytes_sent,
-                bytes_received=bytes_received,
                 serialize_s=serialize_s,
                 send_s=send_s,
                 step_s=step_s,

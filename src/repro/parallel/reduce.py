@@ -16,9 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from typing import TypeVar
 
-from repro.obs.metrics import MetricsRegistry
-
-__all__ = ["merge_member_outputs", "merge_registries"]
+__all__ = ["merge_member_outputs"]
 
 T = TypeVar("T")
 
@@ -41,15 +39,3 @@ def merge_member_outputs(
             raise ValueError(f"member {a} reported by more than one shard")
     return merged
 
-
-def merge_registries(registries: Sequence[MetricsRegistry]) -> MetricsRegistry:
-    """Fold registries left-to-right into a fresh one.
-
-    The fold is associative (see ``tests/unit/test_parallel.py``), so any
-    shard-tree reduction yields the same registry as the flat canonical
-    fold — provided the *sequence* is in canonical member order.
-    """
-    out = MetricsRegistry()
-    for registry in registries:
-        out.merge(registry)
-    return out

@@ -23,10 +23,6 @@ class StepStats:
 
     #: Serialized broadcast command size (what one shard receives).
     command_bytes: int
-    #: Total bytes written to worker pipes (0 under the sequential backend).
-    bytes_sent: int
-    #: Total bytes read back from worker pipes (0 under sequential).
-    bytes_received: int
     #: Coordinator time pickling the broadcast command.
     serialize_s: float
     #: Coordinator time writing the command to every pipe.

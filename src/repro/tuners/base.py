@@ -197,7 +197,6 @@ class Recommendation:
     instance_id: str
     config: KnobConfiguration
     source: str
-    expected_improvement: float = 0.0
 
     def restart_required_changes(
         self, current: KnobConfiguration

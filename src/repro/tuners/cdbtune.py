@@ -139,7 +139,6 @@ class CDBTuneTuner(Tuner):
         self._initial_tps: dict[str, float] = {}
         self._previous_tps: dict[str, float] = {}
         self._pending: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self.episode_rewards: list[float] = []
 
     # -- Tuner interface ---------------------------------------------------------
 
@@ -167,7 +166,6 @@ class CDBTuneTuner(Tuner):
             reward = cdbtune_reward(
                 tps, self._initial_tps[wid], self._previous_tps[wid]
             )
-            self.episode_rewards.append(reward)
             self._replay.append(_Transition(prev_state, action, reward, state))
             for _ in range(self.train_steps_per_observe):
                 self._train_step()

@@ -62,7 +62,6 @@ class HybridTuner(Tuner):
             catalog, memory_limit_mb=memory_limit_mb, seed=seed + 1
         )
         self._request_counts: dict[str, int] = defaultdict(int)
-        self.last_member: str | None = None
 
     def configure(self, features: Features) -> None:
         """Offer *features* to the BO member.
@@ -87,7 +86,6 @@ class HybridTuner(Tuner):
         count = self._request_counts[request.workload_id]
         self._request_counts[request.workload_id] = count + 1
         member: Tuner = self.bo if count % self.bo_every == 0 else self.rl
-        self.last_member = member.name
         recommendation = member.recommend(request)
         recommendation.source = f"{self.name}/{member.name}"
         return recommendation

@@ -142,9 +142,7 @@ class Subspace:
     workload_id: str
     #: Sorted catalog indices of the knobs the optimizer may move.
     active: tuple[int, ...]
-    #: Full importance order from the latest re-rank (catalog indices).
-    ranking: tuple[int, ...]
-    #: Repository version the ranking was derived at.
+    #: Repository version the active set was derived at.
     version: int
     #: Whether this re-rank replaced the active set.
     updated: bool
@@ -353,7 +351,6 @@ class KnobSelector:
         state.subspace = Subspace(
             workload_id=workload_id,
             active=state.active,
-            ranking=tuple(order),
             version=version,
             updated=updated,
         )

@@ -83,11 +83,6 @@ class OtterTuneTuner(Tuner):
     memory_limit_mb / active_connections:
         If given, candidate configurations violating the §4 memory budget
         are filtered out before scoring.
-
-    After each :meth:`recommend`, :attr:`last_mapping_id` names the
-    workload the target was mapped onto, or is ``None`` when nothing was
-    mapped — including when the mapping was not consulted because the
-    target filled the training window alone.
     """
 
     name = "ottertune"
@@ -115,7 +110,6 @@ class OtterTuneTuner(Tuner):
         self._rng = make_rng(seed)
         self._mapper = WorkloadMapper(self.repository)
         self._last_train_size = 0
-        self.last_mapping_id: str | None = None
         # Opt-in tiers, armed through configure(): off by default.
         self._screen: SurrogateScreen | None = None
         self._selector: KnobSelector | None = None
@@ -168,9 +162,7 @@ class OtterTuneTuner(Tuner):
                 1.0,
             )
             config = self._repair(vector_to_config(vector, self.catalog))
-            return Recommendation(
-                request.instance_id, config, self.name, expected_improvement=0.0
-            )
+            return Recommendation(request.instance_id, config, self.name)
         sub = None if self._selector is None else self._subspace(request)
         # The knobs this request tunes: a view of every column, or the
         # selector's active subspace.
@@ -203,16 +195,7 @@ class OtterTuneTuner(Tuner):
             config = self._repair(boost_throttled_knobs(winner, request))
         else:
             config = self._subspace_tail(request, sub, winner)
-        best_mean = float(gpr.predict(candidates[best, cols][None, :])[0])
-        current_pred = float(gpr.predict(incumbent[cols][None, :])[0])
-        return Recommendation(
-            instance_id=request.instance_id,
-            config=config,
-            source=self.name,
-            # Posterior-mean difference: the UCB's exploration bonus is a
-            # selection criterion, not an improvement estimate.
-            expected_improvement=best_mean - current_pred,
-        )
+        return Recommendation(request.instance_id, config, self.name)
 
     def recommendation_cost_s(self) -> float:
         """GPR retrain + candidate scoring wall-clock model (§1).
@@ -248,8 +231,7 @@ class OtterTuneTuner(Tuner):
         the most recent :attr:`max_train_samples` rows, as a deployed
         tuner must. Target rows come last and survive the cap first: a
         target with at least that many rows fills the window alone, so
-        the mapping is not consulted and :attr:`last_mapping_id` is
-        ``None``. Either way the rows are the ones mapping first would
+        the mapping is not consulted. Either way the rows are the ones mapping first would
         give (``tests/reference.py`` keeps that form).
         """
         target = self.repository.dataset(request.workload_id)
@@ -260,10 +242,8 @@ class OtterTuneTuner(Tuner):
             return (y - float(np.mean(y))) / std if std > 1e-12 else y - float(np.mean(y))
 
         if target.size >= cap:
-            self.last_mapping_id = None
             return target.configs[-cap:], standardise(target.objective)[-cap:]
         mapping = self._mapper.map_workload(request.workload_id)
-        self.last_mapping_id = mapping.best_workload_id
         parts_x: list[np.ndarray] = []
         parts_y: list[np.ndarray] = []
         if mapping.mapped:

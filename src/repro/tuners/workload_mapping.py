@@ -27,9 +27,7 @@ __all__ = ["MappingResult", "WorkloadMapper"]
 class MappingResult:
     """Outcome of mapping a target workload onto the repository."""
 
-    target_id: str
     best_workload_id: str | None
-    scores: dict[str, float]
 
     @property
     def mapped(self) -> bool:
@@ -143,10 +141,10 @@ class WorkloadMapper:
     ) -> MappingResult:
         target = self._capped(self.repository.dataset(target_id))
         if target.size == 0:
-            return MappingResult(target_id, None, {})
+            return MappingResult(None)
         edges = self._bin_edges()
         if edges is None:
-            return MappingResult(target_id, None, {})
+            return MappingResult(None)
         target_binned = self._binned(target.metrics, edges)
 
         scores: dict[str, float] = {}
@@ -160,9 +158,8 @@ class WorkloadMapper:
                 target, target_binned, candidate, edges
             )
         if not scores:
-            return MappingResult(target_id, None, {})
-        best = min(scores, key=scores.get)
-        return MappingResult(target_id, best, scores)
+            return MappingResult(None)
+        return MappingResult(min(scores, key=scores.get))
 
     def _score(
         self,

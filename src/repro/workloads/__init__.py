@@ -11,7 +11,7 @@ from repro.workloads.generator import WorkloadBatch, WorkloadGenerator
 from repro.workloads.production import ProductionWorkload, diurnal_profile
 from repro.workloads.query import Query, QueryFamily, QueryFootprint, QueryRows, QueryType
 from repro.workloads.sampling import ReservoirSampler
-from repro.workloads.templating import TemplateCatalog, make_template, template_id
+from repro.workloads.templating import make_template
 from repro.workloads.tpcc import TPCCWorkload
 from repro.workloads.tpch import TPCHWorkload
 from repro.workloads.twitter import TwitterWorkload
@@ -27,7 +27,6 @@ __all__ = [
     "QueryRows",
     "QueryType",
     "ReservoirSampler",
-    "TemplateCatalog",
     "TPCCWorkload",
     "TPCHWorkload",
     "TwitterWorkload",
@@ -38,5 +37,4 @@ __all__ = [
     "adulteration_families",
     "diurnal_profile",
     "make_template",
-    "template_id",
 ]

@@ -1,7 +1,7 @@
 # repro-mutant: R010
 """Seeded parity bug: registries merged in dict-iteration order.
 
-A refactor of ``merge_registries`` that folds shard metric registries in
+A fold of shard metric registries through ``MetricsRegistry.merge`` in
 whatever order the ``by_shard`` dict yields them. Metric merge is only
 order-stable when every input arrives in canonical shard order; float
 histogram sums and first-writer-wins metadata make dict order visible in

@@ -95,19 +95,21 @@ class TestOtterTuneLoop:
             memory_limit_mb=6553.6, seed=3,
         )
         clean_tuner.recommend(request)
-        assert clean_tuner.last_mapping_id == "tpcc"
+        clean_mapped = clean_tuner._mapper.map_workload("live40").best_workload_id
+        assert clean_mapped == "tpcc"
 
         corrupt_tuner = OtterTuneTuner(
             pg_catalog, build_repo(target_junk=True),
             memory_limit_mb=6553.6, seed=3,
         )
         corrupt_tuner.recommend(request)
-        assert corrupt_tuner.last_mapping_id in ("live1", "live2")
+        corrupt_mapped = corrupt_tuner._mapper.map_workload("live40").best_workload_id
+        assert corrupt_mapped in ("live1", "live2")
 
         # The corrupted pipeline trains on raw objectives with (almost) no
         # signal, while the gated one trains on genuinely varied ones.
         corrupt_sources = [
-            corrupt_tuner.last_mapping_id, "live40"
+            corrupt_mapped, "live40"
         ]
         corrupt_raw = np.concatenate(
             [
@@ -118,7 +120,7 @@ class TestOtterTuneLoop:
         clean_raw = np.concatenate(
             [
                 clean_tuner.repository.dataset(wid).objective
-                for wid in (clean_tuner.last_mapping_id, "live40")
+                for wid in (clean_mapped, "live40")
             ]
         )
         assert corrupt_raw.max() - corrupt_raw.min() < 10.0
@@ -153,5 +155,5 @@ class TestCDBTuneLoop:
                 TuningRequest("svc", "tpcc", db.config, result.metrics)
             )
             db.apply_config(rec.config, mode="restart")
-        assert len(tuner.episode_rewards) == 9
-        assert any(r != 0 for r in tuner.episode_rewards)
+        assert len(tuner._replay) == 9
+        assert any(t.reward != 0 for t in tuner._replay)

@@ -93,9 +93,9 @@ def _fingerprint(result):
         result.writeback.data_write_mb_s,
         result.writeback.wal_write_mb_s,
     ]
-    for disk in (result.data_disk, result.wal_disk):
-        for series in (disk.read_latency, disk.write_latency, disk.iops):
-            arrays += [series.times, series.values]
+    disk = result.data_disk
+    for series in (disk.read_latency, disk.write_latency, disk.iops):
+        arrays += [series.times, series.values]
     return repr(result), [a.tobytes() for a in arrays]
 
 

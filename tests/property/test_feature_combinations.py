@@ -132,19 +132,25 @@ def _run(features: Features) -> tuple[AutoDBaaS, TraceRecorder, str, list[float]
             iid: config_to_vector(m.deployment.service.master.config)
             for iid, m in service.instances.items()
         }
-        for outcome in service.step():
+        seen = len(recorder.events)
+        outcomes = service.step()
+        reverted = {
+            e.instance for e in recorder.events[seen:] if e.name == "governor.revert"
+        }
+        for outcome in outcomes:
             master = service.instances[outcome.instance_id].deployment.service.master
             after = config_to_vector(master.config)
             report = outcome.apply_report
             landed = report is not None and report.applied
-            if landed and not outcome.reverted and not outcome.downtime_taken:
+            revert = outcome.instance_id in reverted
+            if landed and not revert and not outcome.downtime_taken:
                 moves.append(
                     float(np.max(np.abs(after - before[outcome.instance_id])))
                 )
             lines.append(
                 f"{outcome.instance_id} tps={outcome.result.throughput!r} "
                 f"requested={outcome.tuning_requested} landed={landed} "
-                f"reverted={outcome.reverted} config={after.tolist()!r}"
+                f"reverted={revert} config={after.tolist()!r}"
             )
     rendering = to_jsonl(recorder, {"cell": _cell_id(features)}) + "\n".join(lines)
     return service, recorder, rendering, moves

@@ -16,11 +16,16 @@ from hypothesis import strategies as st
 from repro.common.rng import substream
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
-from repro.parallel import (
-    FleetExecutor,
-    merge_registries,
-    partition_members,
-)
+from repro.parallel import FleetExecutor, partition_members
+
+
+def _fold(registries):
+    """Fold *registries* left to right into a fresh one, in order."""
+    out = MetricsRegistry()
+    for registry in registries:
+        out.merge(registry)
+    return out
+
 
 # -- a tiny deterministic shard worker ------------------------------------------
 
@@ -164,7 +169,7 @@ class TestRegistryReducer:
             reg = MetricsRegistry()
             _record(reg, events)
             parts.append(reg)
-        assert _dump(merge_registries(parts)) == _dump(serial)
+        assert _dump(_fold(parts)) == _dump(serial)
 
     @given(a=_events, b=_events, c=_events)
     @settings(max_examples=80, deadline=None)
@@ -174,8 +179,8 @@ class TestRegistryReducer:
             _record(r, events)
             return r
 
-        left = merge_registries([merge_registries([reg(a), reg(b)]), reg(c)])
-        right = merge_registries([reg(a), merge_registries([reg(b), reg(c)])])
+        left = _fold([_fold([reg(a), reg(b)]), reg(c)])
+        right = _fold([reg(a), _fold([reg(b), reg(c)])])
         assert _dump(left) == _dump(right)
 
     @given(
@@ -206,7 +211,7 @@ class TestRegistryReducer:
             reg = MetricsRegistry()
             _record(reg, events, instance=f"svc-{shard:04d}")
             parts.append(reg)
-        assert _dump(merge_registries(parts)) == _dump(serial)
+        assert _dump(_fold(parts)) == _dump(serial)
 
 
 # -- trace absorb ----------------------------------------------------------------

@@ -53,7 +53,6 @@ class TestReconcilerIdempotence:
         second = reconciler.tick(instance_id, service, 120.0)
         assert not second.drift_detected
         assert not second.reconciled
-        assert second.nodes_restored == 0
         assert [node.config for node in service.nodes] == snapshot
 
     @given(seeds)

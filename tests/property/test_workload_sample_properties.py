@@ -7,8 +7,9 @@ count per family. The TDE and the engine read these columns directly; a
 indexes. These properties pin the columnar readers to the per-query
 semantics they replace, over the rows materialised one by one:
 
-- the memory detector's template counts, reservoir contents and order,
-  class histogram and selected examples;
+- the memory detector's templates, reservoir contents and order, class
+  histogram and selected examples, and its verdicts against the
+  sha1-keyed template catalog of ``tests/reference.py``;
 - the planner detector's reservoir of first-seen templates;
 - the engine's ``planner_cost_mean`` (exactly the mean of per-row
   EXPLAIN costs);
@@ -23,12 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.hardware import vm_type
-from repro.core.tde.entropy import QUERY_CLASSES, QueryClassHistogram
+from repro.core.tde.entropy import QUERY_CLASSES, EntropyFilter, QueryClassHistogram
 from repro.core.tde.memory_detector import MemoryThrottleDetector
 from repro.core.tde.planner_detector import PlannerThrottleDetector
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.engine import SimulatedDatabase
 from repro.dbsim.knobs import catalog_for
+from repro.dbsim.memory import working_area_knobs
 from repro.dbsim.planner import PlanColumns, PlannerModel
 from repro.workloads import AdulteratedTPCCWorkload, ProductionWorkload, TPCHWorkload
 from repro.workloads.query import (
@@ -39,8 +41,9 @@ from repro.workloads.query import (
     QueryType,
 )
 from repro.workloads.sampling import ReservoirSampler
-from repro.workloads.templating import make_template, template_id
+from repro.workloads.templating import make_template
 from tests.conftest import MixWorkload
+from tests.reference import CatalogMemoryDetector
 
 
 def _class_counts(histogram: QueryClassHistogram) -> dict[str, int]:
@@ -132,19 +135,15 @@ class _PerQueryMemory:
     """The memory detector's observation path, fed one query at a time."""
 
     def __init__(self, capacity: int, seed: int) -> None:
-        self.counts: dict[str, int] = {}
         self.examples: dict = {}
         self.reservoir: ReservoirSampler[str] = ReservoirSampler(capacity, seed=seed)
-        self.seen: set[str] = set()
         self.classes: Counter[str] = Counter()
 
     def observe(self, query, classify: bool) -> None:
-        tid = template_id(make_template(query.text))
-        self.counts[tid] = self.counts.get(tid, 0) + 1
-        self.examples[tid] = query
-        if tid not in self.seen:
-            self.seen.add(tid)
-            self.reservoir.observe(tid)
+        template = make_template(query.text)
+        if template not in self.examples:
+            self.reservoir.observe(template)
+        self.examples[template] = query
         if classify:
             self.classes[_scalar_class(query.footprint)] += 1
 
@@ -164,24 +163,78 @@ class TestMemoryObserveMatchesPerQuery:
         reference = _PerQueryMemory(capacity, seed)
         for _ in range(windows):
             result = db.run(workload.batch(60.0, start_time_s=db.clock_s))
-            report = detector.inspect(db, result)
+            detector.inspect(db, result)
             for query in result.batch.sampled_queries:
                 reference.observe(query, classify=True)
             for query in result.batch.family_examples:
                 reference.observe(query, classify=False)
-            catalog = detector.templates._stats
-            assert list(catalog) == list(reference.counts)
-            assert {t: s.count for t, s in catalog.items()} == reference.counts
+            assert list(detector._examples) == list(reference.examples)
             assert detector.reservoir.sample == reference.reservoir.sample
             assert [rows[row] for rows, row in detector._select_templates()] == [
-                reference.examples[tid] for tid in reference.reservoir.sample
+                reference.examples[t] for t in reference.reservoir.sample
             ]
-            if not report.spilled_categories:
+            if not detector._spills(db):
                 # A quiet window ends the streak the histogram describes.
                 reference.classes.clear()
             assert _class_counts(detector.histogram) == {
                 cls: reference.classes.get(cls, 0) for cls in QUERY_CLASSES
             }
+
+
+class TestMemoryDetectorMatchesTemplateCatalog:
+    """The one template-to-example dict against sha1-keyed catalog ids."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        cases=st.lists(_workload_cases, min_size=1, max_size=3),
+        flavor=st.sampled_from(("postgres", "mysql")),
+        vm=st.sampled_from(("t2.small", "m4.large")),
+        # Working areas as a share of each knob's maximum (None keeps the
+        # defaults); 0.03-0.1 still spill but leave no budget to grow,
+        # so the at-cap filter and escalation both fire.
+        scale=st.sampled_from((None, 0.03, 0.1)),
+        trigger=st.integers(min_value=1, max_value=3),
+        threshold=st.sampled_from((0.0, 0.5, 0.75)),
+        capacity=st.integers(min_value=1, max_value=6),
+        windows=st.integers(min_value=1, max_value=5),
+    )
+    def test_same_verdicts_examples_and_reservoir(
+        self, cases, flavor, vm, scale, trigger, threshold, capacity, windows
+    ):
+        # Windows cycle through the drawn workloads, so one stream mixes
+        # their sampled rows and family examples.
+        workloads = [_workload(case) for case in cases]
+        seed = cases[0][1]
+        db = SimulatedDatabase(flavor, vm, 10.0, seed=seed)
+        if scale is not None:
+            knobs = working_area_knobs(flavor)
+            db.config = db.config.with_values(
+                {
+                    name: scale * db.catalog.get(name).max_value
+                    for name in (*knobs.sort, *knobs.maintenance, *knobs.temp)
+                }
+            )
+        detector, reference = (
+            cls(
+                "svc",
+                reservoir_capacity=capacity,
+                entropy_filter=EntropyFilter(trigger, threshold),
+                seed=seed,
+            )
+            for cls in (MemoryThrottleDetector, CatalogMemoryDetector)
+        )
+        for window in range(windows):
+            workload = workloads[window % len(workloads)]
+            result = db.run(workload.batch(60.0, start_time_s=db.clock_s))
+            assert detector.inspect(db, result) == reference.inspect(db, result)
+            assert [(id(rows), row) for rows, row in detector._select_templates()] == [
+                (id(rows), row) for rows, row in reference._select_templates()
+            ]
+            assert detector.reservoir.seen == reference.reservoir.seen
+            assert (
+                detector.reservoir._rng.bit_generator.state
+                == reference.reservoir._rng.bit_generator.state
+            )
 
 
 class TestPlannerObserveMatchesPerQuery:

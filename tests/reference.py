@@ -24,6 +24,11 @@ Each function here is the plain definition of a computation that
   check, one plan per template. The columnar plan cost
   (:class:`~repro.dbsim.planner.PlanColumns`) and the spill check from
   footprint columns must give the same floats and categories.
+- :class:`CatalogMemoryDetector` is the memory detector observing
+  through a :class:`TemplateCatalog`, which keys templates on a sha1 id
+  and keeps each one's latest example row; the detector's one
+  template-to-example dict must give the same throttles, escalations,
+  examples and reservoir generator state.
 - :func:`spill_mb_per_exec` walks the working-area knobs to find one
   execution's spill volume, and :func:`run_batch_memoised` costs a
   batch from it through :class:`ServiceTimeMemo`, the cross-window memo
@@ -51,8 +56,8 @@ Each function here is the plain definition of a computation that
   its own frozen budget repair (:func:`fit_values_to_budget_frozen`,
   :func:`repair_config_frozen_reference`) and its own tail. The one
   ``OtterTuneTuner.recommend`` path, which treats the subspace as a
-  column index, must give the same configuration, expected improvement,
-  knob ranking, trace events and generator state.
+  column index, must give the same configuration, trace events and
+  generator state.
 - :func:`step_landscape_serial` advances an
   :class:`~repro.core.service.AutoDBaaS` landscape one window by stepping
   each master just before serving its instance; the two-phase
@@ -62,9 +67,12 @@ Each function here is the plain definition of a computation that
 
 from __future__ import annotations
 
+import hashlib
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from repro.core.tde.memory_detector import MemoryThrottleDetector
 
 from repro.dbsim.bgwriter import (
     _WAL_AMPLIFICATION,
@@ -104,7 +112,6 @@ if TYPE_CHECKING:
 
     from repro.core.service import AutoDBaaS, StepOutcome
     from repro.core.tde.mdp import LearningAutomaton
-    from repro.core.tde.memory_detector import MemoryThrottleDetector
     from repro.common.hardware import VMType
     from repro.core.tde.planner_detector import PlannerThrottleDetector
     from repro.dbsim.engine import SimulatedDatabase
@@ -114,7 +121,7 @@ if TYPE_CHECKING:
     from repro.tuners.knob_selection import Subspace
     from repro.tuners.ottertune import OtterTuneTuner
     from repro.workloads.generator import WorkloadBatch
-    from repro.workloads.query import Query, QueryFootprint
+    from repro.workloads.query import Query, QueryFootprint, QueryRows
 
 
 def run_window_per_second(
@@ -167,7 +174,7 @@ def run_window_per_second(
         if kind is not None and sched._active_remaining_s <= 0.0:
             spread_s = max(1.0, params.checkpoint_interval_s * params.spread_fraction)
             write_mb = sched.dirty_backlog_mb
-            result.events.append(CheckpointEvent(now, kind, write_mb, spread_s))
+            result.events.append(CheckpointEvent(now, kind))
             sched._active_rate_mb_s = write_mb / spread_s
             sched._active_remaining_s = spread_s
             sched.dirty_backlog_mb = 0.0
@@ -427,13 +434,65 @@ def probe_per_query(
 
 def spills_per_query(
     detector: MemoryThrottleDetector, db: SimulatedDatabase
-) -> tuple[int, set[str]]:
+) -> set[str]:
     """``detector._spills(db)``: EXPLAIN each template's example query."""
-    selected = [rows[row] for rows, row in detector._select_templates()]
     spilled: set[str] = set()
-    for query in selected:
-        spilled.update(db.explain(query).spilled_categories())
-    return len(selected), spilled
+    for rows, row in detector._select_templates():
+        spilled.update(db.explain(rows[row]).spilled_categories())
+    return spilled
+
+
+def template_id(template: str) -> str:
+    """Stable short identifier for a template string."""
+    return hashlib.sha1(template.encode("utf-8")).hexdigest()[:12]
+
+
+class TemplateCatalog:
+    """Templates keyed on :func:`template_id`, each with its latest row."""
+
+    def __init__(self) -> None:
+        self.examples: dict[str, tuple[QueryRows, int]] = {}
+        # template text -> id: the sha1 is paid once per distinct template.
+        self._tid_cache: dict[str, str] = {}
+
+    def observe_rows(self, rows: QueryRows) -> list[str]:
+        """Record every row of *rows*; returns their template ids.
+
+        Ids come in the order their templates first appear among the rows.
+        Each template's example becomes its last row.
+        """
+        first_seen: list[str] = []
+        latest: dict[str, int] = {}
+        for family, _first, last in rows.appearances():
+            template = rows.families[family].log_template
+            tid = self._tid_cache.get(template)
+            if tid is None:
+                tid = template_id(template)
+                self._tid_cache[template] = tid
+            if tid not in latest:
+                first_seen.append(tid)
+            latest[tid] = max(latest.get(tid, last), last)
+        for tid, row in latest.items():
+            self.examples[tid] = (rows, row)
+        return first_seen
+
+
+class CatalogMemoryDetector(MemoryThrottleDetector):
+    """The memory detector observing through a :class:`TemplateCatalog`."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.templates = TemplateCatalog()
+        self._seen_templates: set[str] = set()
+
+    def _observe(self, rows: QueryRows) -> None:
+        for tid in self.templates.observe_rows(rows):
+            if tid not in self._seen_templates:
+                self._seen_templates.add(tid)
+                self.reservoir.observe(tid)
+
+    def _select_templates(self) -> list[tuple[QueryRows, int]]:
+        return [self.templates.examples[tid] for tid in self.reservoir.sample]
 
 
 def spill_mb_per_exec(footprint: QueryFootprint, config: KnobConfiguration) -> float:
@@ -800,11 +859,4 @@ def recommend_projected(
         config = repair_config_frozen_reference(
             config, request.config, tuner.memory_limit_mb, tuner.active_connections
         )
-    best_mean = float(gpr.predict(candidates[best, active][None, :])[0])
-    current_pred = float(gpr.predict(incumbent[active][None, :])[0])
-    return Recommendation(
-        instance_id=request.instance_id,
-        config=config,
-        source=tuner.name,
-        expected_improvement=best_mean - current_pred,
-    )
+    return Recommendation(request.instance_id, config, tuner.name)

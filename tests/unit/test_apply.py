@@ -9,9 +9,7 @@ from repro.core.apply import (
     NonTunableKnobPolicy,
     PeriodicReloadDriver,
     Reconciler,
-    ReloadSignalStrategy,
     ServiceOrchestrator,
-    SocketActivationStrategy,
     adapter_for,
 )
 from repro.core.director import ConfigRepository
@@ -152,10 +150,11 @@ class TestReconciler:
         d.service.master.config = original
         action = rec.tick(d.instance_id, d.service, now_s=30.0)
         assert not action.drift_detected
-        # New drift restarts the clock.
+        # New drift restarts the clock: 59 s later it is not yet due.
         d.service.master.config = original.with_values({"work_mem": 88})
-        action = rec.tick(d.instance_id, d.service, now_s=40.0)
-        assert action.drift_age_s == 0.0
+        rec.tick(d.instance_id, d.service, now_s=40.0)
+        action = rec.tick(d.instance_id, d.service, now_s=99.0)
+        assert action.drift_detected and not action.reconciled
 
     def test_invalid_timeout(self):
         with pytest.raises(ValueError):
@@ -170,9 +169,7 @@ class TestRestartStrategies:
         workload_a = TPCCWorkload(rps=400.0, seed=4)
         workload_b = TPCCWorkload(rps=400.0, seed=4)
         plain = PeriodicReloadDriver(db_plain, workload_a, None, 20.0).run(200.0)
-        reloaded = PeriodicReloadDriver(
-            db_reload, workload_b, ReloadSignalStrategy(), 20.0
-        ).run(200.0)
+        reloaded = PeriodicReloadDriver(db_reload, workload_b, "reload", 20.0).run(200.0)
         assert reloaded.reloads_fired == 9
         assert reloaded.mean_tps == pytest.approx(plain.mean_tps, rel=0.03)
 
@@ -180,16 +177,20 @@ class TestRestartStrategies:
         db_reload = SimulatedDatabase("mysql", "m4.large", 26.0, seed=3)
         db_socket = SimulatedDatabase("mysql", "m4.large", 26.0, seed=3)
         reload_run = PeriodicReloadDriver(
-            db_reload, TPCCWorkload(rps=400.0, seed=4), ReloadSignalStrategy(), 20.0
+            db_reload, TPCCWorkload(rps=400.0, seed=4), "reload", 20.0
         ).run(200.0)
         socket_run = PeriodicReloadDriver(
-            db_socket, TPCCWorkload(rps=400.0, seed=4), SocketActivationStrategy(), 20.0
+            db_socket, TPCCWorkload(rps=400.0, seed=4), "socket", 20.0
         ).run(200.0)
         assert socket_run.mean_tps < reload_run.mean_tps * 0.9
 
     def test_invalid_period(self, pg_db, tpcc):
         with pytest.raises(ValueError):
             PeriodicReloadDriver(pg_db, tpcc, None, 0.0)
+
+    def test_invalid_mode(self, pg_db, tpcc):
+        with pytest.raises(ValueError):
+            PeriodicReloadDriver(pg_db, tpcc, "restart", 20.0)
 
 
 class TestNonTunablePolicy:

@@ -62,7 +62,7 @@ class TestApplyConfig:
     def test_reload_applies_tunables(self, pg_db):
         new = pg_db.config.with_values({"work_mem": 64})
         outcome = pg_db.apply_config(new, mode="reload")
-        assert not outcome.restarted
+        assert outcome.applied["work_mem"] == 64
         assert pg_db.config["work_mem"] == 64
 
     def test_reload_skips_restart_required(self, pg_db):
@@ -75,7 +75,7 @@ class TestApplyConfig:
     def test_restart_applies_everything(self, pg_db):
         new = pg_db.config.with_values({"shared_buffers": 2048})
         outcome = pg_db.apply_config(new, mode="restart")
-        assert outcome.restarted
+        assert outcome.skipped_restart_required == []
         assert pg_db.config["shared_buffers"] == 2048
 
     def test_restart_with_bad_config_crashes(self, pg_db):

@@ -35,7 +35,9 @@ class TestDiskSimulator:
 
     def test_utilisation_capped(self):
         result = _device(10_000.0)
-        assert result.mean_utilisation <= 0.97 + 1e-9
+        # M/M/1 latency at the 0.97 utilisation cap, with no jitter.
+        capped = SSD.base_latency_ms * (1.0 + 0.97 / (1.0 - 0.97))
+        assert result.write_latency.values.max() == pytest.approx(capped)
         assert np.isfinite(result.write_latency.values).all()
 
     def test_hdd_slower_than_ssd(self):

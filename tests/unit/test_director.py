@@ -22,11 +22,13 @@ class _StubTuner(Tuner):
         self.cost_s = cost_s
         self.name = name
         self.observed = []
+        self.recommend_calls = 0
 
     def observe(self, sample):
         self.observed.append(sample)
 
     def recommend(self, request):
+        self.recommend_calls += 1
         config = request.config.with_values({"work_mem": 64})
         return Recommendation(request.instance_id, config, self.name)
 
@@ -67,7 +69,7 @@ class TestBalancer:
             director.handle_tuning_request(_request(pg_catalog))
         # After pricey serves once (100 s queued) everything goes to cheap.
         assert picks.count("cheap") >= 4
-        assert (cheap.requests_served, pricey.requests_served) == (4, 1)
+        assert (cheap.tuner.recommend_calls, pricey.tuner.recommend_calls) == (4, 1)
         assert pricey.outstanding_s == 100.0
 
     def test_drain_releases_work(self, pg_catalog):

@@ -13,9 +13,16 @@ from repro.parallel import (
     FleetExecutor,
     WorkerCrashed,
     merge_member_outputs,
-    merge_registries,
     partition_members,
 )
+
+
+def _fold(registries):
+    """Fold *registries* left to right into a fresh one, in order."""
+    out = MetricsRegistry()
+    for registry in registries:
+        out.merge(registry)
+    return out
 
 
 class TestSubstream:
@@ -104,7 +111,7 @@ class TestMergeRegistries:
         return reg
 
     def test_counters_add_and_histograms_merge(self):
-        merged = merge_registries(
+        merged = _fold(
             [self._registry(2, 0.05), self._registry(3, 5.0)]
         )
         samples = {(s.name, s.labels): s.value for s in merged.samples()}
@@ -116,8 +123,8 @@ class TestMergeRegistries:
             return [self._registry(i + 1, float(i)) for i in range(3)]
 
         a, b = regs(), regs()
-        left = merge_registries([merge_registries([a[0], a[1]]), a[2]])
-        right = merge_registries([b[0], merge_registries([b[1], b[2]])])
+        left = _fold([_fold([a[0], a[1]]), a[2]])
+        right = _fold([b[0], _fold([b[1], b[2]])])
         assert _dump_registry(left) == _dump_registry(right)
 
     def test_self_merge_rejected(self):

@@ -247,14 +247,14 @@ class TestSessionStatsRendering:
         )
         stats.record(
             StepStats(
-                command_bytes=40_000, bytes_sent=160_000, bytes_received=9_000,
+                command_bytes=40_000,
                 serialize_s=0.01, send_s=0.002, step_s=0.5, recv_s=0.51,
                 merge_s=0.001,
             )
         )
         stats.record(
             StepStats(
-                command_bytes=1_000, bytes_sent=4_000, bytes_received=2_000,
+                command_bytes=1_000,
                 serialize_s=0.001, send_s=0.001, step_s=0.4, recv_s=0.41,
                 merge_s=0.001,
             )
@@ -266,4 +266,4 @@ class TestSessionStatsRendering:
         assert "80.0x smaller" in text
         assert "member step" in text and "reduce" in text
         assert stats.mean_command_bytes() == 1000.0
-        assert stats.total("bytes_sent") == 164_000
+        assert stats.total("command_bytes") == 41_000

@@ -147,28 +147,38 @@ class TestServiceTimeCache:
         pg_db.run(tpcc.batch(20.0))
         assert pg_db.run(tpcc.batch(20.0)).throughput != baseline
 
-    def test_direct_config_assignment_reprices_next_window(self):
+    def test_direct_config_assignment_reprices_next_window(self, monkeypatch):
         """A window after ``db.config = ...`` is costed under the new config.
 
         Figures and tests set ``config`` directly, outside ``apply_config``;
         the second window's service times must come from the new
         ``work_mem``, not the first window's configuration.
         """
+        from repro.dbsim import engine
+
+        # The engine's commit latency, disk factor and swap factor, as
+        # passed to the executor.
+        calls = []
+        run_batch = engine.run_batch
+        monkeypatch.setattr(
+            engine, "run_batch", lambda *args: calls.append(args) or run_batch(*args)
+        )
         db = SimulatedDatabase("postgres", "m4.large", data_size_gb=24.0, seed=7)
         workload = TPCHWorkload(rps=4.0, data_size_gb=24.0, seed=11)
         first = db.run(workload.batch(300.0))
         db.config = db.config.with_values({"work_mem": 1024.0})
         second = db.run(workload.batch(300.0))
         assert second.spill.spill_read_write_mb < first.spill.spill_read_write_mb
+        commit_latency, data_latency_factor, swap = calls[-1][-3:]
         expected = run_batch_memoised(
             second.batch,
             db.config,
             db.vm,
             second.hit_ratio,
             db._planner,
-            second.wal_disk.write_latency.mean(),
-            max(1.0, second.data_disk.write_latency.mean() / db.vm.disk.base_latency_ms),
-            second.swap,
+            commit_latency,
+            data_latency_factor,
+            swap,
             ServiceTimeMemo(),
         )
         assert second.summary == expected

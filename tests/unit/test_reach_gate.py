@@ -1,7 +1,8 @@
 """The reach gate of ``tools/coverage_baseline.py --entry-points``.
 
-The verdict is a pure function of the report, so these tests drive it on
-synthetic input without running any entry point.
+Both verdicts, on never-called definitions and on stored-but-unread
+state, are pure functions of their reports, so these tests drive them on
+synthetic input and sources without running any entry point.
 """
 
 import importlib.util
@@ -97,3 +98,67 @@ class TestOutermostFunctions:
         found = reach._outermost_functions(source)
         assert [name for _, _, name in found] == ["Base.name", "f"]
         assert found[1][0] == 27
+
+
+PRODUCT = textwrap.dedent(
+    """
+    from dataclasses import dataclass
+
+
+    @dataclass(frozen=True)
+    class Report:
+        shown: int
+        hidden: int
+
+
+    class Engine:
+        def __init__(self):
+            self.pending = []
+            self.log = {}
+            self.ticks = 0
+
+        def step(self, report):
+            self.pending.append(report.shown)
+            self.log["last"] = report
+            self.ticks += 1
+            return self.pending
+    """
+)
+
+
+class TestStateVerdict:
+    def _unread(self, *readers):
+        return reach.unread_state({"repro/m.py": PRODUCT}, [PRODUCT, *readers])
+
+    def test_write_only_attributes_fail(self):
+        unread = self._unread()
+        # ``pending`` is returned, so read; the rest is only written.
+        assert sorted(unread) == ["hidden", "log", "ticks"]
+        assert unread["ticks"] == ["repro/m.py:15", "repro/m.py:20"]
+        problems = reach.state_verdict(unread, ())
+        assert len(problems) == 3
+        assert "ticks is stored at repro/m.py:15" in problems[2]
+
+    def test_read_attributes_pass(self):
+        reader = "def show(engine, report):\n    return engine.ticks, report.hidden\n"
+        unread = self._unread(reader, "getattr(engine, 'log')")
+        assert unread == {}
+        assert reach.state_verdict(unread, ()) == []
+
+    def test_writes_through_a_mutator_or_subscript_are_not_reads(self):
+        reader = "engine.ticks += 1\nengine.log.update({})\nengine.log['k'] = 1\n"
+        assert sorted(self._unread(reader)) == ["hidden", "log", "ticks"]
+
+    def test_allow_listed_names_pass(self):
+        known = (("hidden log", "kept on purpose"), ("ticks", "another reason"))
+        assert reach.state_verdict(self._unread(), known) == []
+
+    def test_stale_allow_list_entry_fails(self):
+        known = (("hidden log ticks", "kept"), ("shown", "read after all"))
+        problems = reach.state_verdict(self._unread(), known)
+        assert problems == ["KNOWN_UNREAD name shown is read or no longer stored"]
+
+    def test_allow_list_entry_for_deleted_state_fails(self):
+        known = (("hidden log ticks gone", "kept"),)
+        problems = reach.state_verdict(self._unread(), known)
+        assert problems == ["KNOWN_UNREAD name gone is read or no longer stored"]

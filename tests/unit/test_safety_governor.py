@@ -81,7 +81,6 @@ class TestBound:
         move = governor.bound("svc", config, config, 0.0)
         assert not move.clamped
         assert move.distance == 0.0
-        assert move.stages == 0
         assert move.config == config
         assert governor.clamps == 0
 
@@ -91,7 +90,6 @@ class TestBound:
         candidate = incumbent.with_values({"work_mem": 8})
         move = governor.bound("svc", incumbent, candidate, 0.0)
         assert not move.clamped
-        assert move.stages == 1
         assert move.config == candidate
 
     def test_oversized_move_clamped_to_budget(self, pg_catalog):
@@ -110,7 +108,6 @@ class TestBound:
         delta = config_to_vector(move.config) - config_to_vector(incumbent)
         bounded_distance = float(np.max(np.abs(delta)))
         assert bounded_distance <= policy.step_budget + 1e-6
-        assert move.stages == int(np.ceil(move.distance / policy.step_budget))
         assert governor.clamps == 1
 
     def test_clamp_keeps_unchanged_knobs_byte_identical(self, pg_catalog):
@@ -146,7 +143,7 @@ class TestWatchAndRevert:
         # Two healthy windows set the anchor to (100 tps, good config).
         assert governor.observe_window("svc", good, 100.0, 0.0) is None
         bad = good.with_values({"work_mem": 1})
-        governor.note_promotion("svc", bad, 300.0)
+        governor.note_promotion("svc")
         return governor, good, bad
 
     def test_regression_under_watch_reverts(self, pg_catalog):
@@ -156,10 +153,10 @@ class TestWatchAndRevert:
         assert decision.config == good
         assert governor.reverts == 1
         assert not _watching(governor, "svc")
-        incident = decision.incident
+        (incident,) = governor.incidents
         assert incident.reverted_config == bad
         assert incident.restored_config == good
-        assert incident.observed_tps == 50.0
+        assert incident.time_s == 600.0
         latest = governor.configs.history("svc")[-1]
         assert latest.source == REVERT_SOURCE
         assert latest.config == good
@@ -212,7 +209,7 @@ class TestQuarantine:
         good = KnobConfiguration(pg_catalog)
         governor.observe_window("svc", good, 100.0, 0.0)
         bad = good.with_values({"work_mem": 1})
-        governor.note_promotion("svc", bad, 300.0)
+        governor.note_promotion("svc")
         governor.observe_window("svc", bad, 50.0, 600.0)
         return governor, good, bad
 
@@ -352,7 +349,7 @@ class TestReconcilerQuarantineSwap:
         governor = _governor()
         governor.observe_window(instance_id, good, 100.0, 0.0)
         bad = good.with_values({"work_mem": 1})
-        governor.note_promotion(instance_id, bad, 300.0)
+        governor.note_promotion(instance_id)
         # The promotion was persisted before the regression was observed.
         orchestrator.persist_config(instance_id, bad)
         decision = governor.observe_window(instance_id, bad, 50.0, 600.0)

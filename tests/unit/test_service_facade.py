@@ -95,6 +95,6 @@ class TestSampleStreaming:
         for _ in range(4):
             svc.step()
         # Transition per window after the first: recommend -> next learn.
-        assert len(tuner.episode_rewards) >= 2
+        assert len(tuner._replay) >= 2
         # The repository holds each sample exactly once (no double-add).
         assert repo.total_samples() == 4

@@ -222,7 +222,6 @@ class TestArgmaxRetention:
                 )
             )
         assert recs[0].config.as_dict() == recs[1].config.as_dict()
-        assert recs[0].expected_improvement == recs[1].expected_improvement
 
     def test_configure_surrogate_arms_the_screen(self):
         catalog, repository = _fixture_repository(2)

@@ -72,15 +72,15 @@ class TestLearningLoop:
         tuner.observe(_sample(pg_catalog, 100.0))
         tuner.recommend(_request(pg_catalog, 100.0))
         tuner.observe(_sample(pg_catalog, 120.0))
-        assert len(tuner.episode_rewards) == 1
-        assert tuner.episode_rewards[0] > 0
+        (transition,) = tuner._replay
+        assert transition.reward > 0
 
     def test_reward_sign_tracks_throughput(self, pg_catalog):
         tuner = CDBTuneTuner(pg_catalog, seed=0)
         tuner.observe(_sample(pg_catalog, 100.0))
         tuner.recommend(_request(pg_catalog, 100.0))
         tuner.observe(_sample(pg_catalog, 50.0))
-        assert tuner.episode_rewards[-1] < 0
+        assert tuner._replay[-1].reward < 0
 
     def test_workloads_tracked_independently(self, pg_catalog):
         tuner = CDBTuneTuner(pg_catalog, seed=0)
@@ -90,14 +90,14 @@ class TestLearningLoop:
         tuner.recommend(_request(pg_catalog, 10.0, wid="b"))
         tuner.observe(_sample(pg_catalog, 120.0, wid="a"))
         tuner.observe(_sample(pg_catalog, 12.0, wid="b"))
-        assert len(tuner.episode_rewards) == 2
-        assert all(r > 0 for r in tuner.episode_rewards)
+        assert len(tuner._replay) == 2
+        assert all(t.reward > 0 for t in tuner._replay)
 
     def test_no_transition_without_pending_action(self, pg_catalog):
         tuner = CDBTuneTuner(pg_catalog, seed=0)
         tuner.observe(_sample(pg_catalog, 100.0))
         tuner.observe(_sample(pg_catalog, 110.0))
-        assert tuner.episode_rewards == []
+        assert len(tuner._replay) == 0
 
     def test_training_step_changes_actor(self, pg_catalog):
         tuner = CDBTuneTuner(pg_catalog, batch_size=4, seed=0)

@@ -21,19 +21,17 @@ def _request(pg_catalog, wid="w"):
 class TestHybridTuner:
     def test_routes_bo_first_then_rl(self, pg_catalog, trained_repo):
         tuner = HybridTuner(pg_catalog, trained_repo, bo_every=3, seed=0)
-        members = []
-        for _ in range(6):
-            rec = tuner.recommend(_request(pg_catalog, wid="tpcc"))
-            members.append(tuner.last_member)
-            assert rec.source.startswith("hybrid/")
-        assert members == ["ottertune", "cdbtune", "cdbtune"] * 2
+        sources = [
+            tuner.recommend(_request(pg_catalog, wid="tpcc")).source for _ in range(6)
+        ]
+        assert sources == ["hybrid/ottertune", "hybrid/cdbtune", "hybrid/cdbtune"] * 2
 
     def test_workloads_counted_independently(self, pg_catalog, trained_repo):
         tuner = HybridTuner(pg_catalog, trained_repo, bo_every=2, seed=0)
-        tuner.recommend(_request(pg_catalog, wid="a"))
-        assert tuner.last_member == "ottertune"
-        tuner.recommend(_request(pg_catalog, wid="b"))
-        assert tuner.last_member == "ottertune"
+        rec = tuner.recommend(_request(pg_catalog, wid="a"))
+        assert rec.source == "hybrid/ottertune"
+        rec = tuner.recommend(_request(pg_catalog, wid="b"))
+        assert rec.source == "hybrid/ottertune"
 
     def test_observe_feeds_both_members(self, pg_catalog):
         tuner = HybridTuner(pg_catalog, WorkloadRepository(), seed=0)

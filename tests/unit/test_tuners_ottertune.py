@@ -89,7 +89,7 @@ class TestTrainedRecommendation:
             )
         tuner = OtterTuneTuner(pg_catalog, trained_repo, seed=5)
         tuner.recommend(_request(pg_catalog, wid="tpcc_live"))
-        assert tuner.last_mapping_id == "tpcc"
+        assert tuner._mapper.map_workload("tpcc_live").best_workload_id == "tpcc"
 
 
 class TestCostModel:

@@ -67,11 +67,6 @@ def test_training_set_matches_always_mapped(pg_catalog, size, mappable):
     assert x.tobytes() == x_ref.tobytes()
     assert y.tobytes() == y_ref.tobytes()
     assert mapped_id == ("offline" if mappable else None)
-    if size >= CAP:
-        # The target fills the window alone: the mapping is not consulted.
-        assert tuner.last_mapping_id is None
-    else:
-        assert tuner.last_mapping_id == mapped_id
 
 
 def test_mapping_is_not_consulted_once_the_target_fills_the_cap(pg_catalog):
@@ -94,4 +89,3 @@ def test_mapping_is_not_consulted_once_the_target_fills_the_cap(pg_catalog):
     tuner.max_train_samples = CAP + 1
     tuner._training_set(request)
     assert calls == [("live",)]
-    assert tuner.last_mapping_id == "offline"

@@ -2,8 +2,9 @@
 
 import numpy as np
 
+from repro.core.tde.memory_detector import MemoryThrottleDetector
 from repro.workloads.query import QueryFamily, QueryFootprint, QueryRows, QueryType
-from repro.workloads.templating import TemplateCatalog, make_template, template_id
+from repro.workloads.templating import make_template
 
 
 class TestMakeTemplate:
@@ -30,17 +31,6 @@ class TestMakeTemplate:
         assert a == b
 
 
-class TestTemplateId:
-    def test_stable(self):
-        assert template_id("abc") == template_id("abc")
-
-    def test_distinct(self):
-        assert template_id("a") != template_id("b")
-
-    def test_short(self):
-        assert len(template_id("query")) == 12
-
-
 def _rows(*texts):
     """Log rows with the given statement texts, one family per distinct text."""
     distinct = list(dict.fromkeys(texts))
@@ -54,29 +44,22 @@ def _rows(*texts):
 
 
 class TestTemplateCatalog:
+    """The memory detector's templates: one example row per template."""
+
     def test_observe_groups_by_template(self):
-        cat = TemplateCatalog()
-        tids = cat.observe_rows(
+        detector = MemoryThrottleDetector("svc")
+        detector._observe(
             _rows("SELECT * FROM t WHERE id = 1", "SELECT * FROM t WHERE id = 2")
         )
-        assert len(tids) == 1
-        assert len(cat._stats) == 1
-        assert cat.stats(tids[0]).count == 2
-
-    def test_counts_per_template(self):
-        cat = TemplateCatalog()
-        tid, other = cat.observe_rows(
-            _rows("SELECT 1", "SELECT 1", "SELECT * FROM other")
-        )
-        assert cat.stats(tid).count == 2
-        assert cat.stats(other).count == 1
+        assert list(detector._examples) == ["SELECT * FROM t WHERE id = ?"]
+        assert detector.reservoir.seen == 1
 
     def test_example_retained(self):
-        cat = TemplateCatalog()
-        rows = _rows("SELECT 1")
-        (tid,) = cat.observe_rows(rows)
-        example_rows, row = cat.stats(tid).example_at
-        assert example_rows is rows and row == 0
+        detector = MemoryThrottleDetector("svc")
+        rows = _rows("SELECT 1", "SELECT * FROM other", "SELECT 1")
+        detector._observe(rows)
+        example_rows, row = detector._examples["SELECT ?"]
+        assert example_rows is rows and row == 2
 
     def test_generated_families_template_cleanly(self):
         fam = QueryFamily(
@@ -90,11 +73,11 @@ class TestTemplateCatalog:
         rows = QueryRows(
             (fam,), np.zeros(10, dtype=np.intp), np.array([fam.footprint.columns] * 10)
         )
-        cat = TemplateCatalog()
-        (tid,) = cat.observe_rows(rows)
-        assert cat.stats(tid).template == make_template(
-            "SELECT * FROM t WHERE a = 17 AND b = 'v000003'"
-        )
+        detector = MemoryThrottleDetector("svc")
+        detector._observe(rows)
+        assert list(detector._examples) == [
+            make_template("SELECT * FROM t WHERE a = 17 AND b = 'v000003'")
+        ]
 
 
 class TestIdentifierSuffixes:

@@ -34,6 +34,17 @@ outside :data:`KNOWN_UNREACHED` is never called, or when a
 :data:`KNOWN_UNREACHED` qualname glob matches no never-called
 definition (its code was deleted or is now reached), so the allow-list
 cannot go stale. :func:`reach_verdict` makes that decision.
+
+Before running anything, ``--entry-points`` also checks *state*, by
+name and without running code: every attribute name ``src/repro``
+stores (``x.a = …``, ``x.a += …``, ``x.a[k] = …``,
+``x.a.append/extend/add/update/insert(…)`` and dataclass fields) must be
+loaded, or used as a string constant, by some ``.py`` file outside
+``tests/`` and ``loopbench/tests/``. A name nothing reads fails the gate
+unless :data:`KNOWN_UNREAD` names it with a reason, and so does a
+:data:`KNOWN_UNREAD` name that is read or no longer stored.
+:func:`state_verdict` makes that decision. The check goes by name only,
+so it never flags a name that is read anywhere, even on another type.
 """
 
 from __future__ import annotations
@@ -101,7 +112,6 @@ KNOWN_UNREACHED: tuple[tuple[str, str, str], ...] = (
     ("repro/parallel/executor.py",
      "WorkerCrashed.* _map_main _session_main _receive FleetExecutor._context",
      _PROCESS),
-    ("repro/parallel/reduce.py", "merge_registries", _PROCESS),
     ("repro/common/timeseries.py", "TimeSeries.__[gs]etstate__", _PROCESS),
     ("repro/tuners/hybrid.py", "*", "reached by the ablation_hybrid bench"),
     ("repro/experiments/ablation_hybrid.py", "*",
@@ -141,6 +151,28 @@ KNOWN_UNREACHED: tuple[tuple[str, str, str], ...] = (
      "--select or --format json"),
     ("repro/*", "*.__repr__", "debugging aid"),
 )
+
+
+#: Attribute names ``src/repro`` stores that no code outside the tests
+#: reads, kept on purpose: ``(names, reason)``; the names are separated
+#: by spaces.
+KNOWN_UNREAD: tuple[tuple[str, str], ...] = (
+    ("writeable", "numpy array flag: numpy reads it and refuses writes"),
+    ("credentials username password",
+     "a deployment's access credentials, held for the operator; the "
+     "password draw feeds the seeds of later deployments"),
+    ("old_value new_value rewarded",
+     "AutomatonStep fields: the perf_tde bench compares automaton "
+     "histories by dataclass equality"),
+    ("query_family total_cost planned_workers",
+     "PlanEstimate fields: " + _REFERENCE),
+    ("spilled_categories",
+     "SpillReport's spilled working areas: the engine charges spill "
+     "volume only, the knob-direction tests check which area spilled"),
+)
+
+#: Methods that write into the container they are called on.
+_MUTATORS = frozenset({"append", "extend", "add", "update", "insert"})
 
 
 def main(argv: list[str]) -> int:
@@ -225,7 +257,8 @@ def _run_traced(pytest, argv, executed, prefix) -> int:
 
 
 def _report_reach() -> int:
-    """Run :data:`ENTRY_POINTS`, print the never-called definitions, gate."""
+    """Check the state, run :data:`ENTRY_POINTS`, print both reports, gate."""
+    state_failed = _report_state()
     called = _run_entry_points()
     if called is None:
         return 1
@@ -262,7 +295,141 @@ def _report_reach() -> int:
     for problem in problems:
         print(f"FAIL: {problem}")
     print("Reach gate: " + ("FAIL" if problems else "pass"))
-    return 1 if problems else 0
+    return 1 if problems or state_failed else 0
+
+
+def _report_state() -> bool:
+    """Print the stored-but-unread attribute names; True when they fail."""
+    product = {
+        str(path.relative_to(SRC)): path.read_text()
+        for path in sorted((SRC / "repro").rglob("*.py"))
+    }
+    # This file is left out too: its allow-list names every unread name.
+    readers = [
+        path.read_text()
+        for path in sorted(ROOT.rglob("*.py"))
+        if not _is_test_or_hidden(path.relative_to(ROOT).parts)
+        and path != Path(__file__).resolve()
+    ]
+    unread = unread_state(product, readers)
+    known = {name: reason for names, reason in KNOWN_UNREAD for name in names.split()}
+    print("Stored but never read outside the tests (name, where stored):")
+    for name in sorted(unread.keys() - known.keys()):
+        print(f"  {name}  {' '.join(unread[name])}")
+    print()
+    print("Known unread state, kept on purpose:")
+    for name in sorted(unread.keys() & known.keys()):
+        print(f"  {name}  {' '.join(unread[name])}  -- {known[name]}")
+    print()
+    problems = state_verdict(unread, KNOWN_UNREAD)
+    for problem in problems:
+        print(f"FAIL: {problem}")
+    print("State gate: " + ("FAIL" if problems else "pass"))
+    print()
+    return bool(problems)
+
+
+def _is_test_or_hidden(parts: tuple[str, ...]) -> bool:
+    return (
+        parts[0] == "tests"
+        or parts[:2] == ("loopbench", "tests")
+        or any(part.startswith(".") for part in parts)
+    )
+
+
+def unread_state(
+    product: dict[str, str], readers: Sequence[str]
+) -> dict[str, list[str]]:
+    """Attribute names *product* stores that no source in *readers* reads.
+
+    *product* maps a module's path to its source, *readers* are the
+    sources that count as reading (the product's own among them). The
+    result maps each unread name to the ``module:line`` places that
+    store it.
+    """
+    stored: dict[str, list[str]] = defaultdict(list)
+    for module, source in product.items():
+        for name, line in _writes(ast.parse(source))[0]:
+            stored[name].append(f"{module}:{line}")
+    read: set[str] = set()
+    for source in readers:
+        read |= _reads(ast.parse(source))
+    return {name: places for name, places in stored.items() if name not in read}
+
+
+def state_verdict(
+    unread: dict[str, list[str]], known: Sequence[tuple[str, str]]
+) -> list[str]:
+    """Why the state gate fails; empty when it passes.
+
+    *unread* is :func:`unread_state`'s result, *known* the allow-list in
+    the shape of :data:`KNOWN_UNREAD`. Every unread name the allow-list
+    does not cover fails the gate, and so does every allow-listed name
+    that is not unread.
+    """
+    allowed = {name for names, _ in known for name in names.split()}
+    problems = [
+        f"{name} is stored at {' '.join(unread[name])} but never read "
+        "outside the tests"
+        for name in sorted(unread.keys() - allowed)
+    ]
+    problems += [
+        f"KNOWN_UNREAD name {name} is read or no longer stored"
+        for name in sorted(allowed - unread.keys())
+    ]
+    return problems
+
+
+def _writes(tree: ast.AST) -> tuple[list[tuple[str, int]], set[int]]:
+    """Attribute names *tree* stores, with their lines, and write receivers.
+
+    A write receiver is an ``x.a`` load that only writes into ``a``:
+    ``x.a[k] = …`` and a statement ``x.a.append(…)`` (or another of
+    :data:`_MUTATORS`). Dataclass fields count as stores.
+    """
+    stored: list[tuple[str, int]] = []
+    receivers: set[int] = set()
+
+    def receiver(node: ast.expr, line: int) -> None:
+        if isinstance(node, ast.Attribute):
+            receivers.add(id(node))
+            stored.append((node.attr, line))
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            stored.append((node.attr, node.lineno))
+        elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+            func = node.value.func
+            if isinstance(func, ast.Attribute) and func.attr in _MUTATORS:
+                receiver(func.value, node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Subscript):
+                    receiver(target.value, node.lineno)
+        elif isinstance(node, ast.ClassDef) and "dataclass" in {
+            _bare_name(d) for d in node.decorator_list
+        }:
+            stored += [
+                (item.target.id, item.lineno)
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+    return stored, receivers
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """Attribute names *tree* loads, other than as a write receiver, and its
+    string constants."""
+    receivers = _writes(tree)[1]
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.ctx, ast.Load) and id(node) not in receivers:
+                read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
 
 
 def reach_verdict(
@@ -354,31 +521,35 @@ def _outermost_functions(path: Path) -> list[tuple[int, int, str]]:
     """
     found: list[tuple[int, int, str]] = []
 
-    def name(node: ast.expr) -> str:
-        """Bare name: ``typing.overload`` gives ``overload``, ``Protocol[T]`` ``Protocol``."""
-        if isinstance(node, ast.Subscript):
-            node = node.value
-        if isinstance(node, ast.Attribute):
-            return node.attr
-        return node.id if isinstance(node, ast.Name) else ""
-
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if {name(d) for d in child.decorator_list} & {"overload", "abstractmethod"}:
+                if {_bare_name(d) for d in child.decorator_list} & {
+                    "overload", "abstractmethod"
+                }:
                     continue
                 first = min(
                     [child.lineno] + [d.lineno for d in child.decorator_list]
                 )
                 found.append((first, child.end_lineno, scope + child.name))
             elif isinstance(child, ast.ClassDef):
-                if "Protocol" not in {name(base) for base in child.bases}:
+                if "Protocol" not in {_bare_name(base) for base in child.bases}:
                     visit(child, f"{scope}{child.name}.")
             else:
                 visit(child, scope)
 
     visit(ast.parse(path.read_text()), "")
     return found
+
+
+def _bare_name(node: ast.expr) -> str:
+    """``typing.overload`` gives ``overload``, ``Protocol[T]`` ``Protocol``,
+    ``dataclass(frozen=True)`` ``dataclass``."""
+    if isinstance(node, (ast.Subscript, ast.Call)):
+        node = node.value if isinstance(node, ast.Subscript) else node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
 
 
 def _known_reason(module: str, qualname: str) -> str | None:
