@@ -64,7 +64,6 @@ class FleetSpec:
     mean_rps_range: tuple[float, float] = (80.0, 600.0)
     root: int = 0
     sample_size: int = 200
-    monitoring_retention_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -102,9 +101,6 @@ def build_member(spec: FleetSpec, index: int) -> FleetMember:
     return FleetMember(
         deployment=deployment,
         workload=workload,
-        monitoring=MonitoringAgent(
-            deployment.instance_id,
-            retention_s=spec.monitoring_retention_s,
-        ),
+        monitoring=MonitoringAgent(deployment.instance_id),
         phase_offset_s=phase_offset_s,
     )

@@ -1,56 +1,42 @@
 """External monitoring agent — the paper's Dynatrace stand-in.
 
 §3.2 monitors disk latency "from external monitoring agents such as
-Dynatrace". :class:`MonitoringAgent` accumulates the disk latency / IOPS
-series emitted by one database's execution windows, and the TDE reads
-each window through it (:meth:`MonitoringAgent.filter_result`).
+Dynatrace". :class:`MonitoringAgent` is the §2 ingestion and filter
+seam between one database's execution windows and its observers: every
+executed window passes through :meth:`MonitoringAgent.ingest`, and the
+TDE reads each window through :meth:`MonitoringAgent.filter_result`.
+The agent keeps no per-second series: each window's disk series already
+travel on the :class:`~repro.dbsim.engine.ExecutionResult`, and nothing
+reads a copy of them back.
 """
 
 from __future__ import annotations
 
-from repro.common.timeseries import TimeSeries
 from repro.dbsim.engine import ExecutionResult
 
 __all__ = ["MonitoringAgent"]
 
 
 class MonitoringAgent:
-    """Accumulates per-instance disk telemetry across execution windows.
+    """The monitoring pipeline of one database instance.
 
     Parameters
     ----------
     instance_id:
         Database instance the telemetry belongs to.
-    retention_s:
-        If set, per-second disk series older than this (relative to the
-        newest ingested window) are dropped — what a real monitoring
-        backend's retention policy does. Detector queries only ever look
-        a few windows back; a day-long fleet simulation would otherwise
-        hold tens of millions of unread samples. ``None`` retains
-        everything.
     """
 
-    def __init__(
-        self, instance_id: str = "db0", retention_s: float | None = None
-    ) -> None:
+    def __init__(self, instance_id: str = "db0") -> None:
         self.instance_id = instance_id
-        self.retention_s = retention_s
-        self.write_latency = TimeSeries("data.write_latency_ms", "ms")
-        self.read_latency = TimeSeries("data.read_latency_ms", "ms")
-        self.iops = TimeSeries("data.iops", "ops/s")
-        self.throughput = TimeSeries("db.throughput_tps", "tps")
 
     def ingest(self, result: ExecutionResult) -> None:
-        """Record the telemetry of one executed window."""
-        self.write_latency.extend_series(result.data_disk.write_latency)
-        self.read_latency.extend_series(result.data_disk.read_latency)
-        self.iops.extend_series(result.data_disk.iops)
-        self.throughput.append(result.start_time_s, result.throughput)
-        if self.retention_s is not None:
-            horizon = result.start_time_s + result.duration_s - self.retention_s
-            self.write_latency.drop_before(horizon)
-            self.read_latency.drop_before(horizon)
-            self.iops.drop_before(horizon)
+        """Deliver one executed window to the monitoring pipeline.
+
+        A healthy pipeline stores nothing. Agents whose pipeline can drop
+        windows (see :class:`repro.faults.injectors.FaultyMonitoringAgent`)
+        consult their fault schedule here.
+        """
+        del result
 
     def filter_result(self, result: ExecutionResult) -> ExecutionResult:
         """The window's observables as the monitoring pipeline saw them.

@@ -1,18 +1,17 @@
 """A minimal append-only time series used throughout the simulator.
 
-Monitoring agents (the Dynatrace stand-in), the storage model and the
-benchmark harnesses all exchange ``TimeSeries`` values: pairs of
-``(timestamp_seconds, value)`` with convenience reductions. Timestamps are
-simulated seconds, not wall clock.
+The storage model emits each window's per-second disk series as
+``TimeSeries`` values, which the detectors, the experiments and the
+benchmark harnesses read: pairs of ``(timestamp_seconds, value)`` with
+convenience reductions. Timestamps are simulated seconds, not wall clock.
 
 Storage is a pair of preallocated ``float64`` arrays with doubling
-capacity and a start offset, so the fleet-scale hot operations — a disk
-model emitting hundreds of per-second samples per window, a monitoring
-agent copying whole windows and trimming retention — are array copies and
-pointer moves instead of per-element list traffic. Every reduction reads
-the same float64 values the previous list-backed implementation produced,
-so all derived numbers (means that feed metric vectors, golden-trace
-bytes) are bit-identical.
+capacity, so the hot operations — a disk model emitting hundreds of
+per-second samples per window, a harness concatenating whole windows
+into one trace — are array copies instead of per-element list traffic.
+Every reduction reads the same float64 values the previous list-backed
+implementation produced, so all derived numbers (means that feed metric
+vectors, golden-trace bytes) are bit-identical.
 """
 
 from __future__ import annotations
@@ -37,50 +36,38 @@ class TimeSeries:
         Human-readable unit used by benchmark printouts.
     """
 
-    __slots__ = ("name", "unit", "_buf_t", "_buf_v", "_start", "_end")
+    __slots__ = ("name", "unit", "_buf_t", "_buf_v", "_end")
 
     def __init__(self, name: str, unit: str = "") -> None:
         self.name = name
         self.unit = unit
         self._buf_t: np.ndarray = np.empty(0)
         self._buf_v: np.ndarray = np.empty(0)
-        self._start = 0
         self._end = 0
 
     # -- internal buffer management -------------------------------------------
 
     def _reserve(self, extra: int) -> None:
-        """Ensure room for *extra* more samples past ``_end``.
-
-        Growth doubles capacity; a grow also compacts the dropped prefix
-        (see :meth:`drop_before`) so capacity tracks the live sample
-        count, not the append history.
-        """
-        n = self._end - self._start
-        if self._end + extra <= len(self._buf_t) and self._start == 0:
-            return
-        if self._end + extra <= len(self._buf_t) and n + extra <= self._start:
-            # Plenty of dead prefix but no need to grow; fall through to
-            # compaction only when the tail runs out.
+        """Ensure room for *extra* more samples past ``_end``; growth
+        doubles capacity."""
+        n = self._end
+        if n + extra <= len(self._buf_t):
             return
         capacity = max(_INITIAL_CAPACITY, len(self._buf_t))
         while capacity < n + extra:
             capacity *= 2
-        if capacity != len(self._buf_t) or self._start:
-            new_t = np.empty(capacity)
-            new_v = np.empty(capacity)
-            new_t[:n] = self._buf_t[self._start : self._end]
-            new_v[:n] = self._buf_v[self._start : self._end]
-            self._buf_t = new_t
-            self._buf_v = new_v
-            self._start = 0
-            self._end = n
+        new_t = np.empty(capacity)
+        new_v = np.empty(capacity)
+        new_t[:n] = self._buf_t[:n]
+        new_v[:n] = self._buf_v[:n]
+        self._buf_t = new_t
+        self._buf_v = new_v
 
     def _times_view(self) -> np.ndarray:
-        return self._buf_t[self._start : self._end]
+        return self._buf_t[: self._end]
 
     def _values_view(self) -> np.ndarray:
-        return self._buf_v[self._start : self._end]
+        return self._buf_v[: self._end]
 
     @classmethod
     def from_window(
@@ -104,7 +91,7 @@ class TimeSeries:
 
     def append(self, time: float, value: float) -> None:
         """Append one sample; *time* must be >= the last appended time."""
-        if self._end > self._start and time < self._buf_t[self._end - 1]:
+        if self._end and time < self._buf_t[self._end - 1]:
             raise ValueError(
                 f"non-monotonic timestamp {time} < "
                 f"{self._buf_t[self._end - 1]} in {self.name}"
@@ -124,15 +111,13 @@ class TimeSeries:
 
         *other*'s samples are already monotone (an append-time invariant),
         so only the boundary needs checking and the copies are two array
-        assignments. The monitoring agents copy whole per-second series
-        every window, which made sample-by-sample appends a fleet-scale
-        hotspot.
+        assignments.
         """
         k = len(other)
         if k == 0:
             return
         times = other._times_view()
-        if self._end > self._start and times[0] < self._buf_t[self._end - 1]:
+        if self._end and times[0] < self._buf_t[self._end - 1]:
             raise ValueError(
                 f"non-monotonic timestamp {times[0]} < "
                 f"{self._buf_t[self._end - 1]}"
@@ -143,19 +128,8 @@ class TimeSeries:
         self._buf_v[self._end : self._end + k] = other._values_view()
         self._end += k
 
-    def drop_before(self, time: float) -> None:
-        """Discard all samples with timestamp strictly below *time*.
-
-        Retention trimming for consumers that only read recent history;
-        the samples are sorted, so this is one bisect plus a start-offset
-        move (the dead prefix is reclaimed on the next buffer grow).
-        """
-        k = int(np.searchsorted(self._times_view(), time, side="left"))
-        if k:
-            self._start += k
-
     def __len__(self) -> int:
-        return self._end - self._start
+        return self._end
 
     def __iter__(self) -> Iterator[tuple[float, float]]:
         return iter(
@@ -185,7 +159,7 @@ class TimeSeries:
         out = TimeSeries(self.name, self.unit)
         if not len(self):
             return out
-        bucket_start = float(self._buf_t[self._start])
+        bucket_start = float(self._buf_t[0])
         acc: list[float] = []
         for time, value in self:
             if time >= bucket_start + bucket_seconds:
@@ -200,9 +174,9 @@ class TimeSeries:
         return out
 
     def __getstate__(self) -> tuple[str, str, np.ndarray, np.ndarray]:
-        # Pickle only the live samples: spare capacity and dropped
-        # prefixes are np.empty garbage, and shipping them would make
-        # snapshot bytes depend on append/trim history.
+        # Pickle only the live samples: spare capacity is np.empty
+        # garbage, and shipping it would make snapshot bytes depend on
+        # append history.
         return (self.name, self.unit, self.times, self.values)
 
     def __setstate__(
@@ -213,7 +187,6 @@ class TimeSeries:
         self.unit = unit
         self._buf_t = np.asarray(times, dtype=float)
         self._buf_v = np.asarray(values, dtype=float)
-        self._start = 0
         self._end = len(self._buf_t)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

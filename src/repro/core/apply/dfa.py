@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cloud.monitoring import MonitoringAgent
 from repro.common.recording import NULL_RECORDER, Recorder
 from repro.core.apply.adapters import DatabaseAdapter, adapter_for
 from repro.dbsim.config import KnobConfiguration
@@ -42,16 +41,12 @@ class CanaryContext:
     becomes a canary: it replays *batch* under the incumbent config,
     then under the candidate, and the candidate is only promoted to the
     remaining nodes if its throughput reaches ``threshold`` times the
-    incumbent's. Both replays' telemetry is ingested into *monitor*
-    (the §2 external-monitoring seam) and the throughput comparison is
-    read back from that series, so the decision flows through the same
-    pipeline every other observer uses. Replaying the same batch twice
-    on the same node makes the comparison self-calibrating: cold-cache
-    and background-writer state affect both runs alike.
+    incumbent's. Replaying the same batch twice on the same node makes
+    the comparison self-calibrating: cold-cache and background-writer
+    state affect both runs alike.
     """
 
     batch: WorkloadBatch
-    monitor: MonitoringAgent | None = None
     threshold: float = 0.85
 
 
@@ -266,9 +261,6 @@ class DataFederationAgent:
                 result = node.run(canary.batch)
             except DatabaseCrashed:
                 return None
-            if canary.monitor is not None:
-                canary.monitor.ingest(result)
-                return canary.monitor.throughput.values[-1]
             return result.throughput
 
         baseline_tps = replay()

@@ -63,8 +63,6 @@ class ManagedInstance:
     apply_mode: str = "split"
     since_last_periodic_s: float = 0.0
     throughput_history: list[float] = field(default_factory=list)
-    #: Telemetry sink for canary-slave evaluations (governed mode only).
-    canary_monitor: MonitoringAgent | None = None
 
     @property
     def instance_id(self) -> str:
@@ -193,13 +191,6 @@ class AutoDBaaS:
             policy=policy,
             periodic_interval_s=periodic_interval_s,
             apply_mode=apply_mode,
-            canary_monitor=(
-                MonitoringAgent(
-                    f"{instance_id}/canary", retention_s=4.0 * self.window_s
-                )
-                if self.governor is not None
-                else None
-            ),
         )
         self.instances[instance_id] = managed
         self.orchestrator.register(deployment)
@@ -339,7 +330,6 @@ class AutoDBaaS:
                         instance_id=instance_id,
                         canary=CanaryContext(
                             batch=result.batch,
-                            monitor=managed.canary_monitor,
                             threshold=self.governor.policy.canary_threshold,
                         ),
                     )

@@ -11,13 +11,12 @@ from repro.core.tde.entropy import (
     QueryClassHistogram,
     normalized_entropy,
 )
-from repro.core.tde.mdp import AutomatonStep, LearningAutomaton
+from repro.core.tde.mdp import LearningAutomaton
 from repro.core.tde.memory_detector import MemoryDetectionReport, MemoryThrottleDetector
 from repro.core.tde.planner_detector import EpisodeResult, PlannerThrottleDetector
 from repro.core.tde.throttle import PlanUpgradeRequest, Throttle, ThrottleLog
 
 __all__ = [
-    "AutomatonStep",
     "BgwriterThrottleDetector",
     "EntropyFilter",
     "EpisodeResult",

@@ -19,28 +19,14 @@ accumulate, which is the learning progress Fig. 6 plots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.common.rng import make_rng
 from repro.dbsim.knobs import KnobDef
 
-__all__ = ["LearningAutomaton", "AutomatonStep"]
+__all__ = ["LearningAutomaton"]
 
 _ACTIONS = ("increase", "decrease")
-
-
-@dataclass
-class AutomatonStep:
-    """One automaton step: what was tried and how it went."""
-
-    knob: str
-    action: str
-    old_value: float
-    new_value: float
-    reward: float
-    rewarded: bool
 
 
 class LearningAutomaton:
@@ -72,7 +58,6 @@ class LearningAutomaton:
         self.lr_penalty = lr_penalty
         self._rng = make_rng(seed)
         self._p = {action: 0.5 for action in _ACTIONS}
-        self.history: list[AutomatonStep] = []
 
     def choose_action(self) -> str:
         """Sample an action from the current distribution (the H mapping).
@@ -101,18 +86,3 @@ class LearningAutomaton:
         else:
             self._p[action] -= self.lr_penalty * self._p[action]
         self._p[other] = 1.0 - self._p[action]
-
-    def record(
-        self, action: str, old: float, new: float, reward: float, rewarded: bool
-    ) -> AutomatonStep:
-        """Store one step in the automaton's history."""
-        step = AutomatonStep(
-            knob=self.knob.name,
-            action=action,
-            old_value=old,
-            new_value=new,
-            reward=reward,
-            rewarded=rewarded,
-        )
-        self.history.append(step)
-        return step

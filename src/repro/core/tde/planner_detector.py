@@ -140,14 +140,12 @@ class PlannerThrottleDetector:
             if new_value == old_value:
                 # At a cap; the move is a no-op — penalise to push back.
                 automaton.update(action, rewarded=False)
-                automaton.record(action, old_value, new_value, 0.0, False)
                 continue
             candidate = db.config.with_values({name: new_value})
             new_cost = db.plan_cost(columns, candidate)
             profit = (base_cost - new_cost) / base_cost
             rewarded = profit > self.profit_threshold
             automaton.update(action, rewarded)
-            automaton.record(action, old_value, new_value, profit, rewarded)
             if rewarded:
                 profitable.append((name, profit))
         return profitable
@@ -242,7 +240,6 @@ class PlannerThrottleDetector:
             )
             rewarded = improvement > self.profit_threshold
             automaton.update(action, rewarded)
-            automaton.record(action, config[name], new_value, profit, rewarded)
             result.steps += 1
             if rewarded:
                 # Hill-climbing state transition: the MDP moves to the new

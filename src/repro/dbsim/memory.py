@@ -82,7 +82,6 @@ class SpillReport:
     disk_used_mb: float = 0.0
     spill_read_write_mb: float = 0.0
     spilled_families: dict[str, float] = field(default_factory=dict)
-    spilled_categories: set[str] = field(default_factory=set)
     temp_files: int = 0
 
 
@@ -142,7 +141,6 @@ def compute_spills(
             if excess > 0.0:
                 peak_disk = max(peak_disk, excess)
                 family_spill += excess
-                report.spilled_categories.add(category)
                 report.spill_read_write_mb += 2.0 * excess * count
                 report.temp_files += count
         if family_spill > 0.0:

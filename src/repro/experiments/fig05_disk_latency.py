@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cloud.monitoring import MonitoringAgent
 from repro.common.timeseries import TimeSeries
 from repro.dbsim.engine import SimulatedDatabase
 from repro.workloads.tpcc import TPCCWorkload
@@ -62,16 +61,17 @@ def run(
 ) -> DiskLatencyRun:
     """Execute both 20-minute TPC-C sessions and collect latency traces."""
     traces: list[TimeSeries] = []
-    for label, overrides in (("default", {}), ("tuned", tuned_config_values())):
+    for overrides in ({}, tuned_config_values()):
         db = SimulatedDatabase("postgres", "m4.large", 26.0, seed=seed)
         if overrides:
             db.apply_config(db.config.with_values(overrides), mode="restart")
             db._pending_stall_s = 0.0  # measure steady state, not the restart
         workload = TPCCWorkload(rps=rps, seed=seed + 1)
-        agent = MonitoringAgent(label)
+        trace = TimeSeries("data.write_latency_ms", "ms")
         elapsed = 0.0
         while elapsed < duration_s:
-            agent.ingest(db.run(workload.batch(window_s, start_time_s=db.clock_s)))
+            result = db.run(workload.batch(window_s, start_time_s=db.clock_s))
+            trace.extend_series(result.data_disk.write_latency)
             elapsed += window_s
-        traces.append(agent.write_latency)
+        traces.append(trace)
     return DiskLatencyRun(default_latency=traces[0], tuned_latency=traces[1])

@@ -387,10 +387,6 @@ def run(
             flavor="postgres",
             root=stream_root(seed),
             sample_size=64 if paper_scale else 200,
-            # Nothing in this experiment reads the monitoring series back;
-            # retaining a day of per-second telemetry for 80 members would
-            # cost gigabytes, so keep an hour, like a real backend would.
-            monitoring_retention_s=3600.0 if paper_scale else None,
         ),
         repository=repository,
         tde_seed=seed,

@@ -272,13 +272,8 @@ def strip_telemetry(result: ExecutionResult) -> ExecutionResult:
 class FaultyMonitoringAgent(MonitoringAgent):
     """A monitoring agent whose ingest pipeline can drop windows."""
 
-    def __init__(
-        self,
-        instance_id: str,
-        injector: FaultInjector,
-        retention_s: float | None = None,
-    ) -> None:
-        super().__init__(instance_id, retention_s=retention_s)
+    def __init__(self, instance_id: str, injector: FaultInjector) -> None:
+        super().__init__(instance_id)
         self.injector = injector
         self.gap_windows = 0
 

@@ -14,8 +14,8 @@ from repro.workloads import (
 )
 
 
-def _run(flavor, overrides, workload_factory, vm="m4.large", data_gb=26.0,
-         windows=2, window_s=60.0, seed=7):
+def _execute(flavor, overrides, workload_factory, vm="m4.large", data_gb=26.0,
+             windows=2, window_s=60.0, seed=7):
     db = SimulatedDatabase(flavor, vm, data_gb, seed=seed)
     if overrides:
         db.apply_config(db.config.with_values(overrides), mode="restart")
@@ -26,7 +26,20 @@ def _run(flavor, overrides, workload_factory, vm="m4.large", data_gb=26.0,
         db.run(workload.batch(window_s, start_time_s=db.clock_s))
         for _ in range(windows)
     ]
-    return results[-1]
+    return db, results[-1]
+
+
+def _run(*args, **kwargs):
+    return _execute(*args, **kwargs)[1]
+
+
+def _spilled(*args, **kwargs):
+    """Working areas the last window spilled in, read from EXPLAIN of each
+    executed family's example statement."""
+    db, result = _execute(*args, **kwargs)
+    return set().union(
+        *(db.explain(q).spilled_categories() for q in result.batch.family_examples)
+    )
 
 
 def _checkpoint_sums(flavor, overrides, workload_factory, windows=4, seed=7,
@@ -55,24 +68,24 @@ class TestPostgresMemoryKnobs:
 
     def test_work_mem_stops_sort_spills(self):
         factory = lambda s: TPCHWorkload(rps=2.0, data_size_gb=24.0, seed=s)
-        small = _run("postgres", {}, factory, data_gb=24.0)
-        big = _run("postgres", {"work_mem": 512}, factory, data_gb=24.0)
-        assert "sort" in small.spill.spilled_categories
-        assert "sort" not in big.spill.spilled_categories
+        small = _spilled("postgres", {}, factory, data_gb=24.0)
+        big = _spilled("postgres", {"work_mem": 512}, factory, data_gb=24.0)
+        assert "sort" in small
+        assert "sort" not in big
 
     def test_maintenance_work_mem_stops_maintenance_spills(self):
         factory = lambda s: AdulteratedTPCCWorkload(0.5, data_size_gb=21.0, seed=s)
-        small = _run("postgres", {}, factory, data_gb=21.0)
-        big = _run("postgres", {"maintenance_work_mem": 512}, factory, data_gb=21.0)
-        assert "maintenance" in small.spill.spilled_categories
-        assert "maintenance" not in big.spill.spilled_categories
+        small = _spilled("postgres", {}, factory, data_gb=21.0)
+        big = _spilled("postgres", {"maintenance_work_mem": 512}, factory, data_gb=21.0)
+        assert "maintenance" in small
+        assert "maintenance" not in big
 
     def test_temp_buffers_stop_temp_spills(self):
         factory = lambda s: AdulteratedTPCCWorkload(0.5, data_size_gb=21.0, seed=s)
-        small = _run("postgres", {}, factory, data_gb=21.0)
-        big = _run("postgres", {"temp_buffers": 1024}, factory, data_gb=21.0)
-        assert "temp" in small.spill.spilled_categories
-        assert "temp" not in big.spill.spilled_categories
+        small = _spilled("postgres", {}, factory, data_gb=21.0)
+        big = _spilled("postgres", {"temp_buffers": 1024}, factory, data_gb=21.0)
+        assert "temp" in small
+        assert "temp" not in big
 
 
 class TestPostgresBgwriterKnobs:
@@ -165,13 +178,13 @@ class TestMySQLKnobs:
 
     def test_sort_and_join_buffers_stop_spills(self):
         factory = lambda s: AdulteratedTPCCWorkload(0.5, data_size_gb=21.0, seed=s)
-        small = _run("mysql", {}, factory, data_gb=21.0)
-        big = _run(
+        small = _spilled("mysql", {}, factory, data_gb=21.0)
+        big = _spilled(
             "mysql", {"sort_buffer_size": 400, "join_buffer_size": 64},
             factory, data_gb=21.0,
         )
-        assert "sort" in small.spill.spilled_categories
-        assert "sort" not in big.spill.spilled_categories
+        assert "sort" in small
+        assert "sort" not in big
 
     def test_log_file_size_bounds_requested_checkpoints(self):
         factory = lambda s: TPCCWorkload(rps=3300.0, seed=s)

@@ -182,7 +182,6 @@ class TestProbeMatchesPerQuery:
             assert profits == probe_per_query(twin, db, twin.reservoir.sample)
         for name, automaton in detector.automata.items():
             other = twin.automata[name]
-            assert automaton.history == other.history
             assert automaton._p == other._p
             assert automaton._rng.bit_generator.state == other._rng.bit_generator.state
 

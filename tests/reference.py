@@ -419,14 +419,12 @@ def probe_per_query(
         new_value = automaton.next_value(old_value, action)
         if new_value == old_value:
             automaton.update(action, rewarded=False)
-            automaton.record(action, old_value, new_value, 0.0, False)
             continue
         candidate = db.config.with_values({name: new_value})
         new_cost = mean_cost_per_query(db, queries, candidate)
         profit = (base_cost - new_cost) / base_cost
         rewarded = profit > detector.profit_threshold
         automaton.update(action, rewarded)
-        automaton.record(action, old_value, new_value, profit, rewarded)
         if rewarded:
             profitable.append((name, profit))
     return profitable

@@ -13,12 +13,14 @@ from repro.common.rng import stream_root
 
 
 class TestMonitoringAgent:
-    def test_ingest_accumulates(self, pg_db, tpcc):
+    def test_healthy_agent_passes_windows_through(self, pg_db, tpcc):
         agent = MonitoringAgent("db0")
-        agent.ingest(pg_db.run(tpcc.batch(10.0)))
-        agent.ingest(pg_db.run(tpcc.batch(10.0)))
-        assert len(agent.write_latency) == 20
-        assert len(agent.throughput) == 2
+        for _ in range(2):
+            result = pg_db.run(tpcc.batch(10.0))
+            agent.ingest(result)
+            assert agent.filter_result(result) is result
+        assert len(result.data_disk.write_latency) == 10
+        assert vars(agent) == {"instance_id": "db0"}
 
 
 class TestProvisioner:

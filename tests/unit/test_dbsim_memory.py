@@ -71,7 +71,6 @@ class TestComputeSpills:
         cfg = KnobConfiguration(pg_catalog, {"work_mem": 4})
         report = compute_spills(_batch(sort_mb=350.0, count=2), cfg)
         assert report.spilled_families
-        assert "sort" in report.spilled_categories
         assert report.disk_used_mb == pytest.approx(346.0)
         # write + read-back of the excess, per execution
         assert report.spill_read_write_mb == pytest.approx(2 * 346.0 * 2)
@@ -79,13 +78,19 @@ class TestComputeSpills:
 
     def test_maintenance_category(self, pg_catalog):
         cfg = KnobConfiguration(pg_catalog, {"maintenance_work_mem": 8})
-        report = compute_spills(_batch(maintenance_mb=100.0), cfg)
-        assert report.spilled_categories == {"maintenance"}
+        batch = _batch(maintenance_mb=100.0)
+        assert compute_spills(batch, cfg).disk_used_mb == pytest.approx(92.0)
+        # Only the maintenance allowance clears it.
+        roomy = cfg.with_values({"maintenance_work_mem": 128})
+        assert not compute_spills(batch, roomy).spilled_families
 
     def test_temp_category(self, pg_catalog):
         cfg = KnobConfiguration(pg_catalog, {"temp_buffers": 8})
-        report = compute_spills(_batch(temp_mb=100.0), cfg)
-        assert report.spilled_categories == {"temp"}
+        batch = _batch(temp_mb=100.0)
+        assert compute_spills(batch, cfg).disk_used_mb == pytest.approx(92.0)
+        # Only the temp allowance clears it.
+        roomy = cfg.with_values({"temp_buffers": 128})
+        assert not compute_spills(batch, roomy).spilled_families
 
     def test_multiple_categories_single_query(self, pg_catalog):
         """§3.1: one query class can throttle several knobs at once."""
@@ -93,7 +98,10 @@ class TestComputeSpills:
         report = compute_spills(
             _batch(sort_mb=100.0, temp_mb=100.0, maintenance_mb=100.0), cfg
         )
-        assert report.spilled_categories == {"sort", "maintenance", "temp"}
+        # Excess over the 4 MB work_mem, 64 MB maintenance_work_mem and
+        # 8 MB temp_buffers defaults, all charged to the one family.
+        assert report.spilled_families == {"q": pytest.approx(96.0 + 36.0 + 92.0)}
+        assert report.temp_files == 3 * 10
 
     def test_zero_count_families_ignored(self, pg_catalog):
         cfg = KnobConfiguration(pg_catalog)
@@ -105,7 +113,8 @@ class TestComputeSpills:
         cfg = KnobConfiguration(pg_catalog)
         batch = tpcc.batch(10.0)
         report = compute_spills(batch, cfg)
-        assert "sort" not in report.spilled_categories
+        assert not report.spilled_families
+        assert report.disk_used_mb == 0.0
 
 
 class TestSwapFactor:

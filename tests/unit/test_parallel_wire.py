@@ -109,10 +109,9 @@ class TestDeltaOnlyBroadcast:
     def test_steady_state_payload_has_no_repository_snapshot(self):
         worker, catalog, repository = _make_worker()
         outs0 = worker.step(WindowCommand(window_s=300.0))
-        # Window 0 steps every member through the clock and monitoring.
+        # Window 0 steps every member through the clock.
         assert worker.clock_s == 300.0
-        for member in worker.members.values():
-            assert len(member.monitoring.iops) == 300
+        assert sorted(i for i, _ in outs0) == sorted(worker.members)
 
         # The coordinator's steady-state broadcast: one fitted config and
         # one fresh sample, both wire-encoded.
@@ -220,21 +219,24 @@ class TestDeltaOnlyBroadcast:
 class TestFig09ShardWorker:
     def test_step_runs_every_member(self):
         worker, _, _ = _make_worker(size=4)
+        windows = _capture_results(worker)
         worker.step(WindowCommand(window_s=30.0))
         assert worker.clock_s == 30.0
-        for member in worker.members.values():
-            assert len(member.monitoring.iops) == 30
-            assert len(member.monitoring.throughput) == 1
-            assert member.monitoring.throughput.values[0] >= 0
         worker.step(WindowCommand(window_s=30.0))
         assert worker.clock_s == 60.0
-        for member in worker.members.values():
-            assert len(member.monitoring.throughput) == 2
+        assert len(windows) == 2
+        for window in windows:
+            assert sorted(window) == sorted(worker.members)
+            for result in window.values():
+                assert len(result.data_disk.iops) == 30
+                assert result.throughput >= 0
 
     def test_monitoring_filled_by_step(self):
         worker, _, _ = _make_worker(size=2)
+        windows = _capture_results(worker)
         worker.step(WindowCommand(window_s=20.0))
-        assert all(len(m.monitoring.iops) == 20 for m in worker.members.values())
+        (window,) = windows
+        assert all(len(r.data_disk.iops) == 20 for r in window.values())
 
 
 class TestSessionStatsRendering:

@@ -317,11 +317,11 @@ class TestTimeSeriesBulkOps:
         with pytest.raises(ValueError):
             dst.extend_series(src)
 
-    def test_drop_before_trims_strict_prefix(self):
+    def test_extend_series_grows_past_capacity(self):
         series = TimeSeries("m")
-        series.extend([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0)])
-        series.drop_before(2.0)
-        assert series.times.tolist() == [2.0, 3.0]
-        assert series.values.tolist() == [3.0, 4.0]
-        series.drop_before(10.0)
-        assert len(series) == 0
+        for start in range(0, 100, 10):
+            window = TimeSeries("m")
+            window.extend((float(t), float(t) / 2) for t in range(start, start + 10))
+            series.extend_series(window)
+        assert series.times.tolist() == [float(t) for t in range(100)]
+        assert series.values.tolist() == [t / 2 for t in range(100)]

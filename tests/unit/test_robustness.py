@@ -262,8 +262,8 @@ class TestTelemetryGap:
         result = pg_db.run(tpcc.batch(20.0))
         agent.ingest(result)
         assert agent.gap_windows == 1
-        assert len(agent.write_latency) == 0
         assert len(agent.filter_result(result).data_disk.write_latency) == 0
+        assert len(result.data_disk.write_latency) == 20
 
     def test_tde_degrades_on_missing_telemetry(self, pg_db, tpcc):
         from repro.core.tde import ThrottlingDetectionEngine

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.cloud import Provisioner
-from repro.cloud.monitoring import MonitoringAgent
 from repro.core.apply import (
     CanaryContext,
     DataFederationAgent,
@@ -275,20 +274,28 @@ class TestDFACanary:
         assert service.master.config == previous
         assert service.slaves[0].config == previous
 
-    def test_canary_reads_throughput_via_monitoring_seam(self):
+    def test_canary_compares_the_two_replays_throughput(self, monkeypatch):
         service = _service()
-        monitor = MonitoringAgent("svc/canary")
+        node = service.slaves[0]
+        real_run = node.run
+        replays = []
+
+        def recording_run(batch):
+            replays.append(real_run(batch))
+            return replays[-1]
+
+        monkeypatch.setattr(node, "run", recording_run)
         report = DataFederationAgent().apply(
             service,
             service.config.with_values({"work_mem": 64}),
             instance_id="svc",
-            canary=CanaryContext(batch=_batch(), monitor=monitor),
+            canary=CanaryContext(batch=_batch()),
         )
         assert report.applied
-        # Both replays ingested: incumbent first, candidate second.
-        assert len(monitor.throughput) == 2
-        assert monitor.throughput.values[0] == report.canary_baseline_tps
-        assert monitor.throughput.values[1] == report.canary_tps
+        # Incumbent replay first, candidate second.
+        assert len(replays) == 2
+        assert replays[0].throughput == report.canary_baseline_tps
+        assert replays[1].throughput == report.canary_tps
 
     def test_candidate_replay_crash_rejects_and_restores(self, monkeypatch):
         service = _service()
@@ -448,16 +455,6 @@ class TestGovernedFacade:
     def test_default_has_no_governor(self):
         svc = self._svc()
         assert svc.governor is None
-
-    def test_governed_attach_builds_canary_monitor(self):
-        governed = self._svc(GovernorPolicy())
-        deployment = Provisioner(seed=2).provision()
-        governed.attach(deployment, TPCCWorkload(seed=3))
-        assert governed.instances[deployment.instance_id].canary_monitor is not None
-        ungoverned = self._svc()
-        other = Provisioner(seed=2).provision()
-        ungoverned.attach(other, TPCCWorkload(seed=3))
-        assert ungoverned.instances[other.instance_id].canary_monitor is None
 
     def test_governed_run_is_deterministic(self):
         def run():

@@ -1,5 +1,7 @@
 """Unit tests for the composed Throttling Detection Engine."""
 
+import copy
+
 import pytest
 
 from repro.core.tde import TDEReport, Throttle, ThrottlingDetectionEngine
@@ -54,11 +56,14 @@ class TestComposition:
             seed=1,
         )
         workload = TPCCWorkload(seed=2)
-        probes_before = len(tde.planner_detector.automata["random_page_cost"].history)
+        automaton = tde.planner_detector.automata["random_page_cost"]
+        # Each probe draws exactly one action per automaton, so two probes
+        # leave the automaton's stream two draws past a copy of it.
+        twin = copy.deepcopy(automaton._rng)
         for _ in range(6):
             tde.inspect(tde_db.run(workload.batch(20.0)))
-        probes_after = len(tde.planner_detector.automata["random_page_cost"].history)
-        assert probes_after - probes_before == 2
+        twin.random(2)
+        assert automaton._rng.bit_generator.state == twin.bit_generator.state
 
     def test_invalid_trigger_interval(self, tde_db):
         with pytest.raises(ValueError):

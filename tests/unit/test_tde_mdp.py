@@ -90,9 +90,3 @@ class TestLearning:
             assert 0.0 <= p_increase <= 1.0
             assert 0.0 <= p_decrease <= 1.0
             assert abs(p_increase + p_decrease - 1.0) <= 1e-12
-
-    def test_record_history(self):
-        a = LearningAutomaton(_knob(), seed=0)
-        step = a.record("increase", 5.0, 6.0, 0.1, True)
-        assert a.history == [step]
-        assert step.knob == "k"

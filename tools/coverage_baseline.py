@@ -161,14 +161,8 @@ KNOWN_UNREAD: tuple[tuple[str, str], ...] = (
     ("credentials username password",
      "a deployment's access credentials, held for the operator; the "
      "password draw feeds the seeds of later deployments"),
-    ("old_value new_value rewarded",
-     "AutomatonStep fields: the perf_tde bench compares automaton "
-     "histories by dataclass equality"),
     ("query_family total_cost planned_workers",
      "PlanEstimate fields: " + _REFERENCE),
-    ("spilled_categories",
-     "SpillReport's spilled working areas: the engine charges spill "
-     "volume only, the knob-direction tests check which area spilled"),
 )
 
 #: Methods that write into the container they are called on.
