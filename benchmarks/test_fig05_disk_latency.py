@@ -1,5 +1,6 @@
 """Bench: Fig. 5 — TPC-C disk write latency, default vs tuned config."""
 
+import numpy as np
 from conftest import run_once
 
 from repro.experiments import fig05_disk_latency, format_table
@@ -7,17 +8,19 @@ from repro.experiments import fig05_disk_latency, format_table
 
 def test_fig05_disk_latency(benchmark, emit):
     run = run_once(benchmark, fig05_disk_latency.run, duration_s=900.0, rps=1500.0)
-    default_minutely = run.default_latency.resample_mean(60.0)
-    tuned_minutely = run.tuned_latency.resample_mean(60.0)
+    _, default_minutely = fig05_disk_latency.resample_mean(
+        run.times, run.default_latency, 60.0
+    )
+    _, tuned_minutely = fig05_disk_latency.resample_mean(
+        run.times, run.tuned_latency, 60.0
+    )
     emit(
         "fig05_disk_latency",
         format_table(
             ("minute", "default ms", "tuned ms"),
             [
                 (i, f"{d:.2f}", f"{t:.2f}")
-                for i, (d, t) in enumerate(
-                    zip(default_minutely.values, tuned_minutely.values)
-                )
+                for i, (d, t) in enumerate(zip(default_minutely, tuned_minutely))
             ],
         )
         + (
@@ -29,4 +32,4 @@ def test_fig05_disk_latency(benchmark, emit):
     # and its worst case (the checkpoint surges of the default trace)
     # shrinks drastically.
     assert run.tuned_mean_ms < run.default_mean_ms * 0.6
-    assert run.tuned_latency.max() < run.default_latency.max()
+    assert np.max(run.tuned_latency) < np.max(run.default_latency)

@@ -15,6 +15,8 @@ import argparse
 import sys
 from collections.abc import Callable, Sequence
 
+import numpy as np
+
 from repro.core.features import FEATURE_NAMES, Features
 from repro.experiments import (
     ablations,
@@ -67,11 +69,11 @@ def _run_fig05(args: argparse.Namespace) -> None:
     run = fig05_disk_latency.run(seed=args.seed)
     print(
         f"default write latency: mean {run.default_mean_ms:.2f} ms, "
-        f"max {run.default_latency.max():.2f} ms"
+        f"max {np.max(run.default_latency):.2f} ms"
     )
     print(
         f"tuned   write latency: mean {run.tuned_mean_ms:.2f} ms, "
-        f"max {run.tuned_latency.max():.2f} ms"
+        f"max {np.max(run.tuned_latency):.2f} ms"
     )
 
 

@@ -5,9 +5,9 @@ Dynatrace". :class:`MonitoringAgent` is the §2 ingestion and filter
 seam between one database's execution windows and its observers: every
 executed window passes through :meth:`MonitoringAgent.ingest`, and the
 TDE reads each window through :meth:`MonitoringAgent.filter_result`.
-The agent keeps no per-second series: each window's disk series already
-travel on the :class:`~repro.dbsim.engine.ExecutionResult`, and nothing
-reads a copy of them back.
+The agent keeps no per-second series: each window's per-second disk
+arrays already travel on the :class:`~repro.dbsim.engine.ExecutionResult`,
+and nothing reads a copy of them back.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Shared infrastructure: seeded randomness, time series, small statistics.
+"""Shared infrastructure: seeded randomness, recording, small statistics.
 
 Everything in :mod:`repro` that needs randomness takes a
 ``numpy.random.Generator`` (or a seed) explicitly so that every experiment
@@ -8,14 +8,12 @@ in the benchmark suite is reproducible bit-for-bit.
 from repro.common.recording import NULL_RECORDER, NullRecorder, Recorder, Span
 from repro.common.rng import derive_rng, make_rng, stream_root, substream
 from repro.common.stats import percentile
-from repro.common.timeseries import TimeSeries
 
 __all__ = [
     "NULL_RECORDER",
     "NullRecorder",
     "Recorder",
     "Span",
-    "TimeSeries",
     "derive_rng",
     "make_rng",
     "percentile",

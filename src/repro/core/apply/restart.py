@@ -13,14 +13,15 @@ visible outage, each an ``apply_config`` mode of the simulated node:
 
 :class:`PeriodicReloadDriver` reproduces the Fig. 7 protocol: run a
 workload while re-applying the config in the chosen mode at a fixed
-frequency and collect the IOPS series for comparison.
+frequency and collect the per-second IOPS for comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.common.timeseries import TimeSeries
+import numpy as np
+
 from repro.dbsim.engine import ExecutionResult, SimulatedDatabase
 from repro.workloads.generator import WorkloadGenerator
 
@@ -31,9 +32,10 @@ __all__ = ["PeriodicReloadDriver"]
 class ReloadRunReport:
     """Outcome of one periodic-reload run."""
 
-    iops: TimeSeries
-    throughput_tps: list[float] = field(default_factory=list)
-    reloads_fired: int = 0
+    #: Data-disk IOPS, one value per second of the run.
+    iops: np.ndarray
+    throughput_tps: list[float]
+    reloads_fired: int
 
     @property
     def mean_tps(self) -> float:
@@ -72,17 +74,23 @@ class PeriodicReloadDriver:
         """Run for *total_duration_s*, returning the stitched IOPS series."""
         if total_duration_s <= 0:
             raise ValueError("total_duration_s must be positive")
-        report = ReloadRunReport(iops=TimeSeries("data.iops", "ops/s"))
+        windows = []
+        throughput_tps = []
+        reloads_fired = 0
         elapsed = 0.0
         while elapsed < total_duration_s:
             window = min(self.reload_period_s, total_duration_s - elapsed)
             result: ExecutionResult = self.db.run(
                 self.workload.batch(window, start_time_s=self.db.clock_s)
             )
-            report.iops.extend(iter(result.data_disk.iops))
-            report.throughput_tps.append(result.throughput)
+            windows.append(result.data_disk.iops)
+            throughput_tps.append(result.throughput)
             elapsed += window
             if self.mode is not None and elapsed < total_duration_s:
                 self.db.apply_config(self.db.config, mode=self.mode)
-                report.reloads_fired += 1
-        return report
+                reloads_fired += 1
+        return ReloadRunReport(
+            iops=np.concatenate(windows),
+            throughput_tps=throughput_tps,
+            reloads_fired=reloads_fired,
+        )

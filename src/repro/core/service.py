@@ -23,7 +23,7 @@ engine call steps every master, then each instance is served in order.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cloud.monitoring import MonitoringAgent
 from repro.cloud.provisioner import ServiceDeployment
@@ -62,7 +62,6 @@ class ManagedInstance:
     periodic_interval_s: float
     apply_mode: str = "split"
     since_last_periodic_s: float = 0.0
-    throughput_history: list[float] = field(default_factory=list)
 
     @property
     def instance_id(self) -> str:
@@ -267,7 +266,6 @@ class AutoDBaaS:
         service = managed.deployment.service
         outcome = StepOutcome(instance_id=instance_id, result=result)
         managed.monitoring.ingest(result)
-        managed.throughput_history.append(result.throughput)
 
         if self.governor is not None and managed.policy != "monitor":
             # Feed the watch before this window's tuning decision: a
@@ -437,7 +435,7 @@ class AutoDBaaS:
         return {
             iid: {
                 cls.value: count
-                for cls, count in managed.tde.log.count_by_class().items()
+                for cls, count in managed.tde.count_by_class().items()
             }
             for iid, managed in self.instances.items()
         }

@@ -14,7 +14,7 @@ from repro.core.tde.entropy import (
 from repro.core.tde.mdp import LearningAutomaton
 from repro.core.tde.memory_detector import MemoryDetectionReport, MemoryThrottleDetector
 from repro.core.tde.planner_detector import EpisodeResult, PlannerThrottleDetector
-from repro.core.tde.throttle import PlanUpgradeRequest, Throttle, ThrottleLog
+from repro.core.tde.throttle import PlanUpgradeRequest, Throttle
 
 __all__ = [
     "BgwriterThrottleDetector",
@@ -29,7 +29,6 @@ __all__ = [
     "QueryClassHistogram",
     "TDEReport",
     "Throttle",
-    "ThrottleLog",
     "ThrottlingDetectionEngine",
     "checkpoint_latency_ratio",
     "normalized_entropy",

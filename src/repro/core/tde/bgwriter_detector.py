@@ -182,18 +182,18 @@ class BgwriterThrottleDetector:
 
     @staticmethod
     def _latency_excluding_vacuum(result: ExecutionResult) -> float:
-        series = result.data_disk.write_latency
+        latency = result.data_disk.write_latency
         vacuum_times = result.writeback.vacuum_times
         if not vacuum_times:
-            return series.mean()
-        times = series.times
+            return float(np.mean(latency))
+        times = result.start_time_s + np.arange(len(latency), dtype=float)
         first, *rest = vacuum_times
         keep = np.abs(times - first) > _VACUUM_EXCLUSION_S
         for v in rest:
             keep &= np.abs(times - v) > _VACUUM_EXCLUSION_S
-        kept = series.values[keep]
+        kept = latency[keep]
         if not len(kept):
-            return series.mean()
+            return float(np.mean(latency))
         # np.mean's own arithmetic (the pairwise sum, then one division)
         # without its per-call overhead.
         return float(np.add.reduce(kept)) / len(kept)

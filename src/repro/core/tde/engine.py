@@ -19,7 +19,7 @@ from repro.common.recording import NULL_RECORDER, Recorder
 from repro.core.tde.bgwriter_detector import BgwriterThrottleDetector
 from repro.core.tde.memory_detector import MemoryThrottleDetector
 from repro.core.tde.planner_detector import PlannerThrottleDetector
-from repro.core.tde.throttle import PlanUpgradeRequest, Throttle, ThrottleLog
+from repro.core.tde.throttle import PlanUpgradeRequest, Throttle
 from repro.dbsim.engine import ExecutionResult, SimulatedDatabase
 from repro.dbsim.knobs import KnobClass
 from repro.tuners.repository import WorkloadRepository
@@ -114,23 +114,26 @@ class ThrottlingDetectionEngine:
             instance_id, db, seed=seed
         )
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.log = ThrottleLog()
+        self._throttle_counts: dict[KnobClass, int] = dict.fromkeys(KnobClass, 0)
         self._window_index = 0
+
+    def count_by_class(self) -> dict[KnobClass, int]:
+        """Throttles raised so far per knob class (the Figs. 10–11 bars)."""
+        return dict(self._throttle_counts)
 
     def inspect(self, result: ExecutionResult) -> TDEReport:
         """Run one TDE round over an executed window.
 
         Degraded mode: the bgwriter detector reads disk latency from the
         *external monitoring agent* (§3.2), so a telemetry gap — an empty
-        disk-latency series in the window — means it has nothing sound to
+        disk-latency array in the window — means it has nothing sound to
         compare against the baseline. It is skipped (no throttle, never an
         exception) and the report is marked ``degraded``; the DB-side
         detectors (memory, planner) observe the database directly and keep
         running.
         """
         report = TDEReport()
-        telemetry_ok = len(result.data_disk.write_latency) > 0
-        report.degraded = not telemetry_ok
+        report.degraded = len(result.data_disk.write_latency) == 0
         with self.recorder.span(
             "tde.inspect", instance=self.instance_id, window=self._window_index
         ) as span:
@@ -146,7 +149,7 @@ class ThrottlingDetectionEngine:
                     escalations=len(memory.escalations),
                 )
             if KnobClass.BGWRITER in self.enabled_classes:
-                if telemetry_ok:
+                if not report.degraded:
                     bgwriter = self.bgwriter_detector.inspect(result)
                     report.throttles.extend(bgwriter)
                     self.recorder.event(
@@ -181,6 +184,7 @@ class ThrottlingDetectionEngine:
                 needs_tuning=report.needs_tuning,
             )
         for throttle in report.throttles:
+            self._throttle_counts[throttle.knob_class] += 1
             self.recorder.inc(
                 "repro_throttles_total",
                 instance=self.instance_id,
@@ -191,6 +195,4 @@ class ThrottlingDetectionEngine:
                 "repro_tde_degraded_windows_total", instance=self.instance_id
             )
         self._window_index += 1
-        self.log.record(report.throttles)
-        self.log.escalations.extend(report.escalations)
         return report

@@ -8,11 +8,11 @@ paper's production-safe performance metric (§1, §5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dbsim.knobs import KnobClass
 
-__all__ = ["Throttle", "PlanUpgradeRequest", "ThrottleLog"]
+__all__ = ["Throttle", "PlanUpgradeRequest"]
 
 
 @dataclass(frozen=True)
@@ -58,21 +58,3 @@ class PlanUpgradeRequest:
     reason: str
     time_s: float
     entropy: float
-
-
-@dataclass
-class ThrottleLog:
-    """Accumulates throttles and escalations across windows."""
-
-    throttles: list[Throttle] = field(default_factory=list)
-    escalations: list[PlanUpgradeRequest] = field(default_factory=list)
-
-    def record(self, items: list[Throttle]) -> None:
-        self.throttles.extend(items)
-
-    def count_by_class(self) -> dict[KnobClass, int]:
-        """Throttle counts per knob class (the Figs. 10–11 bars)."""
-        out: dict[KnobClass, int] = {cls: 0 for cls in KnobClass}
-        for throttle in self.throttles:
-            out[throttle.knob_class] += 1
-        return out

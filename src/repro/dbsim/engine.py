@@ -14,7 +14,11 @@ instances at once; ``run`` is a call with one member, and
 window computes its working-area spill once
 (:func:`~repro.dbsim.memory.compute_spills`); the executor costs every
 family from that report, and no configuration-derived term is memoised
-across windows, so a window always runs under the live ``config``.
+across windows, so a window always runs under the live ``config``. The
+window's per-second data-disk telemetry travels on its result as plain
+float64 arrays (:class:`~repro.dbsim.storage.DiskWindowResult`): sample
+*i* is second ``start_time_s + i``, and timestamps are built only where
+something reads them.
 """
 
 from __future__ import annotations
@@ -325,9 +329,9 @@ class SimulatedDatabase:
                 "checkpoints_requested": float(writeback.checkpoints_requested),
                 "wal_mb": float(np.sum(writeback.wal_write_mb_s)),
                 "vacuum_mb": writeback.vacuum_write_mb,
-                "disk_read_latency_ms": data_result.read_latency.mean(),
-                "disk_write_latency_ms": data_result.write_latency.mean(),
-                "disk_iops": data_result.iops.mean(),
+                "disk_read_latency_ms": float(np.mean(data_result.read_latency)),
+                "disk_write_latency_ms": float(np.mean(data_result.write_latency)),
+                "disk_iops": float(np.mean(data_result.iops)),
                 "cpu_utilisation": summary.cpu_utilisation,
                 "swap_factor": swap,
                 "throughput_tps": summary.achieved_tps,
@@ -404,7 +408,6 @@ def _step_chunk(
         dirty_mb.append(sum(c * f.write_kb / 1024.0 for c, f in footprints))
         read_mb.append(sum(c * f.read_kb / 1024.0 for c, f in footprints))
 
-    clocks = [db.clock_s for db in dbs]
     writebacks = [
         db._scheduler.run_window(db.config, d, seconds, start_time_s=db.clock_s)
         for db, d in zip(dbs, dirty_mb)
@@ -432,25 +435,18 @@ def _step_chunk(
     degradation = [db._disk_degradation for db in dbs]
     rngs = [db._rng for db in dbs]
     data_disk = simulate_device(
-        "data",
-        disks,
-        read_mb_s + write_mb_s,
-        read_iops + write_iops,
-        degradation,
-        clocks,
-        rngs,
+        disks, read_mb_s + write_mb_s, read_iops + write_iops, degradation, rngs
     )
     # WAL is an append-only sequential stream.
     wal_mb_s = np.array([w.wal_write_mb_s for w in writebacks])
-    wal_disk = simulate_device(
-        "wal", disks, wal_mb_s, wal_mb_s / seq_mb, degradation, clocks, rngs
-    )
+    wal_disk = simulate_device(disks, wal_mb_s, wal_mb_s / seq_mb, degradation, rngs)
 
     results = []
     for k, (db, batch) in enumerate(zip(dbs, batches)):
-        commit_latency = wal_disk[k].write_latency.mean()
+        commit_latency = float(np.mean(wal_disk[k].write_latency))
         data_latency_factor = max(
-            1.0, data_disk[k].write_latency.mean() / db.vm.disk.base_latency_ms
+            1.0,
+            float(np.mean(data_disk[k].write_latency)) / db.vm.disk.base_latency_ms,
         )
         summary = run_batch(
             batch,

@@ -1,4 +1,4 @@
-"""Disk model: latency and IOPS time series from per-second I/O demand.
+"""Disk model: per-second latency and IOPS arrays from per-second I/O demand.
 
 The storage device is an M/M/1-flavoured queue over a
 :class:`~repro.cloud.vm.DiskKind` profile: latency rises hyperbolically
@@ -11,6 +11,10 @@ the production-data disk only sees backend reads, background-writer/
 checkpoint flushes and vacuum — the engine therefore runs
 :func:`simulate_device` once for the ``data`` device and once for the
 ``wal`` device, routing traffic accordingly.
+
+Each member's :class:`DiskWindowResult` holds row views of the
+``(members, seconds)`` latency and IOPS matrices, with no copy and no
+timestamps: the window's ``start_time_s`` stamps them where needed.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.hardware import DiskKind
-from repro.common.timeseries import TimeSeries
 
 __all__ = ["DiskWindowResult", "simulate_device"]
 
@@ -32,20 +35,22 @@ _JITTER_SIGMA = 0.05
 
 @dataclass
 class DiskWindowResult:
-    """Simulated device behaviour over one window."""
+    """Simulated device behaviour over one window.
 
-    read_latency: TimeSeries
-    write_latency: TimeSeries
-    iops: TimeSeries
+    Each field holds one float64 value per second of the window, second
+    *i* being the window's ``start_time_s + i``.
+    """
+
+    read_latency: np.ndarray
+    write_latency: np.ndarray
+    iops: np.ndarray
 
 
 def simulate_device(
-    name: str,
     disks: Sequence[DiskKind],
     mb_s: np.ndarray,
     iops: np.ndarray,
     degradation: Sequence[float],
-    start_times: Sequence[float],
     rngs: Sequence[np.random.Generator] | None = None,
 ) -> list[DiskWindowResult]:
     """Run one device per row of ``(members, seconds)`` demand matrices.
@@ -57,8 +62,7 @@ def simulate_device(
     schedulers). ``degradation[k]`` scales the member's service latency
     (1.0 is a healthy device). With *rngs*, each member's own stream adds
     multiplicative monitoring jitter: one write draw, then one read draw.
-    Series are stamped ``start_times[k] + 0, 1, …`` under the *name*
-    prefix, e.g. ``"data"`` or ``"wal"``.
+    Member *k*'s result holds row views of the three matrices.
     """
     throughput = np.array([d.throughput_mb_s for d in disks])[:, None]
     max_iops = np.array([d.max_iops for d in disks])[:, None]
@@ -76,19 +80,9 @@ def simulate_device(
         for k, rng in enumerate(rngs):
             write_lat[k] *= rng.lognormal(0.0, _JITTER_SIGMA, size=seconds)
             read_lat[k] *= rng.lognormal(0.0, _JITTER_SIGMA, size=seconds)
-    offsets = np.arange(seconds, dtype=float)
-    results = []
-    for k, start in enumerate(start_times):
-        times = start + offsets
-        results.append(
-            DiskWindowResult(
-                read_latency=TimeSeries.from_window(
-                    f"{name}.read_latency_ms", "ms", times, read_lat[k]
-                ),
-                write_latency=TimeSeries.from_window(
-                    f"{name}.write_latency_ms", "ms", times, write_lat[k]
-                ),
-                iops=TimeSeries.from_window(f"{name}.iops", "ops/s", times, iops[k]),
-            )
+    return [
+        DiskWindowResult(
+            read_latency=read_lat[k], write_latency=write_lat[k], iops=iops[k]
         )
-    return results
+        for k in range(len(disks))
+    ]

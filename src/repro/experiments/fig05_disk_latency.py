@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.timeseries import TimeSeries
+import numpy as np
+
 from repro.dbsim.engine import SimulatedDatabase
 from repro.workloads.tpcc import TPCCWorkload
 
-__all__ = ["DiskLatencyRun", "run", "tuned_config_values"]
+__all__ = ["DiskLatencyRun", "resample_mean", "run", "tuned_config_values"]
 
 
 def tuned_config_values() -> dict[str, float]:
@@ -39,18 +40,53 @@ def tuned_config_values() -> dict[str, float]:
 
 @dataclass
 class DiskLatencyRun:
-    """Write-latency traces for the two configurations."""
+    """Per-second write-latency traces for the two configurations.
 
-    default_latency: TimeSeries
-    tuned_latency: TimeSeries
+    Both runs start at simulated second 0, so sample *i* of either trace
+    is second *i*; ``times`` holds those timestamps.
+    """
+
+    times: np.ndarray
+    default_latency: np.ndarray
+    tuned_latency: np.ndarray
 
     @property
     def default_mean_ms(self) -> float:
-        return self.default_latency.mean()
+        return float(np.mean(self.default_latency))
 
     @property
     def tuned_mean_ms(self) -> float:
-        return self.tuned_latency.mean()
+        return float(np.mean(self.tuned_latency))
+
+
+def resample_mean(
+    times: np.ndarray, values: np.ndarray, bucket_s: float
+) -> tuple[list[float], list[float]]:
+    """Bucket ``(times, values)`` by *bucket_s* and average each bucket.
+
+    *times* must be non-decreasing. Returns each non-empty bucket's start
+    and mean; a bucket starts at the first timestamp plus a whole number
+    of *bucket_s*.
+    """
+    starts: list[float] = []
+    means: list[float] = []
+    if not len(times):
+        return starts, means
+    bucket_start = float(times[0])
+    acc: list[float] = []
+    for time, value in zip(times.tolist(), values.tolist()):
+        if time >= bucket_start + bucket_s:
+            if acc:
+                starts.append(bucket_start)
+                means.append(float(np.mean(acc)))
+            while time >= bucket_start + bucket_s:
+                bucket_start += bucket_s
+            acc = []
+        acc.append(value)
+    if acc:
+        starts.append(bucket_start)
+        means.append(float(np.mean(acc)))
+    return starts, means
 
 
 def run(
@@ -60,18 +96,22 @@ def run(
     seed: int = 0,
 ) -> DiskLatencyRun:
     """Execute both 20-minute TPC-C sessions and collect latency traces."""
-    traces: list[TimeSeries] = []
+    traces: list[np.ndarray] = []
     for overrides in ({}, tuned_config_values()):
         db = SimulatedDatabase("postgres", "m4.large", 26.0, seed=seed)
         if overrides:
             db.apply_config(db.config.with_values(overrides), mode="restart")
             db._pending_stall_s = 0.0  # measure steady state, not the restart
         workload = TPCCWorkload(rps=rps, seed=seed + 1)
-        trace = TimeSeries("data.write_latency_ms", "ms")
+        windows = []
         elapsed = 0.0
         while elapsed < duration_s:
             result = db.run(workload.batch(window_s, start_time_s=db.clock_s))
-            trace.extend_series(result.data_disk.write_latency)
+            windows.append(result.data_disk.write_latency)
             elapsed += window_s
-        traces.append(trace)
-    return DiskLatencyRun(default_latency=traces[0], tuned_latency=traces[1])
+        traces.append(np.concatenate(windows))
+    return DiskLatencyRun(
+        times=np.arange(len(traces[0]), dtype=float),
+        default_latency=traces[0],
+        tuned_latency=traces[1],
+    )

@@ -84,7 +84,7 @@ def measure_throttles(
     for _ in range(iterations):
         result = db.run(workload.batch(window_s, start_time_s=db.clock_s))
         tde.inspect(result)
-    counts = tde.log.count_by_class()
+    counts = tde.count_by_class()
     return ThrottlePanel(
         workload=workload.name,
         memory=counts[KnobClass.MEMORY] / iterations,

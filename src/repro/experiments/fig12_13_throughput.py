@@ -143,16 +143,16 @@ def _one_mode(
             apply_mode="split" if policy == "tde" else "restart",
         )
 
-    managed = service.instances[measured.instance_id]
     windows = int(hours * 3600.0 / window_s)
     requests = 0
+    tps: list[float] = []
     for _ in range(windows):
         for outcome in service.step():
             if outcome.instance_id == measured.instance_id:
                 requests += int(outcome.tuning_requested)
+                tps.append(outcome.result.throughput)
 
     per_hour = max(1, int(3600.0 / window_s))
-    tps = managed.throughput_history
     hourly = [
         sum(tps[i : i + per_hour]) / len(tps[i : i + per_hour])
         for i in range(0, len(tps), per_hour)

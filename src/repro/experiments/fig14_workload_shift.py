@@ -140,7 +140,7 @@ def run(seed: int = 0, settle_windows: int = 4) -> list[TransitionResult]:
                     ),
                     mode="reload",
                 )
-        settled_counts = tde.log.count_by_class()
+        settled_counts = tde.count_by_class()
 
         # Switch to the target workload for the Table 1 window length and
         # count the raw throttles the pattern change raises (tuning would
@@ -149,7 +149,7 @@ def run(seed: int = 0, settle_windows: int = 4) -> list[TransitionResult]:
         windows = max(1, int(spec.window_min))
         for _ in range(windows):
             tde.inspect(db.run(target.batch(60.0, start_time_s=db.clock_s)))
-        final_counts = tde.log.count_by_class()
+        final_counts = tde.count_by_class()
         by_class = {
             cls.value: final_counts[cls] - settled_counts[cls] for cls in KnobClass
         }

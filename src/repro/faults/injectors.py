@@ -19,7 +19,6 @@ import numpy as np
 from repro.cloud.monitoring import MonitoringAgent
 from repro.common.recording import NULL_RECORDER, Recorder
 from repro.common.rng import derive_rng, make_rng
-from repro.common.timeseries import TimeSeries
 from repro.core.apply.adapters import DatabaseAdapter, NodeApplyResult
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.engine import ExecutionResult, SimulatedDatabase
@@ -256,15 +255,13 @@ class FaultyAdapter(DatabaseAdapter):
 def strip_telemetry(result: ExecutionResult) -> ExecutionResult:
     """The window as seen through a dead telemetry pipe.
 
-    Disk latency/IOPS series come from external monitoring (§3.2); when
-    that pipeline is down the TDE sees a window with *no* disk series —
+    Per-second disk latency and IOPS come from external monitoring (§3.2);
+    when that pipeline is down the TDE sees empty disk arrays —
     the degraded-mode input detectors must survive. Database-side
     observables (the query log, plans, throughput) are unaffected.
     """
     empty = DiskWindowResult(
-        read_latency=TimeSeries("data.read_latency_ms", "ms"),
-        write_latency=TimeSeries("data.write_latency_ms", "ms"),
-        iops=TimeSeries("data.iops", "ops/s"),
+        read_latency=np.empty(0), write_latency=np.empty(0), iops=np.empty(0)
     )
     return dataclasses.replace(result, data_disk=empty)
 

@@ -27,10 +27,13 @@ def render() -> str:
     traces = {"default": run.default_latency, "tuned": run.tuned_latency}
     lines = []
     for label, trace in traces.items():
-        for part in ("times", "values"):
-            digest = hashlib.sha256(getattr(trace, part).tobytes()).hexdigest()
+        for part, data in (("times", run.times), ("values", trace)):
+            digest = hashlib.sha256(data.tobytes()).hexdigest()
             lines.append(f"{label} {part} n={len(trace)} sha256={digest}")
-    minutely = [trace.resample_mean(60.0) for trace in traces.values()]
+    minutely = [
+        zip(*fig05_disk_latency.resample_mean(run.times, trace, 60.0))
+        for trace in traces.values()
+    ]
     lines.append("minute default_ms tuned_ms")
     for (t, d), (u, v) in zip(*minutely):
         assert t == u

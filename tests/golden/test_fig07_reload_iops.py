@@ -34,7 +34,7 @@ def render() -> str:
     }
     lines = []
     for label, report in variants.items():
-        values = np.asarray(report.iops.values, dtype=float)
+        values = report.iops
         digest = hashlib.sha256(values.tobytes()).hexdigest()
         lines.append(f"{label} iops n={len(values)} sha256={digest}")
         lines.append(

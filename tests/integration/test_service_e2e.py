@@ -88,14 +88,12 @@ class TestEndToEnd:
         # without needing recommendation history.
         svc = _service(window_s=300.0, downtime_period_s=1800.0)
         d = Provisioner(seed=2).provision(plan="m4.large", data_size_gb=8.0)
-        managed = svc.attach(
-            d, TPCCWorkload(data_size_gb=8.0, seed=3), policy="monitor"
-        )
+        svc.attach(d, TPCCWorkload(data_size_gb=8.0, seed=3), policy="monitor")
         before = None
         for _ in range(8):
             outcome = svc.step()[0]
             if outcome.downtime_taken:
-                before = managed.throughput_history[-1]
+                before = outcome.result.throughput
                 break
         assert before is not None
         svc.step()  # post-restart window: downtime + cold cache

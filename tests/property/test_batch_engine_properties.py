@@ -94,8 +94,7 @@ def _fingerprint(result):
         result.writeback.wal_write_mb_s,
     ]
     disk = result.data_disk
-    for series in (disk.read_latency, disk.write_latency, disk.iops):
-        arrays += [series.times, series.values]
+    arrays += [disk.read_latency, disk.write_latency, disk.iops]
     return repr(result), [a.tobytes() for a in arrays]
 
 

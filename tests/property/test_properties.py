@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.stats import percentile
-from repro.common.timeseries import TimeSeries
 from repro.core.tde.entropy import normalized_entropy
 from repro.dbsim.knobs import postgres_catalog
+from repro.experiments.fig05_disk_latency import resample_mean
 from repro.tuners.base import config_to_vector, vector_to_config
 from repro.tuners.gpr import GaussianProcessRegressor
 from repro.workloads.sampling import ReservoirSampler
 from repro.workloads.templating import make_template
+from tests.reference import resample_mean_by_series
 
 _CATALOG = postgres_catalog()
 
@@ -118,23 +119,38 @@ class TestConfigProperties:
             assert knob.min_value <= config[knob.name] <= knob.max_value
 
 
-class TestTimeSeriesProperties:
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
-    def test_mean_between_min_and_max(self, values):
-        ts = TimeSeries("t")
-        ts.extend(list(enumerate(values)))
-        assert min(values) - 1e-9 <= ts.mean() <= max(values) + 1e-9
-
+class TestFig05ResampleMatchesReference:
+    @settings(max_examples=300, deadline=None)
     @given(
-        st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50),
-        st.floats(min_value=1.0, max_value=20.0),
+        start=st.one_of(
+            st.integers(-1000, 1000).map(float), st.floats(-1e4, 1e4)
+        ),
+        # Mostly per-second samples, which fill buckets and land on their
+        # edges; steps of 0 repeat a timestamp; long steps leave empty
+        # buckets.
+        steps=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 0.5, 1.0, 1.0, 1.0, 25.0, 90.0]),
+                st.floats(min_value=0.0, max_value=3.0),
+            ),
+            max_size=120,
+        ),
+        n_dropped=st.integers(0, 3),
+        bucket=st.one_of(st.integers(1, 20).map(float), st.floats(1.0, 20.0)),
+        value_seed=st.integers(0, 2**32 - 1),
     )
-    def test_resample_preserves_bounds(self, values, bucket):
-        ts = TimeSeries("t")
-        ts.extend(list(enumerate(values)))
-        out = ts.resample_mean(bucket)
-        assert len(out) >= 1
-        assert min(values) - 1e-9 <= out.mean() <= max(values) + 1e-9
+    def test_bit_equal_to_reference(self, start, steps, n_dropped, bucket, value_seed):
+        times = start + np.cumsum(np.array([0.0] + steps))
+        times = times[: max(0, len(times) - n_dropped)]
+        # Latency-like values with full mantissas, so a bucket mean summed
+        # in another order shows up as a different float.
+        values = np.random.default_rng(value_seed).lognormal(2.0, 0.5, len(times))
+        starts, means = resample_mean(times, values, bucket)
+        expected = resample_mean_by_series(times, values, bucket)
+        assert len(starts) == len(means)
+        assert [(t.hex(), m.hex()) for t, m in zip(starts, means)] == [
+            (t.hex(), m.hex()) for t, m in expected
+        ]
 
 
 class TestStatsProperties:

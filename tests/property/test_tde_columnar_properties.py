@@ -24,7 +24,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.timeseries import TimeSeries
 from repro.core.tde.bgwriter_detector import (
     _VACUUM_EXCLUSION_S,
     BgwriterThrottleDetector,
@@ -247,11 +246,10 @@ class TestVacuumExclusionMatchesMask:
         ),
     )
     def test_mean_latency_equal(self, start, values, offsets):
-        times = np.arange(len(values), dtype=float) + start
-        series = TimeSeries.from_window("lat", "ms", times, np.array(values))
         vacuum_times = [start + o for o in offsets]
         result = SimpleNamespace(
-            data_disk=SimpleNamespace(write_latency=series),
+            start_time_s=float(start),
+            data_disk=SimpleNamespace(write_latency=np.array(values)),
             writeback=SimpleNamespace(vacuum_times=vacuum_times),
         )
         assert BgwriterThrottleDetector._latency_excluding_vacuum(

@@ -63,6 +63,11 @@ Each function here is the plain definition of a computation that
   each master just before serving its instance; the two-phase
   :meth:`~repro.core.service.AutoDBaaS.step`, which steps every master in
   one engine call first, must give the same outcomes, trace and nodes.
+- :func:`resample_mean_by_series` is the bucket loop of the per-second
+  series class fig05 once resampled its traces with, as ``(start,
+  mean)`` pairs; fig05's
+  :func:`~repro.experiments.fig05_disk_latency.resample_mean` must give
+  the same floats bit for bit.
 """
 
 from __future__ import annotations
@@ -626,18 +631,39 @@ def choose_action_by_choice(automaton: LearningAutomaton) -> str:
 
 def latency_excluding_vacuum_by_mask(result, exclusion_s: float) -> float:
     """Mean write latency more than *exclusion_s* from every vacuum round."""
-    series = result.data_disk.write_latency
+    values = result.data_disk.write_latency
     vacuum_times = result.writeback.vacuum_times
     if not vacuum_times:
-        return series.mean()
-    times = series.times
-    values = series.values
+        return float(np.mean(values))
+    times = np.array([result.start_time_s + i for i in range(len(values))])
     keep = np.ones(len(times), dtype=bool)
     for v in vacuum_times:
         keep &= np.abs(times - v) > exclusion_s
     if not keep.any():
-        return series.mean()
+        return float(np.mean(values))
     return float(np.mean(values[keep]))
+
+
+def resample_mean_by_series(
+    times: np.ndarray, values: np.ndarray, bucket_seconds: float
+) -> list[tuple[float, float]]:
+    """Bucket the series by *bucket_seconds* and average each bucket."""
+    out: list[tuple[float, float]] = []
+    if not len(times):
+        return out
+    bucket_start = float(times[0])
+    acc: list[float] = []
+    for time, value in zip(times.tolist(), values.tolist()):
+        if time >= bucket_start + bucket_seconds:
+            if acc:
+                out.append((bucket_start, float(np.mean(acc))))
+            while time >= bucket_start + bucket_seconds:
+                bucket_start += bucket_seconds
+            acc = []
+        acc.append(value)
+    if acc:
+        out.append((bucket_start, float(np.mean(acc))))
+    return out
 
 
 def with_values_by_constructor(

@@ -26,7 +26,9 @@ class TestRun:
     def test_series_follow_clock(self, pg_db, tpcc):
         pg_db.run(tpcc.batch(10.0))
         second = pg_db.run(tpcc.batch(10.0))
-        assert second.data_disk.iops.times[0] == 10.0
+        # Sample i of the window's disk arrays is second start_time_s + i.
+        assert second.start_time_s == 10.0
+        assert len(second.data_disk.iops) == 10
 
     def test_deterministic_given_seeds(self, tpcc):
         from repro.workloads import TPCCWorkload

@@ -24,8 +24,8 @@ class TestTopology:
         r1 = service.slaves[0].run(tpcc.batch(10.0))
         r2 = service.slaves[1].run(tpcc.batch(10.0))
         # same model, different noise
-        assert r1.data_disk.write_latency.values.tolist() != (
-            r2.data_disk.write_latency.values.tolist()
+        assert r1.data_disk.write_latency.tolist() != (
+            r2.data_disk.write_latency.tolist()
         )
 
 

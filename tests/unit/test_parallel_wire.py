@@ -38,7 +38,7 @@ _HEAVY_MARKERS = (
     b"KnobConfiguration",
     b"KnobCatalog",
     b"MetricsDelta",
-    b"TimeSeries",
+    b"DiskWindowResult",
 )
 
 
@@ -106,6 +106,16 @@ def _reload_work_mem(catalog, value: float) -> tuple[float, ...]:
 
 
 class TestDeltaOnlyBroadcast:
+    def test_markers_catch_pickled_disk_telemetry(self):
+        # A window's per-second disk arrays stay in the worker; were they
+        # to reach the pipe, even without their ExecutionResult, a
+        # marker would show it.
+        worker, _, _ = _make_worker(size=2)
+        windows = _capture_results(worker)
+        worker.step(WindowCommand(window_s=20.0))
+        payload = pickle.dumps([r.data_disk for r in windows[0].values()])
+        assert any(marker in payload for marker in _HEAVY_MARKERS)
+
     def test_steady_state_payload_has_no_repository_snapshot(self):
         worker, catalog, repository = _make_worker()
         outs0 = worker.step(WindowCommand(window_s=300.0))

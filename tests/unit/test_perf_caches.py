@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.common.timeseries import TimeSeries
 from repro.dbsim import SimulatedDatabase
 from repro.dbsim.config import fit_values_to_budget
 from repro.tuners import TrainingSample, TuningRequest, WorkloadRepository
@@ -298,30 +297,3 @@ class TestTopSamplesParity:
     def test_unknown_workload_is_empty(self):
         assert WorkloadRepository().top_samples("nope", 3) == []
 
-
-class TestTimeSeriesBulkOps:
-    def test_extend_series_matches_extend(self):
-        src = TimeSeries("m")
-        src.extend([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
-        a, b = TimeSeries("m"), TimeSeries("m")
-        a.extend(iter(src))
-        b.extend_series(src)
-        assert a.times.tolist() == b.times.tolist()
-        assert a.values.tolist() == b.values.tolist()
-
-    def test_extend_series_rejects_backwards_boundary(self):
-        dst = TimeSeries("m")
-        dst.append(5.0, 1.0)
-        src = TimeSeries("m")
-        src.append(4.0, 1.0)
-        with pytest.raises(ValueError):
-            dst.extend_series(src)
-
-    def test_extend_series_grows_past_capacity(self):
-        series = TimeSeries("m")
-        for start in range(0, 100, 10):
-            window = TimeSeries("m")
-            window.extend((float(t), float(t) / 2) for t in range(start, start + 10))
-            series.extend_series(window)
-        assert series.times.tolist() == [float(t) for t in range(100)]
-        assert series.values.tolist() == [t / 2 for t in range(100)]

@@ -112,7 +112,6 @@ KNOWN_UNREACHED: tuple[tuple[str, str, str], ...] = (
     ("repro/parallel/executor.py",
      "WorkerCrashed.* _map_main _session_main _receive FleetExecutor._context",
      _PROCESS),
-    ("repro/common/timeseries.py", "TimeSeries.__[gs]etstate__", _PROCESS),
     ("repro/tuners/hybrid.py", "*", "reached by the ablation_hybrid bench"),
     ("repro/experiments/ablation_hybrid.py", "*",
      "reached by the ablation_hybrid bench"),
@@ -127,7 +126,7 @@ KNOWN_UNREACHED: tuple[tuple[str, str, str], ...] = (
      "fault path: circuit-breaker trip"),
     ("repro/core/director/safety.py", "SafetyGovernor.revert_failed",
      "fault path: a revert that itself fails"),
-    ("repro/common/timeseries.py", "TimeSeries.resample_mean",
+    ("repro/experiments/fig05_disk_latency.py", "resample_mean",
      "read by the fig05 bench"),
     ("repro/experiments/fig03_04_entropy.py", "mean_separation",
      "read by the fig03 and fig04 benches"),
