@@ -349,13 +349,6 @@ def run(
         seed=seed + 91,
     )
     paper_scale = fleet_size > 24
-    if paper_scale:
-        # At paper scale dozens of members bump the shared repository
-        # every window; per-version refresh of derived models (decile
-        # edges, Lasso rankings) is pointless churn there, so amortisation
-        # starts well before the conservative default. Small (bench-scale)
-        # fleets keep exact refresh.
-        repository.exact_refresh_limit = 500
     tuner = OtterTuneTuner(
         catalog,
         repository,

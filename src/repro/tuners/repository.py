@@ -21,7 +21,6 @@ between a fleet experiment that finishes and one that does not.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -127,15 +126,6 @@ class WorkloadRepository:
         estimates (see :mod:`repro.dbsim.metrics`).
     """
 
-    #: Below this many samples (per the consumer's scale measure) derived
-    #: state is recomputed on every version bump — bit-identical to a
-    #: cacheless implementation. The default sits above every seeded
-    #: figure bench's final sample count, so benches never amortise.
-    exact_refresh_limit: int = 4000
-    #: Past the exact limit, derived state may be served stale for up to
-    #: this many version bumps before a refresh.
-    stale_refresh_every: int = 16
-
     def __init__(self, metric_names: tuple[str, ...] = OTTERTUNE_METRICS) -> None:
         self.metric_names = metric_names
         self._samples: dict[str, list[TrainingSample]] = defaultdict(list)
@@ -145,9 +135,9 @@ class WorkloadRepository:
         # Materialised per-workload matrices, each tagged with the sample
         # count it was built from so a bumped version invalidates lazily.
         self._dataset_cache: dict[str, tuple[int, WorkloadDataset]] = {}
-        # Scratch space for derived state shared *across* consumers (e.g.
-        # every TDE's workload mapper): consumers namespace their keys and
-        # tag entries with the version they were computed at.
+        # Derived state shared *across* consumers: every workload mapper
+        # over this store (the tuner's and each TDE's) keeps its
+        # ``(version, payload)`` entries here, under its own namespace.
         self.derived_cache: dict[Any, dict[Any, Any]] = {}
 
     @property
@@ -213,49 +203,6 @@ class WorkloadRepository:
     def total_samples(self) -> int:
         """Sample count across all workloads."""
         return self._total
-
-    def fresh_enough(self, cached_version: int, scale: int) -> bool:
-        """Whether derived state computed at *cached_version* may be served.
-
-        *scale* is the consumer's own size measure (total samples, target
-        workload samples, ...). Below :attr:`exact_refresh_limit` the
-        answer is exact — only the current version counts. Beyond it, one
-        more sample cannot move quantile edges meaningfully, so entries
-        may be served for up to
-        :attr:`stale_refresh_every` bumps; this bounds derived-model
-        refreshes at fleet scale, where dozens of instances share the
-        repository and bump the version every window.
-        """
-        if cached_version == self._version:
-            return True
-        return (
-            scale > self.exact_refresh_limit
-            and self._version - cached_version < self.stale_refresh_every
-        )
-
-    def derived_entry(
-        self,
-        cache: dict[Any, tuple[int, Any]],
-        key: Any,
-        scale: int,
-        compute: Callable[[], Any],
-    ) -> Any:
-        """Version-keyed get-or-compute over a derived-state cache.
-
-        The canonical consumption pattern for :attr:`derived_cache` (and
-        any private cache with the same shape): entries are ``(version,
-        payload)`` pairs, served while :meth:`fresh_enough` holds for
-        *scale* and recomputed — then tagged with the current version —
-        otherwise. *compute* must be a pure function of the repository
-        contents plus the key, so a cache hit returns exactly what
-        recomputing would (the R009 exemption these caches rely on).
-        """
-        cached = cache.get(key)
-        if cached is not None and self.fresh_enough(cached[0], scale):
-            return cached[1]
-        value = compute()
-        cache[key] = (self._version, value)
-        return value
 
     def dataset(self, workload_id: str) -> WorkloadDataset:
         """Materialise one workload's matrices (§2's X matrices).

@@ -14,6 +14,7 @@ implementation naturally.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -22,6 +23,13 @@ import numpy as np
 from repro.tuners.repository import WorkloadDataset, WorkloadRepository
 
 __all__ = ["MappingResult", "WorkloadMapper"]
+
+#: The mapping scores each workload on its newest samples only, at most
+#: this many. The nearest-config distance matrix is target window by
+#: candidate window, so the window bounds its size (and the mapping's
+#: cost) however long a workload's history grows.
+MAPPING_WINDOW = 500
+
 
 @dataclass(frozen=True)
 class MappingResult:
@@ -44,36 +52,39 @@ class WorkloadMapper:
         self.n_bins = n_bins
         # Derived state keyed on the repository's version counter: decile
         # edges and mapping results are pure functions of the repository
-        # contents, so they stay valid until the next sample lands. The
-        # cache lives *on the repository* so every mapper over the same
-        # store (each TDE owns one) shares one set of results.
+        # contents, so an entry is served only at the version that
+        # computed it. The cache lives *on the repository* so every
+        # mapper over the same store (each TDE owns one) shares one set
+        # of results.
         # Keys: "edges" plus ("map", target, exclude) tuples; values are
         # (repository version, payload) pairs.
         #
         # R009-safe despite being a mutation of a received repository:
         # inside a shard the repository is that worker's pickled copy,
-        # and entries are version-keyed pure functions of repository
-        # contents. Below ``exact_refresh_limit`` every version bump
-        # recomputes, so cache state cannot change an output. Past it an
-        # entry is served up to ``stale_refresh_every`` versions stale,
-        # so a mapping depends on the version at which some consumer of
-        # the shared "edges" and "map" entries last refreshed them.
-        # fig09 stays worker-invariant at paper scale anyway: every
-        # member's bgwriter detector maps the same "production" key every
-        # window, so every shard's copy refreshes at the same versions
-        # whichever members it holds.
+        # and a hit returns exactly what recomputing would, so cache
+        # state cannot change an output.
         cache = repository.derived_cache.setdefault(  # repro: noqa[R009]
             ("mapper", n_bins), {}
         )
         self._cache: dict[Any, tuple[int, Any]] = cache
 
+    def _entry(self, key: Any, compute: Callable[[], Any]) -> Any:
+        """*key*'s entry at the repository's current version.
+
+        *compute* runs on a miss or when the entry was computed at an
+        older version; it must be a pure function of the repository
+        contents plus the key.
+        """
+        version = self.repository.version
+        cached = self._cache.get(key)
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        value = compute()
+        self._cache[key] = (version, value)
+        return value
+
     def _bin_edges(self) -> np.ndarray | None:
-        edges: np.ndarray | None = self.repository.derived_entry(
-            self._cache,
-            "edges",
-            self.repository.total_samples(),
-            self._compute_edges,
-        )
+        edges: np.ndarray | None = self._entry("edges", self._compute_edges)
         return edges
 
     def _compute_edges(self) -> np.ndarray | None:
@@ -110,30 +121,21 @@ class WorkloadMapper:
         without samples — or the target itself, unless
         ``exclude_target=False`` — are skipped.
         """
-        result: MappingResult = self.repository.derived_entry(
-            self._cache,
+        result: MappingResult = self._entry(
             ("map", target_id, exclude_target),
-            self.repository.sample_count(target_id),
             lambda: self._map_workload(target_id, exclude_target),
         )
         return result
 
     def _capped(self, dataset: WorkloadDataset) -> WorkloadDataset:
-        """The dataset, windowed to its most recent samples at scale.
-
-        Beyond the repository's :attr:`exact_refresh_limit` the mapping
-        scores only the newest window — keeping the nearest-config
-        distance matrix bounded (it is quadratic in the sample count)
-        without touching the exact behaviour at bench scales.
-        """
-        limit = self.repository.exact_refresh_limit
-        if dataset.size <= limit:
+        """The dataset's newest :data:`MAPPING_WINDOW` samples."""
+        if dataset.size <= MAPPING_WINDOW:
             return dataset
         return WorkloadDataset(
             dataset.workload_id,
-            dataset.configs[-limit:],
-            dataset.metrics[-limit:],
-            dataset.objective[-limit:],
+            dataset.configs[-MAPPING_WINDOW:],
+            dataset.metrics[-MAPPING_WINDOW:],
+            dataset.objective[-MAPPING_WINDOW:],
         )
 
     def _map_workload(

@@ -9,14 +9,24 @@ replace exactly, since the mapped workload feeds every OtterTune fit:
   n >= 2, with tied values, repeated rows and magnitudes from 1e-3 to 1e3;
 - **bins** — the one broadcast compare equals ``np.searchsorted`` per
   column (``side='left'``), including values that sit exactly on an edge
-  and repeated edges.
+  and repeated edges;
+- **exactness** — two mappers sharing one repository's cache map exactly
+  what a mapper with no cached state maps over a copy of it, after any
+  interleaving of adds and maps, for targets below and above the
+  mapping window.
 """
+
+import pickle
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tuners.workload_mapping import WorkloadMapper
+from repro.dbsim import postgres_catalog
+from repro.dbsim.config import KnobConfiguration
+from repro.dbsim.metrics import MetricsDelta
+from repro.tuners import TrainingSample, WorkloadRepository
+from repro.tuners.workload_mapping import MAPPING_WINDOW, WorkloadMapper
 
 
 class _Rows:
@@ -100,3 +110,58 @@ class TestBinning:
             [np.searchsorted(edges[:, c], metrics[:, c]) for c in range(m)]
         )
         assert np.array_equal(binned, reference)
+
+
+_CATALOG = postgres_catalog()
+_WORKLOADS = ("target", "near", "far")
+
+
+def _sample(wid: str, work_mem: float, tps: float) -> TrainingSample:
+    metrics = {"throughput_tps": tps, "wal_mb": tps * 3.0, "blks_read": tps * 10.0}
+    return TrainingSample(
+        wid,
+        KnobConfiguration(_CATALOG, {"work_mem": work_mem}),
+        MetricsDelta(metrics),
+    )
+
+
+_adds = st.tuples(
+    st.just("add"),
+    st.sampled_from(_WORKLOADS),
+    st.floats(min_value=4.0, max_value=512.0),
+    st.floats(min_value=50.0, max_value=9000.0),
+)
+_maps = st.tuples(
+    st.just("map"), st.integers(min_value=0, max_value=1), st.booleans()
+)
+
+
+class TestExactMapping:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        target_size=st.one_of(
+            st.integers(min_value=1, max_value=40),
+            st.integers(min_value=MAPPING_WINDOW - 20, max_value=MAPPING_WINDOW + 60),
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        ops=st.lists(st.one_of(_adds, _maps), min_size=1, max_size=12),
+    )
+    def test_shared_mappers_map_what_a_fresh_mapper_maps(
+        self, target_size, seed, ops
+    ):
+        rng = np.random.default_rng(seed)
+        repo = WorkloadRepository()
+        for _ in range(target_size):
+            repo.add(_sample("target", 256.0, 100.0 + rng.normal()))
+        repo.add(_sample("near", 200.0, 120.0))
+        mappers = (WorkloadMapper(repo), WorkloadMapper(repo))
+        for op in ops:
+            if op[0] == "add":
+                repo.add(_sample(*op[1:]))
+                continue
+            _, which, exclude = op
+            copy = pickle.loads(pickle.dumps(repo))
+            copy.derived_cache.clear()
+            for wid in _WORKLOADS:
+                expected = WorkloadMapper(copy).map_workload(wid, exclude)
+                assert mappers[which].map_workload(wid, exclude) == expected

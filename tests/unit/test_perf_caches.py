@@ -35,35 +35,6 @@ from tests.reference import (
 )
 
 
-# -- refresh policy ------------------------------------------------------------
-
-
-class TestFreshEnough:
-    def test_exact_below_limit(self, pg_catalog):
-        repo = WorkloadRepository()
-        first, second = make_samples(pg_catalog, "tpcc", n=2, seed=1)
-        repo.add(first)
-        v = repo.version
-        assert repo.fresh_enough(v, scale=10)
-        repo.add(second)
-        assert not repo.fresh_enough(v, scale=10)
-        assert repo.fresh_enough(repo.version, scale=10)
-
-    def test_stale_window_above_limit(self):
-        repo = WorkloadRepository()
-        repo.exact_refresh_limit = 0  # every scale counts as "at scale"
-        repo._version = 100
-        scale = 1
-        within = 100 - (repo.stale_refresh_every - 1)
-        assert repo.fresh_enough(within, scale=scale)
-        assert not repo.fresh_enough(100 - repo.stale_refresh_every, scale=scale)
-
-    def test_scale_at_limit_stays_exact(self):
-        repo = WorkloadRepository()
-        repo._version = 5
-        assert not repo.fresh_enough(4, scale=repo.exact_refresh_limit)
-
-
 # -- derived-model caches ------------------------------------------------------
 
 

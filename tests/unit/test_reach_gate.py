@@ -95,9 +95,55 @@ class TestOutermostFunctions:
                 """
             )
         )
-        found = reach._outermost_functions(source)
+        found = reach._outermost_functions(source.read_text())
         assert [name for _, _, name in found] == ["Base.name", "f"]
         assert found[1][0] == 27
+
+
+class TestSourceSnapshot:
+    """Definitions are matched on the text read before the entry points run."""
+
+    MODULE = "def first():\n    return 1\n\n\ndef second():\n    return 2\n"
+
+    def _gate(self, monkeypatch, tmp_path, capsys, during_run):
+        module = tmp_path / "repro" / "mod.py"
+        module.parent.mkdir()
+        module.write_text(self.MODULE)
+        monkeypatch.setattr(reach, "SRC", tmp_path)
+        monkeypatch.setattr(reach, "KNOWN_UNREACHED", ())
+        monkeypatch.setattr(reach, "_report_state", lambda *_: False)
+
+        def run():
+            # Every definition runs, at the lines it had when the run began.
+            called = {(str(module), 1), (str(module), 5)}
+            during_run(module)
+            return called
+
+        monkeypatch.setattr(reach, "_run_entry_points", run)
+        status = reach._report_reach()
+        return status, capsys.readouterr().out
+
+    def test_unchanged_sources_match_the_snapshot(self, monkeypatch, tmp_path, capsys):
+        status, out = self._gate(monkeypatch, tmp_path, capsys, lambda module: None)
+        assert status == 0
+        assert "  0 definitions, 0 lines" in out
+
+    def test_a_module_edited_during_the_run_fails(self, monkeypatch, tmp_path, capsys):
+        def edit(module):
+            module.write_text("import os\n\n" + self.MODULE)
+
+        status, out = self._gate(monkeypatch, tmp_path, capsys, edit)
+        assert status == 1
+        assert "FAIL: repro/mod.py changed during the run" in out
+        assert "never called" not in out
+
+    def test_changed_sources_names_added_deleted_and_edited_modules(self):
+        a, b, c = Path("a.py"), Path("b.py"), Path("c.py")
+        before = {a: "x = 1\n", b: "y = 2\n"}
+        after = {a: "x = 1\n", b: "y = 3\n", c: "z = 4\n"}
+        assert reach.changed_sources(before, after) == [b, c]
+        assert reach.changed_sources(before, {a: "x = 1\n"}) == [b]
+        assert reach.changed_sources(before, dict(before)) == []
 
 
 PRODUCT = textwrap.dedent(

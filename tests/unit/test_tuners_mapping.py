@@ -1,6 +1,9 @@
 """Unit tests for OtterTune-style workload mapping."""
 
+import pickle
+
 import numpy as np
+import pytest
 
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.metrics import MetricsDelta
@@ -59,25 +62,45 @@ class TestMapping:
         assert mapping.best_workload_id is None
 
     def test_nbins_validation(self):
-        import pytest
-
         with pytest.raises(ValueError):
             WorkloadMapper(WorkloadRepository(), n_bins=1)
+
+
+@pytest.fixture
+def computes(monkeypatch):
+    """Every mapping ("map") and decile-edge ("edges") compute, in order."""
+    calls = []
+    map_workload = WorkloadMapper._map_workload
+    compute_edges = WorkloadMapper._compute_edges
+
+    def spy_map(self, target_id, exclude_target):
+        calls.append("map")
+        return map_workload(self, target_id, exclude_target)
+
+    def spy_edges(self):
+        calls.append("edges")
+        return compute_edges(self)
+
+    monkeypatch.setattr(WorkloadMapper, "_map_workload", spy_map)
+    monkeypatch.setattr(WorkloadMapper, "_compute_edges", spy_edges)
+    return calls
 
 
 class TestMappingCache:
     """Cluster-assignment results are version-keyed on the repository."""
 
-    def test_repeat_mapping_served_from_cache(self, pg_catalog):
+    def test_repeat_mapping_served_from_cache(self, pg_catalog, computes):
         repo = WorkloadRepository()
         _populate(repo, pg_catalog, "target", 100.0, seed=1)
         _populate(repo, pg_catalog, "twin", 105.0, seed=2)
         mapper = WorkloadMapper(repo)
         first = mapper.map_workload("target")
         second = mapper.map_workload("target")
+        mapper.map_workload("target")
         assert first is second  # identical object: no recompute happened
+        assert computes == ["map", "edges"]  # one compute per version
 
-    def test_new_sample_invalidates_mapping(self, pg_catalog):
+    def test_new_sample_invalidates_mapping(self, pg_catalog, computes):
         repo = WorkloadRepository()
         _populate(repo, pg_catalog, "target", 100.0, seed=1)
         _populate(repo, pg_catalog, "twin", 105.0, seed=2)
@@ -87,8 +110,11 @@ class TestMappingCache:
         second = mapper.map_workload("target")
         assert first is not second
         assert second.mapped
+        _populate(repo, pg_catalog, "twin", 105.0, n=1, seed=10)
+        mapper.map_workload("target")
+        assert computes == ["map", "edges"] * 3  # a recompute on every bump
 
-    def test_mappers_share_cache_through_repository(self, pg_catalog):
+    def test_mappers_share_cache_through_repository(self, pg_catalog, computes):
         """Every TDE's mapper over one store reuses the same results."""
         repo = WorkloadRepository()
         _populate(repo, pg_catalog, "target", 100.0, seed=1)
@@ -96,6 +122,8 @@ class TestMappingCache:
         first = WorkloadMapper(repo).map_workload("target")
         second = WorkloadMapper(repo).map_workload("target")
         assert first is second
+        WorkloadMapper(repo).map_workload("target", exclude_target=False)
+        assert computes == ["map", "edges", "map"]
 
     def test_distinct_nbins_do_not_share_entries(self, pg_catalog):
         repo = WorkloadRepository()
@@ -115,3 +143,49 @@ class TestMappingCache:
         included = mapper.map_workload("target", exclude_target=False)
         assert excluded.best_workload_id == "twin"
         assert included.best_workload_id == "target"
+
+
+def _fresh_mapping(repo, target_id, exclude_target):
+    """What a mapper with no cached state maps over a copy of *repo*."""
+    copy = pickle.loads(pickle.dumps(repo))
+    copy.derived_cache.clear()
+    return WorkloadMapper(copy).map_workload(target_id, exclude_target)
+
+
+class TestExactMapping:
+    """A mapping is a pure function of the repository at every scale."""
+
+    def test_shared_entries_are_never_served_stale(self, pg_catalog):
+        # Past 4,000 rows (where shared entries were once served stale)
+        # and with a target past the mapping window, one new candidate
+        # sample at the target's configuration flips the mapping; both
+        # mappers over the store must see the flip on their next call.
+        repo = WorkloadRepository()
+        rng = np.random.default_rng(0)
+
+        def add(wid, work_mem, tps):
+            metrics = {"throughput_tps": tps, "wal_mb": tps * 3.0,
+                       "blks_read": tps * 10.0}
+            repo.add(TrainingSample(
+                wid, KnobConfiguration(pg_catalog, {"work_mem": work_mem}),
+                MetricsDelta(metrics),
+            ))
+
+        for _ in range(4100):
+            add("target", 256.0, 100.0 + rng.normal())
+        for i in range(8):
+            add("near", 200.0, 120.0 + i)
+            add("far", 8.0, 9000.0 + i)
+        first, second = WorkloadMapper(repo), WorkloadMapper(repo)
+        before = _fresh_mapping(repo, "target", True)
+        for exclude in (True, False):
+            assert first.map_workload("target", exclude) == _fresh_mapping(
+                repo, "target", exclude
+            )
+        add("far", 256.0, 100.0)
+        assert _fresh_mapping(repo, "target", True) != before
+        for mapper in (second, first):
+            for exclude in (True, False):
+                assert mapper.map_workload("target", exclude) == _fresh_mapping(
+                    repo, "target", exclude
+                )

@@ -2,7 +2,7 @@
 
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.metrics import MetricsDelta
-from repro.tuners import TrainingSample, WorkloadRepository
+from repro.tuners import TrainingSample, WorkloadMapper, WorkloadRepository
 
 
 def _sample(pg_catalog, wid="w0", tps=10.0, work_mem=4.0):
@@ -42,57 +42,45 @@ class TestStorage:
 
 
 class TestDerivedCache:
-    def test_derived_entry_computes_once_per_version(self, pg_catalog):
+    """Derived state lives on the repository as ``(version, payload)``."""
+
+    @staticmethod
+    def _counted_edges(monkeypatch):
+        calls = []
+        compute_edges = WorkloadMapper._compute_edges
+
+        def spy(self):
+            calls.append(1)
+            return compute_edges(self)
+
+        monkeypatch.setattr(WorkloadMapper, "_compute_edges", spy)
+        return calls
+
+    def test_derived_entry_computes_once_per_version(self, pg_catalog, monkeypatch):
         repo = WorkloadRepository()
         repo.add(_sample(pg_catalog))
-        cache: dict = {}
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return {"value": len(calls)}
-
-        first = repo.derived_entry(cache, "k", repo.total_samples(), compute)
-        second = repo.derived_entry(cache, "k", repo.total_samples(), compute)
+        repo.add(_sample(pg_catalog, wid="w1", tps=20.0))
+        calls = self._counted_edges(monkeypatch)
+        mapper = WorkloadMapper(repo)
+        first = mapper.map_workload("w0")
+        second = mapper.map_workload("w0")
         assert first is second
         assert len(calls) == 1
+        entries = repo.derived_cache[("mapper", mapper.n_bins)]
+        assert entries[("map", "w0", True)] == (repo.version, first)
 
-    def test_derived_entry_invalidates_on_version_bump(self, pg_catalog):
+    def test_derived_entry_invalidates_on_version_bump(self, pg_catalog, monkeypatch):
         repo = WorkloadRepository()
         repo.add(_sample(pg_catalog))
-        cache: dict = {}
-        calls = []
-        repo.derived_entry(cache, "k", repo.total_samples(), lambda: calls.append(1))
+        repo.add(_sample(pg_catalog, wid="w1", tps=20.0))
+        calls = self._counted_edges(monkeypatch)
+        mapper = WorkloadMapper(repo)
+        mapper.map_workload("w0")
         repo.add(_sample(pg_catalog, tps=20.0))
-        repo.derived_entry(cache, "k", repo.total_samples(), lambda: calls.append(1))
+        mapper.map_workload("w0")
         assert len(calls) == 2
-        assert cache["k"][0] == repo.version
-
-    def test_derived_entry_amortises_past_exact_limit(self, pg_catalog):
-        repo = WorkloadRepository()
-        repo.exact_refresh_limit = 2
-        for _ in range(4):
-            repo.add(_sample(pg_catalog))
-        cache: dict = {}
-        calls = []
-        repo.derived_entry(cache, "k", repo.total_samples(), lambda: calls.append(1))
-        # One bump at scale > exact limit: entry is served stale.
-        repo.add(_sample(pg_catalog))
-        repo.derived_entry(cache, "k", repo.total_samples(), lambda: calls.append(1))
-        assert len(calls) == 1
-        # Past stale_refresh_every bumps a refresh must fire.
-        for _ in range(repo.stale_refresh_every):
-            repo.add(_sample(pg_catalog))
-        repo.derived_entry(cache, "k", repo.total_samples(), lambda: calls.append(1))
-        assert len(calls) == 2
-
-    def test_fresh_enough_exact_below_limit(self, pg_catalog):
-        repo = WorkloadRepository()
-        repo.add(_sample(pg_catalog))
-        version = repo.version
-        assert repo.fresh_enough(version, scale=1)
-        repo.add(_sample(pg_catalog))
-        assert not repo.fresh_enough(version, scale=1)
+        entries = repo.derived_cache[("mapper", mapper.n_bins)]
+        assert entries["edges"][0] == repo.version
 
     def test_derived_cache_shared_across_consumers(self, pg_catalog):
         repo = WorkloadRepository()

@@ -29,8 +29,11 @@ the definition (its first decorator, which is ``co_firstlineno``).
 Definitions matching :data:`KNOWN_UNREACHED` are printed under their
 own heading with the reason they stay.
 
-It is a gate: it exits 1 when an entry point fails, when a definition
-outside :data:`KNOWN_UNREACHED` is never called, or when a
+It is a gate: it exits 1 when an entry point fails, when a
+``src/repro`` module changes while the entry points run (definitions are
+read before the run, so a mid-run edit would shift the line numbers
+they are matched on), when a definition outside
+:data:`KNOWN_UNREACHED` is never called, or when a
 :data:`KNOWN_UNREACHED` qualname glob matches no never-called
 definition (its code was deleted or is now reached), so the allow-list
 cannot go stale. :func:`reach_verdict` makes that decision.
@@ -250,16 +253,29 @@ def _run_traced(pytest, argv, executed, prefix) -> int:
 
 
 def _report_reach() -> int:
-    """Check the state, run :data:`ENTRY_POINTS`, print both reports, gate."""
-    state_failed = _report_state()
+    """Check the state, run :data:`ENTRY_POINTS`, print both reports, gate.
+
+    Definitions are read before the entry points run and matched against
+    that snapshot, so the line numbers are those of the code that ran; a
+    module whose text changes during the run fails the gate.
+    """
+    sources = _read_sources()
+    state_failed = _report_state(sources)
+    functions = {path: _outermost_functions(text) for path, text in sources.items()}
     called = _run_entry_points()
     if called is None:
         return 1
+    changed = changed_sources(sources, _read_sources())
+    if changed:
+        for path in changed:
+            print(f"FAIL: {path.relative_to(SRC)} changed during the run")
+        print("Reach gate: FAIL (rerun it on a tree nothing edits)")
+        return 1
     unreached: list[tuple[str, int, int, str]] = []
     known: list[tuple[str, int, int, str, str]] = []
-    for path in sorted((SRC / "repro").rglob("*.py")):
+    for path, definitions in functions.items():
         module = str(path.relative_to(SRC))
-        for first, last, qualname in _outermost_functions(path):
+        for first, last, qualname in definitions:
             if (str(path), first) in called:
                 continue
             reason = _known_reason(module, qualname)
@@ -291,12 +307,22 @@ def _report_reach() -> int:
     return 1 if problems or state_failed else 0
 
 
-def _report_state() -> bool:
+def _read_sources() -> dict[Path, str]:
+    """The text of every ``src/repro`` module, by path."""
+    return {path: path.read_text() for path in sorted((SRC / "repro").rglob("*.py"))}
+
+
+def changed_sources(before: dict[Path, str], after: dict[Path, str]) -> list[Path]:
+    """The modules added, deleted or edited between two :func:`_read_sources`."""
+    return sorted(
+        path for path in before.keys() | after.keys()
+        if before.get(path) != after.get(path)
+    )
+
+
+def _report_state(sources: dict[Path, str]) -> bool:
     """Print the stored-but-unread attribute names; True when they fail."""
-    product = {
-        str(path.relative_to(SRC)): path.read_text()
-        for path in sorted((SRC / "repro").rglob("*.py"))
-    }
+    product = {str(path.relative_to(SRC)): text for path, text in sources.items()}
     # This file is left out too: its allow-list names every unread name.
     readers = [
         path.read_text()
@@ -504,7 +530,7 @@ def _run_entry_points() -> set[tuple[str, int]] | None:
     }
 
 
-def _outermost_functions(path: Path) -> list[tuple[int, int, str]]:
+def _outermost_functions(source: str) -> list[tuple[int, int, str]]:
     """``(first line, last line, qualname)`` of each outermost function.
 
     Functions nested in classes count; functions nested in functions are
@@ -531,7 +557,7 @@ def _outermost_functions(path: Path) -> list[tuple[int, int, str]]:
             else:
                 visit(child, scope)
 
-    visit(ast.parse(path.read_text()), "")
+    visit(ast.parse(source), "")
     return found
 
 
