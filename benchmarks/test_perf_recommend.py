@@ -23,22 +23,25 @@ reference it must match bit for bit
 alphas: seeded designs with correlated column pairs plus the captured
 governed problem in ``tests/fixtures/lasso_governed_problem.json``.
 
-Timing is **best-of-rounds** (the minimum over timed rounds): the
-steady-state cost of the code path with scheduler and allocator noise
-removed, which is what the speedup ratio gate needs to be stable on
-shared CI boxes. The mean is recorded alongside for context. Each round
-times one request per profile, so a change in the host's speed falls on
-every profile alike, and grows each training set by one sample, so the
-best case tends to land on the smallest set.
+Each round times one request per profile, back to back, and grows each
+training set by one sample. The ceilings read **best-of-rounds** (the
+minimum over timed rounds): the steady-state cost of the code path with
+scheduler and allocator noise removed; the mean is recorded alongside
+for context. The screen's speedup is the **median of the per-round
+ratios** off / on: a change in the host's speed (another process
+starting or stopping) falls on both requests of a round alike, so each
+ratio cancels it, where a ratio of two best-ofs can pair an off taken
+while the box was idle with an on taken while it was loaded.
 
 Gates:
 
 - off stays under 4 ms and on under 3 ms. Best-of on a 2-core VM is
   1.8–2.7 ms off and 1.1–1.9 ms on over 12 runs, six quick and six
   full (the range is the host's speed changing between runs);
-- the screen's speedup (off / on) stays within 20% of the committed
-  baseline (``benchmarks/baselines/BENCH_recommend_baseline.json``);
-  it read 1.40–1.73x over the same runs;
+- the screen's speedup (the median per-round off / on) stays within
+  20% of the committed baseline
+  (``benchmarks/baselines/BENCH_recommend_baseline.json``, which
+  records the measured spread);
 - the on profile hands exact scoring a shortlist no larger than the
   policy's ``shortlist_size`` (<= 16), on every request;
 - select stays under its own ceiling, and its recorded subspace must be
@@ -63,6 +66,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import statistics
 import sys
 import time
 
@@ -133,7 +137,7 @@ def _build_tuner(
 
 
 def _timings(profiles: dict[str, tuple[OtterTuneTuner, TuningRequest]]) -> dict:
-    """Best-of/mean milliseconds per profile, each request after a new sample."""
+    """Per-round, best-of and mean ms per profile, each request after a new sample."""
     seconds: dict[str, list[float]] = {name: [] for name in profiles}
     for i in range(ROUNDS):
         for name, (tuner, request) in profiles.items():
@@ -150,6 +154,7 @@ def _timings(profiles: dict[str, tuple[OtterTuneTuner, TuningRequest]]) -> dict:
         f"{name}_ms": {
             "best": 1e3 * min(times),
             "mean": 1e3 * sum(times) / len(times),
+            "rounds": [1e3 * t for t in times],
         }
         for name, times in seconds.items()
     }
@@ -245,7 +250,9 @@ def test_perf_recommend_loop_pattern(benchmark, emit):
     report = run_once(benchmark, work)
 
     off, on, select = report["off_ms"], report["on_ms"], report["select_ms"]
-    speedup = off["best"] / on["best"]
+    speedup = statistics.median(
+        a / b for a, b in zip(off["rounds"], on["rounds"], strict=True)
+    )
     report["speedup"] = speedup
     report["gates"] = {
         "baseline_speedup": baseline_speedup,
@@ -264,7 +271,8 @@ def test_perf_recommend_loop_pattern(benchmark, emit):
     lasso = report["lasso"]
     emit(
         "perf_recommend",
-        f"rounds: {ROUNDS} (quick={QUICK}; best-of timing, a new sample "
+        f"rounds: {ROUNDS} (quick={QUICK}; best-of ceilings, median per-round "
+        "speedup, a new sample "
         "before every request; BLAS threads: "
         f"{report['thread_env']['OPENBLAS_NUM_THREADS']})\n"
         f"off:    {off['best']:.2f} ms (ceiling {OFF_MS_CEILING:.1f} ms)\n"
@@ -273,7 +281,7 @@ def test_perf_recommend_loop_pattern(benchmark, emit):
         f"coreset<={screen['max_coreset']})\n"
         f"select: {select['best']:.2f} ms (ceiling {SELECT_MS_CEILING:.1f} ms; "
         f"subspace {subspace['active']}/{subspace['total']})\n"
-        f"screen speedup: {speedup:.2f}x (floor "
+        f"screen speedup: {speedup:.2f}x (median per-round off/on; floor "
         f"{REGRESSION_FRACTION * baseline_speedup:.2f}x, baseline "
         f"{baseline_speedup:.2f}x)\n"
         f"screen: shortlists={screen['shortlists']}; "

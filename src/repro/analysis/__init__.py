@@ -1,55 +1,35 @@
 """``repro lint``: AST-based invariant checking for the reproduction.
 
 The headline guarantees of this repository — byte-identical seeded
-benches, correct TDE throttle decisions, version-keyed caches that never
-serve stale state — rest on conventions that are easy to break silently.
-This package makes them machine-checked:
+benches, correct TDE throttle decisions — rest on conventions that are
+easy to break silently. This package makes them machine-checked:
 
 * :mod:`repro.analysis.engine` walks files, parses each module once and
   dispatches registered rules; ``# repro: noqa[RULE]`` comments suppress
   findings line by line.
-* :mod:`repro.analysis.rules` ships the builtin invariants: per-file
-  checks R001–R008 (no global RNG state, no wall-clock reads in
-  simulation paths, seeds must be threaded, ``_version`` bumps on every
-  mutation, knob literals must agree with the registry, recorder
-  threading, bounded control-plane loops, no snapshot pickling in loops)
-  and the interprocedural ``--deep`` checks R009–R012 (shard-state
-  mutation, unordered iteration feeding a merge, order-sensitive float
-  accumulation, RNGs crossing shard boundaries unsubstreamed).
-* :mod:`repro.analysis.project` / :mod:`repro.analysis.dataflow` /
-  :mod:`repro.analysis.callgraph` supply the whole-program substrate the
-  deep rules read: a symbol index, a taint-style dataflow pass and an
-  approximate call graph, built once per lint run.
+* :mod:`repro.analysis.rules` ships the builtin invariants R001–R003
+  and R005–R007: no global RNG state, no wall-clock reads in simulation
+  paths, seeds must be threaded, knob literals must agree with the
+  registry, recorder threading, and bounded control-plane loops.
 * :mod:`repro.analysis.reporters` renders findings as text or JSON.
 
-Run it as ``repro lint src/`` or ``repro lint --deep src/`` (see
-:mod:`repro.cli`), or call :func:`lint_paths` directly.
+Run it as ``repro lint src/`` (see :mod:`repro.cli`), or call
+:meth:`Linter.lint_paths` directly.
 """
 
-from repro.analysis.engine import Linter, ParsedModule, lint_paths
+from repro.analysis.engine import Linter, ParsedModule
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.project import ProjectContext, ProjectIndex
-from repro.analysis.registry import (
-    DeepRule,
-    Rule,
-    all_rules,
-    get_rule,
-    register,
-)
+from repro.analysis.registry import Rule, all_rules, get_rule, register
 from repro.analysis.reporters import render, render_json, render_text
 
 __all__ = [
-    "DeepRule",
     "Finding",
     "Linter",
     "ParsedModule",
-    "ProjectContext",
-    "ProjectIndex",
     "Rule",
     "Severity",
     "all_rules",
     "get_rule",
-    "lint_paths",
     "register",
     "render",
     "render_json",

@@ -23,12 +23,11 @@ from pathlib import Path, PurePosixPath
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.imports import ImportMap
-from repro.analysis.registry import Rule, all_rules, get_rule
+from repro.analysis.registry import all_rules, get_rule
 
 __all__ = [
     "ParsedModule",
     "Linter",
-    "lint_paths",
     "is_library_module",
     "is_rng_module",
     "in_simulation_path",
@@ -122,33 +121,19 @@ class Linter:
         Findings report paths relative to this directory (default: cwd).
     select:
         Rule ids to run; ``None`` runs every registered rule.
-    deep:
-        Run the interprocedural rules too. These need a whole-program
-        :class:`~repro.analysis.project.ProjectContext` (symbol index,
-        dataflow, call graph), built **once per run** after all files
-        are parsed. Explicitly selecting a deep rule implies ``deep``.
     """
 
     def __init__(
         self,
         root: Path | None = None,
         select: Sequence[str] | None = None,
-        deep: bool = False,
     ) -> None:
         self.root = (root or Path.cwd()).resolve()
         if select is None:
             rule_classes = all_rules()
         else:
             rule_classes = [get_rule(rule_id) for rule_id in select]
-        instances = [cls() for cls in rule_classes]
-        self.deep = deep or (
-            select is not None
-            and any(rule.requires_project for rule in instances)
-        )
-        if not self.deep:
-            instances = [r for r in instances if not r.requires_project]
-        self.shallow_rules = [r for r in instances if not r.requires_project]
-        self.deep_rules = [r for r in instances if r.requires_project]
+        self.rules = [cls() for cls in rule_classes]
 
     def parse(self, path: Path) -> ParsedModule | Finding:
         """Parse one file; a syntax error becomes an ``R000`` finding."""
@@ -173,52 +158,22 @@ class Linter:
             imports=ImportMap(tree),
         )
 
-    def lint_file(self, path: Path) -> list[Finding]:
-        """All unsuppressed findings for one file."""
-        return self.lint_paths([path])
-
     def lint_paths(self, paths: Sequence[Path]) -> list[Finding]:
-        """All unsuppressed findings under *paths*, sorted.
-
-        Two phases: every file is parsed once and run through the
-        per-file rules; then, in deep mode, a single
-        :class:`~repro.analysis.project.ProjectContext` is built over
-        the full parsed set (plus the ``repro`` determinism-seam
-        modules) and the interprocedural rules run per module against
-        it. Suppression comments apply identically to both phases.
-        """
+        """All unsuppressed findings under *paths*, sorted."""
         findings: list[Finding] = []
-        modules: list[ParsedModule] = []
         for path in iter_python_files(paths):
             parsed = self.parse(path)
             if isinstance(parsed, Finding):
                 findings.append(parsed)
                 continue
-            modules.append(parsed)
-            findings.extend(self._check_module(parsed, self.shallow_rules))
-        if self.deep and self.deep_rules and modules:
-            from repro.analysis.project import ProjectContext
-
-            project = ProjectContext.build(modules, parser=self.parse)
-            for parsed in modules:
-                findings.extend(
-                    finding
-                    for rule in self.deep_rules
-                    for finding in rule.check_deep(parsed, project)
-                    if not parsed.suppressed(finding.rule, finding.line)
-                )
+            findings.extend(
+                finding
+                for rule in self.rules
+                for finding in rule.check(parsed)
+                if not parsed.suppressed(finding.rule, finding.line)
+            )
         findings.sort(key=Finding.sort_key)
         return findings
-
-    def _check_module(
-        self, parsed: ParsedModule, rules: Sequence[Rule]
-    ) -> list[Finding]:
-        return [
-            finding
-            for rule in rules
-            for finding in rule.check(parsed)
-            if not parsed.suppressed(finding.rule, finding.line)
-        ]
 
     def _relpath(self, path: Path) -> PurePosixPath:
         resolved = path.resolve()
@@ -226,13 +181,3 @@ class Linter:
             return PurePosixPath(resolved.relative_to(self.root))
         except ValueError:
             return PurePosixPath(resolved)
-
-
-def lint_paths(
-    paths: Sequence[Path],
-    root: Path | None = None,
-    select: Sequence[str] | None = None,
-    deep: bool = False,
-) -> list[Finding]:
-    """Convenience wrapper: lint *paths* with a fresh :class:`Linter`."""
-    return Linter(root=root, select=select, deep=deep).lint_paths(paths)

@@ -56,10 +56,3 @@ class ImportMap:
             return None
         parts.append(root)
         return ".".join(reversed(parts))
-
-    def imports(self, module: str) -> bool:
-        """Whether any alias resolves into *module* (dotted prefix match)."""
-        return any(
-            target == module or target.startswith(module + ".")
-            for target in self._aliases.values()
-        )

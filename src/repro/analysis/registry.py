@@ -18,9 +18,8 @@ from repro.analysis.findings import Finding, Severity
 
 if TYPE_CHECKING:  # circular at runtime only: engine imports the registry
     from repro.analysis.engine import ParsedModule
-    from repro.analysis.project import ProjectContext
 
-__all__ = ["Rule", "DeepRule", "register", "all_rules", "get_rule"]
+__all__ = ["Rule", "register", "all_rules", "get_rule"]
 
 
 class Rule(abc.ABC):
@@ -29,40 +28,16 @@ class Rule(abc.ABC):
     id: str = ""
     title: str = ""
     severity: Severity = Severity.ERROR
-    #: Deep rules need the whole-program :class:`ProjectContext`; the
-    #: engine builds it once per run and dispatches via ``check_deep``.
-    requires_project: bool = False
 
     @abc.abstractmethod
     def check(self, module: ParsedModule) -> Iterator[Finding]:
         """Yield findings for *module*."""
-
-    def check_deep(
-        self, module: ParsedModule, project: ProjectContext
-    ) -> Iterator[Finding]:
-        """Yield whole-program findings for *module* (deep rules only)."""
-        return iter(())
 
     def finding(
         self, module: ParsedModule, line: int, col: int, message: str
     ) -> Finding:
         """Convenience constructor pinning rule id/severity."""
         return Finding(self.id, self.severity, module.relpath, line, col, message)
-
-
-class DeepRule(Rule):
-    """Base for interprocedural rules: only ``check_deep`` fires."""
-
-    requires_project = True
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        return iter(())
-
-    @abc.abstractmethod
-    def check_deep(
-        self, module: ParsedModule, project: ProjectContext
-    ) -> Iterator[Finding]:
-        """Yield whole-program findings for *module*."""
 
 
 _REGISTRY: dict[str, type[Rule]] = {}

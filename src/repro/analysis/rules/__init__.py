@@ -1,30 +1,16 @@
-"""Builtin lint rules. Importing this package registers R001–R012."""
+"""Builtin lint rules. Importing this package registers R001–R003 and R005–R007."""
 
-from repro.analysis.rules.cache_version import CacheVersionBumpRule
-from repro.analysis.rules.interprocedural import (
-    FloatAccumulationOrderRule,
-    RngCrossesShardRule,
-    ShardStateMutationRule,
-    UnorderedReduceRule,
-)
 from repro.analysis.rules.knob_registry import KnobRegistryRule
 from repro.analysis.rules.observability import RecorderMustThreadRule
 from repro.analysis.rules.rng import NoGlobalRngRule, RngMustThreadRule
 from repro.analysis.rules.robustness import BoundedControlPlaneRule
-from repro.analysis.rules.serialization import NoSnapshotInLoopRule
 from repro.analysis.rules.wallclock import NoWallclockInSimRule
 
 __all__ = [
     "BoundedControlPlaneRule",
-    "CacheVersionBumpRule",
-    "FloatAccumulationOrderRule",
     "KnobRegistryRule",
     "NoGlobalRngRule",
-    "NoSnapshotInLoopRule",
     "NoWallclockInSimRule",
     "RecorderMustThreadRule",
-    "RngCrossesShardRule",
     "RngMustThreadRule",
-    "ShardStateMutationRule",
-    "UnorderedReduceRule",
 ]

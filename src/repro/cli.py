@@ -382,12 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true",
         help="list registered rules and exit",
     )
-    lint.add_argument(
-        "--deep", action="store_true",
-        help="also run the interprocedural rules (R009-R012): builds a "
-        "whole-program index, dataflow pass and call graph once, then "
-        "checks shard-divergence invariants across function boundaries",
-    )
     return parser
 
 
@@ -416,7 +410,7 @@ def _run_lint(args: argparse.Namespace) -> int:
         )
         return 2
     try:
-        linter = Linter(select=select, deep=args.deep)
+        linter = Linter(select=select)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2

@@ -33,7 +33,7 @@ from repro.dbsim.memory import (
     working_area_knobs,
 )
 from repro.dbsim.metrics import METRIC_NAMES, OTTERTUNE_METRICS, MetricsDelta
-from repro.dbsim.planner import PlanEstimate, PlannerModel, latent_optimum
+from repro.dbsim.planner import PlannerModel, latent_optimum
 from repro.dbsim.replication import ReplicatedService
 from repro.dbsim.storage import DiskWindowResult
 
@@ -52,7 +52,6 @@ __all__ = [
     "MemoryBudgetError",
     "MetricsDelta",
     "OTTERTUNE_METRICS",
-    "PlanEstimate",
     "PlannerModel",
     "ReplicatedService",
     "SimulatedDatabase",

@@ -36,10 +36,10 @@ from repro.dbsim.executor import ExecutionSummary, run_batch
 from repro.dbsim.knobs import catalog_for
 from repro.dbsim.memory import SpillReport, buffer_hit_ratio, compute_spills, swap_factor
 from repro.dbsim.metrics import MetricsDelta
-from repro.dbsim.planner import PlanColumns, PlanEstimate, PlannerModel
+from repro.dbsim.planner import PlanColumns, PlannerModel
 from repro.dbsim.storage import DiskWindowResult, simulate_device
 from repro.workloads.generator import WorkloadBatch
-from repro.workloads.query import Query, QueryType
+from repro.workloads.query import QueryType
 
 __all__ = [
     "ApplyOutcome",
@@ -230,30 +230,14 @@ class SimulatedDatabase:
 
     # -- observation surface ---------------------------------------------------
 
-    def explain(
-        self,
-        query: Query,
-        config: KnobConfiguration | None = None,
-        noisy: bool = False,
-    ) -> PlanEstimate:
-        """EXPLAIN *query* under *config* (default: the live configuration).
-
-        Passing a hypothetical configuration is how the TDE's MDP probes
-        planner cost/benefit without touching the live knobs (§3.3). Like
-        a real planner, the estimate is deterministic for fixed inputs;
-        ``noisy=True`` adds estimation error for consumers that want to
-        model stale statistics.
-        """
-        rng = self._rng if noisy else None
-        return self._planner.explain(query, config or self.config, rng=rng)
-
     def plan_cost(
         self, columns: PlanColumns, config: KnobConfiguration | None = None
     ) -> float:
         """Mean EXPLAIN cost of *columns* under *config* (default: live).
 
-        Like :meth:`explain`, a hypothetical configuration leaves the live
-        knobs untouched; the estimate is noiseless.
+        Passing a hypothetical configuration is how the TDE's MDP probes
+        planner cost/benefit without touching the live knobs (§3.3); the
+        estimate is noiseless.
         """
         return self._planner.mean_cost(columns, config or self.config)
 
@@ -261,7 +245,7 @@ class SimulatedDatabase:
         """The live sort, maintenance and temp allowances (MB).
 
         A statement whose demand in a category exceeds its allowance
-        spills there: what :meth:`explain` flags as disk use.
+        spills there: what an EXPLAIN flags as disk use.
         """
         return self._planner.allowances(self.config)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import hashlib
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from repro.dbsim.knobs import KnobClass, KnobDef
 from repro.dbsim.memory import working_area_knobs
 from repro.workloads.query import FOOTPRINT_COLUMNS, Query, QueryFootprint, QueryRows
 
-__all__ = ["PlanColumns", "PlanEstimate", "PlannerModel", "latent_optimum"]
+__all__ = ["PlanColumns", "PlannerModel", "latent_optimum"]
 
 _CPU_TUPLE_COST = 0.01
 _PAGE_KB = 8.0
@@ -91,34 +90,6 @@ def latent_optimum(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class PlanEstimate:
-    """EXPLAIN-style output for one query under one configuration."""
-
-    query_family: str
-    total_cost: float
-    uses_disk_sort: bool
-    uses_disk_maintenance: bool
-    uses_disk_temp: bool
-    planned_workers: int
-
-    @property
-    def uses_disk(self) -> bool:
-        """Whether any executor node spills to disk."""
-        return self.uses_disk_sort or self.uses_disk_maintenance or self.uses_disk_temp
-
-    def spilled_categories(self) -> set[str]:
-        """Working-area categories this plan spills in."""
-        out: set[str] = set()
-        if self.uses_disk_sort:
-            out.add("sort")
-        if self.uses_disk_maintenance:
-            out.add("maintenance")
-        if self.uses_disk_temp:
-            out.add("temp")
-        return out
-
-
 class PlanColumns:
     """EXPLAIN's knob-independent half over a set of statements.
 
@@ -128,7 +99,8 @@ class PlanColumns:
     order and ``slot`` each statement's index into ``keys``. A
     configuration's mean cost is then ``mean(base * multiplier[slot])``
     with one multiplier per key (:meth:`PlannerModel.mean_cost`): per
-    statement, the float operations :meth:`PlannerModel.explain` makes.
+    statement, the float operations of a one-statement EXPLAIN
+    (``tests/reference.py``).
     """
 
     __slots__ = ("base", "keys", "slot")
@@ -310,47 +282,12 @@ class PlannerModel:
             self._allowance_cache[config] = cached
         return cached
 
-    def explain(
-        self,
-        query: Query,
-        config: KnobConfiguration,
-        rng: np.random.Generator | None = None,
-        noise: float = 0.03,
-    ) -> PlanEstimate:
-        """EXPLAIN *query*: estimated cost plus disk-usage flags.
-
-        The estimated cost is a (noisy) affine image of the execution
-        model's predicted time under *config* — §3.3's premise is exactly
-        that the planner's cost/benefit probes are informative about real
-        performance, so the cost must share the execution surface rather
-        than use the cost-constant knobs directly (a raw ``EXPLAIN`` total
-        is not comparable across different cost constants; a predicted
-        runtime is). Disk flags come from comparing the query's
-        working-area demands against the current knob allowances, exactly
-        like reading "Sort Method: external merge" out of a real plan.
-        """
-        fp = query.footprint
-        cost = _base_cost(fp.rows_examined, fp.sort_mb, fp.read_kb)
-        cost *= self.time_multiplier(config, fp)
-        if rng is not None and noise > 0.0:
-            cost *= float(rng.lognormal(0.0, noise))
-        sort_allowance, maint_allowance, temp_allowance = self.allowances(config)
-        return PlanEstimate(
-            query_family=query.family,
-            total_cost=float(cost),
-            uses_disk_sort=fp.sort_mb > sort_allowance,
-            uses_disk_maintenance=fp.maintenance_mb > maint_allowance,
-            uses_disk_temp=fp.temp_mb > temp_allowance,
-            planned_workers=(
-                self.requested_workers(config) if fp.parallel_fraction > 0 else 0
-            ),
-        )
-
     def mean_cost(self, columns: PlanColumns, config: KnobConfiguration) -> float:
         """Mean EXPLAIN cost of *columns* under *config* (0.0 for none).
 
-        Equal to the mean of :meth:`explain`'s noiseless ``total_cost``
-        over the statements, in their order. The memoised configuration
+        Equal to the mean of a noiseless one-statement EXPLAIN's
+        ``total_cost`` (``tests/reference.py``) over the statements, in
+        their order. The memoised configuration
         reads its distance from the memo; any other is scored without
         entering the memos.
         """

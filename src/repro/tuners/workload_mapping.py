@@ -59,13 +59,11 @@ class WorkloadMapper:
         # Keys: "edges" plus ("map", target, exclude) tuples; values are
         # (repository version, payload) pairs.
         #
-        # R009-safe despite being a mutation of a received repository:
-        # inside a shard the repository is that worker's pickled copy,
-        # and a hit returns exactly what recomputing would, so cache
-        # state cannot change an output.
-        cache = repository.derived_cache.setdefault(  # repro: noqa[R009]
-            ("mapper", n_bins), {}
-        )
+        # Writing into a received repository is safe: inside a shard the
+        # repository is that worker's pickled copy, and a hit returns
+        # exactly what recomputing would, so cache state cannot change
+        # an output.
+        cache = repository.derived_cache.setdefault(("mapper", n_bins), {})
         self._cache: dict[Any, tuple[int, Any]] = cache
 
     def _entry(self, key: Any, compute: Callable[[], Any]) -> Any:

@@ -196,14 +196,13 @@ class QueryFamily:
         The text is :attr:`log_template` and the footprint *footprint*
         (one log row's jittered resources). Draws nothing.
         """
-        return Query(self.name, self.query_type, self.log_template, footprint)
+        return Query(self.query_type, self.log_template, footprint)
 
 
 @dataclass(frozen=True, slots=True)
 class Query:
     """One query as it appears in the streaming query log."""
 
-    family: str
     query_type: QueryType
     text: str
     footprint: QueryFootprint

@@ -12,6 +12,7 @@ from repro.workloads import (
     TPCHWorkload,
     YCSBWorkload,
 )
+from tests.reference import explain
 
 
 def _execute(flavor, overrides, workload_factory, vm="m4.large", data_gb=26.0,
@@ -38,7 +39,7 @@ def _spilled(*args, **kwargs):
     executed family's example statement."""
     db, result = _execute(*args, **kwargs)
     return set().union(
-        *(db.explain(q).spilled_categories() for q in result.batch.family_examples)
+        *(explain(db, q).spilled_categories() for q in result.batch.family_examples)
     )
 
 

@@ -24,19 +24,6 @@ class TestShippedTreeIsClean:
         monkeypatch.chdir(REPO_ROOT)
         assert main(["lint", "tests"]) == 0
 
-    def test_deep_lint_src_exits_zero(self, capsys, monkeypatch):
-        """The CI gate: zero unsuppressed interprocedural findings."""
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["lint", "--deep", "src"]) == 0
-        assert "no findings" in capsys.readouterr().out
-
-    def test_deep_lint_flags_the_mutant_corpus(self, capsys, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["lint", "--deep", "tests/fixtures/mutants"]) == 1
-        out = capsys.readouterr().out
-        for rule_id in ("R009", "R010", "R011", "R012"):
-            assert rule_id in out
-
 
 class TestViolationsFlipTheExitCode:
     def test_bad_fixture_fails_with_file_and_line(
@@ -64,8 +51,8 @@ class TestViolationsFlipTheExitCode:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R001", "R002", "R003", "R004", "R005"):
-            assert rule_id in out
+        listed = [line.split()[0] for line in out.splitlines()]
+        assert listed == ["R001", "R002", "R003", "R005", "R006", "R007"]
 
     def test_missing_path_is_usage_error(self, capsys):
         assert main(["lint", "definitely/not/a/path"]) == 2

@@ -43,7 +43,7 @@ from repro.workloads.query import (
 from repro.workloads.sampling import ReservoirSampler
 from repro.workloads.templating import make_template
 from tests.conftest import MixWorkload
-from tests.reference import CatalogMemoryDetector
+from tests.reference import CatalogMemoryDetector, plan_explain
 
 
 def _class_counts(histogram: QueryClassHistogram) -> dict[str, int]:
@@ -328,7 +328,7 @@ class TestPlanCostMatchesExplain:
         workload = _workload(case)
         planner = PlannerModel(flavor, workload.name, vm_type("m4.xlarge"))
         rows = workload.batch(60.0).sampled_queries[:32]
-        costs = [planner.explain(q, config).total_cost for q in rows]
+        costs = [plan_explain(planner, q, config).total_cost for q in rows]
         expected = float(np.mean(costs)) if costs else 0.0
         assert planner.mean_cost(PlanColumns.of_rows(rows), config) == expected
 

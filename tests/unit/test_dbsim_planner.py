@@ -7,12 +7,12 @@ from repro.common.hardware import vm_type
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.planner import PlannerModel, latent_optimum
 from repro.workloads.query import Query, QueryFootprint, QueryType
+from tests.reference import plan_explain
 
 
 def _query(sort_mb=0.0, planner_sensitivity=0.5, parallel_fraction=0.0,
            maintenance_mb=0.0, temp_mb=0.0):
     return Query(
-        "q",
         QueryType.SELECT,
         "SELECT 1",
         QueryFootprint(
@@ -81,8 +81,8 @@ class TestDistanceAndPenalty:
         )
         q = _query(planner_sensitivity=1.0)
         assert (
-            planner.explain(q, near).total_cost
-            < planner.explain(q, far).total_cost
+            plan_explain(planner, q, near).total_cost
+            < plan_explain(planner, q, far).total_cost
         )
 
 
@@ -111,19 +111,20 @@ class TestParallelism:
 class TestExplain:
     def test_disk_flags_follow_allowances(self, planner, pg_catalog):
         cfg = KnobConfiguration(pg_catalog, {"work_mem": 4})
-        plan = planner.explain(_query(sort_mb=100.0), cfg)
+        plan = plan_explain(planner, _query(sort_mb=100.0), cfg)
         assert plan.uses_disk_sort
         assert plan.uses_disk
         assert plan.spilled_categories() == {"sort"}
 
     def test_no_disk_when_fits(self, planner, pg_catalog):
         cfg = KnobConfiguration(pg_catalog, {"work_mem": 512})
-        plan = planner.explain(_query(sort_mb=100.0), cfg)
+        plan = plan_explain(planner, _query(sort_mb=100.0), cfg)
         assert not plan.uses_disk
 
     def test_all_three_flags(self, planner, pg_catalog):
         cfg = KnobConfiguration(pg_catalog)
-        plan = planner.explain(
+        plan = plan_explain(
+            planner,
             _query(sort_mb=100.0, maintenance_mb=200.0, temp_mb=100.0), cfg
         )
         assert plan.spilled_categories() == {"sort", "maintenance", "temp"}
@@ -131,11 +132,11 @@ class TestExplain:
     def test_cost_noise_reproducible(self, planner, pg_catalog):
         cfg = KnobConfiguration(pg_catalog)
         q = _query()
-        a = planner.explain(q, cfg, rng=np.random.default_rng(3))
-        b = planner.explain(q, cfg, rng=np.random.default_rng(3))
+        a = plan_explain(planner, q, cfg, rng=np.random.default_rng(3))
+        b = plan_explain(planner, q, cfg, rng=np.random.default_rng(3))
         assert a.total_cost == b.total_cost
 
     def test_workers_planned_only_for_parallel(self, planner, pg_catalog):
         cfg = KnobConfiguration(pg_catalog, {"max_parallel_workers_per_gather": 2})
-        assert planner.explain(_query(parallel_fraction=0.5), cfg).planned_workers == 2
-        assert planner.explain(_query(parallel_fraction=0.0), cfg).planned_workers == 0
+        assert plan_explain(planner, _query(parallel_fraction=0.5), cfg).planned_workers == 2
+        assert plan_explain(planner, _query(parallel_fraction=0.0), cfg).planned_workers == 0

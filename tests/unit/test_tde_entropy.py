@@ -22,7 +22,7 @@ from repro.workloads.query import (
 
 
 def _query(**fp_kwargs):
-    return Query("f", QueryType.SELECT, "q", QueryFootprint(**fp_kwargs))
+    return Query(QueryType.SELECT, "q", QueryFootprint(**fp_kwargs))
 
 
 def _classify(query):

@@ -1,5 +1,7 @@
 """Unit tests for the central workload repository."""
 
+import pickle
+
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.metrics import MetricsDelta
 from repro.tuners import TrainingSample, WorkloadMapper, WorkloadRepository
@@ -97,17 +99,32 @@ class TestSync:
         dst = WorkloadRepository()
         src.add(_sample(pg_catalog, "a"))
         src.add(_sample(pg_catalog, "a", tps=2.0))
+        before = dst.version
         assert dst.sync_from(src) == 2
         assert dst.total_samples() == 2
+        assert dst.version == before + 2
 
-    def test_sync_is_incremental(self, pg_catalog):
+    def test_sync_is_incremental(self, pg_catalog, monkeypatch):
         src = WorkloadRepository()
         dst = WorkloadRepository()
         src.add(_sample(pg_catalog, "a"))
+        src.add(_sample(pg_catalog, "b", tps=20.0))
         dst.sync_from(src)
-        src.add(_sample(pg_catalog, "a", tps=3.0))
+        calls = TestDerivedCache._counted_edges(monkeypatch)
+        mapper = WorkloadMapper(dst)
+        mapper.map_workload("a")
+        src.add(_sample(pg_catalog, "b", tps=3.0, work_mem=64.0))
+        before = dst.version
         assert dst.sync_from(src) == 1
-        assert dst.total_samples() == 2
+        assert dst.total_samples() == 3
+        assert dst.version == before + 1
+        # A mapper sharing dst's derived cache must not serve the
+        # pre-sync mapping: the sync invalidates it.
+        after = mapper.map_workload("a")
+        assert len(calls) == 2
+        fresh = pickle.loads(pickle.dumps(dst))
+        fresh.derived_cache.clear()
+        assert after == WorkloadMapper(fresh).map_workload("a")
 
     def test_sync_noop_when_current(self, pg_catalog):
         src = WorkloadRepository()

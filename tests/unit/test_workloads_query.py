@@ -67,7 +67,6 @@ class TestQueryFamily:
         q = self._family().instantiate(QueryFootprint())
         assert "%s" not in q.text
         assert q.text == "SELECT * FROM t WHERE id = ?"
-        assert q.family == "f"
 
     def test_instantiate_is_query(self):
         q = self._family().instantiate(QueryFootprint())

@@ -97,7 +97,6 @@ ENTRY_POINTS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ),
     ("repro", ("ablate", "knobs")),
     ("repro", ("lint",)),
-    ("repro", ("lint", "--deep")),
     *(
         ("loopbench", ("--workload", name, "--seed", "1", "--seconds", "20",
                        "--trace", "1"))
@@ -110,7 +109,6 @@ ENTRY_POINTS: tuple[tuple[str, tuple[str, ...]], ...] = (
 #: under ``src/`` and the definition's qualified name; the qualname
 #: globs are separated by spaces.
 _PROCESS = "process backend: --workers > 1 children are not traced"
-_REFERENCE = "per-query reference the columnar path is tested against"
 KNOWN_UNREACHED: tuple[tuple[str, str, str], ...] = (
     ("repro/parallel/executor.py",
      "WorkerCrashed.* _map_main _session_main _receive FleetExecutor._context",
@@ -118,8 +116,6 @@ KNOWN_UNREACHED: tuple[tuple[str, str, str], ...] = (
     ("repro/tuners/hybrid.py", "*", "reached by the ablation_hybrid bench"),
     ("repro/experiments/ablation_hybrid.py", "*",
      "reached by the ablation_hybrid bench"),
-    ("repro/dbsim/planner.py", "PlannerModel.explain PlanEstimate.*", _REFERENCE),
-    ("repro/dbsim/engine.py", "SimulatedDatabase.explain", _REFERENCE),
     ("repro/core/director/config_director.py", "ConfigDirector._serve_fallback",
      "fault path: every tuner instance tripped or unreachable"),
     ("repro/core/director/breaker.py",
@@ -146,10 +142,9 @@ KNOWN_UNREACHED: tuple[tuple[str, str, str], ...] = (
     ("repro/tuners/base.py", "Tuner.configure", "abstract tuner interface"),
     ("repro/cli.py", "_positive_int", "CLI option check on invalid input"),
     ("repro/analysis/*",
-     "CallGraph.callees CallGraph.callers Linter.lint_file lint_paths "
-     "Finding.* ImportMap.imports Rule.* DeepRule.* get_rule render_json "
-     "_called_methods _order_desc _has_escape _mentions_repository",
-     "lint-rule helper: repro lint reaches it on the mutant corpus, "
+     "ParsedModule.suppressed Finding.* Rule.* get_rule render_json "
+     "_has_escape",
+     "lint-rule helper: repro lint reaches it on a rule violation, "
      "--select or --format json"),
     ("repro/*", "*.__repr__", "debugging aid"),
 )
@@ -163,8 +158,6 @@ KNOWN_UNREAD: tuple[tuple[str, str], ...] = (
     ("credentials username password",
      "a deployment's access credentials, held for the operator; the "
      "password draw feeds the seeds of later deployments"),
-    ("query_family total_cost planned_workers",
-     "PlanEstimate fields: " + _REFERENCE),
 )
 
 #: Methods that write into the container they are called on.
