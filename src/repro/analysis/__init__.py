@@ -1,37 +1,21 @@
-"""``repro lint``: AST-based invariant checking for the reproduction.
+"""``repro lint``: AST checks for the reproduction's determinism invariants.
 
-The headline guarantees of this repository — byte-identical seeded
-benches, correct TDE throttle decisions — rest on conventions that are
-easy to break silently. This package makes them machine-checked:
+The seeded benches are byte-identical only while every random draw flows
+from a threaded, explicitly seeded generator and no simulation result
+depends on the host clock. Three rules check that statically, for the
+defects no runtime check catches (see ``docs/static_analysis.md``):
 
-* :mod:`repro.analysis.engine` walks files, parses each module once and
-  dispatches registered rules; ``# repro: noqa[RULE]`` comments suppress
-  findings line by line.
-* :mod:`repro.analysis.rules` ships the builtin invariants R001–R003
-  and R005–R007: no global RNG state, no wall-clock reads in simulation
-  paths, seeds must be threaded, knob literals must agree with the
-  registry, recorder threading, and bounded control-plane loops.
-* :mod:`repro.analysis.reporters` renders findings as text or JSON.
+* R001 no draw from module-level RNG state,
+* R002 no wall-clock read in simulation paths,
+* R003 no generator constructed without an explicit seed.
 
 Run it as ``repro lint src/`` (see :mod:`repro.cli`), or call
-:meth:`Linter.lint_paths` directly.
+:func:`lint_paths` directly.
 """
 
-from repro.analysis.engine import Linter, ParsedModule
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.registry import Rule, all_rules, get_rule, register
-from repro.analysis.reporters import render, render_json, render_text
+from repro.analysis.engine import lint_paths
+from repro.analysis.findings import Finding, ParsedModule
+from repro.analysis.reporters import render_text
+from repro.analysis.rules import RULES
 
-__all__ = [
-    "Finding",
-    "Linter",
-    "ParsedModule",
-    "Rule",
-    "Severity",
-    "all_rules",
-    "get_rule",
-    "register",
-    "render",
-    "render_json",
-    "render_text",
-]
+__all__ = ["RULES", "Finding", "ParsedModule", "lint_paths", "render_text"]

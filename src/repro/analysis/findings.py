@@ -1,53 +1,48 @@
-"""Finding model for the ``repro lint`` static checker.
+"""What ``repro lint`` rules read and what they report.
 
-A :class:`Finding` is one rule violation pinned to a file and line. The
-model is deliberately flat — reporters (text, JSON) and the CLI exit-code
-logic consume it without needing the AST context it was derived from.
+A rule reads one :class:`ParsedModule` at a time; the engine pins each
+violation it yields to a file and line as a :class:`Finding`.
 """
 
 from __future__ import annotations
 
-import enum
+import ast
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import PurePosixPath
 
-__all__ = ["Severity", "Finding"]
+from repro.analysis.imports import ImportMap
+
+__all__ = ["Finding", "ParsedModule"]
 
 
-class Severity(enum.Enum):
-    """How seriously a finding should be taken.
-
-    ``ERROR`` findings fail the lint run; ``WARNING`` findings are printed
-    but do not affect the exit code (none of the shipped rules currently
-    emit warnings — the tier exists so a new rule can be introduced
-    observe-only before being promoted to blocking).
-    """
-
-    WARNING = "warning"
-    ERROR = "error"
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Finding:
-    """One rule violation at ``path:line:col``.
+    """One rule violation at ``path:line:col``; findings sort by position.
 
-    ``path`` is stored POSIX-style relative to the lint root so output is
+    ``path`` is POSIX-style and relative to the lint root, so output is
     stable across machines and usable in CI annotations.
     """
 
-    rule: str
-    severity: Severity
-    path: PurePosixPath
+    path: str
     line: int
     col: int
+    rule: str
     message: str
 
-    def render(self) -> str:
-        """The canonical one-line textual form."""
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.rule} [{self.severity.value}] {self.message}"
-        )
 
-    def sort_key(self) -> tuple[str, int, int, str]:
-        return (str(self.path), self.line, self.col, self.rule)
+@dataclass(frozen=True, slots=True)
+class ParsedModule:
+    """One parsed source file plus everything rules need to inspect it."""
+
+    relpath: PurePosixPath
+    tree: ast.Module
+    imports: ImportMap
+
+    def calls(self) -> Iterator[tuple[ast.Call, str]]:
+        """Each call whose callee resolves to an imported name, with that name."""
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Call):
+                qualified = self.imports.qualify(node.func)
+                if qualified is not None:
+                    yield node, qualified

@@ -1,55 +1,23 @@
-"""Reporters: render lint findings for humans (text) or machines (JSON)."""
+"""Render lint findings for humans."""
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 
 from repro.analysis.findings import Finding
 
-__all__ = ["render_text", "render_json", "render"]
+__all__ = ["render_text"]
 
 
 def render_text(findings: Sequence[Finding]) -> str:
-    """One ``path:line:col: RULE [severity] message`` line per finding.
+    """One ``path:line:col: RULE message`` line per finding.
 
     Ends with a one-line summary so a truncated CI log still shows the
     count; an empty run renders a single "clean" line.
     """
     if not findings:
         return "repro lint: no findings"
-    lines = [finding.render() for finding in findings]
+    lines = [f"{f.path}:{f.line}:{f.col}: {f.rule} {f.message}" for f in findings]
     noun = "finding" if len(findings) == 1 else "findings"
     lines.append(f"repro lint: {len(findings)} {noun}")
     return "\n".join(lines)
-
-
-def render_json(findings: Sequence[Finding]) -> str:
-    """A JSON document: ``{"findings": [...], "count": n}``."""
-    payload = {
-        "findings": [
-            {
-                "rule": finding.rule,
-                "severity": finding.severity.value,
-                "path": str(finding.path),
-                "line": finding.line,
-                "col": finding.col,
-                "message": finding.message,
-            }
-            for finding in findings
-        ],
-        "count": len(findings),
-    }
-    return json.dumps(payload, indent=2)
-
-
-_FORMATS = {"text": render_text, "json": render_json}
-
-
-def render(findings: Sequence[Finding], fmt: str = "text") -> str:
-    """Render *findings* in *fmt* ("text" or "json")."""
-    try:
-        renderer = _FORMATS[fmt]
-    except KeyError:
-        raise ValueError(f"unknown format {fmt!r}; known: {sorted(_FORMATS)}") from None
-    return renderer(findings)

@@ -1,16 +1,25 @@
-"""Builtin lint rules. Importing this package registers R001–R003 and R005–R007."""
+"""The lint rules, R001–R003, in the order they run.
 
-from repro.analysis.rules.knob_registry import KnobRegistryRule
-from repro.analysis.rules.observability import RecorderMustThreadRule
-from repro.analysis.rules.rng import NoGlobalRngRule, RngMustThreadRule
-from repro.analysis.rules.robustness import BoundedControlPlaneRule
-from repro.analysis.rules.wallclock import NoWallclockInSimRule
+Each rule maps one :class:`~repro.analysis.findings.ParsedModule` to
+the ``(node, message)`` pairs it flags; the engine turns each pair into
+a finding under the rule's id.
+"""
 
-__all__ = [
-    "BoundedControlPlaneRule",
-    "KnobRegistryRule",
-    "NoGlobalRngRule",
-    "NoWallclockInSimRule",
-    "RecorderMustThreadRule",
-    "RngMustThreadRule",
-]
+from __future__ import annotations
+
+import ast
+from collections.abc import Callable, Iterator
+
+from repro.analysis.findings import ParsedModule
+from repro.analysis.rules.rng import no_global_rng, rng_must_thread
+from repro.analysis.rules.wallclock import no_wallclock_in_sim
+
+__all__ = ["RULES", "no_global_rng", "no_wallclock_in_sim", "rng_must_thread"]
+
+Check = Callable[[ParsedModule], Iterator[tuple[ast.Call, str]]]
+
+RULES: tuple[tuple[str, Check], ...] = (
+    ("R001", no_global_rng),
+    ("R002", no_wallclock_in_sim),
+    ("R003", rng_must_thread),
+)

@@ -4,11 +4,9 @@ The reproduction's seeded benches are byte-identical only because every
 random draw flows from an explicitly threaded ``numpy.random.Generator``
 (see ``repro/common/rng.py``). R001 bans the two ways code silently falls
 back to shared global state — the stdlib ``random`` module-level
-functions and ``numpy.random``'s legacy global stream — and, inside
-library code, bans constructing generators anywhere but through
-``make_rng``/``derive_rng``. R003 catches generators constructed without
-an explicit seed, which are OS-entropy-seeded and therefore
-irreproducible.
+functions and ``numpy.random``'s legacy global stream. R003 catches
+generators constructed without an explicit seed, which are
+OS-entropy-seeded and therefore irreproducible.
 """
 
 from __future__ import annotations
@@ -16,11 +14,9 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.analysis.engine import ParsedModule, is_library_module, is_rng_module
-from repro.analysis.findings import Finding
-from repro.analysis.registry import Rule, register
+from repro.analysis.findings import ParsedModule
 
-__all__ = ["NoGlobalRngRule", "RngMustThreadRule"]
+__all__ = ["no_global_rng", "rng_must_thread"]
 
 #: stdlib ``random`` attributes that are *not* the shared global stream.
 _STDLIB_RANDOM_OK = {"Random", "SystemRandom"}
@@ -53,62 +49,27 @@ _CONSTRUCTORS = {
 }
 
 
-@register
-class NoGlobalRngRule(Rule):
+def no_global_rng(module: ParsedModule) -> Iterator[tuple[ast.Call, str]]:
     """R001: never draw from module-level RNG state.
 
     Flags calls to stdlib ``random.*`` functions and to ``numpy.random``'s
-    legacy global-stream functions anywhere, and — inside the ``repro``
-    package, where generator provenance must stay auditable — direct
-    ``numpy.random.default_rng`` / ``RandomState`` construction outside
-    ``common/rng.py`` (use ``make_rng``/``derive_rng`` instead).
+    legacy global-stream functions, anywhere.
     """
-
-    id = "R001"
-    title = "no module-level RNG state; thread a seeded Generator"
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        if is_rng_module(module.relpath):
-            return
-        library = is_library_module(module.relpath)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            qualified = module.imports.qualify(node.func)
-            if qualified is None:
-                continue
-            message = self._violation(qualified, library)
-            if message is not None:
-                yield self.finding(
-                    module, node.lineno, node.col_offset, message
-                )
-
-    def _violation(self, qualified: str, library: bool) -> str | None:
-        if qualified.startswith("random."):
-            attr = qualified.removeprefix("random.")
-            if "." not in attr and attr not in _STDLIB_RANDOM_OK:
-                return (
-                    f"call to global-stream `random.{attr}`; draw from a "
-                    "threaded numpy Generator instead"
-                )
-        if qualified.startswith("numpy.random."):
-            attr = qualified.removeprefix("numpy.random.")
-            if attr in _NUMPY_GLOBAL_FNS:
-                return (
-                    f"call to legacy global-stream `numpy.random.{attr}`; "
-                    "draw from a threaded Generator instead"
-                )
-            if library and attr in {"default_rng", "RandomState"}:
-                return (
-                    f"library code constructs `numpy.random.{attr}` "
-                    "directly; route through repro.common.rng.make_rng / "
-                    "derive_rng so generator provenance stays auditable"
-                )
-        return None
+    for node, qualified in module.calls():
+        module_name, _, attr = qualified.rpartition(".")
+        if module_name == "random" and attr not in _STDLIB_RANDOM_OK:
+            yield node, (
+                f"call to global-stream `random.{attr}`; draw from a "
+                "threaded numpy Generator instead"
+            )
+        elif module_name == "numpy.random" and attr in _NUMPY_GLOBAL_FNS:
+            yield node, (
+                f"call to legacy global-stream `numpy.random.{attr}`; "
+                "draw from a threaded Generator instead"
+            )
 
 
-@register
-class RngMustThreadRule(Rule):
+def rng_must_thread(module: ParsedModule) -> Iterator[tuple[ast.Call, str]]:
     """R003: generator construction must pass an explicit seed.
 
     ``random.Random()`` / ``numpy.random.default_rng()`` / ``make_rng()``
@@ -116,26 +77,12 @@ class RngMustThreadRule(Rule):
     diverge. The seed may be any expression (an int, a parent generator,
     a derived label) — it just has to be *stated*.
     """
-
-    id = "R003"
-    title = "RNG constructed without an explicit seed"
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            qualified = module.imports.qualify(node.func)
-            if qualified not in _CONSTRUCTORS:
-                continue
-            if node.args or any(
-                kw.arg in ("seed", "x", None) for kw in node.keywords
-            ):
-                continue
-            name = _CONSTRUCTORS[qualified]
-            yield self.finding(
-                module,
-                node.lineno,
-                node.col_offset,
-                f"`{name}()` without an explicit seed is irreproducible; "
-                "pass a seed or a parent Generator",
-            )
+    for node, qualified in module.calls():
+        if qualified not in _CONSTRUCTORS or node.args or any(
+            kw.arg in ("seed", "x", None) for kw in node.keywords
+        ):
+            continue
+        yield node, (
+            f"`{_CONSTRUCTORS[qualified]}()` without an explicit seed is "
+            "irreproducible; pass a seed or a parent Generator"
+        )

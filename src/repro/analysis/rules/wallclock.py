@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
+from pathlib import PurePosixPath
 
-from repro.analysis.engine import ParsedModule, in_simulation_path
-from repro.analysis.findings import Finding
-from repro.analysis.registry import Rule, register
+from repro.analysis.findings import ParsedModule
 
-__all__ = ["NoWallclockInSimRule"]
+__all__ = ["in_simulation_path", "no_wallclock_in_sim"]
 
 _WALLCLOCK_CALLS = {
     "time.time",
@@ -38,25 +37,19 @@ _WALLCLOCK_CALLS = {
 }
 
 
-@register
-class NoWallclockInSimRule(Rule):
+def in_simulation_path(relpath: PurePosixPath) -> bool:
+    """Whether *relpath* is simulation-facing, non-benchmark code."""
+    simulated = {"dbsim", "core", "tuners", "workloads"} & set(relpath.parts[:-1])
+    return bool(simulated) and "bench" not in relpath.parts[-1]
+
+
+def no_wallclock_in_sim(module: ParsedModule) -> Iterator[tuple[ast.Call, str]]:
     """R002: wall-clock reads are banned in simulation paths."""
-
-    id = "R002"
-    title = "wall-clock read in simulation code"
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        if not in_simulation_path(module.relpath):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            qualified = module.imports.qualify(node.func)
-            if qualified in _WALLCLOCK_CALLS:
-                yield self.finding(
-                    module,
-                    node.lineno,
-                    node.col_offset,
-                    f"`{qualified}()` reads the wall clock inside a "
-                    "simulation path; thread simulated seconds explicitly",
-                )
+    if not in_simulation_path(module.relpath):
+        return
+    for node, qualified in module.calls():
+        if qualified in _WALLCLOCK_CALLS:
+            yield node, (
+                f"`{qualified}()` reads the wall clock inside a "
+                "simulation path; thread simulated seconds explicitly"
+            )

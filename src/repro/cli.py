@@ -364,23 +364,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ablate.add_argument("--seed", type=int, default=0)
 
     lint = sub.add_parser(
-        "lint", help="run the repro static invariant checker"
+        "lint", help="run the repro static invariant checker (R001-R003)"
     )
     lint.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to check (default: src)",
-    )
-    lint.add_argument(
-        "--format", choices=("text", "json"), default="text", dest="fmt",
-        help="output format",
-    )
-    lint.add_argument(
-        "--select", default=None,
-        help="comma-separated rule ids to run (default: all)",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true",
-        help="list registered rules and exit",
     )
     return parser
 
@@ -390,17 +378,8 @@ def _run_lint(args: argparse.Namespace) -> int:
     # depend on) the analysis package.
     from pathlib import Path
 
-    from repro.analysis import Linter, all_rules, render
+    from repro.analysis import lint_paths, render_text
 
-    if args.list_rules:
-        for rule_cls in all_rules():
-            print(f"{rule_cls.id}  [{rule_cls.severity.value}]  {rule_cls.title}")
-        return 0
-    select = (
-        [part.strip() for part in args.select.split(",") if part.strip()]
-        if args.select
-        else None
-    )
     paths = [Path(p) for p in args.paths]
     missing = [p for p in paths if not p.exists()]
     if missing:
@@ -409,13 +388,8 @@ def _run_lint(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        linter = Linter(select=select)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    findings = linter.lint_paths(paths)
-    print(render(findings, args.fmt))
+    findings = lint_paths(paths)
+    print(render_text(findings))
     return 1 if findings else 0
 
 

@@ -48,15 +48,5 @@ class TestViolationsFlipTheExitCode:
         assert "repro/dbsim/clockleak.py:6:" in out
         assert "R001" in out and "R002" in out
 
-    def test_list_rules(self, capsys):
-        assert main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        listed = [line.split()[0] for line in out.splitlines()]
-        assert listed == ["R001", "R002", "R003", "R005", "R006", "R007"]
-
     def test_missing_path_is_usage_error(self, capsys):
         assert main(["lint", "definitely/not/a/path"]) == 2
-
-    def test_unknown_rule_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["lint", "--select", "R999", "src"]) == 2
