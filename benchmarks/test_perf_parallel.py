@@ -7,10 +7,18 @@ Two measurements, one JSON artifact (``benchmarks/out/BENCH_parallel.json``):
    them serially through one :class:`~repro.dbsim.batch_engine.MemberBatch`,
    the engine a fig09 shard worker runs. Each window splits into its three
    phases (workload generation, columnar ``step_window``, monitoring
-   ingest), reporting members/s for the engine phases and the full step. The serial 1k-member engine rate is the regression-gated number:
-   it must stay within 20% of the committed baseline
-   (``benchmarks/baselines/BENCH_parallel_baseline.json``) and at least 3x
-   above the recorded PR-5 per-object-loop engine.
+   ingest), reporting members/s for the engine phases and the full step.
+   The serial 1k-member engine rate is the regression-gated number. Each
+   of its nine windows is one round, timed right after loopbench's fixed
+   calibration loop (``loopbench/calibrate.py``) and scaled to that
+   loop's reference host speed, so a host that slows down between or
+   within runs slows both alike. The median of the per-round rates at
+   reference speed must stay within 20% of the committed baseline
+   (``benchmarks/baselines/BENCH_parallel_baseline.json``); the median
+   as measured must stay at least 3x above the recorded PR-5
+   per-object-loop engine, which was recorded unscaled. A single
+   two-window measurement let a copy whose engine ran at half speed pass
+   the gate in 4 of 10 runs.
 2. **Executor scaling** — runs the fig09 fleet-tuning loop at workers
    1/2/4, asserts byte-identical results everywhere, and attributes wall
    time per phase (member step / serialize / send / recv wait / reduce)
@@ -30,6 +38,8 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import statistics
+import sys
 import time
 
 from conftest import run_once
@@ -40,11 +50,21 @@ from repro.dbsim.batch_engine import MemberBatch
 from repro.experiments import fig09_requests_per_minute as fig09
 from repro.parallel import SessionStats
 
+# ``pytest`` run as a command (not ``python -m pytest``) does not put the
+# repository root, and so loopbench's calibration loop, on the path.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from loopbench.calibrate import REFERENCE_MS, calibration_ms  # noqa: E402
+
 QUICK = os.environ.get("PERF_QUICK") == "1"
 WINDOW_S = 300.0
 #: (members, windows) trajectory points; bigger fleets get fewer windows
-#: so the full profile stays minutes, not hours.
-TRAJECTORY = ((80, 3), (1000, 2)) if QUICK else ((80, 3), (1000, 2), (10000, 1))
+#: so the full profile stays minutes, not hours. The gated 1k point
+#: steps one window per round.
+GATED_MEMBERS = 1000
+GATED_ROUNDS = 9
+TRAJECTORY = ((80, 3), (GATED_MEMBERS, GATED_ROUNDS)) + (
+    () if QUICK else ((10000, 1),)
+)
 WORKER_COUNTS = (1, 2, 4)
 FLEET_SIZE = 12 if QUICK else 80
 HOURS = 2.0 if QUICK else 24.0
@@ -69,7 +89,11 @@ def _engine_point(members: int, windows: int) -> dict:
     fleet = [build_member(spec, i) for i in range(members)]
     engine = MemberBatch([member.deployment.service.master for member in fleet])
     clock_s = gen_s = run_s = ingest_s = 0.0
+    # Engine members/s per window, as measured and at reference speed.
+    rounds: list[float] = []
+    scaled: list[float] = []
     for _ in range(windows):
+        cal_ms = calibration_ms()
         t0 = time.perf_counter()
         batches = [
             member.workload.batch(
@@ -87,6 +111,8 @@ def _engine_point(members: int, windows: int) -> dict:
         gen_s += t1 - t0
         run_s += t2 - t1
         ingest_s += t3 - t2
+        rounds.append(members / (t3 - t1))
+        scaled.append(rounds[-1] * cal_ms / REFERENCE_MS)
     mw = members * windows
     return {
         "members": members,
@@ -98,6 +124,10 @@ def _engine_point(members: int, windows: int) -> dict:
             "ingest": 1e3 * ingest_s / mw,
         },
         "engine_members_per_s": mw / (run_s + ingest_s),
+        "engine_members_per_s_rounds": rounds,
+        "engine_members_per_s_median": statistics.median(rounds),
+        "engine_members_per_s_ref_rounds": scaled,
+        "engine_members_per_s_ref_median": statistics.median(scaled),
         "full_members_per_s": mw / (gen_s + run_s + ingest_s),
     }
 
@@ -202,12 +232,15 @@ def test_perf_parallel_members_trajectory(benchmark, emit):
     else:
         fig["speedup_skip_reason"] = None
 
-    # --- regression gates on the serial 1k-member engine rate.
+    # --- regression gates on the serial 1k-member engine rate, the
+    # median over its per-window rounds.
     point_1k = next(
-        p for p in report["engine_trajectory"] if p["members"] == 1000
+        p for p in report["engine_trajectory"] if p["members"] == GATED_MEMBERS
     )
     gates = {
-        "engine_members_per_s_1k": point_1k["engine_members_per_s"],
+        "rounds": GATED_ROUNDS,
+        "engine_members_per_s_1k": point_1k["engine_members_per_s_ref_median"],
+        "measured_members_per_s_1k": point_1k["engine_members_per_s_median"],
         "pr5_engine_members_per_s_1k": baseline["pr5_engine_members_per_s_1k"],
         "min_vs_pr5": 3.0 * baseline["pr5_engine_members_per_s_1k"],
         "baseline_engine_members_per_s_1k": baseline[
@@ -254,9 +287,11 @@ def test_perf_parallel_members_trajectory(benchmark, emit):
     )
     lines.append(
         f"serial 1k engine gate: {gates['engine_members_per_s_1k']:.1f} "
-        f">= {gates['regression_floor']:.1f} members/s "
-        f"(baseline {gates['baseline_engine_members_per_s_1k']:.1f}, "
-        f"PR-5 {gates['pr5_engine_members_per_s_1k']:.1f})"
+        f">= {gates['regression_floor']:.1f} members/s at reference speed "
+        f"(median of {GATED_ROUNDS} windows; baseline "
+        f"{gates['baseline_engine_members_per_s_1k']:.1f}); as measured "
+        f"{gates['measured_members_per_s_1k']:.1f} >= {gates['min_vs_pr5']:.1f} "
+        f"(3x PR-5 {gates['pr5_engine_members_per_s_1k']:.1f})"
     )
     emit("perf_parallel", "\n".join(lines))
 
@@ -267,7 +302,7 @@ def test_perf_parallel_members_trajectory(benchmark, emit):
                 "steady-state command within 10x of a snapshot rebroadcast"
             )
 
-    assert gates["engine_members_per_s_1k"] >= gates["min_vs_pr5"], (
+    assert gates["measured_members_per_s_1k"] >= gates["min_vs_pr5"], (
         "columnar engine lost its >=3x margin over the PR-5 per-object loop"
     )
     assert gates["engine_members_per_s_1k"] >= gates["regression_floor"], (

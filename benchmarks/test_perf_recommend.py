@@ -36,7 +36,7 @@ while the box was idle with an on taken while it was loaded.
 Gates:
 
 - off stays under 4 ms and on under 3 ms. Best-of on a 2-core VM is
-  1.8–2.7 ms off and 1.1–1.9 ms on over 12 runs, six quick and six
+  1.2–2.2 ms off and 1.1–2.0 ms on over 24 runs, 12 quick and 12
   full (the range is the host's speed changing between runs);
 - the screen's speedup (the median per-round off / on) stays within
   20% of the committed baseline
@@ -47,9 +47,8 @@ Gates:
 - select stays under its own ceiling, and its recorded subspace must be
   strictly smaller than the catalog. Selection re-ranks its subspace on
   every version bump, one exact Lasso path per request: select costs
-  0.95–1.23x off in the same run (best-of 1.9–3.3 ms over the same
-  runs), and its 5 ms ceiling keeps the same ~1.5x headroom as the
-  others;
+  1.04–1.88x off in the same run (best-of 2.1–3.5 ms over the same
+  runs), and its 5 ms ceiling keeps about 1.4x headroom;
 - the Lasso lane's lean path is at least 1.5x faster than the
   per-event reference, a ratio taken within one run so the host's speed
   cancels (it read 1.83–2.62x over the same runs); every problem's two

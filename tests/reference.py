@@ -71,6 +71,11 @@ Each function here is the plain definition of a computation that
   mean)`` pairs; fig05's
   :func:`~repro.experiments.fig05_disk_latency.resample_mean` must give
   the same floats bit for bit.
+- :func:`rbf_kernel_broadcast` builds the RBF block from two row norms,
+  an outer add and the cross term, and :class:`BroadcastKernelGPR` is
+  the exact GP on it. :func:`~repro.tuners.gpr.rbf_kernel`, one GEMM of
+  row-augmented inputs, must agree to rounding, and a GP on it must pick
+  the same UCB argmax.
 """
 
 from __future__ import annotations
@@ -955,3 +960,23 @@ def recommend_projected(
             config, request.config, tuner.memory_limit_mb, tuner.active_connections
         )
     return Recommendation(request.instance_id, config, tuner.name)
+
+
+def rbf_kernel_broadcast(
+    a: np.ndarray, b: np.ndarray, length_scale: float, signal_variance: float
+) -> np.ndarray:
+    """``σ_f² exp(-|a_i - b_j|² / 2ℓ²)`` from row norms and the cross term."""
+    sq = (
+        np.sum(a**2, axis=1)[:, None]
+        + np.sum(b**2, axis=1)[None, :]
+        - 2.0 * a @ b.T
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return signal_variance * np.exp(-0.5 * sq / length_scale**2)
+
+
+class BroadcastKernelGPR(GaussianProcessRegressor):
+    """The exact GP with its kernel built by :func:`rbf_kernel_broadcast`."""
+
+    def _kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return rbf_kernel_broadcast(a, b, self.length_scale, self.signal_variance)

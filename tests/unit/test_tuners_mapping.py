@@ -87,12 +87,17 @@ def computes(monkeypatch):
 
 
 class TestMappingCache:
-    """Cluster-assignment results are version-keyed on the repository."""
+    """Cluster-assignment results are version-keyed on the repository.
+
+    Each fixture holds three workloads: with only one candidate beside
+    the target, the mapping returns it without edges or scores.
+    """
 
     def test_repeat_mapping_served_from_cache(self, pg_catalog, computes):
         repo = WorkloadRepository()
         _populate(repo, pg_catalog, "target", 100.0, seed=1)
         _populate(repo, pg_catalog, "twin", 105.0, seed=2)
+        _populate(repo, pg_catalog, "stranger", 9000.0, seed=3)
         mapper = WorkloadMapper(repo)
         first = mapper.map_workload("target")
         second = mapper.map_workload("target")
@@ -104,6 +109,7 @@ class TestMappingCache:
         repo = WorkloadRepository()
         _populate(repo, pg_catalog, "target", 100.0, seed=1)
         _populate(repo, pg_catalog, "twin", 105.0, seed=2)
+        _populate(repo, pg_catalog, "stranger", 9000.0, seed=3)
         mapper = WorkloadMapper(repo)
         first = mapper.map_workload("target")
         _populate(repo, pg_catalog, "target", 100.0, n=1, seed=9)
@@ -119,6 +125,7 @@ class TestMappingCache:
         repo = WorkloadRepository()
         _populate(repo, pg_catalog, "target", 100.0, seed=1)
         _populate(repo, pg_catalog, "twin", 105.0, seed=2)
+        _populate(repo, pg_catalog, "stranger", 9000.0, seed=3)
         first = WorkloadMapper(repo).map_workload("target")
         second = WorkloadMapper(repo).map_workload("target")
         assert first is second
@@ -189,3 +196,66 @@ class TestExactMapping:
                 assert mapper.map_workload("target", exclude) == _fresh_mapping(
                     repo, "target", exclude
                 )
+
+
+def _full_mapping(repo, target_id, exclude_target):
+    """The mapping with edges and a score for every candidate, however few."""
+    mapper = WorkloadMapper(repo)
+    target = mapper._capped(repo.dataset(target_id))
+    edges = mapper._compute_edges()
+    if target.size == 0 or edges is None:
+        return None
+    target_binned = mapper._binned(target.metrics, edges)
+    scores = {
+        wid: mapper._score(
+            target, target_binned, mapper._capped(repo.dataset(wid)), edges
+        )
+        for wid in repo.workload_ids()
+        if repo.sample_count(wid) and not (exclude_target and wid == target_id)
+    }
+    return min(scores, key=scores.get) if scores else None
+
+
+class TestSingleCandidate:
+    """With one candidate the mapping returns it without edges or scores."""
+
+    @pytest.mark.parametrize(
+        "workloads, exclude_target",
+        [
+            ({"target": 8, "other": 8}, True),
+            ({"target": 1, "other": 1}, True),
+            ({"target": 600, "other": 3}, True),
+            ({"target": 8}, False),
+        ],
+    )
+    def test_shortcut_matches_full_mapping(
+        self, pg_catalog, monkeypatch, workloads, exclude_target
+    ):
+        repo = WorkloadRepository()
+        for seed, (wid, n) in enumerate(workloads.items()):
+            _populate(repo, pg_catalog, wid, 100.0 + 50.0 * seed, n=n, seed=seed)
+        expected = _full_mapping(repo, "target", exclude_target)
+        assert expected is not None
+        calls = []
+        for name in ("_compute_edges", "_score"):
+            monkeypatch.setattr(
+                WorkloadMapper, name, lambda *a, name=name: calls.append(name)
+            )
+        mapping = WorkloadMapper(repo).map_workload("target", exclude_target)
+        assert mapping.best_workload_id == expected
+        assert calls == []
+
+    def test_lone_single_sample_target_stays_unmapped(self, pg_catalog):
+        repo = WorkloadRepository()
+        _populate(repo, pg_catalog, "target", 100.0, n=1)
+        assert _full_mapping(repo, "target", False) is None
+        mapping = WorkloadMapper(repo).map_workload("target", exclude_target=False)
+        assert not mapping.mapped
+
+    def test_two_candidates_still_scored(self, pg_catalog, computes):
+        repo = WorkloadRepository()
+        _populate(repo, pg_catalog, "target", 100.0, seed=1)
+        _populate(repo, pg_catalog, "twin", 105.0, seed=2)
+        mapping = WorkloadMapper(repo).map_workload("target", exclude_target=False)
+        assert computes == ["map", "edges"]
+        assert mapping.best_workload_id == _full_mapping(repo, "target", False)

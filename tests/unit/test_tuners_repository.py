@@ -62,6 +62,9 @@ class TestDerivedCache:
         repo = WorkloadRepository()
         repo.add(_sample(pg_catalog))
         repo.add(_sample(pg_catalog, wid="w1", tps=20.0))
+        # A third workload, so the mapping of w0 has two candidates to
+        # score and reaches the edge cache.
+        repo.add(_sample(pg_catalog, wid="w2", tps=40.0))
         calls = self._counted_edges(monkeypatch)
         mapper = WorkloadMapper(repo)
         first = mapper.map_workload("w0")
@@ -75,6 +78,9 @@ class TestDerivedCache:
         repo = WorkloadRepository()
         repo.add(_sample(pg_catalog))
         repo.add(_sample(pg_catalog, wid="w1", tps=20.0))
+        # A third workload, so the mapping of w0 has two candidates to
+        # score and reaches the edge cache.
+        repo.add(_sample(pg_catalog, wid="w2", tps=40.0))
         calls = self._counted_edges(monkeypatch)
         mapper = WorkloadMapper(repo)
         mapper.map_workload("w0")
@@ -109,6 +115,9 @@ class TestSync:
         dst = WorkloadRepository()
         src.add(_sample(pg_catalog, "a"))
         src.add(_sample(pg_catalog, "b", tps=20.0))
+        # A third workload, so the mapping of a has two candidates to
+        # score and reaches the edge cache.
+        src.add(_sample(pg_catalog, "c", tps=40.0))
         dst.sync_from(src)
         calls = TestDerivedCache._counted_edges(monkeypatch)
         mapper = WorkloadMapper(dst)
@@ -116,7 +125,7 @@ class TestSync:
         src.add(_sample(pg_catalog, "b", tps=3.0, work_mem=64.0))
         before = dst.version
         assert dst.sync_from(src) == 1
-        assert dst.total_samples() == 3
+        assert dst.total_samples() == 4
         assert dst.version == before + 1
         # A mapper sharing dst's derived cache must not serve the
         # pre-sync mapping: the sync invalidates it.
