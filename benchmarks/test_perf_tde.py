@@ -21,9 +21,21 @@ order. Timings are the best of the rounds, in µs per member-window, in
 ``benchmarks/out/BENCH_tde.json`` with the run's usable cores and
 numerical-library thread settings.
 
-Gate: on planner windows the columnar lane is at least
+The **mapping** lane times the bgwriter detector's self-inclusive
+workload mapping at fleet shape: "production" holds 600 fleet-shaped
+samples (the mapping scores its newest 500, against itself and against
+the offline-trained workload) and every call recomputes from an empty
+cache. ``lean`` is :class:`~repro.tuners.workload_mapping.WorkloadMapper`,
+``reference`` the one-expression score of ``tests/reference.py``
+(:class:`OneExpressionMapper`); both must map to the same workload. It
+records µs per call (best of rounds) and the tracemalloc peak of one
+call, in bytes.
+
+Gates: on planner windows the columnar lane is at least
 :data:`MIN_SPEEDUP` times faster than the reference, a ratio measured
-in one run, so the host's speed cancels. The committed measurement is
+in one run, so the host's speed cancels; and the lean mapping's peak is
+at most :data:`MAX_MAPPING_PEAK_RATIO` of the reference's, which does
+not depend on the host at all. The committed measurement is
 ``benchmarks/baselines/BENCH_tde_baseline.json``. ``PERF_QUICK=1`` (CI)
 runs fewer rounds and windows.
 """
@@ -33,8 +45,12 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import pickle
 import sys
 import time
+import tracemalloc
+
+import numpy as np
 
 from conftest import run_once, thread_env
 
@@ -43,13 +59,21 @@ from repro.common.rng import stream_root
 from repro.core.tde.engine import ThrottlingDetectionEngine
 from repro.dbsim.batch_engine import MemberBatch
 from repro.dbsim.knobs import postgres_catalog
+from repro.dbsim.metrics import MetricsDelta
 from repro.experiments.common import offline_train
+from repro.tuners.base import TrainingSample, vector_to_config
+from repro.tuners.repository import WorkloadRepository
+from repro.tuners.workload_mapping import WorkloadMapper
 from repro.workloads.production import ProductionWorkload
 
 # The reference forms live with the tests; ``pytest`` run as a command
 # (not ``python -m pytest``) does not put the repository root on the path.
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
-from tests.reference import probe_per_query, spills_per_query  # noqa: E402
+from tests.reference import (  # noqa: E402
+    OneExpressionMapper,
+    probe_per_query,
+    spills_per_query,
+)
 
 QUICK = os.environ.get("PERF_QUICK") == "1"
 ROUNDS = 2 if QUICK else 4
@@ -65,6 +89,12 @@ LANES = ("reference", "columnar")
 KINDS = ("planner", "other")
 #: The columnar lane's same-run speedup over the reference, planner windows.
 MIN_SPEEDUP = 1.8
+#: Samples of the live workload in the mapping lane, past the 500-row window.
+MAPPING_SAMPLES = 600
+#: Timed mapping calls per lane and round.
+MAPPING_CALLS = 5 if QUICK else 20
+#: The lean mapping's tracemalloc peak over the reference's, at most.
+MAX_MAPPING_PEAK_RATIO = 0.7
 
 JSON_OUT = pathlib.Path(__file__).parent / "out" / "BENCH_tde.json"
 
@@ -89,17 +119,7 @@ class _Lane:
     """One copy of the seeded fleet, its TDEs scored one way."""
 
     def __init__(self, lane: str) -> None:
-        repository = offline_train(
-            postgres_catalog(),
-            [
-                ProductionWorkload(
-                    mean_rps=10_000.0, data_size_gb=30.0, seed=SEED + 90,
-                    name="production-offline",
-                )
-            ],
-            n_configs=14,
-            seed=SEED + 91,
-        )
+        repository = _offline_repository()
         spec = FleetSpec(size=FLEET, root=stream_root(SEED), sample_size=64)
         self.members = [build_member(spec, i) for i in range(FLEET)]
         masters = [m.deployment.service.master for m in self.members]
@@ -125,6 +145,80 @@ class _Lane:
         start = time.perf_counter()
         reports = [tde.inspect(result) for tde, result in zip(self.tdes, results)]
         return time.perf_counter() - start, reports
+
+
+def _offline_repository() -> WorkloadRepository:
+    return offline_train(
+        postgres_catalog(),
+        [
+            ProductionWorkload(
+                mean_rps=10_000.0, data_size_gb=30.0, seed=SEED + 90,
+                name="production-offline",
+            )
+        ],
+        n_configs=14,
+        seed=SEED + 91,
+    )
+
+
+def _mapping_repository() -> WorkloadRepository:
+    """The offline-trained repository plus a fleet-shaped live workload:
+    random configurations, the offline samples' metrics with noise."""
+    repository = _offline_repository()
+    offline = repository.samples("production-offline")
+    catalog = offline[0].config.catalog
+    rng = np.random.default_rng(SEED)
+    for i in range(MAPPING_SAMPLES):
+        seen = offline[i % len(offline)].metrics
+        noise = rng.lognormal(sigma=0.2, size=len(seen.values))
+        metrics = MetricsDelta(
+            {name: value * n for (name, value), n in zip(seen.values.items(), noise)}
+        )
+        repository.add(
+            TrainingSample(
+                "production",
+                vector_to_config(rng.uniform(size=len(catalog)), catalog),
+                metrics,
+                WINDOW_S * i,
+            )
+        )
+    return repository
+
+
+def _mapping_lanes() -> dict[str, dict[str, float]]:
+    """µs per self-inclusive mapping call (best of rounds) and the peak
+    bytes of one call, per mapper."""
+    repository = _mapping_repository()
+    mappers = {
+        "reference": OneExpressionMapper(pickle.loads(pickle.dumps(repository))),
+        "lean": WorkloadMapper(pickle.loads(pickle.dumps(repository))),
+    }
+
+    def call(mapper: WorkloadMapper):
+        mapper._cache.clear()
+        return mapper.map_workload("production", exclude_target=False)
+
+    results = {lane: call(mapper) for lane, mapper in mappers.items()}
+    assert results["lean"] == results["reference"]
+    lanes: dict[str, dict[str, float]] = {}
+    for lane, mapper in mappers.items():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call(mapper)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        lanes[lane] = {"us_per_call": float("inf"), "peak_bytes": peak}
+    for _ in range(ROUNDS):
+        for lane, mapper in mappers.items():
+            start = time.perf_counter()
+            for _ in range(MAPPING_CALLS):
+                call(mapper)
+            us = 1e6 * (time.perf_counter() - start) / MAPPING_CALLS
+            lanes[lane]["us_per_call"] = min(lanes[lane]["us_per_call"], us)
+    return lanes
 
 
 def _round() -> dict[str, dict[str, float]]:
@@ -163,6 +257,7 @@ def test_perf_tde_lanes(benchmark, emit):
                 kept = best.setdefault(lane, dict(row))
                 for kind, us in row.items():
                     kept[kind] = min(kept[kind], us)
+        mapping = _mapping_lanes()
         return {
             "quick": QUICK,
             "rounds": ROUNDS,
@@ -175,6 +270,18 @@ def test_perf_tde_lanes(benchmark, emit):
                 lane: {f"{kind}_us": round(us, 1) for kind, us in row.items()}
                 for lane, row in best.items()
             },
+            "mapping": {
+                "samples": MAPPING_SAMPLES,
+                "calls_per_round": MAPPING_CALLS,
+                "unit": "us per call, best of rounds; tracemalloc peak bytes",
+                "lanes": {
+                    lane: {
+                        "us_per_call": round(row["us_per_call"], 1),
+                        "peak_bytes": row["peak_bytes"],
+                    }
+                    for lane, row in mapping.items()
+                },
+            },
         }
 
     report = run_once(benchmark, work)
@@ -184,7 +291,13 @@ def test_perf_tde_lanes(benchmark, emit):
     report["speedup_other_windows"] = round(
         lanes["reference"]["other_us"] / lanes["columnar"]["other_us"], 2
     )
-    report["gates"] = {"min_speedup_planner_windows": MIN_SPEEDUP}
+    mapping = report["mapping"]["lanes"]
+    peak_ratio = mapping["lean"]["peak_bytes"] / mapping["reference"]["peak_bytes"]
+    report["mapping"]["peak_ratio"] = round(peak_ratio, 3)
+    report["gates"] = {
+        "min_speedup_planner_windows": MIN_SPEEDUP,
+        "max_mapping_peak_ratio": MAX_MAPPING_PEAK_RATIO,
+    }
     JSON_OUT.parent.mkdir(exist_ok=True)
     JSON_OUT.write_text(json.dumps(report, indent=1) + "\n")
 
@@ -203,9 +316,21 @@ def test_perf_tde_lanes(benchmark, emit):
         f"(floor {MIN_SPEEDUP:.1f}x), other windows "
         f"{report['speedup_other_windows']:.2f}x"
     )
+    lines.append(
+        f"self-inclusive mapping, {MAPPING_SAMPLES} live samples: "
+        + ", ".join(
+            f"{lane} {row['us_per_call']:.0f} us/call, peak {row['peak_bytes']} B"
+            for lane, row in mapping.items()
+        )
+        + f"; lean/reference peak {peak_ratio:.3f} (ceiling {MAX_MAPPING_PEAK_RATIO})"
+    )
     emit("perf_tde", "\n".join(lines))
 
     assert speedup >= MIN_SPEEDUP, (
         f"columnar inspect only {speedup:.2f}x faster than the per-query "
         f"reference on planner windows (floor {MIN_SPEEDUP:.1f}x)"
+    )
+    assert peak_ratio <= MAX_MAPPING_PEAK_RATIO, (
+        f"lean mapping peak is {peak_ratio:.3f} of the reference's "
+        f"(ceiling {MAX_MAPPING_PEAK_RATIO})"
     )

@@ -32,7 +32,7 @@ from repro.dbsim.memory import (
     swap_factor,
     working_area_knobs,
 )
-from repro.dbsim.metrics import METRIC_NAMES, OTTERTUNE_METRICS, MetricsDelta
+from repro.dbsim.metrics import METRIC_NAMES, MetricsDelta
 from repro.dbsim.planner import PlannerModel, latent_optimum
 from repro.dbsim.replication import ReplicatedService
 from repro.dbsim.storage import DiskWindowResult
@@ -51,7 +51,6 @@ __all__ = [
     "METRIC_NAMES",
     "MemoryBudgetError",
     "MetricsDelta",
-    "OTTERTUNE_METRICS",
     "PlannerModel",
     "ReplicatedService",
     "SimulatedDatabase",

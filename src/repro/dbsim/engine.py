@@ -61,9 +61,6 @@ _COLD_CACHE_FACTORS = (0.3, 0.8)
 #: Socket activation keeps the port open but caches requests; the drain
 #: afterwards causes "a lot of jitter" (§4) — modelled as degraded seconds.
 SOCKET_ACTIVATION_JITTER_S = 6.0
-#: ``planner_cost_mean`` is the mean EXPLAIN cost of the sample's first
-#: rows.
-_PLAN_COST_ROWS = 32
 #: Members stepped per chunk. Bounds transient matrix memory at
 #: ``chunk × window_seconds`` doubles (~5 MB per matrix at 2048 × 300).
 _CHUNK_MEMBERS = 2048
@@ -274,7 +271,6 @@ class SimulatedDatabase:
         data_result: DiskWindowResult,
         hit_ratio: float,
         swap: float,
-        plan_cost: float,
     ) -> MetricsDelta:
         by_type = batch.count_by_type()
 
@@ -320,8 +316,6 @@ class SimulatedDatabase:
                 "swap_factor": swap,
                 "throughput_tps": summary.achieved_tps,
                 "avg_latency_ms": summary.avg_latency_ms,
-                "planner_cost_mean": plan_cost,
-                "planner_distance": self._planner.distance(self.config),
                 "window_s": batch.duration_s,
             }
         )
@@ -444,9 +438,6 @@ def _step_chunk(
             swaps[k],
         )
         summary = _charge_disruption(summary, stall[k], seconds)
-        plan_cost = db._planner.mean_cost(
-            PlanColumns.of_rows(batch.sampled_queries[:_PLAN_COST_ROWS]), db.config
-        )
         metrics = db._assemble_metrics(
             batch,
             summary,
@@ -455,7 +446,6 @@ def _step_chunk(
             data_disk[k],
             hit[k],
             swaps[k],
-            plan_cost,
         )
         results.append(
             ExecutionResult(

@@ -5,11 +5,13 @@ counters across a workload execution window (§1's "High Quality Samples").
 :class:`MetricsDelta` is that vector. The canonical metric name list is
 fixed so every tuner/TDE consumer sees the same ordering.
 
-Note ``OTTERTUNE_METRICS`` deliberately excludes the planner cost metrics:
-§5 observes that "ottertune fails to understand such [planner] throttles
-mainly because of absence of planner estimates in the metric set that it
-captures" — reproducing Fig. 15's lower async/planner accuracy requires
-reproducing that blind spot.
+The vector holds no planner estimate. §5 observes that "ottertune fails
+to understand such [planner] throttles mainly because of absence of
+planner estimates in the metric set that it captures": planner costs are
+visible only through EXPLAIN, which the TDE's planner probe runs
+(:meth:`~repro.dbsim.engine.SimulatedDatabase.plan_cost`). Fig. 15's
+lower async/planner accuracy for OtterTune comes from that blind spot,
+which is built into the one metric set every tuner reads.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["MetricsDelta", "METRIC_NAMES", "OTTERTUNE_METRICS"]
+__all__ = ["MetricsDelta", "METRIC_NAMES"]
 
 #: Canonical ordering of every metric the simulator emits.
 METRIC_NAMES: tuple[str, ...] = (
@@ -46,15 +48,7 @@ METRIC_NAMES: tuple[str, ...] = (
     "swap_factor",
     "throughput_tps",
     "avg_latency_ms",
-    "planner_cost_mean",
-    "planner_distance",
     "window_s",
-)
-
-#: The subset an OtterTune-style agent collects (no planner estimates).
-OTTERTUNE_METRICS: tuple[str, ...] = tuple(
-    name for name in METRIC_NAMES
-    if name not in ("planner_cost_mean", "planner_distance")
 )
 
 

@@ -27,7 +27,7 @@ from repro.common.hardware import VMType
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.knobs import KnobClass, KnobDef
 from repro.dbsim.memory import working_area_knobs
-from repro.workloads.query import FOOTPRINT_COLUMNS, Query, QueryFootprint, QueryRows
+from repro.workloads.query import Query, QueryFootprint
 
 __all__ = ["PlanColumns", "PlannerModel", "latent_optimum"]
 
@@ -38,9 +38,6 @@ _PAGE_KB = 8.0
 _NOMINAL_PAGE_COST = 2.0
 #: Knobs treated as worker-count knobs (Amdahl) rather than cost constants.
 _PARALLEL_KNOBS = {"max_parallel_workers_per_gather", "innodb_thread_concurrency"}
-#: Footprint columns EXPLAIN reads from a query-log sample.
-_SORT_COLUMN = FOOTPRINT_COLUMNS.index("sort_mb")
-_READ_COLUMN = FOOTPRINT_COLUMNS.index("read_kb")
 
 
 def _base_cost(
@@ -114,30 +111,6 @@ class PlanColumns:
 
     def __len__(self) -> int:
         return len(self.base)
-
-    @staticmethod
-    def of_rows(rows: QueryRows) -> PlanColumns:
-        """Columns of a query-log sample, in row order."""
-        families = rows.families
-        keys: dict[tuple[float, float], int] = {}
-        family_slot = [
-            keys.setdefault(
-                (fam.footprint.planner_sensitivity, fam.footprint.parallel_fraction),
-                len(keys),
-            )
-            for fam in families
-        ]
-        rows_examined = np.array(
-            [fam.footprint.rows_examined for fam in families], dtype=float
-        )
-        index = rows.family_index
-        base = _base_cost(
-            rows_examined[index],
-            rows.footprints[:, _SORT_COLUMN],
-            rows.footprints[:, _READ_COLUMN],
-        )
-        slot = np.array(family_slot, dtype=np.intp)[index]
-        return PlanColumns(base, tuple(keys), slot)
 
     @staticmethod
     def of_queries(queries: Sequence[Query]) -> PlanColumns:

@@ -7,7 +7,7 @@ of those same workloads, the throttle counts as accurate iff the majority
 of OtterTune's top-5 ranked knobs for that workload belong to class *c*.
 Expected shape: high accuracy for memory and background-writer throttles,
 lower for async/planner — because OtterTune's metric set contains no
-planner estimates (see :data:`repro.dbsim.metrics.OTTERTUNE_METRICS`), it
+planner estimates (see :data:`repro.dbsim.metrics.METRIC_NAMES`), it
 cannot attribute importance to that class even when the TDE is right.
 """
 

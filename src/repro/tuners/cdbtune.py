@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.common.rng import make_rng
 from repro.dbsim.knobs import KnobCatalog
-from repro.dbsim.metrics import OTTERTUNE_METRICS, MetricsDelta
+from repro.dbsim.metrics import METRIC_NAMES, MetricsDelta
 from repro.tuners.base import (
     Recommendation,
     TrainingSample,
@@ -88,8 +88,6 @@ class CDBTuneTuner(Tuner):
     ----------
     catalog:
         Knob catalog to tune.
-    metric_names:
-        Metrics forming the state vector.
     hidden:
         Hidden-layer width for actor and critic.
     exploration_sigma / exploration_decay:
@@ -101,7 +99,6 @@ class CDBTuneTuner(Tuner):
     def __init__(
         self,
         catalog: KnobCatalog,
-        metric_names: tuple[str, ...] = OTTERTUNE_METRICS,
         hidden: int = 64,
         gamma: float = 0.9,
         batch_size: int = 32,
@@ -114,7 +111,6 @@ class CDBTuneTuner(Tuner):
         seed: int | np.random.Generator | None = 0,
     ) -> None:
         self.catalog = catalog
-        self.metric_names = metric_names
         self.memory_limit_mb = memory_limit_mb
         self.active_connections = active_connections
         self.gamma = gamma
@@ -123,7 +119,7 @@ class CDBTuneTuner(Tuner):
         self.exploration_decay = exploration_decay
         self.train_steps_per_observe = train_steps_per_observe
         self._rng = make_rng(seed)
-        state_dim = len(metric_names)
+        state_dim = len(METRIC_NAMES)
         action_dim = len(catalog)
         self.actor = MLP([state_dim, hidden, hidden, action_dim], "sigmoid", self._rng)
         self.critic = MLP([state_dim + action_dim, hidden, hidden, 1], "linear", self._rng)
@@ -144,7 +140,7 @@ class CDBTuneTuner(Tuner):
 
     def state_from_metrics(self, metrics: MetricsDelta) -> np.ndarray:
         """Normalised state vector from a metrics delta."""
-        raw = metrics.as_vector(self.metric_names)
+        raw = metrics.as_vector()
         self._normaliser.update(raw)
         return self._normaliser.normalise(raw)
 

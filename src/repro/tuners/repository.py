@@ -4,9 +4,9 @@ Every tuner instance trains from one shared repository. A workload ``W``
 is, per §2, "a set S of N matrices {X_0, X_1, ..., X_{N-1}} where X_{m,i,j}
 is the value of a metric m observed when executing a user SQL workload on
 database having configuration j and workload identifier i". The
-repository stores :class:`~repro.tuners.base.TrainingSample` rows and can
-materialise exactly those matrices, so the OtterTune-style mapping code
-reads the same shape of data the paper describes.
+repository stores exactly those matrices, plus each sample's raw knob
+values and timestamp to rebuild it from, so the OtterTune-style mapping
+code reads the same shape of data the paper describes.
 
 Tuning agents on database VMs upload new samples here periodically; tuner
 services on other IaaS'es fetch them — which in this reproduction is just
@@ -20,13 +20,14 @@ between a fleet experiment that finishes and one that does not.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.dbsim.metrics import OTTERTUNE_METRICS
+from repro.dbsim.config import KnobConfiguration
+from repro.dbsim.knobs import KnobCatalog
+from repro.dbsim.metrics import METRIC_NAMES, MetricsDelta
 from repro.tuners.base import TrainingSample, config_to_vector
 
 __all__ = ["WorkloadDataset", "WorkloadRepository"]
@@ -37,7 +38,8 @@ class WorkloadDataset:
     """All samples of one workload id, as matrices.
 
     ``configs`` is (n, d) in normalised knob space, ``metrics`` is (n, m)
-    in the repository's metric ordering, ``objective`` is (n,) throughput.
+    in :data:`~repro.dbsim.metrics.METRIC_NAMES` order, ``objective`` is
+    (n,) throughput.
     """
 
     workload_id: str
@@ -51,7 +53,7 @@ class WorkloadDataset:
 
 
 class _GrowingMatrix:
-    """Append-only (n, d) float matrix with doubling capacity.
+    """Append-only (n, d) float matrix; its spare capacity stays ~n/4.
 
     ``view()`` returns a length-``n`` slice of the backing buffer; appends
     either write past the slice or reallocate, so previously handed-out
@@ -64,9 +66,9 @@ class _GrowingMatrix:
         self._buf = np.empty((16, width))
         self.n = 0
 
-    def append(self, row: np.ndarray) -> None:
+    def append(self, row: np.ndarray | list[float]) -> None:
         if self.n == len(self._buf):
-            grown = np.empty((2 * len(self._buf), self._buf.shape[1]))
+            grown = np.empty((self.n + self.n // 4 + 16, self._buf.shape[1]))
             grown[: self.n] = self._buf
             self._buf = grown
         self._buf[self.n] = row
@@ -86,24 +88,29 @@ class _GrowingMatrix:
 
 
 class _WorkloadArrays:
-    """Incrementally maintained matrices plus top-samples for one workload."""
+    """One workload's samples as matrix rows, plus its best few as objects."""
 
-    __slots__ = ("configs", "metrics", "objective", "top")
+    __slots__ = ("catalog", "configs", "values", "metrics", "objective", "timestamps", "top")
 
-    def __init__(self, config_width: int, metric_width: int) -> None:
-        self.configs = _GrowingMatrix(config_width)
-        self.metrics = _GrowingMatrix(metric_width)
+    def __init__(self, catalog: KnobCatalog) -> None:
+        self.catalog = catalog
+        self.configs = _GrowingMatrix(len(catalog))
+        self.values = _GrowingMatrix(len(catalog))
+        self.metrics = _GrowingMatrix(len(METRIC_NAMES))
         self.objective = _GrowingMatrix(1)
+        self.timestamps = _GrowingMatrix(1)
         #: Best-objective samples, ordered as a stable descending sort
         #: would order them (earlier-added first among equal objectives).
         self.top: list[TrainingSample] = []
 
-    def append(
-        self, sample: TrainingSample, metric_names: tuple[str, ...]
-    ) -> None:
+    def append(self, sample: TrainingSample) -> None:
+        # Raw values first: another catalog's config raises before any row.
+        values = [sample.config[name] for name in self.catalog.names()]
         self.configs.append(config_to_vector(sample.config))
-        self.metrics.append(sample.metrics.as_vector(metric_names))
-        self.objective.append(np.array([sample.objective]))
+        self.values.append(values)
+        self.metrics.append(sample.metrics.as_vector())
+        self.objective.append([sample.objective])
+        self.timestamps.append([sample.timestamp_s])
         objective = sample.objective
         idx = 0
         for idx, kept in enumerate(self.top):  # noqa: B007 - len <= capacity
@@ -114,21 +121,28 @@ class _WorkloadArrays:
         self.top.insert(idx, sample)
         del self.top[8:]
 
+    def samples(self, workload_id: str, rows: slice | np.ndarray) -> list[TrainingSample]:
+        """The samples at *rows*, equal to those added, values as floats."""
+        names = self.catalog.names()
+        return [
+            TrainingSample(
+                workload_id,
+                KnobConfiguration(self.catalog, dict(zip(names, values))),
+                MetricsDelta(dict(zip(METRIC_NAMES, metrics))),
+                timestamp,
+            )
+            for values, metrics, timestamp in zip(
+                self.values.view()[rows].tolist(),
+                self.metrics.view()[rows].tolist(),
+                self.timestamps.view()[rows, 0].tolist(),
+            )
+        ]
+
 
 class WorkloadRepository:
-    """Sample store shared by all tuner instances.
+    """Sample store shared by all tuner instances."""
 
-    Parameters
-    ----------
-    metric_names:
-        Which metrics the repository captures per sample. Defaults to the
-        OtterTune agent's set — which deliberately lacks planner
-        estimates (see :mod:`repro.dbsim.metrics`).
-    """
-
-    def __init__(self, metric_names: tuple[str, ...] = OTTERTUNE_METRICS) -> None:
-        self.metric_names = metric_names
-        self._samples: dict[str, list[TrainingSample]] = defaultdict(list)
+    def __init__(self) -> None:
         self._arrays: dict[str, _WorkloadArrays] = {}
         self._version = 0
         self._total = 0
@@ -152,14 +166,11 @@ class WorkloadRepository:
         return self._version
 
     def _append(self, sample: TrainingSample) -> None:
-        self._samples[sample.workload_id].append(sample)
         arrays = self._arrays.get(sample.workload_id)
         if arrays is None:
-            arrays = _WorkloadArrays(
-                len(config_to_vector(sample.config)), len(self.metric_names)
-            )
+            arrays = _WorkloadArrays(sample.config.catalog)
             self._arrays[sample.workload_id] = arrays
-        arrays.append(sample, self.metric_names)
+        arrays.append(sample)
 
     def add(self, sample: TrainingSample) -> None:
         """Store one sample (bumps :attr:`version`)."""
@@ -174,15 +185,19 @@ class WorkloadRepository:
 
     def workload_ids(self) -> list[str]:
         """Known workload identifiers, insertion order."""
-        return list(self._samples)
+        return list(self._arrays)
 
     def samples(self, workload_id: str) -> list[TrainingSample]:
-        """Samples of one workload (empty list if unknown)."""
-        return list(self._samples.get(workload_id, []))
+        """Samples of one workload in insertion order (empty if unknown)."""
+        arrays = self._arrays.get(workload_id)
+        if arrays is None:
+            return []
+        return arrays.samples(workload_id, slice(None))
 
     def sample_count(self, workload_id: str) -> int:
         """Number of stored samples for one workload."""
-        return len(self._samples.get(workload_id, ()))
+        arrays = self._arrays.get(workload_id)
+        return 0 if arrays is None else arrays.objective.n
 
     def top_samples(self, workload_id: str, k: int = 3) -> list[TrainingSample]:
         """The *k* best-objective samples, stable-sorted descending.
@@ -195,10 +210,10 @@ class WorkloadRepository:
         arrays = self._arrays.get(workload_id)
         if arrays is None:
             return []
-        if k <= len(arrays.top) or len(arrays.top) >= self.sample_count(workload_id):
+        if k <= len(arrays.top) or len(arrays.top) >= arrays.objective.n:
             return arrays.top[:k]
-        rows = self._samples[workload_id]
-        return sorted(rows, key=lambda s: -s.objective)[:k]
+        order = np.argsort(-arrays.objective.view()[:, 0], kind="stable")
+        return arrays.samples(workload_id, order[:k])
 
     def total_samples(self) -> int:
         """Sample count across all workloads."""
@@ -210,25 +225,25 @@ class WorkloadRepository:
         Matrices are views into incrementally grown buffers, rebuilt in
         O(new samples); callers must treat the arrays as read-only.
         """
-        rows = self._samples.get(workload_id, [])
-        if not rows:
+        arrays = self._arrays.get(workload_id)
+        if arrays is None:
             return WorkloadDataset(
                 workload_id,
                 configs=np.empty((0, 0)),
-                metrics=np.empty((0, len(self.metric_names))),
+                metrics=np.empty((0, len(METRIC_NAMES))),
                 objective=np.empty(0),
             )
+        count = arrays.objective.n
         cached = self._dataset_cache.get(workload_id)
-        if cached is not None and cached[0] == len(rows):
+        if cached is not None and cached[0] == count:
             return cached[1]
-        arrays = self._arrays[workload_id]
         dataset = WorkloadDataset(
             workload_id,
             arrays.configs.view(),
             arrays.metrics.view(),
             arrays.objective.view()[:, 0],
         )
-        self._dataset_cache[workload_id] = (len(rows), dataset)
+        self._dataset_cache[workload_id] = (count, dataset)
         return dataset
 
     def all_metric_rows(self) -> np.ndarray:
@@ -237,13 +252,9 @@ class WorkloadRepository:
         The stack reuses the per-workload dataset caches, so a single new
         sample re-vectorises only its own workload's rows.
         """
-        parts = [
-            self.dataset(wid).metrics
-            for wid, samples in self._samples.items()
-            if samples
-        ]
+        parts = [self.dataset(wid).metrics for wid in self._arrays]
         if not parts:
-            return np.empty((0, len(self.metric_names)))
+            return np.empty((0, len(METRIC_NAMES)))
         return np.vstack(parts)
 
     def sync_from(self, other: "WorkloadRepository") -> int:
@@ -253,13 +264,11 @@ class WorkloadRepository:
         services on different IaaS'es then fetch (§2).
         """
         pulled = 0
-        for wid in other.workload_ids():
-            have = len(self._samples.get(wid, []))
-            rows = other.samples(wid)
-            if len(rows) > have:
-                for sample in rows[have:]:
-                    self._append(sample)
-                pulled += len(rows) - have
+        for wid, arrays in other._arrays.items():
+            have = self.sample_count(wid)
+            for sample in arrays.samples(wid, slice(have, None)):
+                self._append(sample)
+                pulled += 1
         if pulled:
             self._version += pulled
             self._total += pulled

@@ -30,6 +30,9 @@ __all__ = ["MappingResult", "WorkloadMapper"]
 #: cost) however long a workload's history grows.
 MAPPING_WINDOW = 500
 
+#: Target rows per block of the nearest-config search.
+_SCORE_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class MappingResult:
@@ -169,13 +172,29 @@ class WorkloadMapper:
         candidate: WorkloadDataset,
         edges: np.ndarray,
     ) -> float:
-        candidate_binned = self._binned(candidate.metrics, edges)
-        # nearest candidate config per target sample
-        diffs = (
-            np.sum(target.configs**2, axis=1)[:, None]
-            + np.sum(candidate.configs**2, axis=1)[None, :]
-            - 2.0 * target.configs @ candidate.configs.T
-        )
-        nearest = np.argmin(diffs, axis=1)
+        if candidate.workload_id == target.workload_id:
+            candidate_binned = target_binned
+        else:
+            candidate_binned = self._binned(candidate.metrics, edges)
+        nearest = _nearest_rows(target.configs, candidate.configs)
         deltas = target_binned - candidate_binned[nearest]
         return float(np.mean(np.sum(deltas**2, axis=1)))
+
+
+def _nearest_rows(targets: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Each target row's nearest candidate row by ``|t|² + |c|² − 2t·c``.
+
+    The cross term is one GEMM (row blocks of it would round differently);
+    the distance rows go through one reused block buffer.
+    """
+    t_sq = np.sum(targets**2, axis=1)
+    c_sq = np.sum(candidates**2, axis=1)
+    cross = 2.0 * targets @ candidates.T
+    nearest = np.empty(len(targets), dtype=np.intp)
+    buffer = np.empty((min(_SCORE_BLOCK, len(targets)), len(candidates)))
+    for lo in range(0, len(targets), _SCORE_BLOCK):
+        block = buffer[: min(_SCORE_BLOCK, len(targets) - lo)]
+        np.add(t_sq[lo : lo + _SCORE_BLOCK, None], c_sq, out=block)
+        np.subtract(block, cross[lo : lo + _SCORE_BLOCK], out=block)
+        nearest[lo : lo + _SCORE_BLOCK] = np.argmin(block, axis=1)
+    return nearest

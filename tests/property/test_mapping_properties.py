@@ -13,7 +13,13 @@ replace exactly, since the mapped workload feeds every OtterTune fit:
 - **exactness** — two mappers sharing one repository's cache map exactly
   what a mapper with no cached state maps over a copy of it, after any
   interleaving of adds and maps, for targets below and above the
-  mapping window.
+  mapping window;
+- **blocked score** — the score formed in row blocks of one buffer equals
+  the one-expression score of ``tests/reference.py`` (``==``), and so do
+  the mappings, for either ``exclude_target``: target and candidate sizes
+  1–520 across the 64-row block edges and the 500-row mapping window,
+  exact-duplicate and 1-ulp-apart configs, and the target scored against
+  itself.
 """
 
 import pickle
@@ -26,7 +32,9 @@ from repro.dbsim import postgres_catalog
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.metrics import MetricsDelta
 from repro.tuners import TrainingSample, WorkloadRepository
+from repro.tuners.repository import WorkloadDataset
 from repro.tuners.workload_mapping import MAPPING_WINDOW, WorkloadMapper
+from tests.reference import OneExpressionMapper
 
 
 class _Rows:
@@ -165,3 +173,96 @@ class TestExactMapping:
             for wid in _WORKLOADS:
                 expected = WorkloadMapper(copy).map_workload(wid, exclude)
                 assert mappers[which].map_workload(wid, exclude) == expected
+
+
+#: Sizes on and beside the 64-row block edges and the mapping window.
+_EDGE_SIZES = [1, 2, 63, 64, 65, 127, 128, 129, 499, 500, 501, 512, 520]
+_SIZES = st.one_of(st.sampled_from(_EDGE_SIZES), st.integers(1, 520))
+
+
+def _configs_with_near_twins(rng, n: int, pool: np.ndarray) -> np.ndarray:
+    """*n* configs in [0, 1]^d, some copied exactly from *pool* and some
+    1 ulp from a copy."""
+    configs = rng.uniform(size=(n, pool.shape[1]))
+    picks = rng.integers(0, len(pool), size=n)
+    kind = rng.integers(0, 3, size=n)  # 0 fresh, 1 duplicate, 2 one ulp off
+    configs[kind > 0] = pool[picks[kind > 0]]
+    off = kind == 2
+    configs[off] = np.nextafter(configs[off], 2.0)
+    return configs
+
+
+class TestBlockedScore:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        target_size=_SIZES,
+        candidate_size=_SIZES,
+        seed=st.integers(0, 2**32 - 1),
+        self_score=st.booleans(),
+    )
+    def test_blocked_score_equals_one_expression(
+        self, target_size, candidate_size, seed, self_score
+    ):
+        rng = np.random.default_rng(seed)
+        d, m = 14, 25
+        target_configs = rng.uniform(size=(target_size, d))
+        target = WorkloadDataset(
+            "target",
+            target_configs,
+            rng.lognormal(size=(target_size, m)),
+            rng.uniform(size=target_size),
+        )
+        if self_score:
+            candidate = target
+        else:
+            candidate = WorkloadDataset(
+                "candidate",
+                _configs_with_near_twins(rng, candidate_size, target_configs),
+                rng.lognormal(size=(candidate_size, m)),
+                rng.uniform(size=candidate_size),
+            )
+        rows = np.vstack([target.metrics, candidate.metrics])
+        lean, reference = WorkloadMapper(_Rows(rows)), OneExpressionMapper(_Rows(rows))
+        edges = lean._compute_edges()
+        binned = lean._binned(target.metrics, edges)
+        assert lean._score(target, binned, candidate, edges) == reference._score(
+            target, binned, candidate, edges
+        )
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        sizes=st.tuples(_SIZES, _SIZES, _SIZES),
+        seed=st.integers(0, 2**32 - 1),
+        exclude=st.booleans(),
+    )
+    def test_blocked_mapping_equals_one_expression(self, sizes, seed, exclude):
+        rng = np.random.default_rng(seed)
+        names = _CATALOG.names()
+        repo = WorkloadRepository()
+        pool = rng.uniform(size=(8, len(names)))
+        for wid, size in zip(_WORKLOADS, sizes):
+            units = _configs_with_near_twins(rng, size, pool)
+            for unit, tps in zip(units, rng.uniform(50.0, 9000.0, size=size)):
+                values = {
+                    knob.name: knob.min_value + u * (knob.max_value - knob.min_value)
+                    for knob, u in zip(_CATALOG, unit.tolist())
+                }
+                repo.add(
+                    TrainingSample(
+                        wid,
+                        KnobConfiguration(_CATALOG, values),
+                        MetricsDelta(
+                            {
+                                "throughput_tps": tps,
+                                "wal_mb": tps * rng.uniform(1.0, 3.0),
+                                "blks_read": float(rng.integers(0, 4)),
+                            }
+                        ),
+                    )
+                )
+        copy = pickle.loads(pickle.dumps(repo))
+        copy.derived_cache.clear()
+        for wid in _WORKLOADS:
+            assert WorkloadMapper(repo).map_workload(
+                wid, exclude
+            ) == OneExpressionMapper(copy).map_workload(wid, exclude)

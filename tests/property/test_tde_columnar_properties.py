@@ -46,6 +46,7 @@ from tests.reference import (
     choose_action_by_choice,
     latency_excluding_vacuum_by_mask,
     mean_cost_per_query,
+    plan_columns_of_rows,
     probe_per_query,
     spills_per_query,
 )
@@ -153,7 +154,7 @@ class TestPlanCostMatchesPerQuery:
         db = _database(data.draw)
         rows = data.draw(_rows(data.draw(_families())))
         queries = list(rows)
-        by_rows = PlanColumns.of_rows(rows)
+        by_rows = plan_columns_of_rows(rows)
         by_queries = PlanColumns.of_queries(queries)
         for config in [db.config, *_perturbations(data.draw, db.config)]:
             # What-if first: the reference's EXPLAINs then memoise the

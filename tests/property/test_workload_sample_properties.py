@@ -11,8 +11,8 @@ semantics they replace, over the rows materialised one by one:
   histogram and selected examples, and its verdicts against the
   sha1-keyed template catalog of ``tests/reference.py``;
 - the planner detector's reservoir of first-seen templates;
-- the engine's ``planner_cost_mean`` (exactly the mean of per-row
-  EXPLAIN costs);
+- the planner's mean cost of the sampled rows' plan columns (exactly the
+  mean of per-row EXPLAIN costs);
 - building rows draws nothing, and ``WorkloadBatch.scaled`` keeps the
   columns consistent.
 """
@@ -31,7 +31,7 @@ from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.engine import SimulatedDatabase
 from repro.dbsim.knobs import catalog_for
 from repro.dbsim.memory import working_area_knobs
-from repro.dbsim.planner import PlanColumns, PlannerModel
+from repro.dbsim.planner import PlannerModel
 from repro.workloads import AdulteratedTPCCWorkload, ProductionWorkload, TPCHWorkload
 from repro.workloads.query import (
     FOOTPRINT_COLUMNS,
@@ -43,7 +43,7 @@ from repro.workloads.query import (
 from repro.workloads.sampling import ReservoirSampler
 from repro.workloads.templating import make_template
 from tests.conftest import MixWorkload
-from tests.reference import CatalogMemoryDetector, plan_explain
+from tests.reference import CatalogMemoryDetector, plan_columns_of_rows, plan_explain
 
 
 def _class_counts(histogram: QueryClassHistogram) -> dict[str, int]:
@@ -330,7 +330,7 @@ class TestPlanCostMatchesExplain:
         rows = workload.batch(60.0).sampled_queries[:32]
         costs = [plan_explain(planner, q, config).total_cost for q in rows]
         expected = float(np.mean(costs)) if costs else 0.0
-        assert planner.mean_cost(PlanColumns.of_rows(rows), config) == expected
+        assert planner.mean_cost(plan_columns_of_rows(rows), config) == expected
 
 
 class TestBuildingRowsDrawsNothing:

@@ -22,7 +22,8 @@ Each function here is the plain definition of a computation that
   :class:`PlanEstimate` (:func:`explain` does so on a database, at its
   live configuration by default); :func:`explain_many` and
   :func:`mean_cost_per_query` EXPLAIN one query at a time and average
-  the costs; :func:`probe_per_query` is the planner detector's probe scored
+  the costs, and :func:`plan_columns_of_rows` builds the plan columns of
+  a query-log sample straight from its footprint columns; :func:`probe_per_query` is the planner detector's probe scored
   that way and :func:`spills_per_query` the memory detector's spill
   check, one plan per template. The columnar plan cost
   (:class:`~repro.dbsim.planner.PlanColumns`) and the spill check from
@@ -76,6 +77,12 @@ Each function here is the plain definition of a computation that
   the exact GP on it. :func:`~repro.tuners.gpr.rbf_kernel`, one GEMM of
   row-augmented inputs, must agree to rounding, and a GP on it must pick
   the same UCB argmax.
+- :class:`OneExpressionMapper` is the workload mapping with its score
+  formed in one expression: the whole target-by-candidate distance
+  matrix, then its row argmin. :meth:`WorkloadMapper._score
+  <repro.tuners.workload_mapping.WorkloadMapper._score>`, which forms the
+  distance rows in blocks of one reused buffer, must give the same score
+  and mapping.
 """
 
 from __future__ import annotations
@@ -105,7 +112,7 @@ from repro.dbsim.executor import (
     ExecutionSummary,
 )
 from repro.dbsim.memory import working_area_knobs
-from repro.dbsim.planner import _base_cost
+from repro.dbsim.planner import PlanColumns, _base_cost
 from repro.tuners.base import (
     Recommendation,
     boost_throttled_knobs,
@@ -121,6 +128,8 @@ from repro.tuners.lasso import (
     _SPANNED,
     _standardised_problem,
 )
+from repro.tuners.workload_mapping import WorkloadMapper
+from repro.workloads.query import FOOTPRINT_COLUMNS
 
 if TYPE_CHECKING:
     from collections.abc import Mapping
@@ -135,6 +144,7 @@ if TYPE_CHECKING:
     from repro.tuners.base import TuningRequest
     from repro.tuners.knob_selection import Subspace
     from repro.tuners.ottertune import OtterTuneTuner
+    from repro.tuners.repository import WorkloadDataset
     from repro.workloads.generator import WorkloadBatch
     from repro.workloads.query import Query, QueryFootprint, QueryRows
 
@@ -482,6 +492,30 @@ def mean_cost_per_query(
     """Mean ``total_cost`` of one EXPLAIN per query (0.0 for none)."""
     plans = explain_many(db, queries, config)
     return float(np.mean([p.total_cost for p in plans])) if plans else 0.0
+
+
+def plan_columns_of_rows(rows: QueryRows) -> PlanColumns:
+    """The plan columns of a query-log sample, in row order."""
+    families = rows.families
+    keys: dict[tuple[float, float], int] = {}
+    family_slot = [
+        keys.setdefault(
+            (fam.footprint.planner_sensitivity, fam.footprint.parallel_fraction),
+            len(keys),
+        )
+        for fam in families
+    ]
+    rows_examined = np.array(
+        [fam.footprint.rows_examined for fam in families], dtype=float
+    )
+    index = rows.family_index
+    base = _base_cost(
+        rows_examined[index],
+        rows.footprints[:, FOOTPRINT_COLUMNS.index("sort_mb")],
+        rows.footprints[:, FOOTPRINT_COLUMNS.index("read_kb")],
+    )
+    slot = np.array(family_slot, dtype=np.intp)[index]
+    return PlanColumns(base, tuple(keys), slot)
 
 
 def probe_per_query(
@@ -980,3 +1014,25 @@ class BroadcastKernelGPR(GaussianProcessRegressor):
 
     def _kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return rbf_kernel_broadcast(a, b, self.length_scale, self.signal_variance)
+
+
+class OneExpressionMapper(WorkloadMapper):
+    """The workload mapping scored with the full distance matrix at once."""
+
+    def _score(
+        self,
+        target: WorkloadDataset,
+        target_binned: np.ndarray,
+        candidate: WorkloadDataset,
+        edges: np.ndarray,
+    ) -> float:
+        candidate_binned = self._binned(candidate.metrics, edges)
+        # nearest candidate config per target sample
+        diffs = (
+            np.sum(target.configs**2, axis=1)[:, None]
+            + np.sum(candidate.configs**2, axis=1)[None, :]
+            - 2.0 * target.configs @ candidate.configs.T
+        )
+        nearest = np.argmin(diffs, axis=1)
+        deltas = target_binned - candidate_binned[nearest]
+        return float(np.mean(np.sum(deltas**2, axis=1)))

@@ -195,6 +195,30 @@ class TestStateVerdict:
         reader = "engine.ticks += 1\nengine.log.update({})\nengine.log['k'] = 1\n"
         assert sorted(self._unread(reader)) == ["hidden", "log", "ticks"]
 
+    def test_a_write_through_a_borrowed_attribute_is_no_store(self):
+        # ``flat`` belongs to numpy: nothing in the product assigns it, so
+        # writing through it stores nothing the product owns.
+        product = "def fit(k, n, noise):\n    k.flat[:: n + 1] += noise\n"
+        assert reach.unread_state({"repro/gp.py": product}, [product]) == {}
+
+    def test_a_write_only_memo_still_fails(self):
+        product = textwrap.dedent(
+            """
+            class Planner:
+                def __init__(self):
+                    self._memo = {}
+
+                def cost(self, k, v):
+                    self._memo[k] = v
+                    return v
+            """
+        )
+        unread = reach.unread_state({"repro/p.py": product}, [product])
+        assert sorted(unread["_memo"]) == ["repro/p.py:4", "repro/p.py:7"]
+        assert list(unread) == ["_memo"]
+        (problem,) = reach.state_verdict(unread, ())
+        assert problem.startswith("_memo is stored at ")
+
     def test_allow_listed_names_pass(self):
         known = (("hidden log", "kept on purpose"), ("ticks", "another reason"))
         assert reach.state_verdict(self._unread(), known) == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dbsim.config import KnobConfiguration
-from repro.dbsim.metrics import MetricsDelta
+from repro.dbsim.metrics import METRIC_NAMES, MetricsDelta
 from repro.tuners import CDBTuneTuner, TrainingSample, TuningRequest
 from repro.tuners.cdbtune import cdbtune_reward
 
@@ -101,7 +101,7 @@ class TestLearningLoop:
 
     def test_training_step_changes_actor(self, pg_catalog):
         tuner = CDBTuneTuner(pg_catalog, batch_size=4, seed=0)
-        state_probe = np.zeros((1, len(tuner.metric_names)))
+        state_probe = np.zeros((1, len(METRIC_NAMES)))
         before = tuner.actor(state_probe).copy()
         tps = 100.0
         for i in range(12):

@@ -1,6 +1,7 @@
 """Unit tests for OtterTune-style workload mapping."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.dbsim.config import KnobConfiguration
 from repro.dbsim.metrics import MetricsDelta
 from repro.tuners import TrainingSample, WorkloadMapper, WorkloadRepository
+from repro.tuners.repository import WorkloadDataset
 
 
 def _populate(repo, pg_catalog, wid, tps_base, n=8, seed=0):
@@ -259,3 +261,30 @@ class TestSingleCandidate:
         mapping = WorkloadMapper(repo).map_workload("target", exclude_target=False)
         assert computes == ["map", "edges"]
         assert mapping.best_workload_id == _full_mapping(repo, "target", False)
+
+
+class TestScoreMemory:
+    def test_fleet_shaped_self_score_peak_under_2_5_mb(self):
+        # The bgwriter detector's self-inclusive mapping scores a full
+        # 500-row window against itself. The 500 x 500 cross term is 2 MB;
+        # the distance rows go through one 64-row buffer beside it, where
+        # a full distance matrix would hold 2 MB more.
+        rng = np.random.default_rng(3)
+        target = WorkloadDataset(
+            "production",
+            rng.uniform(size=(500, 14)),
+            rng.lognormal(size=(500, 25)),
+            rng.uniform(size=500),
+        )
+        mapper = WorkloadMapper(WorkloadRepository())
+        edges = np.quantile(target.metrics, np.linspace(0.0, 1.0, 11)[1:-1], axis=0)
+        binned = mapper._binned(target.metrics, edges)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            mapper._score(target, binned, target, edges)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6

@@ -1,10 +1,18 @@
 """Unit tests for the central workload repository."""
 
+import gc
 import pickle
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dbsim.config import KnobConfiguration
-from repro.dbsim.metrics import MetricsDelta
+from repro.dbsim.knobs import postgres_catalog
+from repro.dbsim.metrics import METRIC_NAMES, MetricsDelta
 from repro.tuners import TrainingSample, WorkloadMapper, WorkloadRepository
+from repro.tuners.base import config_to_vector
 
 
 def _sample(pg_catalog, wid="w0", tps=10.0, work_mem=4.0):
@@ -33,7 +41,7 @@ class TestStorage:
         repo.add(_sample(pg_catalog, tps=2.0, work_mem=64))
         ds = repo.dataset("w0")
         assert ds.configs.shape == (2, len(pg_catalog))
-        assert ds.metrics.shape == (2, len(repo.metric_names))
+        assert ds.metrics.shape == (2, len(METRIC_NAMES))
         assert ds.objective.tolist() == [1.0, 2.0]
 
     def test_all_metric_rows(self, pg_catalog):
@@ -141,3 +149,98 @@ class TestSync:
         src.add(_sample(pg_catalog))
         dst.sync_from(src)
         assert dst.sync_from(src) == 0
+
+
+_CATALOG = postgres_catalog()
+
+
+def _fleet_sample(rng, wid: str, timestamp_s: float) -> TrainingSample:
+    """A sample shaped like a fleet member's: every knob and metric set."""
+    values = {
+        knob.name: knob.min_value + u * (knob.max_value - knob.min_value)
+        for knob, u in zip(_CATALOG, rng.uniform(size=len(_CATALOG)).tolist())
+    }
+    metrics = dict(zip(METRIC_NAMES, rng.lognormal(size=len(METRIC_NAMES)).tolist()))
+    return TrainingSample(
+        wid, KnobConfiguration(_CATALOG, values), MetricsDelta(metrics), timestamp_s
+    )
+
+
+def _matrices(repo: WorkloadRepository, wid: str) -> tuple[bytes, ...]:
+    ds = repo.dataset(wid)
+    return ds.configs.tobytes(), ds.metrics.tobytes(), ds.objective.tobytes()
+
+
+class TestRowsOnly:
+    """Samples live as matrix rows; every read rebuilds what was added."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        workloads=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=40),
+        tied=st.lists(st.sampled_from([5, 10.0, 10.5]), min_size=40, max_size=40),
+    )
+    def test_every_read_matches_the_added_samples(self, seed, workloads, tied):
+        rng = np.random.default_rng(seed)
+        added: dict[str, list[TrainingSample]] = {}
+        repo = WorkloadRepository()
+        for i, wid in enumerate(workloads):
+            sample = _fleet_sample(rng, wid, float(i))
+            if i % 2:
+                # Tied objectives, an int among them, and an int timestamp.
+                metrics = dict(sample.metrics.values, throughput_tps=tied[i])
+                sample = TrainingSample(wid, sample.config, MetricsDelta(metrics), i)
+            repo.add(sample)
+            added.setdefault(wid, []).append(sample)
+        assert repo.version == len(workloads)
+        assert repo.workload_ids() == list(added)
+        for wid, samples in added.items():
+            rebuilt = repo.samples(wid)
+            assert rebuilt == samples
+            for sample in rebuilt:
+                assert type(sample.timestamp_s) is float
+                assert {type(v) for v in sample.config.as_dict().values()} == {float}
+                assert {type(v) for v in sample.metrics.values.values()} == {float}
+            for k in range(1, 12):
+                expected = sorted(samples, key=lambda s: -s.objective)[:k]
+                assert repo.top_samples(wid, k) == expected
+            ds = repo.dataset(wid)
+            assert _matrices(repo, wid) == (
+                np.array([config_to_vector(s.config) for s in samples]).tobytes(),
+                np.array([s.metrics.as_vector() for s in samples]).tobytes(),
+                np.array([s.objective for s in samples], dtype=float).tobytes(),
+            )
+            assert ds.size == repo.sample_count(wid) == len(samples)
+
+        copy = pickle.loads(pickle.dumps(repo))
+        synced = WorkloadRepository()
+        assert synced.sync_from(repo) == len(workloads)
+        for other in (copy, synced):
+            assert other.version == repo.version
+            assert other.workload_ids() == repo.workload_ids()
+            for wid in added:
+                assert other.samples(wid) == repo.samples(wid)
+                assert other.top_samples(wid, 11) == repo.top_samples(wid, 11)
+                assert _matrices(other, wid) == _matrices(repo, wid)
+
+    def test_fleet_shaped_sample_retains_under_600_bytes(self):
+        # 630 rows: what 25 fig09 members grow the "production" workload
+        # to over 6 h. The repository keeps rows, not sample objects, so
+        # what a sample retains is its matrix rows (14 knobs twice, 25
+        # metrics, objective, timestamp), the buffers' spare capacity and
+        # a share of the workload's best few samples.
+        rng = np.random.default_rng(7)
+        count = 630
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            repo = WorkloadRepository()
+            for i in range(count):
+                repo.add(_fleet_sample(rng, "production", 300.0 * i))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert repo.total_samples() == count
+        assert retained / count <= 600

@@ -11,7 +11,7 @@ target sizes around the cap, with and without a workload to map onto.
 import numpy as np
 import pytest
 
-from repro.dbsim.metrics import OTTERTUNE_METRICS, MetricsDelta
+from repro.dbsim.metrics import METRIC_NAMES, MetricsDelta
 from repro.tuners import (
     TrainingSample,
     TuningRequest,
@@ -34,8 +34,8 @@ def _samples(catalog, workload_id: str, n: int, seed: int) -> list[TrainingSampl
             MetricsDelta(
                 dict(
                     zip(
-                        OTTERTUNE_METRICS,
-                        rng.lognormal(size=len(OTTERTUNE_METRICS)).tolist(),
+                        METRIC_NAMES,
+                        rng.lognormal(size=len(METRIC_NAMES)).tolist(),
                     )
                 )
             ),

@@ -43,7 +43,11 @@ name and without running code: every attribute name ``src/repro``
 stores (``x.a = …``, ``x.a += …``, ``x.a[k] = …``,
 ``x.a.append/extend/add/update/insert(…)`` and dataclass fields) must be
 loaded, or used as a string constant, by some ``.py`` file outside
-``tests/`` and ``loopbench/tests/``. A name nothing reads fails the gate
+``tests/`` and ``loopbench/tests/``. A write into what ``x.a`` holds
+(``x.a[k] = …`` or a mutator call) counts as a store of ``a`` only when
+``src/repro`` also stores ``a`` directly, by assignment or as a
+dataclass field: ``k.flat[…] += …`` writes through numpy's ``flat``,
+which no product code owns. A name nothing reads fails the gate
 unless :data:`KNOWN_UNREAD` names it with a reason, and so does a
 :data:`KNOWN_UNREAD` name that is read or no longer stored.
 :func:`state_verdict` makes that decision. The check goes by name only,
@@ -358,13 +362,20 @@ def unread_state(
     store it.
     """
     stored: dict[str, list[str]] = defaultdict(list)
+    owned: set[str] = set()
     for module, source in product.items():
-        for name, line in _writes(ast.parse(source))[0]:
+        for name, line, direct in _writes(ast.parse(source))[0]:
             stored[name].append(f"{module}:{line}")
+            if direct:
+                owned.add(name)
     read: set[str] = set()
     for source in readers:
         read |= _reads(ast.parse(source))
-    return {name: places for name, places in stored.items() if name not in read}
+    return {
+        name: places
+        for name, places in stored.items()
+        if name in owned and name not in read
+    }
 
 
 def state_verdict(
@@ -390,24 +401,26 @@ def state_verdict(
     return problems
 
 
-def _writes(tree: ast.AST) -> tuple[list[tuple[str, int]], set[int]]:
+def _writes(tree: ast.AST) -> tuple[list[tuple[str, int, bool]], set[int]]:
     """Attribute names *tree* stores, with their lines, and write receivers.
 
-    A write receiver is an ``x.a`` load that only writes into ``a``:
+    Each store is ``(name, line, direct)``: direct for an assignment to
+    ``x.a`` and a dataclass field, not for a write through a receiver. A
+    write receiver is an ``x.a`` load that only writes into ``a``:
     ``x.a[k] = …`` and a statement ``x.a.append(…)`` (or another of
-    :data:`_MUTATORS`). Dataclass fields count as stores.
+    :data:`_MUTATORS`).
     """
-    stored: list[tuple[str, int]] = []
+    stored: list[tuple[str, int, bool]] = []
     receivers: set[int] = set()
 
     def receiver(node: ast.expr, line: int) -> None:
         if isinstance(node, ast.Attribute):
             receivers.add(id(node))
-            stored.append((node.attr, line))
+            stored.append((node.attr, line, False))
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
-            stored.append((node.attr, node.lineno))
+            stored.append((node.attr, node.lineno, True))
         elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
             func = node.value.func
             if isinstance(func, ast.Attribute) and func.attr in _MUTATORS:
@@ -421,7 +434,7 @@ def _writes(tree: ast.AST) -> tuple[list[tuple[str, int]], set[int]]:
             _bare_name(d) for d in node.decorator_list
         }:
             stored += [
-                (item.target.id, item.lineno)
+                (item.target.id, item.lineno, True)
                 for item in node.body
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
             ]
