@@ -195,7 +195,7 @@ def _mapping_lanes() -> dict[str, dict[str, float]]:
     }
 
     def call(mapper: WorkloadMapper):
-        mapper._cache.clear()
+        mapper.repository.derived_cache.clear()
         return mapper.map_workload("production", exclude_target=False)
 
     results = {lane: call(mapper) for lane, mapper in mappers.items()}

@@ -21,8 +21,16 @@ Quick start::
     outcomes = service.step(60.0)
 """
 
-from repro.core.service import AutoDBaaS, ManagedInstance, StepOutcome
-
 __version__ = "1.0.0"
 
 __all__ = ["AutoDBaaS", "ManagedInstance", "StepOutcome", "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    # The facade loads on first use, so importing ``repro.cli`` runs the
+    # CLI's thread-pool defaults before anything has imported numpy.
+    if name in __all__:
+        from repro.core import service
+
+        return getattr(service, name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -11,14 +11,24 @@ Usage (installed as ``repro`` or via ``python -m repro``)::
 
 from __future__ import annotations
 
-import argparse
-import sys
-from collections.abc import Callable, Sequence
+import os
 
-import numpy as np
+#: Numerical-library thread pools default to one thread, set before
+#: anything imports numpy: on a busy host a threaded BLAS runs the small
+#: GEMMs and solves of the tuning loop far slower than one thread does
+#: (the mapping's 500×14 cross term took 16.2 ms against 0.34 ms on a
+#: shared 2-core VM). A value already in the environment wins.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from repro.core.features import FEATURE_NAMES, Features
-from repro.experiments import (
+import argparse  # noqa: E402
+import sys  # noqa: E402
+from collections.abc import Callable, Sequence  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from repro.core.features import FEATURE_NAMES, Features  # noqa: E402
+from repro.experiments import (  # noqa: E402
     ablations,
     fig02_memory_table,
     fig03_04_entropy,

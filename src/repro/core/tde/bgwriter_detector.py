@@ -81,7 +81,7 @@ def checkpoint_latency_ratio(
     return (checkpoint_write_mb / max(wal_mb, 1.0)) * disk_latency_ms
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Baseline:
     workload_id: str
     ratio: float
@@ -110,7 +110,19 @@ class BgwriterThrottleDetector:
         write latency metrics give the baseline pressure. The target's own
         history participates in the mapping — the tuner's experience
         includes the live system itself.
+
+        A baseline depends only on the repository contents and the
+        workload, so it is kept in the repository's derived cache: every
+        detector over one store (a fleet shard's members, which share one
+        workload) computes it once per repository version.
         """
+        return self.repository.derived(
+            ("bgwriter_baseline", self._mapper.n_bins),
+            workload_id,
+            lambda: self._compute_baseline(workload_id),
+        )
+
+    def _compute_baseline(self, workload_id: str) -> _Baseline | None:
         mapping = self._mapper.map_workload(workload_id, exclude_target=False)
         source_id = mapping.best_workload_id
         if source_id is None:
@@ -184,16 +196,14 @@ class BgwriterThrottleDetector:
     def _latency_excluding_vacuum(result: ExecutionResult) -> float:
         latency = result.data_disk.write_latency
         vacuum_times = result.writeback.vacuum_times
-        if not vacuum_times:
-            return float(np.mean(latency))
-        times = result.start_time_s + np.arange(len(latency), dtype=float)
-        first, *rest = vacuum_times
-        keep = np.abs(times - first) > _VACUUM_EXCLUSION_S
-        for v in rest:
-            keep &= np.abs(times - v) > _VACUUM_EXCLUSION_S
-        kept = latency[keep]
-        if not len(kept):
-            return float(np.mean(latency))
+        if vacuum_times:
+            times = result.start_time_s + np.arange(len(latency), dtype=float)
+            first, *rest = vacuum_times
+            keep = np.abs(times - first) > _VACUUM_EXCLUSION_S
+            for v in rest:
+                keep &= np.abs(times - v) > _VACUUM_EXCLUSION_S
+            if keep.any():
+                latency = latency[keep]
         # np.mean's own arithmetic (the pairwise sum, then one division)
         # without its per-call overhead.
-        return float(np.add.reduce(kept)) / len(kept)
+        return float(np.add.reduce(latency)) / len(latency)

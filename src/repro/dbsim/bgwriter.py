@@ -178,8 +178,12 @@ class WriteBackScheduler:
         its share, and vacuum runs on its own clock. This method does not
         step every second. It jumps from event to event — a checkpoint
         trigger, the end of a spread, the backlog reaching zero or the
-        cap, a vacuum round — and fills the seconds in between with
-        sequential accumulates, reproducing the recurrence bit for bit.
+        cap, a vacuum round — and fills the seconds in between,
+        reproducing the recurrence bit for bit: sequential float sums
+        (WAL volume, a backlog between clamps, the totals) as
+        accumulates, and in closed form only what is provably exact (a
+        backlog steady at zero or at the cap, and the whole-second
+        checkpoint, spread and vacuum counters).
         """
         if duration_s <= 0:
             raise ValueError("duration_s must be positive")
@@ -226,13 +230,18 @@ class WriteBackScheduler:
             writes[1, s : s + end] = seg.overflow[:end]
             active = min(seg.active, m)
             if active:
-                writes[2, s : s + active] = rate * np.minimum(1.0, seg.left[:active])
+                # ``rate × min(1, left)``: whole seconds write ``rate``,
+                # and only the spread's last second can be a fraction.
+                writes[2, s : s + active] = rate
+                last = _spread_left(seg.left, active - 1)
+                if last < 1.0:
+                    writes[2, s + active - 1] = rate * last
             if not fires:
                 self.dirty_backlog_mb = float(seg.backlog[m - 1])
                 self.wal_since_checkpoint_mb = float(seg.wal[m - 1])
-                self.since_checkpoint_s = float(seg.clock[m - 1])
+                self.since_checkpoint_s = _counted(seg.clock, m)
                 if left > 0.0:
-                    left = max(float(seg.left[m]), 0.0) if active == m else 0.0
+                    left = max(_spread_left(seg.left, m), 0.0) if active == m else 0.0
                 break
             i = s + seg.fire
             events.append(CheckpointEvent(start_time_s + i, seg.kind))
@@ -266,7 +275,8 @@ class WriteBackScheduler:
         totals = np.add.accumulate(writes, axis=1)[:, -1].tolist()
         return WriteBackResult(
             data_write_mb_s=data_writes,
-            wal_write_mb_s=np.full(n, wal_rate),
+            # The recurrence adds each second's WAL to a zeroed array.
+            wal_write_mb_s=_filled(n, 0.0 + wal_rate),
             events=events,
             bgwriter_write_mb=totals[0],
             checkpoint_write_mb=totals[2],
@@ -299,8 +309,8 @@ class _Segment(NamedTuple):
     overflow: np.ndarray  # backends' flush of the excess over the cap (+0.0: none)
     backlog: np.ndarray  # dirty backlog after both flushes
     wal: np.ndarray  # WAL written since the last checkpoint
-    clock: np.ndarray  # seconds since the last checkpoint
-    left: np.ndarray  # spread left of the running checkpoint, plus one entry
+    clock: float  # seconds since the last checkpoint, at the segment's start
+    left: float  # spread left of the running checkpoint, at the segment's start
     active: int  # leading seconds that running checkpoint still writes
     fire: int  # first second a checkpoint triggers (the length if none)
     kind: str | None
@@ -310,27 +320,20 @@ def _segment(
     regime: _Regime, backlog: float, wal: float, clock: float, left: float, length: int
 ) -> _Segment:
     flush, overflow, after = _backlog_path(regime, backlog, length)
-    # WAL volume and the checkpoint clock: ``wal + w + w + …`` and
-    # ``clock + 1 + 1 + …``, one addition at a time.
-    row = np.empty((2, length + 1))
-    row[:, 0] = wal, clock
-    row[0, 1:] = regime.wal_rate
-    row[1, 1:] = 1.0
-    wal_path, clock_path = np.add.accumulate(row, axis=1)[:, 1:]
+    # WAL volume: ``wal + w + w + …``, one addition at a time.
+    row = np.empty(length + 1)
+    row[0] = wal
+    row[1:] = regime.wal_rate
+    wal_path = np.add.accumulate(row)[1:]
+    # The running spread writes while ``left − 1 − 1 − …`` is positive:
+    # its first ceil(left) seconds (see _spread_left).
+    active = 0
     if left > 0.0:
-        row = np.ones(length + 1)
-        row[0] = left
-        # ``left − 1 − 1 − …``; where the recurrence's last, fractional
-        # step stops at exactly zero this goes negative.
-        spread_left = np.subtract.accumulate(row)
-        # The positive entries are a prefix: the spread only shrinks.
-        active = int(np.count_nonzero(spread_left[:length] > 0.0))
-    else:
-        spread_left, active = _NO_SPREAD, 0
+        active = length if left >= length else math.ceil(left)
     # A checkpoint triggers only once the running one has finished. WAL
     # volume and the clock never fall, so each trigger is a search.
     requested = active + int(wal_path[active:].searchsorted(regime.wal_limit_mb))
-    timed = active + int(clock_path[active:].searchsorted(regime.checkpoint_interval_s))
+    timed = max(active, _first_reaching(clock, regime.checkpoint_interval_s, length))
     forced = length
     if regime.forced_dirty_limit_mb is not None and active < length:
         due = after[active:] >= regime.forced_dirty_limit_mb
@@ -341,12 +344,7 @@ def _segment(
     kind = None
     if fire < length:
         kind = "requested" if fire == requested else "forced" if fire == forced else "timed"
-    return _Segment(
-        flush, overflow, after, wal_path, clock_path, spread_left, active, fire, kind
-    )
-
-
-_NO_SPREAD = np.zeros(0)
+    return _Segment(flush, overflow, after, wal_path, clock, left, active, fire, kind)
 
 
 def _backlog_path(
@@ -365,6 +363,18 @@ def _backlog_path(
     way and clamps at most a few times.
     """
     d, r, cap = regime.dirty_rate, regime.flush_rate, regime.dirty_cap_mb
+    # The two steady states, in closed form. From zero (or −0.0) the
+    # writer takes x whole: ``b + d``, then ``0.0 + d`` once x − x has
+    # left +0.0 (the two differ only for d = −0.0). At the cap, x − r is
+    # ``full`` every second and the backends flush the excess.
+    if backlog == 0.0 and d <= r:
+        flush = _filled(length, 0.0 + d)
+        flush[0] = backlog + d
+        zeros = np.zeros(length)  # read-only from here on
+        return flush, zeros, zeros
+    full = (cap + d) - r
+    if backlog == cap and full > cap:
+        return _filled(length, r), _filled(length, full - cap), _filled(length, cap)
     flush = np.empty(length)
     overflow = np.zeros(length)
     after = np.empty(length)
@@ -394,7 +404,7 @@ def _backlog_path(
             after[j] = backlog = 0.0
             j += 1
             if d <= r:
-                flush[j:] = d
+                flush[j:] = 0.0 + d
                 after[j:] = 0.0
                 break
         else:
@@ -402,7 +412,6 @@ def _backlog_path(
             overflow[j] = float(kept[linear]) - cap
             after[j] = backlog = cap
             j += 1
-            full = (cap + d) - r
             if full > cap:
                 flush[j:] = r
                 overflow[j:] = full - cap
@@ -411,19 +420,70 @@ def _backlog_path(
     return flush, overflow, after
 
 
+def _filled(length: int, value: float) -> np.ndarray:
+    """``np.full(length, value)`` without its Python-level overhead."""
+    filled = np.empty(length)
+    filled.fill(value)
+    return filled
+
+
 def _vacuum_rounds(since: float, interval: float, length: int) -> tuple[slice, float]:
     """The window's vacuum seconds, and the vacuum clock after the window.
 
     The clock counts ``since + 1 + 1 + …`` up to the first round and whole
     seconds from zero after it, so rounds recur every ``ceil(interval)``.
     """
-    row = np.ones(length + 1)
-    row[0] = since
-    clock = np.add.accumulate(row)[1:]
-    first = int(clock.searchsorted(interval))
+    first = _first_reaching(since, interval, length)
     if first == length:
-        return slice(0, 0), float(clock[-1])
+        return slice(0, 0), _counted(since, length)
     period = max(1, math.ceil(interval))
     last = first + (length - 1 - first) // period * period
     return slice(first, None, period), float(length - 1 - last)
 
+
+#: Counters (the checkpoint and vacuum clocks, a spread's seconds left)
+#: step by one second at a time. Below this magnitude every step is
+#: exact (from a whole start, or down from a spread of at least one
+#: second), so ``start ± k`` is the k-th sequential sum; anything else
+#: is summed one step at a time.
+_EXACT_COUNT = 2.0**52
+
+
+def _exact_count(start: float) -> bool:
+    return float(start).is_integer() and abs(start) < _EXACT_COUNT
+
+
+def _counted(start: float, steps: int) -> float:
+    """``start + 1 + 1 + …`` with *steps* ones, added one at a time."""
+    if _exact_count(start):
+        return start + steps
+    row = np.ones(steps + 1)
+    row[0] = start
+    return float(np.add.accumulate(row)[-1])
+
+
+def _first_reaching(start: float, limit: float, length: int) -> int:
+    """First *j* below *length* whose count ``start + (j + 1)`` reaches
+    *limit* (*length* if none): the searchsorted of the counter's path."""
+    if _exact_count(start):
+        if not start + length >= limit:
+            return length
+        # Whole counts reach *limit* exactly when they reach ceil(limit).
+        return max(0, math.ceil(limit) - int(start) - 1)
+    row = np.ones(length + 1)
+    row[0] = start
+    return int(np.add.accumulate(row)[1:].searchsorted(limit))
+
+
+def _spread_left(left: float, steps: int) -> float:
+    """``left − 1 − 1 − …`` with *steps* ones, taken one at a time.
+
+    Every step from ``left ≥ 1`` is exact here, so the value is
+    ``left − steps`` while it stays non-negative. Past that it is
+    negative either way, and callers read only its sign.
+    """
+    if left < _EXACT_COUNT:
+        return left - steps
+    row = np.ones(steps + 1)
+    row[0] = left
+    return float(np.subtract.accumulate(row)[-1])

@@ -73,6 +73,9 @@ class KnobConfiguration:
         self.catalog = catalog
         self._values = values
         self._hash: int | None = None
+        #: The normalised knob vector, memoised by
+        #: :func:`repro.tuners.base.config_to_vector` (read-only).
+        self._vector: np.ndarray | None = None
 
     @classmethod
     def _from_valid(
@@ -107,9 +110,16 @@ class KnobConfiguration:
     def __getstate__(self) -> dict[str, object]:
         # The memoised hash comes from this process's string-hash seed;
         # an unpickled copy (a spawned worker's, say) computes its own.
+        # The memoised vector does not travel either, so pickles hold
+        # the same bytes whether or not a configuration was vectorised.
         state = dict(self.__dict__)
         state["_hash"] = None
+        del state["_vector"]
         return state
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._vector = None
 
     def as_dict(self) -> dict[str, float]:
         """Copy of all knob values."""

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
+from typing import Any
 
 import numpy as np
 
@@ -78,16 +80,43 @@ class ApplyOutcome:
     skipped_restart_required: list[str]
 
 
+class _MetricsOnFirstRead:
+    """``ExecutionResult.metrics``: a field that may be given a partial.
+
+    The first read calls the :class:`functools.partial` and keeps its
+    value, so work nobody reads is never done. ``repr``, equality and
+    :func:`dataclasses.replace` read the field, so they see the value
+    and never the partial.
+    """
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            raise AttributeError("metrics")  # the field has no default
+        value = obj.__dict__["_metrics"]
+        if isinstance(value, partial):
+            value = obj.__dict__["_metrics"] = value()
+        return value
+
+    def __set__(self, obj: Any, value: Any) -> None:
+        obj.__dict__["_metrics"] = value
+
+
 @dataclass
 class ExecutionResult:
-    """Everything observable from one executed window."""
+    """Everything observable from one executed window.
+
+    The engine hands ``metrics`` over unassembled: it is built from the
+    window's own inputs the first time it is read. A fleet member that
+    raises no request, or a canary replay that reads only
+    :attr:`throughput`, never pays for it.
+    """
 
     batch: WorkloadBatch
     config: KnobConfiguration
     start_time_s: float
     duration_s: float
     summary: ExecutionSummary
-    metrics: MetricsDelta
+    metrics: MetricsDelta = _MetricsOnFirstRead()  # type: ignore[assignment]
     data_disk: DiskWindowResult
     writeback: WriteBackResult
     spill: SpillReport
@@ -262,65 +291,6 @@ class SimulatedDatabase:
             self._planners[workload_name] = planner
         self._planner = planner
 
-    def _assemble_metrics(
-        self,
-        batch: WorkloadBatch,
-        summary: ExecutionSummary,
-        spill: SpillReport,
-        writeback: WriteBackResult,
-        data_result: DiskWindowResult,
-        hit_ratio: float,
-        swap: float,
-    ) -> MetricsDelta:
-        by_type = batch.count_by_type()
-
-        def type_count(*types: QueryType) -> float:
-            return float(sum(by_type.get(t, 0) for t in types))
-
-        total_read_mb = sum(
-            count * batch.families[name].footprint.read_kb / 1024.0
-            for name, count in batch.counts.items()
-        )
-        blks_total = total_read_mb / (_PAGE_KB_BY_FLAVOR[self.flavor] / 1024.0)
-        rows_returned = float(
-            sum(
-                count * batch.families[name].footprint.rows_returned
-                for name, count in batch.counts.items()
-            )
-        )
-        return MetricsDelta(
-            {
-                "xact_commit": float(batch.total_queries),
-                "tup_returned": rows_returned,
-                "tup_inserted": type_count(QueryType.INSERT),
-                "tup_updated": type_count(QueryType.UPDATE),
-                "tup_deleted": type_count(QueryType.DELETE),
-                "blks_read": blks_total * (1.0 - hit_ratio),
-                "blks_hit": blks_total * hit_ratio,
-                "temp_files": float(spill.temp_files),
-                "temp_mb": spill.spill_read_write_mb / 2.0,
-                "buffers_checkpoint_mb": writeback.checkpoint_write_mb,
-                "buffers_clean_mb": writeback.bgwriter_write_mb,
-                "buffers_backend_mb": (
-                    spill.spill_read_write_mb / 2.0 + writeback.backend_write_mb
-                ),
-                "backend_flush_mb": writeback.backend_write_mb,
-                "checkpoints_timed": float(writeback.checkpoints_timed),
-                "checkpoints_requested": float(writeback.checkpoints_requested),
-                "wal_mb": float(np.sum(writeback.wal_write_mb_s)),
-                "vacuum_mb": writeback.vacuum_write_mb,
-                "disk_read_latency_ms": float(np.mean(data_result.read_latency)),
-                "disk_write_latency_ms": float(np.mean(data_result.write_latency)),
-                "disk_iops": float(np.mean(data_result.iops)),
-                "cpu_utilisation": summary.cpu_utilisation,
-                "swap_factor": swap,
-                "throughput_tps": summary.achieved_tps,
-                "avg_latency_ms": summary.avg_latency_ms,
-                "window_s": batch.duration_s,
-            }
-        )
-
-
 def step_members(
     dbs: Sequence[SimulatedDatabase],
     batches: Sequence[WorkloadBatch],
@@ -421,10 +391,9 @@ def _step_chunk(
 
     results = []
     for k, (db, batch) in enumerate(zip(dbs, batches)):
-        commit_latency = float(np.mean(wal_disk[k].write_latency))
+        commit_latency = _mean(wal_disk[k].write_latency)
         data_latency_factor = max(
-            1.0,
-            float(np.mean(data_disk[k].write_latency)) / db.vm.disk.base_latency_ms,
+            1.0, _mean(data_disk[k].write_latency) / db.vm.disk.base_latency_ms
         )
         summary = run_batch(
             batch,
@@ -438,7 +407,9 @@ def _step_chunk(
             swaps[k],
         )
         summary = _charge_disruption(summary, stall[k], seconds)
-        metrics = db._assemble_metrics(
+        metrics = partial(
+            _assemble_metrics,
+            db.flavor,
             batch,
             summary,
             spills[k],
@@ -463,6 +434,71 @@ def _step_chunk(
         )
         db.clock_s += seconds
     return results
+
+
+def _mean(x: np.ndarray) -> float:
+    """``float(np.mean(x))``: its arithmetic (the pairwise sum, then one
+    division) without its per-call overhead."""
+    return float(np.add.reduce(x)) / len(x)
+
+
+def _assemble_metrics(
+    flavor: str,
+    batch: WorkloadBatch,
+    summary: ExecutionSummary,
+    spill: SpillReport,
+    writeback: WriteBackResult,
+    data_result: DiskWindowResult,
+    hit_ratio: float,
+    swap: float,
+) -> MetricsDelta:
+    by_type = batch.count_by_type()
+
+    def type_count(*types: QueryType) -> float:
+        return float(sum(by_type.get(t, 0) for t in types))
+
+    total_read_mb = sum(
+        count * batch.families[name].footprint.read_kb / 1024.0
+        for name, count in batch.counts.items()
+    )
+    blks_total = total_read_mb / (_PAGE_KB_BY_FLAVOR[flavor] / 1024.0)
+    rows_returned = float(
+        sum(
+            count * batch.families[name].footprint.rows_returned
+            for name, count in batch.counts.items()
+        )
+    )
+    return MetricsDelta(
+        {
+            "xact_commit": float(batch.total_queries),
+            "tup_returned": rows_returned,
+            "tup_inserted": type_count(QueryType.INSERT),
+            "tup_updated": type_count(QueryType.UPDATE),
+            "tup_deleted": type_count(QueryType.DELETE),
+            "blks_read": blks_total * (1.0 - hit_ratio),
+            "blks_hit": blks_total * hit_ratio,
+            "temp_files": float(spill.temp_files),
+            "temp_mb": spill.spill_read_write_mb / 2.0,
+            "buffers_checkpoint_mb": writeback.checkpoint_write_mb,
+            "buffers_clean_mb": writeback.bgwriter_write_mb,
+            "buffers_backend_mb": (
+                spill.spill_read_write_mb / 2.0 + writeback.backend_write_mb
+            ),
+            "backend_flush_mb": writeback.backend_write_mb,
+            "checkpoints_timed": float(writeback.checkpoints_timed),
+            "checkpoints_requested": float(writeback.checkpoints_requested),
+            "wal_mb": float(np.sum(writeback.wal_write_mb_s)),
+            "vacuum_mb": writeback.vacuum_write_mb,
+            "disk_read_latency_ms": _mean(data_result.read_latency),
+            "disk_write_latency_ms": _mean(data_result.write_latency),
+            "disk_iops": _mean(data_result.iops),
+            "cpu_utilisation": summary.cpu_utilisation,
+            "swap_factor": swap,
+            "throughput_tps": summary.achieved_tps,
+            "avg_latency_ms": summary.avg_latency_ms,
+            "window_s": batch.duration_s,
+        }
+    )
 
 
 def _charge_disruption(

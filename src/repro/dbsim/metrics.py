@@ -50,6 +50,7 @@ METRIC_NAMES: tuple[str, ...] = (
     "avg_latency_ms",
     "window_s",
 )
+_NAME_SET = frozenset(METRIC_NAMES)
 
 
 @dataclass
@@ -64,20 +65,24 @@ class MetricsDelta:
     values: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        unknown = set(self.values) - set(METRIC_NAMES)
+        unknown = self.values.keys() - _NAME_SET
         if unknown:
             raise ValueError(f"unknown metrics: {sorted(unknown)}")
         for name in METRIC_NAMES:
             self.values.setdefault(name, 0.0)
 
     def __getitem__(self, name: str) -> float:
-        if name not in METRIC_NAMES:
+        if name not in _NAME_SET:
             raise KeyError(f"unknown metric {name!r}")
         return self.values[name]
 
     def as_vector(self, names: tuple[str, ...] = METRIC_NAMES) -> np.ndarray:
         """The metric values as a float vector in *names* order."""
-        return np.array([self[name] for name in names], dtype=float)
+        if not _NAME_SET.issuperset(names):
+            unknown = next(name for name in names if name not in _NAME_SET)
+            raise KeyError(f"unknown metric {unknown!r}")
+        values = self.values
+        return np.array([values[name] for name in names], dtype=float)
 
     @property
     def throughput(self) -> float:

@@ -89,7 +89,17 @@ def config_to_vector(config: KnobConfiguration) -> np.ndarray:
     Ratio-scaled knobs (see :attr:`KnobDef.log_scale`) are log-transformed
     first so that, e.g., a 16 MB and a 3 GB buffer pool land far apart in
     tuning space while 60 GB and 63 GB land close together.
+
+    Configurations are immutable by convention, so the vector is computed
+    once per configuration and returned read-only.
     """
+    vector = config._vector
+    if vector is None:
+        vector = config._vector = _config_vector(config)
+    return vector
+
+
+def _config_vector(config: KnobConfiguration) -> np.ndarray:
     values: list[float] = []
     for knob in config.catalog:
         value = config[knob.name]
@@ -101,7 +111,9 @@ def config_to_vector(config: KnobConfiguration) -> np.ndarray:
         else:
             span = knob.max_value - knob.min_value
             values.append((value - knob.min_value) / span)
-    return np.array(values, dtype=float)
+    vector = np.array(values, dtype=float)
+    vector.flags.writeable = False
+    return vector
 
 
 def vector_to_config(

@@ -20,8 +20,9 @@ between a fleet experiment that finishes and one that does not.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from repro.dbsim.metrics import METRIC_NAMES, MetricsDelta
 from repro.tuners.base import TrainingSample, config_to_vector
 
 __all__ = ["WorkloadDataset", "WorkloadRepository"]
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -149,9 +152,8 @@ class WorkloadRepository:
         # Materialised per-workload matrices, each tagged with the sample
         # count it was built from so a bumped version invalidates lazily.
         self._dataset_cache: dict[str, tuple[int, WorkloadDataset]] = {}
-        # Derived state shared *across* consumers: every workload mapper
-        # over this store (the tuner's and each TDE's) keeps its
-        # ``(version, payload)`` entries here, under its own namespace.
+        # Derived state shared *across* consumers (see :meth:`derived`):
+        # ``(version, payload)`` entries under one namespace per kind.
         self.derived_cache: dict[Any, dict[Any, Any]] = {}
 
     @property
@@ -164,6 +166,27 @@ class WorkloadRepository:
         arrive instead of on every tuning request.
         """
         return self._version
+
+    def derived(self, namespace: Any, key: Any, compute: Callable[[], _T]) -> _T:
+        """*key*'s entry in *namespace* at the current :attr:`version`.
+
+        Every consumer over this store shares these entries: the workload
+        mappers (the tuner's and each TDE's) and the bgwriter detectors'
+        baselines, so a fleet shard's members compute each once per
+        version. *compute* runs on a miss or when the entry was computed
+        at an older version; it must be a pure function of the contents
+        plus the key. A hit then returns exactly what recomputing would,
+        so cache state cannot change an output — which also makes writing
+        into a received copy (a shard's pickled repository) safe.
+        """
+        cache = self.derived_cache.setdefault(namespace, {})
+        cached = cache.get(key)
+        if cached is not None and cached[0] == self._version:
+            value: _T = cached[1]
+            return value
+        value = compute()
+        cache[key] = (self._version, value)
+        return value
 
     def _append(self, sample: TrainingSample) -> None:
         arrays = self._arrays.get(sample.workload_id)

@@ -14,9 +14,7 @@ implementation naturally.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -53,40 +51,13 @@ class WorkloadMapper:
             raise ValueError("n_bins must be >= 2")
         self.repository = repository
         self.n_bins = n_bins
-        # Derived state keyed on the repository's version counter: decile
-        # edges and mapping results are pure functions of the repository
-        # contents, so an entry is served only at the version that
-        # computed it. The cache lives *on the repository* so every
-        # mapper over the same store (each TDE owns one) shares one set
-        # of results.
-        # Keys: "edges" plus ("map", target, exclude) tuples; values are
-        # (repository version, payload) pairs.
-        #
-        # Writing into a received repository is safe: inside a shard the
-        # repository is that worker's pickled copy, and a hit returns
-        # exactly what recomputing would, so cache state cannot change
-        # an output.
-        cache = repository.derived_cache.setdefault(("mapper", n_bins), {})
-        self._cache: dict[Any, tuple[int, Any]] = cache
-
-    def _entry(self, key: Any, compute: Callable[[], Any]) -> Any:
-        """*key*'s entry at the repository's current version.
-
-        *compute* runs on a miss or when the entry was computed at an
-        older version; it must be a pure function of the repository
-        contents plus the key.
-        """
-        version = self.repository.version
-        cached = self._cache.get(key)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        value = compute()
-        self._cache[key] = (version, value)
-        return value
+        # Edges and mapping results are pure functions of the repository
+        # contents, kept in its derived cache (keys "edges" and ("map",
+        # target, exclude)) so every mapper over one store shares them.
+        self._namespace = ("mapper", n_bins)
 
     def _bin_edges(self) -> np.ndarray | None:
-        edges: np.ndarray | None = self._entry("edges", self._compute_edges)
-        return edges
+        return self.repository.derived(self._namespace, "edges", self._compute_edges)
 
     def _compute_edges(self) -> np.ndarray | None:
         rows = self.repository.all_metric_rows()
@@ -122,11 +93,11 @@ class WorkloadMapper:
         without samples — or the target itself, unless
         ``exclude_target=False`` — are skipped.
         """
-        result: MappingResult = self._entry(
+        return self.repository.derived(
+            self._namespace,
             ("map", target_id, exclude_target),
             lambda: self._map_workload(target_id, exclude_target),
         )
-        return result
 
     def _capped(self, dataset: WorkloadDataset) -> WorkloadDataset:
         """The dataset's newest :data:`MAPPING_WINDOW` samples."""

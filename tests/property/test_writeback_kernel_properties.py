@@ -17,13 +17,18 @@ Hypothesis draws chains of at least three windows over:
   positive dirty-page limit;
 - a dirty cap below one second of dirtying, and the buffer pool's own;
 - dirty rates below, exactly at and above the writer's flush rate, and
-  no dirtying at all;
+  no dirtying at all (a volume of ``0.0`` or ``-0.0``);
 - windows of 1, 60, 300 and 600 s and odd lengths; configs that change
-  between windows; vacuum intervals below one second and fractional.
+  between windows; vacuum intervals below one second and fractional;
+- the states the kernel answers in closed form: a carried backlog of
+  exactly ``0.0`` or ``-0.0``, or exactly at the first window's cap; and
+  checkpoint clocks, vacuum clocks and spread remainders that are whole,
+  fractional, or so large that stepping by one second is no longer exact.
 """
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,7 +73,7 @@ def _windows(draw, flavor):
     flush = WriteBackParams.from_config(config).bg_flush_mb_s
     regime = draw(st.sampled_from(("below", "equal", "above", "zero", "any")))
     if regime == "zero":
-        dirty = 0.0
+        dirty = draw(st.sampled_from((0.0, -0.0)))
     elif regime == "equal":
         dirty = _exact_rate(flush, duration)
     elif regime == "any":
@@ -87,6 +92,17 @@ def _windows(draw, flavor):
     return config, dirty, duration, buffer_mb
 
 
+def _clock(top: int):
+    """Seconds on a counter: whole, fractional, or past exact stepping."""
+    return st.one_of(
+        st.floats(min_value=0.0, max_value=float(top)),
+        st.integers(min_value=0, max_value=top).map(float),
+        st.integers(min_value=0, max_value=top).map(lambda x: x + 0.5),
+        # Whole seconds are exact to 2**53; past it a step rounds.
+        st.sampled_from((2.0**52 + 1.0, 2.0**53 + 2.0)),
+    )
+
+
 @st.composite
 def _chains(draw):
     flavor = draw(st.sampled_from(("postgres", "mysql")))
@@ -101,12 +117,20 @@ def _chains(draw):
         st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
         st.floats(min_value=1.0, max_value=400.0).map(lambda x: x + 0.37),
         st.integers(min_value=1, max_value=400).map(float),
+        # Past 2**53 a step of one second rounds: the spread stalls.
+        st.just(2.0**53 + 2.0),
+    )
+    config, _, _, buffer_mb = windows[0]
+    cap = 0.9 * (config.buffer_pool_mb() if buffer_mb is None else buffer_mb)
+    backlog = st.one_of(
+        st.floats(min_value=0.0, max_value=5000.0),
+        st.sampled_from((0.0, -0.0, cap)),
     )
     state = (
-        draw(st.floats(min_value=0.0, max_value=5000.0)),  # dirty backlog MB
+        draw(backlog),  # dirty backlog MB
         draw(wal),  # WAL since checkpoint MB
-        draw(st.floats(min_value=0.0, max_value=2000.0)),  # since checkpoint s
-        draw(st.floats(min_value=0.0, max_value=300.0)),  # since vacuum s
+        draw(_clock(2000)),  # since checkpoint s
+        draw(_clock(300)),  # since vacuum s
         draw(st.floats(min_value=0.0, max_value=200.0)),  # spread rate MB/s
         draw(left),  # spread left s
     )
@@ -170,6 +194,28 @@ class TestKernelEqualsPerSecondLoop:
             want = run_window_per_second(loop, config, dirty, duration, start, buffer_mb)
             assert _fingerprint(got, kernel) == _fingerprint(want, loop)
             start += duration
+
+    @pytest.mark.parametrize("flavor", ["postgres", "mysql"])
+    @pytest.mark.parametrize("regime", ["below", "equal", "above"])
+    @pytest.mark.parametrize("backlog", ["zero", "negative zero", "cap"])
+    def test_steady_starts(self, flavor, regime, backlog):
+        """Each closed-form start, with whole and fractional counters."""
+        config = KnobConfiguration(catalog_for(flavor))
+        flush = WriteBackParams.from_config(config).bg_flush_mb_s
+        rate = {"below": flush / 2.0, "equal": flush, "above": flush * 3.0}[regime]
+        buffer_mb = 40.0
+        carried = {"zero": 0.0, "negative zero": -0.0, "cap": 0.9 * buffer_mb}[backlog]
+        for clock, vacuum, left in ((0.0, 0.0, 0.0), (37.0, 119.0, 12.0), (3.25, 7.5, 0.4)):
+            state = (carried, 0.0, clock, vacuum, 2.5, left)
+            kernel = _scheduler(state, (120.0, 24.0))
+            loop = _scheduler(state, (120.0, 24.0))
+            start = 0.0
+            for duration in (300, 1, 299):
+                dirty = _exact_rate(rate, duration)
+                got = kernel.run_window(config, dirty, duration, start, buffer_mb)
+                want = run_window_per_second(loop, config, dirty, duration, start, buffer_mb)
+                assert _fingerprint(got, kernel) == _fingerprint(want, loop)
+                start += duration
 
     def test_exact_rate_helper_hits_the_flush_rate(self):
         config = KnobConfiguration(catalog_for("postgres"))

@@ -83,6 +83,10 @@ Each function here is the plain definition of a computation that
   <repro.tuners.workload_mapping.WorkloadMapper._score>`, which forms the
   distance rows in blocks of one reused buffer, must give the same score
   and mapping.
+- :func:`assemble_metrics_eager` is a window's delta-metric vector built
+  eagerly from its result, with ``np.mean`` for the disk means; the
+  engine's ``ExecutionResult.metrics``, built on first read, must give
+  the same floats bit for bit.
 """
 
 from __future__ import annotations
@@ -103,6 +107,7 @@ from repro.dbsim.bgwriter import (
     WriteBackScheduler,
 )
 from repro.dbsim.config import KnobConfiguration, effective_sessions
+from repro.dbsim.engine import _PAGE_KB_BY_FLAVOR, ExecutionResult
 from repro.dbsim.executor import (
     _COMMIT_WAIT_FACTOR,
     _CPU_MS_BASE,
@@ -112,6 +117,7 @@ from repro.dbsim.executor import (
     ExecutionSummary,
 )
 from repro.dbsim.memory import working_area_knobs
+from repro.dbsim.metrics import MetricsDelta
 from repro.dbsim.planner import PlanColumns, _base_cost
 from repro.tuners.base import (
     Recommendation,
@@ -129,7 +135,7 @@ from repro.tuners.lasso import (
     _standardised_problem,
 )
 from repro.tuners.workload_mapping import WorkloadMapper
-from repro.workloads.query import FOOTPRINT_COLUMNS
+from repro.workloads.query import FOOTPRINT_COLUMNS, QueryType
 
 if TYPE_CHECKING:
     from collections.abc import Mapping
@@ -1036,3 +1042,60 @@ class OneExpressionMapper(WorkloadMapper):
         nearest = np.argmin(diffs, axis=1)
         deltas = target_binned - candidate_binned[nearest]
         return float(np.mean(np.sum(deltas**2, axis=1)))
+
+
+def assemble_metrics_eager(result: ExecutionResult, swap: float) -> MetricsDelta:
+    """*result*'s delta metrics, built at once from its own fields.
+
+    *swap* is the window's swap factor (it is not kept on the result).
+    """
+    batch, summary, spill = result.batch, result.summary, result.spill
+    writeback, data_result = result.writeback, result.data_disk
+    by_type = batch.count_by_type()
+
+    def type_count(*types: QueryType) -> float:
+        return float(sum(by_type.get(t, 0) for t in types))
+
+    total_read_mb = sum(
+        count * batch.families[name].footprint.read_kb / 1024.0
+        for name, count in batch.counts.items()
+    )
+    page_kb = _PAGE_KB_BY_FLAVOR[result.config.catalog.flavor]
+    blks_total = total_read_mb / (page_kb / 1024.0)
+    rows_returned = float(
+        sum(
+            count * batch.families[name].footprint.rows_returned
+            for name, count in batch.counts.items()
+        )
+    )
+    return MetricsDelta(
+        {
+            "xact_commit": float(batch.total_queries),
+            "tup_returned": rows_returned,
+            "tup_inserted": type_count(QueryType.INSERT),
+            "tup_updated": type_count(QueryType.UPDATE),
+            "tup_deleted": type_count(QueryType.DELETE),
+            "blks_read": blks_total * (1.0 - result.hit_ratio),
+            "blks_hit": blks_total * result.hit_ratio,
+            "temp_files": float(spill.temp_files),
+            "temp_mb": spill.spill_read_write_mb / 2.0,
+            "buffers_checkpoint_mb": writeback.checkpoint_write_mb,
+            "buffers_clean_mb": writeback.bgwriter_write_mb,
+            "buffers_backend_mb": (
+                spill.spill_read_write_mb / 2.0 + writeback.backend_write_mb
+            ),
+            "backend_flush_mb": writeback.backend_write_mb,
+            "checkpoints_timed": float(writeback.checkpoints_timed),
+            "checkpoints_requested": float(writeback.checkpoints_requested),
+            "wal_mb": float(np.sum(writeback.wal_write_mb_s)),
+            "vacuum_mb": writeback.vacuum_write_mb,
+            "disk_read_latency_ms": float(np.mean(data_result.read_latency)),
+            "disk_write_latency_ms": float(np.mean(data_result.write_latency)),
+            "disk_iops": float(np.mean(data_result.iops)),
+            "cpu_utilisation": summary.cpu_utilisation,
+            "swap_factor": swap,
+            "throughput_tps": summary.achieved_tps,
+            "avg_latency_ms": summary.avg_latency_ms,
+            "window_s": batch.duration_s,
+        }
+    )

@@ -133,6 +133,10 @@ class TestMetricsDelta:
         vec = m.as_vector(("wal_mb",))
         assert vec.tolist() == [3.0]
 
+    def test_unknown_vector_name_rejected(self):
+        with pytest.raises(KeyError, match="'nope'"):
+            MetricsDelta({}).as_vector(("wal_mb", "nope"))
+
     def test_ottertune_set_lacks_planner_metrics(self):
         """§5/Fig. 15: the metric set misses planner estimates, which only
         EXPLAIN shows."""

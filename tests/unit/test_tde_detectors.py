@@ -1,5 +1,7 @@
 """Unit tests for the three TDE detectors."""
 
+import pickle
+
 import pytest
 
 from repro.core.tde import (
@@ -158,6 +160,48 @@ class TestBgwriterDetector:
         detector = BgwriterThrottleDetector("svc", repo)
         result = db.run(TPCCWorkload(rps=300.0, seed=5).batch(60.0))
         assert detector.inspect(result) == []
+
+    def test_shared_baseline_equals_fresh_computation_at_every_version(
+        self, monkeypatch
+    ):
+        """A fleet run's detectors share one baseline per repository
+        version and workload, equal to a detector's own computation on an
+        uncached copy of the repository."""
+        from repro.core.tde import bgwriter_detector
+        from repro.experiments import fig09_requests_per_minute as fig09
+
+        shared = bgwriter_detector.BgwriterThrottleDetector.baseline_for
+        compute = bgwriter_detector.BgwriterThrottleDetector._compute_baseline
+        computed: list[tuple[int, int, str]] = []
+        checked: dict[tuple[int, int, str], object] = {}
+
+        def counted(self, workload_id):
+            computed.append((id(self.repository), self.repository.version, workload_id))
+            return compute(self, workload_id)
+
+        def checked_baseline(self, workload_id):
+            got = shared(self, workload_id)
+            key = (id(self.repository), self.repository.version, workload_id)
+            if key not in checked:
+                fresh = pickle.loads(pickle.dumps(self.repository))
+                fresh.derived_cache.clear()
+                checked[key] = compute(
+                    BgwriterThrottleDetector("fresh", fresh), workload_id
+                )
+            assert got == checked[key]
+            return got
+
+        monkeypatch.setattr(
+            bgwriter_detector.BgwriterThrottleDetector, "_compute_baseline", counted
+        )
+        monkeypatch.setattr(
+            bgwriter_detector.BgwriterThrottleDetector, "baseline_for", checked_baseline
+        )
+        fig09.run(fleet_size=4, hours=1.0, warmup_hours=0.5, seed=3)
+        assert len(checked) > 10
+        assert any(baseline is not None for baseline in checked.values())
+        # Once per repository version and workload, however many members.
+        assert sorted(computed) == sorted(checked)
 
 
 class TestPlannerDetector:

@@ -1,5 +1,7 @@
 """Unit tests for the tuner base utilities (vectors, boosting)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,20 @@ class TestVectorEncoding:
     def test_wrong_length_rejected(self, pg_catalog):
         with pytest.raises(ValueError):
             vector_to_config(np.zeros(3), pg_catalog)
+
+    def test_vector_memoised_read_only_and_not_pickled(self, pg_catalog):
+        config = KnobConfiguration(pg_catalog, {"work_mem": 64})
+        unvectorised = pickle.dumps(config)
+        vector = config_to_vector(config)
+        assert config_to_vector(config) is vector
+        with pytest.raises(ValueError):
+            vector[0] = 0.5
+        assert pickle.dumps(config) == unvectorised
+        copy = pickle.loads(unvectorised)
+        assert config_to_vector(copy).tobytes() == vector.tobytes()
+        # A derived configuration has its own vector.
+        other = config.with_values({"work_mem": 128})
+        assert config_to_vector(other).tobytes() != vector.tobytes()
 
 
 class TestBoostThrottledKnobs:
